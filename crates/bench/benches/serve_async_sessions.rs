@@ -31,7 +31,6 @@ fn service(max_in_flight: usize) -> FastService {
             extra_devices: Vec::new(),
             workers: 2,
             cache_capacity: 16,
-            plan_cache_bytes: None,
             cst_cache_bytes: 16 << 20,
             max_in_flight,
             ..ServeConfig::default()

@@ -34,7 +34,6 @@ fn bench_session_tiers(c: &mut Criterion) {
                 extra_devices: Vec::new(),
                 workers: 1,
                 cache_capacity: plans,
-                plan_cache_bytes: None,
                 cst_cache_bytes: cst_bytes,
                 max_in_flight: 4,
                 ..ServeConfig::default()

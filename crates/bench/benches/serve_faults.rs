@@ -11,7 +11,6 @@ use graph_core::benchmark_query;
 use serve::{DeviceKind, FastService, FaultPolicy, ServeConfig};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn config(extra: Vec<DeviceKind>, cross_check: bool) -> ServeConfig {
     let mut fast = FastConfig::test_small(Variant::Sep);
@@ -22,12 +21,10 @@ fn config(extra: Vec<DeviceKind>, cross_check: bool) -> ServeConfig {
         extra_devices: extra,
         workers: 1,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: ServeConfig::default().cst_cache_bytes,
         max_in_flight: 4,
         fault: FaultPolicy {
             max_attempts: 16,
-            backoff: Duration::ZERO,
             cross_check,
             ..FaultPolicy::default()
         },

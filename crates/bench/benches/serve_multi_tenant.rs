@@ -23,7 +23,6 @@ fn two_tenant_service(extra: Vec<DeviceKind>) -> (FastService, TenantId) {
             extra_devices: extra,
             workers: 2,
             cache_capacity: 16,
-            plan_cache_bytes: None,
             cst_cache_bytes: ServeConfig::default().cst_cache_bytes,
             max_in_flight: 8,
             ..ServeConfig::default()

@@ -48,7 +48,6 @@ fn bench_session(c: &mut Criterion) {
                 extra_devices: Vec::new(),
                 workers: 1,
                 cache_capacity: capacity,
-                plan_cache_bytes: None,
                 // Cold disables both tiers so every iteration pays the
                 // full plan + build; warm keeps the default byte budget.
                 cst_cache_bytes: if capacity == 0 {

@@ -22,7 +22,6 @@ use graph_core::{benchmark_query, DatasetId};
 use serve::{DeviceKind, FastService, FaultPolicy, ServeConfig, ServeReport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The repeated query mix (shared with the serving studies).
 pub const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
@@ -69,15 +68,12 @@ fn serve_config(clients: usize, extra: Vec<DeviceKind>, cross_check: bool) -> Se
         extra_devices: extra,
         workers: clients.clamp(1, 8),
         cache_capacity: 64,
-        plan_cache_bytes: None,
         cst_cache_bytes: ServeConfig::default().cst_cache_bytes,
         max_in_flight: (2 * clients).max(1),
         fault: FaultPolicy {
             max_attempts: 16,
-            backoff: Duration::ZERO,
             cross_check,
             cpu_fallback: true,
-            ..FaultPolicy::default()
         },
         ..ServeConfig::default()
     }

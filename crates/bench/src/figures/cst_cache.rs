@@ -49,7 +49,6 @@ fn serve_config(clients: usize, cst_budget: usize) -> ServeConfig {
         extra_devices: Vec::new(),
         workers: clients.clamp(1, 8),
         cache_capacity: 64,
-        plan_cache_bytes: None,
         cst_cache_bytes: cst_budget,
         max_in_flight: (2 * clients).max(1),
         ..ServeConfig::default()

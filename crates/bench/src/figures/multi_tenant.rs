@@ -78,7 +78,6 @@ fn serve_config(fleet: Fleet, cache_capacity: usize, clients: usize) -> ServeCon
         extra_devices,
         workers: clients.clamp(1, 8),
         cache_capacity,
-        plan_cache_bytes: None,
         // Cold cells disable both tiers; warm cells keep the default
         // tier-2 byte budget so repeats replay the cached shard CSTs.
         cst_cache_bytes: if cache_capacity == 0 {

@@ -102,7 +102,6 @@ fn serve_config(clients: usize, cache_capacity: usize) -> ServeConfig {
         extra_devices: Vec::new(),
         workers: clients.clamp(1, 8),
         cache_capacity,
-        plan_cache_bytes: None,
         cst_cache_bytes: if cache_capacity == 0 {
             0
         } else {

@@ -130,7 +130,6 @@ fn serve_config(clients: usize, cache_capacity: usize) -> ServeConfig {
         extra_devices: Vec::new(),
         workers: clients.clamp(1, 8),
         cache_capacity,
-        plan_cache_bytes: None,
         // Cold mode disables both tiers; warm keeps the default budget so
         // repeats are tier-2 hits (pure dispatch + kernel).
         cst_cache_bytes: if cache_capacity == 0 {

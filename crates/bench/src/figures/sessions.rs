@@ -66,7 +66,6 @@ fn config(in_flight: usize) -> ServeConfig {
         extra_devices: Vec::new(),
         workers: 2,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: 16 << 20,
         max_in_flight: in_flight,
         ..ServeConfig::default()

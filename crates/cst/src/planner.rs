@@ -289,31 +289,6 @@ pub struct RootProfile {
 }
 
 impl RootProfile {
-    /// Approximate heap bytes of the probe's memoised candidate space —
-    /// the dominant weight of a probe-carrying [`ShardPlan`] in a
-    /// byte-budgeted cache.
-    pub fn approx_bytes(&self) -> usize {
-        let levels: usize = self
-            .levels
-            .iter()
-            .map(|l| {
-                (l.offsets.len() + l.targets.len()) * std::mem::size_of::<u32>()
-                    + l.candidates.len() * std::mem::size_of::<VertexId>()
-            })
-            .sum();
-        let alive: usize = self.alive.iter().map(Vec::len).sum();
-        let nontree: usize = self
-            .nontree
-            .iter()
-            .map(|s| s.pairs.len() * std::mem::size_of::<(u32, u32)>())
-            .sum();
-        self.weights.len() * std::mem::size_of::<f64>()
-            + self.hubs.len() * std::mem::size_of::<Option<u32>>()
-            + levels
-            + alive
-            + nontree
-    }
-
     /// Runs the probe: phase 1 of Algorithm 1 (top-down construction, no
     /// refinement, tree edges only), recording per-level candidate
     /// adjacency. Every interior vertex is expanded exactly once — unlike
@@ -818,18 +793,6 @@ impl ShardPlan {
             provenance: 0,
             probe: None,
         }
-    }
-
-    /// Approximate heap bytes of the plan — boundaries, weights, and the
-    /// riding probe. The eviction weight of a byte-budgeted plan cache
-    /// (`serve::PlanCache`): probe-carrying plans dominate (the memoised
-    /// candidate space), so an entry-count LRU systematically undercounts
-    /// exactly the entries worth budgeting.
-    pub fn approx_bytes(&self) -> usize {
-        self.order.len() * std::mem::size_of::<u32>()
-            + self.ranges.len() * std::mem::size_of::<Range<usize>>()
-            + self.shard_weights.len() * std::mem::size_of::<f64>()
-            + self.probe.as_ref().map_or(0, |p| p.approx_bytes())
     }
 
     /// Number of shards in the plan.

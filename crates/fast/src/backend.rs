@@ -1,5 +1,5 @@
-//! Execution backends: the partition-execution seam between preparation
-//! and devices.
+//! Execution backends: one synchronous `execute` call between a prepared
+//! partition and a device.
 //!
 //! [`prepare_partitions`](crate::prepare_partitions) streams
 //! [`PartitionJob`]s — self-contained, independently matchable CSTs with
@@ -166,50 +166,6 @@ pub struct BackendOutput {
     pub modeled_sec: f64,
 }
 
-/// An in-flight partition execution, split at the completion boundary.
-///
-/// The emulated backends are synchronous — the kernel emulation runs to
-/// the end inside [`ExecutionBackend::begin`] — but the *modelled* device
-/// time is carried here as [`eta_sec`](Self::eta_sec) instead of a thread
-/// sleep, so an event-driven executor can treat it as a scheduled
-/// completion: submit, park the session, and resume it when the completion
-/// queue delivers this step. A future real-DMA backend would defer work
-/// into [`complete`](Self::complete); everything the serving layer does
-/// (retry taxonomy, pricing, cross-checking) only depends on the step's
-/// resolved result.
-#[must_use = "an execution step holds the partition's result; complete() it"]
-#[derive(Debug)]
-pub struct ExecutionStep {
-    result: Result<BackendOutput, BackendError>,
-    eta_sec: f64,
-}
-
-impl ExecutionStep {
-    /// Wraps an already-resolved execution. The modelled ETA is the
-    /// output's `modeled_sec` (0 for failures; a stall charges its expired
-    /// watchdog budget — that wall time passed before the error surfaced).
-    pub fn ready(result: Result<BackendOutput, BackendError>) -> Self {
-        let eta_sec = match &result {
-            Ok(out) => out.modeled_sec,
-            Err(BackendError::Stalled { watchdog_sec }) => *watchdog_sec,
-            Err(_) => 0.0,
-        };
-        ExecutionStep { result, eta_sec }
-    }
-
-    /// Modelled seconds until this step's completion would be delivered —
-    /// what a completion-driven scheduler charges the device while the
-    /// submitting session is parked.
-    pub fn eta_sec(&self) -> f64 {
-        self.eta_sec
-    }
-
-    /// Resolves the step into the partition's result.
-    pub fn complete(self) -> Result<BackendOutput, BackendError> {
-        self.result
-    }
-}
-
 /// One device's execution + pricing policy. Implementations must be
 /// deterministic in `(job, ctx)`: the serving layer's bit-identity
 /// guarantees rest on every backend reporting the same `embeddings` for
@@ -225,23 +181,17 @@ pub trait ExecutionBackend: Send + Sync {
     /// comparable (if rough) prices.
     fn prior_sec_per_workload(&self) -> f64;
 
-    /// Starts executing `job`'s partition, returning the in-flight
-    /// [`ExecutionStep`]. Execution is fallible: a real device sees
-    /// transient errors, hangs, and corrupted readback — a
-    /// [`BackendError`] names the failure mode so the serving layer can
+    /// Executes `job`'s partition to the end. Execution is fallible: a
+    /// real device sees transient errors, hangs, and corrupted readback —
+    /// a [`BackendError`] names the failure mode so the serving layer can
     /// retry, reroute, or evict. The in-process backends below never fail;
     /// [`crate::fault::FaultInjector`] wraps any backend with a seeded
     /// fault schedule for tests and chaos figures.
-    fn begin(&self, job: &PartitionJob, ctx: &QueryCtx<'_>) -> ExecutionStep;
-
-    /// Convenience synchronous path: begin and immediately complete.
     fn execute(
         &self,
         job: &PartitionJob,
         ctx: &QueryCtx<'_>,
-    ) -> Result<BackendOutput, BackendError> {
-        self.begin(job, ctx).complete()
-    }
+    ) -> Result<BackendOutput, BackendError>;
 }
 
 /// The emulated-FPGA backend: [`run_kernel`] plus the variant's cycle
@@ -300,7 +250,11 @@ impl ExecutionBackend for FpgaBackend {
         self.spec.cycles_to_sec(unit)
     }
 
-    fn begin(&self, job: &PartitionJob, ctx: &QueryCtx<'_>) -> ExecutionStep {
+    fn execute(
+        &self,
+        job: &PartitionJob,
+        ctx: &QueryCtx<'_>,
+    ) -> Result<BackendOutput, BackendError> {
         let mut span = obs::span_cat("execute", "exec");
         span.arg_str("backend", "fpga");
         span.arg_u64("partition", job.index as u64);
@@ -309,12 +263,12 @@ impl ExecutionBackend for FpgaBackend {
         span.arg_u64("embeddings", out.embeddings);
         span.arg_u64("cycles", kernel_cycles);
         exec_counter(BackendClass::Fpga).inc();
-        ExecutionStep::ready(Ok(BackendOutput {
+        Ok(BackendOutput {
             embeddings: out.embeddings,
             collected: out.collected,
             kernel_cycles,
             modeled_sec: self.spec.cycles_to_sec(kernel_cycles),
-        }))
+        })
     }
 }
 
@@ -359,12 +313,16 @@ impl ExecutionBackend for CpuBackend {
             / self.cost.parallel_speedup(self.threads)
     }
 
-    fn begin(&self, job: &PartitionJob, ctx: &QueryCtx<'_>) -> ExecutionStep {
+    fn execute(
+        &self,
+        job: &PartitionJob,
+        ctx: &QueryCtx<'_>,
+    ) -> Result<BackendOutput, BackendError> {
         let mut span = obs::span_cat("execute", "exec");
         span.arg_str("backend", "cpu");
         span.arg_u64("partition", job.index as u64);
         exec_counter(BackendClass::Cpu).inc();
-        ExecutionStep::ready(Ok(match ctx.collect {
+        Ok(match ctx.collect {
             CollectMode::CountOnly => {
                 let (_, stats) = run_backtrack(
                     ctx.query,
@@ -404,7 +362,7 @@ impl ExecutionBackend for CpuBackend {
                     modeled_sec: self.cost.parallel_search_time_sec(&engine, self.threads),
                 }
             }
-        }))
+        })
     }
 }
 
@@ -488,40 +446,6 @@ mod tests {
             embeddings += out.embeddings;
         });
         assert_eq!(embeddings, counted, "capping collection must not cap counting");
-    }
-
-    #[test]
-    fn begin_step_carries_the_modeled_eta() {
-        let q = triangle();
-        let g = random_labelled_graph(60, 0.25, 2, 97);
-        let config = FastConfig::test_small(Variant::Sep);
-        let fpga = FpgaBackend::from_config(&config);
-        let root = select_root(&q, &g);
-        let tree = BfsTree::new(&q, root);
-        let order = path_based_order(&q, &tree, &g);
-        let kernel_plan = KernelPlan::new(&q, &order, &tree).unwrap();
-        let ctx = QueryCtx {
-            query: &q,
-            graph: &g,
-            order: &order,
-            kernel_plan: &kernel_plan,
-            collect: CollectMode::CountOnly,
-        };
-        prepare_partitions(&q, &g, &config, &tree, &order, &mut |job| {
-            let step = fpga.begin(&job, &ctx);
-            let eta = step.eta_sec();
-            let out = step.complete().expect("fault-free backend");
-            assert_eq!(eta, out.modeled_sec, "ETA is the modelled device time");
-            let direct = fpga.execute(&job, &ctx).expect("fault-free backend");
-            assert_eq!(direct.embeddings, out.embeddings, "execute == begin+complete");
-        });
-
-        // Failure steps: errors are free, a stall charges its watchdog.
-        let failed = ExecutionStep::ready(Err(BackendError::Transient("x".into())));
-        assert_eq!(failed.eta_sec(), 0.0);
-        assert!(failed.complete().is_err());
-        let stalled = ExecutionStep::ready(Err(BackendError::Stalled { watchdog_sec: 1.5 }));
-        assert_eq!(stalled.eta_sec(), 1.5);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!    [`FaultPlan::slowdown`] (a degraded card the calibrating scheduler
 //!    should learn to avoid).
 
-use crate::backend::{BackendError, BackendSpec, ExecutionBackend, ExecutionStep, QueryCtx};
+use crate::backend::{BackendError, BackendOutput, BackendSpec, ExecutionBackend, QueryCtx};
 use crate::host::PartitionJob;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -206,12 +206,14 @@ impl ExecutionBackend for FaultInjector {
         self.inner.prior_sec_per_workload()
     }
 
-    fn begin(&self, job: &PartitionJob, ctx: &QueryCtx<'_>) -> ExecutionStep {
+    fn execute(
+        &self,
+        job: &PartitionJob,
+        ctx: &QueryCtx<'_>,
+    ) -> Result<BackendOutput, BackendError> {
         // Decide the call's fate under the lock, then drop it before
         // executing (or panicking): the injector's own state must survive
-        // an injected panic un-poisoned. Everything fallible — including
-        // the injected panic — happens here in `begin`, matching a real
-        // device where submission is the step that can blow up.
+        // an injected panic un-poisoned.
         let call = {
             let mut s = self
                 .state
@@ -229,10 +231,10 @@ impl ExecutionBackend for FaultInjector {
             if s.dead {
                 self.counters.permanent.fetch_add(1, Ordering::Relaxed);
                 self.counters.calls.fetch_add(1, Ordering::Relaxed);
-                return ExecutionStep::ready(Err(BackendError::Permanent(format!(
+                return Err(BackendError::Permanent(format!(
                     "device died at call {}",
                     self.plan.permanent_after.unwrap_or(0)
-                ))));
+                )));
             }
             call
         };
@@ -242,18 +244,15 @@ impl ExecutionBackend for FaultInjector {
         }
         if unit(self.draw(call, 1)) < self.plan.transient_rate {
             self.counters.transient.fetch_add(1, Ordering::Relaxed);
-            return ExecutionStep::ready(Err(BackendError::Transient(format!(
+            return Err(BackendError::Transient(format!(
                 "injected transient fault at call {call}"
-            ))));
+            )));
         }
         if unit(self.draw(call, 2)) < self.plan.stall_rate {
             self.counters.stalled.fetch_add(1, Ordering::Relaxed);
-            return ExecutionStep::ready(Err(BackendError::Stalled { watchdog_sec: 1.0 }));
+            return Err(BackendError::Stalled { watchdog_sec: 1.0 });
         }
-        let mut out = match self.inner.execute(job, ctx) {
-            Ok(out) => out,
-            Err(e) => return ExecutionStep::ready(Err(e)),
-        };
+        let mut out = self.inner.execute(job, ctx)?;
         if unit(self.draw(call, 3)) < self.plan.corrupt_rate {
             // A nonzero 64-bit XOR mask: the corrupted count can never
             // equal the true count, and two independently corrupted calls
@@ -264,7 +263,7 @@ impl ExecutionBackend for FaultInjector {
         }
         out.modeled_sec *= self.plan.slowdown.max(0.0);
         self.counters.executed.fetch_add(1, Ordering::Relaxed);
-        ExecutionStep::ready(Ok(out))
+        Ok(out)
     }
 }
 

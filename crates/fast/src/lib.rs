@@ -25,10 +25,11 @@
 //! * [`variants`] — FAST-DRAM/BASIC/TASK/SEP/SHARE and their cycle models;
 //! * [`scheduler`] — the CPU-share scheduler (Algorithm 3);
 //! * [`host`] — the co-designed driver (Fig. 2);
-//! * [`backend`] — the [`ExecutionBackend`] seam: partition execution +
-//!   cost-model pricing behind one trait (emulated FPGA or CPU fallback),
-//!   the unit a heterogeneous serving pool schedules; execution is
-//!   fallible ([`BackendError`]) so a serving layer can retry and reroute;
+//! * [`backend`] — the [`ExecutionBackend`] trait: one synchronous
+//!   `execute` per partition plus cost-model pricing (emulated FPGA or
+//!   CPU fallback), the unit a heterogeneous serving pool schedules;
+//!   execution is fallible ([`BackendError`]) so a serving layer can
+//!   retry and reroute;
 //! * [`fault`] — [`FaultInjector`]: a deterministic seeded fault-injecting
 //!   wrapper backend (transient errors, permanent death, stalls, silent
 //!   corruption, slowdowns) for chaos tests and figures;
@@ -49,7 +50,7 @@ pub mod variants;
 
 pub use backend::{
     BackendClass, BackendError, BackendOutput, BackendSpec, CpuBackend, ExecutionBackend,
-    ExecutionStep, FpgaBackend, QueryCtx,
+    FpgaBackend, QueryCtx,
 };
 pub use config::FastConfig;
 pub use fault::{FaultCounters, FaultInjector, FaultPlan};

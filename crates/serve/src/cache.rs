@@ -5,14 +5,10 @@
 //! least-recently-used entries until the resident weight fits the budget,
 //! and an entry heavier than the whole budget is **rejected** without
 //! disturbing the working set. Entry-count capacity is the degenerate case
-//! (every weight 1), so both tiers and both configuration styles share one
-//! implementation:
+//! (every weight 1), so both tiers share one implementation:
 //!
 //! * [`PlanCache`] (tier 1): [`cst::PlanKey`] → [`Arc<ShardPlan>`] — the
-//!   probe/boundary-search result. Configurable as an entry count (the
-//!   original interface, [`PlanCache::new`]) or a byte budget weighing
-//!   `ShardPlan::approx_bytes` ([`CacheBudget::Bytes`]): probe-carrying
-//!   plans dominate memory, which an entry-count LRU can't see.
+//!   probe/boundary-search result, bounded by an entry count.
 //! * [`CstCache`] (tier 2): [`cst::PlanKey`] → [`Arc<fast::PreparedCsts>`]
 //!   — the refined shard CSTs *and* their partition decomposition, weighed
 //!   by `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
@@ -203,36 +199,16 @@ impl<K: Eq + Hash + Copy, V: Clone> SizedCache<K, V> {
     }
 }
 
-/// How a [`PlanCache`]'s capacity is expressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheBudget {
-    /// At most this many entries (the original interface; weight 1 each).
-    Entries(usize),
-    /// At most this many resident bytes, weighing `ShardPlan::approx_bytes`.
-    Bytes(usize),
-}
-
-/// Tier 1: a budgeted LRU map `PlanKey → Arc<ShardPlan>`.
+/// Tier 1: an entry-count LRU map `PlanKey → Arc<ShardPlan>`.
 pub struct PlanCache {
     inner: SizedCache<PlanKey, Arc<ShardPlan>>,
-    by_bytes: bool,
 }
 
 impl PlanCache {
     /// Creates a cache holding at most `capacity` plans (0 = disabled).
     pub fn new(capacity: usize) -> Self {
-        PlanCache::with_budget(CacheBudget::Entries(capacity))
-    }
-
-    /// Creates a cache bounded by `budget` (entries or bytes; 0 = disabled).
-    pub fn with_budget(budget: CacheBudget) -> Self {
-        let (limit, by_bytes) = match budget {
-            CacheBudget::Entries(n) => (n, false),
-            CacheBudget::Bytes(b) => (b, true),
-        };
         PlanCache {
-            inner: SizedCache::new(limit),
-            by_bytes,
+            inner: SizedCache::new(capacity),
         }
     }
 
@@ -241,14 +217,9 @@ impl PlanCache {
         self.inner.get(key)
     }
 
-    /// Stores `plan` under `key`, evicting LRU entries if over budget.
+    /// Stores `plan` under `key`, evicting LRU entries if over capacity.
     pub fn insert(&mut self, key: PlanKey, plan: Arc<ShardPlan>) {
-        let weight = if self.by_bytes {
-            plan.approx_bytes().max(1)
-        } else {
-            1
-        };
-        self.inner.insert(key, plan, weight);
+        self.inner.insert(key, plan, 1);
     }
 
     /// Drops every entry (epoch invalidation).
@@ -265,12 +236,12 @@ impl PlanCache {
         self.inner.is_empty()
     }
 
-    /// Configured budget (entries or bytes, per construction).
+    /// Configured capacity in entries.
     pub fn capacity(&self) -> usize {
         self.inner.budget()
     }
 
-    /// Resident weight (entry count or approximate bytes).
+    /// Resident entries.
     pub fn used(&self) -> usize {
         self.inner.used()
     }
@@ -406,22 +377,6 @@ mod tests {
         assert!(c.get(&key(1)).is_none());
         assert_eq!(c.stats().insertions, 0);
         assert_eq!(c.stats().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn byte_budget_weighs_plans_and_tracks_residency() {
-        // Two probe-free plans fit a budget sized for two; the third evicts.
-        let per_plan = plan(2).approx_bytes();
-        assert!(per_plan > 0);
-        let mut c = PlanCache::with_budget(CacheBudget::Bytes(per_plan * 2));
-        c.insert(key(1), plan(2));
-        c.insert(key(2), plan(2));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.used(), per_plan * 2);
-        c.insert(key(3), plan(2));
-        assert_eq!(c.len(), 2, "byte budget evicted the LRU plan");
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.used() <= c.capacity());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! independent and complete search space" — to "the FPGA with the minimum
 //! total workload" using the `W_CST` estimate. The serving pool generalises
 //! that twice. First, from one query's partitions to a concurrent stream:
-//! every partition of every in-flight session is booked onto a device and
-//! completions release the booking. Second, from homogeneous cards to a
+//! every partition of every in-flight session is booked onto a device,
+//! executed by one synchronous backend call, and the booking released by
+//! [`DevicePool::complete`] or [`DevicePool::fail`] on the executor that
+//! ran it. Second, from homogeneous cards to a
 //! **heterogeneous fleet**: each device wraps an
 //! [`ExecutionBackend`] — an emulated FPGA card or
 //! a CPU fallback share — and the scheduler prices workload in **modelled
@@ -215,12 +217,6 @@ pub struct DevicePool {
     /// admissions, so penalties scale with traffic rather than wall time
     /// (the modelled devices have no wall of their own).
     tick: u64,
-    /// Completion notifications for the event-driven session layer: the
-    /// executor finishing a partition pushes the owning session's id here
-    /// and whichever executor drains the queue next resumes that session.
-    /// Tokens are opaque to the pool — a purely additive layer on top of
-    /// the admit/complete/fail accounting, which is untouched by it.
-    completions: std::collections::VecDeque<u64>,
 }
 
 impl std::fmt::Debug for DevicePool {
@@ -252,38 +248,7 @@ impl DevicePool {
                 backend,
             })
             .collect();
-        Ok(DevicePool {
-            devices,
-            tick: 0,
-            completions: std::collections::VecDeque::new(),
-        })
-    }
-
-    /// Enqueues a completion token (FIFO). Called by the executor that ran
-    /// a partition, under the same lock that guards admissions, so a token
-    /// is never observable before the matching `complete`/`fail` call.
-    pub fn push_completion(&mut self, token: u64) {
-        self.completions.push_back(token);
-    }
-
-    /// Dequeues the oldest completion token, if any.
-    pub fn pop_completion(&mut self) -> Option<u64> {
-        self.completions.pop_front()
-    }
-
-    /// Completion tokens awaiting a resume.
-    pub fn pending_completions(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// A homogeneous fleet of `cards` emulated FPGA devices at `fast`'s
-    /// spec/variant — the pre-heterogeneous pool, and still the default.
-    pub fn fpga_fleet(fast: &FastConfig, cards: usize) -> Result<Self, ServeError> {
-        Self::new(
-            (0..cards)
-                .map(|_| Arc::new(FpgaBackend::from_config(fast)) as Arc<dyn ExecutionBackend>)
-                .collect(),
-        )
+        Ok(DevicePool { devices, tick: 0 })
     }
 
     /// Resolves a [`ServeConfig`](crate::ServeConfig)-style fleet:
@@ -339,19 +304,12 @@ impl DevicePool {
     /// partition on it, and the backend to execute on (so the kernel runs
     /// outside the pool lock). When every device is quarantined or
     /// evicted, returns the typed [`ServeError::Degraded`].
-    pub fn admit(
-        &mut self,
-        workload: f64,
-    ) -> Result<(usize, f64, Arc<dyn ExecutionBackend>), ServeError> {
-        self.admit_avoiding(workload, None)
-    }
-
-    /// [`admit`](Self::admit), preferring any available device **other
-    /// than** `avoid` — the failover path: a retried partition should land
-    /// on a different device than the one that just failed it. When
+    ///
+    /// `avoid` is the failover path: a retried partition prefers any
+    /// available device **other than** the one that just failed it. When
     /// `avoid` is the *only* available device it is used anyway (a lone
     /// survivor still beats shedding the session).
-    pub fn admit_avoiding(
+    pub fn admit(
         &mut self,
         workload: f64,
         avoid: Option<usize>,
@@ -519,45 +477,6 @@ impl DevicePool {
     pub fn snapshot(&self) -> Vec<DeviceStats> {
         self.devices.iter().map(|d| d.stats).collect()
     }
-
-    /// The busiest device's modelled execution seconds — the fleet's
-    /// makespan, comparable across backend classes.
-    pub fn makespan_sec(&self) -> f64 {
-        self.devices
-            .iter()
-            .map(|d| d.stats.busy_sec)
-            .fold(0.0, f64::max)
-    }
-
-    /// Total modelled execution seconds across devices.
-    pub fn busy_sec(&self) -> f64 {
-        self.devices.iter().map(|d| d.stats.busy_sec).sum()
-    }
-
-    /// Total modelled cycles across FPGA devices.
-    pub fn total_cycles(&self) -> u64 {
-        self.devices.iter().map(|d| d.stats.cycles).sum()
-    }
-
-    /// Load imbalance: max/mean booked workload (1.0 when idle).
-    pub fn imbalance(&self) -> f64 {
-        let max = self
-            .devices
-            .iter()
-            .map(|d| d.stats.total_workload)
-            .fold(0.0, f64::max);
-        let mean = self
-            .devices
-            .iter()
-            .map(|d| d.stats.total_workload)
-            .sum::<f64>()
-            / self.devices.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 /// Resolves one [`DeviceKind`] to its backend; [`DeviceKind::Faulty`]
@@ -584,30 +503,12 @@ mod tests {
     use fast::Variant;
 
     fn fpga_pool(cards: usize) -> DevicePool {
-        DevicePool::fpga_fleet(&FastConfig::test_small(Variant::Sep), cards).unwrap()
+        DevicePool::build(&FastConfig::test_small(Variant::Sep), cards, &[]).unwrap()
     }
 
     /// `admit` on an all-healthy pool (every test fleet starts healthy).
     fn admit(pool: &mut DevicePool, workload: f64) -> (usize, f64, Arc<dyn ExecutionBackend>) {
-        pool.admit(workload).expect("healthy pool admits")
-    }
-
-    #[test]
-    fn completion_queue_is_fifo_and_orthogonal_to_scheduling() {
-        let mut pool = fpga_pool(2);
-        assert_eq!(pool.pending_completions(), 0);
-        assert_eq!(pool.pop_completion(), None);
-        pool.push_completion(7);
-        pool.push_completion(3);
-        pool.push_completion(7);
-        assert_eq!(pool.pending_completions(), 3);
-        // Interleaved scheduling traffic leaves the token order untouched.
-        let (d, _, _) = admit(&mut pool, 1.0);
-        pool.complete(d, 1.0, 0.1, 10);
-        assert_eq!(pool.pop_completion(), Some(7));
-        assert_eq!(pool.pop_completion(), Some(3));
-        assert_eq!(pool.pop_completion(), Some(7));
-        assert_eq!(pool.pop_completion(), None);
+        pool.admit(workload, None).expect("healthy pool admits")
     }
 
     #[test]
@@ -662,9 +563,6 @@ mod tests {
         assert_eq!(snap[d].partitions, 1);
         assert_eq!(snap[d].cycles, 1000);
         assert_eq!(snap[d].busy_sec, 0.25);
-        assert_eq!(pool.makespan_sec(), 0.25);
-        assert_eq!(pool.busy_sec(), 0.25);
-        assert_eq!(pool.total_cycles(), 1000);
         // Calibrate the other device to the same rate: with the booking
         // released and rates equal, dispatch ties back to lowest index.
         pool.complete(1 - d, 7.0, 0.25, 0);
@@ -737,7 +635,7 @@ mod tests {
         }
         // The whole fleet dead: admission is the typed degraded error.
         pool.fail(1, 0.0, true);
-        match pool.admit(1.0) {
+        match pool.admit(1.0, None) {
             Err(e) => assert_eq!(e, ServeError::Degraded),
             Ok(_) => panic!("a fully evicted pool must not admit"),
         }
@@ -751,11 +649,11 @@ mod tests {
         let (d, _, _) = admit(&mut pool, 100.0);
         assert_eq!(d, 0);
         // Avoiding 0 lands on 1 even though 0 is cheaper…
-        let (d, _, _) = pool.admit_avoiding(1.0, Some(0)).unwrap();
+        let (d, _, _) = pool.admit(1.0, Some(0)).unwrap();
         assert_eq!(d, 1, "failover avoids the failed device");
         // …but a lone survivor is used anyway.
         pool.fail(1, 1.0, true);
-        let (d, _, _) = pool.admit_avoiding(1.0, Some(0)).unwrap();
+        let (d, _, _) = pool.admit(1.0, Some(0)).unwrap();
         assert_eq!(d, 0, "the only available device beats shedding");
     }
 
@@ -814,8 +712,6 @@ mod tests {
     #[test]
     fn empty_fleet_is_a_typed_error() {
         let fast = FastConfig::test_small(Variant::Sep);
-        let err = DevicePool::fpga_fleet(&fast, 0).unwrap_err();
-        assert_eq!(err, ServeError::NoDevices);
         let err = DevicePool::build(&fast, 0, &[]).unwrap_err();
         assert_eq!(err, ServeError::NoDevices);
         assert!(err.to_string().contains("no devices"), "{err}");

@@ -32,11 +32,11 @@
 //!   probation, permanent errors evict for good;
 //! * [`service`] — an **event-driven session executor**: `submit` is a
 //!   non-blocking enqueue, and a small fixed pool of executor threads
-//!   drives each admitted session through an explicit state machine
-//!   (`Admitted → Planning → Building → Dispatched → Draining →
-//!   Done/Shed`) via work-stealing task deques and the device pool's
-//!   completion queue, so outstanding sessions cost slab entries rather
-//!   than OS threads; **bounded execution permits** cap concurrent
+//!   drives each admitted session with `Start`/`Resume`/`Exec` tasks on
+//!   work-stealing deques — one synchronous backend call per partition,
+//!   the same task retiring the session or queueing its next partition —
+//!   so outstanding sessions cost slab entries rather than OS threads;
+//!   **bounded execution permits** cap concurrent
 //!   execution ([`FastService::try_submit`] returns the typed
 //!   [`ServeError::Saturated`](service::ServeError) instead of queueing),
 //!   the decoupled prepare/execute phases (`fast::prepare_partitions`)
@@ -47,9 +47,9 @@
 //!   in-flight sessions and sheds queued ones with the typed
 //!   [`ServeError::ShuttingDown`](service::ServeError), and execution is
 //!   **fault-tolerant**
-//!   ([`FaultPolicy`]): failed partitions retry with bounded exponential
-//!   backoff and reroute to the shortest-expected-completion healthy
-//!   device, corrupted outputs are caught by cross-checking a second
+//!   ([`FaultPolicy`]): failed partitions retry immediately, a bounded
+//!   number of times, rerouted to the shortest-expected-completion
+//!   healthy device, corrupted outputs are caught by cross-checking a second
 //!   execution, sessions past their deadline
 //!   ([`ServeConfig::deadline`](service::ServeConfig) /
 //!   [`TenantConfig::deadline`]) are shed with a typed error, and a fully
@@ -114,7 +114,7 @@ pub mod metrics;
 pub mod service;
 pub mod tenant;
 
-pub use cache::{CacheBudget, CacheStats, CstCache, PlanCache, SizedCache};
+pub use cache::{CacheStats, CstCache, PlanCache, SizedCache};
 pub use devices::{
     DeviceKind, DevicePool, DeviceStats, HealthState, QUARANTINE_BASE_TICKS, QUARANTINE_THRESHOLD,
 };

@@ -10,16 +10,15 @@
 //!    ([`ServeError::Saturated`]) at the admission bound instead of
 //!    queueing without limit.
 //! 2. A small fixed pool of **executor threads** polls ready work in
-//!    priority order: completed partitions from the device pool's
-//!    completion queue first, then its own task deque (LIFO, cache-warm),
-//!    then tasks stolen from a peer's deque (FIFO, oldest), and finally —
+//!    priority order: its own task deque first (LIFO, cache-warm), then
+//!    tasks stolen from a peer's deque (FIFO, oldest), and finally —
 //!    when an execution permit (`max_in_flight`) is free — the next
 //!    submission in deficit-round-robin order across tenants. A picked-up
-//!    session becomes a slab entry driven through an explicit state
-//!    machine (`Admitted → Planning → Building → Dispatched → Draining →
-//!    Done`/`Shed`), so ten thousand in-flight sessions cost table
-//!    entries, not stacks. The per-session deadline is re-checked at
-//!    every transition.
+//!    session becomes a slab entry driven by `Start`/`Resume`/`Exec`
+//!    tasks (the lifecycle diagram is on `Task`, the type that drives
+//!    every transition), so ten thousand in-flight sessions cost table
+//!    entries, not stacks. The per-session deadline is re-checked by
+//!    every task.
 //! 3. Pickup derives the BFS tree / matching order / kernel plan
 //!    **once**, then resolves the two cache tiers — both keyed by the
 //!    same [`cst::PlanKey`] × the *tenant's* graph epoch — under a
@@ -33,13 +32,14 @@
 //!    session whose key is already being computed **parks** (its lane's
 //!    deficit round is told via `WrrQueue::park`; no executor thread
 //!    blocks) and is re-enqueued by the owner's flight release.
-//! 4. The build stages the partition jobs on the session; executor tasks
+//! 4. The build stages the partition jobs on the session; `Exec` tasks
 //!    then execute them one at a time — each is booked onto the pool
 //!    device with the shortest expected completion ([`DevicePool`] —
 //!    emulated FPGA cards and CPU fallback shares priced under their own
-//!    cost models), its result is streamed to the session handle, and
-//!    the session lands on the pool's **completion queue** to be resumed
-//!    by whichever executor drains it next.
+//!    cost models) and run to the end by one synchronous
+//!    [`ExecutionBackend::execute`] call; its result is streamed to the
+//!    session handle, and the same task retires the session or pushes
+//!    its next `Exec`.
 //! 5. The final [`QueryReport`] closes the session, service and tenant
 //!    metrics are folded in, and the execution permit is released.
 //!
@@ -48,7 +48,7 @@
 //! single-run CPU-share scheduler (FAST-SHARE's δ) is not booked here —
 //! `run_fast` remains the one-shot path.
 
-use crate::cache::{CacheBudget, CacheStats, CstCache, PlanCache};
+use crate::cache::{CacheStats, CstCache, PlanCache};
 use crate::devices::{DeviceKind, DevicePool, DeviceStats};
 use crate::metrics::{ServeReport, TenantSummary};
 use crate::tenant::{TenantConfig, TenantId, WrrQueue};
@@ -128,11 +128,6 @@ pub struct ServeConfig {
     /// (plans); 0 disables caching ("cold" serving). Override per tenant
     /// via [`TenantConfig::cache_capacity`].
     pub cache_capacity: usize,
-    /// When set, tenant plan caches are budgeted in **bytes**
-    /// (`ShardPlan::approx_bytes`) instead of entries and
-    /// [`cache_capacity`](Self::cache_capacity) is ignored. A per-tenant
-    /// [`TenantConfig::cache_capacity`] override still counts entries.
-    pub plan_cache_bytes: Option<usize>,
     /// Byte budget of each tenant's **tier-2** shard-CST cache partition
     /// ([`crate::CstCache`]): the refined shard CSTs and their partition
     /// decompositions, evicted LRU by `Cst::payload_bytes`. A hit makes a
@@ -168,10 +163,6 @@ pub struct FaultPolicy {
     /// state machine, and reroutes to the shortest-expected-completion
     /// healthy device *other than* the one that just failed.
     pub max_attempts: usize,
-    /// Backoff slept before retry `k`: `backoff << (k-1)`, capped at 64×.
-    /// Kept tiny by default — the devices are emulated, so this models the
-    /// driver's re-queue cost rather than real recovery time.
-    pub backoff: Duration,
     /// Re-execute every partition on a *second* device and cross-check the
     /// results (embedding count + collected embeddings); disagreeing
     /// devices are marked suspect (counting toward quarantine) until two
@@ -181,18 +172,17 @@ pub struct FaultPolicy {
     /// emergency host CPU share (degraded mode) instead of shedding the
     /// session with [`ServeError::Degraded`].
     pub cpu_fallback: bool,
-    /// Threads of the emergency CPU share.
-    pub fallback_threads: usize,
 }
+
+/// Threads of the emergency CPU share.
+const FALLBACK_THREADS: usize = 4;
 
 impl Default for FaultPolicy {
     fn default() -> Self {
         FaultPolicy {
             max_attempts: 4,
-            backoff: Duration::from_micros(50),
             cross_check: false,
             cpu_fallback: true,
-            fallback_threads: 4,
         }
     }
 }
@@ -212,7 +202,6 @@ impl Default for ServeConfig {
             extra_devices: Vec::new(),
             workers: 2,
             cache_capacity: 64,
-            plan_cache_bytes: None,
             // Tier 2 defaults on with a deliberately modest budget: warm
             // repeats skip the whole build, and the byte-budgeted LRU
             // bounds residency regardless of query mix.
@@ -547,8 +536,45 @@ struct WindowState {
     devices: Vec<DeviceStats>,
 }
 
-/// Point-in-time view of the device pool, taken under its lock and
-/// aggregated lock-free.
+/// One pass over the service's cumulative state — each lock taken briefly
+/// in turn — shared by the lifetime report and the window delta.
+struct Cumulative {
+    metrics: MetricsState,
+    tenants: Vec<Arc<TenantState>>,
+    cache: CacheStats,
+    cst_cache: CacheStats,
+    cst_resident_bytes: usize,
+    devices: Vec<DeviceStats>,
+    max_seen: usize,
+}
+
+impl Cumulative {
+    fn capture(inner: &Inner) -> Cumulative {
+        let metrics = inner.metrics.plock().clone();
+        let tenants: Vec<Arc<TenantState>> = inner.tenants.pread().values().cloned().collect();
+        let mut cache = CacheStats::default();
+        let mut cst_cache = CacheStats::default();
+        let mut cst_resident_bytes = 0usize;
+        for t in &tenants {
+            cache.absorb(&t.cache.plock().stats());
+            let cc = t.cst_cache.plock();
+            cst_cache.absorb(&cc.stats());
+            cst_resident_bytes += cc.resident_bytes();
+        }
+        Cumulative {
+            metrics,
+            tenants,
+            cache,
+            cst_cache,
+            cst_resident_bytes,
+            devices: inner.devices.plock().snapshot(),
+            max_seen: inner.gate.plock().max_seen,
+        }
+    }
+}
+
+/// The device pool's per-device counters with the fleet aggregates
+/// derived from them.
 struct PoolView {
     stats: Vec<DeviceStats>,
     makespan_sec: f64,
@@ -557,9 +583,9 @@ struct PoolView {
 }
 
 impl PoolView {
-    /// Derives the fleet aggregates from an explicit stats vector — used
-    /// on window deltas, where makespan/busy/imbalance should describe the
-    /// window's own activity rather than the lifetime totals.
+    /// Derives the fleet aggregates from a stats vector: the pool's
+    /// lifetime snapshot, or a window delta (where makespan/busy/imbalance
+    /// then describe the window's own activity).
     fn from_stats(stats: Vec<DeviceStats>) -> PoolView {
         let makespan_sec = stats.iter().map(|d| d.busy_sec).fold(0.0, f64::max);
         let busy_sec = stats.iter().map(|d| d.busy_sec).sum();
@@ -621,8 +647,24 @@ impl ObsHooks {
     }
 }
 
-/// A unit of session work on an executor deque. Tasks are one `u64`
-/// deep — the state lives in the session slab.
+/// A unit of session work on an executor deque — and the only thing that
+/// moves a session through its lifecycle. Tasks are one `u64` deep; the
+/// state lives in the session slab.
+///
+/// ```text
+///  DRR pickup ──▶ Start ──┬─ key in flight elsewhere: park ──▶ Resume ─┐
+///  (permit taken)         │                                            │
+///                         │◀───────────────────────────────────────────┘
+///                         ├─ partitions staged ──▶ Exec ──▶ Exec ──▶ … ─┐
+///                         │                       (one partition each)  │
+///                         ▼                                             ▼
+///                     retire: Done / Failed / Shed (deadline) ◀─────────┘
+///                     (exactly once: `SessionMut::finished`)
+/// ```
+///
+/// Every task re-checks the session's deadline before doing work, and
+/// `Exec` re-checks it again after its partition, so a session past its
+/// budget sheds at the next transition instead of executing doomed work.
 #[derive(Clone, Copy)]
 enum Task {
     /// First entry after pickup: record the queue wait, derive the plan,
@@ -630,7 +672,8 @@ enum Task {
     Start(u64),
     /// Re-entry after parking on another session's plan flight.
     Resume(u64),
-    /// Execute the session's next staged partition.
+    /// Execute the session's next staged partition, then retire the
+    /// session or push the next `Exec`.
     Exec(u64),
 }
 
@@ -640,28 +683,6 @@ impl Task {
             Task::Start(id) | Task::Resume(id) | Task::Exec(id) => *id,
         }
     }
-}
-
-/// Where a session is in its lifecycle. Executor tasks drive the
-/// transitions; the per-session deadline is re-checked at every one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    /// Popped from the DRR table, permit held, not yet planned.
-    Admitted,
-    /// Deriving tree/order/kernel plan and resolving the cache tiers.
-    Planning,
-    /// Parked on another session's plan flight (single-flight waiter).
-    PlanWait,
-    /// Building shard CSTs / partitioning.
-    Building,
-    /// Partitions staged; executor tasks drain them one at a time.
-    Dispatched,
-    /// Last partition popped; awaiting its completion.
-    Draining,
-    /// Retired with a final event sent.
-    Done,
-    /// Retired past its deadline.
-    Shed,
 }
 
 /// The session's derived execution plan, shared with partition tasks
@@ -698,7 +719,6 @@ struct SessionStats {
 /// the **innermost** lock in the service: it is never held while taking
 /// any other.
 struct SessionMut {
-    stage: Stage,
     /// Derived once at pickup.
     plan: Option<Arc<SessionPlan>>,
     /// Partitions awaiting execution, in deterministic prepare order.
@@ -707,7 +727,7 @@ struct SessionMut {
     session_err: Option<ServeError>,
     /// Flipped exactly once, before any retirement side effect — the
     /// guard that makes permit release and final-event delivery
-    /// exactly-once under races (a completion vs. a panic handler).
+    /// exactly-once under races (a stale task vs. a panic handler).
     finished: bool,
     stats: SessionStats,
 }
@@ -734,7 +754,6 @@ impl SessionSlot {
             submitted_ns: sub.submitted_ns,
             tx: sub.tx,
             mu: Mutex::new(SessionMut {
-                stage: Stage::Admitted,
                 plan: None,
                 jobs: VecDeque::new(),
                 session_err: None,
@@ -781,7 +800,7 @@ struct Inner {
     /// one executor.
     deques: Vec<Mutex<VecDeque<Task>>>,
     /// One wake sequence shared by every producer (submissions, task
-    /// pushes, partition completions, shutdown): producers bump and
+    /// pushes, permit releases, shutdown): producers bump and
     /// notify; an idle executor snapshots it *before* scanning and
     /// sleeps only if it is unchanged — the missed-wakeup guard.
     wake: Mutex<u64>,
@@ -853,7 +872,7 @@ impl FastService {
             quota: 1,
             deadline: config.deadline,
             epoch: AtomicU64::new(TenantConfig::default().epoch),
-            cache: Mutex::new(plan_cache_for(&config, None)),
+            cache: Mutex::new(PlanCache::new(config.cache_capacity)),
             cst_cache: Mutex::new(CstCache::new(config.cst_cache_bytes)),
             metrics: Mutex::new(MetricsState::default()),
         });
@@ -872,7 +891,7 @@ impl FastService {
             fallback: config
                 .fault
                 .cpu_fallback
-                .then(|| Arc::new(CpuBackend::new(config.fault.fallback_threads))),
+                .then(|| Arc::new(CpuBackend::new(FALLBACK_THREADS))),
             queue: Mutex::new(queue),
             sessions: Mutex::new(HashMap::new()),
             deques: (0..config.workers)
@@ -925,7 +944,11 @@ impl FastService {
             quota: config.quota,
             deadline: config.deadline.or(self.inner.config.deadline),
             epoch: AtomicU64::new(config.epoch),
-            cache: Mutex::new(plan_cache_for(&self.inner.config, config.cache_capacity)),
+            cache: Mutex::new(PlanCache::new(
+                config
+                    .cache_capacity
+                    .unwrap_or(self.inner.config.cache_capacity),
+            )),
             cst_cache: Mutex::new(CstCache::new(cst_budget)),
             metrics: Mutex::new(MetricsState::default()),
         });
@@ -1076,44 +1099,15 @@ impl FastService {
     /// aggregation runs with no lock held, so a report never stalls
     /// admission or dispatch.
     pub fn report(&self) -> ServeReport {
-        let metrics = self.inner.metrics.plock().clone();
-        let tenants: Vec<Arc<TenantState>> = self
-            .inner
-            .tenants
-            .pread()
-            .values()
-            .cloned()
-            .collect();
-        let mut cache = CacheStats::default();
-        let mut cst_cache = CacheStats::default();
-        let mut cst_resident_bytes = 0usize;
-        let mut summaries = Vec::with_capacity(tenants.len());
-        for t in &tenants {
-            cache.absorb(&t.cache.plock().stats());
-            {
-                let cc = t.cst_cache.plock();
-                cst_cache.absorb(&cc.stats());
-                cst_resident_bytes += cc.resident_bytes();
-            }
-            summaries.push(tenant_summary(t));
-        }
-        let pool = {
-            let devices = self.inner.devices.plock();
-            PoolView {
-                stats: devices.snapshot(),
-                makespan_sec: devices.makespan_sec(),
-                busy_sec: devices.busy_sec(),
-                imbalance: devices.imbalance(),
-            }
-        };
-        let max_seen = self.inner.gate.plock().max_seen;
+        let snap = Cumulative::capture(&self.inner);
+        let summaries = snap.tenants.iter().map(|t| tenant_summary(t)).collect();
         assemble_report(
-            &metrics,
-            cache,
-            cst_cache,
-            cst_resident_bytes,
-            &pool,
-            max_seen,
+            &snap.metrics,
+            snap.cache,
+            snap.cst_cache,
+            snap.cst_resident_bytes,
+            &PoolView::from_stats(snap.devices),
+            snap.max_seen,
             summaries,
         )
     }
@@ -1134,24 +1128,17 @@ impl FastService {
     /// per-tenant slices are empty — windows slice time, not tenants.
     pub fn report_window(&self) -> ServeReport {
         let now = Instant::now();
-        // Snapshot cumulative state (same brief per-lock passes as
-        // `report`), then delta against the stored baseline.
-        let metrics = self.inner.metrics.plock().clone();
-        let tenants: Vec<Arc<TenantState>> =
-            self.inner.tenants.pread().values().cloned().collect();
-        let mut cache = CacheStats::default();
-        let mut cst_cache = CacheStats::default();
-        let mut cst_resident_bytes = 0usize;
-        for t in &tenants {
-            cache.absorb(&t.cache.plock().stats());
-            {
-                let cc = t.cst_cache.plock();
-                cst_cache.absorb(&cc.stats());
-                cst_resident_bytes += cc.resident_bytes();
-            }
-        }
-        let device_stats = self.inner.devices.plock().snapshot();
-        let max_seen = self.inner.gate.plock().max_seen;
+        // Snapshot cumulative state, then delta against the stored
+        // baseline.
+        let Cumulative {
+            metrics,
+            cache,
+            cst_cache,
+            cst_resident_bytes,
+            devices: device_stats,
+            max_seen,
+            tenants: _,
+        } = Cumulative::capture(&self.inner);
 
         let mut window = self.inner.window.plock();
         let wall_sec = now.duration_since(window.taken_at).as_secs_f64();
@@ -1243,17 +1230,6 @@ impl Drop for FastService {
         // `shutdown` already joined; otherwise the same deterministic
         // drain — in-flight sessions complete, queued ones shed typed.
         self.stop_workers();
-    }
-}
-
-/// Builds a tenant's plan-cache partition: a per-tenant entry-count
-/// override wins; otherwise the service-wide byte budget (when set) or the
-/// service-wide entry capacity.
-fn plan_cache_for(config: &ServeConfig, capacity_override: Option<usize>) -> PlanCache {
-    match (capacity_override, config.plan_cache_bytes) {
-        (Some(entries), _) => PlanCache::new(entries),
-        (None, Some(bytes)) => PlanCache::with_budget(CacheBudget::Bytes(bytes)),
-        (None, None) => PlanCache::new(config.cache_capacity),
     }
 }
 
@@ -1376,8 +1352,7 @@ impl Drop for FlightGuard<'_> {
 }
 
 /// Bumps the wake sequence and wakes every idle executor. Called by all
-/// producers: submissions, task pushes, partition completions, permit
-/// releases, shutdown.
+/// producers: submissions, task pushes, permit releases, shutdown.
 fn notify_executors(inner: &Inner) {
     *inner.wake.plock() += 1;
     inner.wake_cond.notify_all();
@@ -1406,7 +1381,7 @@ fn pop_task(inner: &Inner, me: usize) -> Option<Task> {
 }
 
 /// Looks a session up in the slab; `None` means it was already retired
-/// (a stale task or completion token) and the caller just returns.
+/// (a stale task) and the caller just returns.
 fn session(inner: &Inner, sid: u64) -> Option<Arc<SessionSlot>> {
     inner.sessions.plock().get(&sid).cloned()
 }
@@ -1422,25 +1397,19 @@ fn run_contained(inner: &Inner, sid: u64, f: impl FnOnce()) {
 
 /// The poll loop each executor thread runs. Priority order:
 ///
-/// 1. **Completions** — resuming a dispatched session beats starting new
-///    work, so with one executor each popped session runs to completion
-///    before the next DRR pop (the completion-order witness the
-///    multi-tenant fairness tests rank).
-/// 2. Own deque (LIFO — the task it just produced, cache-warm).
-/// 3. Steal from a peer (FIFO — the oldest parked work).
-/// 4. Pick up the next queued submission, if a permit is free.
-/// 5. Idle: exit once shutdown has drained everything, else sleep until
+/// 1. Own deque (LIFO — the task it just produced, cache-warm). A
+///    session's next `Exec` lands here, so with one executor each
+///    picked-up session runs to completion before the next DRR pop (the
+///    completion-order witness the multi-tenant fairness tests rank).
+/// 2. Steal from a peer (FIFO — the oldest parked work).
+/// 3. Pick up the next queued submission, if a permit is free.
+/// 4. Idle: exit once shutdown has drained everything, else sleep until
 ///    a producer bumps the wake sequence.
 fn executor_loop(inner: &Arc<Inner>, me: usize) {
     loop {
         // Snapshot the wake sequence *before* scanning: a producer that
         // lands mid-scan bumps it, and the wait below falls through.
         let seen = *inner.wake.plock();
-        let completion = inner.devices.plock().pop_completion();
-        if let Some(sid) = completion {
-            run_contained(inner, sid, || on_completion(inner, sid));
-            continue;
-        }
         if let Some(task) = pop_task(inner, me) {
             let sid = task.sid();
             run_contained(inner, sid, || run_task(inner, task));
@@ -1460,7 +1429,7 @@ fn executor_loop(inner: &Arc<Inner>, me: usize) {
 }
 
 /// Whether shutdown has nothing left to drain: no admitted session in
-/// any state (queued, parked, dispatched) and no stray task or token.
+/// any state (queued, parked, executing) and no stray task.
 fn drained(inner: &Inner) -> bool {
     let queue_idle = {
         let queue = inner.queue.plock();
@@ -1468,7 +1437,6 @@ fn drained(inner: &Inner) -> bool {
     };
     queue_idle
         && inner.gate.plock().admitted == 0
-        && inner.devices.plock().pending_completions() == 0
         && inner.deques.iter().all(|d| d.plock().is_empty())
 }
 
@@ -1609,7 +1577,6 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         );
         {
             let mut s = slot.mu.plock();
-            s.stage = Stage::Planning;
             s.stats.picked = Some(picked);
             s.stats.queue_wait = queue_wait;
         }
@@ -1638,9 +1605,9 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             collect: inner.config.fast.collect,
         }));
     } else if let Some(dl) = deadline {
-        // Deadline re-check at the PlanWait → Planning transition: a
-        // session that waited out its budget parked on someone else's
-        // flight sheds on resume instead of building doomed work.
+        // Deadline re-check on `Resume`: a session that waited out its
+        // budget parked on someone else's flight sheds instead of
+        // building doomed work.
         if slot.submitted.elapsed() > dl {
             return BuildOutcome::Shed("resume");
         }
@@ -1690,7 +1657,6 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             // — no executor thread blocks on it.
             waiters.push(slot.id);
             drop(pending);
-            slot.mu.plock().stage = Stage::PlanWait;
             inner.queue.plock().park(tenant.id);
             return BuildOutcome::Parked;
         }
@@ -1753,7 +1719,6 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         }
     }
 
-    slot.mu.plock().stage = Stage::Building;
     // The "build" span (recorded at retirement, completed sessions only)
     // starts here and ends after the last partition executes, so every
     // backend `execute` span nests inside it — including on a tier-2
@@ -1794,49 +1759,49 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         s.stats.plan_hit = plan_hit;
         s.stats.cst_cache_hit = cst_cache_hit;
         s.jobs = jobs;
-        s.stage = Stage::Dispatched;
     }
     BuildOutcome::Ready
 }
 
+/// Latches [`ServeError::DeadlineExceeded`] on a still-healthy session
+/// that is past its deadline; the caller then retires it as shed.
+fn latch_deadline(slot: &SessionSlot, s: &mut SessionMut) {
+    if s.session_err.is_none() {
+        if let Some(dl) = slot.tenant.deadline {
+            if slot.submitted.elapsed() > dl {
+                s.session_err = Some(ServeError::DeadlineExceeded);
+            }
+        }
+    }
+}
+
 /// Executes one staged partition: pops it under the session lock, runs
 /// the full fault-tolerant execution *without* the lock, folds the
-/// result back, and parks the session on the pool's completion queue.
+/// result back, and either retires the session or pushes its next `Exec`.
 fn run_exec(inner: &Inner, sid: u64) {
     let Some(slot) = session(inner, sid) else { return };
     let _track = obs::set_track(obs::session_track(sid));
-    let deadline = slot.tenant.deadline;
     let (job, plan) = {
         let mut s = slot.mu.plock();
         if s.finished {
             return;
         }
-        if s.session_err.is_none() {
-            if let Some(dl) = deadline {
-                // Deadline re-check at the dispatch transition: a
-                // session past its budget sheds instead of executing
-                // another partition.
-                if slot.submitted.elapsed() > dl {
-                    s.session_err = Some(ServeError::DeadlineExceeded);
-                }
-            }
-        }
-        if s.session_err.is_some() {
-            drop(s);
-            finalize_from_state(inner, &slot);
-            return;
-        }
-        let Some(job) = s.jobs.pop_front() else {
+        // A session past its budget sheds instead of executing another
+        // partition.
+        latch_deadline(&slot, &mut s);
+        let job = if s.session_err.is_some() {
+            None
+        } else {
+            s.jobs.pop_front()
+        };
+        let Some(job) = job else {
             drop(s);
             finalize_from_state(inner, &slot);
             return;
         };
-        if s.jobs.is_empty() {
-            s.stage = Stage::Draining;
-        }
         (
             job,
-            Arc::clone(s.plan.as_ref().expect("dispatched session has a plan")),
+            Arc::clone(s.plan.as_ref().expect("staged session has a plan")),
         )
     };
     let ctx = QueryCtx {
@@ -1846,19 +1811,10 @@ fn run_exec(inner: &Inner, sid: u64) {
         kernel_plan: &plan.kernel_plan,
         collect: plan.collect,
     };
-    let policy = &inner.config.fault;
     let mut acc = FaultAcc::default();
-    match execute_checked(inner, policy, &job, &ctx, &mut acc) {
-        Ok((device, class, out)) => {
-            {
-                let mut s = slot.mu.plock();
-                fold_acc(&mut s.stats.acc, &acc);
-                s.stats.embeddings += out.embeddings;
-                s.stats.partitions += 1;
-                s.stats.kernel_cycles += out.kernel_cycles;
-                s.stats.device_sec += out.modeled_sec;
-            }
-            let _ = slot.tx.send(SessionEvent::Partition(PartitionUpdate {
+    let (update, err) = match execute_checked(inner, &inner.config.fault, &job, &ctx, &mut acc) {
+        Ok((device, class, out)) => (
+            Some(PartitionUpdate {
                 index: job.index,
                 device,
                 backend: class,
@@ -1866,41 +1822,33 @@ fn run_exec(inner: &Inner, sid: u64) {
                 kernel_cycles: out.kernel_cycles,
                 modeled_sec: out.modeled_sec,
                 collected: out.collected,
-            }));
-        }
-        Err(e) => {
-            let mut s = slot.mu.plock();
-            fold_acc(&mut s.stats.acc, &acc);
-            s.session_err = Some(e);
-        }
-    }
-    // The partition is done: hand the session to the pool's completion
-    // queue; whichever executor drains it next resumes the session.
-    inner.devices.plock().push_completion(sid);
-    notify_executors(inner);
-}
-
-/// Resumes a session whose partition just completed: retire it if it is
-/// done (or doomed), otherwise queue the next `Exec` task.
-fn on_completion(inner: &Inner, sid: u64) {
-    let Some(slot) = session(inner, sid) else { return };
-    let _track = obs::set_track(obs::session_track(sid));
+            }),
+            None,
+        ),
+        Err(e) => (None, Some(e)),
+    };
     let done = {
         let mut s = slot.mu.plock();
-        if s.finished {
-            return;
+        fold_acc(&mut s.stats.acc, &acc);
+        if let Some(u) = &update {
+            s.stats.embeddings += u.embeddings;
+            s.stats.partitions += 1;
+            s.stats.kernel_cycles += u.kernel_cycles;
+            s.stats.device_sec += u.modeled_sec;
         }
-        debug_assert!(matches!(s.stage, Stage::Dispatched | Stage::Draining));
-        if s.session_err.is_none() && !s.jobs.is_empty() {
-            if let Some(dl) = slot.tenant.deadline {
-                // Deadline re-check at the completion transition.
-                if slot.submitted.elapsed() > dl {
-                    s.session_err = Some(ServeError::DeadlineExceeded);
-                }
-            }
+        if err.is_some() {
+            s.session_err = err;
+        }
+        if !s.jobs.is_empty() {
+            // Partitions remain: shed them now if the deadline passed
+            // while this one ran.
+            latch_deadline(&slot, &mut s);
         }
         s.session_err.is_some() || s.jobs.is_empty()
     };
+    if let Some(update) = update {
+        let _ = slot.tx.send(SessionEvent::Partition(update));
+    }
     if done {
         finalize_from_state(inner, &slot);
     } else {
@@ -1953,10 +1901,6 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
             return;
         }
         s.finished = true;
-        s.stage = match outcome {
-            SessionOutcome::Shed { .. } => Stage::Shed,
-            _ => Stage::Done,
-        };
         s.stats.clone()
     };
     let tenant = &slot.tenant;
@@ -2075,7 +2019,6 @@ fn panic_retire(inner: &Inner, sid: u64) {
             return;
         }
         s.finished = true;
-        s.stage = Stage::Done;
     }
     let now = Instant::now();
     {
@@ -2111,8 +2054,28 @@ struct FaultAcc {
     device_queue_sec: f64,
 }
 
-/// One fault-tolerant partition execution: bounded retries with
-/// exponential backoff, rerouting away from the failing device, and the
+/// Releases a device booking when the backend call it covers unwinds (an
+/// injected or real driver panic): neither `complete` nor `fail` runs on
+/// that path, and a leaked booking would inflate the device's outstanding
+/// workload — and every later session's modelled queueing delay — for the
+/// life of the pool. Resolves as a failed attempt, so the device also
+/// takes its strike.
+struct BookingGuard<'a> {
+    pool: &'a Mutex<DevicePool>,
+    device: usize,
+    workload: f64,
+}
+
+impl Drop for BookingGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.pool.plock().fail(self.device, self.workload, false);
+        }
+    }
+}
+
+/// One fault-tolerant partition execution: bounded immediate retries,
+/// rerouting away from the failing device, and the
 /// emergency CPU fallback when no pool device is available. Returns the
 /// executing device index (`pool.len()` for the fallback), its class, and
 /// the output.
@@ -2127,7 +2090,7 @@ fn execute_resilient(
     let mut last_failed = avoid;
     let mut rerouting = false;
     for attempt in 1..=policy.max_attempts.max(1) {
-        let admitted = inner.devices.plock().admit_avoiding(job.workload, last_failed);
+        let admitted = inner.devices.plock().admit(job.workload, last_failed);
         let (device, queued_sec, backend) = match admitted {
             Ok(a) => a,
             Err(_) => {
@@ -2161,11 +2124,16 @@ fn execute_resilient(
         }
         acc.device_queue_sec = acc.device_queue_sec.max(queued_sec);
         // Execute outside the pool lock: concurrent sessions overlap on
-        // different devices. begin/complete is the poll seam: a future
-        // device backend can return a pending step the executor parks on
-        // instead of blocking a thread inside it.
-        let step = backend.begin(job, ctx);
-        match step.complete() {
+        // different devices.
+        let result = {
+            let _booking = BookingGuard {
+                pool: &inner.devices,
+                device,
+                workload: job.workload,
+            };
+            backend.execute(job, ctx)
+        };
+        match result {
             Ok(out) => {
                 inner
                     .devices
@@ -2194,13 +2162,6 @@ fn execute_resilient(
                         "partition {} failed after {attempt} attempts: {e}",
                         job.index
                     )));
-                }
-                // Exponential backoff, capped at 64× the base: models the
-                // driver's re-queue cost without wedging the worker.
-                let shift = (attempt - 1).min(6) as u32;
-                let backoff = policy.backoff * (1u32 << shift);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
                 }
             }
         }
@@ -2380,7 +2341,6 @@ mod tests {
             extra_devices: Vec::new(),
             workers: 2,
             cache_capacity: 8,
-            plan_cache_bytes: None,
             cst_cache_bytes: 16 << 20,
             max_in_flight: 4,
             ..ServeConfig::default()
@@ -2593,13 +2553,8 @@ mod tests {
         m.queue_waits.record(0.0);
         m.device_queues.record(0.0);
         m.plan_misses.record(0.0);
-        let pool = DevicePool::fpga_fleet(&small_config().fast, 1).unwrap();
-        let view = PoolView {
-            stats: pool.snapshot(),
-            makespan_sec: pool.makespan_sec(),
-            busy_sec: pool.busy_sec(),
-            imbalance: pool.imbalance(),
-        };
+        let pool = DevicePool::build(&small_config().fast, 1, &[]).unwrap();
+        let view = PoolView::from_stats(pool.snapshot());
         let r = assemble_report(&m, CacheStats::default(), CacheStats::default(), 0, &view, 1, Vec::new());
         assert!(r.is_finite(), "zero-wall report must stay finite: {r:?}");
         assert_eq!(r.qps, 0.0, "zero wall yields zero QPS, not inf/NaN");
@@ -2959,12 +2914,131 @@ mod tests {
         assert_eq!(ok + dead, 8);
         // The service still serves after the panics — the proof the
         // poison-tolerant locks and drop guards contain the blast radius.
-        let after = service.submit(triangle()).wait().unwrap();
-        assert_eq!(after.embeddings, want);
+        // (The panicking device keeps coming back on probation, so a
+        // session may still be routed to it; its strikes re-quarantine it.)
+        let mut served_after = false;
+        for _ in 0..16 {
+            match service.submit(triangle()).wait() {
+                Ok(r) => {
+                    assert_eq!(r.embeddings, want);
+                    ok += 1;
+                    served_after = true;
+                    break;
+                }
+                Err(ServeError::Disconnected) => dead += 1,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert!(served_after, "the healthy device must keep serving");
         let report = service.shutdown();
-        assert_eq!(report.completed, ok + 1);
+        assert_eq!(report.completed, ok);
         assert_eq!(report.failed, dead);
+        assert!(dead > 0, "no session reached the panicking device");
+        // A call that unwinds runs neither `complete` nor `fail`; its
+        // booking must still be released.
+        for (i, d) in report.devices.iter().enumerate() {
+            assert_eq!(d.outstanding_workload, 0.0, "device {i} leaked a booking");
+        }
         assert!(report.is_finite());
+    }
+
+    #[test]
+    fn single_executor_completes_in_submission_order() {
+        // One executor: a session's next `Exec` lands on the own deque and
+        // is popped before the next DRR pickup, so every multi-partition
+        // session runs to completion before its successor starts.
+        let g = random_labelled_graph(60, 0.25, 2, 58);
+        let mut config = small_config();
+        config.workers = 1;
+        let service = FastService::new(g, config);
+        let handles: Vec<SessionHandle> =
+            (0..8).map(|_| service.submit(triangle())).collect();
+        for h in handles {
+            let r = h.wait().unwrap();
+            assert!(r.partitions >= 2, "need a multi-partition session: {r:?}");
+            assert_eq!(r.completion_seq, r.id, "completion order is submission order");
+        }
+        service.shutdown();
+    }
+
+    /// An FPGA backend whose calls announce themselves and then block
+    /// until the test releases them — the handle that lets a test hold a
+    /// partition in flight while wall time passes.
+    struct GatedBackend {
+        inner: fast::FpgaBackend,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl ExecutionBackend for GatedBackend {
+        fn spec(&self) -> fast::BackendSpec {
+            self.inner.spec()
+        }
+
+        fn prior_sec_per_workload(&self) -> f64 {
+            self.inner.prior_sec_per_workload()
+        }
+
+        fn execute(
+            &self,
+            job: &PartitionJob,
+            ctx: &QueryCtx<'_>,
+        ) -> Result<BackendOutput, fast::BackendError> {
+            let _ = self.entered.plock().send(());
+            // A dropped release sender unblocks every later call.
+            let _ = self.release.plock().recv();
+            self.inner.execute(job, ctx)
+        }
+    }
+
+    #[test]
+    fn deadline_passing_mid_session_sheds_between_partitions() {
+        let g = random_labelled_graph(60, 0.25, 2, 59);
+        let deadline = Duration::from_millis(500);
+        let mut config = small_config();
+        config.workers = 1;
+        config.devices = 1;
+        config.deadline = Some(deadline);
+        let service = FastService::new(g, config.clone());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let gated = GatedBackend {
+            inner: fast::FpgaBackend::from_config(&config.fast),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        };
+        *service.inner.devices.plock() = DevicePool::new(vec![Arc::new(gated)]).unwrap();
+
+        let handle = service.submit(triangle());
+        // The first partition is in flight: every earlier deadline check
+        // passed. Hold it there until the deadline is behind us.
+        entered_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("first partition never started");
+        std::thread::sleep(deadline + Duration::from_millis(50));
+        drop(release_tx);
+
+        let mut streamed = 0usize;
+        let err = loop {
+            match handle.next_event().expect("session alive") {
+                SessionEvent::Partition(_) => streamed += 1,
+                SessionEvent::Done(r) => panic!("expected a shed, got {r:?}"),
+                SessionEvent::Failed(e) => break e,
+            }
+        };
+        assert_eq!(err, ServeError::DeadlineExceeded);
+        assert_eq!(streamed, 1, "the partition in flight finished and streamed");
+        let inner = Arc::clone(&service.inner);
+        let report = service.shutdown();
+        assert!(
+            entered_rx.try_recv().is_err(),
+            "no partition may start after the deadline"
+        );
+        assert_eq!(report.deadline_misses, 1);
+        assert_eq!(report.failed, 0, "shed by policy, not broken");
+        assert_eq!(report.completed, 0);
+        let gate = inner.gate.plock();
+        assert_eq!((gate.in_flight, gate.admitted), (0, 0), "permits released");
     }
 
     #[test]

@@ -37,7 +37,6 @@ fn main() {
             extra_devices: vec![DeviceKind::Cpu { threads: 4 }],
             workers: 4,
             cache_capacity: 32,
-            plan_cache_bytes: None,
             cst_cache_bytes: ServeConfig::default().cst_cache_bytes,
             max_in_flight: 16,
             ..ServeConfig::default()

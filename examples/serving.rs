@@ -30,7 +30,6 @@ fn main() {
             extra_devices: Vec::new(),
             workers: 4,
             cache_capacity: 32,
-            plan_cache_bytes: None,
             cst_cache_bytes: ServeConfig::default().cst_cache_bytes,
             max_in_flight: 8,
             ..ServeConfig::default()

@@ -16,7 +16,6 @@ fn config(workers: usize, max_in_flight: usize) -> ServeConfig {
         extra_devices: Vec::new(),
         workers,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: 16 << 20,
         max_in_flight,
         ..ServeConfig::default()

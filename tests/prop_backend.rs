@@ -23,7 +23,6 @@ fn config(planner: ShardPlanner, devices: usize, extra: Vec<DeviceKind>) -> Serv
         extra_devices: extra,
         workers: 2,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: 16 << 20,
         max_in_flight: 8,
         ..ServeConfig::default()

@@ -222,7 +222,6 @@ fn config(workers: usize, cst_bytes: usize) -> ServeConfig {
         extra_devices: Vec::new(),
         workers,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: cst_bytes,
         max_in_flight: 8,
         ..ServeConfig::default()

@@ -108,17 +108,14 @@ fn chaos_config(planner: ShardPlanner, extra: Vec<DeviceKind>) -> ServeConfig {
         extra_devices: extra,
         workers: 2,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: 16 << 20,
         max_in_flight: 8,
         fault: FaultPolicy {
-            // A deep retry budget with zero backoff: the chaos runs probe
-            // accounting and bit-identity, not wall-clock recovery.
+            // A deep retry budget: the chaos runs probe accounting and
+            // bit-identity, not wall-clock recovery.
             max_attempts: 16,
-            backoff: Duration::ZERO,
             cross_check: true,
             cpu_fallback: true,
-            ..FaultPolicy::default()
         },
         ..ServeConfig::default()
     }

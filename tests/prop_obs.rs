@@ -82,15 +82,12 @@ fn obs_config(extra: Vec<DeviceKind>) -> ServeConfig {
         extra_devices: extra,
         workers: 2,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: 16 << 20,
         max_in_flight: 8,
         fault: FaultPolicy {
             max_attempts: 16,
-            backoff: Duration::ZERO,
             cross_check: true,
             cpu_fallback: true,
-            ..FaultPolicy::default()
         },
         ..ServeConfig::default()
     }

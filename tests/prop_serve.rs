@@ -49,7 +49,6 @@ fn service_config(
         extra_devices: Vec::new(),
         workers,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: cst_bytes,
         max_in_flight: 8,
         ..ServeConfig::default()

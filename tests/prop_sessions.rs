@@ -90,16 +90,13 @@ fn session_config(
         extra_devices: vec![flaky, healthy],
         workers,
         cache_capacity: 16,
-        plan_cache_bytes: None,
         cst_cache_bytes: 16 << 20,
         max_in_flight,
         deadline: Some(Duration::from_secs(3600)),
         fault: FaultPolicy {
             max_attempts: 16,
-            backoff: Duration::ZERO,
             cross_check: false,
             cpu_fallback: true,
-            ..FaultPolicy::default()
         },
     }
 }
