@@ -30,7 +30,10 @@
 //!   [`HealthState`] tracking: consecutive failures quarantine a device
 //!   for a doubling penalty window, an expired quarantine re-admits on
 //!   probation, permanent errors evict for good;
-//! * [`service`] — an **event-driven session executor**: `submit` is a
+//! * [`service`] (public API) over `executor` (the task-driven session
+//!   lifecycle), [`resilience`] (retry, failover, cross-check) and
+//!   `reporting` (metrics state, report assembly) — an **event-driven
+//!   session executor**: `submit` is a
 //!   non-blocking enqueue, and a small fixed pool of executor threads
 //!   drives each admitted session with `Start`/`Resume`/`Exec` tasks on
 //!   work-stealing deques — one synchronous backend call per partition,
@@ -110,7 +113,10 @@
 
 pub mod cache;
 pub mod devices;
+mod executor;
 pub mod metrics;
+mod reporting;
+pub mod resilience;
 pub mod service;
 pub mod tenant;
 
