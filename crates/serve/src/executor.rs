@@ -615,32 +615,28 @@ fn run_exec(inner: &Inner, sid: u64) {
         collect: plan.collect,
     };
     let mut acc = FaultAcc::default();
-    let (update, err) = match execute_checked(inner, &inner.config.fault, &job, &ctx, &mut acc) {
-        Ok((device, class, out)) => (
-            Some(PartitionUpdate {
-                index: job.index,
-                device,
-                backend: class,
-                embeddings: out.embeddings,
-                kernel_cycles: out.kernel_cycles,
-                modeled_sec: out.modeled_sec,
-                collected: out.collected,
-            }),
-            None,
-        ),
-        Err(e) => (None, Some(e)),
-    };
+    let result = execute_checked(inner, &inner.config.fault, &job, &ctx, &mut acc).map(
+        |(device, class, out)| PartitionUpdate {
+            index: job.index,
+            device,
+            backend: class,
+            embeddings: out.embeddings,
+            kernel_cycles: out.kernel_cycles,
+            modeled_sec: out.modeled_sec,
+            collected: out.collected,
+        },
+    );
     let done = {
         let mut s = slot.mu.plock();
         fold_acc(&mut s.stats.acc, &acc);
-        if let Some(u) = &update {
-            s.stats.embeddings += u.embeddings;
-            s.stats.partitions += 1;
-            s.stats.kernel_cycles += u.kernel_cycles;
-            s.stats.device_sec += u.modeled_sec;
-        }
-        if err.is_some() {
-            s.session_err = err;
+        match &result {
+            Ok(u) => {
+                s.stats.embeddings += u.embeddings;
+                s.stats.partitions += 1;
+                s.stats.kernel_cycles += u.kernel_cycles;
+                s.stats.device_sec += u.modeled_sec;
+            }
+            Err(e) => s.session_err = Some(e.clone()),
         }
         if !s.jobs.is_empty() {
             // Partitions remain: shed them now if the deadline passed
@@ -649,7 +645,7 @@ fn run_exec(inner: &Inner, sid: u64) {
         }
         s.session_err.is_some() || s.jobs.is_empty()
     };
-    if let Some(update) = update {
+    if let Ok(update) = result {
         let _ = slot.tx.send(SessionEvent::Partition(update));
     }
     if done {
@@ -813,17 +809,6 @@ fn panic_retire(inner: &Inner, sid: u64) {
         }
         s.finished = true;
     }
-    let now = Instant::now();
-    {
-        let mut m = inner.metrics.plock();
-        m.failed += 1;
-        m.last_done = Some(now);
-    }
-    {
-        let mut m = slot.tenant.metrics.plock();
-        m.failed += 1;
-        m.last_done = Some(now);
-    }
-    inner.hooks.failed.inc();
+    finish(inner, &slot.tenant, FinishOutcome::Failed);
     release(inner, sid);
 }

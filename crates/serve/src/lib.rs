@@ -33,14 +33,14 @@
 //! * [`service`] (public API) over `executor` (the task-driven session
 //!   lifecycle), [`resilience`] (retry, failover, cross-check) and
 //!   `reporting` (metrics state, report assembly) — an **event-driven
-//!   session executor**: `submit` is a
-//!   non-blocking enqueue, and a small fixed pool of executor threads
-//!   drives each admitted session with `Start`/`Resume`/`Exec` tasks on
-//!   work-stealing deques — one synchronous backend call per partition,
-//!   the same task retiring the session or queueing its next partition —
-//!   so outstanding sessions cost slab entries rather than OS threads;
-//!   **bounded execution permits** cap concurrent
-//!   execution ([`FastService::try_submit`] returns the typed
+//!   session executor**: `submit` is a non-blocking enqueue, and a small
+//!   fixed pool of executor threads drives each admitted session with
+//!   `Start`/`Resume`/`Exec` tasks on work-stealing deques — one
+//!   synchronous backend call per partition, the same task retiring the
+//!   session or queueing its next partition — so outstanding sessions
+//!   cost slab entries rather than OS threads; **bounded execution
+//!   permits** cap concurrent execution
+//!   ([`FastService::try_submit`] returns the typed
 //!   [`ServeError::Saturated`](service::ServeError) instead of queueing),
 //!   the decoupled prepare/execute phases (`fast::prepare_partitions`)
 //!   run as executor tasks, tenants restore zero-copy from mapped

@@ -73,32 +73,32 @@ impl MetricsState {
 }
 
 /// Baseline captured at the previous [`FastService::report_window`] call:
-/// the next window report is the current cumulative state minus this.
+/// the next window report is the current totals minus `base`.
 pub(crate) struct WindowState {
     /// Sequence number of the *next* window.
     pub(crate) seq: u64,
     /// When the baseline was captured (service start for window 0).
     pub(crate) taken_at: Instant,
+    pub(crate) base: Totals,
+}
+
+/// The service's cumulative state at one instant: the input of a report,
+/// and (as a baseline) of the next window's delta.
+#[derive(Default)]
+pub(crate) struct Totals {
     pub(crate) metrics: MetricsState,
     pub(crate) cache: CacheStats,
     pub(crate) cst_cache: CacheStats,
+    pub(crate) cst_resident_bytes: usize,
     pub(crate) devices: Vec<DeviceStats>,
+    pub(crate) max_in_flight: usize,
 }
 
-/// One pass over the service's cumulative state — each lock taken briefly
-/// in turn — shared by the lifetime report and the window delta.
-struct Cumulative {
-    metrics: MetricsState,
-    tenants: Vec<Arc<TenantState>>,
-    cache: CacheStats,
-    cst_cache: CacheStats,
-    cst_resident_bytes: usize,
-    devices: Vec<DeviceStats>,
-    max_seen: usize,
-}
-
-impl Cumulative {
-    fn capture(inner: &Inner) -> Cumulative {
+impl Totals {
+    /// One pass over the service — each lock taken briefly in turn —
+    /// shared by the lifetime report and the window delta. Also returns
+    /// the tenants it walked, for the per-tenant slices.
+    fn capture(inner: &Inner) -> (Totals, Vec<Arc<TenantState>>) {
         let metrics = inner.metrics.plock().clone();
         let tenants: Vec<Arc<TenantState>> = inner.tenants.pread().values().cloned().collect();
         let mut cache = CacheStats::default();
@@ -110,46 +110,33 @@ impl Cumulative {
             cst_cache.absorb(&cc.stats());
             cst_resident_bytes += cc.resident_bytes();
         }
-        Cumulative {
+        let totals = Totals {
             metrics,
-            tenants,
             cache,
             cst_cache,
             cst_resident_bytes,
             devices: inner.devices.plock().snapshot(),
-            max_seen: inner.gate.plock().max_seen,
-        }
-    }
-}
-
-/// The device pool's per-device counters with the fleet aggregates
-/// derived from them.
-pub(crate) struct PoolView {
-    stats: Vec<DeviceStats>,
-    makespan_sec: f64,
-    busy_sec: f64,
-    imbalance: f64,
-}
-
-impl PoolView {
-    /// Derives the fleet aggregates from a stats vector: the pool's
-    /// lifetime snapshot, or a window delta (where makespan/busy/imbalance
-    /// then describe the window's own activity).
-pub(crate)     fn from_stats(stats: Vec<DeviceStats>) -> PoolView {
-        let makespan_sec = stats.iter().map(|d| d.busy_sec).fold(0.0, f64::max);
-        let busy_sec = stats.iter().map(|d| d.busy_sec).sum();
-        let max = stats.iter().map(|d| d.total_workload).fold(0.0, f64::max);
-        let mean = if stats.is_empty() {
-            0.0
-        } else {
-            stats.iter().map(|d| d.total_workload).sum::<f64>() / stats.len() as f64
+            max_in_flight: inner.gate.plock().max_seen,
         };
-        let imbalance = if mean == 0.0 { 1.0 } else { max / mean };
-        PoolView {
-            stats,
-            makespan_sec,
-            busy_sec,
-            imbalance,
+        (totals, tenants)
+    }
+
+    /// Everything accumulated since `base`; point-in-time fields
+    /// (`cst_resident_bytes`, `max_in_flight`, device health and
+    /// outstanding workload) carry over from `self`.
+    fn delta(&self, base: &Totals) -> Totals {
+        Totals {
+            metrics: self.metrics.delta(&base.metrics),
+            cache: self.cache.delta(&base.cache),
+            cst_cache: self.cst_cache.delta(&base.cst_cache),
+            cst_resident_bytes: self.cst_resident_bytes,
+            devices: self
+                .devices
+                .iter()
+                .enumerate()
+                .map(|(i, d)| base.devices.get(i).map_or(*d, |b| d.delta(b)))
+                .collect(),
+            max_in_flight: self.max_in_flight,
         }
     }
 }
@@ -160,17 +147,8 @@ impl FastService {
     /// aggregation runs with no lock held, so a report never stalls
     /// admission or dispatch.
     pub fn report(&self) -> ServeReport {
-        let snap = Cumulative::capture(&self.inner);
-        let summaries = snap.tenants.iter().map(|t| tenant_summary(t)).collect();
-        assemble_report(
-            &snap.metrics,
-            snap.cache,
-            snap.cst_cache,
-            snap.cst_resident_bytes,
-            &PoolView::from_stats(snap.devices),
-            snap.max_seen,
-            summaries,
-        )
+        let (totals, tenants) = Totals::capture(&self.inner);
+        assemble_report(totals, tenants.iter().map(|t| tenant_summary(t)).collect())
     }
 
     /// A single tenant's report slice.
@@ -189,51 +167,21 @@ impl FastService {
     /// per-tenant slices are empty — windows slice time, not tenants.
     pub fn report_window(&self) -> ServeReport {
         let now = Instant::now();
-        // Snapshot cumulative state, then delta against the stored
-        // baseline.
-        let Cumulative {
-            metrics,
-            cache,
-            cst_cache,
-            cst_resident_bytes,
-            devices: device_stats,
-            max_seen,
-            tenants: _,
-        } = Cumulative::capture(&self.inner);
-
+        let (totals, _) = Totals::capture(&self.inner);
         let mut window = self.inner.window.plock();
         let wall_sec = now.duration_since(window.taken_at).as_secs_f64();
-        let mut delta = metrics.delta(&window.metrics);
+        let mut delta = totals.delta(&window.base);
         // The window wall is baseline→now, not first-submit→last-done.
-        delta.first_submit = Some(window.taken_at);
-        delta.last_done = Some(now);
-        let cache_delta = cache.delta(&window.cache);
-        let cst_delta = cst_cache.delta(&window.cst_cache);
-        let stats_delta: Vec<DeviceStats> = device_stats
-            .iter()
-            .enumerate()
-            .map(|(i, d)| window.devices.get(i).map_or(*d, |base| d.delta(base)))
-            .collect();
+        delta.metrics.first_submit = Some(window.taken_at);
+        delta.metrics.last_done = Some(now);
         let seq = window.seq;
         // Advance the baseline: the next window starts here.
         window.seq += 1;
         window.taken_at = now;
-        window.metrics = metrics;
-        window.cache = cache;
-        window.cst_cache = cst_cache;
-        window.devices = device_stats;
+        window.base = totals;
         drop(window);
 
-        let pool = PoolView::from_stats(stats_delta);
-        let mut report = assemble_report(
-            &delta,
-            cache_delta,
-            cst_delta,
-            cst_resident_bytes,
-            &pool,
-            max_seen,
-            Vec::new(),
-        );
+        let mut report = assemble_report(delta, Vec::new());
         report.window = Some(crate::metrics::WindowInfo { seq, wall_sec });
         debug_assert!(report.is_finite());
         report
@@ -289,20 +237,18 @@ fn tenant_summary(t: &TenantState) -> TenantSummary {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_report(
-    m: &MetricsState,
-    cache: CacheStats,
-    cst_cache: CacheStats,
-    cst_resident_bytes: usize,
-    pool: &PoolView,
-    max_in_flight: usize,
-    tenants: Vec<TenantSummary>,
-) -> ServeReport {
+/// Aggregates one set of totals — lifetime, or a window delta (where the
+/// fleet aggregates then describe the window's own activity) — into a
+/// report.
+pub(crate) fn assemble_report(totals: Totals, tenants: Vec<TenantSummary>) -> ServeReport {
+    let m = &totals.metrics;
     let wall_sec = match (m.first_submit, m.last_done) {
         (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
         _ => 0.0,
     };
+    let devices = totals.devices;
+    let booked = |d: &DeviceStats| d.total_workload;
+    let mean_booked = devices.iter().map(booked).sum::<f64>() / devices.len().max(1) as f64;
     let mut report = ServeReport {
         submitted: m.submitted,
         completed: m.completed,
@@ -312,13 +258,13 @@ pub(crate) fn assemble_report(
         failovers: m.failovers,
         // Quarantines live on the devices, not the sessions: the pool
         // snapshot is their ground truth.
-        quarantines: pool.stats.iter().map(|d| d.quarantines).sum(),
+        quarantines: devices.iter().map(|d| d.quarantines).sum(),
         corruption_catches: m.corruption_catches,
         degraded_sec: m.degraded_sec,
         total_embeddings: m.total_embeddings,
-        cache,
-        cst_cache,
-        cst_resident_bytes,
+        cache: totals.cache,
+        cst_cache: totals.cst_cache,
+        cst_resident_bytes: totals.cst_resident_bytes,
         // Degenerate walls must never surface NaN/inf: a report taken
         // before any completion has no wall at all, and a single session
         // can complete within one clock tick (`wall_sec == 0.0` with
@@ -329,11 +275,17 @@ pub(crate) fn assemble_report(
             0.0
         },
         wall_sec,
-        device_makespan_sec: pool.makespan_sec,
-        device_busy_sec: pool.busy_sec,
-        device_imbalance: pool.imbalance,
-        devices: pool.stats.clone(),
-        max_in_flight,
+        // The busiest device's modelled seconds: the fleet's makespan.
+        device_makespan_sec: devices.iter().map(|d| d.busy_sec).fold(0.0, f64::max),
+        device_busy_sec: devices.iter().map(|d| d.busy_sec).sum(),
+        // Max/mean booked workload; an idle fleet is balanced by definition.
+        device_imbalance: if mean_booked == 0.0 {
+            1.0
+        } else {
+            devices.iter().map(booked).fold(0.0, f64::max) / mean_booked
+        },
+        devices,
+        max_in_flight: totals.max_in_flight,
         tenants,
         ..ServeReport::default()
     };

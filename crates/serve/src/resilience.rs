@@ -51,7 +51,9 @@ impl Default for FaultPolicy {
 pub(crate) struct FaultAcc {
     /// Failed execution attempts that were retried — bumps in lockstep
     /// with the failing device's `DeviceStats::failures`, which is the
-    /// exactly-once accounting invariant the chaos tests reconcile.
+    /// exactly-once accounting invariant the chaos tests reconcile. (A
+    /// backend call that panics charges the device a failure too, but its
+    /// session dies, so there is no retry to count.)
     pub(crate) retries: u64,
     /// Retries that landed on a different device (reroutes).
     pub(crate) failovers: u64,

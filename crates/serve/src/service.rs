@@ -52,11 +52,11 @@
 //! single-run CPU-share scheduler (FAST-SHARE's δ) is not booked here —
 //! `run_fast` remains the one-shot path.
 
-use crate::cache::{CacheStats, CstCache, PlanCache};
+use crate::cache::{CstCache, PlanCache};
 use crate::devices::{DeviceKind, DevicePool};
 use crate::executor::{executor_loop, notify_executors, shed_for_shutdown, SessionSlot, Task};
 use crate::metrics::ServeReport;
-use crate::reporting::{MetricsState, WindowState};
+use crate::reporting::{MetricsState, Totals, WindowState};
 pub use crate::resilience::FaultPolicy;
 use crate::resilience::FALLBACK_THREADS;
 use crate::tenant::{TenantConfig, TenantId, WrrQueue};
@@ -126,7 +126,7 @@ pub struct ServeConfig {
     /// [`ServeError::NoDevices`].
     pub extra_devices: Vec<DeviceKind>,
     /// Executor threads polling ready sessions. Each drives many
-    /// sessions through their state machines — in-flight depth is bounded
+    /// sessions, one task at a time — in-flight depth is bounded
     /// by [`max_in_flight`](Self::max_in_flight), not by this.
     pub workers: usize,
     /// Default plan-cache capacity of each tenant's cache partition
@@ -528,7 +528,7 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-pub(crate)     fn tenant(&self, id: TenantId) -> Result<Arc<TenantState>, ServeError> {
+    pub(crate) fn tenant(&self, id: TenantId) -> Result<Arc<TenantState>, ServeError> {
         if id == self.default_tenant.id {
             return Ok(Arc::clone(&self.default_tenant));
         }
@@ -617,10 +617,7 @@ impl FastService {
             window: Mutex::new(WindowState {
                 seq: 0,
                 taken_at: Instant::now(),
-                metrics: MetricsState::default(),
-                cache: CacheStats::default(),
-                cst_cache: CacheStats::default(),
-                devices: Vec::new(),
+                base: Totals::default(),
             }),
             hooks: ObsHooks::new(),
             config,

@@ -1,5 +1,5 @@
 use super::*;
-use crate::reporting::{assemble_report, PoolView};
+use crate::reporting::assemble_report;
 use fast::{BackendOutput, ExecutionBackend, PartitionJob, QueryCtx, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::Label;
@@ -228,8 +228,13 @@ fn degenerate_reports_are_finite() {
     m.device_queues.record(0.0);
     m.plan_misses.record(0.0);
     let pool = DevicePool::build(&small_config().fast, 1, &[]).unwrap();
-    let view = PoolView::from_stats(pool.snapshot());
-    let r = assemble_report(&m, CacheStats::default(), CacheStats::default(), 0, &view, 1, Vec::new());
+    let totals = Totals {
+        metrics: m,
+        devices: pool.snapshot(),
+        max_in_flight: 1,
+        ..Totals::default()
+    };
+    let r = assemble_report(totals, Vec::new());
     assert!(r.is_finite(), "zero-wall report must stay finite: {r:?}");
     assert_eq!(r.qps, 0.0, "zero wall yields zero QPS, not inf/NaN");
     assert_eq!(r.wall_sec, 0.0);
@@ -640,7 +645,7 @@ fn single_executor_completes_in_submission_order() {
 /// partition in flight while wall time passes.
 struct GatedBackend {
     inner: fast::FpgaBackend,
-    entered: Mutex<mpsc::Sender<()>>,
+    entered: mpsc::Sender<()>,
     release: Mutex<mpsc::Receiver<()>>,
 }
 
@@ -658,7 +663,7 @@ impl ExecutionBackend for GatedBackend {
         job: &PartitionJob,
         ctx: &QueryCtx<'_>,
     ) -> Result<BackendOutput, fast::BackendError> {
-        let _ = self.entered.plock().send(());
+        let _ = self.entered.send(());
         // A dropped release sender unblocks every later call.
         let _ = self.release.plock().recv();
         self.inner.execute(job, ctx)
@@ -678,7 +683,7 @@ fn deadline_passing_mid_session_sheds_between_partitions() {
     let (release_tx, release_rx) = mpsc::channel();
     let gated = GatedBackend {
         inner: fast::FpgaBackend::from_config(&config.fast),
-        entered: Mutex::new(entered_tx),
+        entered: entered_tx,
         release: Mutex::new(release_rx),
     };
     *service.inner.devices.plock() = DevicePool::new(vec![Arc::new(gated)]).unwrap();
