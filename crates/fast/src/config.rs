@@ -1,6 +1,7 @@
 //! Configuration of the co-designed framework.
 
-use crate::kernel::CollectMode;
+use crate::host::FastError;
+use crate::kernel::{CollectMode, PARTIAL_SLOT_BYTES};
 use crate::variants::Variant;
 use cst::{CstOptions, PartitionConfig, ShardPlan, ShardPlanner};
 use fpga_sim::{FpgaSpec, StageLatencies};
@@ -143,8 +144,7 @@ impl FastConfig {
     /// whole CST); the footprint check closes exactly that gap without the
     /// `budget / |V(q)|` conservatism that would explode partition counts.
     pub fn partition_config(&self, query_len: usize, cst: &cst::Cst) -> PartitionConfig {
-        let partial_bytes = std::mem::size_of::<crate::buffer::Partial>();
-        let budget = self.spec.cst_bram_budget(query_len, partial_bytes);
+        let budget = self.spec.cst_bram_budget(query_len, PARTIAL_SLOT_BYTES);
         let payload = cst.payload_bytes();
         let footprint = payload + cst.scaffold_bytes();
         let delta_s = if footprint == 0 {
@@ -167,18 +167,34 @@ impl FastConfig {
     /// the auto planner's ρ estimate sees the same budget the partitioner
     /// will split against.
     pub fn pipeline_options(&self, query_len: usize) -> cst::PipelineOptions {
-        let partial_bytes = std::mem::size_of::<crate::buffer::Partial>();
         cst::PipelineOptions {
             threads: self.host_threads.max(1),
             shards: self.pipeline_shards,
             planner: self.shard_planner,
             cst: self.cst_options,
-            partition_hint: Some(self.spec.cst_bram_budget(query_len, partial_bytes).max(1)),
+            partition_hint: Some(
+                self.spec
+                    .cst_bram_budget(query_len, PARTIAL_SLOT_BYTES)
+                    .max(1),
+            ),
             seed_builds: self.seed_from_probe,
         }
     }
 
+    /// Refuses a configuration no device can run, so that entry points
+    /// (`run_fast`, `run_multi_fpga`, a serving layer's constructor) return
+    /// a typed error where the cycle model and the kernel would panic.
+    pub fn validate(&self) -> Result<(), FastError> {
+        if self.spec.no == 0 {
+            return Err(FastError::ZeroRoundBudget);
+        }
+        Ok(())
+    }
+
     /// The cycle model induced by this configuration.
+    ///
+    /// # Panics
+    /// If `spec.no == 0`; see [`validate`](Self::validate).
     pub fn cycle_model(&self) -> fpga_sim::CycleModel {
         fpga_sim::CycleModel::new(
             self.latencies,
@@ -223,8 +239,7 @@ mod tests {
         assert_eq!(p6.delta_d, c.spec.port_max);
         // The grant never exceeds the raw budget (scaffold share is reserved)
         // and never hits zero for a non-degenerate CST.
-        let partial = std::mem::size_of::<crate::buffer::Partial>();
-        assert!(p2.delta_s <= c.spec.cst_bram_budget(2, partial));
+        assert!(p2.delta_s <= c.spec.cst_bram_budget(2, PARTIAL_SLOT_BYTES));
         assert!(p2.delta_s >= 1);
     }
 

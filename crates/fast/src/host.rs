@@ -57,12 +57,16 @@ use std::time::{Duration, Instant};
 pub enum FastError {
     /// The query exceeds the kernel's register budget.
     Plan(PlanError),
+    /// `FpgaSpec::no == 0`: with no per-round expansion budget `N_o` the
+    /// kernel can never drain its buffer.
+    ZeroRoundBudget,
 }
 
 impl std::fmt::Display for FastError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FastError::Plan(e) => write!(f, "{e}"),
+            FastError::ZeroRoundBudget => write!(f, "device round budget N_o must be >= 1"),
         }
     }
 }
@@ -257,6 +261,7 @@ fn run_fast_with_tree(
     tree: &BfsTree,
     order: &MatchingOrder,
 ) -> Result<FastReport, FastError> {
+    config.validate()?;
     if config.host_threads > 1 {
         run_fast_pipelined(q, g, config, tree, order)
     } else {
@@ -979,6 +984,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn zero_round_budget_is_a_typed_error() {
+        let q = &queries()[1];
+        let g = random_labelled_graph(45, 0.2, 3, 401);
+        for host_threads in [1, 4] {
+            let mut config = FastConfig::test_small(Variant::Share);
+            config.spec.no = 0;
+            config.host_threads = host_threads;
+            assert_eq!(
+                run_fast(q, &g, &config).unwrap_err(),
+                FastError::ZeroRoundBudget
+            );
+            let order = path_based_order(q, &BfsTree::new(q, select_root(q, &g)), &g);
+            assert_eq!(
+                run_fast_with_order(q, &g, &config, &order).unwrap_err(),
+                FastError::ZeroRoundBudget
+            );
+        }
+        let mut config = FastConfig::test_small(Variant::Sep);
+        config.spec.no = 0;
+        assert_eq!(
+            crate::run_multi_fpga(q, &g, &config, 2).unwrap_err(),
+            FastError::ZeroRoundBudget
+        );
     }
 
     #[test]

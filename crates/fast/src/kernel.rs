@@ -13,12 +13,50 @@
 //! generated) and `M` (edge-validation tasks) — the two quantities the
 //! paper's cycle equations (1)-(4) consume — plus every CST/buffer memory
 //! touch for the BRAM/DRAM accounting of Fig. 7.
+//!
+//! ## The partial-results buffer `P` (Section VI-B)
+//!
+//! Partial results never spill to DRAM: `P` reserves `(|V(q)|-1) × N_o`
+//! slots of [`PARTIAL_SLOT_BYTES`] in BRAM, and every round expands the
+//! partials with the **largest** mapped-vertex count first, which bounds
+//! the live population of each level `n ∈ [1, |V(q)|-1]` by `N_o` —
+//! complete results leave the buffer immediately.
+//!
+//! The emulator holds level `n` as one flat `Vec<u32>` arena of stride `n`
+//! (candidate indices, one per mapped depth) with a head cursor. Under
+//! deepest-first a level is only ever filled from empty — by one round of
+//! the level below, or by a root injection — and then drained to empty
+//! before it is filled again, so a FIFO cursor is all the queue it needs.
+//! A partial whose candidate list outlasts the round budget ("the rest
+//! candidates will be mapped later") simply stays at the head; since only
+//! a head can be cut short, its resume offset is one scalar per level.
+//!
+//! ## What is resolved when
+//!
+//! The hardware does one O(1) array probe per task; the emulator gets the
+//! same effect by hoisting every lookup to the coarsest scope it is
+//! invariant over. Per *partition*: the plan's query vertices become
+//! candidate slices and [`CsrAdj`] references. Per *partial*: its mapped
+//! data vertices and the validators' neighbour slices. Per *candidate*
+//! there remains a scan of ≤ 15 mapped ids and, per validator, a binary
+//! search whose slice only shrinks — the anchor list is ascending, so each
+//! probe starts where the last one ended. `N`, `M` and the memory-touch
+//! counters are added per partial from the list length: they are the
+//! hardware's, which evaluates every comparison and emits every `t_n`
+//! (Algorithm 5 lines 10-12) with no short-circuiting, even where the host
+//! loop stops at the first failed check.
 
-use crate::buffer::{Partial, ResultsBuffer};
-use crate::plan::KernelPlan;
-use cst::Cst;
+use crate::plan::{KernelPlan, MAX_KERNEL_QUERY};
+use cst::{CsrAdj, Cst};
 use fpga_sim::WorkloadCounts;
 use graph_core::VertexId;
+
+/// Modelled BRAM bytes of one slot of the partial-results buffer: the
+/// fixed-width [`MAX_KERNEL_QUERY`] × `u32` mapping registers plus a level
+/// word and a resume-offset word. Sizes δ_S (and through it every partition
+/// count and modelled second), so it is a device constant — not the size of
+/// whatever the emulator happens to store.
+pub const PARTIAL_SLOT_BYTES: usize = 72;
 
 /// What to do with complete embeddings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +68,7 @@ pub enum CollectMode {
 }
 
 /// Counters and results of one kernel run over one CST partition.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelOutput {
     /// Embeddings found.
     pub embeddings: u64,
@@ -54,163 +92,227 @@ pub struct KernelOutput {
     pub buffer_high_water: Vec<usize>,
 }
 
+/// One matching-order depth `d ≥ 1` of the plan, resolved against a
+/// partition: what expanding a level-`d` partial needs.
+struct Expansion<'a> {
+    /// `C(u)` of the query vertex `u` matched at this depth.
+    candidates: &'a [VertexId],
+    /// Depth of the anchor and its `(anchor → u)` adjacency: the
+    /// Generator's candidate fetch (Algorithm 5 line 5).
+    anchor_depth: usize,
+    anchor: &'a CsrAdj,
+    /// `(depth, (u_depth → u) adjacency)` per Edge Validator probe.
+    validate: Vec<(usize, &'a CsrAdj)>,
+}
+
+/// One buffer level: partials of `stride` candidate indices each, live
+/// from `head` on; `resume` is the head's offset into its anchor list.
+#[derive(Default)]
+struct Level {
+    slots: Vec<u32>,
+    head: usize,
+    resume: usize,
+}
+
 /// Runs the kernel over one CST partition.
 ///
 /// `no` is the per-round expansion budget `N_o`; the partial-results buffer
 /// holds `(|V(q)|-1) × N_o` slots in BRAM and never spills (Section VI-B).
+///
+/// # Panics
+/// `no >= 1` is a precondition (a zero budget can never drain the buffer);
+/// configurations are checked by [`FastConfig::validate`](crate::FastConfig::validate)
+/// before they reach the kernel.
 pub fn run_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> KernelOutput {
+    assert!(no >= 1, "N_o must be positive");
+    let no = no as usize;
     let qlen = plan.len();
     let mut out = KernelOutput::default();
     if qlen == 0 {
         return out;
     }
-    let root = plan.root();
-    let root_count = cst.candidate_count(root) as u32;
+    let cap = match mode {
+        CollectMode::CountOnly => 0,
+        CollectMode::Collect(cap) => cap,
+    };
+    // Candidate set per depth.
+    let candidates: Vec<&[VertexId]> = (0..qlen)
+        .map(|d| cst.candidates(plan.depth(d).vertex))
+        .collect();
+    let root_count = candidates[0].len();
     if qlen == 1 {
         // Degenerate single-vertex query: every root candidate is complete.
         out.embeddings = root_count as u64;
         out.counts.n = root_count as u64;
-        if let CollectMode::Collect(cap) = mode {
-            for i in 0..root_count.min(cap as u32) {
-                out.collected.push(vec![cst.candidate(root, i)]);
-            }
-        }
+        out.collected = candidates[0].iter().take(cap).map(|&v| vec![v]).collect();
         return out;
     }
 
-    let mut buffer = ResultsBuffer::new(qlen, no as usize);
-    let mut root_cursor: u32 = 0;
+    // expansions[l - 1] extends a level-l partial to depth l.
+    let expansions: Vec<Expansion<'_>> = (1..qlen)
+        .map(|d| {
+            let step = plan.depth(d);
+            let u = step.vertex;
+            Expansion {
+                candidates: candidates[d],
+                anchor_depth: step.anchor_depth,
+                anchor: cst.adjacency(plan.depth(step.anchor_depth).vertex, u),
+                validate: step
+                    .validate_depths
+                    .iter()
+                    .map(|&bd| (bd, cst.adjacency(plan.depth(bd).vertex, u)))
+                    .collect(),
+            }
+        })
+        .collect();
+
+    // levels[l - 1] holds the level-l partials, l in 1..qlen.
+    let mut levels: Vec<Level> = (1..qlen).map(|_| Level::default()).collect();
+    out.buffer_high_water = vec![0; qlen - 1];
+    let mut root_cursor = 0usize;
+    // Deepest level that may be non-empty; 0 once P has drained.
+    let mut top = 0usize;
 
     loop {
+        while top > 0 && levels[top - 1].slots.is_empty() {
+            top -= 1;
+        }
         // --- Root injection: when P drains, map the next N_o root
         //     candidates (Algorithm 4 lines 2-3, sliced to respect the
         //     buffer's per-level bound). ---
-        if buffer.is_empty() {
+        if top == 0 {
             if root_cursor >= root_count {
                 break;
             }
             let end = (root_cursor + no).min(root_count);
-            for i in root_cursor..end {
-                buffer.push(Partial::root(i));
-                out.counts.n += 1;
-                out.buffer_writes += 1;
-            }
+            levels[0].slots.extend(root_cursor as u32..end as u32);
+            let injected = end - root_cursor;
+            out.counts.n += injected as u64;
+            out.buffer_writes += injected as u64;
+            out.buffer_high_water[0] = out.buffer_high_water[0].max(injected);
             root_cursor = end;
             out.rounds += 1;
+            top = 1;
             continue;
         }
 
         // --- One Generator round: expand partials of the deepest level
         //     (they all map the same next query vertex, as required for the
-        //     fixed-function candidate fetch). ---
+        //     fixed-function candidate fetch). The deeper partials produced
+        //     this round wait for the next round. ---
         out.rounds += 1;
-        let mut produced: u32 = 0;
-        let first = buffer.pop_deepest().expect("buffer non-empty");
-        out.buffer_reads += 1;
-        let round_level = first.level();
-        let depth_plan = plan.depth(round_level);
-        let u = depth_plan.vertex;
-        let anchor_u = plan.depth(depth_plan.anchor_depth).vertex;
+        let level = top;
+        let step = &expansions[level - 1];
+        let probes = step.validate.len();
+        let (lower, upper) = levels.split_at_mut(level);
+        let cur = &mut lower[level - 1];
+        // `None` at the last level: survivors are complete embeddings and
+        // stream to DRAM instead of being buffered.
+        let mut next = upper.first_mut();
+        debug_assert!(next.as_ref().is_none_or(|l| l.slots.is_empty()));
+        let mut budget = no;
 
-        let mut current = Some(first);
-        while let Some(pi) = current.take() {
-            debug_assert_eq!(pi.level(), round_level);
-            // Candidate list from the anchor's CST adjacency (Alg. 5 line 5).
-            let anchor_idx = pi.mapping(depth_plan.anchor_depth);
-            let list = cst.neighbors(anchor_u, anchor_idx, u);
-            out.cst_reads += 1; // adjacency-list header fetch
-            let start = pi.resume_offset as usize;
+        loop {
+            out.buffer_reads += 1;
+            let pi = &cur.slots[cur.head * level..(cur.head + 1) * level];
+            let mut mapped = [VertexId::new(0); MAX_KERNEL_QUERY];
+            for (m, (&i, c)) in mapped.iter_mut().zip(pi.iter().zip(&candidates)) {
+                *m = c[i as usize];
+            }
+            let mapped = &mapped[..level];
+            // Candidate list from the anchor's CST adjacency.
+            let list = step.anchor.neighbors(pi[step.anchor_depth] as usize);
+            let start = cur.resume;
+            let take = (list.len() - start).min(budget);
+            budget -= take;
+            // Each validator's neighbour list, cut down as probes advance.
+            let mut rest: [&[u32]; MAX_KERNEL_QUERY] = [&[]; MAX_KERNEL_QUERY];
+            for (r, &(bd, adj)) in rest.iter_mut().zip(&step.validate) {
+                *r = adj.neighbors(pi[bd] as usize);
+            }
 
-            let budget_left = (no - produced) as usize;
-            let take = (list.len() - start).min(budget_left);
-            for &j in &list[start..start + take] {
-                produced += 1;
-                out.counts.n += 1;
-                out.cst_reads += 1; // candidate word fetch
-                let v = cst.candidate(u, j);
+            // The hardware's work for these `take` expansions: one list
+            // header fetch, then per candidate one word fetch, a full
+            // visited comparison tree, and one t_n probe per validator.
+            out.counts.n += take as u64;
+            out.counts.m += (take * probes) as u64;
+            out.cst_reads += 1 + (take * (1 + probes)) as u64;
 
-                // Visited Validator (Algorithm 6): compare v against every
-                // mapped vertex of pi in parallel (array partitioning). The
-                // hardware evaluates the full comparison tree; no early exit.
-                let mut visited_ok = true;
-                for d in 0..round_level {
-                    let mapped = cst.candidate(plan.depth(d).vertex, pi.mapping(d));
-                    if mapped == v {
-                        visited_ok = false;
-                    }
-                }
-
-                // Edge Validator (Algorithm 7): the Generator emits one t_n
-                // per non-anchor backward neighbour for *every* p_o
-                // (Algorithm 5 lines 10-12) — validators run concurrently
-                // with no short-circuiting, so M counts them all.
-                let mut edges_ok = true;
-                for &bd in &depth_plan.validate_depths {
-                    out.counts.m += 1;
-                    out.cst_reads += 1; // O(1) partitioned-array probe
-                    let bu = plan.depth(bd).vertex;
-                    if !cst.has_candidate_edge(bu, pi.mapping(bd), u, j) {
-                        edges_ok = false;
-                    }
-                }
-
-                // Synchronizer (Algorithm 8): discard on any zero bit.
-                if !visited_ok {
-                    out.visited_rejections += 1;
+            let (mut visited, mut broken) = (0usize, 0usize);
+            'candidate: for &j in &list[start..start + take] {
+                let v = step.candidates[j as usize];
+                // Synchronizer (Algorithm 8): discard on any zero bit; a
+                // visited failure takes precedence in the accounting.
+                if mapped.contains(&v) {
+                    visited += 1;
                     continue;
                 }
-                if !edges_ok {
-                    out.edge_rejections += 1;
-                    continue;
-                }
-
-                let po = pi.extended(j);
-                if po.level() == qlen {
-                    out.embeddings += 1;
-                    if let CollectMode::Collect(cap) = mode {
-                        if out.collected.len() < cap {
-                            let mut emb = vec![VertexId::new(0); qlen];
-                            for d in 0..qlen {
-                                emb[plan.depth(d).vertex.index()] =
-                                    cst.candidate(plan.depth(d).vertex, po.mapping(d));
-                            }
-                            out.collected.push(emb);
+                for r in &mut rest[..probes] {
+                    match r.binary_search(&j) {
+                        Ok(at) => *r = &r[at + 1..],
+                        Err(at) => {
+                            *r = &r[at..];
+                            broken += 1;
+                            continue 'candidate;
                         }
                     }
-                    // Complete results stream to DRAM; not buffered.
-                } else {
-                    buffer.push(po);
-                    out.buffer_writes += 1;
                 }
+                match &mut next {
+                    Some(next) => {
+                        next.slots.extend_from_slice(pi);
+                        next.slots.push(j);
+                    }
+                    None if out.collected.len() < cap => {
+                        // Query-vertex indexed; the mapped depths overwrite
+                        // every slot but the new vertex's own.
+                        let mut emb = vec![v; qlen];
+                        for (d, &m) in mapped.iter().enumerate() {
+                            emb[plan.depth(d).vertex.index()] = m;
+                        }
+                        out.collected.push(emb);
+                    }
+                    None => {}
+                }
+            }
+            out.visited_rejections += visited as u64;
+            out.edge_rejections += broken as u64;
+            let survivors = (take - visited - broken) as u64;
+            if next.is_some() {
+                out.buffer_writes += survivors;
+            } else {
+                out.embeddings += survivors;
             }
 
             if start + take < list.len() {
-                // Round budget exhausted mid-list: remember the offset and
-                // resume next round ("the rest candidates will be mapped
-                // later", Section VI-B).
-                let mut rest = pi;
-                rest.resume_offset = (start + take) as u32;
-                buffer.push_front(rest);
+                // Round budget exhausted mid-list: the partial stays at the
+                // head and resumes from here next round.
+                cur.resume = start + take;
                 break;
             }
+            cur.head += 1;
+            cur.resume = 0;
+            if cur.head * level == cur.slots.len() {
+                cur.slots.clear();
+                cur.head = 0;
+                break;
+            }
+            if budget == 0 {
+                break;
+            }
+        }
 
-            if produced >= no {
-                break;
-            }
-            // Pop the next partial *of the same level*: the Generator is
-            // configured for a single u per round, and the deeper partials
-            // produced this round wait for the next round.
-            match buffer.pop_level(round_level) {
-                Some(p) => {
-                    out.buffer_reads += 1;
-                    current = Some(p);
-                }
-                None => break,
-            }
+        if let Some(next) = next {
+            let occupancy = next.slots.len() / (level + 1);
+            debug_assert!(
+                occupancy <= no,
+                "BRAM buffer overflow at level {}: deepest-first policy violated",
+                level + 1
+            );
+            out.buffer_high_water[level] = out.buffer_high_water[level].max(occupancy);
+            top = level + 1;
         }
     }
 
-    out.buffer_high_water = buffer.high_water().to_vec();
     out
 }
 
@@ -242,6 +344,14 @@ mod tests {
         let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).unwrap();
         let cst = build_cst(&q, &g, &tree);
         (q, g, tree, order, cst)
+    }
+
+    #[test]
+    fn partial_slot_bytes_is_pinned() {
+        // δ_S, every partition count and every modelled second hang off
+        // this value: 16 × u32 mapping + level word + resume-offset word.
+        assert_eq!(PARTIAL_SLOT_BYTES, 72);
+        assert_eq!(PARTIAL_SLOT_BYTES, (MAX_KERNEL_QUERY + 2) * 4);
     }
 
     #[test]

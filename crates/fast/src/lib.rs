@@ -19,9 +19,9 @@
 //!
 //! ## Architecture
 //!
-//! * [`plan`] / [`buffer`] / [`kernel`] — the matching kernel (Algorithms
-//!   4-8): Generator, Visited Validator, Edge Validator, Synchronizer over
-//!   the BRAM-only partial-results buffer;
+//! * [`plan`] / [`kernel`] — the matching kernel (Algorithms 4-8):
+//!   Generator, Visited Validator, Edge Validator, Synchronizer over the
+//!   BRAM-only partial-results buffer;
 //! * [`variants`] — FAST-DRAM/BASIC/TASK/SEP/SHARE and their cycle models;
 //! * [`scheduler`] — the CPU-share scheduler (Algorithm 3);
 //! * [`host`] — the co-designed driver (Fig. 2);
@@ -37,7 +37,6 @@
 //! * [`des_check`] — discrete-event cross-validation of the cycle model.
 
 pub mod backend;
-pub mod buffer;
 pub mod config;
 pub mod des_check;
 pub mod fault;
@@ -59,7 +58,7 @@ pub use host::{
     prepare_partitions, run_fast, run_fast_with_order, FastError, FastReport, PartitionJob,
     PartitionSpec, PreparePhase, PreparedCsts,
 };
-pub use kernel::{run_kernel, CollectMode, KernelOutput};
+pub use kernel::{run_kernel, CollectMode, KernelOutput, PARTIAL_SLOT_BYTES};
 pub use multi_fpga::{run_multi_fpga, MultiFpgaReport};
 pub use plan::{KernelPlan, PlanError, MAX_KERNEL_QUERY};
 pub use scheduler::{Assignment, ShareScheduler};

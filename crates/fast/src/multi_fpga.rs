@@ -9,12 +9,12 @@
 //! partitions across `k` emulated cards, with per-card cycle totals and the
 //! resulting makespan/speedup.
 
+use crate::backend::FpgaBackend;
 use crate::config::FastConfig;
 use crate::host::FastError;
-use crate::kernel::{run_kernel, CollectMode};
+use crate::kernel::CollectMode;
 use crate::plan::KernelPlan;
 use cst::{build_cst_with_stats, estimate_workload, partition_cst_into, Cst};
-use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, QueryGraph};
 
 /// Report of a multi-card run.
@@ -67,18 +67,19 @@ pub fn run_multi_fpga(
     cards: usize,
 ) -> Result<MultiFpgaReport, FastError> {
     assert!(cards >= 1, "need at least one card");
+    config.validate()?;
     let root = select_root(q, g);
     let tree = BfsTree::new(q, root);
     let order = path_based_order(q, &tree, g);
     let (cst, _) = build_cst_with_stats(q, g, &tree, config.cst_options);
     let plan = KernelPlan::new(q, &order, &tree)?;
     let partition_config = config.partition_config(q.vertex_count(), &cst);
-    let model = config.cycle_model();
+    // Every card runs the same spec and variant: one backend stands for all.
+    let backend = FpgaBackend::from_config(config);
 
     let mut per_card_workload = vec![0.0f64; cards];
     let mut per_card_cycles = vec![0u64; cards];
     let mut per_card_partitions = vec![0usize; cards];
-    let mut per_card_counts = vec![WorkloadCounts::default(); cards];
     let mut embeddings = 0u64;
 
     let mut sink = |partition: Cst| {
@@ -89,11 +90,9 @@ pub fn run_multi_fpga(
             .expect("cards >= 1");
         per_card_workload[card] += w;
         per_card_partitions[card] += 1;
-        let out = run_kernel(&partition, &plan, config.spec.no, CollectMode::CountOnly);
+        let out = backend.run(&partition, &plan, CollectMode::CountOnly);
         embeddings += out.embeddings;
-        per_card_counts[card].n += out.counts.n;
-        per_card_counts[card].m += out.counts.m;
-        per_card_cycles[card] += config.variant.kernel_cycles(&model, out.counts);
+        per_card_cycles[card] += backend.price_cycles(out.counts);
     };
     partition_cst_into(&cst, &order, &partition_config, &mut sink);
 

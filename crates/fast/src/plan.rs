@@ -10,7 +10,9 @@ use graph_core::{BfsTree, MatchingOrder, QueryGraph, QueryVertexId};
 
 /// Maximum query vertices the kernel supports. Partial results are stored in
 /// fixed-width registers on the FPGA; 16 comfortably covers the paper's 4-6
-/// vertex workloads while keeping a partial result at 64 bytes.
+/// vertex workloads while keeping a partial result's mapping at 64 bytes
+/// (a buffer slot is [`PARTIAL_SLOT_BYTES`](crate::kernel::PARTIAL_SLOT_BYTES)
+/// with its level and resume-offset words).
 pub const MAX_KERNEL_QUERY: usize = 16;
 
 /// Per-depth expansion metadata.

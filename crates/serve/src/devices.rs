@@ -253,17 +253,19 @@ impl DevicePool {
 
     /// Resolves a [`ServeConfig`](crate::ServeConfig)-style fleet:
     /// `cards` FPGA devices at `fast`'s spec plus one device per
-    /// `extra` entry.
+    /// `extra` entry. A spec with a zero round budget is
+    /// [`ServeError::Config`].
     pub fn build(
         fast: &FastConfig,
         cards: usize,
         extra: &[DeviceKind],
     ) -> Result<Self, ServeError> {
+        validate(fast)?;
         let mut backends: Vec<Arc<dyn ExecutionBackend>> = (0..cards)
             .map(|_| Arc::new(FpgaBackend::from_config(fast)) as Arc<dyn ExecutionBackend>)
             .collect();
         for kind in extra {
-            backends.push(resolve_backend(fast, kind));
+            backends.push(resolve_backend(fast, kind)?);
         }
         Self::new(backends)
     }
@@ -479,22 +481,32 @@ impl DevicePool {
     }
 }
 
+/// A configuration no card can run (`N_o = 0`) as a typed refusal.
+fn validate(fast: &FastConfig) -> Result<(), ServeError> {
+    fast.validate()
+        .map_err(|e| ServeError::Config(e.to_string()))
+}
+
 /// Resolves one [`DeviceKind`] to its backend; [`DeviceKind::Faulty`]
 /// recurses on the wrapped kind and wraps the result in a
 /// [`FaultInjector`].
-fn resolve_backend(fast: &FastConfig, kind: &DeviceKind) -> Arc<dyn ExecutionBackend> {
-    match kind {
+fn resolve_backend(
+    fast: &FastConfig,
+    kind: &DeviceKind,
+) -> Result<Arc<dyn ExecutionBackend>, ServeError> {
+    Ok(match kind {
         DeviceKind::Fpga(spec) => {
             let mut per_card = fast.clone();
             per_card.spec = spec.clone();
+            validate(&per_card)?;
             Arc::new(FpgaBackend::from_config(&per_card))
         }
         DeviceKind::Cpu { threads } => Arc::new(CpuBackend::new(*threads)),
         DeviceKind::Faulty { inner, plan } => Arc::new(FaultInjector::new(
-            resolve_backend(fast, inner),
+            resolve_backend(fast, inner)?,
             plan.clone(),
         )),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -303,6 +303,9 @@ pub enum ServeError {
     Disconnected,
     /// The configured fleet has no devices at all.
     NoDevices,
+    /// The configuration can never serve a session: no executors, no
+    /// in-flight depth, or a device with a zero round budget `N_o`.
+    Config(String),
     /// A tenant was registered with quota 0 (it could never be scheduled).
     ZeroQuota,
     /// The addressed tenant was never registered.
@@ -331,6 +334,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Failed(msg) => write!(f, "session failed: {msg}"),
             ServeError::Disconnected => write!(f, "service shut down mid-session"),
             ServeError::NoDevices => write!(f, "service has no devices (empty fleet)"),
+            ServeError::Config(msg) => write!(f, "invalid service configuration: {msg}"),
             ServeError::ZeroQuota => write!(f, "tenant quota must be >= 1"),
             ServeError::UnknownTenant(t) => write!(f, "unknown tenant {t}"),
             ServeError::Snapshot(msg) => write!(f, "snapshot load failed: {msg}"),
@@ -565,13 +569,19 @@ impl FastService {
     }
 
     /// Fallible construction: an empty device fleet is
-    /// [`ServeError::NoDevices`] instead of a panic.
+    /// [`ServeError::NoDevices`] and a zero budget (executors, in-flight
+    /// depth, a device's `N_o`) is [`ServeError::Config`] instead of a
+    /// panic.
     pub fn try_new(
         graph: impl Into<Arc<Graph>>,
         mut config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        assert!(config.workers >= 1, "need at least one executor");
-        assert!(config.max_in_flight >= 1, "need in-flight depth >= 1");
+        if config.workers == 0 {
+            return Err(ServeError::Config("need at least one executor".into()));
+        }
+        if config.max_in_flight == 0 {
+            return Err(ServeError::Config("need in-flight depth >= 1".into()));
+        }
         let pool = DevicePool::build(&config.fast, config.devices, &config.extra_devices)?;
         // One partition stream feeds every card: partitions must fit the
         // smallest FPGA BRAM in the fleet.

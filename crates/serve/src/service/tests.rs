@@ -108,6 +108,34 @@ fn oversized_query_fails_cleanly() {
 }
 
 #[test]
+fn zero_budgets_are_typed_config_errors() {
+    let g = Arc::new(random_labelled_graph(20, 0.2, 1, 45));
+    let refused = |config: ServeConfig| {
+        let err = FastService::try_new(Arc::clone(&g), config).unwrap_err();
+        assert!(matches!(err, ServeError::Config(_)), "{err}");
+        err.to_string()
+    };
+    let mut config = small_config();
+    config.fast.spec.no = 0;
+    assert!(refused(config).contains("N_o"));
+    // A zero-budget card anywhere in the fleet, wrapped or not.
+    let mut spec = small_config().fast.spec;
+    spec.no = 0;
+    let mut config = small_config();
+    config.extra_devices = vec![DeviceKind::Faulty {
+        inner: Box::new(DeviceKind::Fpga(spec)),
+        plan: fast::FaultPlan::default(),
+    }];
+    assert!(refused(config).contains("N_o"));
+    let mut config = small_config();
+    config.workers = 0;
+    assert!(refused(config).contains("executor"));
+    let mut config = small_config();
+    config.max_in_flight = 0;
+    assert!(refused(config).contains("in-flight"));
+}
+
+#[test]
 fn empty_fleet_and_zero_quota_are_typed_errors() {
     let g = random_labelled_graph(20, 0.2, 1, 45);
     let mut config = small_config();

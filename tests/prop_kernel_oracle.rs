@@ -4,17 +4,236 @@
 //! and random `N_o`, the kernel must produce exactly the embeddings the
 //! CST-enumeration oracle (and VF2) produce, and the BRAM buffer bound of
 //! Section VI-B must hold.
+//!
+//! Every *counter* is checked too: [`reference_kernel`] is the literal
+//! Algorithm 4-8 loop — one partial struct per slot, a `VecDeque` per
+//! level, every lookup and every counter bump per candidate — written
+//! against the public `Cst`/`KernelPlan` accessors only, so it shares no
+//! code with `fast::kernel`. All ten `KernelOutput` fields must agree.
 
-use cst::build_cst;
-use fast::{run_kernel, CollectMode, KernelPlan};
+use cst::{build_cst, Cst};
+use fast::{run_kernel, CollectMode, KernelOutput, KernelPlan};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{
-    random_connected_order, BfsTree, Label, MatchingOrder, QueryGraph, QueryVertexId,
+    random_connected_order, BfsTree, Graph, GraphBuilder, Label, MatchingOrder, QueryGraph,
+    QueryVertexId, VertexId,
 };
 use matching::vf2_count;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
+
+/// A partial result as the hardware registers hold it: candidate indices
+/// for the first `mapping.len()` depths plus the resume offset into the
+/// anchor's adjacency list.
+#[derive(Clone)]
+struct Partial {
+    mapping: Vec<u32>,
+    resume_offset: usize,
+}
+
+/// Algorithms 4-8, one step at a time (see the module docs).
+fn reference_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> KernelOutput {
+    let qlen = plan.len();
+    let mut out = KernelOutput::default();
+    if qlen == 0 {
+        return out;
+    }
+    let root = plan.root();
+    let root_count = cst.candidate_count(root) as u32;
+    if qlen == 1 {
+        out.embeddings = root_count as u64;
+        out.counts.n = root_count as u64;
+        if let CollectMode::Collect(cap) = mode {
+            for i in 0..root_count.min(cap as u32) {
+                out.collected.push(vec![cst.candidate(root, i)]);
+            }
+        }
+        return out;
+    }
+
+    // P: one queue per level 1..qlen (index = level - 1).
+    let mut levels: Vec<VecDeque<Partial>> = vec![VecDeque::new(); qlen - 1];
+    let mut high_water = vec![0usize; qlen - 1];
+    let mut root_cursor = 0u32;
+
+    loop {
+        if levels.iter().all(VecDeque::is_empty) {
+            if root_cursor >= root_count {
+                break;
+            }
+            let end = (root_cursor + no).min(root_count);
+            for i in root_cursor..end {
+                levels[0].push_back(Partial {
+                    mapping: vec![i],
+                    resume_offset: 0,
+                });
+                high_water[0] = high_water[0].max(levels[0].len());
+                out.counts.n += 1;
+                out.buffer_writes += 1;
+            }
+            root_cursor = end;
+            out.rounds += 1;
+            continue;
+        }
+
+        out.rounds += 1;
+        let mut produced = 0u32;
+        let round_level = (1..qlen)
+            .rev()
+            .find(|&l| !levels[l - 1].is_empty())
+            .unwrap();
+        let depth_plan = plan.depth(round_level);
+        let u = depth_plan.vertex;
+        let anchor_u = plan.depth(depth_plan.anchor_depth).vertex;
+
+        while let Some(pi) = levels[round_level - 1].pop_front() {
+            out.buffer_reads += 1;
+            let list = cst.neighbors(anchor_u, pi.mapping[depth_plan.anchor_depth], u);
+            out.cst_reads += 1;
+            let start = pi.resume_offset;
+            let take = (list.len() - start).min((no - produced) as usize);
+            for &j in &list[start..start + take] {
+                produced += 1;
+                out.counts.n += 1;
+                out.cst_reads += 1;
+                let v = cst.candidate(u, j);
+
+                let mut visited_ok = true;
+                for d in 0..round_level {
+                    if cst.candidate(plan.depth(d).vertex, pi.mapping[d]) == v {
+                        visited_ok = false;
+                    }
+                }
+                let mut edges_ok = true;
+                for &bd in &depth_plan.validate_depths {
+                    out.counts.m += 1;
+                    out.cst_reads += 1;
+                    if !cst.has_candidate_edge(plan.depth(bd).vertex, pi.mapping[bd], u, j) {
+                        edges_ok = false;
+                    }
+                }
+                if !visited_ok {
+                    out.visited_rejections += 1;
+                    continue;
+                }
+                if !edges_ok {
+                    out.edge_rejections += 1;
+                    continue;
+                }
+
+                let mut po = pi.mapping.clone();
+                po.push(j);
+                if po.len() == qlen {
+                    out.embeddings += 1;
+                    if matches!(mode, CollectMode::Collect(cap) if out.collected.len() < cap) {
+                        let mut emb = vec![VertexId::new(0); qlen];
+                        for (d, &i) in po.iter().enumerate() {
+                            let ud = plan.depth(d).vertex;
+                            emb[ud.index()] = cst.candidate(ud, i);
+                        }
+                        out.collected.push(emb);
+                    }
+                } else {
+                    let next = &mut levels[round_level];
+                    next.push_back(Partial {
+                        mapping: po,
+                        resume_offset: 0,
+                    });
+                    high_water[round_level] = high_water[round_level].max(next.len());
+                    out.buffer_writes += 1;
+                }
+            }
+
+            if start + take < list.len() {
+                // Budget ran out mid-list: back to the front of its level.
+                let mut rest = pi;
+                rest.resume_offset = start + take;
+                levels[round_level - 1].push_front(rest);
+                break;
+            }
+            if produced >= no {
+                break;
+            }
+        }
+    }
+
+    out.buffer_high_water = high_water;
+    out
+}
+
+/// `N_o` values of the differential tests: 1 and 2 cut every list short,
+/// 7 some, 64 and 512 (the device default) few or none.
+const ROUND_BUDGETS: [u32; 5] = [1, 2, 7, 64, 512];
+
+/// A hub (vertex 0, label 0) adjacent to `spokes` label-1 vertices that
+/// form a ring, so the triangle and the hub-rooted 4-clique-minus-an-edge
+/// both have the hub's long adjacency list at more than one level.
+fn wheel(spokes: u32) -> Graph {
+    let mut b = GraphBuilder::new();
+    let hub = b.add_vertex(Label::new(0));
+    let rim = b.add_vertices(spokes as usize, Label::new(1)).raw();
+    for i in 0..spokes {
+        let spoke = VertexId::new(rim + i);
+        b.add_edge(hub, spoke).unwrap();
+        b.add_edge(spoke, VertexId::new(rim + (i + 1) % spokes))
+            .unwrap();
+    }
+    b.build()
+}
+
+fn bfs_plan(q: &QueryGraph, g: &Graph) -> (Cst, KernelPlan) {
+    let tree = BfsTree::new(q, QueryVertexId::new(0));
+    let order = MatchingOrder::new(q, tree.bfs_order().to_vec()).expect("bfs order");
+    let plan = KernelPlan::new(q, &order, &tree).expect("small query");
+    (build_cst(q, g, &tree), plan)
+}
+
+/// Both `u1` and `u2` hang off the hub, whose 40-entry list is longer than
+/// `N_o` at levels 1 and 2: every round is cut short and resumed.
+#[test]
+fn hub_longer_than_no_resumes_at_two_levels() {
+    let l = Label::new;
+    let q = QueryGraph::new(vec![l(0), l(1), l(1)], &[(0, 1), (0, 2), (1, 2)]).unwrap();
+    let (cst, plan) = bfs_plan(&q, &wheel(40));
+    assert_eq!(plan.depth(1).anchor_depth, 0);
+    assert_eq!(plan.depth(2).anchor_depth, 0);
+    for no in [1, 3, 7, 39] {
+        let out = run_kernel(&cst, &plan, no, CollectMode::CountOnly);
+        let reference = reference_kernel(&cst, &plan, no, CollectMode::CountOnly);
+        assert_eq!(out, reference, "no={no}");
+        // Each spoke pairs with its two ring neighbours.
+        assert_eq!(out.embeddings, 80);
+        // 1 root + 40 level-1 + 40 × 40 level-2 expansions, N_o at a time.
+        assert_eq!(out.counts.n, 1 + 40 + 1600);
+        // 41 partials are expanded, and each is cut short at least once.
+        assert!(
+            out.buffer_reads >= 2 * 41,
+            "no={no}: {} reads",
+            out.buffer_reads
+        );
+    }
+}
+
+/// `Collect(cap)` below the embedding count keeps the first `cap` in
+/// generation order and still counts them all.
+#[test]
+fn collect_cap_below_embedding_count_keeps_the_first() {
+    let l = Label::new;
+    let q = QueryGraph::new(vec![l(0), l(1), l(1)], &[(0, 1), (0, 2), (1, 2)]).unwrap();
+    let (cst, plan) = bfs_plan(&q, &wheel(12));
+    let all = run_kernel(&cst, &plan, 5, CollectMode::Collect(usize::MAX));
+    assert_eq!(all.embeddings, 24);
+    assert_eq!(all.collected.len(), 24);
+    for cap in [0, 1, 7, 23] {
+        let out = run_kernel(&cst, &plan, 5, CollectMode::Collect(cap));
+        let reference = reference_kernel(&cst, &plan, 5, CollectMode::Collect(cap));
+        assert_eq!(out, reference, "cap={cap}");
+        assert_eq!(out.embeddings, 24, "cap={cap}");
+        assert_eq!(out.collected, all.collected[..cap], "cap={cap}");
+    }
+}
 
 /// Strategy: a random connected query of 2-5 vertices over ≤3 labels.
 fn arb_query() -> impl Strategy<Value = QueryGraph> {
@@ -65,6 +284,29 @@ proptest! {
         for (lvl, &hw) in out.buffer_high_water.iter().enumerate() {
             prop_assert!(hw <= no as usize, "level {} high-water {} > No {}", lvl + 1, hw, no);
         }
+    }
+
+    #[test]
+    fn kernel_agrees_with_reference_on_every_counter(
+        q in arb_query(),
+        graph_seed in 0u64..1_000,
+        order_seed in 0u64..1_000,
+        no_index in 0usize..ROUND_BUDGETS.len(),
+        cap in proptest::option::of(0usize..40),
+    ) {
+        let g = random_labelled_graph(30, 0.2, 3, graph_seed);
+        let root = QueryVertexId::new(0);
+        let tree = BfsTree::new(&q, root);
+        let mut rng = StdRng::seed_from_u64(order_seed);
+        let order = random_connected_order(&q, root, &mut rng);
+        let cst = build_cst(&q, &g, &tree);
+        let plan = KernelPlan::new(&q, &order, &tree).expect("small query");
+        let no = ROUND_BUDGETS[no_index];
+        let mode = cap.map_or(CollectMode::CountOnly, CollectMode::Collect);
+
+        let out = run_kernel(&cst, &plan, no, mode);
+        let reference = reference_kernel(&cst, &plan, no, mode);
+        prop_assert_eq!(out, reference);
     }
 
     #[test]
