@@ -51,8 +51,8 @@ pub use partition::{
 };
 pub use cache::{plan_provenance, query_fingerprint, Fingerprint, PlanKey};
 pub use pipeline::{
-    build_cst_sharded, for_each_shard_cst, for_each_shard_cst_cached, for_each_shard_cst_planned,
-    merge_shard_csts, CachedShards, PipelineOptions, PipelineStats, ShardCst, ShardReport,
+    build_cst_sharded, for_each_shard_cst, for_each_shard_cst_planned,
+    merge_shard_csts, PipelineOptions, PipelineStats, ShardCst, ShardReport,
     DEFAULT_SHARDS,
 };
 pub use planner::{

@@ -140,10 +140,6 @@ pub struct ShardReport {
     /// Whether this shard was built from the probe's memoised candidate
     /// space (`build_cst_seeded`) instead of a cold top-down scan.
     pub seeded: bool,
-    /// Whether this shard's CST was replayed from a [`CachedShards`]
-    /// artifact — no build work at all (`build_time` ≈ 0,
-    /// `adjacency_entries` = 0): the tier-2 cache's zero-build witness.
-    pub cached: bool,
 }
 
 /// Aggregate statistics of a sharded pipeline run.
@@ -177,11 +173,6 @@ pub struct PipelineStats {
     /// the sequential build's because interior candidates shared by several
     /// shards are re-derived per shard.
     pub build_cpu: Duration,
-    /// The probe-seeded share of [`build_cpu`](Self::build_cpu): CPU time
-    /// spent in shard builds that started from the probe's candidate space
-    /// (the remainder — `build_cpu - seeded_build_cpu` — is cold top-down
-    /// build time).
-    pub seeded_build_cpu: Duration,
     /// Shards built from the probe seed (either 0 or
     /// [`shards`](Self::shards): seeds are derived for all shards or none).
     pub seeded_shards: usize,
@@ -190,10 +181,6 @@ pub struct PipelineStats {
     /// 0 when every shard was seeded: the probe's single pass replaced the
     /// per-shard scans.
     pub topdown_entries: usize,
-    /// Shards replayed from a [`CachedShards`] artifact instead of being
-    /// built (seeded or cold). Either 0 or [`shards`](Self::shards): the
-    /// artifact is trusted whole or not at all.
-    pub cached_shards: usize,
 }
 
 impl PipelineStats {
@@ -202,15 +189,6 @@ impl PipelineStats {
     /// entries`).
     pub fn total_adjacency_entries(&self) -> usize {
         self.shard_reports.iter().map(|r| r.adjacency_entries).sum()
-    }
-
-    /// Wall time until the *first* shard CST was ready — the pipeline's
-    /// fill latency; nothing downstream can overlap with it.
-    pub fn first_shard_time(&self) -> Duration {
-        self.shard_reports
-            .first()
-            .map(|r| r.build_time)
-            .unwrap_or_default()
     }
 }
 
@@ -225,26 +203,6 @@ pub struct ShardCst {
     pub stats: BuildStats,
     /// The shard report (also collected in [`PipelineStats`]).
     pub report: ShardReport,
-}
-
-/// Refined shard CSTs captured from an earlier pipeline run, replayable by
-/// [`for_each_shard_cst_cached`]. The shard CST is a pure function of
-/// `(q, g, tree, options, plan)`, so an artifact stamped with the plan's
-/// [`provenance`](ShardPlan::provenance) fingerprint can stand in for the
-/// whole build — refinement and adjacency materialisation included, which
-/// even a seeded build still pays. Trust is all-or-nothing: the artifact is
-/// replayed only when its provenance matches the freshly resolved plan's
-/// and it covers every shard; anything else falls back to a seeded/cold
-/// build (a wrong artifact must never corrupt results, only cost time).
-#[derive(Debug, Clone)]
-pub struct CachedShards {
-    /// Provenance fingerprint of the plan the shards were built under
-    /// (0 never matches — hand-assembled artifacts are never trusted).
-    pub provenance: u64,
-    /// The refined shard CSTs, in shard order, one per planned shard
-    /// (empty shards included, so the length check against the plan's
-    /// shard count is exact).
-    pub shards: Vec<Arc<Cst>>,
 }
 
 /// Splits `count` root candidates into `shards` chunks, returning the chunk
@@ -285,9 +243,6 @@ enum ShardInput {
         probe: Arc<RootProfile>,
         masks: Arc<SeedMasks>,
     },
-    /// A fully refined shard CST replayed from a [`CachedShards`] artifact:
-    /// no build work at all — the `Arc` is passed through.
-    Cached(Arc<Cst>),
 }
 
 /// Builds the shard with the given index. Pure function of its arguments —
@@ -303,24 +258,17 @@ fn build_shard(
     let mut span = obs::span_cat("build_shard", "build");
     span.arg_u64("shard", shard as u64);
     let t0 = Instant::now();
-    let (seeded, cached, root_count, cst, stats) = match input {
+    let (seeded, root_count, cst, stats) = match input {
         ShardInput::Roots(chunk) => {
             let roots = chunk.len();
             let (cst, stats) = build_cst_from_roots(q, g, tree, options, chunk);
-            (false, false, roots, Arc::new(cst), stats)
+            (false, roots, cst, stats)
         }
         ShardInput::Seed { chunk, probe, masks } => {
             let roots = chunk.len();
             let seed = probe.seed_shard(&masks, chunk, shard);
             let (cst, stats) = build_cst_seeded(q, g, tree, options, seed);
-            (true, false, roots, Arc::new(cst), stats)
-        }
-        // Replay: the Arc passes through untouched. Zeroed build stats are
-        // the point — adjacency/top-down entries report the work *done*,
-        // and a replayed shard does none.
-        ShardInput::Cached(cst) => {
-            let roots = cst.candidates(tree.root()).len();
-            (false, true, roots, cst, BuildStats::default())
+            (true, roots, cst, stats)
         }
     };
     // Stop the clock before the workload DP: it is a skew diagnostic, not
@@ -329,7 +277,6 @@ fn build_shard(
     let workload = estimate_workload(&cst, tree).total;
     span.arg_u64("roots", root_count as u64);
     span.arg_u64("seeded", seeded as u64);
-    span.arg_u64("cached", cached as u64);
     ShardCst {
         report: ShardReport {
             shard,
@@ -338,21 +285,14 @@ fn build_shard(
             adjacency_entries: stats.adjacency_entries,
             workload,
             seeded,
-            cached,
         },
-        cst,
+        cst: Arc::new(cst),
         stats,
     }
 }
 
-/// Runs the sharded build and hands every shard CST to `consume` **on the
-/// caller's thread, in shard order**, while worker threads keep building
-/// later shards. This is the streaming (overlapped) mode: `consume`
-/// typically partitions the shard and offloads/books partitions, so the
-/// device receives work while the host is still constructing.
-///
-/// With `threads <= 1` no threads are spawned; build and consumption
-/// interleave sequentially with identical output.
+/// [`for_each_shard_cst_planned`] without a precomputed plan — the spelling
+/// the property suites and [`build_cst_sharded`] use.
 pub fn for_each_shard_cst<F: FnMut(ShardCst)>(
     q: &QueryGraph,
     g: &Graph,
@@ -363,10 +303,19 @@ pub fn for_each_shard_cst<F: FnMut(ShardCst)>(
     for_each_shard_cst_planned(q, g, tree, options, None, consume)
 }
 
-/// [`for_each_shard_cst`] with an optional precomputed [`ShardPlan`]: a
-/// cache-hit serving path hands the plan back in and the probe/boundary
-/// search is skipped entirely (`plan_time` ≈ 0). The plan must have been
-/// produced for the same `(q, g, tree, options)` — its
+/// Runs the sharded build and hands every shard CST to `consume` **on the
+/// caller's thread, in shard order**, while worker threads keep building
+/// later shards. This is the streaming (overlapped) mode: `consume`
+/// typically partitions the shard and offloads/books partitions, so the
+/// device receives work while the host is still constructing.
+///
+/// With `threads <= 1` no threads are spawned; build and consumption
+/// interleave sequentially with identical output.
+///
+/// `plan_override` is an optional precomputed [`ShardPlan`]: a cache-hit
+/// serving path hands the plan back in and the probe/boundary search is
+/// skipped entirely (`plan_time` ≈ 0). The plan must have been produced for
+/// the same `(q, g, tree, options)` — its
 /// [`provenance`](ShardPlan::provenance) fingerprint is checked against
 /// the freshly derived root candidate list and plan-relevant options, and
 /// a stale or foreign plan (hand-built plans included — their provenance
@@ -378,28 +327,6 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
     tree: &BfsTree,
     options: &PipelineOptions,
     plan_override: Option<&ShardPlan>,
-    consume: F,
-) -> PipelineStats {
-    for_each_shard_cst_cached(q, g, tree, options, plan_override, None, consume)
-}
-
-/// [`for_each_shard_cst_planned`] with an optional [`CachedShards`]
-/// artifact: when the artifact's provenance matches the resolved plan's
-/// (and it covers every shard), every shard is *replayed* — zero top-down,
-/// refinement, and materialisation work; [`ShardReport::cached`] is set and
-/// `build_time`/`adjacency_entries` report (honestly) zero. A stale or
-/// foreign artifact is ignored and shards build seeded/cold as usual, so a
-/// wrong artifact can never corrupt results. Note the root-candidate scan
-/// and provenance re-derivation still run — this is the *validated* reuse
-/// path; a serving layer that already keys artifacts by `(PlanKey, epoch)`
-/// can skip the pipeline entirely (`fast::prepare_partitions`' replay).
-pub fn for_each_shard_cst_cached<F: FnMut(ShardCst)>(
-    q: &QueryGraph,
-    g: &Graph,
-    tree: &BfsTree,
-    options: &PipelineOptions,
-    plan_override: Option<&ShardPlan>,
-    cached: Option<&CachedShards>,
     mut consume: F,
 ) -> PipelineStats {
     let roots = root_candidates(q, g, tree, options.cst);
@@ -416,22 +343,15 @@ pub fn for_each_shard_cst_cached<F: FnMut(ShardCst)>(
     };
     let plan_time = plan_t0.elapsed();
     let shards = plan.shard_count();
-    // A cached-shard artifact is trusted only whole: provenance must match
-    // the *resolved* plan's (a pure function of the same inputs as the
-    // shard CSTs) and it must cover every shard. Anything else builds.
-    let replay = cached.filter(|c| {
-        plan.provenance != 0 && c.provenance == plan.provenance && c.shards.len() == shards
-    });
     // Seed-mask derivation (when the plan carries a probe and seeding is
     // on): one integer mask sweep per 64 shards over the probed candidate
     // space, replacing every shard's top-down scan. The per-shard
     // candidate-set extraction happens lazily on the *building* thread
     // (`ShardInput::Seed`), so peak memory stays bounded by the in-flight
-    // shards instead of all shards' duplicated candidate space. A replayed
-    // artifact supersedes seeding: there is no build left to seed.
+    // shards instead of all shards' duplicated candidate space.
     let seed_t0 = Instant::now();
     let seed_artifacts: Option<(Arc<RootProfile>, Arc<SeedMasks>)> =
-        if options.seed_builds && replay.is_none() {
+        if options.seed_builds {
             plan.probe.as_ref().and_then(|probe| {
                 probe
                     .seed_masks(&plan, &roots)
@@ -449,9 +369,6 @@ pub fn for_each_shard_cst_cached<F: FnMut(ShardCst)>(
     // Chunk extraction is part of planning, not of any shard's build time.
     let inputs: Vec<ShardInput> = (0..shards)
         .map(|s| {
-            if let Some(c) = replay {
-                return ShardInput::Cached(Arc::clone(&c.shards[s]));
-            }
             let chunk = plan.chunk_roots(&roots, s);
             match &seed_artifacts {
                 Some((probe, masks)) => ShardInput::Seed {
@@ -474,20 +391,12 @@ pub fn for_each_shard_cst_cached<F: FnMut(ShardCst)>(
         shard_reports: Vec::with_capacity(shards),
         build_wall: Duration::ZERO,
         build_cpu: Duration::ZERO,
-        seeded_build_cpu: Duration::ZERO,
         seeded_shards,
         topdown_entries: 0,
-        cached_shards: 0,
     };
 
     let mut take = |shard: ShardCst, stats: &mut PipelineStats| {
         stats.build_cpu += shard.report.build_time;
-        if shard.report.seeded {
-            stats.seeded_build_cpu += shard.report.build_time;
-        }
-        if shard.report.cached {
-            stats.cached_shards += 1;
-        }
         stats.topdown_entries += shard.stats.topdown_entries;
         stats.shard_reports.push(shard.report.clone());
         consume(shard);
@@ -582,14 +491,14 @@ pub fn build_cst_sharded(
 ) -> (Cst, PipelineStats) {
     let mut shards: Vec<ShardCst> = Vec::new();
     let stats = for_each_shard_cst(q, g, tree, options, |s| shards.push(s));
-    let merged = merge_shard_csts(q, shards.iter().map(|s| s.cst.as_ref()));
+    let merged = merge_shard_csts(shards.iter().map(|s| s.cst.as_ref()));
     (merged, stats)
 }
 
 /// Merges shard CSTs (disjoint at the root, overlapping elsewhere) into one
 /// CST: candidate sets are sorted unions, adjacency lists are per-candidate
 /// unions remapped to merged indices.
-pub fn merge_shard_csts<'a, I>(q: &QueryGraph, shards: I) -> Cst
+pub fn merge_shard_csts<'a, I>(shards: I) -> Cst
 where
     I: IntoIterator<Item = &'a Cst>,
 {
@@ -669,7 +578,6 @@ where
         }
         pairs.push(((a, b), CsrAdj { offsets, targets }));
     }
-    let _ = q; // signature keeps the query for future edge-set validation
     Cst::from_parts(n, merged_candidates, pairs)
 }
 
@@ -793,80 +701,6 @@ mod tests {
         let guarded =
             for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&hand_built), |_| {});
         assert_eq!(guarded.plan.planner, crate::ShardPlanner::WorkloadBalanced);
-    }
-
-    #[test]
-    fn cached_shards_replay_bit_identically_and_stale_artifacts_rebuild() {
-        let (q, g, tree, order) = setup();
-        let opts = PipelineOptions {
-            threads: 1,
-            shards: Some(4),
-            planner: crate::ShardPlanner::WorkloadBalanced,
-            ..PipelineOptions::default()
-        };
-        // Capture the shard CSTs of a fresh run.
-        let mut captured: Vec<Arc<Cst>> = Vec::new();
-        let mut cold_counts = Vec::new();
-        let fresh = for_each_shard_cst(&q, &g, &tree, &opts, |s| {
-            cold_counts.push(count_embeddings(&s.cst, &q, &order));
-            captured.push(Arc::clone(&s.cst));
-        });
-        let artifact = CachedShards {
-            provenance: fresh.plan.provenance,
-            shards: captured,
-        };
-
-        // Replay: every shard is cached, zero build work, same counts —
-        // and the same Arc allocations (pointer-identical CSTs).
-        let mut warm_counts = Vec::new();
-        let mut ptrs_match = true;
-        let mut i = 0usize;
-        let warm = for_each_shard_cst_cached(
-            &q,
-            &g,
-            &tree,
-            &opts,
-            Some(&fresh.plan),
-            Some(&artifact),
-            |s| {
-                warm_counts.push(count_embeddings(&s.cst, &q, &order));
-                ptrs_match &= Arc::ptr_eq(&s.cst, &artifact.shards[i]);
-                i += 1;
-            },
-        );
-        assert_eq!(warm_counts, cold_counts);
-        assert!(ptrs_match, "replay must pass the cached Arcs through");
-        assert_eq!(warm.cached_shards, warm.shards);
-        assert_eq!(warm.seeded_shards, 0, "nothing left to seed on a replay");
-        assert_eq!(warm.topdown_entries, 0);
-        assert_eq!(warm.total_adjacency_entries(), 0, "no build work happened");
-        assert!(warm.shard_reports.iter().all(|r| r.cached));
-
-        // A stale artifact (wrong provenance) or wrong shard coverage is
-        // ignored: shards rebuild and results still match.
-        let stale = CachedShards {
-            provenance: fresh.plan.provenance ^ 1,
-            shards: artifact.shards.clone(),
-        };
-        let mut rebuilt_counts = Vec::new();
-        let rebuilt = for_each_shard_cst_cached(
-            &q,
-            &g,
-            &tree,
-            &opts,
-            Some(&fresh.plan),
-            Some(&stale),
-            |s| rebuilt_counts.push(count_embeddings(&s.cst, &q, &order)),
-        );
-        assert_eq!(rebuilt.cached_shards, 0, "stale artifact must not replay");
-        assert_eq!(rebuilt_counts, cold_counts);
-        let short = CachedShards {
-            provenance: fresh.plan.provenance,
-            shards: artifact.shards[..2].to_vec(),
-        };
-        let partial =
-            for_each_shard_cst_cached(&q, &g, &tree, &opts, Some(&fresh.plan), Some(&short), |_| {});
-        assert_eq!(partial.cached_shards, 0, "partial artifacts are never trusted");
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //!   path `run_fast` uses (the host driver routes through the same
 //!   backend), so a pool of `FpgaBackend`s is bit-identical to the
 //!   one-shot flow.
-//! * [`CpuBackend`] — the host fallback: the same backtracking search the
-//!   FAST-SHARE CPU share runs ([`matching::run_backtrack`] over the
-//!   partition CST, intersection extension), priced through the calibrated
-//!   [`CpuCostModel`]. A partition CST encodes its embeddings exactly, so
-//!   CPU and FPGA execution of the same partition agree bit-for-bit
-//!   (`tests/prop_backend.rs`).
+//! * [`CpuBackend`] — the host fallback: [`matching::run_backtrack`] over
+//!   the partition CST (intersection extension) for counting and
+//!   [`cst::enumerate_embeddings`] for collection, priced through the
+//!   calibrated [`CpuCostModel`]. (The FAST-SHARE CPU share of `run_fast`
+//!   is a different engine under the same cost model: it always runs
+//!   [`cst::enumerate_embeddings`].) A partition CST encodes its
+//!   embeddings exactly, so CPU and FPGA execution of the same partition
+//!   agree bit-for-bit (`tests/prop_backend.rs`).
 //!
 //! Both report a **modelled execution time** in seconds — the common
 //! currency a shortest-expected-completion scheduler needs to price
@@ -273,9 +275,9 @@ impl ExecutionBackend for FpgaBackend {
 }
 
 /// The CPU fallback backend: the backtracking search over the partition
-/// CST (intersection extension, the method the FAST CPU share models),
-/// priced through [`CpuCostModel`] with the contention-aware parallel
-/// speedup of `threads` host workers.
+/// CST (intersection extension), priced through [`CpuCostModel`] — the
+/// model `run_fast` prices its CPU share with — under the contention-aware
+/// parallel speedup of `threads` host workers.
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     threads: usize,

@@ -27,33 +27,36 @@ pub struct FastConfig {
     pub collect: CollectMode,
     /// Safety cap on partition count.
     pub max_partitions: usize,
-    /// Host-side worker threads for the sharded CST pipeline
-    /// (`cst::pipeline`). `1` (default) runs the sequential flow of Fig. 2;
-    /// `> 1` builds shard CSTs on worker threads and streams them through
-    /// the partitioner so offload overlaps construction. Embedding counts
-    /// are identical for every value (`tests/prop_pipeline_parallel.rs`).
+    /// Host-side worker threads building shard CSTs (`cst::pipeline`).
+    /// Every flow is the same build → shard → partition stream; in the
+    /// one-shot flow (`run_fast`) `1` (default) selects
+    /// `cst::PipelineOptions::sequential` — one contiguous shard, the
+    /// paper's Fig. 2, so the four sharding fields below have nothing to
+    /// decide there — and `> 1` builds the planned shards on worker threads
+    /// so offload overlaps construction. `prepare_partitions` (serving,
+    /// `run_multi_fpga`) shards for every value. Embedding counts are
+    /// identical for every value (`tests/prop_pipeline_parallel.rs`).
     pub host_threads: usize,
-    /// Shard (batch) count of the pipelined host path; `None` resolves to
+    /// Shard (batch) count of the host pipeline; `None` resolves to
     /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from
     /// `host_threads`, so all downstream artefacts are thread-count
-    /// independent. Ignored when `host_threads == 1`. Under
-    /// [`ShardPlanner::Auto`] this is the planner's shard-count *cap*.
+    /// independent. Under [`ShardPlanner::Auto`] this is the planner's
+    /// shard-count *cap*.
     pub pipeline_shards: Option<usize>,
-    /// Shard-boundary planning policy of the pipelined host path
+    /// Shard-boundary planning policy of the host pipeline
     /// (`cst::planner`): `Contiguous` (the blind equal-count rule),
     /// `WorkloadBalanced`, `OverlapAware`, or `Auto` (per-query shard-count
     /// selection). Plans never depend on `host_threads`, so every planner
-    /// preserves the pipeline's thread-count determinism. Ignored when
-    /// `host_threads == 1`.
+    /// preserves the pipeline's thread-count determinism.
     pub shard_planner: ShardPlanner,
-    /// Optional precomputed shard plan for the pipelined flow. A
-    /// [`ShardPlan`] is a pure function of `(q, g, tree, options)`, so a
-    /// serving layer that caches plans by [`cst::PlanKey`] hands the hit
-    /// back through this field and the run skips the probe/boundary search
-    /// entirely (the cache path and the one-shot path share the same
-    /// pipeline entry, `cst::for_each_shard_cst_planned`). Must have been
-    /// planned for the same query/graph/options; a mismatched plan is
-    /// detected and silently replanned. `None` (default) plans fresh.
+    /// Optional precomputed shard plan. A [`ShardPlan`] is a pure function
+    /// of `(q, g, tree, options)`, so a serving layer that caches plans by
+    /// [`cst::PlanKey`] hands the hit back through this field and the run
+    /// skips the probe/boundary search entirely (the cache path and the
+    /// one-shot path share the same pipeline entry,
+    /// `cst::for_each_shard_cst_planned`). Must have been planned for the
+    /// same query/graph/options; a mismatched plan is detected and silently
+    /// replanned. `None` (default) plans fresh.
     pub shard_plan: Option<Arc<ShardPlan>>,
     /// Seed shard builds from the plan's probe (`cst::build_cst_seeded`):
     /// when the planner probed (every planner except `Contiguous`), each
@@ -62,20 +65,8 @@ pub struct FastConfig {
     /// the probe *becomes* the build's phase 1 rather than extra planning
     /// work. Results are bit-identical either way
     /// (`tests/prop_seeded_build.rs`); disable to measure the cold path
-    /// (the `hostscale` figure runs both). Ignored when `host_threads == 1`
-    /// (the sequential flow never plans).
+    /// (the `hostscale` figure runs both).
     pub seed_from_probe: bool,
-    /// Optional tier-2 artifact: the refined shard CSTs *and* partition
-    /// decomposition of an earlier identical session
-    /// ([`crate::PreparedCsts`], captured via
-    /// [`capture_prepared`](Self::capture_prepared)). `prepare_partitions`
-    /// replays it directly — partitions stream straight to the sink with
-    /// zero build or partition work; `run_fast` reuses its shard CSTs
-    /// through the pipeline's provenance-validated path. The caller owns
-    /// keying (the serving layer uses `cst::PlanKey` × graph epoch); a
-    /// shape-mismatched artifact is ignored and the run builds fresh.
-    /// `None` (default) builds.
-    pub prepared: Option<Arc<crate::host::PreparedCsts>>,
     /// Capture this build's [`crate::PreparedCsts`] on
     /// `prepare_partitions` (returned on `PreparePhase::prepared`) so a
     /// serving layer can insert it into a tier-2 cache. Off by default:
@@ -100,7 +91,6 @@ impl Default for FastConfig {
             shard_planner: ShardPlanner::Contiguous,
             shard_plan: None,
             seed_from_probe: true,
-            prepared: None,
             capture_prepared: false,
         }
     }
@@ -183,10 +173,15 @@ impl FastConfig {
 
     /// Refuses a configuration no device can run, so that entry points
     /// (`run_fast`, `run_multi_fpga`, a serving layer's constructor) return
-    /// a typed error where the cycle model and the kernel would panic.
+    /// a typed error where the cycle model, the kernel and the share
+    /// scheduler would panic.
     pub fn validate(&self) -> Result<(), FastError> {
         if self.spec.no == 0 {
             return Err(FastError::ZeroRoundBudget);
+        }
+        // `contains` is false for NaN too.
+        if !(0.0..=1.0).contains(&self.delta) {
+            return Err(FastError::DeltaOutOfRange);
         }
         Ok(())
     }

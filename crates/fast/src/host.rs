@@ -1,14 +1,23 @@
 //! The host-side driver: the full CPU-FPGA co-designed flow of Fig. 2.
 //!
-//! 1. construct the CST (Section V-A, measured on the real CPU) — either
-//!    sequentially or on the sharded multi-threaded pipeline
-//!    (`cst::pipeline`, enabled by [`FastConfig::host_threads`] > 1);
-//! 2. partition it to fit the kernel's BRAM budget (Section V-B);
+//! 1. construct the CST (Section V-A, measured on the real CPU) on the
+//!    sharded pipeline (`cst::pipeline`): one contiguous shard at
+//!    [`FastConfig::host_threads`] = 1 — the paper's sequential build —
+//!    and planned shards built on worker threads above that;
+//! 2. partition each shard CST, in shard order, to fit the kernel's BRAM
+//!    budget (Section V-B) and estimate every partition's `W_CST`;
 //! 3. offload partitions over the modelled PCIe link and run the emulated
 //!    kernel on each (Section VI), while FAST-SHARE books a bounded share of
 //!    partitions to the CPU (Algorithm 3) and steals oversized CSTs to skip
 //!    partitioning work;
 //! 4. aggregate embeddings and derive elapsed time.
+//!
+//! Steps 1–2 are written once, in `produce_partitions`; who a partition is
+//! booked to is the consumer's policy, and the three consumers are
+//! [`run_fast`] (Algorithm 3: static δ-booking with steal),
+//! [`run_multi_fpga`](crate::run_multi_fpga) (Section VII-E: least-booked
+//! card) and, through [`prepare_partitions`], the serving layer's device
+//! pool (online shortest expected completion).
 //!
 //! # Timing model
 //!
@@ -40,15 +49,16 @@ use crate::backend::FpgaBackend;
 use crate::config::FastConfig;
 use crate::kernel::{CollectMode, KernelOutput};
 use crate::plan::{KernelPlan, PlanError};
-use crate::scheduler::ShareScheduler;
+use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
-    build_cst_with_stats, estimate_workload, for_each_shard_cst_cached, partition_cst_into,
-    partition_cst_with_steal, CachedShards, Cst, PartitionConfig, ShardPlan, ShardPlanner,
+    estimate_workload, for_each_shard_cst_planned, partition_cst_with_steal, Cst, PipelineOptions,
+    ShardPlan, ShardPlanner,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
 use matching::CpuCostModel;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,6 +70,11 @@ pub enum FastError {
     /// `FpgaSpec::no == 0`: with no per-round expansion budget `N_o` the
     /// kernel can never drain its buffer.
     ZeroRoundBudget,
+    /// [`FastConfig::delta`] outside `[0, 1]` (NaN included): the CPU share
+    /// is a fraction of the total estimated workload.
+    DeltaOutOfRange,
+    /// [`run_multi_fpga`](crate::run_multi_fpga) was asked for zero cards.
+    NoCards,
 }
 
 impl std::fmt::Display for FastError {
@@ -67,6 +82,8 @@ impl std::fmt::Display for FastError {
         match self {
             FastError::Plan(e) => write!(f, "{e}"),
             FastError::ZeroRoundBudget => write!(f, "device round budget N_o must be >= 1"),
+            FastError::DeltaOutOfRange => write!(f, "CPU share delta must be in [0, 1]"),
+            FastError::NoCards => write!(f, "a multi-FPGA run needs at least one card"),
         }
     }
 }
@@ -86,7 +103,8 @@ pub struct FastReport {
     pub variant: Variant,
     /// Total embeddings (FPGA + CPU shares).
     pub embeddings: u64,
-    /// Collected embeddings if requested (FPGA-side only).
+    /// Collected embeddings if requested: up to the cap, FPGA partitions
+    /// first, then the CPU share.
     pub collected: Vec<Vec<VertexId>>,
     /// FPGA-side workload counters (`N`, `M`).
     pub counts: WorkloadCounts,
@@ -101,16 +119,16 @@ pub struct FastReport {
     /// Estimated workloads booked per side.
     pub workload_cpu: f64,
     pub workload_fpga: f64,
-    /// Host threads used by the CST pipeline (1 = sequential flow).
+    /// Host threads used by the CST pipeline.
     pub host_threads: usize,
     /// Shards the root candidate set was split into (1 = unsharded). Under
     /// [`ShardPlanner::Auto`] this is the planner's per-query choice.
     pub pipeline_shards: usize,
-    /// Shard-boundary planner of the pipelined flow (`Contiguous` for the
-    /// sequential flow).
+    /// Shard-boundary planner the pipeline ran under (`Contiguous` at
+    /// `host_threads = 1`).
     pub shard_planner: ShardPlanner,
     /// The executed plan's estimated interior-candidate duplication over
-    /// the probed 1-hop frontiers (1.0 for contiguous/sequential plans).
+    /// the probed 1-hop frontiers (1.0 for contiguous plans).
     pub planned_duplication: f64,
     /// Measured wall time of shard planning (root probe + boundary
     /// search); zero for the contiguous planner.
@@ -125,16 +143,9 @@ pub struct FastReport {
     pub modeled_plan_sec: f64,
     /// Shards built from the probe's memoised candidate space
     /// (`cst::build_cst_seeded`); 0 when builds ran cold (contiguous
-    /// planner, seeding disabled, or the sequential flow). Either 0 or
-    /// equal to [`pipeline_shards`](Self::pipeline_shards).
+    /// planner or seeding disabled). Either 0 or equal to
+    /// [`pipeline_shards`](Self::pipeline_shards).
     pub seeded_shards: usize,
-    /// Shards replayed from a tier-2 artifact ([`FastConfig::prepared`])
-    /// instead of built — 0 or [`pipeline_shards`](Self::pipeline_shards):
-    /// an artifact is trusted whole (provenance + full coverage) or not at
-    /// all. Cached shards do no top-down, refinement, or materialisation
-    /// work, so they contribute nothing to the build walls or
-    /// [`build_topdown_entries`](Self::build_topdown_entries).
-    pub cached_shards: usize,
     /// Phase-1 top-down scan work across shard builds (neighbour visits,
     /// each a filter evaluation — the same unit as the probe's
     /// `probe_entries`). 0 when every shard was seeded: the probe's single
@@ -146,7 +157,7 @@ pub struct FastReport {
     /// integer mask sweep); zero for cold builds.
     pub seed_time: Duration,
     /// Measured wall time of the CST build phase (first shard started →
-    /// last shard finished; equals the full build for the sequential flow).
+    /// last shard finished).
     pub build_time: Duration,
     /// Total CPU time spent building shard CSTs. Exceeds
     /// [`build_time`](Self::build_time) when threads overlap; exceeds the
@@ -208,7 +219,7 @@ impl FastReport {
 
     /// The modelled end-to-end elapsed time (seconds) under the overlapped
     /// regime (module docs): host work on the paper's Xeon plus
-    /// kernel/transfer time on the modelled card. For the sequential flow
+    /// kernel/transfer time on the modelled card. At `host_threads = 1`
     /// this is exactly the paper's
     /// `build + max(partition + cpu_share, transfer + kernel)`.
     pub fn modeled_total_sec(&self) -> f64 {
@@ -254,6 +265,8 @@ pub fn run_fast_with_order(
     run_fast_with_tree(q, g, config, &tree, order)
 }
 
+/// The one-shot flow: [`produce_partitions`] with Algorithm 3 as steal hook
+/// and sink, then the CPU share and the report.
 fn run_fast_with_tree(
     q: &QueryGraph,
     g: &Graph,
@@ -262,32 +275,41 @@ fn run_fast_with_tree(
     order: &MatchingOrder,
 ) -> Result<FastReport, FastError> {
     config.validate()?;
-    if config.host_threads > 1 {
-        run_fast_pipelined(q, g, config, tree, order)
+    let wall_start = Instant::now();
+    let plan = KernelPlan::new(q, order, tree)?;
+    // The T = 1 rule (`FastConfig::host_threads`): one contiguous shard.
+    let options = if config.host_threads > 1 {
+        config.pipeline_options(q.vertex_count())
     } else {
-        let wall_start = Instant::now();
-        let build_start = Instant::now();
-        let (cst, build_stats) = build_cst_with_stats(q, g, tree, config.cst_options);
-        let build_time = build_start.elapsed();
-        run_fast_with_prepared(
-            q,
-            config,
-            tree,
-            order,
-            &cst,
-            &build_stats,
-            build_time,
-            wall_start,
-        )
-    }
+        PipelineOptions::sequential(config.cst_options)
+    };
+    // The partitioner takes the steal hook and the sink as two independent
+    // `&mut dyn FnMut`; both book into the same scheduler, so share it.
+    let state = RefCell::new(OffloadState::new(config, &plan));
+    let mut steal = |oversized: &Cst, workload: f64| state.borrow_mut().steal(oversized, workload);
+    let phase = produce_partitions(
+        q,
+        g,
+        config,
+        tree,
+        order,
+        &options,
+        false,
+        config
+            .variant
+            .shares_with_cpu()
+            .then_some(&mut steal as StealHook<'_>),
+        &mut |job| state.borrow_mut().offload(job),
+    );
+    finish_report(q, config, order, state.into_inner(), &phase, wall_start)
 }
 
-/// Shared partition/offload/schedule state (Fig. 2 steps 2/3/5). Both the
-/// sequential flow (one whole CST) and the pipelined flow (one call per
-/// shard CST, in shard order) drive partitions through
-/// [`OffloadState::partition_and_offload`]; the kernel is invoked inline
-/// per partition — its *time* is modelled, not measured, so inline
-/// execution is equivalent to streaming.
+/// Algorithm 3 over the partition stream (Fig. 2 steps 3/5): books each
+/// partition to a side and runs the kernel inline on FPGA-bound ones — its
+/// *time* is modelled, not measured, so inline execution is equivalent to
+/// streaming. Partitions booked to the CPU wait until the stream ends
+/// (Section V-C: "CST is temporarily cached and will be processed when all
+/// partition procedure finishes").
 struct OffloadState<'a> {
     config: &'a FastConfig,
     /// The FPGA execution backend: the emulated kernel plus this variant's
@@ -295,16 +317,14 @@ struct OffloadState<'a> {
     /// so the one-shot and served paths cannot drift.
     backend: FpgaBackend,
     plan: &'a KernelPlan,
-    tree: &'a BfsTree,
     prepare_start: Instant,
     scheduler: ShareScheduler,
-    cpu_queue: Vec<Cst>,
+    cpu_queue: Vec<Arc<Cst>>,
     fpga_outputs: Vec<KernelOutput>,
-    transfer_bytes: usize,
-    cst_bytes_total: usize,
+    /// Bytes of every offloaded partition (what crosses PCIe).
+    offloaded_bytes: usize,
     stolen: usize,
     stolen_entries: usize,
-    forced: usize,
     /// Inline (emulated) kernel execution time, excluded from host times.
     kernel_wall: Duration,
     /// Wall timestamp of the first FPGA offload.
@@ -312,7 +332,7 @@ struct OffloadState<'a> {
 }
 
 impl<'a> OffloadState<'a> {
-    fn new(config: &'a FastConfig, plan: &'a KernelPlan, tree: &'a BfsTree) -> Self {
+    fn new(config: &'a FastConfig, plan: &'a KernelPlan) -> Self {
         let delta = if config.variant.shares_with_cpu() {
             config.delta
         } else {
@@ -322,222 +342,53 @@ impl<'a> OffloadState<'a> {
             config,
             backend: FpgaBackend::from_config(config),
             plan,
-            tree,
             prepare_start: Instant::now(),
             scheduler: ShareScheduler::new(delta),
             cpu_queue: Vec::new(),
             fpga_outputs: Vec::new(),
-            transfer_bytes: 0,
-            cst_bytes_total: 0,
+            offloaded_bytes: 0,
             stolen: 0,
             stolen_entries: 0,
-            forced: 0,
             kernel_wall: Duration::ZERO,
             first_offload: None,
         }
     }
 
-    /// Partitions one CST, booking each partition to a side (Algorithm 3)
-    /// and running the kernel inline on FPGA-bound ones. Partitions booked
-    /// to the CPU are cached and processed after the partition phase
-    /// (Section V-C: "CST is temporarily cached and will be processed when
-    /// all partition procedure finishes").
-    fn partition_and_offload(
-        &mut self,
-        cst: &Cst,
-        order: &MatchingOrder,
-        partition_config: &PartitionConfig,
-    ) {
-        // Both hooks mutate the same scheduling state; the partitioner takes
-        // them as two independent `&mut dyn FnMut`, so share via RefCell.
-        let shared = std::cell::RefCell::new(&mut *self);
-        let mut steal = |oversized: &Cst| -> bool {
-            let mut s = shared.borrow_mut();
-            if !s.config.variant.shares_with_cpu() {
-                return false;
-            }
-            let w = estimate_workload(oversized, s.tree).total;
-            if s.scheduler.would_assign_cpu(w) {
-                s.scheduler.book_cpu(w);
-                s.stolen_entries += oversized.total_adjacency_entries();
-                s.cpu_queue.push(oversized.clone());
-                true
-            } else {
-                false
-            }
-        };
-        let mut sink = |partition: Cst| {
-            let mut s = shared.borrow_mut();
-            let s = &mut **s;
-            let w = estimate_workload(&partition, s.tree).total;
-            match s.scheduler.assign(w) {
-                crate::scheduler::Assignment::Cpu => s.cpu_queue.push(partition),
-                crate::scheduler::Assignment::Fpga => {
-                    let bytes = partition.size_bytes();
-                    s.transfer_bytes += bytes;
-                    s.cst_bytes_total += bytes;
-                    if s.first_offload.is_none() {
-                        s.first_offload =
-                            Some(s.prepare_start.elapsed().saturating_sub(s.kernel_wall));
-                    }
-                    let t0 = Instant::now();
-                    let out = s.backend.run(&partition, s.plan, s.config.collect);
-                    s.kernel_wall += t0.elapsed();
-                    s.fpga_outputs.push(out);
-                }
-            }
-        };
-        let stats = partition_cst_with_steal(cst, order, partition_config, &mut steal, &mut sink);
-        self.stolen += stats.stolen;
-        self.forced += stats.forced;
+    /// The steal hook: takes an oversized CST whole when Algorithm 3 would
+    /// book it to the CPU anyway, saving its partitioning.
+    fn steal(&mut self, oversized: &Cst, workload: f64) -> bool {
+        if !self.scheduler.would_assign_cpu(workload) {
+            return false;
+        }
+        self.scheduler.book_cpu(workload);
+        self.stolen += 1;
+        self.stolen_entries += oversized.total_adjacency_entries();
+        self.cpu_queue.push(Arc::new(oversized.clone()));
+        true
     }
-}
 
-/// Runs the sequential (unsharded) flow on a pre-built CST.
-#[allow(clippy::too_many_arguments)]
-fn run_fast_with_prepared(
-    q: &QueryGraph,
-    config: &FastConfig,
-    tree: &BfsTree,
-    order: &MatchingOrder,
-    cst: &Cst,
-    build_stats: &cst::BuildStats,
-    build_time: Duration,
-    wall_start: Instant,
-) -> Result<FastReport, FastError> {
-    let cpu_cost = CpuCostModel::default();
-    let plan = KernelPlan::new(q, order, tree)?;
-    let partition_config = config.partition_config(q.vertex_count(), cst);
-
-    let partition_start = Instant::now();
-    let mut state = OffloadState::new(config, &plan, tree);
-    state.partition_and_offload(cst, order, &partition_config);
-    // Partition time excludes the inline (emulated) kernel execution.
-    let partition_time = partition_start.elapsed().saturating_sub(state.kernel_wall);
-
-    // Modelled host times: construction touches every index entry once.
-    let modeled_build_sec = cpu_cost.index_time_sec(build_stats.adjacency_entries);
-    finish_report(
-        q,
-        config,
-        order,
-        state,
-        &cpu_cost,
-        HostTimes {
-            host_threads: 1,
-            pipeline_shards: 1,
-            shard_planner: ShardPlanner::Contiguous,
-            planned_duplication: 1.0,
-            plan_time: Duration::ZERO,
-            modeled_plan_sec: 0.0,
-            seeded_shards: 0,
-            cached_shards: 0,
-            build_topdown_entries: build_stats.topdown_entries,
-            seed_time: Duration::ZERO,
-            build_time,
-            build_cpu_time: build_time,
-            partition_time,
-            host_prepare_wall: build_time + partition_time,
-            first_offload_wall: build_time,
-            modeled_build_sec,
-            modeled_build_parallel_sec: modeled_build_sec,
-            modeled_fill_sec: modeled_build_sec,
-        },
-        wall_start,
-    )
-}
-
-/// Runs the sharded, overlapped flow: shard CSTs built on worker threads
-/// stream through the partitioner (in shard order — deterministic for any
-/// thread count) while later shards are still being built.
-fn run_fast_pipelined(
-    q: &QueryGraph,
-    g: &Graph,
-    config: &FastConfig,
-    tree: &BfsTree,
-    order: &MatchingOrder,
-) -> Result<FastReport, FastError> {
-    let wall_start = Instant::now();
-    let cpu_cost = CpuCostModel::default();
-    let plan = KernelPlan::new(q, order, tree)?;
-    let pipe_opts = config.pipeline_options(q.vertex_count());
-
-    let mut state = OffloadState::new(config, &plan, tree);
-    let mut partition_cpu = Duration::ZERO;
-    let prepare_start = state.prepare_start;
-    // Split the borrow: the closure must not capture `state` whole.
-    let state_ref = &mut state;
-    let cached_plan = config.shard_plan.as_deref();
-    // A tier-2 artifact replays its shard CSTs through the pipeline's
-    // provenance-validated reuse path; partitioning re-runs under this
-    // run's device spec (the one-shot flow owns no partition cache).
-    let cached_shards = config.prepared.as_ref().map(|p| p.shard_handles());
-    let pipe_stats = for_each_shard_cst_cached(
-        q,
-        g,
-        tree,
-        &pipe_opts,
-        cached_plan,
-        cached_shards.as_ref(),
-        |shard| {
-            if shard.cst.any_empty() {
-                return;
+    /// The sink: books the partition and, on the FPGA side, runs it.
+    fn offload(&mut self, job: PartitionJob) {
+        match self.scheduler.assign(job.workload) {
+            Assignment::Cpu => self.cpu_queue.push(job.cst),
+            Assignment::Fpga => {
+                self.offloaded_bytes += job.cst.size_bytes();
+                if self.first_offload.is_none() {
+                    self.first_offload =
+                        Some(self.prepare_start.elapsed().saturating_sub(self.kernel_wall));
+                }
+                let t0 = Instant::now();
+                let out = self.backend.run(&job.cst, self.plan, self.config.collect);
+                self.kernel_wall += t0.elapsed();
+                self.fpga_outputs.push(out);
             }
-            let t0 = Instant::now();
-            let kernel_before = state_ref.kernel_wall;
-            // Thresholds derive from each shard's own payload share — the
-            // only CST-dependent input — so they too are thread-count
-            // independent.
-            let partition_config = config.partition_config(q.vertex_count(), &shard.cst);
-            state_ref.partition_and_offload(&shard.cst, order, &partition_config);
-            partition_cpu += t0.elapsed().saturating_sub(state_ref.kernel_wall - kernel_before);
-        },
-    );
-    let host_prepare_wall = prepare_start.elapsed().saturating_sub(state.kernel_wall);
-    let first_offload_wall = state.first_offload.unwrap_or(pipe_stats.build_wall);
-
-    // Modelled build: the pipeline's *total* work (sharding duplicates
-    // interior candidates, honestly charged), divided over the
-    // contention-adjusted effective threads for the elapsed model.
-    let modeled_build_sec = cpu_cost.index_time_sec(pipe_stats.total_adjacency_entries());
-    let effective = cpu_cost.parallel_speedup(pipe_stats.threads);
-    let modeled_build_parallel_sec = modeled_build_sec / effective;
-    let modeled_fill_sec = modeled_build_parallel_sec / pipe_stats.shards.max(1) as f64;
-    let modeled_plan_sec = cpu_cost.partition_time_sec(pipe_stats.plan.probe_entries);
-
-    finish_report(
-        q,
-        config,
-        order,
-        state,
-        &cpu_cost,
-        HostTimes {
-            host_threads: pipe_stats.threads,
-            pipeline_shards: pipe_stats.shards,
-            shard_planner: pipe_stats.plan.planner,
-            planned_duplication: pipe_stats.plan.estimated_duplication,
-            plan_time: pipe_stats.plan_time,
-            modeled_plan_sec,
-            seeded_shards: pipe_stats.seeded_shards,
-            cached_shards: pipe_stats.cached_shards,
-            build_topdown_entries: pipe_stats.topdown_entries,
-            seed_time: pipe_stats.seed_time,
-            build_time: pipe_stats.build_wall,
-            build_cpu_time: pipe_stats.build_cpu,
-            partition_time: partition_cpu,
-            host_prepare_wall,
-            first_offload_wall,
-            modeled_build_sec,
-            modeled_build_parallel_sec,
-            modeled_fill_sec,
-        },
-        wall_start,
-    )
+        }
+    }
 }
 
 /// One partition of a session's deterministic partition stream, with its
 /// workload estimate — the unit a serving layer dispatches to a device.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PartitionJob {
     /// Position in the partition sequence (shard order, then emission order
     /// within each shard). Identical for every thread count.
@@ -551,37 +402,23 @@ pub struct PartitionJob {
     pub workload: f64,
 }
 
-/// One cached partition: the CST plus its (pure-function) workload
-/// estimate, so a replay skips the estimation DP too.
-#[derive(Debug, Clone)]
-pub struct PartitionSpec {
-    /// The partition CST.
-    pub cst: Arc<Cst>,
-    /// Its `W_CST` workload estimate (what the dispatcher books).
-    pub workload: f64,
-}
-
 /// Everything [`prepare_partitions`] produces that is a pure function of
-/// `(q, g, tree, options)`: the refined shard CSTs *and* their partition
-/// decomposition. Captured on a build ([`FastConfig::capture_prepared`])
-/// and replayed on a later call ([`FastConfig::prepared`]) so a warm
-/// session does **no** build or partition work — partitions go straight to
-/// dispatch. This is the value of a serving layer's tier-2 result cache,
-/// keyed by the same `(cst::PlanKey, graph epoch)` fingerprint as the plan
-/// cache; [`payload_bytes`](Self::payload_bytes) is its eviction weight.
+/// `(q, g, tree, options)`: the refined shard CSTs *and* the partition
+/// stream. Captured on a build ([`FastConfig::capture_prepared`]); a
+/// serving layer's tier-2 result cache holds it under the same
+/// `(cst::PlanKey, graph epoch)` fingerprint as the plan cache and stages
+/// [`partitions`](Self::partitions) straight to dispatch, so a warm
+/// session does **no** build, partition or workload-estimation work.
+/// [`payload_bytes`](Self::payload_bytes) is its eviction weight.
 #[derive(Debug, Clone)]
 pub struct PreparedCsts {
-    /// Provenance of the shard plan the artifact was built under
-    /// ([`ShardPlan::provenance`]); validates shard-CST reuse on the
-    /// pipeline path ([`cst::for_each_shard_cst_cached`]).
-    pub provenance: u64,
     /// Query vertex count the artifact was prepared for — the cheap shape
-    /// check of the replay path (content trust is the cache key's job).
+    /// check of [`matches_query`](Self::matches_query).
     pub query_vertices: usize,
     /// The refined shard CSTs, in shard order (empty shards included).
     pub shard_csts: Vec<Arc<Cst>>,
-    /// The partition decomposition, in emission order, with workloads.
-    pub partitions: Vec<PartitionSpec>,
+    /// The partition stream exactly as the build's sink received it.
+    pub partitions: Vec<PartitionJob>,
     /// Shards the plan decomposed the root set into.
     pub pipeline_shards: usize,
 }
@@ -598,10 +435,10 @@ impl PreparedCsts {
             .sum()
     }
 
-    /// Whether the artifact's shape matches `q` — the replay path's sanity
-    /// check. Replaying trusts the *caller's* keying (PlanKey × epoch) for
-    /// content; revalidating content would mean rebuilding, which is
-    /// exactly what the artifact exists to skip.
+    /// Whether the artifact's shape matches `q` — the sanity check a cache
+    /// lookup applies before replaying. Replaying trusts the *caller's*
+    /// keying (PlanKey × epoch) for content; revalidating content would
+    /// mean rebuilding, which is exactly what the artifact exists to skip.
     pub fn matches_query(&self, q: &QueryGraph) -> bool {
         self.query_vertices == q.vertex_count()
             && self
@@ -610,20 +447,9 @@ impl PreparedCsts {
                 .chain(self.partitions.iter().map(|p| &p.cst))
                 .all(|c| c.query_vertex_count() == q.vertex_count())
     }
-
-    /// The shard CSTs as a pipeline replay artifact — the
-    /// provenance-*validated* reuse path ([`cst::for_each_shard_cst_cached`])
-    /// the one-shot flow takes, where builds are skipped but partitioning
-    /// re-runs under the current device spec.
-    pub fn shard_handles(&self) -> CachedShards {
-        CachedShards {
-            provenance: self.provenance,
-            shards: self.shard_csts.clone(),
-        }
-    }
 }
 
-/// Summary of the decoupled prepare phase (build + partition, no kernel).
+/// Summary of the prepare phase (build + partition, no kernel).
 #[derive(Debug, Clone)]
 pub struct PreparePhase {
     /// The shard plan the pipeline executed (cached or freshly probed).
@@ -658,86 +484,55 @@ pub struct PreparePhase {
     pub partitions: usize,
     /// Partitions emitted despite violating thresholds (should be 0).
     pub forced: usize,
-    /// Whether the phase replayed a tier-2 artifact ([`FastConfig::prepared`])
-    /// instead of building: every timing and work field above is zero and
-    /// the partitions went straight to the sink.
-    pub cached_csts: bool,
     /// The artifact captured from this build when
     /// [`FastConfig::capture_prepared`] was set — what a serving layer
-    /// inserts into its tier-2 cache. `None` on replays (the artifact
-    /// already exists) and when capture was off.
+    /// inserts into its tier-2 cache. `None` when capture was off.
     pub prepared: Option<Arc<PreparedCsts>>,
 }
 
-/// The prepare phase of Fig. 2 decoupled from execution: builds the CST on
-/// the (optionally sharded, pipelined) host path and streams every
-/// partition into `sink` with its workload estimate, running **no** kernel
-/// and booking **no** CPU share — execution policy belongs to the caller.
-/// This is the per-session entry point of the serving layer (`serve`):
-/// the caller derives the tree/order once (reusing them for its cache key),
-/// and a cached [`ShardPlan`] in [`FastConfig::shard_plan`] skips the
-/// probe/boundary search exactly as in [`run_fast`]. The partition
-/// sequence is deterministic for every `host_threads` value.
-pub fn prepare_partitions(
+/// [`produce_partitions`]' steal hook: offered an oversized CST and its
+/// workload estimate before the split, `true` takes it whole.
+type StealHook<'a> = &'a mut dyn FnMut(&Cst, f64) -> bool;
+
+/// The host's one partition producer (Fig. 2 steps 1–2 plus the `W_CST`
+/// estimate of Section V-C): builds the shard CSTs on the `options`
+/// pipeline, partitions each in shard order under its own thresholds, and
+/// streams every partition into `sink` with its workload estimate. Every
+/// host flow is this function with a different consumer:
+/// [`prepare_partitions`] stages or dispatches the jobs, [`run_fast`] plugs
+/// in Algorithm 3, [`run_multi_fpga`](crate::run_multi_fpga) books cards.
+///
+/// `steal`, when given, is offered every oversized CST with its workload
+/// estimate before it is split; returning `true` consumes it (FAST-SHARE's
+/// "directly assign it to CPU, reducing the cost of partitioning"). Without
+/// one, nothing is estimated before a split. With `capture` the shard CSTs
+/// and the emitted jobs are also kept as [`PreparePhase::prepared`] — only
+/// meaningful without a steal hook, since a stolen CST never reaches the
+/// stream. The stream is deterministic for every thread count
+/// (`cst::pipeline` docs).
+#[allow(clippy::too_many_arguments)]
+fn produce_partitions(
     q: &QueryGraph,
     g: &Graph,
     config: &FastConfig,
     tree: &BfsTree,
     order: &MatchingOrder,
+    options: &PipelineOptions,
+    capture: bool,
+    mut steal: Option<StealHook<'_>>,
     sink: &mut dyn FnMut(PartitionJob),
 ) -> PreparePhase {
-    // Tier-2 replay: the artifact *is* the prepare phase's output — stream
-    // its partitions straight to the sink. No build, no partitioning, no
-    // workload DP; every timing field is exactly zero (not merely small),
-    // which is what the warm-path harness asserts. The timer deliberately
-    // excludes sink time: kernel execution inside the sink belongs to the
-    // caller's execution split, and this loop does no preparation work.
-    if let Some(prepared) = config.prepared.as_ref().filter(|p| p.matches_query(q)) {
-        for (index, part) in prepared.partitions.iter().enumerate() {
-            sink(PartitionJob {
-                index,
-                cst: Arc::clone(&part.cst),
-                workload: part.workload,
-            });
-        }
-        return PreparePhase {
-            // Degenerate stand-in: replays never publish their plan (the
-            // plan cache was populated by the build that made the artifact).
-            shard_plan: ShardPlan::contiguous(0, prepared.pipeline_shards.max(1)),
-            plan_time: Duration::ZERO,
-            seed_time: Duration::ZERO,
-            seeded_shards: 0,
-            build_topdown_entries: 0,
-            pipeline_shards: prepared.pipeline_shards,
-            host_threads: 1,
-            build_wall: Duration::ZERO,
-            build_cpu: Duration::ZERO,
-            partition_time: Duration::ZERO,
-            build_entries: 0,
-            partitions: prepared.partitions.len(),
-            forced: 0,
-            cached_csts: true,
-            prepared: None,
-        };
-    }
-
-    let pipe_opts = config.pipeline_options(q.vertex_count());
     let mut partition_time = Duration::ZERO;
-    let mut index = 0usize;
     let mut forced = 0usize;
-    // Capture state for the tier-2 artifact: every shard CST (empty ones
-    // included, so the list length matches the plan's shard count for the
-    // pipeline replay path) and every emitted partition with its workload.
-    let capture = config.capture_prepared;
+    let mut emitted = 0usize;
     let mut shard_csts: Vec<Arc<Cst>> = Vec::new();
-    let mut partitions: Vec<PartitionSpec> = Vec::new();
-    let pipe_stats = for_each_shard_cst_cached(
+    let mut captured: Vec<PartitionJob> = Vec::new();
+    let pipe_stats = for_each_shard_cst_planned(
         q,
         g,
         tree,
-        &pipe_opts,
+        options,
         config.shard_plan.as_deref(),
-        None,
         |shard| {
             if capture {
                 shard_csts.push(Arc::clone(&shard.cst));
@@ -746,34 +541,42 @@ pub fn prepare_partitions(
                 return;
             }
             let t0 = Instant::now();
+            // Thresholds derive from each shard's own payload share — the
+            // only CST-dependent input — so they too are thread-count
+            // independent.
             let partition_config = config.partition_config(q.vertex_count(), &shard.cst);
-            let mut emit = |partition: Cst| {
-                let workload = estimate_workload(&partition, tree).total;
-                let cst = Arc::new(partition);
-                if capture {
-                    partitions.push(PartitionSpec {
-                        cst: Arc::clone(&cst),
-                        workload,
-                    });
-                }
-                sink(PartitionJob {
-                    index,
-                    cst,
-                    workload,
-                });
-                index += 1;
+            let mut offer = |oversized: &Cst| match steal.as_mut() {
+                Some(steal) => steal(oversized, estimate_workload(oversized, tree).total),
+                None => false,
             };
-            let stats = partition_cst_into(&shard.cst, order, &partition_config, &mut emit);
+            let mut emit = |partition: Cst| {
+                let job = PartitionJob {
+                    index: emitted,
+                    workload: estimate_workload(&partition, tree).total,
+                    cst: Arc::new(partition),
+                };
+                emitted += 1;
+                if capture {
+                    captured.push(job.clone());
+                }
+                sink(job);
+            };
+            let stats = partition_cst_with_steal(
+                &shard.cst,
+                order,
+                &partition_config,
+                &mut offer,
+                &mut emit,
+            );
             forced += stats.forced;
             partition_time += t0.elapsed();
         },
     );
     let prepared = capture.then(|| {
         Arc::new(PreparedCsts {
-            provenance: pipe_stats.plan.provenance,
             query_vertices: q.vertex_count(),
             shard_csts,
-            partitions,
+            partitions: captured,
             pipeline_shards: pipe_stats.shards,
         })
     });
@@ -789,65 +592,94 @@ pub fn prepare_partitions(
         build_topdown_entries: pipe_stats.topdown_entries,
         shard_plan: pipe_stats.plan,
         partition_time,
-        partitions: index,
+        partitions: emitted,
         forced,
-        cached_csts: false,
         prepared,
     }
 }
 
-/// Host-side timing summary handed to the report assembler.
-struct HostTimes {
-    host_threads: usize,
-    pipeline_shards: usize,
-    shard_planner: ShardPlanner,
-    planned_duplication: f64,
-    plan_time: Duration,
-    modeled_plan_sec: f64,
-    seeded_shards: usize,
-    cached_shards: usize,
-    build_topdown_entries: usize,
-    seed_time: Duration,
-    build_time: Duration,
-    build_cpu_time: Duration,
-    partition_time: Duration,
-    host_prepare_wall: Duration,
-    first_offload_wall: Duration,
-    modeled_build_sec: f64,
-    modeled_build_parallel_sec: f64,
-    modeled_fill_sec: f64,
+/// The prepare phase of Fig. 2 decoupled from execution: builds the CST on
+/// the sharded host pipeline ([`FastConfig::pipeline_options`], for every
+/// `host_threads`) and streams every partition into `sink` with its
+/// workload estimate, running **no** kernel and booking **no** CPU share —
+/// execution policy belongs to the caller. This is the per-session entry
+/// point of the serving layer (`serve`): the caller derives the tree/order
+/// once (reusing them for its cache key), and a cached [`ShardPlan`] in
+/// [`FastConfig::shard_plan`] skips the probe/boundary search exactly as
+/// in [`run_fast`]. The partition sequence is deterministic for every
+/// `host_threads` value.
+pub fn prepare_partitions(
+    q: &QueryGraph,
+    g: &Graph,
+    config: &FastConfig,
+    tree: &BfsTree,
+    order: &MatchingOrder,
+    sink: &mut dyn FnMut(PartitionJob),
+) -> PreparePhase {
+    let options = config.pipeline_options(q.vertex_count());
+    produce_partitions(
+        q,
+        g,
+        config,
+        tree,
+        order,
+        &options,
+        config.capture_prepared,
+        None,
+        sink,
+    )
 }
 
-/// Runs the CPU share, aggregates kernel outputs, and assembles the report.
+/// Runs the CPU share, aggregates kernel outputs, derives the host times
+/// from `phase`, and assembles the report.
 fn finish_report(
     q: &QueryGraph,
     config: &FastConfig,
     order: &MatchingOrder,
     state: OffloadState<'_>,
-    cpu_cost: &CpuCostModel,
-    times: HostTimes,
+    phase: &PreparePhase,
     wall_start: Instant,
 ) -> Result<FastReport, FastError> {
-    let OffloadState {
-        backend,
-        scheduler,
-        cpu_queue,
-        fpga_outputs,
-        transfer_bytes,
-        cst_bytes_total,
-        stolen,
-        stolen_entries,
-        forced,
-        ..
-    } = state;
+    let host_prepare_wall = state.prepare_start.elapsed().saturating_sub(state.kernel_wall);
+    let cpu_cost = CpuCostModel::default();
 
-    // --- Host: CPU share matching (Fig. 2 step 5). ---
+    // --- Aggregate kernel outputs and model device time. ---
+    let cap = match config.collect {
+        CollectMode::Collect(cap) => cap,
+        CollectMode::CountOnly => 0,
+    };
+    let mut counts = WorkloadCounts::default();
+    let mut embeddings = 0u64;
+    let mut collected = Vec::new();
+    let mut rounds = 0u64;
+    let mut cst_reads = 0u64;
+    let mut buffer_writes = 0u64;
+    let mut kernel_cycles = 0u64;
+    for out in &state.fpga_outputs {
+        counts.n += out.counts.n;
+        counts.m += out.counts.m;
+        embeddings += out.embeddings;
+        rounds += out.rounds;
+        cst_reads += out.cst_reads;
+        buffer_writes += out.buffer_writes;
+        kernel_cycles += state.backend.price_cycles(out.counts);
+        let room = cap.saturating_sub(collected.len());
+        collected.extend(out.collected.iter().take(room).cloned());
+    }
+    let kernel_time_sec = config.spec.cycles_to_sec(kernel_cycles);
+
+    // --- Host: CPU share matching (Fig. 2 step 5). The enumerator reports
+    // every embedding (the count stays exact); collection alone is capped.
     let cpu_match_start = Instant::now();
-    let mut cpu_embeddings = 0u64;
     let mut cpu_share_ns = 0.0f64;
-    for partition in &cpu_queue {
-        let stats = cst::enumerate_embeddings(partition, q, order, |_| true);
-        cpu_embeddings += stats.embeddings;
+    for partition in &state.cpu_queue {
+        let stats = cst::enumerate_embeddings(partition, q, order, |embedding| {
+            if collected.len() < cap {
+                collected.push(embedding.to_vec());
+            }
+            true
+        });
+        embeddings += stats.embeddings;
         cpu_share_ns += stats.partials_generated as f64 * cpu_cost.ns_per_partial
             + stats.edge_validations as f64 * cpu_cost.ns_per_edge_check;
     }
@@ -860,47 +692,31 @@ fn finish_report(
     let host_cores = cpu_cost.parallel_speedup(8);
     let modeled_cpu_match_sec = cpu_share_ns * 1e-9 / host_cores;
 
-    // --- Aggregate kernel outputs and model device time. ---
-    let mut counts = WorkloadCounts::default();
-    let mut embeddings = cpu_embeddings;
-    let mut collected = Vec::new();
-    let mut rounds = 0u64;
-    let mut cst_reads = 0u64;
-    let mut buffer_writes = 0u64;
-    let mut kernel_cycles = 0u64;
-    for out in &fpga_outputs {
-        counts.n += out.counts.n;
-        counts.m += out.counts.m;
-        embeddings += out.embeddings;
-        rounds += out.rounds;
-        cst_reads += out.cst_reads;
-        buffer_writes += out.buffer_writes;
-        kernel_cycles += backend.price_cycles(out.counts);
-        if let CollectMode::Collect(cap) = config.collect {
-            for e in &out.collected {
-                if collected.len() < cap {
-                    collected.push(e.clone());
-                }
-            }
-        }
-    }
-    let kernel_time_sec = config.spec.cycles_to_sec(kernel_cycles);
-
     // PCIe: one transfer per FPGA partition plus the result fetch.
     let result_bytes = (embeddings as usize).saturating_mul(q.vertex_count() * 4);
-    let transfer_time_sec = fpga_outputs
+    let transfer_time_sec = state
+        .fpga_outputs
         .iter()
         .map(|_| config.spec.pcie.latency_sec)
         .sum::<f64>()
-        + config.spec.pcie.transfer_time_sec(transfer_bytes)
-        + config.spec.pcie.transfer_time_sec(result_bytes.min(transfer_bytes.max(1 << 20)));
+        + config.spec.pcie.transfer_time_sec(state.offloaded_bytes)
+        + config.spec.pcie.transfer_time_sec(result_bytes.min(state.offloaded_bytes.max(1 << 20)));
+
+    // Modelled build: the pipeline's *total* work (sharding duplicates
+    // interior candidates, honestly charged), divided over the
+    // contention-adjusted effective threads for the elapsed model.
+    let modeled_build_sec = cpu_cost.index_time_sec(phase.build_entries);
+    let modeled_build_parallel_sec =
+        modeled_build_sec / cpu_cost.parallel_speedup(phase.host_threads);
+    let modeled_fill_sec = modeled_build_parallel_sec / phase.pipeline_shards.max(1) as f64;
 
     // Modelled partitioning: every emitted partition's entries (rebuild)
     // plus roughly the same again across recursion levels. Stolen CSTs were
     // consumed before splitting — that is exactly the partition cost
     // FAST-SHARE saves (Section VII-B).
-    let cpu_entries: usize = cpu_queue.iter().map(Cst::total_adjacency_entries).sum();
-    let partition_entries = cst_bytes_total / 4 + cpu_entries.saturating_sub(stolen_entries);
+    let cpu_entries: usize = state.cpu_queue.iter().map(|c| c.total_adjacency_entries()).sum();
+    let partition_entries =
+        state.offloaded_bytes / 4 + cpu_entries.saturating_sub(state.stolen_entries);
     let modeled_partition_sec = cpu_cost.partition_time_sec(2 * partition_entries);
 
     Ok(FastReport {
@@ -908,41 +724,41 @@ fn finish_report(
         embeddings,
         collected,
         counts,
-        fpga_partitions: fpga_outputs.len(),
-        cpu_partitions: cpu_queue.len(),
-        stolen,
-        forced,
-        workload_cpu: scheduler.cpu_workload(),
-        workload_fpga: scheduler.fpga_workload(),
-        host_threads: times.host_threads,
-        pipeline_shards: times.pipeline_shards,
-        shard_planner: times.shard_planner,
-        planned_duplication: times.planned_duplication,
-        plan_time: times.plan_time,
-        modeled_plan_sec: times.modeled_plan_sec,
-        seeded_shards: times.seeded_shards,
-        cached_shards: times.cached_shards,
-        build_topdown_entries: times.build_topdown_entries,
-        seed_time: times.seed_time,
-        build_time: times.build_time,
-        build_cpu_time: times.build_cpu_time,
-        partition_time: times.partition_time,
+        fpga_partitions: state.fpga_outputs.len(),
+        cpu_partitions: state.cpu_queue.len(),
+        stolen: state.stolen,
+        forced: phase.forced,
+        workload_cpu: state.scheduler.cpu_workload(),
+        workload_fpga: state.scheduler.fpga_workload(),
+        host_threads: phase.host_threads,
+        pipeline_shards: phase.pipeline_shards,
+        shard_planner: phase.shard_plan.planner,
+        planned_duplication: phase.shard_plan.estimated_duplication,
+        plan_time: phase.plan_time,
+        modeled_plan_sec: cpu_cost.partition_time_sec(phase.shard_plan.probe_entries),
+        seeded_shards: phase.seeded_shards,
+        build_topdown_entries: phase.build_topdown_entries,
+        seed_time: phase.seed_time,
+        build_time: phase.build_wall,
+        build_cpu_time: phase.build_cpu,
+        // Partition time excludes the inline (emulated) kernel execution.
+        partition_time: phase.partition_time.saturating_sub(state.kernel_wall),
         cpu_match_time,
-        host_prepare_wall: times.host_prepare_wall,
-        first_offload_wall: times.first_offload_wall,
-        modeled_build_sec: times.modeled_build_sec,
-        modeled_build_parallel_sec: times.modeled_build_parallel_sec,
-        modeled_fill_sec: times.modeled_fill_sec,
+        host_prepare_wall,
+        first_offload_wall: state.first_offload.unwrap_or(phase.build_wall),
+        modeled_build_sec,
+        modeled_build_parallel_sec,
+        modeled_fill_sec,
         modeled_partition_sec,
         modeled_cpu_match_sec,
         kernel_cycles,
         kernel_time_sec,
         transfer_time_sec,
-        transfer_bytes,
+        transfer_bytes: state.offloaded_bytes,
         rounds,
         cst_reads,
         buffer_writes,
-        cst_bytes_total,
+        cst_bytes_total: state.offloaded_bytes,
         wall_time: wall_start.elapsed(),
     })
 }
@@ -1009,6 +825,45 @@ mod tests {
         assert_eq!(
             crate::run_multi_fpga(q, &g, &config, 2).unwrap_err(),
             FastError::ZeroRoundBudget
+        );
+    }
+
+    #[test]
+    fn out_of_range_delta_is_a_typed_error() {
+        let q = &queries()[1];
+        let g = random_labelled_graph(45, 0.2, 3, 401);
+        for delta in [1.5, -0.1, f64::NAN] {
+            // Every variant: δ is a field of the configuration, not of SHARE.
+            for variant in [Variant::Share, Variant::Sep] {
+                let mut config = FastConfig::test_small(variant);
+                config.delta = delta;
+                assert_eq!(
+                    run_fast(q, &g, &config).unwrap_err(),
+                    FastError::DeltaOutOfRange,
+                    "delta={delta} {variant}"
+                );
+                assert_eq!(
+                    crate::run_multi_fpga(q, &g, &config, 2).unwrap_err(),
+                    FastError::DeltaOutOfRange
+                );
+            }
+        }
+        // The closed ends are legal.
+        for delta in [0.0, 1.0] {
+            let mut config = FastConfig::test_small(Variant::Share);
+            config.delta = delta;
+            assert_eq!(run_fast(q, &g, &config).unwrap().embeddings, vf2_count(q, &g));
+        }
+    }
+
+    #[test]
+    fn zero_cards_is_a_typed_error() {
+        let q = &queries()[1];
+        let g = random_labelled_graph(45, 0.2, 3, 401);
+        let config = FastConfig::test_small(Variant::Sep);
+        assert_eq!(
+            crate::run_multi_fpga(q, &g, &config, 0).unwrap_err(),
+            FastError::NoCards
         );
     }
 
@@ -1097,6 +952,38 @@ mod tests {
     }
 
     #[test]
+    fn collect_under_share_includes_the_cpu_share() {
+        let q = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        .unwrap();
+        let g = random_labelled_graph(200, 0.2, 2, 9);
+        let mut config = FastConfig::test_small(Variant::Share);
+        config.spec.bram_bytes = 32 << 10;
+        config.spec.no = 16;
+        config.delta = 0.25;
+        let total = run_fast(&q, &g, &config).unwrap().embeddings;
+        for cap in [100_000_000, 1000] {
+            config.collect = CollectMode::Collect(cap);
+            let report = run_fast(&q, &g, &config).unwrap();
+            assert!(report.cpu_partitions > 0 && report.fpga_partitions > 0);
+            assert_eq!(report.embeddings, total, "the count stays exact");
+            assert_eq!(report.collected.len() as u64, total.min(cap as u64));
+            let mut rows = std::collections::HashSet::new();
+            for emb in &report.collected {
+                assert!(rows.insert(emb.clone()), "duplicate row {emb:?}");
+                for u in q.vertices() {
+                    assert_eq!(g.label(emb[u.index()]), q.label(u));
+                }
+                for &(a, b) in q.edges() {
+                    assert!(g.has_edge(emb[a.index()], emb[b.index()]));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn modeled_and_measured_totals_include_their_build() {
         let q = queries().remove(0);
         let g = random_labelled_graph(50, 0.2, 3, 503);
@@ -1107,11 +994,13 @@ mod tests {
         assert!(report.kernel_time_sec >= 0.0);
         assert!(report.transfer_time_sec > 0.0);
         assert!(report.modeled_build_sec > 0.0);
-        // Sequential flow: the general fields degenerate to the old model.
+        // T = 1: one shard, and the general model degenerates to the paper's.
         assert_eq!(report.host_threads, 1);
         assert_eq!(report.pipeline_shards, 1);
+        assert_eq!(report.shard_planner, ShardPlanner::Contiguous);
         assert_eq!(report.modeled_fill_sec, report.modeled_build_sec);
-        assert_eq!(report.build_cpu_time, report.build_time);
+        // The build wall brackets the shard build plus its skew estimate.
+        assert!(report.build_cpu_time <= report.build_time);
     }
 
     #[test]
@@ -1166,47 +1055,39 @@ mod tests {
             let tree = BfsTree::new(&q, root);
             let order = path_based_order(&q, &tree, &g);
 
-            let mut cold_jobs: Vec<(usize, u64, usize)> = Vec::new();
+            let mut streamed: Vec<PartitionJob> = Vec::new();
             let cold = prepare_partitions(&q, &g, &config, &tree, &order, &mut |job| {
-                cold_jobs.push((job.index, job.workload.to_bits(), job.cst.payload_bytes()));
+                streamed.push(job);
             });
-            assert!(!cold.cached_csts);
             let artifact = cold.prepared.clone().expect("capture requested");
             assert_eq!(artifact.shard_csts.len(), cold.pipeline_shards);
-            assert_eq!(artifact.partitions.len(), cold.partitions);
+            assert_eq!(artifact.pipeline_shards, cold.pipeline_shards);
             assert!(artifact.payload_bytes() > 0, "q{qi}: empty artifact");
             assert!(artifact.matches_query(&q));
 
-            // Replay: the exact partition stream, zero build/partition work.
-            let mut warm = config.clone();
-            warm.capture_prepared = false;
-            warm.prepared = Some(Arc::clone(&artifact));
-            let mut warm_jobs: Vec<(usize, u64, usize)> = Vec::new();
-            let hit = prepare_partitions(&q, &g, &warm, &tree, &order, &mut |job| {
-                warm_jobs.push((job.index, job.workload.to_bits(), job.cst.payload_bytes()));
-            });
-            assert!(hit.cached_csts, "q{qi}");
-            assert!(hit.prepared.is_none(), "replays must not re-capture");
-            assert_eq!(warm_jobs, cold_jobs, "q{qi}: partition stream drifted");
-            assert_eq!(hit.build_wall, Duration::ZERO);
-            assert_eq!(hit.partition_time, Duration::ZERO);
-            assert_eq!(hit.build_entries, 0);
-            assert_eq!(hit.build_topdown_entries, 0);
-            assert_eq!(hit.partitions, cold.partitions);
+            // A replay is the artifact's own jobs: the exact stream the
+            // build's sink saw, sharing (not copying) every partition.
+            assert_eq!(artifact.partitions.len(), cold.partitions);
+            for (i, (held, sent)) in artifact.partitions.iter().zip(&streamed).enumerate() {
+                assert_eq!(held.index, i, "q{qi}");
+                assert_eq!(held.index, sent.index, "q{qi}");
+                assert_eq!(held.workload.to_bits(), sent.workload.to_bits(), "q{qi}");
+                assert!(Arc::ptr_eq(&held.cst, &sent.cst), "q{qi}: partition {i} copied");
+            }
 
-            // The one-shot flow reuses the artifact's shard CSTs through the
-            // provenance-validated pipeline path: same embeddings, no build.
-            let baseline = run_fast(&q, &g, &config).unwrap();
-            let mut reused_config = config.clone();
-            reused_config.capture_prepared = false;
-            reused_config.prepared = Some(artifact);
-            let reused = run_fast(&q, &g, &reused_config).unwrap();
-            assert_eq!(reused.embeddings, baseline.embeddings, "q{qi}");
-            assert_eq!(reused.kernel_cycles, baseline.kernel_cycles, "q{qi}");
-            assert_eq!(reused.cached_shards, reused.pipeline_shards, "q{qi}");
-            assert_eq!(reused.build_topdown_entries, 0);
-            assert_eq!(reused.seeded_shards, 0);
-            assert_eq!(baseline.cached_shards, 0);
+            // Capture changes nothing about the stream itself.
+            config.capture_prepared = false;
+            let mut plain: Vec<(usize, u64, usize)> = Vec::new();
+            let uncaptured = prepare_partitions(&q, &g, &config, &tree, &order, &mut |job| {
+                plain.push((job.index, job.workload.to_bits(), job.cst.payload_bytes()));
+            });
+            assert!(uncaptured.prepared.is_none());
+            let held: Vec<(usize, u64, usize)> = artifact
+                .partitions
+                .iter()
+                .map(|job| (job.index, job.workload.to_bits(), job.cst.payload_bytes()))
+                .collect();
+            assert_eq!(plain, held, "q{qi}: partition stream drifted");
         }
     }
 
@@ -1218,22 +1099,19 @@ mod tests {
         config.host_threads = 2;
         config.pipeline_shards = Some(4);
         config.capture_prepared = true;
-        // Capture against the 4-vertex query, replay against a 3-vertex one.
+        // Captured against the 4-vertex query: no 3-vertex query may take it
+        // (the serving layer applies this check at its tier-2 lookup).
         let q4 = &qs[2];
         let root = select_root(q4, &g);
         let tree = BfsTree::new(q4, root);
         let order = path_based_order(q4, &tree, &g);
         let phase = prepare_partitions(q4, &g, &config, &tree, &order, &mut |_| {});
         let artifact = phase.prepared.expect("capture requested");
-
-        let q3 = &qs[0];
-        assert!(!artifact.matches_query(q3));
-        let mut warm = config.clone();
-        warm.capture_prepared = false;
-        warm.prepared = Some(artifact);
-        let expected = run_fast(q3, &g, &config).unwrap();
-        let report = run_fast(q3, &g, &warm).unwrap();
-        assert_eq!(report.embeddings, expected.embeddings);
-        assert_eq!(report.cached_shards, 0, "mismatched artifact must rebuild");
+        assert!(artifact.matches_query(q4));
+        assert!(!artifact.matches_query(&qs[0]));
+        // Every held CST is checked, not just the recorded vertex count.
+        let mut forged = (*artifact).clone();
+        forged.query_vertices = qs[0].vertex_count();
+        assert!(!forged.matches_query(&qs[0]));
     }
 }

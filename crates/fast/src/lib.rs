@@ -24,7 +24,10 @@
 //!   BRAM-only partial-results buffer;
 //! * [`variants`] — FAST-DRAM/BASIC/TASK/SEP/SHARE and their cycle models;
 //! * [`scheduler`] — the CPU-share scheduler (Algorithm 3);
-//! * [`host`] — the co-designed driver (Fig. 2);
+//! * [`host`] — the co-designed driver (Fig. 2): one build → shard →
+//!   partition → `W_CST` producer, consumed by [`run_fast`] (Algorithm 3),
+//!   [`run_multi_fpga`] (least-booked card) and, through
+//!   [`prepare_partitions`], a serving layer's device pool;
 //! * [`backend`] — the [`ExecutionBackend`] trait: one synchronous
 //!   `execute` per partition plus cost-model pricing (emulated FPGA or
 //!   CPU fallback), the unit a heterogeneous serving pool schedules;
@@ -33,7 +36,8 @@
 //! * [`fault`] — [`FaultInjector`]: a deterministic seeded fault-injecting
 //!   wrapper backend (transient errors, permanent death, stalls, silent
 //!   corruption, slowdowns) for chaos tests and figures;
-//! * [`multi_fpga`] — the Section VII-E extension;
+//! * [`multi_fpga`] — the Section VII-E extension: [`prepare_partitions`]
+//!   with a least-booked-card sink;
 //! * [`des_check`] — discrete-event cross-validation of the cycle model.
 
 pub mod backend;
@@ -56,7 +60,7 @@ pub use fault::{FaultCounters, FaultInjector, FaultPlan};
 pub use cst::{ShardPlan, ShardPlanner};
 pub use host::{
     prepare_partitions, run_fast, run_fast_with_order, FastError, FastReport, PartitionJob,
-    PartitionSpec, PreparePhase, PreparedCsts,
+    PreparePhase, PreparedCsts,
 };
 pub use kernel::{run_kernel, CollectMode, KernelOutput, PARTIAL_SLOT_BYTES};
 pub use multi_fpga::{run_multi_fpga, MultiFpgaReport};

@@ -5,16 +5,15 @@
 //! to the FPGA with the minimum total workload and collect final results
 //! after all the FPGAs complete their tasks."
 //!
-//! This module implements exactly that: least-loaded assignment of CST
-//! partitions across `k` emulated cards, with per-card cycle totals and the
-//! resulting makespan/speedup.
+//! This module implements exactly that: least-loaded assignment of the
+//! host's partition stream ([`prepare_partitions`]) across `k` emulated
+//! cards, with per-card cycle totals and the resulting makespan/speedup.
 
 use crate::backend::FpgaBackend;
 use crate::config::FastConfig;
-use crate::host::FastError;
+use crate::host::{prepare_partitions, FastError};
 use crate::kernel::CollectMode;
 use crate::plan::KernelPlan;
-use cst::{build_cst_with_stats, estimate_workload, partition_cst_into, Cst};
 use graph_core::{path_based_order, select_root, BfsTree, Graph, QueryGraph};
 
 /// Report of a multi-card run.
@@ -59,21 +58,22 @@ impl MultiFpgaReport {
     }
 }
 
-/// Runs the workload-aware multi-FPGA assignment over `cards` emulated cards.
+/// Runs the workload-aware multi-FPGA assignment over `cards` emulated
+/// cards; `cards == 0` is the typed [`FastError::NoCards`].
 pub fn run_multi_fpga(
     q: &QueryGraph,
     g: &Graph,
     config: &FastConfig,
     cards: usize,
 ) -> Result<MultiFpgaReport, FastError> {
-    assert!(cards >= 1, "need at least one card");
+    if cards == 0 {
+        return Err(FastError::NoCards);
+    }
     config.validate()?;
     let root = select_root(q, g);
     let tree = BfsTree::new(q, root);
     let order = path_based_order(q, &tree, g);
-    let (cst, _) = build_cst_with_stats(q, g, &tree, config.cst_options);
     let plan = KernelPlan::new(q, &order, &tree)?;
-    let partition_config = config.partition_config(q.vertex_count(), &cst);
     // Every card runs the same spec and variant: one backend stands for all.
     let backend = FpgaBackend::from_config(config);
 
@@ -82,19 +82,17 @@ pub fn run_multi_fpga(
     let mut per_card_partitions = vec![0usize; cards];
     let mut embeddings = 0u64;
 
-    let mut sink = |partition: Cst| {
-        let w = estimate_workload(&partition, &tree).total;
+    prepare_partitions(q, g, config, &tree, &order, &mut |job| {
         // Least-loaded card by booked workload (ties → lowest index).
         let card = (0..cards)
             .min_by(|&a, &b| per_card_workload[a].total_cmp(&per_card_workload[b]))
             .expect("cards >= 1");
-        per_card_workload[card] += w;
+        per_card_workload[card] += job.workload;
         per_card_partitions[card] += 1;
-        let out = backend.run(&partition, &plan, CollectMode::CountOnly);
+        let out = backend.run(&job.cst, &plan, CollectMode::CountOnly);
         embeddings += out.embeddings;
         per_card_cycles[card] += backend.price_cycles(out.counts);
-    };
-    partition_cst_into(&cst, &order, &partition_config, &mut sink);
+    });
 
     let makespan_cycles = per_card_cycles.iter().copied().max().unwrap_or(0);
     let single_card_cycles = per_card_cycles.iter().sum();

@@ -67,6 +67,17 @@ struct SessionPlan {
     collect: CollectMode,
 }
 
+/// What a session paid to get its partitions staged. A tier-2 hit paid
+/// nothing: every field but the shard count is exactly zero.
+#[derive(Clone, Copy, Default)]
+struct PrepareCost {
+    plan_time: Duration,
+    build_time: Duration,
+    topdown_entries: usize,
+    pipeline_shards: usize,
+    seeded_shards: usize,
+}
+
 /// Accumulated results and timing splits, folded partition by partition
 /// and snapshotted once at retirement to assemble the [`QueryReport`].
 #[derive(Clone, Default)]
@@ -79,11 +90,7 @@ struct SessionStats {
     picked: Option<Instant>,
     queue_wait: Duration,
     build_start_ns: u64,
-    plan_time: Duration,
-    build_time: Duration,
-    topdown_entries: usize,
-    pipeline_shards: usize,
-    seeded_shards: usize,
+    prepare: PrepareCost,
     plan_hit: bool,
     cst_cache_hit: bool,
 }
@@ -426,10 +433,10 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
 
     // Two-tier lookup under one single-flight gate, keyed (tenant, key):
     //
-    // * **Tier-2 hit** — the refined shard CSTs *and* their partition
-    //   decomposition replay through `FastConfig::prepared`: no planning,
-    //   no build, no partitioning — the session is pure dispatch + kernel.
-    //   No flight is claimed (there is nothing left to compute).
+    // * **Tier-2 hit** — the artifact holds the partition stream of an
+    //   earlier identical build and its jobs are staged as they are: no
+    //   planning, no build, no partitioning — the session is pure dispatch
+    //   + kernel. No flight is claimed (there is nothing left to compute).
     // * **Tier-2 miss, plan hit** — the stored plan skips the probe and
     //   the build is seeded from its riding probe, as before tier 2. With
     //   tier 2 enabled the flight is **held through the build** and the
@@ -466,8 +473,14 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         // Tier 2 first: a hit needs neither the plan nor a flight. (The
         // plan cache deliberately sees no lookup — its counters then
         // measure only the sessions that actually needed a plan.)
+        // An artifact of another shape under this key is not a hit: the
+        // session rebuilds and its insert replaces the entry.
         if cst_enabled {
-            cached_artifact = tenant.cst_cache.plock().get(&key);
+            cached_artifact = tenant
+                .cst_cache
+                .plock()
+                .get(&key)
+                .filter(|artifact| artifact.matches_query(q));
         }
         if cached_artifact.is_none() {
             if cache_enabled {
@@ -489,12 +502,20 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     }
     let cst_cache_hit = cached_artifact.is_some();
     let plan_hit = cached_plan.is_some();
-    let mut measured_plan_time = Duration::ZERO;
-    if let Some(artifact) = cached_artifact {
-        // Fully warm: `prepare_partitions` streams the artifact's
-        // partitions straight into the staging sink below.
-        config.prepared = Some(artifact);
+    // The "build" span (recorded at retirement, completed sessions only)
+    // starts once the plan is settled and ends after the last partition
+    // executes, so every backend `execute` span nests inside it —
+    // including on a tier-2 hit, where the `tier2_hit` arg marks that
+    // nothing was built.
+    let (jobs, build_start_ns, prepare) = if let Some(artifact) = cached_artifact {
+        let jobs: VecDeque<PartitionJob> = artifact.partitions.iter().cloned().collect();
+        let prepare = PrepareCost {
+            pipeline_shards: artifact.pipeline_shards,
+            ..PrepareCost::default()
+        };
+        (jobs, obs::now_ns(), prepare)
     } else {
+        let mut measured_plan_time = Duration::ZERO;
         let shard_plan = match cached_plan {
             Some(plan) => plan,
             None => {
@@ -520,45 +541,43 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             // the artifact insert after `prepare_partitions`.)
             drop(flight.take());
         }
-    }
-
-    // The "build" span (recorded at retirement, completed sessions only)
-    // starts here and ends after the last partition executes, so every
-    // backend `execute` span nests inside it — including on a tier-2
-    // replay, where the `tier2_hit` arg marks that nothing was built.
-    let build_start_ns = obs::now_ns();
-    // The sink only *stages* partitions — execution happens in `Exec`
-    // tasks — so the sink wall nets staging (not kernels) out of
-    // `partition_time`, keeping the build/execute split's meaning from
-    // the threaded layer.
-    let mut jobs = VecDeque::new();
-    let mut sink_exec = Duration::ZERO;
-    let prep = prepare_partitions(q, g, &config, tree, &plan.order, &mut |job| {
-        let sink_start = Instant::now();
-        jobs.push_back(job);
-        sink_exec += sink_start.elapsed();
-    });
-    // Tier-2 insert: capture is part of the build, so the artifact is
-    // complete when `prepare_partitions` returns. Insert *before*
-    // dropping the flight — waiters wake straight into a tier-2 hit,
-    // making N identical concurrent cold sessions build exactly once.
-    // (An artifact larger than the whole budget is rejected by the
-    // cache, counted, and the working set stays untouched; its waiters
-    // then build in turn.)
-    if let Some(artifact) = prep.prepared.as_ref() {
-        tenant.cst_cache.plock().insert(key, Arc::clone(artifact));
-    }
+        let build_start_ns = obs::now_ns();
+        // The sink only *stages* partitions — execution happens in `Exec`
+        // tasks — so the sink wall nets staging (not kernels) out of
+        // `partition_time`, keeping the build/execute split's meaning from
+        // the threaded layer.
+        let mut jobs = VecDeque::new();
+        let mut sink_exec = Duration::ZERO;
+        let prep = prepare_partitions(q, g, &config, tree, &plan.order, &mut |job| {
+            let sink_start = Instant::now();
+            jobs.push_back(job);
+            sink_exec += sink_start.elapsed();
+        });
+        // Tier-2 insert: capture is part of the build, so the artifact is
+        // complete when `prepare_partitions` returns. Insert *before*
+        // dropping the flight — waiters wake straight into a tier-2 hit,
+        // making N identical concurrent cold sessions build exactly once.
+        // (An artifact larger than the whole budget is rejected by the
+        // cache, counted, and the working set stays untouched; its waiters
+        // then build in turn.)
+        if let Some(artifact) = prep.prepared.as_ref() {
+            tenant.cst_cache.plock().insert(key, Arc::clone(artifact));
+        }
+        let prepare = PrepareCost {
+            plan_time: measured_plan_time + prep.plan_time,
+            // Build + partition wall net of sink time.
+            build_time: prep.build_wall + prep.partition_time.saturating_sub(sink_exec),
+            topdown_entries: prep.build_topdown_entries,
+            pipeline_shards: prep.pipeline_shards,
+            seeded_shards: prep.seeded_shards,
+        };
+        (jobs, build_start_ns, prepare)
+    };
     drop(flight);
     {
         let mut s = slot.mu.plock();
         s.stats.build_start_ns = build_start_ns;
-        s.stats.plan_time = measured_plan_time + prep.plan_time;
-        // Build + partition wall net of sink time. Exactly zero on a
-        // tier-2 hit: the replay does no build or partition work at all.
-        s.stats.build_time = prep.build_wall + prep.partition_time.saturating_sub(sink_exec);
-        s.stats.topdown_entries = prep.build_topdown_entries;
-        s.stats.pipeline_shards = prep.pipeline_shards;
-        s.stats.seeded_shards = prep.seeded_shards;
+        s.stats.prepare = prepare;
         s.stats.plan_hit = plan_hit;
         s.stats.cst_cache_hit = cst_cache_hit;
         s.jobs = jobs;
@@ -711,11 +730,11 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 partitions: stats.partitions,
                 cache_hit: stats.plan_hit || stats.cst_cache_hit,
                 cst_cache_hit: stats.cst_cache_hit,
-                plan_time: stats.plan_time,
-                build_time: stats.build_time,
-                topdown_entries: stats.topdown_entries,
-                pipeline_shards: stats.pipeline_shards,
-                seeded_shards: stats.seeded_shards,
+                plan_time: stats.prepare.plan_time,
+                build_time: stats.prepare.build_time,
+                topdown_entries: stats.prepare.topdown_entries,
+                pipeline_shards: stats.prepare.pipeline_shards,
+                seeded_shards: stats.prepare.seeded_shards,
                 service_time: now.duration_since(picked),
                 queue_wait: stats.queue_wait,
                 device_queue_sec: stats.acc.device_queue_sec,
@@ -741,8 +760,8 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 vec![
                     ("tier2_hit", obs::ArgValue::U64(stats.cst_cache_hit as u64)),
                     ("plan_hit", obs::ArgValue::U64(stats.plan_hit as u64)),
-                    ("shards", obs::ArgValue::U64(stats.pipeline_shards as u64)),
-                    ("seeded", obs::ArgValue::U64(stats.seeded_shards as u64)),
+                    ("shards", obs::ArgValue::U64(stats.prepare.pipeline_shards as u64)),
+                    ("seeded", obs::ArgValue::U64(stats.prepare.seeded_shards as u64)),
                 ],
             );
             close_session(strack, slot, "completed", stats.embeddings);

@@ -26,10 +26,9 @@
 //! 3. Pickup derives the BFS tree / matching order / kernel plan
 //!    **once**, then resolves the two cache tiers — both keyed by the
 //!    same [`cst::PlanKey`] × the *tenant's* graph epoch — under a
-//!    single-flight gate: a **tier-2** hit replays the refined shard
-//!    CSTs and their partition decomposition through
-//!    [`FastConfig::prepared`] (zero planning, zero build, zero
-//!    partitioning); a plan-only hit rides the stored [`cst::ShardPlan`]
+//!    single-flight gate: a **tier-2** hit stages the partition jobs its
+//!    artifact ([`fast::PreparedCsts`]) holds, as they are (zero
+//!    planning, zero build, zero partitioning); a plan-only hit rides the stored [`cst::ShardPlan`]
 //!    into [`fast::prepare_partitions`] through [`FastConfig::shard_plan`]
 //!    (probe skipped, build seeded); a full miss computes and publishes
 //!    the plan, builds, and inserts the captured artifact into tier 2. A

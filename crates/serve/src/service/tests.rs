@@ -210,6 +210,46 @@ fn epoch_bump_invalidates_cached_plans() {
 }
 
 #[test]
+fn foreign_shaped_artifact_under_the_same_key_is_ignored() {
+    use graph_core::{BfsTree, Label};
+    let g = random_labelled_graph(60, 0.2, 2, 48);
+    let square = QueryGraph::new(
+        vec![Label::new(0), Label::new(1), Label::new(0), Label::new(1)],
+        &[(0, 1), (1, 2), (2, 3), (3, 0)],
+    )
+    .unwrap();
+    let oracle = FastService::new(g.clone(), small_config());
+    let expected = oracle.submit(triangle()).wait().unwrap().embeddings;
+    oracle.shutdown();
+
+    let service = FastService::new(g.clone(), small_config());
+    let tenant = Arc::clone(&service.inner.default_tenant);
+    let key_of = |q: &QueryGraph| {
+        let tree = BfsTree::new(q, graph_core::select_root(q, &g));
+        let options = service.inner.config.fast.pipeline_options(q.vertex_count());
+        PlanKey::derive(q, &tree, &options, tenant.epoch.load(Ordering::Relaxed))
+    };
+    // Serve the 4-vertex query, then plant its artifact under the
+    // triangle's key — what a key collision would look like.
+    service.submit(square.clone()).wait().unwrap();
+    let foreign = tenant.cst_cache.plock().get(&key_of(&square)).expect("captured");
+    assert!(!foreign.matches_query(&triangle()));
+    let key = key_of(&triangle());
+    tenant.cst_cache.plock().insert(key, foreign);
+
+    let rebuilt = service.submit(triangle()).wait().unwrap();
+    assert!(!rebuilt.cst_cache_hit, "a foreign shape is not a hit");
+    assert_eq!(rebuilt.embeddings, expected);
+    assert!(rebuilt.build_time > Duration::ZERO, "the session rebuilt");
+    // The rebuild's insert replaced the entry: the next serve is warm.
+    assert!(tenant.cst_cache.plock().get(&key).expect("replaced").matches_query(&triangle()));
+    let warm = service.submit(triangle()).wait().unwrap();
+    assert!(warm.cst_cache_hit);
+    assert_eq!(warm.embeddings, expected);
+    service.shutdown();
+}
+
+#[test]
 fn histogram_metrics_keep_uniform_ramp_percentiles() {
     // The streaming histograms replaced the strided sample reservoir:
     // a large uniform ramp must keep its percentiles within the
