@@ -4,16 +4,26 @@
 //! array-partitioned edge-check limits the maximum candidate adjacency list
 //! to `Port_max`. The host therefore splits the CST along the matching order:
 //! the candidate set of the current order vertex is divided into `k` even
-//! chunks, and each chunk induces a smaller CST rebuilt top-down, keeping for
-//! later order vertices only candidates that can still reach the chunk. The
-//! search spaces of sibling partitions are disjoint (Example 3), so results
-//! are never duplicated.
+//! chunks, and each chunk induces a smaller CST that keeps, for later order
+//! vertices, only candidates that can still reach the chunk. The search
+//! spaces of sibling partitions are disjoint (Example 3), so results are
+//! never duplicated.
 //!
 //! The greedy `k = max(|CST|/δ_S, D_CST/δ_D)` is the paper's default; a
 //! fixed-`k` mode reproduces the Fig. 8 ablation.
+//!
+//! A split costs one pass over the parent plus the children it emits
+//! (DESIGN.md §3): `label` marks every candidate with the set of children
+//! that keep it — up to 64 per sweep, one bit each — and `Emitter` writes
+//! each child from those labels, reading only the kept sources' adjacency
+//! lists and measuring the child as it goes, so no node is scanned again to
+//! decide whether it fits or how to split it. Labels, selections and the
+//! scratch buffer are owned by the [`partition_cst_with_steal`] call and
+//! reused down the recursion; the root CST is borrowed.
 
-use crate::structure::{CsrAdj, Cst};
-use graph_core::MatchingOrder;
+use crate::structure::{CsrAdj, Cst, CstMetrics};
+use graph_core::{MatchingOrder, QueryVertexId, VertexId};
+use std::ops::Range;
 
 /// Partition thresholds and policy.
 #[derive(Debug, Clone)]
@@ -74,11 +84,15 @@ pub struct PartitionStats {
 /// bounds the full scaffold-inclusive footprint, making the check
 /// BRAM-exact for scaffold-heavy partitions.
 pub fn fits(cst: &Cst, config: &PartitionConfig) -> bool {
-    cst.payload_bytes() <= config.delta_s
-        && cst.max_candidate_degree() <= config.delta_d
+    metrics_fit(&cst.metrics(), config)
+}
+
+fn metrics_fit(metrics: &CstMetrics, config: &PartitionConfig) -> bool {
+    metrics.payload_bytes <= config.delta_s
+        && metrics.max_degree <= config.delta_d
         && config
             .footprint_budget
-            .is_none_or(|budget| cst.size_bytes() <= budget)
+            .is_none_or(|budget| metrics.size_bytes() <= budget)
 }
 
 /// Partitions `cst` until every part satisfies `config`, streaming parts into
@@ -104,8 +118,33 @@ pub fn partition_cst_with_steal(
     sink: &mut dyn FnMut(Cst),
 ) -> PartitionStats {
     let mut stats = PartitionStats::default();
-    recurse(cst.clone(), order, config, 0, steal, sink, &mut stats);
-    stats
+    if config.max_partitions == 0 {
+        return stats;
+    }
+    if cst.any_empty() {
+        stats.skipped_empty = 1;
+        return stats;
+    }
+    let metrics = cst.metrics();
+    if metrics_fit(&metrics, config) {
+        stats.partitions = 1;
+        sink(cst.clone());
+        return stats;
+    }
+    let mut splitter = Splitter {
+        order,
+        config,
+        steal,
+        sink,
+        stats,
+        earlier: earlier_neighbours(cst, order),
+        emitter: Emitter::new(cst),
+        planes: Vec::new(),
+    };
+    if splitter.visit(cst, metrics, 0) {
+        (splitter.sink)(cst.clone());
+    }
+    splitter.stats
 }
 
 /// Convenience wrapper collecting partitions into a `Vec`.
@@ -119,219 +158,447 @@ pub fn partition_cst(
     (out, stats)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    cst: Cst,
-    order: &MatchingOrder,
-    config: &PartitionConfig,
-    index: usize,
-    steal: &mut dyn FnMut(&Cst) -> bool,
-    sink: &mut dyn FnMut(Cst),
-    stats: &mut PartitionStats,
-) {
-    stats.max_index = stats.max_index.max(index);
-    if stats.partitions >= config.max_partitions {
-        return;
-    }
-    if cst.any_empty() {
-        stats.skipped_empty += 1;
-        return;
-    }
-    if fits(&cst, config) {
-        stats.partitions += 1;
-        sink(cst);
-        return;
-    }
-    if steal(&cst) {
-        stats.stolen += 1;
-        return;
-    }
-    if index >= order.len() {
-        // Cannot split further; emit as-is (callers surface `forced`).
-        stats.partitions += 1;
-        stats.forced += 1;
-        sink(cst);
-        return;
-    }
-    let u = order.vertex_at(index);
-    let count = cst.candidate_count(u);
-    if count <= 1 {
-        recurse(cst, order, config, index + 1, steal, sink, stats);
-        return;
-    }
-
-    // k ← max(|CST|/δS, D_CST/δD), clamped to [2, |C(u)|] (Alg. 2 lines 2-3).
-    // A footprint budget adds its own ratio so scaffold-heavy CSTs split
-    // aggressively enough to reach the BRAM-exact bound.
-    let k = match config.fixed_k {
-        Some(k) => k as usize,
-        None => {
-            let by_size = cst.payload_bytes().div_ceil(config.delta_s);
-            let by_degree = (cst.max_candidate_degree() as usize).div_ceil(config.delta_d as usize);
-            let by_footprint = config
-                .footprint_budget
-                .map_or(0, |budget| cst.size_bytes().div_ceil(budget.max(1)));
-            by_size.max(by_degree).max(by_footprint)
-        }
-    }
-    .clamp(2, count);
-
-    // Even split of C(u) into k chunks (Alg. 2 line 4).
-    let base = count / k;
-    let extra = count % k;
-    let mut start = 0usize;
-    for part in 0..k {
-        if stats.partitions >= config.max_partitions {
-            return;
-        }
-        let len = base + usize::from(part < extra);
-        if len == 0 {
-            continue;
-        }
-        let range = start as u32..(start + len) as u32;
-        start += len;
-        let sub = rebuild_partition(&cst, order, index, range);
-        if sub.any_empty() {
-            stats.skipped_empty += 1;
-            continue;
-        }
-        if fits(&sub, config) {
-            stats.partitions += 1;
-            sink(sub);
-            if stats.partitions >= config.max_partitions {
-                return;
-            }
-        } else if sub.candidate_count(u) <= 1 {
-            recurse(sub, order, config, index + 1, steal, sink, stats);
-        } else {
-            recurse(sub, order, config, index, steal, sink, stats);
-        }
-    }
-}
-
-/// Rebuilds a CST keeping, for the order vertex at `index`, only candidates
-/// with indices in `chunk`; vertices preceding `index` keep all candidates,
-/// vertices following it keep candidates reachable through already-rebuilt
-/// neighbours (Alg. 2 lines 5-13).
-fn rebuild_partition(
-    cst: &Cst,
-    order: &MatchingOrder,
-    index: usize,
-    chunk: std::ops::Range<u32>,
-) -> Cst {
-    let n = cst.query_vertex_count();
-    // keep[u] = boolean per old candidate index.
-    let mut keep: Vec<Vec<bool>> = (0..n)
-        .map(|u| vec![true; cst.candidate_count(graph_core::QueryVertexId::from_index(u))])
-        .collect();
-    let split_vertex = order.vertex_at(index);
-    for (i, flag) in keep[split_vertex.index()].iter_mut().enumerate() {
-        *flag = chunk.contains(&(i as u32));
-    }
-
-    // Top-down reachability filter along the order.
-    for pos in (index + 1)..order.len() {
-        let u = order.vertex_at(pos);
-        // Earlier-rebuilt query neighbours: those with order position < pos
-        // and >= index (sets before `index` are unchanged ⇒ no constraint).
-        let constraining: Vec<graph_core::QueryVertexId> = cst
-            .directed_edges()
-            .filter(|&(a, _)| a == u)
-            .map(|(_, b)| b)
-            .filter(|&b| {
-                let p = order.position_of(b);
-                (index..pos).contains(&p)
-            })
-            .collect();
-        if constraining.is_empty() {
-            continue;
-        }
-        let mut flags = std::mem::take(&mut keep[u.index()]);
-        for (i, flag) in flags.iter_mut().enumerate() {
-            if !*flag {
-                continue;
-            }
-            let reachable = constraining.iter().all(|&b| {
-                cst.neighbors(u, i as u32, b)
-                    .iter()
-                    .any(|&t| keep[b.index()][t as usize])
-            });
-            if !reachable {
-                *flag = false;
-            }
-        }
-        keep[u.index()] = flags;
-    }
-
-    rebuild_with_keep(cst, &keep)
-}
-
 /// Restricts a CST to candidates of `vertex` whose indices fall in `range`,
 /// leaving every other candidate set untouched (adjacency into/out of
 /// `vertex` is re-filtered). Used by root-candidate work sharding (the
 /// parallel baselines and the multi-FPGA extension); unlike
 /// [`partition_cst`], no reachability pruning is applied, which is sound but
 /// keeps slightly larger partitions.
-pub fn shard_at_vertex(
-    cst: &Cst,
-    vertex: graph_core::QueryVertexId,
-    range: std::ops::Range<u32>,
-) -> Cst {
-    let n = cst.query_vertex_count();
-    let mut keep: Vec<Vec<bool>> = (0..n)
-        .map(|u| vec![true; cst.candidate_count(graph_core::QueryVertexId::from_index(u))])
+pub fn shard_at_vertex(cst: &Cst, vertex: QueryVertexId, range: Range<u32>) -> Cst {
+    let mut plane: LabelPlane = vec![Vec::new(); cst.query_vertex_count()];
+    plane[vertex.index()] = (0..cst.candidate_count(vertex) as u32)
+        .map(|i| u64::from(range.contains(&i)))
         .collect();
-    for (i, flag) in keep[vertex.index()].iter_mut().enumerate() {
-        *flag = range.contains(&(i as u32));
-    }
-    rebuild_with_keep(cst, &keep)
+    let mut emitter = Emitter::new(cst);
+    emitter.scan(cst, &plane, 0);
+    emitter.build(cst)
 }
 
-/// Rebuilds a CST dropping candidates whose `keep` flag is false, remapping
-/// every adjacency list.
-fn rebuild_with_keep(cst: &Cst, keep: &[Vec<bool>]) -> Cst {
-    let n = cst.query_vertex_count();
-    // Old-index → new-index maps.
-    const DROPPED: u32 = u32::MAX;
-    let mut remap: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let mut new_candidates = Vec::with_capacity(n);
-    for (u, keep_u) in keep.iter().enumerate() {
-        let qu = graph_core::QueryVertexId::from_index(u);
-        let mut map = vec![DROPPED; keep_u.len()];
-        let mut cands = Vec::new();
-        for (i, &kept) in keep_u.iter().enumerate() {
-            if kept {
-                map[i] = cands.len() as u32;
-                cands.push(cst.candidate(qu, i as u32));
+/// The labels of one split: `plane[v][i]` has bit `c` set iff child `c` of
+/// the current batch keeps candidate `i` of query vertex `v`. A vertex the
+/// split leaves whole (every child keeps all of its candidates) has an
+/// empty vector instead of all-ones words.
+type LabelPlane = Vec<Vec<u64>>;
+
+/// Children labelled per sweep: one bit of a label word each.
+const BATCH: usize = u64::BITS as usize;
+
+/// For each order position, the query neighbours placed before it, with
+/// their positions. A split at position `index` constrains a later vertex
+/// through those at `index` or after.
+fn earlier_neighbours(cst: &Cst, order: &MatchingOrder) -> Vec<Vec<(QueryVertexId, usize)>> {
+    let mut earlier = vec![Vec::new(); order.len()];
+    for (a, b) in cst.directed_edges() {
+        let (pa, pb) = (order.position_of(a), order.position_of(b));
+        if pb < pa {
+            earlier[pa].push((b, pb));
+        }
+    }
+    earlier
+}
+
+/// The state of one [`partition_cst_with_steal`] call: Algorithm 2's
+/// recursion, with everything a split allocates owned here and reused.
+struct Splitter<'a> {
+    order: &'a MatchingOrder,
+    config: &'a PartitionConfig,
+    steal: &'a mut dyn FnMut(&Cst) -> bool,
+    sink: &'a mut dyn FnMut(Cst),
+    stats: PartitionStats,
+    /// [`earlier_neighbours`] of the CST being partitioned.
+    earlier: Vec<Vec<(QueryVertexId, usize)>>,
+    emitter: Emitter,
+    /// Label planes not in use. A split holds its plane while its children's
+    /// subtrees run (siblings are emitted after them), so the stack hands
+    /// each recursion depth the plane that depth used last.
+    planes: Vec<LabelPlane>,
+}
+
+impl Splitter<'_> {
+    /// Algorithm 2 for a non-empty `cst` that does not fit, from order
+    /// position `index`: offers it to the steal hook, then splits it at the
+    /// first position from `index` with more than one candidate, re-offering
+    /// it at every position it passes. Returns `true` when no position is
+    /// left and the caller has to emit `cst` itself (counted as `forced`).
+    fn visit(&mut self, cst: &Cst, metrics: CstMetrics, mut index: usize) -> bool {
+        let (vertex, count) = loop {
+            self.stats.max_index = self.stats.max_index.max(index);
+            if (self.steal)(cst) {
+                self.stats.stolen += 1;
+                return false;
+            }
+            if index >= self.order.len() {
+                self.stats.partitions += 1;
+                self.stats.forced += 1;
+                return true;
+            }
+            let vertex = self.order.vertex_at(index);
+            let count = cst.candidate_count(vertex);
+            if count > 1 {
+                break (vertex, count);
+            }
+            index += 1;
+        };
+
+        // k ← max(|CST|/δS, D_CST/δD), clamped to [2, |C(u)|] (Alg. 2 lines 2-3).
+        // A footprint budget adds its own ratio so scaffold-heavy CSTs split
+        // aggressively enough to reach the BRAM-exact bound. A zero threshold
+        // divides as 1: nothing fits it either way.
+        let k = match self.config.fixed_k {
+            Some(k) => k as usize,
+            None => {
+                let by_size = metrics.payload_bytes.div_ceil(self.config.delta_s.max(1));
+                let by_degree =
+                    (metrics.max_degree as usize).div_ceil(self.config.delta_d.max(1) as usize);
+                let by_footprint = self
+                    .config
+                    .footprint_budget
+                    .map_or(0, |budget| metrics.size_bytes().div_ceil(budget.max(1)));
+                by_size.max(by_degree).max(by_footprint)
             }
         }
-        remap.push(map);
-        new_candidates.push(cands);
+        .clamp(2, count);
+
+        let mut plane = self.planes.pop().unwrap_or_default();
+        self.split(cst, index, vertex, count, k, &mut plane);
+        self.planes.push(plane);
+        false
     }
 
-    // Rebuild adjacency CSRs restricted to kept candidates.
-    let mut pairs = Vec::new();
-    for (a, b) in cst.directed_edges() {
-        let old = cst.adjacency(a, b);
-        let mut offsets = Vec::with_capacity(new_candidates[a.index()].len() + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u32);
-        for (i, &kept) in keep[a.index()].iter().enumerate() {
-            if !kept {
-                continue;
+    /// Splits `C(vertex)` of `cst` evenly into `k` chunks (Alg. 2 line 4)
+    /// and handles the children in chunk order, [`BATCH`] of them per label
+    /// sweep.
+    fn split(
+        &mut self,
+        cst: &Cst,
+        index: usize,
+        vertex: QueryVertexId,
+        count: usize,
+        k: usize,
+        plane: &mut LabelPlane,
+    ) {
+        let (base, extra) = (count / k, count % k);
+        // The first `extra` chunks are one candidate longer.
+        let chunk_start = |chunk: usize| chunk * base + chunk.min(extra);
+        let full = |stats: &PartitionStats| stats.partitions >= self.config.max_partitions;
+        for first in (0..k).step_by(BATCH) {
+            if full(&self.stats) {
+                return;
             }
-            for &t in old.neighbors(i) {
-                let nt = remap[b.index()][t as usize];
-                if nt != DROPPED {
-                    targets.push(nt);
+            let width = (k - first).min(BATCH);
+            let bounds: Vec<usize> = (first..=first + width).map(chunk_start).collect();
+            let alive = label(cst, self.order, &self.earlier, index, &bounds, plane);
+            for child in 0..width {
+                if full(&self.stats) {
+                    return;
+                }
+                if alive >> child & 1 == 0 {
+                    self.stats.skipped_empty += 1;
+                    continue;
+                }
+                let metrics = self.emitter.scan(cst, plane, child as u32);
+                let sub = self.emitter.build(cst);
+                if metrics_fit(&metrics, self.config) {
+                    self.stats.partitions += 1;
+                    (self.sink)(sub);
+                    continue;
+                }
+                let next = index + usize::from(sub.candidate_count(vertex) <= 1);
+                if self.visit(&sub, metrics, next) {
+                    (self.sink)(sub);
                 }
             }
-            offsets.push(targets.len() as u32);
         }
-        pairs.push(((a, b), CsrAdj { offsets, targets }));
+    }
+}
+
+/// Labels every candidate of `cst` with the children that keep it, for the
+/// chunks `bounds[c]..bounds[c + 1]` of the candidates of the vertex at order
+/// position `index` (Alg. 2 lines 5-13 for all of them at once). Vertices
+/// before `index` are whole; the split vertex's candidates carry their
+/// chunk's bit; a later vertex `w` keeps candidate `i` in child `c` iff every
+/// neighbour `b` of `w` placed in `index..position(w)` has a candidate
+/// adjacent to `i` that `c` keeps:
+/// `label[w][i] = AND over b of (OR over t ∈ N(w, i, b) of label[b][t])`,
+/// one pass over each such adjacency, no branch per entry. Returns the
+/// children that keep at least one candidate of every vertex.
+fn label(
+    cst: &Cst,
+    order: &MatchingOrder,
+    earlier: &[Vec<(QueryVertexId, usize)>],
+    index: usize,
+    bounds: &[usize],
+    plane: &mut LabelPlane,
+) -> u64 {
+    plane.resize_with(cst.query_vertex_count(), Vec::new);
+    for position in 0..index {
+        plane[order.vertex_at(position).index()].clear();
+    }
+    let vertex = order.vertex_at(index);
+    let labels = &mut plane[vertex.index()];
+    labels.clear();
+    labels.resize(cst.candidate_count(vertex), 0);
+    for (child, chunk) in bounds.windows(2).enumerate() {
+        labels[chunk[0]..chunk[1]].fill(1 << child);
     }
 
-    Cst::from_parts(n, new_candidates, pairs)
+    let mut alive = u64::MAX;
+    for (position, earlier) in earlier.iter().enumerate().skip(index + 1) {
+        let w = order.vertex_at(position);
+        let mut labels = std::mem::take(&mut plane[w.index()]);
+        labels.clear();
+        let constraining = earlier.iter().filter(|&&(_, p)| p >= index);
+        for (n, &(b, _)) in constraining.enumerate() {
+            if n == 0 {
+                labels.resize(cst.candidate_count(w), u64::MAX);
+            }
+            let adj = cst.adjacency(w, b);
+            let reach = &plane[b.index()];
+            if reach.is_empty() {
+                // `b` is whole: any neighbour at all reaches every child.
+                for (i, label) in labels.iter_mut().enumerate() {
+                    *label &= if adj.degree(i) > 0 { u64::MAX } else { 0 };
+                }
+            } else {
+                for (i, label) in labels.iter_mut().enumerate() {
+                    *label &= adj
+                        .neighbors(i)
+                        .iter()
+                        .fold(0, |any, &t| any | reach[t as usize]);
+                }
+            }
+        }
+        if !labels.is_empty() {
+            alive &= labels.iter().fold(0, |any, &label| any | label);
+        }
+        plane[w.index()] = labels;
+    }
+    alive
+}
+
+/// Which candidates of one query vertex a child keeps, in the two forms the
+/// adjacency pass reads: the kept parent indices in ascending order (the
+/// sources whose lists are walked) and a table from parent index to child
+/// index (the renumbering of targets).
+#[derive(Debug, Default)]
+struct Select {
+    sources: Vec<u32>,
+    /// `renumber[t]` is the child's index of parent candidate `t`, or
+    /// [`DROPPED`].
+    renumber: Vec<u32>,
+    kept: usize,
+    /// Every candidate is kept (`sources`/`renumber` are not filled in):
+    /// the mapping is the identity and lists are copied, not filtered.
+    whole: bool,
+}
+
+const DROPPED: u32 = u32::MAX;
+
+impl Select {
+    /// Selects the candidates whose label has `bit` set; an empty `labels`
+    /// ([`LabelPlane`]) selects all `count`.
+    fn derive(&mut self, labels: &[u64], count: usize, bit: u32) {
+        self.whole = labels.is_empty();
+        if self.whole {
+            self.kept = count;
+            return;
+        }
+        self.sources.resize(count, 0);
+        self.renumber.resize(count, 0);
+        let mut kept = 0usize;
+        for (i, (&label, renumber)) in labels.iter().zip(&mut self.renumber).enumerate() {
+            let keep = label >> bit & 1 == 1;
+            *renumber = if keep { kept as u32 } else { DROPPED };
+            self.sources[kept] = i as u32;
+            kept += usize::from(keep);
+        }
+        self.sources.truncate(kept);
+        self.kept = kept;
+        self.whole = kept == count;
+    }
+
+    /// Calls `f` with each kept candidate index, ascending.
+    fn for_each_kept(&self, mut f: impl FnMut(usize)) {
+        if self.whole {
+            (0..self.kept).for_each(f);
+        } else {
+            self.sources.iter().for_each(|&i| f(i as usize));
+        }
+    }
+}
+
+/// Where [`Emitter::scan`] left one edge's CSR in the scratch buffer.
+#[derive(Debug, Clone, Copy)]
+struct EdgeSpan {
+    start: usize,
+    offsets: usize,
+    targets: usize,
+}
+
+/// Writes one child of a labelled CST. [`scan`](Self::scan) reads the kept
+/// sources' adjacency lists of the parent once, remaps them into one
+/// reused scratch buffer and measures the child on the way;
+/// [`build`](Self::build) copies the result into buffers of exactly its
+/// size. Between the two the caller knows whether the child fits — whether
+/// it is handed away for good or is about to be split again.
+#[derive(Debug)]
+struct Emitter {
+    /// The directed query edges, in the slot order every emitted CST has.
+    edges: Vec<(QueryVertexId, QueryVertexId)>,
+    /// Per query vertex, the selection of the child last scanned.
+    select: Vec<Select>,
+    /// Per edge, its CSR of the child last scanned: `offsets` then `targets`.
+    scratch: Vec<u32>,
+    spans: Vec<EdgeSpan>,
+}
+
+impl Emitter {
+    fn new(cst: &Cst) -> Self {
+        Emitter {
+            edges: cst.directed_edges().collect(),
+            select: Vec::new(),
+            scratch: Vec::new(),
+            spans: Vec::new(),
+        }
+    }
+
+    /// Selects child `bit` of `plane` from `parent` and writes its adjacency
+    /// into the scratch buffer: per edge, only the kept sources' lists are
+    /// read, each target is stored unconditionally at the write cursor and
+    /// the cursor advances by whether the target is kept. Returns the
+    /// child's sizes.
+    fn scan(&mut self, parent: &Cst, plane: &LabelPlane, bit: u32) -> CstMetrics {
+        let n = parent.query_vertex_count();
+        self.select.resize_with(n, Select::default);
+        let mut candidates = 0;
+        for (v, select) in self.select.iter_mut().enumerate() {
+            let count = parent.candidate_count(QueryVertexId::from_index(v));
+            select.derive(&plane[v], count, bit);
+            candidates += select.kept;
+        }
+
+        // A child's CSRs are no longer than its parent's.
+        let room: usize = self
+            .edges
+            .iter()
+            .map(|&(a, b)| parent.adjacency(a, b))
+            .map(|adj| adj.offsets.len() + adj.targets.len())
+            .sum();
+        if self.scratch.len() < room {
+            self.scratch = vec![0; room];
+        }
+
+        self.spans.clear();
+        let (mut start, mut offsets, mut targets, mut max_degree) = (0, 0, 0, 0);
+        for &(a, b) in &self.edges {
+            let (source, target) = (&self.select[a.index()], &self.select[b.index()]);
+            let (out_offsets, out_targets) = self.scratch[start..].split_at_mut(source.kept + 1);
+            let (len, longest) = remap_edge(
+                parent.adjacency(a, b),
+                source,
+                target,
+                out_offsets,
+                out_targets,
+            );
+            self.spans.push(EdgeSpan {
+                start,
+                offsets: source.kept + 1,
+                targets: len,
+            });
+            start += source.kept + 1 + len;
+            offsets += source.kept + 1;
+            targets += len;
+            max_degree = max_degree.max(longest);
+        }
+        CstMetrics {
+            payload_bytes: candidates * std::mem::size_of::<VertexId>()
+                + targets * std::mem::size_of::<u32>(),
+            scaffold_bytes: offsets * std::mem::size_of::<u32>(),
+            max_degree,
+        }
+    }
+
+    /// The child last scanned as a CST of its own, in vectors of exactly its
+    /// size.
+    fn build(&self, parent: &Cst) -> Cst {
+        let n = parent.query_vertex_count();
+        let candidates = (0..n)
+            .map(|v| {
+                let all = parent.candidates(QueryVertexId::from_index(v));
+                let select = &self.select[v];
+                if select.whole {
+                    all.to_vec()
+                } else {
+                    select.sources.iter().map(|&i| all[i as usize]).collect()
+                }
+            })
+            .collect();
+        let adjacency = self
+            .edges
+            .iter()
+            .zip(&self.spans)
+            .map(|(&edge, span)| {
+                let (offsets, targets) = self.scratch[span.start..][..span.offsets + span.targets]
+                    .split_at(span.offsets);
+                debug_assert_eq!(offsets[span.offsets - 1] as usize, targets.len());
+                let adj = CsrAdj {
+                    offsets: offsets.to_vec(),
+                    targets: targets.to_vec(),
+                };
+                (edge, adj)
+            })
+            .collect();
+        Cst::from_parts(n, candidates, adjacency)
+    }
+}
+
+/// Writes the CSR of one directed edge of a child: for each kept source of
+/// `adj`, its list restricted to kept targets and renumbered. `out_offsets`
+/// has one slot per kept source plus one; `out_targets` has room for every
+/// entry read. Returns the number of targets written and the longest list.
+fn remap_edge(
+    adj: &CsrAdj,
+    source: &Select,
+    target: &Select,
+    out_offsets: &mut [u32],
+    out_targets: &mut [u32],
+) -> (usize, u32) {
+    if source.whole && target.whole {
+        out_offsets.copy_from_slice(&adj.offsets);
+        out_targets[..adj.targets.len()].copy_from_slice(&adj.targets);
+        return (adj.targets.len(), adj.max_degree());
+    }
+    let (offsets, targets) = (&adj.offsets[..], &adj.targets[..]);
+    let (mut cursor, mut longest, mut slot) = (0usize, 0usize, 0usize);
+    out_offsets[0] = 0;
+    // Lists are short (a handful of entries), so the per-list work is most
+    // of the cost: one loop per case measures ~20 % faster than one loop
+    // that picks the case per list.
+    if target.whole {
+        source.for_each_kept(|i| {
+            let list = &targets[offsets[i] as usize..offsets[i + 1] as usize];
+            out_targets[cursor..cursor + list.len()].copy_from_slice(list);
+            cursor += list.len();
+            longest = longest.max(list.len());
+            slot += 1;
+            out_offsets[slot] = cursor as u32;
+        });
+    } else {
+        let renumber = &target.renumber[..];
+        source.for_each_kept(|i| {
+            let list = &targets[offsets[i] as usize..offsets[i + 1] as usize];
+            let start = cursor;
+            for &t in list {
+                let renumbered = renumber[t as usize];
+                out_targets[cursor] = renumbered;
+                cursor += usize::from(renumbered != DROPPED);
+            }
+            longest = longest.max(cursor - start);
+            slot += 1;
+            out_offsets[slot] = cursor as u32;
+        });
+    }
+    (cursor, longest as u32)
 }
 
 #[cfg(test)]
@@ -515,6 +782,38 @@ mod tests {
         let whole = count_embeddings(&cst, &q, &order);
         let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
         assert_eq!(sum, whole);
+    }
+
+    /// A zero threshold fits nothing; the partitioner still terminates with
+    /// a disjoint, complete set of (forced) partitions instead of dividing
+    /// by it.
+    fn assert_total_under(config: PartitionConfig) {
+        let (q, _, _, order, cst) = setup();
+        let whole = count_embeddings(&cst, &q, &order);
+        let (parts, stats) = partition_cst(&cst, &order, &config);
+        assert_eq!(stats.partitions, parts.len());
+        let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
+        assert_eq!(sum, whole);
+        let unfit = parts.iter().filter(|p| !fits(p, &config)).count();
+        assert_eq!(unfit, stats.forced);
+    }
+
+    #[test]
+    fn zero_delta_s_does_not_panic() {
+        assert_total_under(PartitionConfig {
+            delta_s: 0,
+            delta_d: u32::MAX,
+            ..PartitionConfig::default()
+        });
+    }
+
+    #[test]
+    fn zero_delta_d_does_not_panic() {
+        assert_total_under(PartitionConfig {
+            delta_s: usize::MAX,
+            delta_d: 0,
+            ..PartitionConfig::default()
+        });
     }
 
     #[test]

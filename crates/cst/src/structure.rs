@@ -59,7 +59,7 @@ impl CsrAdj {
 }
 
 /// The candidate search tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cst {
     /// Candidate sets, indexed by query vertex; each sorted by vertex id.
     candidates: Vec<Vec<VertexId>>,
@@ -70,6 +70,26 @@ pub struct Cst {
 }
 
 const NO_EDGE: u32 = u32::MAX;
+
+/// The three sizes the partition thresholds are checked against, measured
+/// in one pass over a CST ([`Cst::metrics`]) or produced by the
+/// partitioner as a by-product of writing one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CstMetrics {
+    /// [`Cst::payload_bytes`].
+    pub payload_bytes: usize,
+    /// [`Cst::scaffold_bytes`].
+    pub scaffold_bytes: usize,
+    /// [`Cst::max_candidate_degree`].
+    pub max_degree: u32,
+}
+
+impl CstMetrics {
+    /// [`Cst::size_bytes`].
+    pub fn size_bytes(&self) -> usize {
+        self.payload_bytes + self.scaffold_bytes
+    }
+}
 
 impl Cst {
     /// Assembles a CST from parts. `adjacency_pairs` holds
@@ -210,6 +230,17 @@ impl Cst {
         self.adjacency.iter().map(CsrAdj::max_degree).max().unwrap_or(0)
     }
 
+    /// Payload, scaffold and `D_CST` together. `D_CST` scans every
+    /// `offsets` array, so callers that check a CST more than once measure
+    /// it here once and carry the value.
+    pub(crate) fn metrics(&self) -> CstMetrics {
+        CstMetrics {
+            payload_bytes: self.payload_bytes(),
+            scaffold_bytes: self.scaffold_bytes(),
+            max_degree: self.max_candidate_degree(),
+        }
+    }
+
     /// Total number of candidates across all query vertices.
     pub fn total_candidates(&self) -> usize {
         self.candidates.iter().map(Vec::len).sum()
@@ -242,7 +273,8 @@ impl Cst {
 
     /// Debug-level structural validation: offsets monotone, targets sorted
     /// and in range, and the `(u → u')` / `(u' → u)` lists mutually
-    /// consistent. Used by tests and the partitioner's debug assertions.
+    /// consistent. Used by tests (the partitioner's own debug assertions
+    /// check only the CSR shape it writes, which needs no query graph).
     pub fn validate(&self, q: &QueryGraph) -> Result<(), String> {
         for (u, v) in self.directed_edges() {
             if !q.has_edge(u, v) {

@@ -179,6 +179,9 @@ impl FastConfig {
         if self.spec.no == 0 {
             return Err(FastError::ZeroRoundBudget);
         }
+        if self.spec.port_max == 0 {
+            return Err(FastError::ZeroPortMax);
+        }
         // `contains` is false for NaN too.
         if !(0.0..=1.0).contains(&self.delta) {
             return Err(FastError::DeltaOutOfRange);

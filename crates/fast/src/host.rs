@@ -70,6 +70,9 @@ pub enum FastError {
     /// `FpgaSpec::no == 0`: with no per-round expansion budget `N_o` the
     /// kernel can never drain its buffer.
     ZeroRoundBudget,
+    /// `FpgaSpec::port_max == 0`: δ_D bounds every candidate adjacency list,
+    /// and no CST with an edge has lists of length zero.
+    ZeroPortMax,
     /// [`FastConfig::delta`] outside `[0, 1]` (NaN included): the CPU share
     /// is a fraction of the total estimated workload.
     DeltaOutOfRange,
@@ -82,6 +85,7 @@ impl std::fmt::Display for FastError {
         match self {
             FastError::Plan(e) => write!(f, "{e}"),
             FastError::ZeroRoundBudget => write!(f, "device round budget N_o must be >= 1"),
+            FastError::ZeroPortMax => write!(f, "device Port_max must be >= 1"),
             FastError::DeltaOutOfRange => write!(f, "CPU share delta must be in [0, 1]"),
             FastError::NoCards => write!(f, "a multi-FPGA run needs at least one card"),
         }
@@ -826,6 +830,25 @@ mod tests {
             crate::run_multi_fpga(q, &g, &config, 2).unwrap_err(),
             FastError::ZeroRoundBudget
         );
+    }
+
+    #[test]
+    fn zero_port_max_is_a_typed_error() {
+        let q = &queries()[1];
+        let g = random_labelled_graph(45, 0.2, 3, 401);
+        for variant in [Variant::Share, Variant::Sep] {
+            let mut config = FastConfig::test_small(variant);
+            config.spec.port_max = 0;
+            assert_eq!(
+                run_fast(q, &g, &config).unwrap_err(),
+                FastError::ZeroPortMax,
+                "{variant}"
+            );
+            assert_eq!(
+                crate::run_multi_fpga(q, &g, &config, 2).unwrap_err(),
+                FastError::ZeroPortMax
+            );
+        }
     }
 
     #[test]

@@ -132,7 +132,8 @@ pub fn run_baseline_parallel(
 }
 
 /// Restricts the index to root candidates with indices in `range` — a thin
-/// wrapper over the CST partitioner's rebuild (chunked at order position 0).
+/// wrapper over the CST partitioner's emitter (one chunk of the root, no
+/// reachability pruning).
 fn shard_root(index: &cst::Cst, root: QueryVertexId, range: std::ops::Range<u32>) -> cst::Cst {
     cst::partition::shard_at_vertex(index, root, range)
 }
