@@ -36,42 +36,43 @@ impl CandidateFilter {
         g.label(v) == self.label && g.degree(v) >= self.degree
     }
 
-    /// Whether `v` passes the full filter including NLF. `scratch` is a
-    /// reusable buffer for the per-vertex neighbour label counts.
-    pub fn passes(&self, g: &Graph, v: VertexId, scratch: &mut Vec<(graph_core::Label, u32)>) -> bool {
+    /// Whether `v` passes the full filter including NLF. The query vertex's
+    /// needs are counted *down* while walking `v`'s neighbours, returning
+    /// the moment all are met: a hub that needs two neighbours answers after
+    /// a handful of reads, while a failing vertex costs its degree.
+    /// `remaining` is a reusable buffer for the per-label countdown.
+    pub fn passes(&self, g: &Graph, v: VertexId, remaining: &mut Vec<u32>) -> bool {
         if !self.passes_basic(g, v) {
             return false;
         }
-        if self.nlf.len() <= 1 {
-            // Single-label neighbourhoods are already implied by the degree
-            // filter when the query vertex has only one neighbour label and
-            // the data vertex label matched — but mixed data neighbourhoods
-            // still need the count check, so only skip when trivially true.
-            if self.nlf.is_empty() {
-                return true;
+        remaining.clear();
+        remaining.extend(self.nlf.iter().map(|&(_, need)| need));
+        let mut unmet: u32 = remaining.iter().sum();
+        if unmet == 0 {
+            return true;
+        }
+        for &n in g.neighbors(v) {
+            let label = g.label(n);
+            if let Some(i) = self.nlf.iter().position(|&(l, _)| l == label) {
+                if remaining[i] > 0 {
+                    remaining[i] -= 1;
+                    unmet -= 1;
+                    if unmet == 0 {
+                        return true;
+                    }
+                }
             }
         }
-        g.neighbor_label_counts(v, scratch);
-        let mut i = 0;
-        for &(need_label, need_count) in &self.nlf {
-            // Both lists are sorted by label: advance a merged cursor.
-            while i < scratch.len() && scratch[i].0 < need_label {
-                i += 1;
-            }
-            if i >= scratch.len() || scratch[i].0 != need_label || scratch[i].1 < need_count {
-                return false;
-            }
-        }
-        true
+        false
     }
 
     /// Collects all candidates of `u` from the graph's label index.
     pub fn candidates(&self, g: &Graph) -> Vec<VertexId> {
-        let mut scratch = Vec::new();
+        let mut remaining = Vec::new();
         g.vertices_with_label(self.label)
             .iter()
             .copied()
-            .filter(|&v| self.passes(g, v, &mut scratch))
+            .filter(|&v| self.passes(g, v, &mut remaining))
             .collect()
     }
 }
@@ -132,6 +133,89 @@ mod tests {
         let q = QueryGraph::new(vec![l(2), l(0)], &[(0, 1)]).unwrap();
         let f = CandidateFilter::new(&q, QueryVertexId::new(0));
         assert_eq!(f.candidates(&g), vec![VertexId::new(4)]);
+    }
+
+    /// What `passes` decides, without the early exit: label and degree
+    /// match, and every required label occurs at least as often as needed.
+    fn by_definition(f: &CandidateFilter, g: &Graph, v: VertexId) -> bool {
+        f.passes_basic(g, v)
+            && f.nlf.iter().all(|&(label, need)| {
+                let have = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&n| g.label(n) == label)
+                    .count();
+                have as u32 >= need
+            })
+    }
+
+    #[test]
+    fn passes_is_the_definition_on_every_vertex_of_random_graphs() {
+        use graph_core::generators::{random_labelled_graph, random_power_law_graph};
+        let queries = [
+            QueryGraph::new(
+                vec![l(0), l(1), l(1), l(2)],
+                &[(0, 1), (0, 2), (0, 3), (1, 2)],
+            )
+            .unwrap(),
+            QueryGraph::new(vec![l(1), l(0), l(0), l(0)], &[(0, 1), (0, 2), (0, 3)]).unwrap(),
+            QueryGraph::new(vec![l(2), l(2), l(0)], &[(0, 1), (1, 2), (0, 2)]).unwrap(),
+        ];
+        let mut scratch = Vec::new();
+        let (mut accepted, mut rejected_by_nlf) = (0, 0);
+        for seed in 0..12 {
+            let g = if seed % 2 == 0 {
+                random_labelled_graph(80, 0.08, 3, seed)
+            } else {
+                random_power_law_graph(150, 3, 3, seed)
+            };
+            for q in &queries {
+                for u in q.vertices() {
+                    let f = CandidateFilter::new(q, u);
+                    for v in g.vertices() {
+                        let expected = by_definition(&f, &g, v);
+                        assert_eq!(
+                            f.passes(&g, v, &mut scratch),
+                            expected,
+                            "seed {seed} {u:?} {v:?}"
+                        );
+                        accepted += usize::from(expected);
+                        rejected_by_nlf += usize::from(!expected && f.passes_basic(&g, v));
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && rejected_by_nlf > 0,
+            "both verdicts exercised"
+        );
+    }
+
+    #[test]
+    fn passes_at_the_edges_of_the_countdown() {
+        let mut scratch = Vec::new();
+        let g = graph();
+        let (h, a, x1) = (VertexId::new(0), VertexId::new(1), VertexId::new(2));
+        // Need two l1: exactly one present fails, exactly two passes.
+        let f = CandidateFilter::new(&query_two_l1(), QueryVertexId::new(0));
+        assert!(!f.passes(&g, a, &mut scratch));
+        assert!(f.passes(&g, h, &mut scratch));
+        // Degree equal to the query degree: every neighbour must count.
+        let q = QueryGraph::new(vec![l(0), l(1), l(1), l(2)], &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        let f = CandidateFilter::new(&q, QueryVertexId::new(0));
+        assert_eq!(g.degree(h), q.degree(QueryVertexId::new(0)));
+        assert!(f.passes(&g, h, &mut scratch));
+        // A required label the neighbourhood lacks, at sufficient degree.
+        let q = QueryGraph::new(vec![l(0), l(1), l(3)], &[(0, 1), (0, 2)]).unwrap();
+        let f = CandidateFilter::new(&q, QueryVertexId::new(0));
+        assert!(f.passes_basic(&g, h) && !f.passes(&g, h, &mut scratch));
+        // No needs at all: label and degree decide.
+        let f = CandidateFilter::new(
+            &QueryGraph::new(vec![l(1)], &[]).unwrap(),
+            QueryVertexId::new(0),
+        );
+        assert!(f.nlf.is_empty());
+        assert!(f.passes(&g, x1, &mut scratch) && !f.passes(&g, h, &mut scratch));
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! This module plans the shard decomposition instead of splitting blindly:
 //!
 //! 1. **Probe** ([`RootProfile::probe`]): one top-down pass of
-//!    Algorithm 1 (tree edges, no refinement) memoises the candidate
-//!    space as per-level CSR, computes exact per-root `W_CST` weights —
-//!    the planner's `WorkloadEstimate::per_root_candidate`, available
-//!    *before* any shard build — plus a stride-sampled count of the
-//!    non-tree candidate edges (where dense queries keep most of their
-//!    CST entries).
+//!    Algorithm 1 (tree edges, no refinement; the candidate filter is
+//!    evaluated once per `(level, data vertex)`, not once per visit)
+//!    memoises the candidate space as per-level CSR, computes exact
+//!    per-root `W_CST` weights — the planner's
+//!    `WorkloadEstimate::per_root_candidate`, available *before* any shard
+//!    build — plus a stride-sampled count of the non-tree candidate edges
+//!    (where dense queries keep most of their CST entries).
 //! 2. **Workload-balanced boundary search**
 //!    ([`ShardPlanner::WorkloadBalanced`]): boundaries placed by prefix
 //!    sums over the weights, so every shard carries ≈ `1/S` of the
@@ -36,9 +37,10 @@
 //!    refinement-surviving candidate edge counts once per shard that
 //!    reaches both endpoints — the modelled total-entries-built over the
 //!    sequential build, accurate to a few percent on the benchmark
-//!    queries (EXPERIMENTS.md §13). Shard root sets are arbitrary subsets
-//!    (the pipeline's soundness argument only needs them disjoint and
-//!    complete), so the planner is free to permute.
+//!    queries (EXPERIMENTS.md §13). Decompositions of the same roots share
+//!    a sweep, each in its own bit field of the mask word. Shard root sets
+//!    are arbitrary subsets (the pipeline's soundness argument only needs
+//!    them disjoint and complete), so the planner is free to permute.
 //! 4. **Auto shard-count selection** ([`ShardPlanner::Auto`]): candidate
 //!    shard counts are scored with the overlapped host model
 //!    (`fill + max(build_par − fill, partition)` plus a contention charge
@@ -189,10 +191,10 @@ pub fn estimated_partition_ratio(profile: &RootProfile, config: &PlannerConfig) 
 struct ProbeLevel {
     /// The query vertex this level belongs to (index into `q`).
     vertex: usize,
-    /// The parent query vertex (index into `q`; the root included).
-    parent: usize,
-    /// Number of candidates discovered at this level.
-    count: usize,
+    /// Mask index of the parent query vertex's level: 0 = the root level,
+    /// else its index into `RootProfile::levels` plus one (BFS order, so the
+    /// parent level always precedes this one).
+    parent_level: usize,
     /// `offsets[i]..offsets[i+1]` slices `targets` for the parent's `i`-th
     /// candidate.
     offsets: Vec<u32>,
@@ -202,6 +204,27 @@ struct ProbeLevel {
     /// order) — the memoised phase-1 sets seeded shard builds restrict
     /// ([`RootProfile::seed_chunks`]).
     candidates: Vec<VertexId>,
+}
+
+impl ProbeLevel {
+    /// Candidate indices at this level reachable from the parent level's
+    /// `pi`-th candidate.
+    fn slice(&self, pi: usize) -> &[u32] {
+        &self.targets[self.offsets[pi] as usize..self.offsets[pi + 1] as usize]
+    }
+}
+
+/// The candidate vertices behind mask index `mask`: the roots for 0, else
+/// probe level `mask − 1`'s.
+fn candidates_at<'a>(
+    roots: &'a [VertexId],
+    levels: &'a [ProbeLevel],
+    mask: usize,
+) -> &'a [VertexId] {
+    match mask {
+        0 => roots,
+        m => &levels[m - 1].candidates,
+    }
 }
 
 /// One non-tree query edge's sampled candidate edges: `(i, j)` pairs of
@@ -254,9 +277,9 @@ pub struct RootProfile {
     /// `WorkloadEstimate::per_root_candidate`, computable before any shard
     /// build starts.
     pub weights: Vec<f64>,
-    /// Non-root levels in BFS order. The root's own level-1 adjacency is
-    /// the first entry whose `parent` is the root (the "CST root
-    /// adjacency" the boundary scores read).
+    /// Non-root levels in BFS order. The first one always hangs off the
+    /// root: it is the root's level-1 adjacency (the "CST root adjacency"
+    /// the hub and boundary scores read).
     levels: Vec<ProbeLevel>,
     /// Index of the root query vertex.
     root_vertex: usize,
@@ -264,21 +287,27 @@ pub struct RootProfile {
     /// most other roots (ties → smallest candidate index); `None` when the
     /// root reaches nothing.
     hubs: Vec<Option<u32>>,
-    /// Refinement survival per level (`[0]` = the root level, then in step
-    /// with `levels`): whether the candidate's DP subtree count is
-    /// non-zero — exactly the candidates one bottom-up refinement pass
-    /// keeps. Entry weights in the duplication estimate are restricted to
-    /// survivors, mirroring the sequential build the actual factors divide
-    /// by.
-    alive: Vec<Vec<bool>>,
+    /// Modelled CST entries per candidate, per level (`[0]` = the root
+    /// level, then in step with `levels`): 0 for a candidate whose DP
+    /// subtree count is zero — exactly the candidates one bottom-up
+    /// refinement pass removes — else 1 plus its tree-adjacency entries
+    /// towards surviving children, mirroring the sequential build the
+    /// actual duplication factors divide by. Computed once per probe; every
+    /// decomposition the planner scores reads this table.
+    entry_weights: Vec<Vec<u32>>,
     /// Sampled non-tree candidate edges. Tree reachability alone misses
     /// the entry mass of dense queries (a clique hanging off the tree
     /// stores most of its CST in non-tree adjacency), so the probe counts
     /// those edges too — stride-sampled with a deterministic cap.
     nontree: Vec<NonTreeSample>,
-    /// `(vertex, filter)` evaluations of the probe pass — its work unit
-    /// for cost accounting.
+    /// Neighbour visits of the probe (tree pass plus non-tree scans) — its
+    /// work unit for cost accounting (`FastReport::modeled_plan_sec`) and
+    /// the unit of `BuildStats::topdown_entries`.
     pub probe_entries: usize,
+    /// Candidate-filter evaluations of the tree pass: one per distinct
+    /// `(level, data vertex)` pair among the visits — a vertex reached from
+    /// many parents is decided on first sight and remembered.
+    pub filter_evaluations: usize,
     /// Modelled sequential CST entry mass: refinement-surviving candidates
     /// plus their tree-adjacency entries towards surviving children and the
     /// (stride-weighted) surviving non-tree candidate edges — the same
@@ -292,10 +321,14 @@ impl RootProfile {
     /// Runs the probe: phase 1 of Algorithm 1 (top-down construction, no
     /// refinement, tree edges only), recording per-level candidate
     /// adjacency. Every interior vertex is expanded exactly once — unlike
-    /// the shard builds whose duplication this estimates — so the cost is
-    /// one filtered scan of the tree-edge candidate space, a fraction of
-    /// the full build (which additionally refines and materialises
-    /// adjacency for *all* query edges in both directions).
+    /// the shard builds whose duplication this estimates — and every
+    /// `(level, data vertex)` pair is put to the candidate filter exactly
+    /// once, however many parents reach it
+    /// ([`filter_evaluations`](Self::filter_evaluations) ≤
+    /// [`probe_entries`](Self::probe_entries)). The cost is one scan of the
+    /// tree-edge candidate space, a fraction of the full build (which
+    /// additionally refines and materialises adjacency for *all* query
+    /// edges in both directions).
     pub fn probe(
         q: &QueryGraph,
         g: &Graph,
@@ -304,68 +337,72 @@ impl RootProfile {
         roots: &[VertexId],
     ) -> RootProfile {
         let root = tree.root();
-        let mut profile = RootProfile {
-            weights: vec![1.0; roots.len()],
-            levels: Vec::new(),
-            root_vertex: root.index(),
-            hubs: vec![None; roots.len()],
-            alive: Vec::new(),
-            nontree: Vec::new(),
-            probe_entries: 0,
-            entry_mass: 0.0,
-        };
+        // Mask index per query vertex: 0 = root, else probe level + 1.
+        let mut level_of = vec![0usize; q.vertex_count()];
+        for (li, &u) in tree.bfs_order()[1..].iter().enumerate() {
+            level_of[u.index()] = li + 1;
+        }
+        let mut levels: Vec<ProbeLevel> = Vec::with_capacity(q.vertex_count() - 1);
+        let (mut probe_entries, mut filter_evaluations) = (0usize, 0usize);
         let mut scratch = Vec::new();
 
-        // Candidate vertex lists per query vertex (root seeded by caller);
-        // `slot` maps data vertex → candidate index at the level currently
-        // being built (u32::MAX = absent), reset between levels.
-        let mut candidates: Vec<Vec<VertexId>> = vec![Vec::new(); q.vertex_count()];
-        candidates[root.index()] = roots.to_vec();
-        let mut slot = vec![u32::MAX; g.vertex_count()];
+        // `slot` maps data vertex → its state at the level currently being
+        // built: unseen, rejected, or its candidate index. The filter runs
+        // on first sight only; both kinds of decision are reset to unseen
+        // once the level is done.
+        const UNSEEN: u32 = u32::MAX;
+        const REJECTED: u32 = u32::MAX - 1;
+        let mut slot = vec![UNSEEN; g.vertex_count()];
+        let mut rejected: Vec<VertexId> = Vec::new();
 
         for &u in &tree.bfs_order()[1..] {
             let parent = tree.parent(u).expect("non-root has a parent");
+            let parent_level = level_of[parent.index()];
+            let parents = candidates_at(roots, &levels, parent_level);
             let filter = CandidateFilter::new(q, u);
-            let mut level = ProbeLevel {
-                vertex: u.index(),
-                parent: parent.index(),
-                count: 0,
-                offsets: Vec::with_capacity(candidates[parent.index()].len() + 1),
-                targets: Vec::new(),
-                candidates: Vec::new(),
-            };
-            level.offsets.push(0);
+            let mut offsets = Vec::with_capacity(parents.len() + 1);
+            let mut targets = Vec::new();
             let mut discovered: Vec<VertexId> = Vec::new();
-            for vp in candidates[parent.index()].iter().copied() {
+            offsets.push(0);
+            for &vp in parents {
                 for &w in g.neighbors(vp) {
-                    profile.probe_entries += 1;
-                    let passes = if options.use_nlf {
-                        filter.passes(g, w, &mut scratch)
-                    } else {
-                        filter.passes_basic(g, w)
+                    probe_entries += 1;
+                    let idx = match slot[w.index()] {
+                        REJECTED => continue,
+                        UNSEEN => {
+                            filter_evaluations += 1;
+                            let passes = if options.use_nlf {
+                                filter.passes(g, w, &mut scratch)
+                            } else {
+                                filter.passes_basic(g, w)
+                            };
+                            if !passes {
+                                slot[w.index()] = REJECTED;
+                                rejected.push(w);
+                                continue;
+                            }
+                            let idx = discovered.len() as u32;
+                            slot[w.index()] = idx;
+                            discovered.push(w);
+                            idx
+                        }
+                        idx => idx,
                     };
-                    if !passes {
-                        continue;
-                    }
-                    let idx = if slot[w.index()] == u32::MAX {
-                        let idx = discovered.len() as u32;
-                        slot[w.index()] = idx;
-                        discovered.push(w);
-                        idx
-                    } else {
-                        slot[w.index()]
-                    };
-                    level.targets.push(idx);
+                    targets.push(idx);
                 }
-                level.offsets.push(level.targets.len() as u32);
+                offsets.push(targets.len() as u32);
             }
-            for &w in &discovered {
-                slot[w.index()] = u32::MAX;
+            for w in discovered.iter().chain(&rejected) {
+                slot[w.index()] = UNSEEN;
             }
-            level.count = discovered.len();
-            level.candidates = discovered.clone();
-            candidates[u.index()] = discovered;
-            profile.levels.push(level);
+            rejected.clear();
+            levels.push(ProbeLevel {
+                vertex: u.index(),
+                parent_level,
+                offsets,
+                targets,
+                candidates: discovered,
+            });
         }
 
         // Sample the non-tree candidate edges: for every non-tree query
@@ -374,123 +411,127 @@ impl RootProfile {
         // the cap is reached — deterministic). This is a counting scan of
         // the adjacency the build's phase 3 will materialise per shard;
         // dense queries keep most of their CST entries here.
-        let mask_index = |v: usize| -> usize {
-            if v == root.index() {
-                0
-            } else {
-                1 + profile
-                    .levels
-                    .iter()
-                    .position(|l| l.vertex == v)
-                    .expect("every non-root query vertex has a probe level")
-            }
-        };
+        let candidates_at = |mask: usize| candidates_at(roots, &levels, mask);
+        let mut nontree = Vec::new();
         for &(a, b) in q.edges() {
             if tree.is_tree_edge(a, b) {
                 continue;
             }
-            let (ca, cb) = (&candidates[a.index()], &candidates[b.index()]);
+            let (ma, mb) = (level_of[a.index()], level_of[b.index()]);
             // Scan the smaller candidate side.
-            let (u, w) = if ca.len() <= cb.len() { (a, b) } else { (b, a) };
-            for (wi, &x) in candidates[w.index()].iter().enumerate() {
+            let (a_mask, b_mask) = if candidates_at(ma).len() <= candidates_at(mb).len() {
+                (ma, mb)
+            } else {
+                (mb, ma)
+            };
+            let (sources, members) = (candidates_at(a_mask), candidates_at(b_mask));
+            for (wi, &x) in members.iter().enumerate() {
                 slot[x.index()] = wi as u32;
             }
-            let mut sample = NonTreeSample {
-                a_mask: mask_index(u.index()),
-                b_mask: mask_index(w.index()),
-                stride: 1,
-                pairs: Vec::new(),
-            };
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
             // Source-sample when the scan would blow the budget: every
-            // `source_stride`-th candidate of `u` is scanned, each kept
-            // pair standing for `source_stride` sources' worth of edges.
-            let deg_sum: usize = candidates[u.index()]
-                .iter()
-                .map(|&v| g.degree(v) as usize)
-                .sum();
+            // `source_stride`-th source is scanned, each kept pair standing
+            // for `source_stride` sources' worth of edges.
+            let deg_sum: usize = sources.iter().map(|&v| g.degree(v) as usize).sum();
             let source_stride = deg_sum.div_ceil(NONTREE_SCAN_BUDGET).max(1);
             let mut hit_stride = 1usize;
             let mut seen = 0usize;
-            for (ui, &v) in candidates[u.index()].iter().enumerate() {
-                if !ui.is_multiple_of(source_stride) {
-                    continue;
-                }
+            for (ui, &v) in sources.iter().enumerate().step_by(source_stride) {
                 for &x in g.neighbors(v) {
-                    profile.probe_entries += 1;
+                    probe_entries += 1;
                     let wi = slot[x.index()];
-                    if wi == u32::MAX {
+                    if wi == UNSEEN {
                         continue;
                     }
                     if seen.is_multiple_of(hit_stride) {
-                        if sample.pairs.len() == NONTREE_SAMPLE_CAP {
+                        if pairs.len() == NONTREE_SAMPLE_CAP {
                             // Halve the sample, double the stride.
                             let mut keep = 0usize;
-                            for i in (0..sample.pairs.len()).step_by(2) {
-                                sample.pairs[keep] = sample.pairs[i];
+                            for i in (0..pairs.len()).step_by(2) {
+                                pairs[keep] = pairs[i];
                                 keep += 1;
                             }
-                            sample.pairs.truncate(keep);
+                            pairs.truncate(keep);
                             hit_stride *= 2;
                         }
                         if seen.is_multiple_of(hit_stride) {
-                            sample.pairs.push((ui as u32, wi));
+                            pairs.push((ui as u32, wi));
                         }
                     }
                     seen += 1;
                 }
             }
-            sample.stride = source_stride * hit_stride;
-            for &x in candidates[w.index()].iter() {
-                slot[x.index()] = u32::MAX;
+            for &x in members {
+                slot[x.index()] = UNSEEN;
             }
-            profile.nontree.push(sample);
+            nontree.push(NonTreeSample {
+                a_mask,
+                b_mask,
+                stride: source_stride * hit_stride,
+                pairs,
+            });
         }
 
+        let mut profile = RootProfile {
+            levels,
+            root_vertex: root.index(),
+            nontree,
+            probe_entries,
+            filter_evaluations,
+            ..RootProfile::from_weights(vec![1.0; roots.len()])
+        };
         profile.compute_weights();
         profile.compute_hubs();
-        profile.compute_entry_mass();
         profile
     }
 
     /// Bottom-up `W_CST` dynamic program over the probed levels:
     /// `c_u(v) = Π_{children} Σ_{targets} c_child`, roots last. A zero DP
     /// value is exactly "no support under some child" — what one bottom-up
-    /// refinement pass removes — so the survival bitmaps fall out for free.
+    /// refinement pass removes — so refinement survival falls out for free,
+    /// and with it the per-candidate entry weights and their total, the
+    /// modelled sequential entry mass.
     fn compute_weights(&mut self) {
-        let mut c: Vec<Vec<f64>> = self.levels.iter().map(|l| vec![1.0; l.count]).collect();
+        let mut c: Vec<Vec<f64>> = Vec::with_capacity(self.levels.len() + 1);
+        c.push(std::mem::take(&mut self.weights));
+        c.extend(self.levels.iter().map(|l| vec![1.0; l.candidates.len()]));
         // Levels are in BFS order, so reverse order is bottom-up. Each
         // level folds its DP values into its parent's product.
-        for li in (0..self.levels.len()).rev() {
-            let level = &self.levels[li];
-            let child_c = std::mem::take(&mut c[li]);
-            let parent_count = level.offsets.len() - 1;
-            let mut sums = vec![0.0f64; parent_count];
-            for (pi, sum) in sums.iter_mut().enumerate() {
-                let r = level.offsets[pi] as usize..level.offsets[pi + 1] as usize;
-                *sum = level.targets[r].iter().map(|&t| child_c[t as usize]).sum();
+        for (li, level) in self.levels.iter().enumerate().rev() {
+            let (upper, lower) = c.split_at_mut(li + 1);
+            let child_c = &lower[0];
+            for (pi, v) in upper[level.parent_level].iter_mut().enumerate() {
+                let sum: f64 = level.slice(pi).iter().map(|&t| child_c[t as usize]).sum();
+                *v *= sum;
             }
-            if level.parent == self.root_vertex {
-                for (w, s) in self.weights.iter_mut().zip(&sums) {
-                    *w *= s;
-                }
-            } else {
-                let parent_li = self
-                    .levels
-                    .iter()
-                    .position(|l| l.vertex == level.parent)
-                    .expect("parent level precedes child in BFS order");
-                for (v, s) in c[parent_li].iter_mut().zip(&sums) {
-                    *v *= s;
+        }
+        // Entry weights, top-down: a survivor counts itself, then every
+        // child level adds the surviving targets of its slice.
+        self.weights = c.remove(0);
+        let survivors = |values: &[f64]| values.iter().map(|&v| u32::from(v > 0.0)).collect();
+        let mut entries: Vec<Vec<u32>> = vec![survivors(&self.weights)];
+        entries.extend(c.into_iter().map(|values| survivors(&values)));
+        for (li, level) in self.levels.iter().enumerate() {
+            let (upper, lower) = entries.split_at_mut(li + 1);
+            let child = &lower[0];
+            for (pi, e) in upper[level.parent_level].iter_mut().enumerate() {
+                if *e > 0 {
+                    let live = level.slice(pi).iter().filter(|&&t| child[t as usize] > 0);
+                    *e += live.count() as u32;
                 }
             }
-            c[li] = child_c;
         }
-        self.alive = Vec::with_capacity(self.levels.len() + 1);
-        self.alive
-            .push(self.weights.iter().map(|&w| w > 0.0).collect());
-        for values in &c {
-            self.alive.push(values.iter().map(|&v| v > 0.0).collect());
+        let mut mass: u64 = entries.iter().flatten().map(|&e| u64::from(e)).sum();
+        for sample in &self.nontree {
+            let (ea, eb) = (&entries[sample.a_mask], &entries[sample.b_mask]);
+            let live = sample
+                .pairs
+                .iter()
+                .filter(|&&(i, j)| ea[i as usize] > 0 && eb[j as usize] > 0);
+            mass += (live.count() * sample.stride) as u64;
         }
+        self.entry_mass = if self.has_levels() { mass as f64 } else { 0.0 };
+        self.entry_weights = entries;
     }
 
     /// Dominant hub per root: the level-1 candidate shared with the most
@@ -498,72 +539,20 @@ impl RootProfile {
     /// index. Roots sharing their dominant hub are the ones whose shard
     /// separation duplicates that hub's whole subtree.
     fn compute_hubs(&mut self) {
-        let Some(level1) = self.levels.iter().find(|l| l.parent == self.root_vertex) else {
+        let Some(level1) = self.levels.first() else {
             return;
         };
-        let mut indeg = vec![0u32; level1.count];
+        let mut indeg = vec![0u32; level1.candidates.len()];
         for &t in &level1.targets {
             indeg[t as usize] += 1;
         }
         for (i, hub) in self.hubs.iter_mut().enumerate() {
-            let r = level1.offsets[i] as usize..level1.offsets[i + 1] as usize;
-            *hub = level1.targets[r]
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    indeg[a as usize]
-                        .cmp(&indeg[b as usize])
-                        .then_with(|| b.cmp(&a)) // ties → smallest index wins
-                });
+            *hub = level1.slice(i).iter().copied().max_by(|&a, &b| {
+                indeg[a as usize]
+                    .cmp(&indeg[b as usize])
+                    .then_with(|| b.cmp(&a)) // ties → smallest index wins
+            });
         }
-    }
-
-    /// The sequential entry-mass accumulation of [`estimated_duplication`]
-    /// without any plan: every refinement-surviving candidate counts itself
-    /// plus its tree-adjacency entries towards surviving children, and every
-    /// surviving sampled non-tree edge counts its stride.
-    fn compute_entry_mass(&mut self) {
-        if !self.has_levels() {
-            self.entry_mass = 0.0;
-            return;
-        }
-        let mut mass = 0.0f64;
-        for li in 0..=self.levels.len() {
-            let (vertex, count) = if li == 0 {
-                (self.root_vertex, self.weights.len())
-            } else {
-                (self.levels[li - 1].vertex, self.levels[li - 1].count)
-            };
-            let alive = &self.alive[li];
-            for (vi, &live) in alive.iter().enumerate().take(count) {
-                if !live {
-                    continue;
-                }
-                let mut entries = 1.0f64;
-                for (ci, child) in self.levels.iter().enumerate() {
-                    if child.parent != vertex {
-                        continue;
-                    }
-                    let child_alive = &self.alive[ci + 1];
-                    let r = child.offsets[vi] as usize..child.offsets[vi + 1] as usize;
-                    entries += child.targets[r]
-                        .iter()
-                        .filter(|&&t| child_alive[t as usize])
-                        .count() as f64;
-                }
-                mass += entries;
-            }
-        }
-        for sample in &self.nontree {
-            let (aa, ba) = (&self.alive[sample.a_mask], &self.alive[sample.b_mask]);
-            let stride = sample.stride as f64;
-            for &(i, j) in &sample.pairs {
-                if aa[i as usize] && ba[j as usize] {
-                    mass += stride;
-                }
-            }
-        }
-        self.entry_mass = mass;
     }
 
     /// A profile carrying only workload weights (no candidate-space
@@ -571,17 +560,32 @@ impl RootProfile {
     /// `WorkloadEstimate::per_root_candidate` vector looks like. Overlap
     /// estimates degrade to 1.0.
     pub fn from_weights(weights: Vec<f64>) -> RootProfile {
-        let n = weights.len();
         RootProfile {
+            hubs: vec![None; weights.len()],
             weights,
-            levels: Vec::new(),
-            root_vertex: 0,
-            hubs: vec![None; n],
-            alive: Vec::new(),
-            nontree: Vec::new(),
-            probe_entries: 0,
-            entry_mass: 0.0,
+            ..RootProfile::default()
         }
+    }
+
+    /// OR-propagates per-root masks down the probed tree-edge CSR: a
+    /// candidate carries every bit some candidate parent of it carries.
+    /// Returns the masks per level, root level first (BFS order, so a
+    /// level's parent masks are complete when it is reached).
+    fn propagate(&self, root_masks: Vec<u64>) -> Vec<Vec<u64>> {
+        let mut masks = Vec::with_capacity(self.levels.len() + 1);
+        masks.push(root_masks);
+        for level in &self.levels {
+            let mut mine = vec![0u64; level.candidates.len()];
+            for (pi, &m) in masks[level.parent_level].iter().enumerate() {
+                if m != 0 {
+                    for &t in level.slice(pi) {
+                        mine[t as usize] |= m;
+                    }
+                }
+            }
+            masks.push(mine);
+        }
+        masks
     }
 
     /// Stage 1 of seed derivation: shard-reachability masks over the
@@ -604,18 +608,11 @@ impl RootProfile {
             return None;
         }
         let shards = plan.shard_count();
-        let level_index: std::collections::HashMap<usize, usize> = self
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(li, l)| (l.vertex, li + 1))
-            .collect();
         // One 64-wide mask sweep per chunk of shards (no saturation — every
         // shard gets its own bit, unlike the duplication estimate).
         let mut chunks = Vec::with_capacity(shards.div_ceil(64));
         for base in (0..shards).step_by(64) {
             let width = (shards - base).min(64);
-            let mut masks: Vec<Vec<u64>> = Vec::with_capacity(self.levels.len() + 1);
             let mut root_masks = vec![0u64; roots.len()];
             for s in base..base + width {
                 let bit = 1u64 << (s - base);
@@ -623,25 +620,7 @@ impl RootProfile {
                     root_masks[i as usize] |= bit;
                 }
             }
-            masks.push(root_masks);
-            for level in &self.levels {
-                let parent_masks: &Vec<u64> = if level.parent == self.root_vertex {
-                    &masks[0]
-                } else {
-                    &masks[level_index[&level.parent]]
-                };
-                let mut mine = vec![0u64; level.count];
-                for (pi, &m) in parent_masks.iter().enumerate() {
-                    if m == 0 {
-                        continue;
-                    }
-                    let r = level.offsets[pi] as usize..level.offsets[pi + 1] as usize;
-                    for &t in &level.targets[r] {
-                        mine[t as usize] |= m;
-                    }
-                }
-                masks.push(mine);
-            }
+            let mut masks = self.propagate(root_masks);
             // Drop the root-level masks: extraction never reads them (the
             // root level of a seed is the shard's own chunk).
             masks.remove(0);
@@ -705,8 +684,8 @@ impl RootProfile {
     }
 
     /// Drops the planner-only payloads — non-tree edge samples (up to
-    /// 2¹⁸ pairs per non-tree query edge), dominant hubs, refinement
-    /// bitmaps — keeping exactly what seed derivation reads: the
+    /// 2¹⁸ pairs per non-tree query edge), dominant hubs, entry weights
+    /// — keeping exactly what seed derivation reads: the
     /// per-level candidate CSR (with candidate vertices) and the root
     /// weights (whose length gates [`seed_masks`](Self::seed_masks)).
     /// Applied before the probe is attached to a [`ShardPlan`], so a plan
@@ -714,19 +693,8 @@ impl RootProfile {
     fn into_seed_profile(mut self) -> RootProfile {
         self.nontree = Vec::new();
         self.hubs = Vec::new();
-        self.alive = Vec::new();
+        self.entry_weights = Vec::new();
         self
-    }
-
-    /// The root's level-1 adjacency: candidate indices reachable from root
-    /// `i` (the 1-hop frontier, in discovery order).
-    fn level1(&self, i: usize) -> &[u32] {
-        match self.levels.iter().find(|l| l.parent == self.root_vertex) {
-            Some(l) => {
-                &l.targets[l.offsets[i] as usize..l.offsets[i + 1] as usize]
-            }
-            None => &[],
-        }
     }
 
     /// Whether the profile carries candidate-space information.
@@ -749,9 +717,11 @@ pub struct ShardPlan {
     /// Planned workload per shard (sums of the probed weights; root counts
     /// when no weights were available).
     pub shard_weights: Vec<f64>,
-    /// Estimated interior-candidate duplication of this decomposition:
-    /// `Σ_s |frontier(s)| / |∪ frontier|` over the probed 1-hop frontiers
-    /// (1.0 for one shard or when no frontier information exists).
+    /// Estimated duplication of this decomposition
+    /// ([`estimated_duplication`]): modelled CST entries built across all
+    /// shards over the sequential build's — every probed level and the
+    /// sampled non-tree edges, each entry counted once per shard reaching
+    /// it (1.0 for one shard or when no candidate space was probed).
     pub estimated_duplication: f64,
     /// The partition/build ratio ρ the planner's score used
     /// ([`estimated_partition_ratio`]): per-query from the probed candidate
@@ -874,19 +844,31 @@ pub fn plan_shards(
     let mut plan = match planner {
         ShardPlanner::Contiguous => ShardPlan::contiguous(n, shards),
         ShardPlanner::WorkloadBalanced => {
-            let order: Vec<u32> = (0..n as u32).collect();
-            assemble(ShardPlanner::WorkloadBalanced, profile, order, shards, None)
+            assemble(planner, profile, (0..n as u32).collect(), shards, None)
         }
-        ShardPlanner::OverlapAware => overlap_plan(profile, shards, config),
+        ShardPlanner::OverlapAware => assemble(
+            planner,
+            profile,
+            cluster_order(profile),
+            shards,
+            Some(config),
+        ),
         ShardPlanner::Auto => auto_plan(profile, shards, config),
     };
+    if matches!(
+        planner,
+        ShardPlanner::WorkloadBalanced | ShardPlanner::OverlapAware
+    ) {
+        estimate_duplication(profile, std::slice::from_mut(&mut plan));
+    }
     plan.probe_entries = profile.probe_entries;
     plan.partition_ratio = estimated_partition_ratio(profile, config);
     plan
 }
 
-/// Builds a plan from an explicit root order: balanced boundaries, optional
-/// seam refinement, duplication estimate.
+/// Builds a plan from an explicit root order: balanced boundaries and
+/// optional seam refinement. The duplication estimate is left at 1.0 for
+/// [`estimate_duplication`] to fill in, so several plans can share a sweep.
 fn assemble(
     planner: ShardPlanner,
     profile: &RootProfile,
@@ -900,19 +882,21 @@ fn assemble(
     }
     let shard_weights: Vec<f64> = ranges
         .iter()
-        .map(|r| order[r.clone()].iter().map(|&i| profile.weights[i as usize]).sum())
+        .map(|r| {
+            order[r.clone()]
+                .iter()
+                .map(|&i| profile.weights[i as usize])
+                .sum()
+        })
         .collect();
-    let estimated_duplication = estimated_duplication(profile, &order, &ranges);
     ShardPlan {
         planner,
         order,
         ranges,
         shard_weights,
-        estimated_duplication,
+        estimated_duplication: 1.0,
         partition_ratio: 1.0,
-        probe_entries: profile.probe_entries,
-        provenance: 0,
-        probe: None,
+        ..ShardPlan::default()
     }
 }
 
@@ -959,69 +943,70 @@ fn balanced_boundaries(weights: &[f64], order: &[u32], shards: usize) -> Vec<Ran
     ranges
 }
 
-/// Shared 1-hop frontier between the roots just left and just right of a
-/// candidate cut at `pos` (up to `SPAN` roots each side) — the boundary
-/// score of the overlap cost model. Low values mean the two sides expand
-/// into mostly different interior vertices.
-fn boundary_overlap(profile: &RootProfile, order: &[u32], pos: usize) -> usize {
+/// The boundary score of the overlap cost model: the number of level-1
+/// candidates reached both from the `SPAN` roots just left and from the
+/// `SPAN` roots just right of a cut at `pos`. Low values mean the two sides
+/// expand into mostly different interior vertices. `stamp` (one slot per
+/// level-1 candidate) marks the left side with a fresh `tick` per call, so
+/// nothing is collected, sorted or cleared per cut.
+fn boundary_overlap(
+    level1: &ProbeLevel,
+    order: &[u32],
+    pos: usize,
+    stamp: &mut [u32],
+    tick: &mut u32,
+) -> usize {
     const SPAN: usize = 4;
-    let lo = pos.saturating_sub(SPAN);
-    let hi = (pos + SPAN).min(order.len());
-    let mut left: Vec<u32> = order[lo..pos]
-        .iter()
-        .flat_map(|&i| profile.level1(i as usize).iter().copied())
-        .collect();
-    left.sort_unstable();
-    left.dedup();
-    let mut right: Vec<u32> = order[pos..hi]
-        .iter()
-        .flat_map(|&i| profile.level1(i as usize).iter().copied())
-        .collect();
-    right.sort_unstable();
-    right.dedup();
-    sorted_intersection_len(&left, &right)
-}
-
-fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
+    *tick += 2; // `tick` = reached from the left, `tick + 1` = already counted
+    let (left, counted) = (*tick, *tick + 1);
+    for &i in &order[pos.saturating_sub(SPAN)..pos] {
+        for &t in level1.slice(i as usize) {
+            stamp[t as usize] = left;
+        }
+    }
+    let mut shared = 0;
+    for &i in &order[pos..(pos + SPAN).min(order.len())] {
+        for &t in level1.slice(i as usize) {
+            if stamp[t as usize] == left {
+                stamp[t as usize] = counted;
+                shared += 1;
             }
         }
     }
-    count
+    shared
 }
 
 /// Locally moves each interior boundary to the candidate cut with the
-/// smallest [`boundary_overlap`], subject to the balance slack: neither
-/// adjacent shard may exceed `slack × mean` planned workload. Ties prefer
-/// the balanced position (then the smaller index) for determinism.
+/// smallest shared 1-hop frontier ([`boundary_overlap`]), subject to the
+/// balance slack: neither adjacent shard may exceed `slack × mean` planned
+/// workload. Ties prefer the balanced position (then the smaller index)
+/// for determinism.
 fn refine_boundaries(
     profile: &RootProfile,
     order: &[u32],
     ranges: &mut [Range<usize>],
     config: &PlannerConfig,
 ) {
-    if !profile.has_levels() || ranges.len() <= 1 {
+    let Some(level1) = profile.levels.first() else {
+        return;
+    };
+    if ranges.len() <= 1 {
         return;
     }
     let n = order.len();
     let shards = ranges.len();
     let total: f64 = order.iter().map(|&i| profile.weights[i as usize]).sum();
-    let mean = if total > 0.0 { total / shards as f64 } else { 0.0 };
+    let mean = if total > 0.0 {
+        total / shards as f64
+    } else {
+        0.0
+    };
     let cap = config.balance_slack * mean;
     let window = (n / (4 * shards)).clamp(2, 32);
-    let weight_of = |r: Range<usize>| -> f64 {
-        order[r].iter().map(|&i| profile.weights[i as usize]).sum()
-    };
+    let weight_of =
+        |r: Range<usize>| -> f64 { order[r].iter().map(|&i| profile.weights[i as usize]).sum() };
+    let (mut stamp, mut tick) = (vec![0u32; level1.candidates.len()], 0u32);
+    let mut overlap = |pos: usize| boundary_overlap(level1, order, pos, &mut stamp, &mut tick);
     for k in 1..shards {
         let b = ranges[k].start;
         let lo = (ranges[k - 1].start + 1).max(b.saturating_sub(window));
@@ -1030,7 +1015,7 @@ fn refine_boundaries(
             continue;
         }
         let mut best = b;
-        let mut best_score = (boundary_overlap(profile, order, b), 0usize, b);
+        let mut best_score = (overlap(b), 0usize, b);
         for j in lo..=hi {
             if j == b {
                 continue;
@@ -1042,7 +1027,7 @@ fn refine_boundaries(
                     continue;
                 }
             }
-            let score = (boundary_overlap(profile, order, j), b.abs_diff(j), j);
+            let score = (overlap(j), b.abs_diff(j), j);
             if score < best_score {
                 best_score = score;
                 best = j;
@@ -1058,117 +1043,113 @@ fn refine_boundaries(
 /// Estimated interior-candidate duplication of a decomposition: a shard
 /// mask is OR-propagated down the probed candidate space (shard `s`
 /// reaches candidate `v` iff some candidate parent of `v` carries bit
-/// `s`), and every candidate is weighted by the tree-adjacency entries it
-/// sources, so the ratio
+/// `s`), and every refinement-surviving candidate is weighted by the
+/// tree-adjacency entries it sources (`RootProfile::entry_weights`), so the
+/// ratio
 ///
 /// ```text
 /// Σ_v popcount(mask(v)) · entries(v)  /  Σ_v entries(v)
 /// ```
 ///
-/// is the modelled total-entries-built over the sequential build — across
-/// **all** levels, not just the 1-hop frontier. One integer sweep over the
-/// probe's CSR per candidate plan; refinement pruning and non-tree-edge
-/// population are not modelled (they are what makes actual duplication
-/// drop below 1 on refinement-heavy queries — the estimate is an upper
-/// structure). Shard counts beyond 64 saturate the top mask bit, slightly
-/// underestimating very fine decompositions.
-pub fn estimated_duplication(
-    profile: &RootProfile,
-    order: &[u32],
-    ranges: &[Range<usize>],
-) -> f64 {
-    if !profile.has_levels() || ranges.len() <= 1 {
-        return 1.0;
+/// — plus, per sampled non-tree candidate edge, one stride per shard that
+/// reaches *both* endpoints — is the modelled total-entries-built over the
+/// sequential build, across **all** levels, not just the 1-hop frontier.
+/// Refinement beyond the first pass is not modelled (it is what makes
+/// actual duplication drop below 1 on refinement-heavy queries — the
+/// estimate is an upper structure). Shard counts beyond 64 saturate the
+/// top mask bit, slightly underestimating very fine decompositions.
+pub fn estimated_duplication(profile: &RootProfile, order: &[u32], ranges: &[Range<usize>]) -> f64 {
+    let mut plan = ShardPlan {
+        order: order.to_vec(),
+        ranges: ranges.to_vec(),
+        ..ShardPlan::default()
+    };
+    estimate_duplication(profile, std::slice::from_mut(&mut plan));
+    plan.estimated_duplication
+}
+
+/// Sets [`ShardPlan::estimated_duplication`] ([`estimated_duplication`]) of
+/// several decompositions of the same roots at once. Each gets its own bit
+/// field of the `u64` mask (`min(shards, 64)` bits — the candidates
+/// {1, 2, 4, 8, 16} of the default cap take 31), so one propagation scores
+/// as many of them as fit in a word, with a further sweep per 64 bits
+/// beyond. Exact, not approximate: every term is an integer count times an
+/// integer stride, so the per-field sums equal the ones a sweep per
+/// decomposition would give.
+fn estimate_duplication(profile: &RootProfile, plans: &mut [ShardPlan]) {
+    if !profile.has_levels() {
+        plans.iter_mut().for_each(|p| p.estimated_duplication = 1.0);
+        return;
     }
-    // Root shard masks from the plan.
-    let n_roots = order.len();
-    let mut masks: Vec<Vec<u64>> = Vec::with_capacity(profile.levels.len() + 1);
-    let mut root_masks = vec![0u64; n_roots];
-    for (s, r) in ranges.iter().enumerate() {
-        let bit = 1u64 << s.min(63);
-        for &i in &order[r.clone()] {
-            root_masks[i as usize] = bit;
+    let mut start = 0;
+    while start < plans.len() {
+        // Fields of this sweep: `(first bit, field mask)` per decomposition.
+        let mut fields: Vec<(usize, u64)> = Vec::new();
+        let mut used = 0usize;
+        let mut root_masks = vec![0u64; profile.weights.len()];
+        for plan in &plans[start..] {
+            let width = plan.shard_count().min(64);
+            if used + width > 64 {
+                break;
+            }
+            for (s, r) in plan.ranges.iter().enumerate() {
+                let bit = 1u64 << (used + s.min(63));
+                for &i in &plan.order[r.clone()] {
+                    root_masks[i as usize] |= bit;
+                }
+            }
+            fields.push((used, u64::MAX.checked_shr(64 - width as u32).unwrap_or(0)));
+            used += width;
         }
-    }
-    // Propagate level by level (BFS order ⇒ parents are already done).
-    // `masks` is indexed in step with `profile.levels`, root first.
-    let level_index: std::collections::HashMap<usize, usize> = profile
-        .levels
-        .iter()
-        .enumerate()
-        .map(|(li, l)| (l.vertex, li + 1))
-        .collect();
-    masks.push(root_masks);
-    for level in &profile.levels {
-        let parent_masks: &Vec<u64> = if level.parent == profile.root_vertex {
-            &masks[0]
-        } else {
-            &masks[level_index[&level.parent]]
-        };
-        let mut mine = vec![0u64; level.count];
-        for (pi, &m) in parent_masks.iter().enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let r = level.offsets[pi] as usize..level.offsets[pi + 1] as usize;
-            for &t in &level.targets[r] {
-                mine[t as usize] |= m;
-            }
-        }
-        masks.push(mine);
-    }
-    // Entry weights: each *refinement-surviving* candidate sources its
-    // outgoing tree-adjacency lists towards surviving children (its slices
-    // of the child levels' CSRs) plus itself — mirroring the sequential
-    // build's post-refinement entry count the actual factors divide by.
-    let mut duplicated = 0.0f64;
-    let mut sequential = 0.0f64;
-    for (li, level_masks) in masks.iter().enumerate() {
-        let vertex = if li == 0 {
-            profile.root_vertex
-        } else {
-            profile.levels[li - 1].vertex
-        };
-        let alive = &profile.alive[li];
-        for (vi, &m) in level_masks.iter().enumerate() {
-            if m == 0 || !alive[vi] {
-                continue;
-            }
-            let mut entries = 1.0f64;
-            for (ci, child) in profile.levels.iter().enumerate() {
-                if child.parent != vertex {
+        let masks = profile.propagate(root_masks);
+        // Per field: Σ popcount · entries, and Σ entries over what it reaches.
+        let mut duplicated = vec![0u64; fields.len()];
+        let mut sequential = vec![0u64; fields.len()];
+        for (level_masks, entries) in masks.iter().zip(&profile.entry_weights) {
+            for (&m, &e) in level_masks.iter().zip(entries) {
+                if m == 0 || e == 0 {
                     continue;
                 }
-                let child_alive = &profile.alive[ci + 1];
-                let r = child.offsets[vi] as usize..child.offsets[vi + 1] as usize;
-                entries += child.targets[r]
-                    .iter()
-                    .filter(|&&t| child_alive[t as usize])
-                    .count() as f64;
+                for (k, &(shift, field)) in fields.iter().enumerate() {
+                    let reached = (m >> shift) & field;
+                    if reached != 0 {
+                        duplicated[k] += u64::from(reached.count_ones()) * u64::from(e);
+                        sequential[k] += u64::from(e);
+                    }
+                }
             }
-            duplicated += m.count_ones() as f64 * entries;
-            sequential += entries;
         }
-    }
-    // Non-tree entries: a shard materialises a sampled candidate edge iff
-    // it reaches *both* endpoints — the AND of the endpoint masks.
-    for sample in &profile.nontree {
-        let (am, bm) = (&masks[sample.a_mask], &masks[sample.b_mask]);
-        let (aa, ba) = (&profile.alive[sample.a_mask], &profile.alive[sample.b_mask]);
-        let stride = sample.stride as f64;
-        for &(i, j) in &sample.pairs {
-            if !aa[i as usize] || !ba[j as usize] {
-                continue;
+        // Non-tree entries: a shard materialises a sampled candidate edge
+        // iff it reaches *both* endpoints — the AND of the endpoint masks.
+        // The sequential build materialises every surviving one.
+        let mut nontree = 0u64;
+        for sample in &profile.nontree {
+            let (am, bm) = (&masks[sample.a_mask], &masks[sample.b_mask]);
+            let ae = &profile.entry_weights[sample.a_mask];
+            let be = &profile.entry_weights[sample.b_mask];
+            let stride = sample.stride as u64;
+            for &(i, j) in &sample.pairs {
+                let (i, j) = (i as usize, j as usize);
+                if ae[i] == 0 || be[j] == 0 {
+                    continue;
+                }
+                nontree += stride;
+                let m = am[i] & bm[j];
+                for (k, &(shift, field)) in fields.iter().enumerate() {
+                    duplicated[k] += u64::from(((m >> shift) & field).count_ones()) * stride;
+                }
             }
-            let m = am[i as usize] & bm[j as usize];
-            duplicated += m.count_ones() as f64 * stride;
-            sequential += stride;
         }
+        for (k, plan) in plans[start..start + fields.len()].iter_mut().enumerate() {
+            let total = sequential[k] + nontree;
+            plan.estimated_duplication = if total > 0 {
+                (duplicated[k] as f64 / total as f64).max(1.0)
+            } else {
+                1.0
+            };
+        }
+        start += fields.len();
     }
-    if sequential <= 0.0 {
-        return 1.0;
-    }
-    (duplicated / sequential).max(1.0)
 }
 
 /// Hub-clustered root order: roots sorted by their dominant hub neighbour
@@ -1184,26 +1165,13 @@ fn cluster_order(profile: &RootProfile) -> Vec<u32> {
     order
 }
 
-/// The overlap-aware plan at a fixed shard count.
-fn overlap_plan(profile: &RootProfile, shards: usize, config: &PlannerConfig) -> ShardPlan {
-    if !profile.has_levels() {
-        // No frontier information: the best we can do is balance workloads.
-        let order: Vec<u32> = (0..profile.weights.len() as u32).collect();
-        let mut plan = assemble(ShardPlanner::OverlapAware, profile, order, shards, None);
-        plan.planner = ShardPlanner::OverlapAware;
-        return plan;
-    }
-    let order = cluster_order(profile);
-    assemble(ShardPlanner::OverlapAware, profile, order, shards, Some(config))
-}
-
 /// Scores a candidate plan with the overlapped host model, in units of the
 /// sequential build:
 ///
 /// ```text
 /// d         = estimated duplication of the plan
 /// build_par = d · max(1 / (T_ref · e), max planned shard share)
-/// fill      = first planned shard's share · d
+/// fill      = min(d / shards, build_par)
 /// score     = fill + max(build_par − fill, ρ) + κ · (d − 1)
 /// ```
 ///
@@ -1249,27 +1217,57 @@ fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> Shard
     let n = profile.weights.len();
     let cap = cap.clamp(1, n.max(1));
     let rho = estimated_partition_ratio(profile, config);
-    let mut best: Option<(f64, ShardPlan)> = None;
-    for s in candidate_shard_counts(cap) {
-        let contiguous = {
+    // The contiguous decomposition at every candidate count, all scored
+    // in one mask sweep.
+    let mut contiguous: Vec<ShardPlan> = candidate_shard_counts(cap)
+        .into_iter()
+        .map(|s| {
             let mut p = ShardPlan::contiguous(n, s);
             p.shard_weights = p
                 .ranges
                 .iter()
                 .map(|r| profile.weights[r.clone()].iter().sum())
                 .collect();
-            p.estimated_duplication = estimated_duplication(profile, &p.order, &p.ranges);
             p
-        };
-        let candidate = if contiguous.estimated_duplication <= config.overlap_fallback {
-            contiguous
-        } else {
-            let overlap = overlap_plan(profile, s, config);
+        })
+        .collect();
+    estimate_duplication(profile, &mut contiguous);
+    // The overlap-aware alternative wherever the contiguous cut duplicates
+    // noticeably, scored in a second sweep. The hub-clustered order does
+    // not depend on the shard count.
+    let duplicating = |p: &ShardPlan| p.estimated_duplication > config.overlap_fallback;
+    let mut clustered: Option<Vec<u32>> = None;
+    let mut overlap: Vec<ShardPlan> = contiguous
+        .iter()
+        .filter(|p| duplicating(p))
+        .map(|p| {
+            let order = clustered
+                .get_or_insert_with(|| cluster_order(profile))
+                .clone();
+            assemble(
+                ShardPlanner::OverlapAware,
+                profile,
+                order,
+                p.shard_count(),
+                Some(config),
+            )
+        })
+        .collect();
+    estimate_duplication(profile, &mut overlap);
+    let mut overlap = overlap.into_iter();
+    let mut best: Option<(f64, ShardPlan)> = None;
+    for contiguous in contiguous {
+        let candidate = if duplicating(&contiguous) {
+            let overlap = overlap
+                .next()
+                .expect("one overlap plan per duplicating count");
             if overlap.estimated_duplication < contiguous.estimated_duplication {
                 overlap
             } else {
                 contiguous
             }
+        } else {
+            contiguous
         };
         let score = plan_score(&candidate, config, rho);
         match &best {
@@ -1279,16 +1277,180 @@ fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> Shard
     }
     let mut plan = best.expect("at least one candidate shard count").1;
     plan.planner = ShardPlanner::Auto;
-    plan.probe_entries = profile.probe_entries;
     plan
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::root_candidates;
+    use graph_core::generators::{random_labelled_graph, random_power_law_graph};
+    use graph_core::{Label, QueryVertexId};
 
     fn profile(weights: Vec<f64>) -> RootProfile {
         RootProfile::from_weights(weights)
+    }
+
+    /// Deterministic input stream (splitmix64) — the crate has no RNG
+    /// dependency.
+    fn draw(state: &mut u64, below: usize) -> usize {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % below as u64) as usize
+    }
+
+    /// One generated planning input: a connected query (a random spanning
+    /// tree plus non-tree edges) rooted at a random vertex, over a random
+    /// labelled graph (even cases) or a hub-heavy power-law one (odd
+    /// cases), with enough roots on most cases for the 64/65-shard caps.
+    fn case(index: u64) -> (QueryGraph, Graph, BfsTree) {
+        let mut state = index.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x5eed;
+        let labels = 2 + draw(&mut state, 2) as u16;
+        let n = 3 + draw(&mut state, 4);
+        let query_labels = (0..n)
+            .map(|_| Label::new(draw(&mut state, labels as usize) as u16))
+            .collect();
+        let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (draw(&mut state, i), i)).collect();
+        for a in 0..n {
+            for b in a + 1..n {
+                if draw(&mut state, 10) < 3 {
+                    edges.push((a, b));
+                }
+            }
+        }
+        let q = QueryGraph::new(query_labels, &edges).expect("connected by construction");
+        let g = if index.is_multiple_of(2) {
+            random_labelled_graph(120 + draw(&mut state, 120), 0.05, labels, index)
+        } else {
+            random_power_law_graph(
+                200 + draw(&mut state, 200),
+                2 + draw(&mut state, 3),
+                labels,
+                index,
+            )
+        };
+        let tree = BfsTree::new(&q, QueryVertexId::from_index(draw(&mut state, n)));
+        (q, g, tree)
+    }
+
+    const CASES: u64 = 40;
+
+    /// The rewritten probe, scoring and seed derivation against the
+    /// previous edition kept in `reference`: equal profiles, equal plans
+    /// for all four planners at every cap (one shard, odd counts, the
+    /// default 16, one past it, a full mask word, one past that), equal
+    /// seeds.
+    #[test]
+    fn rewritten_planner_reproduces_the_reference() {
+        let planners = [
+            ShardPlanner::Contiguous,
+            ShardPlanner::WorkloadBalanced,
+            ShardPlanner::OverlapAware,
+            ShardPlanner::Auto,
+        ];
+        let (mut overlap_wins, mut wide) = (0, 0);
+        for index in 0..CASES {
+            let (q, g, tree) = case(index);
+            for use_nlf in [true, false] {
+                let options = CstOptions {
+                    use_nlf,
+                    ..CstOptions::default()
+                };
+                let roots = root_candidates(&q, &g, &tree, options);
+                let new = RootProfile::probe(&q, &g, &tree, options, &roots);
+                let old = reference::RootProfile::probe(&q, &g, &tree, options, &roots);
+                old.assert_same(&new);
+                wide += usize::from(roots.len() > 65);
+                // With and without a δ_S hint, so ρ takes both routes.
+                let config = PlannerConfig {
+                    delta_s_hint: index.is_multiple_of(3).then_some(4096),
+                    ..PlannerConfig::default()
+                };
+                for cap in [1usize, 2, 3, 6, 16, 17, 64, 65] {
+                    for planner in planners {
+                        let plan = plan_shards(planner, &new, cap, &config);
+                        let expected = reference::plan_shards(planner, &old, cap, &config);
+                        assert_eq!(
+                            plan, expected,
+                            "case {index} nlf {use_nlf} cap {cap} {planner}"
+                        );
+                        assert_eq!(
+                            estimated_duplication(&new, &plan.order, &plan.ranges).to_bits(),
+                            reference::estimated_duplication(&old, &plan.order, &plan.ranges)
+                                .to_bits(),
+                            "case {index} nlf {use_nlf} cap {cap} {planner}"
+                        );
+                        let seeds = |s: Option<Vec<TopDownSeed>>| {
+                            s.map(|s| s.into_iter().map(|s| s.candidates).collect::<Vec<_>>())
+                        };
+                        assert_eq!(
+                            seeds(new.seed_chunks(&plan, &roots)),
+                            seeds(old.seed_chunks(&plan, &roots)),
+                            "case {index} nlf {use_nlf} cap {cap} {planner}"
+                        );
+                        let identity = plan.order.iter().enumerate().all(|(i, &o)| i as u32 == o);
+                        overlap_wins += usize::from(planner == ShardPlanner::Auto && !identity);
+                    }
+                }
+            }
+        }
+        // The generator reaches the branches the comparison is for.
+        assert!(
+            overlap_wins > 0,
+            "no case where Auto keeps an overlap-aware plan"
+        );
+        assert!(
+            wide > CASES as usize / 2,
+            "too few cases with more than 65 roots"
+        );
+    }
+
+    /// "Once" as a count: the tree pass evaluates the filter once per
+    /// distinct `(level, data vertex)` pair — per level, the number of
+    /// distinct neighbours of the parent level's candidates, straight from
+    /// the graph — however many visits reach the pair.
+    #[test]
+    fn probe_decides_each_level_vertex_pair_once() {
+        let mut repeated_visits = 0;
+        for index in 0..CASES {
+            let (q, g, tree) = case(index);
+            for use_nlf in [true, false] {
+                let options = CstOptions {
+                    use_nlf,
+                    ..CstOptions::default()
+                };
+                let roots = root_candidates(&q, &g, &tree, options);
+                let profile = RootProfile::probe(&q, &g, &tree, options, &roots);
+                let (mut distinct, mut visits) = (0, 0);
+                for level in &profile.levels {
+                    let parents = candidates_at(&roots, &profile.levels, level.parent_level);
+                    let reached: std::collections::BTreeSet<VertexId> = parents
+                        .iter()
+                        .flat_map(|&vp| g.neighbors(vp).iter().copied())
+                        .collect();
+                    distinct += reached.len();
+                    visits += parents
+                        .iter()
+                        .map(|&vp| g.degree(vp) as usize)
+                        .sum::<usize>();
+                }
+                assert_eq!(
+                    profile.filter_evaluations, distinct,
+                    "case {index} nlf {use_nlf}"
+                );
+                assert!(visits <= profile.probe_entries);
+                repeated_visits += visits - distinct;
+            }
+        }
+        assert!(
+            repeated_visits > 0,
+            "no case reaches a vertex from two parents"
+        );
     }
 
     fn coverage_ok(plan: &ShardPlan, n: usize) {
@@ -1438,11 +1600,17 @@ mod tests {
         // Fits in one partition: only the fits-check share of ρ.
         p.entry_mass = 100.0;
         let fits = estimated_partition_ratio(&p, &base);
-        assert!((fits - 0.2 * base.partition_build_ratio).abs() < 1e-12, "{fits}");
+        assert!(
+            (fits - 0.2 * base.partition_build_ratio).abs() < 1e-12,
+            "{fits}"
+        );
         // Hundreds of partitions: saturates above the calibrated constant.
         p.entry_mass = 1e9;
         let split = estimated_partition_ratio(&p, &base);
-        assert!((split - 1.5 * base.partition_build_ratio).abs() < 1e-12, "{split}");
+        assert!(
+            (split - 1.5 * base.partition_build_ratio).abs() < 1e-12,
+            "{split}"
+        );
         // Monotone in the candidate mass between the clamps.
         let mut prev = 0.0;
         for mass in [1e3, 1e4, 1e5, 1e6, 1e7] {

@@ -278,23 +278,6 @@ impl Graph {
         })
     }
 
-    /// Counts `v`'s neighbours carrying each label, appending `(label, count)`
-    /// pairs (sorted by label) into `out`.
-    ///
-    /// Used to build the NLF (neighbour label frequency) filter. Reuses the
-    /// caller's buffer to avoid per-vertex allocation.
-    pub fn neighbor_label_counts(&self, v: VertexId, out: &mut Vec<(Label, u32)>) {
-        out.clear();
-        for &n in self.neighbors(v) {
-            let l = self.label(n);
-            match out.iter_mut().find(|(ol, _)| *ol == l) {
-                Some((_, c)) => *c += 1,
-                None => out.push((l, 1)),
-            }
-        }
-        out.sort_unstable_by_key(|&(l, _)| l);
-    }
-
     /// Bytes of the three stored CSR sections (labels, offsets, neighbors)
     /// living in owned heap storage. A graph loaded through
     /// [`crate::snapshot::load_snapshot_mapped`] returns 0 here — the
@@ -373,14 +356,6 @@ mod tests {
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges.len(), g.edge_count());
         assert!(edges.iter().all(|&(u, v)| u < v));
-    }
-
-    #[test]
-    fn neighbor_label_counts_sorted() {
-        let g = triangle_plus_tail();
-        let mut buf = Vec::new();
-        g.neighbor_label_counts(VertexId::new(2), &mut buf);
-        assert_eq!(buf, vec![(Label::new(0), 2), (Label::new(2), 1)]);
     }
 
     #[test]

@@ -363,6 +363,29 @@ enum BuildOutcome {
     Ready,
 }
 
+/// The `plan` span's arguments: why the plan cost what it did (the probe's
+/// neighbour visits and filter evaluations) and what the planner settled
+/// on, so a trace answers "why was this plan slow" without a re-run.
+fn plan_span_args(plan: &cst::ShardPlan) -> obs::Args {
+    use obs::ArgValue::{Str, F64, U64};
+    // The blind plan: roots in index order, cut evenly (the first
+    // `n % shards` shards one root longer).
+    let (n, shards) = (plan.order.len(), plan.shard_count().max(1));
+    let contiguous = plan.order.iter().enumerate().all(|(i, &o)| i as u32 == o)
+        && plan.ranges.iter().enumerate().all(|(s, r)| {
+            r.len() == n / shards + usize::from(s < n % shards)
+        });
+    let boundaries = if contiguous { "contiguous" } else { "overlap" };
+    let evaluations = plan.probe.as_ref().map_or(0, |p| p.filter_evaluations);
+    vec![
+        ("probe_entries", U64(plan.probe_entries as u64)),
+        ("filter_evaluations", U64(evaluations as u64)),
+        ("shards", U64(plan.shard_count() as u64)),
+        ("estimated_duplication", F64(plan.estimated_duplication)),
+        ("boundaries", Str(boundaries)),
+    ]
+}
+
 /// The planning/build half of a session: queue-wait accounting, plan
 /// derivation, the two-tier cache resolution under the single-flight
 /// gate, and the partition-staging build.
@@ -525,7 +548,8 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
                 let shard_plan =
                     Arc::new(cst::plan_pipeline_shards(q, g, tree, &pipe_opts, &roots));
                 measured_plan_time = t0.elapsed();
-                obs::record_span(strack, "plan", "serve", t0_ns, obs::now_ns(), Vec::new());
+                let (end_ns, args) = (obs::now_ns(), plan_span_args(&shard_plan));
+                obs::record_span(strack, "plan", "serve", t0_ns, end_ns, args);
                 if cache_enabled {
                     tenant.cache.plock().insert(key, Arc::clone(&shard_plan));
                 }
@@ -830,4 +854,62 @@ fn panic_retire(inner: &Inner, sid: u64) {
     }
     finish(inner, &slot.tenant, FinishOutcome::Failed);
     release(inner, sid);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cst::{plan_pipeline_shards, root_candidates, PipelineOptions, ShardPlanner};
+    use graph_core::generators::random_power_law_graph;
+    use graph_core::Label;
+
+    #[test]
+    fn plan_span_args_explain_the_plan() {
+        let g = random_power_law_graph(400, 3, 2, 7);
+        let q = QueryGraph::new(
+            vec![Label::new(0), Label::new(1), Label::new(1)],
+            &[(0, 1), (1, 2), (0, 2)],
+        )
+        .unwrap();
+        let tree = BfsTree::new(&q, select_root(&q, &g));
+        let options = PipelineOptions {
+            planner: ShardPlanner::Auto,
+            ..PipelineOptions::default()
+        };
+        let roots = root_candidates(&q, &g, &tree, options.cst);
+        let plan = plan_pipeline_shards(&q, &g, &tree, &options, &roots);
+        let probe = plan.probe.as_ref().expect("an auto plan carries its probe");
+        assert!(probe.filter_evaluations > 0 && probe.filter_evaluations < plan.probe_entries);
+
+        use obs::ArgValue::{Str, F64, U64};
+        let args = plan_span_args(&plan);
+        let names: Vec<_> = args.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            ["probe_entries", "filter_evaluations", "shards", "estimated_duplication", "boundaries"]
+        );
+        assert!(matches!(args[0].1, U64(n) if n == plan.probe_entries as u64));
+        assert!(matches!(args[1].1, U64(n) if n == probe.filter_evaluations as u64));
+        assert!(matches!(args[2].1, U64(n) if n == plan.shard_count() as u64));
+        assert!(matches!(args[3].1, F64(d) if d == plan.estimated_duplication));
+        let blind = cst::ShardPlan::contiguous(roots.len(), plan.shard_count());
+        let expected = if plan.order == blind.order && plan.ranges == blind.ranges {
+            "contiguous"
+        } else {
+            "overlap"
+        };
+        assert!(matches!(args[4].1, Str(s) if s == expected));
+
+        // A plan that never probed reports zeros and the blind boundaries.
+        let blind = plan_span_args(&cst::ShardPlan::contiguous(roots.len(), 4));
+        assert!(matches!(blind[0].1, U64(0)) && matches!(blind[1].1, U64(0)));
+        assert!(matches!(blind[4].1, Str("contiguous")));
+        // Another order, or another cut of the same order, is not blind.
+        let mut reordered = cst::ShardPlan::contiguous(5, 2);
+        reordered.order.swap(0, 4);
+        assert!(matches!(plan_span_args(&reordered)[4].1, Str("overlap")));
+        let mut recut = cst::ShardPlan::contiguous(5, 2);
+        recut.ranges = vec![0..1, 1..5];
+        assert!(matches!(plan_span_args(&recut)[4].1, Str("overlap")));
+    }
 }
