@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Pins the exact (wall-clock-free) counters of one traced run each of
-# `oneshot_dg10` and `serve_cold_dg03`: the partition stream, the kernel's
-# work, the bytes shipped, the modelled seconds and the CST sizes are
+# `oneshot_dg10`, `serve_cold_dg03` and `serve_warm_dg03`: the partition
+# stream, the kernel's work, the bytes shipped, the modelled seconds and the
+# CST sizes are
 # functions of the code and the seed-independent inputs, so a host-speed
 # change that shifts any of them changed the decomposition, not only its
 # speed. The cold-serving run is the one that goes through the shard
 # planner — a planner that starts choosing different shard counts moves its
-# partition and kernel counters. Reads each run's last stdout line
+# partition and kernel counters. The warm run is the one a kernel-speed
+# claim is made on: the same kernel work as the cold run, every session a
+# tier-2 hit, nothing evicted (structural on a fully primed cache under the
+# default budget). Reads each run's last stdout line
 # (`{"correct": ..., "metrics": {name: {"value": ...}}}`).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
@@ -54,4 +58,13 @@ check serve_cold_dg03 '{
     "cst.construct.cst_bytes": 12401300,
     "cst.construct.adjacency_entries": 2077198,
     "cst.pipeline.seeded_share": 1
+}'
+
+check serve_warm_dg03 '{
+    "fast.kernel.n": 34268995,
+    "fast.kernel.m": 35353910,
+    "fast.kernel.rounds": 71106,
+    "fast.kernel.cycles": 71209722,
+    "serve.cache.cst_hit_rate": 1,
+    "serve.cache.evictions": 0
 }'

@@ -271,11 +271,19 @@ impl Cst {
         })
     }
 
-    /// Debug-level structural validation: offsets monotone, targets sorted
-    /// and in range, and the `(u → u')` / `(u' → u)` lists mutually
-    /// consistent. Used by tests (the partitioner's own debug assertions
-    /// check only the CSR shape it writes, which needs no query graph).
+    /// Debug-level structural validation: candidate sets strictly ascending
+    /// by vertex id ([`candidate_index`](Self::candidate_index) and the
+    /// kernel's visited search binary-search them), offsets monotone,
+    /// targets sorted and in range, and the `(u → u')` / `(u' → u)` lists
+    /// mutually consistent. Used by tests (the partitioner's own debug
+    /// assertions check only the CSR shape it writes, which needs no query
+    /// graph).
     pub fn validate(&self, q: &QueryGraph) -> Result<(), String> {
+        for (u, c) in self.candidates.iter().enumerate() {
+            if !c.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("candidate set of query vertex {u} not ascending"));
+            }
+        }
         for (u, v) in self.directed_edges() {
             if !q.has_edge(u, v) {
                 return Err(format!("CST stores adjacency for non-edge ({u:?},{v:?})"));
@@ -435,6 +443,37 @@ mod tests {
         let cst = Cst::from_parts(2, candidates, pairs);
         let q = QueryGraph::new(vec![Label::new(0), Label::new(1)], &[(0, 1)]).unwrap();
         assert!(cst.validate(&q).is_err());
+    }
+
+    #[test]
+    fn validate_catches_unsorted_candidates() {
+        // Both candidates of u0 are adjacent to u1's only one, and the two
+        // directions agree, so the order of C(u0) is all that can be wrong.
+        let cst_with = |c0: Vec<VertexId>| {
+            let pairs = vec![
+                (
+                    (qv(0), qv(1)),
+                    CsrAdj {
+                        offsets: vec![0, 1, 2],
+                        targets: vec![0, 0],
+                    },
+                ),
+                (
+                    (qv(1), qv(0)),
+                    CsrAdj {
+                        offsets: vec![0, 2],
+                        targets: vec![0, 1],
+                    },
+                ),
+            ];
+            Cst::from_parts(2, vec![c0, vec![dv(1)]], pairs)
+        };
+        let q = QueryGraph::new(vec![Label::new(0), Label::new(1)], &[(0, 1)]).unwrap();
+        cst_with(vec![dv(3), dv(5)]).validate(&q).unwrap();
+        let err = cst_with(vec![dv(5), dv(3)]).validate(&q).unwrap_err();
+        assert!(err.contains("not ascending"), "{err}");
+        // A repeated candidate is not *strictly* ascending either.
+        assert!(cst_with(vec![dv(3), dv(3)]).validate(&q).is_err());
     }
 
     #[test]

@@ -264,6 +264,12 @@ impl ExecutionBackend for FpgaBackend {
         let kernel_cycles = self.price_cycles(out.counts);
         span.arg_u64("embeddings", out.embeddings);
         span.arg_u64("cycles", kernel_cycles);
+        // Why this partition cost what it did, without a re-run.
+        span.arg_u64("n", out.counts.n);
+        span.arg_u64("m", out.counts.m);
+        span.arg_u64("rounds", out.rounds);
+        span.arg_u64("visited_rejections", out.visited_rejections);
+        span.arg_u64("edge_rejections", out.edge_rejections);
         exec_counter(BackendClass::Fpga).inc();
         Ok(BackendOutput {
             embeddings: out.embeddings,

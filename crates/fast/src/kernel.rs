@@ -37,17 +37,25 @@
 //! same effect by hoisting every lookup to the coarsest scope it is
 //! invariant over. Per *partition*: the plan's query vertices become
 //! candidate slices and [`CsrAdj`] references. Per *partial*: its mapped
-//! data vertices and the validators' neighbour slices. Per *candidate*
-//! there remains a scan of ≤ 15 mapped ids and, per validator, a binary
-//! search whose slice only shrinks — the anchor list is ascending, so each
-//! probe starts where the last one ended. `N`, `M` and the memory-touch
-//! counters are added per partial from the list length: they are the
-//! hardware's, which evaluates every comparison and emits every `t_n`
-//! (Algorithm 5 lines 10-12) with no short-circuiting, even where the host
-//! loop stops at the first failed check.
+//! data vertices, the budget-cut window of its anchor list, the validators'
+//! neighbour lists — and then two set operations on those sorted lists in
+//! place of a walk. The **visited** are the ≤ 15 mapped vertices that occur
+//! in the window, each found by a range test and a binary search keyed by
+//! vertex id; the **survivors** are the window ∩ every validator's list
+//! less the visited, one [`cst::intersect_each`] driven from the shortest
+//! list (a validator's list of two or three entries against a window of
+//! eighty costs a handful of seeks, not eighty probes), each survivor
+//! buffered, collected or merely counted as it is found; the **broken**
+//! are the rest of the window — a visited failure takes precedence over an
+//! edge failure, as in the Synchronizer. Per *candidate* nothing remains.
+//! `N`, `M` and the memory-touch counters are added per partial from the
+//! window's length: they are the hardware's, which fetches every
+//! candidate, evaluates every comparison and emits every `t_n`
+//! (Algorithm 5 lines 10-12) with no short-circuiting, however few of them
+//! the host touches.
 
 use crate::plan::{KernelPlan, MAX_KERNEL_QUERY};
-use cst::{CsrAdj, Cst};
+use cst::{intersect_each, CsrAdj, Cst};
 use fpga_sim::WorkloadCounts;
 use graph_core::VertexId;
 
@@ -225,11 +233,14 @@ pub fn run_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> K
             let start = cur.resume;
             let take = (list.len() - start).min(budget);
             budget -= take;
-            // Each validator's neighbour list, cut down as probes advance.
+            let window = &list[start..start + take];
+            // Intersection operands: each validator's neighbour list, then
+            // the window.
             let mut rest: [&[u32]; MAX_KERNEL_QUERY] = [&[]; MAX_KERNEL_QUERY];
             for (r, &(bd, adj)) in rest.iter_mut().zip(&step.validate) {
                 *r = adj.neighbors(pi[bd] as usize);
             }
+            rest[probes] = window;
 
             // The hardware's work for these `take` expansions: one list
             // header fetch, then per candidate one word fetch, a full
@@ -238,49 +249,62 @@ pub fn run_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> K
             out.counts.m += (take * probes) as u64;
             out.cst_reads += 1 + (take * (1 + probes)) as u64;
 
-            let (mut visited, mut broken) = (0usize, 0usize);
-            'candidate: for &j in &list[start..start + take] {
-                let v = step.candidates[j as usize];
-                // Synchronizer (Algorithm 8): discard on any zero bit; a
-                // visited failure takes precedence in the accounting.
-                if mapped.contains(&v) {
-                    visited += 1;
-                    continue;
-                }
-                for r in &mut rest[..probes] {
-                    match r.binary_search(&j) {
-                        Ok(at) => *r = &r[at + 1..],
-                        Err(at) => {
-                            *r = &r[at..];
-                            broken += 1;
-                            continue 'candidate;
-                        }
+            // Visited Validator: the mapped data vertices that occur in the
+            // window, as candidate indices. `C(u)` ascends by vertex id and
+            // the window by index, so the window ascends by vertex id too.
+            let id = |&j: &u32| step.candidates[j as usize];
+            let mut seen = [0u32; MAX_KERNEL_QUERY];
+            let mut visited = 0usize;
+            if let (Some(first), Some(last)) = (window.first(), window.last()) {
+                let span = id(first)..=id(last);
+                for v in mapped.iter().filter(|v| span.contains(v)) {
+                    if let Ok(at) = window.binary_search_by_key(v, id) {
+                        seen[visited] = window[at];
+                        visited += 1;
                     }
-                }
-                match &mut next {
-                    Some(next) => {
-                        next.slots.extend_from_slice(pi);
-                        next.slots.push(j);
-                    }
-                    None if out.collected.len() < cap => {
-                        // Query-vertex indexed; the mapped depths overwrite
-                        // every slot but the new vertex's own.
-                        let mut emb = vec![v; qlen];
-                        for (d, &m) in mapped.iter().enumerate() {
-                            emb[plan.depth(d).vertex.index()] = m;
-                        }
-                        out.collected.push(emb);
-                    }
-                    None => {}
                 }
             }
-            out.visited_rejections += visited as u64;
-            out.edge_rejections += broken as u64;
-            let survivors = (take - visited - broken) as u64;
-            if next.is_some() {
-                out.buffer_writes += survivors;
+            let seen = &seen[..visited];
+
+            // Edge Validator + Synchronizer (Algorithm 8): survivors are the
+            // window ∩ every validator's list, less the visited; a visited
+            // failure takes precedence over an edge failure, so the broken
+            // are whatever remains. With no validator and nowhere to emit
+            // to, every unvisited candidate survives unseen.
+            let emits = next.is_some() || out.collected.len() < cap;
+            let mut survivors = 0usize;
+            if probes == 0 && !emits {
+                survivors = take - visited;
             } else {
-                out.embeddings += survivors;
+                intersect_each(&mut rest[..=probes], |j| {
+                    if seen.contains(&j) {
+                        return;
+                    }
+                    survivors += 1;
+                    match &mut next {
+                        Some(next) => {
+                            next.slots.extend_from_slice(pi);
+                            next.slots.push(j);
+                        }
+                        None if out.collected.len() < cap => {
+                            // Query-vertex indexed; the mapped depths
+                            // overwrite every slot but the new vertex's own.
+                            let mut emb = vec![id(&j); qlen];
+                            for (d, &m) in mapped.iter().enumerate() {
+                                emb[plan.depth(d).vertex.index()] = m;
+                            }
+                            out.collected.push(emb);
+                        }
+                        None => {}
+                    }
+                });
+            }
+            out.visited_rejections += visited as u64;
+            out.edge_rejections += (take - visited - survivors) as u64;
+            if next.is_some() {
+                out.buffer_writes += survivors as u64;
+            } else {
+                out.embeddings += survivors as u64;
             }
 
             if start + take < list.len() {

@@ -15,7 +15,7 @@
 //! timeout/memory/result limits, so each baseline is a thin configuration.
 
 use crate::limits::{Outcome, RunLimits};
-use cst::{Cst, MatchPlan};
+use cst::{seek, Cst, MatchPlan};
 use graph_core::{Graph, MatchingOrder, QueryGraph, VertexId};
 use std::time::Instant;
 
@@ -121,9 +121,8 @@ const GALLOP_RATIO: usize = 32;
 
 /// In-place intersection of sorted `result` with sorted `other`: a linear
 /// two-pointer merge when the sizes are comparable, galloping
-/// (exponential-probe) search into `other` when it is `GALLOP_RATIO`×
-/// longer. Callers sort lists ascending by length, so `result` is never
-/// the longer side.
+/// ([`cst::seek`]) into `other` when it is `GALLOP_RATIO`× longer. Callers
+/// sort lists ascending by length, so `result` is never the longer side.
 fn intersect_sorted(result: &mut Vec<u32>, other: &[u32]) {
     let gallop = other.len() / GALLOP_RATIO > result.len();
     let mut w = 0usize; // write cursor (w ≤ read cursor always)
@@ -131,7 +130,7 @@ fn intersect_sorted(result: &mut Vec<u32>, other: &[u32]) {
     for r in 0..result.len() {
         let x = result[r];
         if gallop {
-            o = gallop_to(other, o, x);
+            o += seek(&other[o..], x);
         } else {
             while o < other.len() && other[o] < x {
                 o += 1;
@@ -147,37 +146,6 @@ fn intersect_sorted(result: &mut Vec<u32>, other: &[u32]) {
         }
     }
     result.truncate(w);
-}
-
-/// First index `i ≥ from` with `other[i] ≥ x`, by doubling probes then a
-/// binary search within the final bracket (`other.len()` if none).
-fn gallop_to(other: &[u32], from: usize, x: u32) -> usize {
-    if from >= other.len() || other[from] >= x {
-        return from;
-    }
-    // Invariant: other[from + lo] < x; answer is in (from+lo, from+hi].
-    let mut step = 1usize;
-    let mut lo = 0usize;
-    let remaining = other.len() - from;
-    while lo + step < remaining && other[from + lo + step] < x {
-        lo += step;
-        step *= 2;
-    }
-    let mut hi = (lo + step).min(remaining - 1);
-    // Binary search in (lo, hi] — other[from+hi] may still be < x when the
-    // doubling ran off the end.
-    if other[from + hi] < x {
-        return other.len();
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if other[from + mid] < x {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    from + hi
 }
 
 impl<'a> Search<'a> {
@@ -438,23 +406,6 @@ mod tests {
         let mut r = vec![100_000u32];
         intersect_sorted(&mut r, &big);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn gallop_to_finds_lower_bound() {
-        let v: Vec<u32> = vec![2, 4, 4, 8, 16, 32, 64];
-        for (from, x, want) in [
-            (0usize, 0u32, 0usize),
-            (0, 2, 0),
-            (0, 3, 1),
-            (0, 4, 1),
-            (2, 4, 2),
-            (0, 64, 6),
-            (0, 65, 7),
-            (7, 1, 7),
-        ] {
-            assert_eq!(gallop_to(&v, from, x), want, "from={from} x={x}");
-        }
     }
 
     #[test]

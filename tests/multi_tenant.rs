@@ -36,7 +36,10 @@ fn triangle() -> QueryGraph {
 /// of B's 0.75 fair share.
 #[test]
 fn saturated_tenants_complete_in_quota_proportion() {
-    let g = Arc::new(random_labelled_graph(60, 0.2, 2, 42));
+    // Big enough that one session (~30k kernel expansions) outlasts all 80
+    // submits, however fast the kernel gets: the premise below is that the
+    // lanes are backlogged, not that the machine is slow.
+    let g = Arc::new(random_labelled_graph(240, 0.1, 2, 42));
     // One worker: completions happen in exactly the order the weighted
     // round-robin pops them.
     let service = FastService::new(Arc::clone(&g), config(1, 96));

@@ -34,6 +34,22 @@ struct Partial {
 }
 
 /// Algorithms 4-8, one step at a time (see the module docs).
+///
+/// # Mutations a rewrite of `run_kernel` should re-run
+///
+/// Each of these, made to `fast::kernel`, must fail a test in this file.
+/// Counters (the PR 14 rewrite): drop `counts.m`; drop the per-partial
+/// `counts.n`; drop the list-header `1 +` in `cst_reads`; drop
+/// `buffer_reads`; drop the visited count; drop the broken count; drop
+/// `buffer_writes += survivors`; drop the round count; drop the high-water
+/// update. (Dropping the `cur.resume` store livelocks: it is control state,
+/// not a counter.) Expansion by intersection (the PR 21 rewrite): visited
+/// found but not taken out of the survivors; a visited candidate that also
+/// fails an edge counted as broken; intersecting with the anchor's whole
+/// list instead of the budget-cut window; `cst::seek` returning `len - 1`
+/// instead of `len` past the end; the driver chosen but the window left out
+/// of the lists it seeks in; the `probes == 0` count arm taken while
+/// `Collect` still has room.
 fn reference_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> KernelOutput {
     let qlen = plan.len();
     let mut out = KernelOutput::default();
@@ -235,9 +251,87 @@ fn collect_cap_below_embedding_count_keeps_the_first() {
     }
 }
 
+/// A mapped vertex inside the window is a *visited* rejection whatever the
+/// Edge Validator says about it: not a survivor when it passes every probe,
+/// not an edge rejection when it fails one.
+///
+/// `u3` (label 0, like `u0`) is anchored at `u1` and validated against `u2`.
+/// With `u1 = c` the window is `{a, b}` and holds `u0`'s vertex every time;
+/// `d` is adjacent to `b` only and `e` to `a` only, so of the four level-3
+/// partials two see their visited vertex pass the probe (the other one
+/// breaks) and two see it fail (the other one survives).
+#[test]
+fn visited_takes_precedence_over_either_edge_verdict() {
+    let l = Label::new;
+    let q = QueryGraph::new(
+        vec![l(0), l(1), l(2), l(0)],
+        &[(0, 1), (1, 2), (1, 3), (2, 3)],
+    )
+    .unwrap();
+    let mut b = GraphBuilder::new();
+    let [a, bb, c, d, e] = [l(0), l(0), l(1), l(2), l(2)].map(|label| b.add_vertex(label));
+    for (x, y) in [(a, c), (bb, c), (c, d), (c, e), (bb, d), (a, e)] {
+        b.add_edge(x, y).unwrap();
+    }
+    let g = b.build();
+    let (cst, plan) = bfs_plan(&q, &g);
+    assert_eq!(plan.depth(3).anchor_depth, 1);
+    assert_eq!(plan.depth(3).validate_depths, [2]);
+    for no in ROUND_BUDGETS {
+        for mode in [CollectMode::CountOnly, CollectMode::Collect(8)] {
+            let out = run_kernel(&cst, &plan, no, mode);
+            let reference = reference_kernel(&cst, &plan, no, mode);
+            assert_eq!(out, reference, "no={no} {mode:?}");
+            assert_eq!(out.embeddings, vf2_count(&q, &g));
+            assert_eq!(
+                (out.embeddings, out.visited_rejections, out.edge_rejections),
+                (2, 4, 2),
+                "no={no} {mode:?}"
+            );
+        }
+    }
+}
+
+/// `hubs` vertices each adjacent to every one of 64-70 vertices of a single
+/// label (so a hub's CST list towards that label is long, and two hubs on
+/// the same label have near-equal lists), over a sparse random remainder
+/// (lists of one to three). Which of window and validator list is the long
+/// one then depends on where the order puts the hub.
+fn hub_heavy_graph(seed: u64) -> Graph {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new();
+    let mut by_label: Vec<Vec<VertexId>> = Vec::new();
+    for label in 0..3 {
+        let first = b.add_vertices(rng.gen_range(64..=70), Label::new(label));
+        let end = b.vertex_count() as u32;
+        by_label.push((first.raw()..end).map(VertexId::new).collect());
+    }
+    let n = b.vertex_count() as u32;
+    for i in 0..n {
+        for j in i + 1..n {
+            if rng.gen_bool(0.015) {
+                b.add_edge(VertexId::new(i), VertexId::new(j)).unwrap();
+            }
+        }
+    }
+    for _ in 0..rng.gen_range(6..=9) {
+        let hub = b.add_vertex(Label::new(rng.gen_range(0..3)));
+        for &v in &by_label[rng.gen_range(0..3)] {
+            b.add_edge(hub, v).unwrap();
+        }
+    }
+    b.build()
+}
+
 /// Strategy: a random connected query of 2-5 vertices over ≤3 labels.
 fn arb_query() -> impl Strategy<Value = QueryGraph> {
-    (2usize..=5, any::<u64>()).prop_map(|(n, seed)| {
+    arb_query_up_to(5)
+}
+
+/// [`arb_query`] with at most `max` vertices.
+fn arb_query_up_to(max: usize) -> impl Strategy<Value = QueryGraph> {
+    (2usize..=max, any::<u64>()).prop_map(|(n, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
         use rand::Rng;
         let labels: Vec<Label> = (0..n).map(|_| Label::new(rng.gen_range(0..3))).collect();
@@ -295,6 +389,33 @@ proptest! {
         cap in proptest::option::of(0usize..40),
     ) {
         let g = random_labelled_graph(30, 0.2, 3, graph_seed);
+        let root = QueryVertexId::new(0);
+        let tree = BfsTree::new(&q, root);
+        let mut rng = StdRng::seed_from_u64(order_seed);
+        let order = random_connected_order(&q, root, &mut rng);
+        let cst = build_cst(&q, &g, &tree);
+        let plan = KernelPlan::new(&q, &order, &tree).expect("small query");
+        let no = ROUND_BUDGETS[no_index];
+        let mode = cap.map_or(CollectMode::CountOnly, CollectMode::Collect);
+
+        let out = run_kernel(&cst, &plan, no, mode);
+        let reference = reference_kernel(&cst, &plan, no, mode);
+        prop_assert_eq!(out, reference);
+    }
+
+    /// The same equality where the lists are long and lopsided: on
+    /// [`hub_heavy_graph`]s the window is the short side of the intersection
+    /// at some levels and the long side at others, seeks double more than
+    /// once, and `N_o` of 1, 2 and 7 cuts windows mid-list.
+    #[test]
+    fn kernel_agrees_with_reference_on_hub_heavy_graphs(
+        q in arb_query_up_to(4),
+        graph_seed in 0u64..1_000,
+        order_seed in 0u64..1_000,
+        no_index in 0usize..ROUND_BUDGETS.len(),
+        cap in proptest::option::of(0usize..40),
+    ) {
+        let g = hub_heavy_graph(graph_seed);
         let root = QueryVertexId::new(0);
         let tree = BfsTree::new(&q, root);
         let mut rng = StdRng::seed_from_u64(order_seed);

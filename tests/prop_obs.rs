@@ -240,3 +240,58 @@ proptest! {
         obs::reset();
     }
 }
+
+/// An FPGA `execute` span says why its partition cost what it did: the
+/// kernel's `N`, `M`, rounds and both rejection counts ride along with the
+/// embeddings and cycles, equal to the `KernelOutput` of the same run.
+#[test]
+fn fpga_execute_span_carries_the_kernel_counters() {
+    use fast::{prepare_partitions, ExecutionBackend, FpgaBackend, KernelPlan, QueryCtx};
+    use graph_core::{path_based_order, select_root, BfsTree};
+
+    if !obs::COMPILED {
+        return;
+    }
+    let _serial = obs_lock();
+    let g = workload();
+    let q = benchmark_query(2);
+    let config = FastConfig::test_small(Variant::Sep);
+    let tree = BfsTree::new(&q, select_root(&q, g));
+    let order = path_based_order(&q, &tree, g);
+    let kernel_plan = KernelPlan::new(&q, &order, &tree).expect("benchmark query fits the kernel");
+    let ctx = QueryCtx {
+        query: &q,
+        graph: g,
+        order: &order,
+        kernel_plan: &kernel_plan,
+        collect: config.collect,
+    };
+    let backend = FpgaBackend::from_config(&config);
+    let mut jobs = Vec::new();
+    prepare_partitions(&q, g, &config, &tree, &order, &mut |job| jobs.push(job));
+
+    obs::reset();
+    obs::enable();
+    for job in &jobs {
+        backend.execute(job, &ctx).expect("fault-free backend");
+    }
+    obs::disable();
+    let (spans, _) = obs::trace_snapshot();
+    let executes: Vec<_> = spans.iter().filter(|s| s.name == "execute").collect();
+    assert_eq!(executes.len(), jobs.len());
+    assert!(!jobs.is_empty());
+    for (span, job) in executes.iter().zip(&jobs) {
+        let arg = |key: &str| match span.args.iter().find(|(k, _)| *k == key) {
+            Some((_, obs::ArgValue::U64(v))) => *v,
+            other => panic!("execute span arg {key}: {other:?}"),
+        };
+        let out = backend.run(&job.cst, &kernel_plan, config.collect);
+        assert_eq!(arg("partition"), job.index as u64);
+        assert_eq!(arg("embeddings"), out.embeddings);
+        assert_eq!(arg("n"), out.counts.n);
+        assert_eq!(arg("m"), out.counts.m);
+        assert_eq!(arg("rounds"), out.rounds);
+        assert_eq!(arg("visited_rejections"), out.visited_rejections);
+        assert_eq!(arg("edge_rejections"), out.edge_rejections);
+    }
+}
