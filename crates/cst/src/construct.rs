@@ -11,7 +11,14 @@
 //! 3. **Non-tree edges** (lines 15-19): adjacency lists are populated for
 //!    every query edge (tree *and* non-tree) between the surviving sets —
 //!    this is what makes the CST a *complete* search space (unlike CPI) and
-//!    therefore partitionable (Section V-A, Remark).
+//!    therefore partitionable (Section V-A, Remark). Each *undirected* edge
+//!    costs one scan of `g.neighbors(v)`, over the smaller candidate set: a
+//!    dense `rank[w] → index in C(u') | NONE` table, filled once per target
+//!    `u'`, turns a neighbour into its CSR entry with one load, and
+//!    `(u' → u)` is the counting-sort transpose of `(u → u')`
+//!    (`CsrAdj::transpose`) — no second scan, no search. (A bitmap plus
+//!    prefix popcount is smaller, but the default x86-64 target has no
+//!    POPCNT; PR 17 measured that trade for the partitioner.)
 //!
 //! The paper's Remark stresses the trade-off between search-space size and
 //! construction cost (the FPGA is idle while the CPU builds the CST), so the
@@ -150,59 +157,7 @@ pub fn build_cst_from_roots(
     options: CstOptions,
     roots: Vec<VertexId>,
 ) -> (Cst, BuildStats) {
-    let n = q.vertex_count();
-    let filters: Vec<CandidateFilter> = q
-        .vertices()
-        .map(|u| CandidateFilter::new(q, u))
-        .collect();
-
-    // Membership bitmaps over data vertices, one per query vertex.
-    let words = g.vertex_count().div_ceil(64);
-    let mut member: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    let mut candidates: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut topdown_entries = 0usize;
-
-    let set = |bits: &mut [u64], v: VertexId| bits[v.index() / 64] |= 1 << (v.index() % 64);
-    let test = |bits: &[u64], v: VertexId| bits[v.index() / 64] >> (v.index() % 64) & 1 == 1;
-
-    let mut scratch = Vec::new();
-    let passes = |filter: &CandidateFilter, g: &Graph, v: VertexId, scratch: &mut Vec<_>| {
-        if options.use_nlf {
-            filter.passes(g, v, scratch)
-        } else {
-            filter.passes_basic(g, v)
-        }
-    };
-
-    // --- Phase 1: top-down construction (root seeded by the caller). ---
-    let root = tree.root();
-    {
-        debug_assert!(roots.windows(2).all(|w| w[0] < w[1]), "roots sorted+dedup");
-        for &v in &roots {
-            set(&mut member[root.index()], v);
-        }
-        candidates[root.index()] = roots;
-    }
-    for &u in &tree.bfs_order()[1..] {
-        let up = tree.parent(u).expect("non-root has a parent");
-        let filter = &filters[u.index()];
-        // Take u's bitmap out so the parent candidate list can stay borrowed.
-        let mut member_u = std::mem::take(&mut member[u.index()]);
-        let mut cands = Vec::new();
-        for &vp in &candidates[up.index()] {
-            for &w in g.neighbors(vp) {
-                topdown_entries += 1;
-                if !test(&member_u, w) && passes(filter, g, w, &mut scratch) {
-                    set(&mut member_u, w);
-                    cands.push(w);
-                }
-            }
-        }
-        cands.sort_unstable();
-        member[u.index()] = member_u;
-        candidates[u.index()] = cands;
-    }
-    refine_and_materialise(q, g, tree, options, candidates, member, topdown_entries)
+    BuildScratch::default().build_from_roots(q, g, tree, options, roots)
 }
 
 /// Builds the CST from a precomputed phase-1 candidate space: phases 2-3 of
@@ -223,121 +178,226 @@ pub fn build_cst_seeded(
     options: CstOptions,
     seed: TopDownSeed,
 ) -> (Cst, BuildStats) {
-    let n = q.vertex_count();
-    assert_eq!(seed.candidates.len(), n, "seed covers every query vertex");
-    let words = g.vertex_count().div_ceil(64);
-    let mut member: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    let set = |bits: &mut [u64], v: VertexId| bits[v.index() / 64] |= 1 << (v.index() % 64);
-    for (u, cands) in seed.candidates.iter().enumerate() {
-        debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "seed sorted+dedup");
-        for &v in cands {
-            set(&mut member[u], v);
-        }
-    }
-    refine_and_materialise(q, g, tree, options, seed.candidates, member, 0)
+    BuildScratch::default().build_seeded(q, g, tree, options, seed)
 }
 
-/// Phases 2-3 of Algorithm 1, shared by the scanning and seeded entry
-/// points: bottom-up refinement over the phase-1 candidate sets (with their
-/// membership bitmaps), then adjacency materialisation for every directed
-/// query edge.
-fn refine_and_materialise(
-    q: &QueryGraph,
-    g: &Graph,
-    tree: &BfsTree,
-    options: CstOptions,
-    mut candidates: Vec<Vec<VertexId>>,
-    mut member: Vec<Vec<u64>>,
-    topdown_entries: usize,
-) -> (Cst, BuildStats) {
-    let n = q.vertex_count();
-    let mut stats = BuildStats {
-        candidates_before_refine: vec![0; n],
-        removed_by_refine: vec![0; n],
-        adjacency_entries: 0,
-        topdown_entries,
-    };
-    for (u, cands) in candidates.iter().enumerate() {
-        stats.candidates_before_refine[u] = cands.len();
-    }
+/// "Not a candidate of the current target" in [`BuildScratch::rank`].
+const NONE: u32 = u32::MAX;
 
-    let set = |bits: &mut [u64], v: VertexId| bits[v.index() / 64] |= 1 << (v.index() % 64);
-    let test = |bits: &[u64], v: VertexId| bits[v.index() / 64] >> (v.index() % 64) & 1 == 1;
-
-    // --- Phase 2: bottom-up refinement (the paper runs a single pass;
-    //     extra passes approximate DAF's CS). ---
-    for _ in 0..options.refine_passes {
-        for u in tree.bottom_up_order() {
-            let children = tree.children(u);
-            if children.is_empty() {
-                continue;
-            }
-            let ui = u.index();
-            let mut cands = std::mem::take(&mut candidates[ui]);
-            let before = cands.len();
-            cands.retain(|&v| {
-                children.iter().all(|&uc| {
-                    g.neighbors(v).iter().any(|&w| test(&member[uc.index()], w))
-                })
-            });
-            stats.removed_by_refine[ui] = before - cands.len();
-            // Rebuild the bitmap for u after removals.
-            member[ui].iter_mut().for_each(|w| *w = 0);
-            for &v in &cands {
-                set(&mut member[ui], v);
-            }
-            candidates[ui] = cands;
-        }
-    }
-
-    // --- Phase 3: adjacency for every directed query edge. ---
-    let mut pairs = Vec::with_capacity(q.edge_count() * 2);
-    for u in q.vertices() {
-        for un in q.neighbors(u) {
-            let adj = build_directed_adjacency(
-                g,
-                &candidates[u.index()],
-                &candidates[un.index()],
-                &member[un.index()],
-            );
-            stats.adjacency_entries += adj.targets.len();
-            pairs.push(((u, un), adj));
-        }
-    }
-
-    (Cst::from_parts(n, candidates, pairs), stats)
+/// The per-vertex tables of a build, kept across the builds of one pipeline
+/// run (one value per worker thread). A build leaves them as it found them
+/// — bits clear, ranks [`NONE`] — by un-writing exactly what it wrote, so a
+/// shard with a handful of candidates zeroes no `|V(G)|`-sized table.
+#[derive(Debug, Default)]
+pub(crate) struct BuildScratch {
+    /// Membership bitmaps over data vertices, one per query vertex.
+    member: Vec<Vec<u64>>,
+    /// `rank[w]` = index of `w` in the candidate set of the query vertex
+    /// phase 3 is currently building edges *into*, or [`NONE`].
+    rank: Vec<u32>,
 }
 
-/// Builds the CSR adjacency `N^u_{u'}` from sorted candidate sets, using the
-/// target-side membership bitmap to filter and a binary search to re-index.
-fn build_directed_adjacency(
-    g: &Graph,
-    sources: &[VertexId],
-    targets: &[VertexId],
-    target_member: &[u64],
-) -> CsrAdj {
-    let test =
-        |bits: &[u64], v: VertexId| bits[v.index() / 64] >> (v.index() % 64) & 1 == 1;
+fn set(bits: &mut [u64], v: VertexId) {
+    bits[v.index() / 64] |= 1 << (v.index() % 64);
+}
+
+fn clear(bits: &mut [u64], v: VertexId) {
+    bits[v.index() / 64] &= !(1 << (v.index() % 64));
+}
+
+fn test(bits: &[u64], v: VertexId) -> bool {
+    bits[v.index() / 64] >> (v.index() % 64) & 1 == 1
+}
+
+impl BuildScratch {
+    /// Grows the tables to `n` query vertices over `g` (new entries clear).
+    fn fit(&mut self, n: usize, g: &Graph) {
+        let vertices = g.vertex_count();
+        self.member.resize_with(self.member.len().max(n), Vec::new);
+        for bits in &mut self.member[..n] {
+            bits.resize(bits.len().max(vertices.div_ceil(64)), 0);
+        }
+        self.rank.resize(self.rank.len().max(vertices), NONE);
+    }
+
+    /// [`build_cst_from_roots`] on this scratch.
+    pub(crate) fn build_from_roots(
+        &mut self,
+        q: &QueryGraph,
+        g: &Graph,
+        tree: &BfsTree,
+        options: CstOptions,
+        roots: Vec<VertexId>,
+    ) -> (Cst, BuildStats) {
+        let n = q.vertex_count();
+        self.fit(n, g);
+        let mut candidates: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut topdown_entries = 0usize;
+        let mut scratch = Vec::new();
+
+        // --- Phase 1: top-down construction (root seeded by the caller). ---
+        debug_assert!(roots.windows(2).all(|w| w[0] < w[1]), "roots sorted+dedup");
+        for &v in &roots {
+            set(&mut self.member[tree.root().index()], v);
+        }
+        candidates[tree.root().index()] = roots;
+        for &u in &tree.bfs_order()[1..] {
+            let up = tree.parent(u).expect("non-root has a parent");
+            let filter = CandidateFilter::new(q, u);
+            let passes = |w: VertexId, scratch: &mut Vec<_>| {
+                if options.use_nlf {
+                    filter.passes(g, w, scratch)
+                } else {
+                    filter.passes_basic(g, w)
+                }
+            };
+            let member_u = &mut self.member[u.index()];
+            let mut found = 0usize;
+            for &vp in &candidates[up.index()] {
+                let neighbors = g.neighbors(vp);
+                topdown_entries += neighbors.len();
+                for &w in neighbors {
+                    if !test(member_u, w) && passes(w, &mut scratch) {
+                        set(member_u, w);
+                        found += 1;
+                    }
+                }
+            }
+            // C(u) in id order is the bitmap read left to right: no sort.
+            let mut cands = Vec::with_capacity(found);
+            for (i, &word) in member_u.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    cands.push(VertexId::new(i as u32 * 64 + rest.trailing_zeros()));
+                    rest &= rest - 1;
+                }
+            }
+            candidates[u.index()] = cands;
+        }
+        self.refine_and_materialise(q, g, tree, options, candidates, topdown_entries)
+    }
+
+    /// [`build_cst_seeded`] on this scratch.
+    pub(crate) fn build_seeded(
+        &mut self,
+        q: &QueryGraph,
+        g: &Graph,
+        tree: &BfsTree,
+        options: CstOptions,
+        seed: TopDownSeed,
+    ) -> (Cst, BuildStats) {
+        let n = q.vertex_count();
+        assert_eq!(seed.candidates.len(), n, "seed covers every query vertex");
+        self.fit(n, g);
+        for (bits, cands) in self.member.iter_mut().zip(&seed.candidates) {
+            debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "seed sorted+dedup");
+            for &v in cands {
+                set(bits, v);
+            }
+        }
+        self.refine_and_materialise(q, g, tree, options, seed.candidates, 0)
+    }
+
+    /// Phases 2-3 of Algorithm 1, shared by both entry points: bottom-up
+    /// refinement of the phase-1 candidate sets (their bitmaps set in `self`),
+    /// then the adjacency of every directed query edge. Clears the scratch.
+    fn refine_and_materialise(
+        &mut self,
+        q: &QueryGraph,
+        g: &Graph,
+        tree: &BfsTree,
+        options: CstOptions,
+        mut candidates: Vec<Vec<VertexId>>,
+        topdown_entries: usize,
+    ) -> (Cst, BuildStats) {
+        let n = q.vertex_count();
+        let mut stats = BuildStats {
+            candidates_before_refine: candidates.iter().map(Vec::len).collect(),
+            removed_by_refine: vec![0; n],
+            adjacency_entries: 0,
+            topdown_entries,
+        };
+
+        // --- Phase 2: bottom-up refinement (the paper runs a single pass;
+        //     extra passes approximate DAF's CS). ---
+        for _ in 0..options.refine_passes {
+            for u in tree.bottom_up_order() {
+                let children = tree.children(u);
+                if children.is_empty() {
+                    continue;
+                }
+                let ui = u.index();
+                // u is not its own child, so its bitmap can follow the
+                // removals while the children's are being read.
+                let mut member_u = std::mem::take(&mut self.member[ui]);
+                let before = candidates[ui].len();
+                candidates[ui].retain(|&v| {
+                    let keep = children.iter().all(|&uc| {
+                        let member_c = &self.member[uc.index()];
+                        g.neighbors(v).iter().any(|&w| test(member_c, w))
+                    });
+                    if !keep {
+                        clear(&mut member_u, v);
+                    }
+                    keep
+                });
+                self.member[ui] = member_u;
+                stats.removed_by_refine[ui] += before - candidates[ui].len();
+            }
+        }
+
+        // --- Phase 3: adjacency for every directed query edge: one scan per
+        //     undirected edge, from the endpoint with fewer candidates into
+        //     the other; the opposite direction is the transpose. ---
+        let mut built: Vec<Option<CsrAdj>> = vec![None; n * n];
+        for t in q.vertices() {
+            let ti = t.index();
+            for (j, &w) in candidates[ti].iter().enumerate() {
+                self.rank[w.index()] = j as u32;
+            }
+            for si in q.neighbors(t).map(|s| s.index()) {
+                if (candidates[si].len(), si) < (candidates[ti].len(), ti) {
+                    let forward = forward_adjacency(g, &candidates[si], &self.rank);
+                    built[ti * n + si] = Some(forward.transpose(candidates[ti].len()));
+                    built[si * n + ti] = Some(forward);
+                }
+            }
+            for &w in &candidates[ti] {
+                self.rank[w.index()] = NONE;
+            }
+        }
+        let mut pairs = Vec::with_capacity(q.edge_count() * 2);
+        for u in q.vertices() {
+            for un in q.neighbors(u) {
+                let slot = &mut built[u.index() * n + un.index()];
+                let adj = slot.take().expect("every query edge was scanned");
+                stats.adjacency_entries += adj.targets.len();
+                pairs.push(((u, un), adj));
+            }
+        }
+
+        for (bits, cands) in self.member.iter_mut().zip(&candidates) {
+            for &v in cands {
+                clear(bits, v);
+            }
+        }
+        (Cst::from_parts(n, candidates, pairs), stats)
+    }
+}
+
+/// The CSR adjacency `N^u_{u'}` of the sorted `sources` into the candidate
+/// set `rank` indexes. Ranks ascend with vertex id, as graph adjacency does,
+/// so every list comes out ascending.
+fn forward_adjacency(g: &Graph, sources: &[VertexId], rank: &[u32]) -> CsrAdj {
     let mut offsets = Vec::with_capacity(sources.len() + 1);
-    let mut out_targets = Vec::new();
+    let mut targets = Vec::new();
     offsets.push(0u32);
     for &v in sources {
-        for &w in g.neighbors(v) {
-            if test(target_member, w) {
-                let j = targets
-                    .binary_search(&w)
-                    .expect("bitmap member must be in candidate vec") as u32;
-                out_targets.push(j);
-            }
-        }
-        // Graph adjacency is sorted by vertex id and `targets` is sorted, so
-        // the produced indices are already ascending.
-        offsets.push(out_targets.len() as u32);
+        let ranks = g.neighbors(v).iter().map(|w| rank[w.index()]);
+        targets.extend(ranks.filter(|&j| j != NONE));
+        offsets.push(targets.len() as u32);
     }
-    CsrAdj {
-        offsets,
-        targets: out_targets,
-    }
+    CsrAdj { offsets, targets }
 }
 
 #[cfg(test)]
@@ -476,6 +536,104 @@ mod tests {
         // a2's only B neighbour is gone, so bottom-up refinement removes a2.
         assert_eq!(cst.candidates(qv(0)), &[a1]);
         assert_eq!(stats.removed_by_refine.iter().sum::<usize>(), 1);
+    }
+
+    #[test]
+    fn removed_by_refine_counts_every_pass() {
+        // Path A-B-C-D. The chain a2-b2-c2 dead-ends (c2's second neighbour
+        // is not a D), so refinement removes c2, then b2, then a2. One
+        // reverse-BFS pass already reaches the fixpoint of the child-only
+        // rule; the later passes of `daf_cs` remove nothing and must not
+        // overwrite what the first one counted.
+        let q = QueryGraph::new(vec![l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let mut b = GraphBuilder::new();
+        let ids: Vec<VertexId> = [0, 1, 2, 3, 0, 1, 2, 9]
+            .iter()
+            .map(|&x| b.add_vertex(l(x)))
+            .collect();
+        for (x, y) in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)] {
+            b.add_edge(ids[x], ids[y]).unwrap();
+        }
+        let g = b.build();
+        let tree = BfsTree::new(&q, qv(0));
+        for refine_passes in [1, 3] {
+            let opts = CstOptions {
+                use_nlf: false,
+                refine_passes,
+            };
+            let (cst, stats) = build_cst_with_stats(&q, &g, &tree, opts);
+            assert_eq!(stats.candidates_before_refine, [2, 2, 2, 1]);
+            assert_eq!(
+                stats.removed_by_refine,
+                [1, 1, 1, 0],
+                "passes={refine_passes}"
+            );
+            for u in q.vertices() {
+                assert_eq!(
+                    stats.candidates_before_refine[u.index()] - stats.removed_by_refine[u.index()],
+                    cst.candidate_count(u)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_scratch_is_clear_between_builds() {
+        // Two copies of one graph side by side (vertices 0..20 and 20..40,
+        // no edge between them), built through one scratch one after the
+        // other, cold then seeded. The second region shares no vertex with
+        // the first, so nothing the second build writes would cover a bit
+        // or a rank the first left behind.
+        use graph_core::generators::random_labelled_graph;
+        let half = random_labelled_graph(20, 0.35, 2, 17);
+        let mut b = GraphBuilder::new();
+        for shift in [0, 20] {
+            for v in half.vertices() {
+                b.add_vertex(half.label(v));
+            }
+            for (x, y) in half.edges() {
+                b.add_edge(dv(x.index() as u32 + shift), dv(y.index() as u32 + shift))
+                    .unwrap();
+            }
+        }
+        let g = b.build();
+        let q = QueryGraph::new(vec![l(0), l(1), l(0)], &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        let tree = BfsTree::new(&q, qv(0));
+        let opts = CstOptions::default();
+        let roots = root_candidates(&q, &g, &tree, opts);
+        let (low, high): (Vec<_>, Vec<_>) = roots.iter().partition(|v| v.index() < 20);
+        let mut scratch = BuildScratch::default();
+        let assert_clear = |scratch: &BuildScratch| {
+            assert!(scratch.member.iter().flatten().all(|&word| word == 0));
+            assert!(scratch.rank.iter().all(|&r| r == NONE));
+        };
+        let mut built = Vec::new();
+        for chunk in [low, high] {
+            let fresh = build_cst_from_roots(&q, &g, &tree, opts, chunk.clone());
+            assert!(fresh.1.adjacency_entries > 0, "the region reaches phase 3");
+            assert_eq!(scratch.build_from_roots(&q, &g, &tree, opts, chunk), fresh);
+            assert_clear(&scratch);
+            // Seeded from the refined sets, phase 2 removes nothing and
+            // phase 3 sees the same candidates: the same CST again.
+            let candidates = q
+                .vertices()
+                .map(|u| fresh.0.candidates(u).to_vec())
+                .collect();
+            let seeded = scratch.build_seeded(&q, &g, &tree, opts, TopDownSeed { candidates });
+            assert_eq!(seeded.0, fresh.0);
+            assert_clear(&scratch);
+            built.push(fresh.0);
+        }
+        // The two regions are the same graph: same lists, ids 20 apart.
+        for (u, un) in built[0].directed_edges() {
+            assert_eq!(built[0].adjacency(u, un), built[1].adjacency(u, un));
+            let shifted: Vec<_> = built[0]
+                .candidates(u)
+                .iter()
+                .map(|v| dv(v.index() as u32 + 20))
+                .collect();
+            assert_eq!(built[1].candidates(u), shifted);
+        }
     }
 
     #[test]

@@ -38,12 +38,9 @@
 //! rooted in the shard. Summed (or merged) embedding counts are identical
 //! to the sequential pipeline's.
 
-use crate::construct::{
-    build_cst_from_roots, build_cst_seeded, root_candidates, BuildStats, CstOptions,
-};
+use crate::construct::{root_candidates, BuildScratch, BuildStats, CstOptions};
 use crate::planner::{plan_pipeline_shards, RootProfile, SeedMasks, ShardPlan, ShardPlanner};
 use crate::structure::{CsrAdj, Cst};
-use crate::workload::estimate_workload;
 use graph_core::{BfsTree, Graph, QueryGraph, QueryVertexId, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -135,8 +132,6 @@ pub struct ShardReport {
     /// Adjacency entries materialised for this shard (the build-cost unit
     /// of `matching::CpuCostModel::index_time_sec`).
     pub adjacency_entries: usize,
-    /// Estimated embeddings in the shard CST (`W_CST`); exposes shard skew.
-    pub workload: f64,
     /// Whether this shard was built from the probe's memoised candidate
     /// space (`build_cst_seeded`) instead of a cold top-down scan.
     pub seeded: bool,
@@ -245,8 +240,8 @@ enum ShardInput {
     },
 }
 
-/// Builds the shard with the given index. Pure function of its arguments —
-/// the determinism anchor of the whole pipeline.
+/// Builds the shard with the given index. Pure function of its arguments
+/// (`scratch` is clear between builds) — the pipeline's determinism anchor.
 fn build_shard(
     q: &QueryGraph,
     g: &Graph,
@@ -254,6 +249,7 @@ fn build_shard(
     options: CstOptions,
     input: ShardInput,
     shard: usize,
+    scratch: &mut BuildScratch,
 ) -> ShardCst {
     let mut span = obs::span_cat("build_shard", "build");
     span.arg_u64("shard", shard as u64);
@@ -261,20 +257,17 @@ fn build_shard(
     let (seeded, root_count, cst, stats) = match input {
         ShardInput::Roots(chunk) => {
             let roots = chunk.len();
-            let (cst, stats) = build_cst_from_roots(q, g, tree, options, chunk);
+            let (cst, stats) = scratch.build_from_roots(q, g, tree, options, chunk);
             (false, roots, cst, stats)
         }
         ShardInput::Seed { chunk, probe, masks } => {
             let roots = chunk.len();
             let seed = probe.seed_shard(&masks, chunk, shard);
-            let (cst, stats) = build_cst_seeded(q, g, tree, options, seed);
+            let (cst, stats) = scratch.build_seeded(q, g, tree, options, seed);
             (true, roots, cst, stats)
         }
     };
-    // Stop the clock before the workload DP: it is a skew diagnostic, not
-    // part of Algorithm 1, and must not inflate the measured build time.
     let build_time = t0.elapsed();
-    let workload = estimate_workload(&cst, tree).total;
     span.arg_u64("roots", root_count as u64);
     span.arg_u64("seeded", seeded as u64);
     ShardCst {
@@ -283,7 +276,6 @@ fn build_shard(
             roots: root_count,
             build_time,
             adjacency_entries: stats.adjacency_entries,
-            workload,
             seeded,
         },
         cst: Arc::new(cst),
@@ -403,8 +395,9 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
     };
 
     if stats.threads <= 1 {
+        let mut scratch = BuildScratch::default();
         for (i, input) in inputs.into_iter().enumerate() {
-            let shard = build_shard(q, g, tree, options.cst, input, i);
+            let shard = build_shard(q, g, tree, options.cst, input, i, &mut scratch);
             stats.build_wall = wall0.elapsed();
             take(shard, &mut stats);
         }
@@ -426,6 +419,7 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
             let next = &next;
             let build_done = &build_done;
             scope.spawn(move || {
+                let mut scratch = BuildScratch::default();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= inputs_ref.len() {
@@ -436,7 +430,7 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
                         .expect("shard input lock")
                         .take()
                         .expect("each shard input claimed once");
-                    let shard = build_shard(q, g, tree, options.cst, input, i);
+                    let shard = build_shard(q, g, tree, options.cst, input, i, &mut scratch);
                     let done = wall0.elapsed();
                     let mut latest = build_done.lock().expect("timestamp lock");
                     if done > *latest {

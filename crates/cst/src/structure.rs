@@ -56,6 +56,30 @@ impl CsrAdj {
     pub fn has_edge(&self, i: usize, j: u32) -> bool {
         self.neighbors(i).binary_search(&j).is_ok()
     }
+
+    /// The reverse direction `(u' → u)` of this `(u → u')` adjacency, where
+    /// `target_count` is `|C(u')|`: a counting sort of the entries by
+    /// target. Sources are placed in ascending order, so every reverse list
+    /// comes out sorted.
+    pub(crate) fn transpose(&self, target_count: usize) -> CsrAdj {
+        let mut offsets = vec![0u32; target_count + 1];
+        for &j in &self.targets {
+            offsets[j as usize + 1] += 1;
+        }
+        for j in 0..target_count {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut next = offsets.clone();
+        let mut targets = vec![0u32; self.targets.len()];
+        for i in 0..self.source_count() {
+            for &j in self.neighbors(i) {
+                let at = &mut next[j as usize];
+                targets[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        CsrAdj { offsets, targets }
+    }
 }
 
 /// The candidate search tree.
@@ -474,6 +498,42 @@ mod tests {
         assert!(err.contains("not ascending"), "{err}");
         // A repeated candidate is not *strictly* ascending either.
         assert!(cst_with(vec![dv(3), dv(3)]).validate(&q).is_err());
+    }
+
+    /// Brute-force reverse of `a`: target `j` lists every source `i` with
+    /// `j ∈ a.neighbors(i)`, ascending.
+    fn reverse_by_definition(a: &CsrAdj, target_count: usize) -> CsrAdj {
+        let mut offsets = vec![0u32];
+        let mut targets = Vec::new();
+        for j in 0..target_count as u32 {
+            targets.extend(
+                (0..a.source_count())
+                    .filter(|&i| a.has_edge(i, j))
+                    .map(|i| i as u32),
+            );
+            offsets.push(targets.len() as u32);
+        }
+        CsrAdj { offsets, targets }
+    }
+
+    #[test]
+    fn transpose_is_the_reverse_adjacency() {
+        let mk = |offsets: Vec<u32>, targets: Vec<u32>| CsrAdj { offsets, targets };
+        let cases = [
+            // (forward, |targets|)
+            (mk(vec![0], vec![]), 3),                 // empty source set
+            (mk(vec![0, 0, 0], vec![]), 0),           // empty target set
+            (mk(vec![0, 2, 2, 3], vec![0, 2, 1]), 3), // source 1 has no hits
+            // Source 1 is a hub adjacent to every target; the last target is
+            // reached by the hub alone and the first by every source.
+            (mk(vec![0, 1, 5, 7], vec![0, 0, 1, 2, 3, 0, 2]), 4),
+        ];
+        for (forward, target_count) in cases {
+            let reverse = forward.transpose(target_count);
+            assert_eq!(reverse, reverse_by_definition(&forward, target_count));
+            assert_eq!(reverse.source_count(), target_count);
+            assert_eq!(reverse.transpose(forward.source_count()), forward);
+        }
     }
 
     #[test]
