@@ -33,29 +33,39 @@
 //!
 //! ## What is resolved when
 //!
-//! The hardware does one O(1) array probe per task; the emulator gets the
-//! same effect by hoisting every lookup to the coarsest scope it is
-//! invariant over. Per *partition*: the plan's query vertices become
-//! candidate slices and [`CsrAdj`] references. Per *partial*: its mapped
-//! data vertices, the budget-cut window of its anchor list, the validators'
-//! neighbour lists — and then two set operations on those sorted lists in
-//! place of a walk. The **visited** are the ≤ 15 mapped vertices that occur
-//! in the window, each found by a range test and a binary search keyed by
-//! vertex id; the **survivors** are the window ∩ every validator's list
-//! less the visited, one [`cst::intersect_each`] driven from the shortest
-//! list (a validator's list of two or three entries against a window of
-//! eighty costs a handful of seeks, not eighty probes), each survivor
-//! buffered, collected or merely counted as it is found; the **broken**
-//! are the rest of the window — a visited failure takes precedence over an
-//! edge failure, as in the Synchronizer. Per *candidate* nothing remains.
-//! `N`, `M` and the memory-touch counters are added per partial from the
-//! window's length: they are the hardware's, which fetches every
+//! The hardware does one O(1) array probe per task; the emulator gets the same
+//! effect by hoisting every lookup to the coarsest scope it is invariant over.
+//! Per *partition*: the plan's query vertices become candidate slices and
+//! [`CsrAdj`] references, and the last depth is **closing** (keeping its
+//! reverse `(u → anchor)` adjacency) when anchored at the newest depth,
+//! validated against earlier ones only (one or more), with `C(u)`'s id range
+//! apart from every earlier depth's. Per *partial*: its mapped data vertices,
+//! the budget-cut window of its anchor list, the validators' neighbour lists —
+//! and then two set operations on those sorted lists in place of a walk. The
+//! **visited** are the ≤ 15 mapped vertices that occur in the window, each
+//! found by a range test and a binary search keyed by vertex id; the
+//! **survivors** are the window ∩ every validator's list less the visited, one
+//! [`cst::intersect_each`] driven from the shortest list (a validator's list of
+//! two or three entries against a window of eighty costs a handful of seeks,
+//! not eighty probes), each survivor buffered, collected or merely counted as
+//! it is found; the **broken** are the rest of the window — a visited failure
+//! takes precedence over an edge failure, as in the Synchronizer. Per
+//! *candidate* nothing remains.
+//!
+//! Per *run*, at a closing level with nothing to emit: siblings (partials one
+//! parent pushed, contiguous, ascending in their last index) share the
+//! validators' intersection `C`; `x ∈ C` survives in member `s` iff (CST
+//! symmetry, [`Cst::validate`]) `s` is in `x`'s reverse list. Two or more with
+//! whole windows resolve at once, nothing visited as the id ranges lie apart.
+//!
+//! `N`, `M` and the memory-touch counters are added per partial (or run)
+//! from window lengths: they are the hardware's, which fetches every
 //! candidate, evaluates every comparison and emits every `t_n`
 //! (Algorithm 5 lines 10-12) with no short-circuiting, however few of them
 //! the host touches.
 
 use crate::plan::{KernelPlan, MAX_KERNEL_QUERY};
-use cst::{intersect_each, CsrAdj, Cst};
+use cst::{intersect_each, seek, CsrAdj, Cst};
 use fpga_sim::WorkloadCounts;
 use graph_core::VertexId;
 
@@ -109,8 +119,76 @@ struct Expansion<'a> {
     /// Generator's candidate fetch (Algorithm 5 line 5).
     anchor_depth: usize,
     anchor: &'a CsrAdj,
+    /// At a closing depth (module docs), the reverse `(u → anchor)` one.
+    closing: Option<&'a CsrAdj>,
     /// `(depth, (u_depth → u) adjacency)` per Edge Validator probe.
     validate: Vec<(usize, &'a CsrAdj)>,
+}
+
+/// Resolves the run at the head of `cur` (closing depth `step`, reverse
+/// adjacency `rev`): the partials sharing the head's first `level - 1`
+/// indices while each whole window fits `budget`, if two or more and no
+/// shorter than their reverse lists; else `Err(members)`. Not inlined:
+/// that slows every level's per-partial loop by a few per cent.
+#[inline(never)]
+fn sibling_run(
+    cur: &mut Level,
+    level: usize,
+    step: &Expansion<'_>,
+    rev: &CsrAdj,
+    budget: &mut usize,
+    out: &mut KernelOutput,
+) -> Result<(), usize> {
+    let slots = &cur.slots[cur.head * level..];
+    let prefix = &slots[..level - 1];
+    let (mut members, mut window) = (0, 0);
+    for pi in slots.chunks_exact(level) {
+        let len = step.anchor.degree(pi[level - 1] as usize) as usize;
+        if window == *budget || len > *budget - window || pi[..level - 1] != *prefix {
+            break;
+        }
+        members += 1;
+        window += len;
+    }
+    if members < 2 {
+        return Err(members);
+    }
+    let probes = step.validate.len();
+    let mut lists: [&[u32]; MAX_KERNEL_QUERY] = [&[]; MAX_KERNEL_QUERY];
+    for (l, &(bd, adj)) in lists.iter_mut().zip(&step.validate) {
+        *l = adj.neighbors(prefix[bd] as usize);
+    }
+    let mut walk = 0;
+    intersect_each(&mut { lists }[..probes], |x| walk += rev.degree(x as usize));
+    if walk as usize > window {
+        return Err(members);
+    }
+    // Siblings leave their parent ascending, so each walk is a merge.
+    let run = &slots[..members * level];
+    let last = |m: usize| run[m * level + level - 1];
+    debug_assert!((1..members).all(|m| last(m - 1) < last(m)));
+    let mut survivors = 0;
+    intersect_each(&mut lists[..probes], |x| {
+        let list = rev.neighbors(x as usize);
+        let lo = seek(list, last(0));
+        let mut m = 0;
+        for &s in &list[lo..lo + seek(&list[lo..], last(members - 1) + 1)] {
+            while last(m) < s {
+                m += 1;
+            }
+            survivors += usize::from(last(m) == s);
+        }
+    });
+    // With the ids apart, none is visited.
+    out.buffer_reads += members as u64;
+    out.counts.n += window as u64;
+    out.counts.m += (window * probes) as u64;
+    out.cst_reads += (members + window * (1 + probes)) as u64;
+    out.edge_rejections += (window - survivors) as u64;
+    out.embeddings += survivors as u64;
+    *budget -= window;
+    cur.head += members;
+    Ok(())
 }
 
 /// One buffer level: partials of `stride` candidate indices each, live
@@ -161,10 +239,20 @@ pub fn run_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> K
         .map(|d| {
             let step = plan.depth(d);
             let u = step.vertex;
+            let anchor = plan.depth(step.anchor_depth).vertex;
+            // No earlier depth's vertex can lie in a list of `C(u)`'s.
+            let (lo, hi) = (candidates[d].first(), candidates[d].last());
+            let apart = |e: &&[VertexId]| e.last() < lo || e.first() > hi;
+            let closing = d == qlen - 1
+                && step.anchor_depth == d - 1
+                && !step.validate_depths.is_empty()
+                && step.validate_depths.iter().all(|&bd| bd < d - 1)
+                && candidates[..d].iter().all(apart);
             Expansion {
                 candidates: candidates[d],
                 anchor_depth: step.anchor_depth,
-                anchor: cst.adjacency(plan.depth(step.anchor_depth).vertex, u),
+                anchor: cst.adjacency(anchor, u),
+                closing: closing.then(|| cst.adjacency(u, anchor)),
                 validate: step
                     .validate_depths
                     .iter()
@@ -219,8 +307,28 @@ pub fn run_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> K
         let mut next = upper.first_mut();
         debug_assert!(next.as_ref().is_none_or(|l| l.slots.is_empty()));
         let mut budget = no;
+        // Partials left to the per-partial path before the next run.
+        let mut solo = 0usize;
 
         loop {
+            if cur.head * level == cur.slots.len() {
+                cur.slots.clear();
+                cur.head = 0;
+                break;
+            }
+            if budget == 0 {
+                break;
+            }
+            if let Some(rev) = step.closing {
+                if solo > 0 {
+                    solo -= 1;
+                } else if cur.resume == 0 && out.collected.len() >= cap {
+                    match sibling_run(cur, level, step, rev, &mut budget, &mut out) {
+                        Ok(()) => continue,
+                        Err(members) => solo = members.saturating_sub(1),
+                    }
+                }
+            }
             out.buffer_reads += 1;
             let pi = &cur.slots[cur.head * level..(cur.head + 1) * level];
             let mut mapped = [VertexId::new(0); MAX_KERNEL_QUERY];
@@ -315,14 +423,6 @@ pub fn run_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> K
             }
             cur.head += 1;
             cur.resume = 0;
-            if cur.head * level == cur.slots.len() {
-                cur.slots.clear();
-                cur.head = 0;
-                break;
-            }
-            if budget == 0 {
-                break;
-            }
         }
 
         if let Some(next) = next {

@@ -41,9 +41,11 @@
 //!   the copying reader.
 //!
 //! Validation on load: magic/version, checksum, monotone offsets
-//! terminating at `2m`, and neighbour ids `< n` — a truncated or
-//! bit-flipped snapshot is a typed [`SnapshotError`], never a malformed
-//! [`Graph`].
+//! terminating at `2m`, and every adjacency list strictly ascending, with
+//! neighbour ids `< n` and no self loop — a truncated or bit-flipped
+//! snapshot, or a checksum-valid one whose lists are unsorted, repeat a
+//! neighbour or hold their own vertex, is a typed [`SnapshotError`], never a
+//! malformed [`Graph`]. Symmetry of the adjacency is not checked.
 
 use crate::csr::Graph;
 use crate::types::{Label, VertexId};
@@ -226,17 +228,40 @@ pub fn read_snapshot(r: &mut dyn Read) -> Result<Graph, SnapshotError> {
         .collect();
 
     // CSR invariants: monotone offsets spanning exactly the neighbour
-    // array, and every neighbour id in range.
+    // array, then the neighbour pass.
     if offsets.first() != Some(&0) || offsets.last() != Some(&nbr_len) {
         return Err(SnapshotError::Format("offsets do not span the neighbors section".into()));
     }
     if offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Format("offsets are not monotone".into()));
     }
-    if neighbors.iter().any(|v| v.index() >= n) {
-        return Err(SnapshotError::Format("neighbour id out of range".into()));
-    }
+    check_neighbors(&offsets, &neighbors)?;
     Ok(Graph::from_csr_parts(labels, offsets, neighbors, m))
+}
+
+/// The neighbour pass of both loaders, over offsets already checked to be
+/// monotone and to span `neighbors`: every vertex's list strictly ascending
+/// (no repeated neighbour), below the vertex count and without the vertex
+/// itself — the sorted simple adjacency [`Graph::from_csr_parts`] presumes
+/// and every binary search over a list relies on. Symmetry (`u ∈ N(v)` iff
+/// `v ∈ N(u)`) is not checked.
+fn check_neighbors(offsets: &[usize], neighbors: &[VertexId]) -> Result<(), SnapshotError> {
+    let n = offsets.len() - 1;
+    for (v, w) in offsets.windows(2).enumerate() {
+        let list = &neighbors[w[0]..w[1]];
+        // The last id bounds them all once the list ascends, checked next.
+        let fault = if list.last().is_some_and(|u| u.index() >= n) {
+            "neighbour id out of range"
+        } else if list.windows(2).any(|p| p[0] >= p[1]) {
+            "adjacency not strictly ascending (unsorted or repeated neighbour)"
+        } else if list.binary_search(&VertexId::from_index(v)).is_ok() {
+            "lists itself as a neighbour (self loop)"
+        } else {
+            continue;
+        };
+        return Err(SnapshotError::Format(format!("vertex {v}: {fault}")));
+    }
+    Ok(())
 }
 
 /// Saves `g` to `path` **atomically**: the snapshot is written to a
@@ -281,10 +306,10 @@ pub enum SnapshotVerify {
     Eager,
     /// Defer the checksum to [`MappedSnapshot::verify`], letting restore
     /// return as soon as the structure is validated. Structural CSR
-    /// invariants (offset monotonicity/span, neighbour ranges) are always
-    /// checked at load, so an unverified graph can never index out of
-    /// bounds — a deferred mismatch only means payload *values* may be
-    /// corrupt.
+    /// invariants (offset monotonicity/span, strictly ascending in-range
+    /// lists without self loops) are always checked at load, so an
+    /// unverified graph can never index out of bounds — a deferred mismatch
+    /// only means payload *values* may be corrupt.
     Lazy,
 }
 
@@ -536,9 +561,7 @@ pub fn load_snapshot_mapped(
     if offsets_view.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Format("offsets are not monotone".into()));
     }
-    if neighbors_view.iter().any(|v| v.index() >= n) {
-        return Err(SnapshotError::Format("neighbour id out of range".into()));
-    }
+    check_neighbors(offsets_view, neighbors_view)?;
 
     let keep: Arc<dyn Any + Send + Sync> = Arc::clone(&map) as Arc<dyn Any + Send + Sync>;
     let graph = Graph::from_csr_sections(
@@ -810,6 +833,44 @@ mod tests {
         let err = load_snapshot_mapped(&path, SnapshotVerify::Lazy).unwrap_err();
         assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("offsets")), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A checksum-valid snapshot whose one list is unsorted, repeats a
+    /// neighbour or holds its own vertex is rejected by every loader —
+    /// copying, mapped eager and mapped lazy — naming the vertex.
+    #[test]
+    fn loaders_reject_unsorted_repeated_and_self_loop_lists() {
+        // Vertex 1's list is the broken one; 0, 2 and 3 each list 1.
+        for (list, fault) in [
+            ([2, 0, 3], "not strictly ascending"),
+            ([0, 2, 2], "not strictly ascending"),
+            ([1, 2, 3], "self loop"),
+        ] {
+            let neighbors = [1].into_iter().chain(list).chain([1, 1]);
+            let g = Graph::from_csr_parts(
+                vec![Label::new(0); 4],
+                vec![0, 1, 4, 5, 6],
+                neighbors.map(VertexId::new).collect(),
+                3,
+            );
+            let mut buf = Vec::new();
+            write_snapshot(&g, &mut buf).unwrap();
+            let expect = |err: SnapshotError| {
+                let msg = err.to_string();
+                assert!(
+                    msg.contains("vertex 1") && msg.contains(fault),
+                    "{list:?}: {msg}"
+                );
+            };
+            expect(read_snapshot(&mut buf.as_slice()).unwrap_err());
+            let path =
+                std::env::temp_dir().join(format!("fast-snap-lists-{}.bin", std::process::id()));
+            std::fs::write(&path, &buf).unwrap();
+            for verify in [SnapshotVerify::Eager, SnapshotVerify::Lazy] {
+                expect(load_snapshot_mapped(&path, verify).unwrap_err());
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

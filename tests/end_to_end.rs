@@ -1,9 +1,12 @@
 //! End-to-end integration: every matcher in the workspace must agree on
 //! every benchmark query over LDBC-like data.
 
-use fast::{run_fast, FastConfig, Variant};
+use fast::{
+    prepare_partitions, run_fast, run_kernel, CollectMode, FastConfig, KernelPlan, Variant,
+};
+use fpga_sim::FpgaSpec;
 use graph_core::generators::{generate_ldbc, LdbcParams};
-use graph_core::{all_benchmark_queries, benchmark_query};
+use graph_core::{all_benchmark_queries, benchmark_query, path_based_order, select_root, BfsTree};
 use join_baselines::{run_join_baseline, DeviceSpec, JoinBaseline};
 use matching::{run_baseline, run_baseline_parallel, Baseline, Outcome, RunLimits};
 
@@ -32,6 +35,69 @@ fn all_engines_agree_on_all_benchmark_queries() {
         }
         let par = run_baseline_parallel(Baseline::Ceci, q, &g, &limits, 8);
         assert_eq!(par.embeddings, expected, "CECI-8 q{qi}");
+    }
+}
+
+/// Every `KernelOutput` field of q0-q8 on [`tiny_ldbc`], summed over each
+/// query's partitions under the benchmark's device (`N_o` 512, `Port_max`
+/// 2048, 2 MiB BRAM), against recorded values. The benchmark's exact
+/// checks pin only `n`, `m`, rounds and cycles, and the kernel oracle's
+/// graphs have 30-90 vertices; here `run_kernel` resolves q1's last level
+/// (the Comment closing the 4-cycle) by sibling runs, adding `cst_reads`,
+/// `buffer_reads` and rejections in bulk, on label-blocked LDBC data.
+#[test]
+fn kernel_counters_are_pinned_on_ldbc_data() {
+    let g = tiny_ldbc();
+    let config = FastConfig {
+        spec: FpgaSpec {
+            bram_bytes: 2 << 20,
+            no: 512,
+            port_max: 2048,
+            ..FpgaSpec::default()
+        },
+        ..FastConfig::for_variant(Variant::Sep)
+    };
+    // Per query: partitions, then embeddings, n, m, rounds, cst_reads,
+    // buffer_reads, buffer_writes, visited and edge rejections, and the
+    // buffer high-water marks, each summed over the partitions.
+    #[rustfmt::skip]
+    let pinned: [[u64; 11]; 9] = [
+        [15, 1222, 2756, 0, 60, 4271, 1534, 1534, 0, 0, 1534],
+        [16, 348, 96550, 92095, 239, 193217, 4616, 4455, 0, 91747, 3049],
+        [16, 837, 105260, 92095, 414, 210132, 12821, 12676, 0, 91747, 7608],
+        [15, 837, 38895, 27107, 158, 77815, 11832, 11788, 0, 26270, 5631],
+        [13, 12, 228, 52, 58, 392, 131, 131, 45, 40, 131],
+        [1, 104, 555, 440, 5, 1143, 149, 149, 78, 224, 149],
+        [1, 54, 505, 780, 5, 1383, 99, 99, 78, 274, 99],
+        [16, 52, 15875, 10156, 124, 34101, 8115, 8109, 722, 6992, 5935],
+        [16, 7824, 66031, 91810, 332, 176669, 18873, 18805, 5674, 33728, 5527],
+    ];
+    for (qi, q) in all_benchmark_queries().iter().enumerate() {
+        let tree = BfsTree::new(q, select_root(q, &g));
+        let order = path_based_order(q, &tree, &g);
+        let plan = KernelPlan::new(q, &order, &tree).expect("benchmark query fits kernel");
+        let mut sum = [0u64; 11];
+        prepare_partitions(q, &g, &config, &tree, &order, &mut |job| {
+            let out = run_kernel(&job.cst, &plan, config.spec.no, CollectMode::CountOnly);
+            assert!(out.collected.is_empty());
+            let fields = [
+                1,
+                out.embeddings,
+                out.counts.n,
+                out.counts.m,
+                out.rounds,
+                out.cst_reads,
+                out.buffer_reads,
+                out.buffer_writes,
+                out.visited_rejections,
+                out.edge_rejections,
+                out.buffer_high_water.iter().sum::<usize>() as u64,
+            ];
+            for (s, f) in sum.iter_mut().zip(fields) {
+                *s += f;
+            }
+        });
+        assert_eq!(sum, pinned[qi], "q{qi}");
     }
 }
 

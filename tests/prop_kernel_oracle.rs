@@ -15,8 +15,8 @@ use cst::{build_cst, Cst};
 use fast::{run_kernel, CollectMode, KernelOutput, KernelPlan};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{
-    random_connected_order, BfsTree, Graph, GraphBuilder, Label, MatchingOrder, QueryGraph,
-    QueryVertexId, VertexId,
+    all_connected_orders, random_connected_order, BfsTree, Graph, GraphBuilder, Label,
+    MatchingOrder, QueryGraph, QueryVertexId, VertexId,
 };
 use matching::vf2_count;
 use proptest::prelude::*;
@@ -49,7 +49,14 @@ struct Partial {
 /// list instead of the budget-cut window; `cst::seek` returning `len - 1`
 /// instead of `len` past the end; the driver chosen but the window left out
 /// of the lists it seeks in; the `probes == 0` count arm taken while
-/// `Collect` still has room.
+/// `Collect` still has room. Sibling runs at a closing last level (each
+/// fails `kernel_agrees_with_reference_on_closing_levels`, and so does
+/// making the run branch `panic!`): the run extended across a prefix
+/// change; a budget-cut member taken into the run; the reverse walk not
+/// clipped to the run's first and last member; `buffer_reads` or the
+/// `cst_reads` list header counted once per run instead of once per
+/// member; the branch taken while `Collect` has room; the branch taken
+/// when an earlier depth's id range overlaps `C(u)`.
 fn reference_kernel(cst: &Cst, plan: &KernelPlan, no: u32, mode: CollectMode) -> KernelOutput {
     let qlen = plan.len();
     let mut out = KernelOutput::default();
@@ -324,6 +331,130 @@ fn hub_heavy_graph(seed: u64) -> Graph {
     b.build()
 }
 
+/// A graph whose labels each hold one contiguous block of ids: vertices are
+/// added label by label, 12-18 to a label, and each block's first vertex is
+/// a hub of the block's own label. Candidates of different labels then
+/// never interleave by id — what `run_kernel` needs before it resolves a
+/// cycle-closing last level by sibling runs, and what neither
+/// [`random_labelled_graph`] (labels drawn per vertex) nor
+/// [`hub_heavy_graph`] (hubs of random labels appended after the blocks)
+/// ever gives it. Vertices of labels `a` and `b` are joined with
+/// probability `p(a, b)`; a label-`a` hub is joined to every vertex of
+/// label `a + 1` (mod `labels`) when `p(a, a + 1) > 0`; and for each
+/// `(a, b)` in `one_of` every label-`a` vertex gets exactly one label-`b`
+/// neighbour (LDBC's reply-of and has-creator links).
+fn label_blocked_graph(
+    seed: u64,
+    labels: u16,
+    p: impl Fn(u16, u16) -> f64,
+    one_of: &[(u16, u16)],
+) -> Graph {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new();
+    let blocks: Vec<std::ops::Range<u32>> = (0..labels)
+        .map(|label| {
+            let first = b.add_vertices(rng.gen_range(12..=18), Label::new(label));
+            first.raw()..b.vertex_count() as u32
+        })
+        .collect();
+    let label_of = |v: u32| blocks.iter().position(|r| r.contains(&v)).unwrap() as u16;
+    let n = b.vertex_count() as u32;
+    for i in 0..n {
+        for j in i + 1..n {
+            if rng.gen_bool(p(label_of(i), label_of(j))) {
+                b.add_edge(VertexId::new(i), VertexId::new(j)).unwrap();
+            }
+        }
+    }
+    for a in 0..labels {
+        let next = (a + 1) % labels;
+        if p(a, next) > 0.0 {
+            let hub = VertexId::new(blocks[a as usize].start);
+            for v in blocks[next as usize].clone() {
+                b.add_edge(hub, VertexId::new(v)).unwrap();
+            }
+        }
+    }
+    for &(a, to) in one_of {
+        for v in blocks[a as usize].clone() {
+            let w = rng.gen_range(blocks[to as usize].clone());
+            b.add_edge(VertexId::new(v), VertexId::new(w)).unwrap();
+        }
+    }
+    b.build()
+}
+
+/// Cycle queries on [`label_blocked_graph`]s. Whether the last depth is a
+/// closing one (anchored at the newest depth, validated against earlier
+/// ones only) depends on the root and the order; the test tries them all.
+#[derive(Debug, Clone, Copy)]
+enum Cycle {
+    /// A 4-cycle of four labels.
+    Square,
+    /// A 5-cycle of five labels.
+    Pentagon,
+    /// q1's shape: Person knows Person, one wrote a Post, the other a
+    /// Comment replying to it. Every Comment has one Post and one creator,
+    /// so a closing Comment's reverse list has one entry.
+    ReplyOf,
+    /// A 4-cycle over dense label pairs: reverse lists as long as the
+    /// windows, validators' lists long too, so the cost test declines
+    /// most runs.
+    Dense,
+    /// A 4-cycle labelled 0, 1, 0, 1: the last vertex shares its block
+    /// with an earlier depth's, so the last depth is never closing, and
+    /// that depth's vertex lies in the last depth's windows.
+    Alternating,
+}
+
+impl Cycle {
+    const ALL: [Cycle; 5] = [
+        Cycle::Square,
+        Cycle::Pentagon,
+        Cycle::ReplyOf,
+        Cycle::Dense,
+        Cycle::Alternating,
+    ];
+
+    fn instance(self, seed: u64) -> (QueryGraph, Graph) {
+        let l = Label::new;
+        let ring = |n: usize| (0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>();
+        let q = match self {
+            Cycle::Square | Cycle::Dense => QueryGraph::new(vec![l(0), l(1), l(2), l(3)], &ring(4)),
+            Cycle::Pentagon => QueryGraph::new((0..5).map(l).collect(), &ring(5)),
+            Cycle::ReplyOf => {
+                let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
+                QueryGraph::new(vec![l(0), l(0), l(1), l(2)], &edges)
+            }
+            Cycle::Alternating => QueryGraph::new(vec![l(0), l(1), l(0), l(1)], &ring(4)),
+        };
+        let distinct = |a: u16, b: u16| if a == b { 0.0 } else { 0.12 };
+        let g = match self {
+            Cycle::Square => label_blocked_graph(seed, 4, distinct, &[]),
+            Cycle::Pentagon => label_blocked_graph(seed, 5, distinct, &[]),
+            // Labels: 0 Person (knows), 1 Post, 2 Comment.
+            Cycle::ReplyOf => {
+                let p = |a: u16, b: u16| match (a.min(b), a.max(b)) {
+                    (0, 0) => 0.3,
+                    (0, 1) => 0.1,
+                    _ => 0.0,
+                };
+                label_blocked_graph(seed, 3, p, &[(2, 1), (2, 0)])
+            }
+            Cycle::Dense => {
+                let p = |a: u16, b: u16| if a.abs_diff(b) % 2 == 1 { 0.6 } else { 0.0 };
+                label_blocked_graph(seed, 4, p, &[])
+            }
+            Cycle::Alternating => {
+                let p = |a: u16, b: u16| if a == b { 0.05 } else { 0.2 };
+                label_blocked_graph(seed, 2, p, &[])
+            }
+        };
+        (q.unwrap(), g)
+    }
+}
+
 /// Strategy: a random connected query of 2-5 vertices over ≤3 labels.
 fn arb_query() -> impl Strategy<Value = QueryGraph> {
     arb_query_up_to(5)
@@ -479,6 +610,44 @@ proptest! {
             // Every query edge is a data edge.
             for &(a, b) in q.edges() {
                 prop_assert!(g.has_edge(emb[a.index()], emb[b.index()]));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The same equality on cycle-closing last levels, where `run_kernel`
+    /// counts a run of siblings at once from the reverse adjacency: every
+    /// [`Cycle`] on its [`label_blocked_graph`] under every root and every
+    /// connected order (only some make the last depth a closing one), a
+    /// random round budget, and `Collect` with room to the end or with its
+    /// cap reached half-way (a run is taken only once nothing is emitted).
+    #[test]
+    fn kernel_agrees_with_reference_on_closing_levels(
+        shape in 0usize..Cycle::ALL.len(),
+        graph_seed in 0u64..1_000,
+        no_index in 0usize..ROUND_BUDGETS.len(),
+        collect in 0usize..3,
+    ) {
+        let (q, g) = Cycle::ALL[shape].instance(graph_seed);
+        let no = ROUND_BUDGETS[no_index];
+        for root in q.vertices() {
+            let tree = BfsTree::new(&q, root);
+            let cst = build_cst(&q, &g, &tree);
+            for order in all_connected_orders(&q, root) {
+                let plan = KernelPlan::new(&q, &order, &tree).expect("small query");
+                let count = reference_kernel(&cst, &plan, no, CollectMode::CountOnly).embeddings;
+                let mode = [
+                    CollectMode::CountOnly,
+                    CollectMode::Collect(count as usize / 2),
+                    CollectMode::Collect(count as usize + 1),
+                ][collect];
+
+                let out = run_kernel(&cst, &plan, no, mode);
+                let reference = reference_kernel(&cst, &plan, no, mode);
+                prop_assert_eq!(out, reference, "root {:?} order {:?}", root, order.as_slice());
             }
         }
     }
