@@ -37,8 +37,8 @@
 //! queries that already scale.
 
 use crate::harness::{experiment_config, DatasetCache};
-use fast::{FastConfig, FastReport, ShardPlanner, Variant};
-use graph_core::{benchmark_query, path_based_order, select_root, BfsTree, DatasetId};
+use fast::{FastReport, ShardPlanner, Variant};
+use graph_core::{benchmark_query, DatasetId};
 use std::collections::HashMap;
 
 /// One (planner, thread-count) point, aggregated over the query set.
@@ -63,8 +63,7 @@ pub struct Row {
     /// Measured wall seconds of the build phase on this machine.
     pub build_wall_sec: f64,
     /// Measured CPU seconds spent building (total work across shards),
-    /// with seeding on (the default); probing rows report the least of
-    /// [`CPU_PASSES`] passes, here and in the cold column.
+    /// with seeding on (the default).
     pub build_cpu_sec: f64,
     /// Measured CPU build seconds with seeding **off** (cold top-down
     /// scans per shard); equals [`build_cpu_sec`](Self::build_cpu_sec) for
@@ -89,12 +88,6 @@ pub const PLANNERS: [ShardPlanner; 2] = [ShardPlanner::Contiguous, ShardPlanner:
 /// thread count — so every parallel row partitions the identical shard
 /// stream; see `cst::pipeline` on determinism.
 pub const SHARDS: usize = 16;
-
-/// Measured build passes per side behind the seeded and cold build-CPU
-/// columns (minimum reported). One pass each is a sum of per-shard wall
-/// times of a few milliseconds on oversubscribed threads — its spread on
-/// an idle 2-core box is wider than what seeding saves.
-pub const CPU_PASSES: usize = 5;
 
 /// Queries aggregated over: the root-shardable subset of the benchmark
 /// queries. Under the blind contiguous planner, root sharding duplicates
@@ -201,22 +194,8 @@ pub fn run(cache: &mut DatasetCache, dataset: DatasetId, queries: &[usize]) -> V
                             "{planner} q{qi}: fully seeded build still scanned"
                         );
                     }
-                    // Contention only ever adds to a measured build, so
-                    // each side reports its least-disturbed pass; the extra
-                    // passes alternate sides and stop after the prepare phase.
-                    let tree = BfsTree::new(&q, select_root(&q, g));
-                    let order = path_based_order(&q, &tree, g);
-                    let prepare_cpu = |config: &FastConfig| {
-                        fast::prepare_partitions(&q, g, config, &tree, &order, &mut |_| {}).build_cpu
-                    };
-                    let mut seeded_cpu = report.build_cpu_time;
-                    let mut cold_cpu = cold.build_cpu_time;
-                    for _ in 1..CPU_PASSES {
-                        seeded_cpu = seeded_cpu.min(prepare_cpu(&config));
-                        cold_cpu = cold_cpu.min(prepare_cpu(&cold_config));
-                    }
-                    build_cpu += seeded_cpu.as_secs_f64();
-                    build_cpu_cold += cold_cpu.as_secs_f64();
+                    build_cpu += report.build_cpu_time.as_secs_f64();
+                    build_cpu_cold += cold.build_cpu_time.as_secs_f64();
                     cold_topdown += cold.build_topdown_entries;
                 }
             }
@@ -329,6 +308,39 @@ mod tests {
                     w[1].modeled_prepare_sec
                 );
             }
+        }
+    }
+
+    /// The probe-seeded build bar on the hostscale target: auto-planned
+    /// (probing) rows build from the probe's candidate space — no top-down
+    /// scan where the cold reruns scan — so the probe is absorbed (plan
+    /// overhead 0). Threads == 1 runs the sequential, unplanned flow; only
+    /// the pipelined rows carry a probe to seed from.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
+    fn seeded_rows_scan_nothing_and_absorb_the_probe() {
+        let mut cache = DatasetCache::new();
+        let rows = run(&mut cache, DatasetId::Dg03, &QUERIES);
+        for r in rows
+            .iter()
+            .filter(|r| r.planner != ShardPlanner::Contiguous && r.threads > 1)
+        {
+            let at = format!("{} at {} threads", r.planner, r.threads);
+            assert_eq!(
+                r.topdown_entries, 0,
+                "{at}: seeded builds must not scan top-down"
+            );
+            assert!(
+                r.cold_topdown_entries > 0,
+                "{at}: cold builds scan top-down"
+            );
+            assert_eq!(
+                r.modeled_plan_sec, 0.0,
+                "{at}: the probe is absorbed into seeded builds"
+            );
         }
     }
 }

@@ -11,10 +11,9 @@
 //! isolates what caching buys at the service level. Per-query embedding
 //! counts are captured per mode and must be bit-identical (a cached
 //! artifact replays the exact decomposition a cold run computes); the
-//! release-mode test (`tests/wall_clock.rs`, with the other figure bar
-//! that compares two timed phases) enforces that plus the acceptance bar:
-//! warm tier-2 hit rate ≥ 90%, warm build time exactly 0, warm sustained
-//! QPS strictly above cold.
+//! release-mode test below enforces that plus the cache bar: warm tier-2
+//! hit rate ≥ 90%, warm build time exactly 0. What caching buys in wall
+//! clock is the benchmark's `serve_warm_dg03` against `serve_cold_dg03`.
 
 use crate::harness::DatasetCache;
 use fast::{FastConfig, ShardPlanner, Variant};
@@ -237,4 +236,46 @@ pub fn render(dataset: DatasetId, rows: &[Row]) -> String {
         QUERY_MIX,
         crate::harness::render_table(&header, &body)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The serving cache bar on DG03, the graph the full sweep serves: on a
+    /// repeated query mix the warm tier-2 cache hits ≥ 90%, hit-path build
+    /// time is exactly 0, the resident artifacts stay under the budget, and
+    /// every cached result is bit-identical to the cold run's.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full serving sweep; covered by the release-mode CI test step"
+    )]
+    fn warm_cache_hits_with_identical_results() {
+        let mut cache = DatasetCache::new();
+        let rows = run(&mut cache, DatasetId::Dg03, &[4], 30);
+        let (cold, warm) = (&rows[0].cold, &rows[0].warm);
+        // Bit-identity is asserted inside `run`; re-check visibly here.
+        assert_eq!(cold.embeddings, warm.embeddings);
+        assert!(!warm.embeddings.is_empty());
+        let hit_rate = warm.report.cst_cache.hit_rate();
+        assert!(hit_rate >= 0.9, "tier-2 hit rate {hit_rate}");
+        assert_eq!(
+            warm.report.build_hit_mean_sec, 0.0,
+            "a tier-2 hit replays the artifact — it must build nothing",
+        );
+        assert!(
+            warm.report.build_miss_mean_sec > 0.0,
+            "cold sessions must pay a measurable build",
+        );
+        let resident = warm.report.cst_resident_bytes;
+        assert!(
+            resident > 0 && resident <= ServeConfig::default().cst_cache_bytes,
+            "resident {resident} bytes must stay under the budget",
+        );
+        assert_eq!(cold.report.completed, 120);
+        assert_eq!(warm.report.completed, 120);
+        assert_eq!(cold.report.cache.hits, 0, "capacity 0 must never hit");
+        assert_eq!(cold.report.cst_cache.hits, 0, "budget 0 must never hit");
+    }
 }

@@ -96,12 +96,9 @@ impl PipelineOptions {
             ShardPlanner::OverlapAware => 3,
             ShardPlanner::Auto => 4,
         });
-        let CstOptions {
-            use_nlf,
-            refine_passes,
-        } = self.cst;
+        let CstOptions { use_nlf, refine } = self.cst;
         f.mix(u64::from(use_nlf));
-        f.mix(u64::from(refine_passes));
+        f.mix(u64::from(refine));
         f.mix(self.partition_hint.map(|b| b as u64 + 1).unwrap_or(0));
         f.finish()
     }

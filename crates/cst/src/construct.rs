@@ -22,8 +22,8 @@
 //!
 //! The paper's Remark stresses the trade-off between search-space size and
 //! construction cost (the FPGA is idle while the CPU builds the CST), so the
-//! pruning strength is configurable via [`CstOptions`]: the benches ablate
-//! NLF and refinement against end-to-end time.
+//! pruning strength is configurable via [`CstOptions`]: the `ablation`
+//! figure weighs NLF and refinement against end-to-end time.
 
 use crate::filter::CandidateFilter;
 use crate::structure::{CsrAdj, Cst};
@@ -34,17 +34,18 @@ use graph_core::{BfsTree, Graph, QueryGraph, VertexId};
 pub struct CstOptions {
     /// Apply the neighbour-label-frequency filter on top of label/degree.
     pub use_nlf: bool,
-    /// Number of bottom-up refinement passes. The paper's CST runs one
-    /// (equivalent to the first two of CS's three refinements, per the
-    /// Remark in Section V-A); DAF's CS corresponds to more passes.
-    pub refine_passes: u32,
+    /// Run the bottom-up refinement pass (the paper's CST does, per the
+    /// Remark in Section V-A). The pass visits children before parents, so
+    /// one pass is already the fixpoint of the child-only rule: a second
+    /// would remove nothing.
+    pub refine: bool,
 }
 
 impl Default for CstOptions {
     fn default() -> Self {
         CstOptions {
             use_nlf: true,
-            refine_passes: 1,
+            refine: true,
         }
     }
 }
@@ -55,15 +56,7 @@ impl CstOptions {
     pub fn minimal() -> Self {
         CstOptions {
             use_nlf: false,
-            refine_passes: 0,
-        }
-    }
-
-    /// DAF-style candidate space: full filters plus repeated refinement.
-    pub fn daf_cs() -> Self {
-        CstOptions {
-            use_nlf: true,
-            refine_passes: 3,
+            refine: false,
         }
     }
 }
@@ -318,9 +311,8 @@ impl BuildScratch {
             topdown_entries,
         };
 
-        // --- Phase 2: bottom-up refinement (the paper runs a single pass;
-        //     extra passes approximate DAF's CS). ---
-        for _ in 0..options.refine_passes {
+        // --- Phase 2: bottom-up refinement, children before parents. ---
+        if options.refine {
             for u in tree.bottom_up_order() {
                 let children = tree.children(u);
                 if children.is_empty() {
@@ -342,7 +334,7 @@ impl BuildScratch {
                     keep
                 });
                 self.member[ui] = member_u;
-                stats.removed_by_refine[ui] += before - candidates[ui].len();
+                stats.removed_by_refine[ui] = before - candidates[ui].len();
             }
         }
 
@@ -528,7 +520,7 @@ mod tests {
         let tree = BfsTree::new(&q, qv(0));
         let opts = CstOptions {
             use_nlf: false,
-            refine_passes: 1,
+            refine: true,
         };
         let (cst, stats) = build_cst_with_stats(&q, &g, &tree, opts);
         // b2 never enters C(u1): the degree filter rejects it top-down.
@@ -541,10 +533,8 @@ mod tests {
     #[test]
     fn removed_by_refine_counts_every_pass() {
         // Path A-B-C-D. The chain a2-b2-c2 dead-ends (c2's second neighbour
-        // is not a D), so refinement removes c2, then b2, then a2. One
-        // reverse-BFS pass already reaches the fixpoint of the child-only
-        // rule; the later passes of `daf_cs` remove nothing and must not
-        // overwrite what the first one counted.
+        // is not a D), so the one reverse-BFS pass removes c2, then b2, then
+        // a2, and counts each removal at its own query vertex.
         let q = QueryGraph::new(vec![l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let mut b = GraphBuilder::new();
         let ids: Vec<VertexId> = [0, 1, 2, 3, 0, 1, 2, 9]
@@ -556,25 +546,63 @@ mod tests {
         }
         let g = b.build();
         let tree = BfsTree::new(&q, qv(0));
-        for refine_passes in [1, 3] {
-            let opts = CstOptions {
-                use_nlf: false,
-                refine_passes,
-            };
-            let (cst, stats) = build_cst_with_stats(&q, &g, &tree, opts);
-            assert_eq!(stats.candidates_before_refine, [2, 2, 2, 1]);
+        let opts = CstOptions {
+            use_nlf: false,
+            refine: true,
+        };
+        let (cst, stats) = build_cst_with_stats(&q, &g, &tree, opts);
+        assert_eq!(stats.candidates_before_refine, [2, 2, 2, 1]);
+        assert_eq!(stats.removed_by_refine, [1, 1, 1, 0]);
+        for u in q.vertices() {
             assert_eq!(
-                stats.removed_by_refine,
-                [1, 1, 1, 0],
-                "passes={refine_passes}"
+                stats.candidates_before_refine[u.index()] - stats.removed_by_refine[u.index()],
+                cst.candidate_count(u)
             );
-            for u in q.vertices() {
-                assert_eq!(
-                    stats.candidates_before_refine[u.index()] - stats.removed_by_refine[u.index()],
-                    cst.candidate_count(u)
-                );
+        }
+    }
+
+    #[test]
+    fn one_refinement_pass_is_the_fixpoint() {
+        // After the pass, every candidate of every query vertex with tree
+        // children still has a neighbour in each child's candidate set — so
+        // a second pass would remove nothing.
+        use graph_core::all_benchmark_queries;
+        use graph_core::generators::random_labelled_graph;
+        let (mut removed, mut kept) = (0, 0);
+        for seed in 0..4 {
+            // The benchmark queries use labels 0..9.
+            let g = random_labelled_graph(300, 0.04, 9, seed);
+            for (qi, q) in all_benchmark_queries().iter().enumerate() {
+                let tree = BfsTree::new(q, qv(0));
+                for use_nlf in [false, true] {
+                    let opts = CstOptions {
+                        use_nlf,
+                        refine: true,
+                    };
+                    let (cst, stats) = build_cst_with_stats(q, &g, &tree, opts);
+                    removed += stats.removed_by_refine.iter().sum::<usize>();
+                    kept += cst.total_candidates();
+                    for u in q.vertices() {
+                        for &uc in tree.children(u) {
+                            let child = cst.candidates(uc);
+                            for &v in cst.candidates(u) {
+                                assert!(
+                                    g.neighbors(v)
+                                        .iter()
+                                        .any(|w| child.binary_search(w).is_ok()),
+                                    "seed {seed} q{qi} nlf={use_nlf}: {v:?} in C({u:?}) \
+                                     has no neighbour in C({uc:?})"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
+        assert!(
+            removed > 0 && kept > 0,
+            "the pass had work: {removed} removed, {kept} kept"
+        );
     }
 
     #[test]

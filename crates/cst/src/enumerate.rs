@@ -352,7 +352,7 @@ mod tests {
         // so the *enumerator's* visited check is what rejects the reuse.
         let opts = CstOptions {
             use_nlf: false,
-            refine_passes: 1,
+            refine: true,
         };
         let (cst, _) = build_cst_with_stats(&q, &g, &tree, opts);
         let order = MatchingOrder::new(&q, vec![qv(1), qv(0), qv(2)]).unwrap();

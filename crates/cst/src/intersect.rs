@@ -1,6 +1,7 @@
 //! Seeking and intersecting strictly ascending `u32` lists — CST adjacency
-//! lists are such lists — shared by the emulated kernel's expansion
-//! (`fast::kernel`) and the CPU engine's intersection (`matching::engine`).
+//! lists are such lists. The emulated kernel's expansion (`fast::kernel`)
+//! uses both; the CPU engine (`matching::engine`) shares only [`seek`] and
+//! keeps its own pairwise `intersect_sorted`.
 
 /// First index `i` with `list[i] >= x` (`list.len()` if none): doubling
 /// probes from the front, then a binary search within the final bracket,

@@ -10,21 +10,24 @@
 //! ...
 //! ```
 //!
-//! Vertex ids must be dense `0..n`. The degree column is advisory and
-//! re-derived on load.
+//! Vertex ids must be dense `0..n`, one `v` record each; ids and counts
+//! must fit `u32`. The degree column is advisory and re-derived on load.
 
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
 use crate::query::{QueryGraph, QueryError};
 use crate::types::{Label, VertexId};
+use std::cmp::Ordering;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::str::{FromStr, SplitAsciiWhitespace};
 
 /// Errors raised while parsing the text format.
 #[derive(Debug)]
 pub enum IoError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A malformed line, with its 1-based line number.
+    /// A malformed line, with its 1-based line number (0 for a defect of
+    /// the whole file, such as a missing or duplicate vertex).
     Parse { line: usize, message: String },
     /// The parsed query graph failed validation.
     Query(QueryError),
@@ -55,17 +58,34 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
     }
 }
 
+/// The next field of record line `line`, parsed as a `T`.
+fn field<T: FromStr>(
+    parts: &mut SplitAsciiWhitespace<'_>,
+    line: usize,
+    what: &str,
+) -> Result<T, IoError> {
+    let token = parts
+        .next()
+        .ok_or_else(|| parse_err(line, format!("missing {what}")))?;
+    token
+        .parse()
+        .map_err(|_| parse_err(line, format!("bad {what} '{token}'")))
+}
+
 /// Parsed raw content shared by graph and query readers.
 struct RawGraph {
     labels: Vec<Label>,
     edges: Vec<(usize, usize)>,
 }
 
+/// Parses the records. Memory is proportional to the input, whatever the
+/// header declares: `v` records are collected as `(id, label)` pairs and
+/// checked for density only at the end.
 fn read_raw<R: Read>(reader: R) -> Result<RawGraph, IoError> {
     let reader = BufReader::new(reader);
-    let mut labels: Vec<Option<Label>> = Vec::new();
+    let mut vertices: Vec<(u32, Label)> = Vec::new();
     let mut edges = Vec::new();
-    let mut declared: Option<(usize, usize)> = None;
+    let mut declared: Option<(u32, u32)> = None;
 
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
@@ -77,41 +97,19 @@ fn read_raw<R: Read>(reader: R) -> Result<RawGraph, IoError> {
         let mut parts = line.split_ascii_whitespace();
         match parts.next() {
             Some("t") => {
-                let n: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "bad vertex count"))?;
-                let m: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "bad edge count"))?;
+                let n = field(&mut parts, lineno, "vertex count")?;
+                let m = field(&mut parts, lineno, "edge count")?;
                 declared = Some((n, m));
-                labels.resize(n, None);
             }
             Some("v") => {
-                let id: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "bad vertex id"))?;
-                let label: u16 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "bad label"))?;
-                if id >= labels.len() {
-                    labels.resize(id + 1, None);
-                }
-                labels[id] = Some(Label::new(label));
+                let id = field(&mut parts, lineno, "vertex id")?;
+                let label = field(&mut parts, lineno, "label")?;
+                vertices.push((id, Label::new(label)));
             }
             Some("e") => {
-                let a: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "bad edge endpoint"))?;
-                let b: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "bad edge endpoint"))?;
-                edges.push((a, b));
+                let a: u32 = field(&mut parts, lineno, "edge endpoint")?;
+                let b: u32 = field(&mut parts, lineno, "edge endpoint")?;
+                edges.push((a as usize, b as usize));
             }
             Some(other) => {
                 return Err(parse_err(lineno, format!("unknown record type '{other}'")))
@@ -120,20 +118,25 @@ fn read_raw<R: Read>(reader: R) -> Result<RawGraph, IoError> {
         }
     }
 
-    let labels: Vec<Label> = labels
-        .into_iter()
+    vertices.sort_unstable_by_key(|&(id, _)| id);
+    let labels: Vec<Label> = vertices
+        .iter()
         .enumerate()
-        .map(|(i, l)| l.ok_or_else(|| parse_err(0, format!("vertex {i} missing 'v' record"))))
+        .map(|(i, &(id, label))| match (id as usize).cmp(&i) {
+            Ordering::Equal => Ok(label),
+            Ordering::Less => Err(parse_err(0, format!("vertex {id} has two 'v' records"))),
+            Ordering::Greater => Err(parse_err(0, format!("vertex {i} missing 'v' record"))),
+        })
         .collect::<Result<_, _>>()?;
 
     if let Some((n, m)) = declared {
-        if labels.len() != n {
+        if labels.len() != n as usize {
             return Err(parse_err(
                 0,
                 format!("header declares {n} vertices but {} found", labels.len()),
             ));
         }
-        if edges.len() != m {
+        if edges.len() != m as usize {
             return Err(parse_err(
                 0,
                 format!("header declares {m} edges but {} found", edges.len()),
@@ -252,6 +255,36 @@ mod tests {
         assert!(read_graph_text("t x 1\n".as_bytes()).is_err());
         assert!(read_graph_text("v a 0 0\n".as_bytes()).is_err());
         assert!(read_graph_text("e 0 q\n".as_bytes()).is_err());
+    }
+
+    fn parse_error(text: &str) -> bool {
+        matches!(read_graph_text(text.as_bytes()), Err(IoError::Parse { .. }))
+    }
+
+    #[test]
+    fn huge_header_allocates_nothing() {
+        // One line declaring u32::MAX vertices must not reserve them.
+        assert!(parse_error("t 4294967295 0\n"));
+        assert!(parse_error("t 4294967296 0\n"));
+        assert!(parse_error("t 0 99999999999999999999\n"));
+    }
+
+    #[test]
+    fn rejects_vertex_id_beyond_u32() {
+        assert!(parse_error("v 18446744073709551615 0 0\n"));
+        assert!(parse_error("v 4294967296 0 0\n"));
+    }
+
+    #[test]
+    fn rejects_edge_endpoint_beyond_u32() {
+        // 2^32 + 1 would truncate to vertex 1, a valid edge 0-1.
+        assert!(parse_error("v 0 0 1\nv 1 0 1\ne 0 4294967297\n"));
+    }
+
+    #[test]
+    fn rejects_duplicate_vertex_record() {
+        assert!(parse_error("v 0 0 1\nv 1 0 1\nv 0 1 1\ne 0 1\n"));
+        assert!(parse_error("t 2 1\nv 0 0 1\nv 0 1 1\ne 0 1\n"));
     }
 
     #[test]

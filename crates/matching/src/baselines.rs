@@ -2,8 +2,8 @@
 //!
 //! | baseline | index | order | extension | memory model |
 //! |----------|-------|-------|-----------|--------------|
-//! | CFL-Match | CPI-like (1 refinement pass) | core-forest-leaf | edge verification via an **adjacency matrix** | `|V|²/8` bytes for the matrix — the reason CFL goes OOM on DG60 (Section VII-D) |
-//! | DAF | CS (extra refinement passes) | candidate-size first | intersection | index only |
+//! | CFL-Match | CPI-like (refined) | core-forest-leaf | edge verification via an **adjacency matrix** | `|V|²/8` bytes for the matrix — the reason CFL goes OOM on DG60 (Section VII-D) |
+//! | DAF | CS (refined; a second pass would remove nothing) | candidate-size first | intersection | index only |
 //! | CECI | BFS-tree index | BFS order | intersection | index only |
 //!
 //! Simplifications vs the original systems (documented in DESIGN.md): DAF's
@@ -57,21 +57,14 @@ pub fn modelled_memory_bytes(baseline: Baseline, g: &Graph, index_bytes: usize) 
     }
 }
 
-/// Index construction options matching each original system's filters:
-/// none of the originals apply the NLF (neighbour label frequency) filter
-/// FAST's CST construction uses, and only DAF's CS runs extra refinement.
-pub fn baseline_index_options(baseline: Baseline) -> CstOptions {
-    match baseline {
-        Baseline::Daf => CstOptions {
-            use_nlf: false,
-            refine_passes: 3,
-        },
-        Baseline::Cfl | Baseline::Ceci => CstOptions {
-            use_nlf: false,
-            refine_passes: 1,
-        },
-    }
-}
+/// Index construction options of every baseline: none of the original
+/// systems applies the NLF (neighbour label frequency) filter FAST's CST
+/// construction uses. DAF's CS refines repeatedly, but under the child-only
+/// rule one bottom-up pass is already the fixpoint, so all three refine once.
+pub const BASELINE_INDEX_OPTIONS: CstOptions = CstOptions {
+    use_nlf: false,
+    refine: true,
+};
 
 /// The extension method of each original system: CFL expands from the CPI
 /// tree-parent list and verifies edges against `G`; DAF and CECI intersect.
@@ -101,8 +94,7 @@ pub fn run_baseline(
     let build_start = Instant::now();
     let root = select_root(q, g);
     let tree = BfsTree::new(q, root);
-    let options = baseline_index_options(baseline);
-    let (index, build_stats) = build_cst_with_stats(q, g, &tree, options);
+    let (index, build_stats) = build_cst_with_stats(q, g, &tree, BASELINE_INDEX_OPTIONS);
     let build_time = build_start.elapsed();
     let cost = CpuCostModel::default();
     let modeled_build_sec = cost.index_time_sec(build_stats.adjacency_entries);

@@ -23,8 +23,8 @@ pub mod parallel;
 pub mod vf2;
 
 pub use baselines::{
-    baseline_extension, baseline_index_options, baseline_order, modelled_memory_bytes,
-    run_baseline, Baseline,
+    baseline_extension, baseline_order, modelled_memory_bytes, run_baseline, Baseline,
+    BASELINE_INDEX_OPTIONS,
 };
 pub use cost_model::{CpuCostModel, GpuCostModel};
 pub use engine::{run_backtrack, AnchorPolicy, EngineStats, ExtensionMethod};

@@ -7,7 +7,7 @@
 //! exactly the imbalance the paper's Fig. 14 commentary alludes to.
 
 use crate::baselines::{
-    baseline_extension, baseline_index_options, baseline_order, modelled_memory_bytes, Baseline,
+    baseline_extension, baseline_order, modelled_memory_bytes, Baseline, BASELINE_INDEX_OPTIONS,
 };
 use crate::cost_model::CpuCostModel;
 use crate::engine::{run_backtrack, EngineStats};
@@ -30,8 +30,7 @@ pub fn run_baseline_parallel(
     let build_start = Instant::now();
     let root = select_root(q, g);
     let tree = BfsTree::new(q, root);
-    let options = baseline_index_options(baseline);
-    let (index, build_stats) = build_cst_with_stats(q, g, &tree, options);
+    let (index, build_stats) = build_cst_with_stats(q, g, &tree, BASELINE_INDEX_OPTIONS);
     let build_time = build_start.elapsed();
     let cost = CpuCostModel::default();
     let modeled_build_sec = cost.index_time_sec(build_stats.adjacency_entries);

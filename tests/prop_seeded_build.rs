@@ -118,7 +118,7 @@ fn assert_is_the_definition(
             .collect();
     }
     let before: Vec<usize> = c.iter().map(Vec::len).collect();
-    for _ in 0..options.refine_passes {
+    if options.refine {
         for u in tree.bottom_up_order() {
             let kept: Vec<VertexId> = c[u.index()]
                 .iter()
@@ -160,22 +160,18 @@ fn assert_is_the_definition(
 }
 
 /// Every pruning strength the crate names, plus NLF without refinement.
-const STRENGTHS: [CstOptions; 4] = [
+const STRENGTHS: [CstOptions; 3] = [
     CstOptions {
         use_nlf: true,
-        refine_passes: 1,
+        refine: true,
     },
     CstOptions {
         use_nlf: false,
-        refine_passes: 0,
+        refine: false,
     },
     CstOptions {
         use_nlf: true,
-        refine_passes: 3,
-    },
-    CstOptions {
-        use_nlf: true,
-        refine_passes: 0,
+        refine: false,
     },
 ];
 
