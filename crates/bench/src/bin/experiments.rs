@@ -145,8 +145,8 @@ fn main() {
         println!("{}", host_scaling::render(huge, &rows));
     }
     if wants("shardplan") {
-        // Duplication factors per shard planner (EXPERIMENTS.md §13); the
-        // full query set — the planners exist for the hub-dominated
+        // Duplication factors, blind and planned (EXPERIMENTS.md §13); the
+        // full query set — the planner exists for the hub-dominated
         // queries the hostscale sweep has to exclude.
         let queries: Vec<usize> = (0..9).collect();
         let d = if opts.quick { DatasetId::Dg03 } else { huge };

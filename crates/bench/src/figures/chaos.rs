@@ -17,7 +17,7 @@
 //! fault-tolerance correctness certificate.
 
 use crate::harness::DatasetCache;
-use fast::{FastConfig, FaultPlan, ShardPlanner, Variant};
+use fast::{FastConfig, FaultPlan, Variant};
 use graph_core::{benchmark_query, DatasetId};
 use serve::{DeviceKind, FastService, FaultPolicy, ServeConfig, ServeReport};
 use std::collections::BTreeMap;
@@ -57,11 +57,10 @@ fn wrap(inner: DeviceKind, plan: FaultPlan) -> DeviceKind {
 }
 
 fn serve_config(clients: usize, extra: Vec<DeviceKind>, cross_check: bool) -> ServeConfig {
-    let mut fast = FastConfig {
+    let fast = FastConfig {
         spec: crate::harness::experiment_spec(),
         ..FastConfig::for_variant(Variant::Sep)
     };
-    fast.shard_planner = ShardPlanner::Auto;
     ServeConfig {
         fast,
         devices: 0,

@@ -13,7 +13,7 @@
 //! correctness certificate.
 
 use crate::harness::DatasetCache;
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::{benchmark_query, DatasetId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,11 +38,10 @@ pub struct Row {
 }
 
 fn serve_config(clients: usize, cst_budget: usize) -> ServeConfig {
-    let mut fast = FastConfig {
+    let fast = FastConfig {
         spec: crate::harness::experiment_spec(),
         ..FastConfig::for_variant(Variant::Sep)
     };
-    fast.shard_planner = ShardPlanner::Auto;
     ServeConfig {
         fast,
         devices: 4,

@@ -11,7 +11,7 @@
 //! saturation the quota split steers completions toward the heavy tenant.
 
 use crate::harness::DatasetCache;
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::{benchmark_query, sample_edges, DatasetId, Graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,11 +59,10 @@ pub struct Row {
 }
 
 fn serve_config(fleet: Fleet, cache_capacity: usize, clients: usize) -> ServeConfig {
-    let mut fast = FastConfig {
+    let fast = FastConfig {
         spec: crate::harness::experiment_spec(),
         ..FastConfig::for_variant(Variant::Sep)
     };
-    fast.shard_planner = ShardPlanner::Auto;
     let (devices, extra_devices) = match fleet {
         Fleet::FpgaOnly => (2, Vec::new()),
         Fleet::CpuOnly => (

@@ -25,7 +25,7 @@
 
 use crate::figures::serving::{self, LoadConfig, QUERY_MIX};
 use crate::harness::DatasetCache;
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::DatasetId;
 use serve::{metrics, FastService, ServeConfig, ServeReport};
 use std::collections::BTreeMap;
@@ -89,13 +89,12 @@ pub struct Outcome {
 pub const STAGES: [&str; 5] = ["queue_wait", "plan", "build", "execute", "session"];
 
 /// The serving configuration (mirrors the `serving` figure: FAST-SEP on
-/// the experiment-scaled device, auto shard planning, 4 devices).
+/// the experiment-scaled device, planned shards, 4 devices).
 fn serve_config(clients: usize, cache_capacity: usize) -> ServeConfig {
-    let mut fast = FastConfig {
+    let fast = FastConfig {
         spec: crate::harness::experiment_spec(),
         ..FastConfig::for_variant(Variant::Sep)
     };
-    fast.shard_planner = ShardPlanner::Auto;
     ServeConfig {
         fast,
         devices: 4,

@@ -16,7 +16,7 @@
 //! clock is the benchmark's `serve_warm_dg03` against `serve_cold_dg03`.
 
 use crate::harness::DatasetCache;
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::{benchmark_query, DatasetId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,14 +116,13 @@ pub fn drive(service: &FastService, load: &LoadConfig) -> BTreeMap<usize, u64> {
 }
 
 /// The serving configuration of the study: FAST-SEP semantics on the
-/// experiment-scaled device, auto shard planning (the planner the cache
+/// experiment-scaled device, planned shards (the plans the cache
 /// amortises), 4 emulated devices, one worker per client.
 fn serve_config(clients: usize, cache_capacity: usize) -> ServeConfig {
-    let mut fast = FastConfig {
+    let fast = FastConfig {
         spec: crate::harness::experiment_spec(),
         ..FastConfig::for_variant(Variant::Sep)
     };
-    fast.shard_planner = ShardPlanner::Auto;
     ServeConfig {
         fast,
         devices: 4,

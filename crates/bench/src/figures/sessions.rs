@@ -19,7 +19,7 @@
 //! outstanding, strictly better at 10,000, and the event run's peak-RSS
 //! growth at 10,000 outstanding stays bounded (no thread-per-session).
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{Graph, Label, QueryGraph};
 use serve::{FastService, ServeConfig, SessionHandle};
@@ -58,8 +58,7 @@ fn triangle() -> QueryGraph {
 /// Two executor threads, a permit bound that admits the whole level, and
 /// warm caches so repeats are tier-2 replays.
 fn config(in_flight: usize) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = ShardPlanner::Auto;
+    let fast = FastConfig::test_small(Variant::Sep);
     ServeConfig {
         fast,
         devices: 2,

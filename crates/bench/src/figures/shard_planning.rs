@@ -1,28 +1,28 @@
 //! Shard-planner duplication study: regenerates the EXPERIMENTS.md §13
-//! root-sharding duplication table for every planner.
+//! root-sharding duplication table.
 //!
 //! Contiguous equal-count root sharding duplicates interior candidates
 //! reachable from several shards — 2.7–4.6× on the hub-dominated queries
 //! (q1/q2/q3/q8) at 16 shards. The shard planner (`cst::planner`) attacks
-//! exactly that: workload-balanced boundaries, overlap-aware hub-clustered
-//! decompositions, and per-query auto shard-count selection. This figure
-//! measures the *actual* duplication factor (total adjacency entries built
-//! across shards over the sequential build's entries) per planner and
-//! shard count, plus the auto planner's chosen shard count and its
-//! estimated-vs-actual duplication.
+//! exactly that: per query it picks the shard count and, where the
+//! contiguous cut duplicates, an overlap-aware hub-clustered cut. This
+//! figure measures the *actual* duplication factor (total adjacency entries
+//! built across shards over the sequential build's entries) of the blind
+//! contiguous cut at fixed shard counts and of the planner's choice, plus
+//! the planner's chosen shard count and its estimated-vs-actual
+//! duplication.
 
 use crate::harness::DatasetCache;
 use cst::{
-    build_cst_from_roots, build_cst_with_stats, plan_shards, CstOptions, PlannerConfig,
-    RootProfile, ShardPlan, ShardPlanner,
+    build_cst_from_roots, build_cst_with_stats, plan_shards, CstOptions, RootProfile, ShardPlan,
 };
 use graph_core::{benchmark_query, select_root, BfsTree, DatasetId, Graph, QueryGraph, VertexId};
 
-/// Fixed shard counts the fixed-count planners are evaluated at (the
+/// Fixed shard counts the blind contiguous cut is evaluated at (the
 /// pipeline default is 16; 8 matches the original §13 table).
 pub const SHARD_COUNTS: [usize; 2] = [8, 16];
 
-/// One query's duplication factors under every planner.
+/// One query's duplication factors, blind and planned.
 #[derive(Debug, Clone)]
 pub struct Row {
     pub query: usize,
@@ -32,11 +32,7 @@ pub struct Row {
     pub seq_entries: usize,
     /// Actual duplication per [`SHARD_COUNTS`] entry: contiguous.
     pub contiguous: [f64; 2],
-    /// Actual duplication per [`SHARD_COUNTS`] entry: workload-balanced.
-    pub balanced: [f64; 2],
-    /// Actual duplication per [`SHARD_COUNTS`] entry: overlap-aware.
-    pub overlap: [f64; 2],
-    /// Auto planner: chosen shard count (cap 16)…
+    /// The planner: chosen shard count (cap 16)…
     pub auto_shards: usize,
     /// …its actual duplication…
     pub auto_dup: f64,
@@ -46,9 +42,7 @@ pub struct Row {
 
 /// Actual duplication factor of one plan: total adjacency entries over
 /// every shard build (exactly the pipeline's per-shard
-/// `build_cst_from_roots` calls), relative to the sequential build. Plans
-/// come from [`plan_shards`] on one shared probe per query, so the figure
-/// pays the probe once instead of once per (planner, shard-count) cell.
+/// `build_cst_from_roots` calls), relative to the sequential build.
 fn duplication(
     q: &QueryGraph,
     g: &Graph,
@@ -71,7 +65,6 @@ fn duplication(
 /// Runs the study on `dataset` over `queries`.
 pub fn run(cache: &mut DatasetCache, dataset: DatasetId, queries: &[usize]) -> Vec<Row> {
     let g = cache.get(dataset);
-    let config = PlannerConfig::default();
     let mut rows = Vec::new();
     for &qi in queries {
         let q = benchmark_query(qi);
@@ -81,20 +74,16 @@ pub fn run(cache: &mut DatasetCache, dataset: DatasetId, queries: &[usize]) -> V
         let seq_entries = seq_stats.adjacency_entries;
         let roots = cst::root_candidates(&q, g, &tree, CstOptions::default());
         let profile = RootProfile::probe(&q, g, &tree, CstOptions::default(), &roots);
-        let per = |planner: ShardPlanner| -> [f64; 2] {
-            SHARD_COUNTS.map(|s| {
-                let plan = plan_shards(planner, &profile, s, &config);
-                duplication(&q, g, &tree, &roots, &plan, seq_entries)
-            })
-        };
-        let auto_plan = plan_shards(ShardPlanner::Auto, &profile, 16, &config);
+        let contiguous = SHARD_COUNTS.map(|s| {
+            let plan = ShardPlan::contiguous(roots.len(), s);
+            duplication(&q, g, &tree, &roots, &plan, seq_entries)
+        });
+        let auto_plan = plan_shards(&profile, 16, None);
         rows.push(Row {
             query: qi,
             roots: roots.len(),
             seq_entries,
-            contiguous: per(ShardPlanner::Contiguous),
-            balanced: per(ShardPlanner::WorkloadBalanced),
-            overlap: per(ShardPlanner::OverlapAware),
+            contiguous,
             auto_shards: auto_plan.shard_count(),
             auto_dup: duplication(&q, g, &tree, &roots, &auto_plan, seq_entries),
             auto_est: auto_plan.estimated_duplication,
@@ -110,10 +99,6 @@ pub fn render(dataset: DatasetId, rows: &[Row]) -> String {
         "roots",
         "contig d8",
         "contig d16",
-        "balanced d8",
-        "balanced d16",
-        "overlap d8",
-        "overlap d16",
         "auto S",
         "auto d",
         "auto est",
@@ -129,10 +114,6 @@ pub fn render(dataset: DatasetId, rows: &[Row]) -> String {
                 r.roots.to_string(),
                 format!("{:.2}", r.contiguous[0]),
                 format!("{:.2}", r.contiguous[1]),
-                format!("{:.2}", r.balanced[0]),
-                format!("{:.2}", r.balanced[1]),
-                format!("{:.2}", r.overlap[0]),
-                format!("{:.2}", r.overlap[1]),
                 r.auto_shards.to_string(),
                 format!("{:.2}", r.auto_dup),
                 format!("{:.2}", r.auto_est),
@@ -150,9 +131,9 @@ mod tests {
     use super::*;
 
     /// The acceptance bar of the planner work: on the hub-dominated
-    /// queries, the auto planner's duplication must stay ≤ 1.8× (the
-    /// contiguous planner pays 2.7–4.6× at 16 shards), without inflating
-    /// the flat queries.
+    /// queries, the planner's duplication must stay ≤ 1.8× (the blind
+    /// contiguous cut pays 2.7–4.6× at 16 shards), without inflating the
+    /// flat queries.
     #[test]
     #[cfg_attr(
         debug_assertions,

@@ -3,7 +3,7 @@
 //! generated once (the "build" a restart would otherwise repeat), saved,
 //! loaded back, and fingerprint-checked; the table compares generator wall
 //! to snapshot load wall — for both the copying reader and the zero-copy
-//! `mmap` path (eager and lazy checksum) — and reports the on-disk size
+//! `mmap` path — and reports the on-disk size
 //! plus how many CSR bytes the mapped load actually copied (0 on the
 //! mapping fast path).
 
@@ -24,11 +24,8 @@ pub struct Row {
     pub save: Duration,
     /// Copying-reader load wall.
     pub load: Duration,
-    /// Zero-copy load wall with the checksum verified during load.
+    /// Zero-copy load wall (checksum verified during load).
     pub mmap_eager: Duration,
-    /// Zero-copy load wall with the checksum deferred (restore returns as
-    /// soon as the structure validates; `verify` runs afterwards).
-    pub mmap_lazy: Duration,
     /// CSR bytes the mapped load copied — 0 on the mapping fast path, the
     /// full section size on the portable fallback.
     pub mmap_owned_bytes: usize,
@@ -60,11 +57,10 @@ pub fn run(ladder: &[DatasetId]) -> Vec<Row> {
             let loaded = load_snapshot(&path).expect("snapshot read");
             let load = t0.elapsed();
             let fingerprint = graph_fingerprint(&g);
-            // The mmap ladder: eager verifies during load; lazy returns
-            // first and pays the checksum pass afterwards (both walls
-            // include a fingerprint touch of every mapped section, so the
-            // page-fault cost of actually *reading* the graph is charged
-            // to the load, not hidden).
+            // The mmap load verifies during load; its wall includes a
+            // fingerprint touch of every mapped section, so the page-fault
+            // cost of actually *reading* the graph is charged to the load,
+            // not hidden.
             let t0 = Instant::now();
             let eager = load_snapshot_mapped(&path, SnapshotVerify::Eager)
                 .expect("mapped eager read")
@@ -76,17 +72,6 @@ pub fn run(ladder: &[DatasetId]) -> Vec<Row> {
             );
             let mmap_eager = t0.elapsed();
             let mmap_owned_bytes = eager.owned_csr_bytes();
-            let t0 = Instant::now();
-            let lazy = load_snapshot_mapped(&path, SnapshotVerify::Lazy)
-                .expect("mapped lazy read");
-            lazy.verify().expect("deferred checksum");
-            let lazy = lazy.into_graph();
-            assert_eq!(
-                graph_fingerprint(&lazy),
-                fingerprint,
-                "{dataset}: lazy mapped load changed the graph"
-            );
-            let mmap_lazy = t0.elapsed();
             std::fs::remove_file(&path).ok();
             let roundtrip_ok = graph_fingerprint(&loaded) == fingerprint;
             assert!(roundtrip_ok, "{dataset}: snapshot round-trip changed the graph");
@@ -98,7 +83,6 @@ pub fn run(ladder: &[DatasetId]) -> Vec<Row> {
                 save,
                 load,
                 mmap_eager,
-                mmap_lazy,
                 mmap_owned_bytes,
                 bytes,
                 roundtrip_ok,
@@ -110,8 +94,8 @@ pub fn run(ladder: &[DatasetId]) -> Vec<Row> {
 /// Renders the round-trip table.
 pub fn render(rows: &[Row]) -> String {
     let header: Vec<String> = [
-        "dataset", "|V|", "|E|", "build", "save", "load", "mmap eager", "mmap lazy",
-        "copied", "size", "speedup", "roundtrip",
+        "dataset", "|V|", "|E|", "build", "save", "load", "mmap", "copied", "size", "speedup",
+        "roundtrip",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -132,7 +116,6 @@ pub fn render(rows: &[Row]) -> String {
                 format!("{:.1?}", r.save),
                 format!("{:.1?}", r.load),
                 format!("{:.1?}", r.mmap_eager),
-                format!("{:.1?}", r.mmap_lazy),
                 if r.mmap_owned_bytes == 0 {
                     "0 (zero-copy)".to_string()
                 } else {
@@ -146,7 +129,7 @@ pub fn render(rows: &[Row]) -> String {
         .collect();
     format!(
         "Binary CSR snapshot round-trip (tenant load path: load replaces build on restart; \
-         mmap columns are the zero-copy loader with eager vs deferred checksum, \
+         mmap is the zero-copy loader, checksum verified during load, \
          'copied' is the CSR bytes the mapped graph owns — 0 means it borrows the mapping)\n{}",
         crate::harness::render_table(&header, &body)
     )

@@ -16,7 +16,6 @@
 
 use crate::construct::CstOptions;
 use crate::pipeline::PipelineOptions;
-use crate::planner::ShardPlanner;
 use graph_core::{BfsTree, QueryGraph};
 
 /// FNV-1a offset basis / prime (64-bit).
@@ -83,19 +82,10 @@ impl PipelineOptions {
     /// Fingerprint of every knob the shard plan depends on. `threads` is
     /// deliberately excluded: plans are thread-count independent (the
     /// pipeline's determinism contract), so runs at different thread counts
-    /// share cache entries. `seed_builds` is excluded for the same reason —
-    /// seeding changes how shard builds *execute* (probe-restricted vs cold
-    /// top-down), never the plan or any result, so seeded and cold runs
-    /// share cache entries too.
+    /// share cache entries.
     pub fn plan_fingerprint(&self) -> u64 {
         let mut f = Fingerprint::new();
         f.mix(self.shards.map(|s| s as u64 + 1).unwrap_or(0));
-        f.mix(match self.planner {
-            ShardPlanner::Contiguous => 1,
-            ShardPlanner::WorkloadBalanced => 2,
-            ShardPlanner::OverlapAware => 3,
-            ShardPlanner::Auto => 4,
-        });
         let CstOptions { use_nlf, refine } = self.cst;
         f.mix(u64::from(use_nlf));
         f.mix(u64::from(refine));
@@ -212,10 +202,6 @@ mod tests {
                 ..opts
             },
             PipelineOptions {
-                planner: ShardPlanner::Auto,
-                ..opts
-            },
-            PipelineOptions {
                 cst: CstOptions::minimal(),
                 ..opts
             },
@@ -247,17 +233,30 @@ mod tests {
 
     #[test]
     fn seeding_does_not_change_the_key() {
-        // Seeded and cold builds are bit-identical, so they must share
-        // cache entries (a plan cached by a seeded run replays for a cold
-        // one and vice versa).
-        let a = PipelineOptions {
-            seed_builds: true,
+        // Whether a replayed plan seeds its shard builds (it carries its
+        // probe) or builds them cold (handed back without it) is not a
+        // planning input: both replay under the same provenance.
+        use crate::pipeline::for_each_shard_cst_planned;
+        let g = graph_core::generators::random_labelled_graph(60, 0.2, 3, 7);
+        let q = q1();
+        let tree = BfsTree::new(&q, QueryVertexId::new(0));
+        let opts = PipelineOptions {
+            shards: Some(4),
             ..PipelineOptions::default()
         };
-        let b = PipelineOptions {
-            seed_builds: false,
-            ..PipelineOptions::default()
+        let seeded = for_each_shard_cst_planned(&q, &g, &tree, &opts, None, |_| {});
+        assert!(seeded.plan.probe.is_some());
+        assert_eq!(seeded.seeded_shards, seeded.shards);
+        let cold_plan = crate::ShardPlan {
+            probe: None,
+            ..seeded.plan.clone()
         };
-        assert_eq!(a.plan_fingerprint(), b.plan_fingerprint());
+        let cold = for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&cold_plan), |_| {});
+        assert_eq!(cold.plan, cold_plan, "replayed, not replanned");
+        assert_eq!(cold.seeded_shards, 0);
+        assert_eq!(
+            cold.total_adjacency_entries(),
+            seeded.total_adjacency_entries()
+        );
     }
 }

@@ -20,10 +20,9 @@
 //!   built on worker threads and merged ([`build_cst_sharded`]) or streamed
 //!   in shard order into the partitioner ([`for_each_shard_cst`]) so device
 //!   offload overlaps construction;
-//! * [`planner`] — workload-aware shard planning for that pipeline:
-//!   workload-balanced boundary search, overlap-aware (hub-clustered)
-//!   decomposition, and per-query auto shard-count selection
-//!   ([`ShardPlanner`], [`ShardPlan`]);
+//! * [`planner`] — workload-aware shard planning for that pipeline: one
+//!   probe, then per query the shard count and the cut (contiguous or
+//!   hub-clustered) with the lowest modelled prepare time ([`ShardPlan`]);
 //! * [`cache`] — cache-key derivation for shard plans ([`PlanKey`]): a
 //!   plan is a pure function of `(q, g, tree, options)`, so a serving
 //!   layer can key a plan cache on the query/tree fingerprint, a graph
@@ -62,7 +61,7 @@ pub use pipeline::{
 };
 pub use planner::{
     estimated_duplication, estimated_partition_ratio, plan_pipeline_shards, plan_shards,
-    PlannerConfig, RootProfile, SeedMasks, ShardPlan, ShardPlanner,
+    RootProfile, SeedMasks, ShardPlan, ShardPlanner,
 };
 pub use structure::{CsrAdj, Cst};
 pub use workload::{estimate_workload, WorkloadEstimate};

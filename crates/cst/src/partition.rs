@@ -42,8 +42,6 @@ pub struct PartitionConfig {
     /// `Some(k)` forces a fixed partition factor (Fig. 8); `None` uses the
     /// paper's greedy ratio rule.
     pub fixed_k: Option<u32>,
-    /// Hard cap on emitted partitions (safety valve for misconfiguration).
-    pub max_partitions: usize,
 }
 
 impl Default for PartitionConfig {
@@ -55,7 +53,6 @@ impl Default for PartitionConfig {
             delta_d: 4096,
             footprint_budget: None,
             fixed_k: None,
-            max_partitions: 1 << 20,
         }
     }
 }
@@ -118,9 +115,6 @@ pub fn partition_cst_with_steal(
     sink: &mut dyn FnMut(Cst),
 ) -> PartitionStats {
     let mut stats = PartitionStats::default();
-    if config.max_partitions == 0 {
-        return stats;
-    }
     if cst.any_empty() {
         stats.skipped_empty = 1;
         return stats;
@@ -280,18 +274,11 @@ impl Splitter<'_> {
         let (base, extra) = (count / k, count % k);
         // The first `extra` chunks are one candidate longer.
         let chunk_start = |chunk: usize| chunk * base + chunk.min(extra);
-        let full = |stats: &PartitionStats| stats.partitions >= self.config.max_partitions;
         for first in (0..k).step_by(BATCH) {
-            if full(&self.stats) {
-                return;
-            }
             let width = (k - first).min(BATCH);
             let bounds: Vec<usize> = (first..=first + width).map(chunk_start).collect();
             let alive = label(cst, self.order, &self.earlier, index, &bounds, plane);
             for child in 0..width {
-                if full(&self.stats) {
-                    return;
-                }
                 if alive >> child & 1 == 0 {
                     self.stats.skipped_empty += 1;
                     continue;
@@ -638,7 +625,6 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         assert!(parts.len() >= 2, "expected a real split");
@@ -660,7 +646,6 @@ mod tests {
                 delta_d: u32::MAX,
                 footprint_budget: None,
                 fixed_k: None,
-                max_partitions: 1 << 16,
             };
             let (parts, _) = partition_cst(&cst, &order, &config);
             let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
@@ -678,7 +663,6 @@ mod tests {
                 delta_d: u32::MAX,
                 footprint_budget: None,
                 fixed_k: Some(k),
-                max_partitions: 1 << 16,
             };
             let (parts, _) = partition_cst(&cst, &order, &config);
             let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
@@ -698,7 +682,6 @@ mod tests {
             delta_d: d / 2,
             footprint_budget: None,
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         let (parts, _) = partition_cst(&cst, &order, &config);
         assert!(!parts.is_empty());
@@ -726,7 +709,6 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         let (parts, _) = partition_cst(&cst, &order, &config);
         for p in &parts {
@@ -744,7 +726,6 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k,
-            max_partitions: 1 << 16,
         };
         let (greedy, _) = partition_cst(&cst, &order, &mk(None));
         let (k2, _) = partition_cst(&cst, &order, &mk(Some(2)));
@@ -765,7 +746,6 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: Some(budget),
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         assert!(parts.len() >= 2, "footprint check must trigger a split");
@@ -814,19 +794,5 @@ mod tests {
             delta_d: 0,
             ..PartitionConfig::default()
         });
-    }
-
-    #[test]
-    fn max_partitions_caps_output() {
-        let (_, _, _, order, cst) = setup();
-        let config = PartitionConfig {
-            delta_s: 128,
-            delta_d: u32::MAX,
-            footprint_budget: None,
-            fixed_k: None,
-            max_partitions: 3,
-        };
-        let (parts, _) = partition_cst(&cst, &order, &config);
-        assert!(parts.len() <= 3);
     }
 }

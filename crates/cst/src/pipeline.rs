@@ -8,11 +8,12 @@
 //! * the root candidate set is split into `shards` chunks — the same axis
 //!   the parallel baselines (`DAF-8`/`CECI-8`) and the multi-FPGA
 //!   extension shard on; *where* the boundaries fall (and how many shards
-//!   a query gets) is decided by the shard planner (`cst::planner`,
-//!   [`PipelineOptions::planner`]) before any build starts;
-//! * worker threads ([`std::thread::scope`]) run the full Algorithm 1 per
-//!   shard (top-down construction seeded by the shard's roots, bottom-up
-//!   refinement, non-tree-edge population);
+//!   a query gets) is decided by the shard planner (`cst::planner`) before
+//!   any build starts;
+//! * worker threads ([`std::thread::scope`]) run Algorithm 1 per shard:
+//!   the top-down phase restricted from the planner's probe (or scanned
+//!   from the shard's roots when the plan has no probe), then bottom-up
+//!   refinement and non-tree-edge population;
 //! * finished shard CSTs are consumed **in shard order** on the caller's
 //!   thread — either merged back into one CST ([`build_cst_sharded`]) or
 //!   streamed straight into the partitioner ([`for_each_shard_cst`]) so
@@ -39,7 +40,7 @@
 //! to the sequential pipeline's.
 
 use crate::construct::{root_candidates, BuildScratch, BuildStats, CstOptions};
-use crate::planner::{plan_pipeline_shards, RootProfile, SeedMasks, ShardPlan, ShardPlanner};
+use crate::planner::{plan_pipeline_shards, RootProfile, SeedMasks, ShardPlan};
 use crate::structure::{CsrAdj, Cst};
 use graph_core::{BfsTree, Graph, QueryGraph, QueryVertexId, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,33 +60,19 @@ pub struct PipelineOptions {
     /// Worker threads building shard CSTs. 1 = fully sequential (build and
     /// consumption interleave on the caller's thread, no spawning).
     pub threads: usize,
-    /// Shard (batch) count; `None` resolves to [`DEFAULT_SHARDS`]. Clamped
-    /// to the root candidate count. Must not be derived from `threads` —
-    /// see the module docs on determinism. Under [`ShardPlanner::Auto`]
-    /// this is the *cap*: the planner may choose fewer shards.
-    pub shards: Option<usize>,
-    /// Shard-boundary planning policy (`cst::planner`). The plan is a pure
-    /// function of `(q, g, tree, cst, shards, planner)` — never of
-    /// `threads` — so every planner preserves the pipeline's thread-count
+    /// Shard (batch) count cap; `None` resolves to [`DEFAULT_SHARDS`].
+    /// Clamped to the root candidate count; the planner may choose fewer
+    /// shards. Must not be derived from `threads` — see the module docs on
     /// determinism.
-    pub planner: ShardPlanner,
+    pub shards: Option<usize>,
     /// CST construction pruning strength, forwarded to Algorithm 1.
     pub cst: CstOptions,
     /// The device's δ_S payload threshold (bytes per partition) when the
-    /// caller knows it. Feeds the auto planner's per-query partition/build
+    /// caller knows it. Feeds the planner's per-query partition/build
     /// ratio estimate (`cst::planner::estimated_partition_ratio`); `None`
     /// keeps the calibrated constant ρ. Thread-count independent by
     /// construction (a device property).
     pub partition_hint: Option<usize>,
-    /// Seed shard builds from the plan's probe when one is available
-    /// (`RootProfile::seed_chunks`): each shard starts from the probed
-    /// phase-1 candidate space restricted to its roots and only performs
-    /// refinement plus adjacency materialisation, instead of a full
-    /// top-down scan. Results are **bit-identical** either way
-    /// (`tests/prop_seeded_build.rs`), so — like `threads` — this knob is
-    /// excluded from the plan fingerprint. Default `true`; disable to
-    /// measure the cold path.
-    pub seed_builds: bool,
 }
 
 impl Default for PipelineOptions {
@@ -93,10 +80,8 @@ impl Default for PipelineOptions {
         PipelineOptions {
             threads: 1,
             shards: None,
-            planner: ShardPlanner::Contiguous,
             cst: CstOptions::default(),
             partition_hint: None,
-            seed_builds: true,
         }
     }
 }
@@ -105,12 +90,9 @@ impl PipelineOptions {
     /// Sequential single-shard pipeline: exactly `build_cst_with_stats`.
     pub fn sequential(cst: CstOptions) -> Self {
         PipelineOptions {
-            threads: 1,
             shards: Some(1),
-            planner: ShardPlanner::Contiguous,
             cst,
-            partition_hint: None,
-            seed_builds: true,
+            ..PipelineOptions::default()
         }
     }
 
@@ -140,18 +122,17 @@ pub struct ShardReport {
 /// Aggregate statistics of a sharded pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
-    /// Effective shard count after clamping (and planning, under the
-    /// [`ShardPlanner::Auto`] policy).
+    /// Effective shard count after clamping and planning.
     pub shards: usize,
-    /// The shard plan the pipeline executed (planner, boundaries, planned
+    /// The shard plan the pipeline executed (boundaries, planned
     /// workloads, estimated duplication, probe work).
     pub plan: ShardPlan,
-    /// Wall time spent planning (root probe + boundary search); zero for
-    /// the contiguous planner.
+    /// Wall time spent planning (root probe + boundary search); ~0 for a
+    /// single shard, which is not probed.
     pub plan_time: Duration,
     /// Wall time spent deriving per-shard seeds from the probe's candidate
     /// space (`RootProfile::seed_chunks` — the integer mask sweep); zero
-    /// when builds run cold.
+    /// when builds run cold (no probe).
     pub seed_time: Duration,
     /// Worker threads used.
     pub threads: usize,
@@ -169,7 +150,7 @@ pub struct PipelineStats {
     /// shards are re-derived per shard.
     pub build_cpu: Duration,
     /// Shards built from the probe seed (either 0 or
-    /// [`shards`](Self::shards): seeds are derived for all shards or none).
+    /// [`shards`](Self::shards): a plan with a probe seeds every shard).
     pub seeded_shards: usize,
     /// Phase-1 scan work across shard builds (neighbour visits, each a
     /// filter evaluation — the same unit as `ShardPlan::probe_entries`).
@@ -218,8 +199,9 @@ pub(crate) fn shard_ranges(count: usize, shards: usize) -> Vec<std::ops::Range<u
     out
 }
 
-/// One shard's build input: the root chunk for a cold top-down scan, or
-/// the chunk plus the shared probe/mask artifacts for a seeded build (the
+/// One shard's build input: the root chunk for a cold top-down scan (a
+/// single-shard plan, or one without a probe), or the chunk plus the
+/// shared probe/mask artifacts for a seeded build (the
 /// shard's phase-1 candidate sets are extracted lazily on the building
 /// thread — `RootProfile::seed_shard` — so peak memory is bounded by the
 /// in-flight shards, not all shards' duplicated candidate space). Either
@@ -335,23 +317,19 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
     };
     let plan_time = plan_t0.elapsed();
     let shards = plan.shard_count();
-    // Seed-mask derivation (when the plan carries a probe and seeding is
-    // on): one integer mask sweep per 64 shards over the probed candidate
-    // space, replacing every shard's top-down scan. The per-shard
-    // candidate-set extraction happens lazily on the *building* thread
+    // Seed-mask derivation (whenever the plan carries a probe): one
+    // integer mask sweep per 64 shards over the probed candidate space,
+    // replacing every shard's top-down scan. The per-shard candidate-set
+    // extraction happens lazily on the *building* thread
     // (`ShardInput::Seed`), so peak memory stays bounded by the in-flight
     // shards instead of all shards' duplicated candidate space.
     let seed_t0 = Instant::now();
     let seed_artifacts: Option<(Arc<RootProfile>, Arc<SeedMasks>)> =
-        if options.seed_builds {
-            plan.probe.as_ref().and_then(|probe| {
-                probe
-                    .seed_masks(&plan, &roots)
-                    .map(|masks| (Arc::clone(probe), Arc::new(masks)))
-            })
-        } else {
-            None
-        };
+        plan.probe.as_ref().and_then(|probe| {
+            probe
+                .seed_masks(&plan, &roots)
+                .map(|masks| (Arc::clone(probe), Arc::new(masks)))
+        });
     let seed_time = if seed_artifacts.is_some() {
         seed_t0.elapsed()
     } else {
@@ -668,7 +646,6 @@ mod tests {
         let opts = PipelineOptions {
             threads: 1,
             shards: Some(4),
-            planner: crate::ShardPlanner::WorkloadBalanced,
             ..PipelineOptions::default()
         };
         // A fresh run yields the plan the pipeline would cache.
@@ -688,13 +665,14 @@ mod tests {
         };
         let replanned =
             for_each_shard_cst_planned(&q, &g, &tree, &other_opts, Some(&fresh.plan), |_| {});
-        assert_eq!(replanned.shards, 2, "stale plan must not override the options");
+        assert_ne!(replanned.plan.provenance, fresh.plan.provenance);
+        assert!(replanned.shards <= 2, "stale plan must not override the options");
 
         // Hand-built plans (provenance 0) are never trusted.
         let hand_built = ShardPlan::contiguous(fresh.plan.order.len(), 4);
         let guarded =
             for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&hand_built), |_| {});
-        assert_eq!(guarded.plan.planner, crate::ShardPlanner::WorkloadBalanced);
+        assert_eq!(guarded.plan, fresh.plan, "replanned from scratch");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! both balance and redundancy) and of the paper's Fig. 14 commentary on
 //! the root-sharded DAF-8/CECI-8 baselines.
 //!
-//! This module plans the shard decomposition instead of splitting blindly:
+//! This module plans the shard decomposition instead of splitting blindly.
+//! There is one planner; its steps are:
 //!
 //! 1. **Probe** ([`RootProfile::probe`]): one top-down pass of
 //!    Algorithm 1 (tree edges, no refinement; the candidate filter is
@@ -18,42 +19,38 @@
 //!    per-root `W_CST` weights — the planner's
 //!    `WorkloadEstimate::per_root_candidate`, available *before* any shard
 //!    build — plus a stride-sampled count of the non-tree candidate edges
-//!    (where dense queries keep most of their CST entries).
-//! 2. **Workload-balanced boundary search**
-//!    ([`ShardPlanner::WorkloadBalanced`]): boundaries placed by prefix
-//!    sums over the weights, so every shard carries ≈ `1/S` of the
-//!    estimated workload instead of `1/S` of the roots. If no weight
-//!    exceeds the mean shard workload, every planned shard is provably
-//!    within 2× of the mean (first-crossing rule; see
-//!    `balanced_boundaries`).
-//! 3. **Overlap-aware planning** ([`ShardPlanner::OverlapAware`]): roots
-//!    are re-ordered so that roots sharing their dominant hub neighbour
-//!    land in the same shard (hub-clustered order), boundaries are
-//!    workload-balanced over that order and locally refined to the cut
-//!    with the smallest shared 1-hop frontier between the adjacent
-//!    ranges. Candidate decompositions are scored by the **overlap cost
-//!    model** ([`estimated_duplication`]): a per-shard bitmask is
-//!    OR-propagated down the probed candidate space, and every
-//!    refinement-surviving candidate edge counts once per shard that
-//!    reaches both endpoints — the modelled total-entries-built over the
-//!    sequential build, accurate to a few percent on the benchmark
+//!    (where dense queries keep most of their CST entries). The probe
+//!    rides with the plan and seeds every shard build.
+//! 2. **Two cuts per candidate shard count.** The contiguous equal-count
+//!    cut, and — only where that one duplicates noticeably — an
+//!    overlap-aware cut: roots re-ordered so that roots sharing their
+//!    dominant hub neighbour land in the same shard (hub-clustered order),
+//!    boundaries placed by prefix sums over the weights (every shard
+//!    within 2× of the mean workload when no weight exceeds the mean; see
+//!    `balanced_boundaries`) and each locally refined to the cut with the
+//!    smallest shared 1-hop frontier between the adjacent ranges. Both are
+//!    scored by the **overlap cost model** ([`estimated_duplication`]): a
+//!    per-shard bitmask is OR-propagated down the probed candidate space,
+//!    and every refinement-surviving candidate edge counts once per shard
+//!    that reaches both endpoints — the modelled total-entries-built over
+//!    the sequential build, accurate to a few percent on the benchmark
 //!    queries (EXPERIMENTS.md §13). Decompositions of the same roots share
 //!    a sweep, each in its own bit field of the mask word. Shard root sets
 //!    are arbitrary subsets (the pipeline's soundness argument only needs
 //!    them disjoint and complete), so the planner is free to permute.
-//! 4. **Auto shard-count selection** ([`ShardPlanner::Auto`]): candidate
-//!    shard counts are scored with the overlapped host model
+//! 3. **Shard-count selection**: the less duplicating cut at each
+//!    candidate count is scored with the overlapped host model
 //!    (`fill + max(build_par − fill, partition)` plus a contention charge
-//!    for duplicated build work) using the plan's estimated duplication
+//!    for duplicated build work) using its estimated duplication
 //!    ([`ShardPlan::estimated_duplication`]), so flat queries keep the
-//!    default shard count while hub-dominated ones drop to the count that
+//!    requested shard count while hub-dominated ones drop to the count that
 //!    minimises modelled prepare time.
 //!
 //! # Determinism
 //!
 //! A plan is a pure function of `(q, g, tree, CstOptions, requested
-//! shards, planner)`. In particular [`PlannerConfig::reference_threads`]
-//! is a **constant**, never the pipeline's actual thread count: the shard
+//! shards, δ_S hint)`. In particular `REFERENCE_THREADS` is a
+//! **constant**, never the pipeline's actual thread count: the shard
 //! decomposition — and everything downstream of it — must stay
 //! bit-identical for every thread count (see `cst::pipeline` module docs).
 
@@ -64,94 +61,53 @@ use graph_core::{BfsTree, Graph, QueryGraph, VertexId};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Shard-boundary planning policy of the host CST pipeline.
+/// The shard planner. There is one — per-query shard-count selection over
+/// contiguous and overlap-aware cuts (module docs) — so this type has
+/// nothing to choose; it stays only because the benchmark assigns
+/// `fast::FastConfig::shard_planner`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPlanner {
-    /// Contiguous equal-count chunks over the sorted root candidate list —
-    /// the original (blind) rule; zero planning cost.
+    /// The one planner ([`plan_shards`]).
     #[default]
-    Contiguous,
-    /// Contiguous chunks balanced by the probed per-root workload weights.
-    WorkloadBalanced,
-    /// Hub-clustered root order, workload-balanced boundaries, each
-    /// boundary refined to the cut minimising the shared 1-hop frontier.
-    OverlapAware,
-    /// Per-query shard-count selection: scores candidate shard counts with
-    /// the overlapped host model and the plan's estimated duplication,
-    /// then plans overlap-aware boundaries at the winning count (falling
-    /// back to contiguous boundaries when the estimated duplication is
-    /// already negligible).
     Auto,
 }
 
-impl std::fmt::Display for ShardPlanner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ShardPlanner::Contiguous => "contiguous",
-            ShardPlanner::WorkloadBalanced => "balanced",
-            ShardPlanner::OverlapAware => "overlap",
-            ShardPlanner::Auto => "auto",
-        };
-        f.write_str(s)
-    }
-}
+// Constants of the planner's cost model. All values are deliberately
+// thread-count independent (see the module docs on determinism).
 
-/// Constants of the planner's cost model. All values are deliberately
-/// thread-count independent (see the module docs on determinism).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlannerConfig {
-    /// Reference host parallelism for the auto score — the paper's 8-core
-    /// Xeon. **Never** set this from the pipeline's actual thread count.
-    pub reference_threads: f64,
-    /// Parallel efficiency of the reference host (mirrors
-    /// `matching::CpuCostModel::parallel_efficiency`).
-    pub parallel_efficiency: f64,
-    /// Modelled partition-to-build work ratio ρ: the partition phase that
-    /// `fill + max(build_par − fill, partition)` overlaps against, in
-    /// units of the sequential build (calibrated from the `probe` split,
-    /// where partitioning is 1–2× the build on the larger datasets). This
-    /// is the *saturated* value — what partition-dominated queries pay —
-    /// and the fallback when no probe or δ_S hint is available; per query,
-    /// [`estimated_partition_ratio`] scales it by the partition count the
-    /// probed candidate mass implies under [`PlannerConfig::delta_s_hint`].
-    pub partition_build_ratio: f64,
-    /// The device's δ_S payload threshold (bytes per partition), when the
-    /// caller knows it ([`crate::PipelineOptions::partition_hint`]). Feeds
-    /// the per-query ρ estimate: a CST whose probed candidate mass fits in
-    /// one partition barely pays for partitioning at all, while one that
-    /// splits hundreds of ways pays the full calibrated ratio.
-    pub delta_s_hint: Option<usize>,
-    /// Contention charge κ per unit of *duplicated* build work: duplicated
-    /// shard work executes on the same socket as the partition/offload
-    /// consumer, so it is charged at one reference-core's share.
-    pub duplication_charge: f64,
-    /// Boundary-refinement balance slack: a refined boundary may not push
-    /// an adjacent shard beyond `slack × mean` planned workload.
-    pub balance_slack: f64,
-    /// Auto keeps plain contiguous boundaries when the estimated
-    /// duplication at the chosen shard count stays below this threshold
-    /// (flat queries must not pay reordering churn for nothing).
-    pub overlap_fallback: f64,
-}
+/// Reference host parallelism for the score — the paper's 8-core Xeon.
+/// **Never** the pipeline's actual thread count.
+const REFERENCE_THREADS: f64 = 8.0;
 
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            reference_threads: 8.0,
-            parallel_efficiency: 0.75,
-            partition_build_ratio: 1.0,
-            // Duplicated build work competes with the overlapped
-            // partition/offload consumer for the socket's memory bandwidth,
-            // so it is charged near its full serial cost; 0.7 places the
-            // auto choices at the measured per-query optima of the DG03
-            // duplication table (EXPERIMENTS.md §13).
-            duplication_charge: 0.7,
-            balance_slack: 2.0,
-            overlap_fallback: 1.05,
-            delta_s_hint: None,
-        }
-    }
-}
+/// Parallel efficiency of the reference host (mirrors
+/// `matching::CpuCostModel::parallel_efficiency`).
+const PARALLEL_EFFICIENCY: f64 = 0.75;
+
+/// Modelled partition-to-build work ratio ρ: the partition phase that
+/// `fill + max(build_par − fill, partition)` overlaps against, in units of
+/// the sequential build (calibrated from the `probe` split, where
+/// partitioning is 1–2× the build on the larger datasets). This is the
+/// *saturated* value — what partition-dominated queries pay — and the
+/// fallback when no probe or δ_S hint is available; per query,
+/// [`estimated_partition_ratio`] scales it by the partition count the
+/// probed candidate mass implies under the δ_S hint.
+const PARTITION_BUILD_RATIO: f64 = 1.0;
+
+/// Contention charge κ per unit of *duplicated* build work. Duplicated
+/// shard work competes with the overlapped partition/offload consumer for
+/// the socket's memory bandwidth, so it is charged near its full serial
+/// cost; 0.7 places the chosen shard counts at the measured per-query
+/// optima of the DG03 duplication table (EXPERIMENTS.md §13).
+const DUPLICATION_CHARGE: f64 = 0.7;
+
+/// Boundary-refinement balance slack: a refined boundary may not push an
+/// adjacent shard beyond `slack × mean` planned workload.
+const BALANCE_SLACK: f64 = 2.0;
+
+/// The contiguous cut is kept without trying an overlap-aware one when its
+/// estimated duplication stays at or below this threshold (flat queries
+/// must not pay reordering churn for nothing).
+const OVERLAP_FALLBACK: f64 = 1.05;
 
 /// Modelled bytes per CST adjacency entry: the `u32` target plus its share
 /// of the CSR offsets scaffold (`Cst::payload_bytes` averages ≈ 5 bytes per
@@ -160,19 +116,19 @@ const BYTES_PER_ENTRY: f64 = 5.0;
 
 /// Per-query estimate of the partition/build work ratio ρ from the probe:
 /// the probed candidate mass ([`RootProfile::entry_mass`]) implies a
-/// partition count `P = ⌈mass · bytes / δ_S⌉` under the δ_S hint, and the
+/// partition count `P = ⌈mass · bytes / δ_S⌉` under the device's δ_S
+/// payload threshold (`delta_s_hint`, bytes per partition), and the
 /// greedy partitioner's work grows with the recursion depth `log₂ P` —
 /// a CST that fits whole (`P = 1`) pays only the fits-check scan, while one
-/// that splits ≥ 16 ways pays the full calibrated
-/// [`PlannerConfig::partition_build_ratio`]. Falls back to that calibrated
-/// constant when the profile carries no candidate mass or no hint was
-/// given (exactly the old fixed ρ = 1 behaviour).
-pub fn estimated_partition_ratio(profile: &RootProfile, config: &PlannerConfig) -> f64 {
-    let Some(delta_s) = config.delta_s_hint else {
-        return config.partition_build_ratio;
+/// that splits ≥ 16 ways pays the full calibrated `PARTITION_BUILD_RATIO`.
+/// Falls back to that calibrated constant when the profile carries no
+/// candidate mass or no hint was given.
+pub fn estimated_partition_ratio(profile: &RootProfile, delta_s_hint: Option<usize>) -> f64 {
+    let Some(delta_s) = delta_s_hint else {
+        return PARTITION_BUILD_RATIO;
     };
     if profile.entry_mass <= 0.0 || delta_s == 0 {
-        return config.partition_build_ratio;
+        return PARTITION_BUILD_RATIO;
     }
     let bytes = profile.entry_mass * BYTES_PER_ENTRY;
     let partitions = (bytes / delta_s as f64).ceil().max(1.0);
@@ -181,7 +137,7 @@ pub fn estimated_partition_ratio(profile: &RootProfile, config: &PlannerConfig) 
     // pathological split counts (the host model's flat 2× entries charge
     // stops growing there too).
     let depth = ((1.0 + partitions.log2()) / 5.0).clamp(0.2, 1.5);
-    config.partition_build_ratio * depth
+    PARTITION_BUILD_RATIO * depth
 }
 
 /// One non-root query vertex's slice of the probed candidate space: the
@@ -706,11 +662,9 @@ impl RootProfile {
 /// A planned shard decomposition of the root candidate list.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardPlan {
-    /// The planner that produced this plan.
-    pub planner: ShardPlanner,
     /// Root indices (into the sorted root candidate list) in assignment
     /// order; shard `s` owns `order[ranges[s]]`. Identity for contiguous
-    /// and workload-balanced plans.
+    /// cuts.
     pub order: Vec<u32>,
     /// Shard boundaries over `order`.
     pub ranges: Vec<Range<usize>>,
@@ -726,7 +680,7 @@ pub struct ShardPlan {
     /// The partition/build ratio ρ the planner's score used
     /// ([`estimated_partition_ratio`]): per-query from the probed candidate
     /// mass when a δ_S hint was available, otherwise the calibrated
-    /// [`PlannerConfig::partition_build_ratio`] constant.
+    /// constant (1.0).
     pub partition_ratio: f64,
     /// Probe work behind the plan (0 for contiguous plans).
     pub probe_entries: usize,
@@ -739,8 +693,8 @@ pub struct ShardPlan {
     /// candidate space shard builds are seeded from
     /// ([`RootProfile::seed_chunks`]). Rides with the plan through the
     /// pipeline and any plan cache, so a warm-cache session skips the
-    /// global top-down scan entirely. `None` for contiguous/degenerate
-    /// plans (no probe) and hand-built plans; covered by the same
+    /// global top-down scan entirely. `None` for single-shard plans (no
+    /// probe) and hand-built plans; covered by the same
     /// [`provenance`](Self::provenance) trust check as the boundaries —
     /// a foreign probe is discarded with its plan, never seeded from.
     pub probe: Option<Arc<RootProfile>>,
@@ -753,7 +707,6 @@ impl ShardPlan {
         let ranges = shard_ranges(count, shards);
         let shard_weights = ranges.iter().map(|r| r.len() as f64).collect();
         ShardPlan {
-            planner: ShardPlanner::Contiguous,
             order: (0..count as u32).collect(),
             ranges,
             shard_weights,
@@ -797,7 +750,10 @@ impl ShardPlan {
 }
 
 /// Plans the pipeline's shard decomposition for `roots` under `options` —
-/// the entry point `cst::pipeline` calls before spawning workers.
+/// the entry point `cst::pipeline` calls before spawning workers. Probes
+/// only when there is something to cut: more than one root and more than
+/// one requested shard; otherwise the plan is one contiguous shard with no
+/// probe.
 pub fn plan_pipeline_shards(
     q: &QueryGraph,
     g: &Graph,
@@ -807,79 +763,29 @@ pub fn plan_pipeline_shards(
 ) -> ShardPlan {
     let shards = options.resolve_shards(roots.len());
     let provenance = crate::cache::plan_provenance(roots, options);
-    if options.planner == ShardPlanner::Contiguous || roots.len() <= 1 || shards <= 1 {
+    if roots.len() <= 1 || shards <= 1 {
         let mut plan = ShardPlan::contiguous(roots.len(), shards);
-        // Keep the requested planner visible even when it degenerated.
-        plan.planner = options.planner;
         plan.provenance = provenance;
         return plan;
     }
     let profile = RootProfile::probe(q, g, tree, options.cst, roots);
-    let config = PlannerConfig {
-        delta_s_hint: options.partition_hint,
-        ..PlannerConfig::default()
-    };
-    let mut plan = plan_shards(options.planner, &profile, shards, &config);
+    let mut plan = plan_shards(&profile, shards, options.partition_hint);
     plan.provenance = provenance;
     // The probe is a first-class artifact: it rides with the plan so shard
-    // builds can be seeded from its candidate space instead of re-running
-    // the top-down scan per shard (and so a plan cache retains it) —
+    // builds are seeded from its candidate space instead of re-running the
+    // top-down scan per shard (and so a plan cache retains it) —
     // trimmed to the seed-relevant fields first, so caches don't pin the
     // planner-only payloads.
     plan.probe = Some(Arc::new(profile.into_seed_profile()));
     plan
 }
 
-/// Plans a shard decomposition from a probed (or synthetic) profile.
-/// `shards` is the requested shard count — the cap for [`ShardPlanner::Auto`],
-/// exact for the other planners (clamped to the root count).
-pub fn plan_shards(
-    planner: ShardPlanner,
-    profile: &RootProfile,
-    shards: usize,
-    config: &PlannerConfig,
-) -> ShardPlan {
-    let n = profile.weights.len();
-    let shards = shards.clamp(1, n.max(1));
-    let mut plan = match planner {
-        ShardPlanner::Contiguous => ShardPlan::contiguous(n, shards),
-        ShardPlanner::WorkloadBalanced => {
-            assemble(planner, profile, (0..n as u32).collect(), shards, None)
-        }
-        ShardPlanner::OverlapAware => assemble(
-            planner,
-            profile,
-            cluster_order(profile),
-            shards,
-            Some(config),
-        ),
-        ShardPlanner::Auto => auto_plan(profile, shards, config),
-    };
-    if matches!(
-        planner,
-        ShardPlanner::WorkloadBalanced | ShardPlanner::OverlapAware
-    ) {
-        estimate_duplication(profile, std::slice::from_mut(&mut plan));
-    }
-    plan.probe_entries = profile.probe_entries;
-    plan.partition_ratio = estimated_partition_ratio(profile, config);
-    plan
-}
-
-/// Builds a plan from an explicit root order: balanced boundaries and
-/// optional seam refinement. The duplication estimate is left at 1.0 for
+/// Builds a plan from an explicit root order: balanced boundaries, each
+/// refined to its best seam. The duplication estimate is left at 1.0 for
 /// [`estimate_duplication`] to fill in, so several plans can share a sweep.
-fn assemble(
-    planner: ShardPlanner,
-    profile: &RootProfile,
-    order: Vec<u32>,
-    shards: usize,
-    refine: Option<&PlannerConfig>,
-) -> ShardPlan {
+fn assemble(profile: &RootProfile, order: Vec<u32>, shards: usize) -> ShardPlan {
     let mut ranges = balanced_boundaries(&profile.weights, &order, shards);
-    if let Some(config) = refine {
-        refine_boundaries(profile, &order, &mut ranges, config);
-    }
+    refine_boundaries(profile, &order, &mut ranges);
     let shard_weights: Vec<f64> = ranges
         .iter()
         .map(|r| {
@@ -890,7 +796,6 @@ fn assemble(
         })
         .collect();
     ShardPlan {
-        planner,
         order,
         ranges,
         shard_weights,
@@ -981,12 +886,7 @@ fn boundary_overlap(
 /// balance slack: neither adjacent shard may exceed `slack × mean` planned
 /// workload. Ties prefer the balanced position (then the smaller index)
 /// for determinism.
-fn refine_boundaries(
-    profile: &RootProfile,
-    order: &[u32],
-    ranges: &mut [Range<usize>],
-    config: &PlannerConfig,
-) {
+fn refine_boundaries(profile: &RootProfile, order: &[u32], ranges: &mut [Range<usize>]) {
     let Some(level1) = profile.levels.first() else {
         return;
     };
@@ -1001,7 +901,7 @@ fn refine_boundaries(
     } else {
         0.0
     };
-    let cap = config.balance_slack * mean;
+    let cap = BALANCE_SLACK * mean;
     let window = (n / (4 * shards)).clamp(2, 32);
     let weight_of =
         |r: Range<usize>| -> f64 { order[r].iter().map(|&i| profile.weights[i as usize]).sum() };
@@ -1177,9 +1077,8 @@ fn cluster_order(profile: &RootProfile) -> Vec<u32> {
 ///
 /// `ρ` is the partition phase the pipeline overlaps against — per query
 /// from [`estimated_partition_ratio`] — and `κ` charges duplicated build
-/// work for contending with the consumer thread on the reference socket
-/// (from [`PlannerConfig`]).
-fn plan_score(plan: &ShardPlan, config: &PlannerConfig, rho: f64) -> f64 {
+/// work for contending with the consumer thread on the reference socket.
+fn plan_score(plan: &ShardPlan, rho: f64) -> f64 {
     let d = plan.estimated_duplication.max(1.0);
     let total: f64 = plan.shard_weights.iter().sum();
     let shards = plan.shard_count().max(1) as f64;
@@ -1188,11 +1087,11 @@ fn plan_score(plan: &ShardPlan, config: &PlannerConfig, rho: f64) -> f64 {
     } else {
         1.0 / shards
     };
-    let effective = (config.reference_threads * config.parallel_efficiency).max(1.0);
+    let effective = (REFERENCE_THREADS * PARALLEL_EFFICIENCY).max(1.0);
     // LPT bound: the build wall cannot beat the largest shard on one core.
     let build_par = d * (1.0 / effective).max(max_share);
     let fill = (d / shards).min(build_par);
-    fill + (build_par - fill).max(rho) + config.duplication_charge * (d - 1.0)
+    fill + (build_par - fill).max(rho) + DUPLICATION_CHARGE * (d - 1.0)
 }
 
 /// Candidate shard counts for auto selection: powers of two up to the cap,
@@ -1208,15 +1107,18 @@ fn candidate_shard_counts(cap: usize) -> Vec<usize> {
     out
 }
 
-/// Auto planning: score every candidate shard count and keep the best plan
-/// (ties prefer more shards — more overlap at equal modelled cost). At the
-/// winning count, contiguous boundaries are kept when the estimated
-/// duplication is below [`PlannerConfig::overlap_fallback`] so flat
-/// queries reproduce the contiguous decomposition exactly.
-fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> ShardPlan {
+/// Plans a shard decomposition from a probed (or synthetic) profile: scores
+/// every candidate shard count up to `cap` (clamped to the root count) and
+/// keeps the best plan (ties prefer more shards — more overlap at equal
+/// modelled cost). At each count the contiguous cut is kept when its
+/// estimated duplication is at most `OVERLAP_FALLBACK`, so flat queries
+/// reproduce the contiguous decomposition exactly. `delta_s_hint` is the
+/// device's δ_S payload threshold when the caller knows it
+/// ([`estimated_partition_ratio`]).
+pub fn plan_shards(profile: &RootProfile, cap: usize, delta_s_hint: Option<usize>) -> ShardPlan {
     let n = profile.weights.len();
     let cap = cap.clamp(1, n.max(1));
-    let rho = estimated_partition_ratio(profile, config);
+    let rho = estimated_partition_ratio(profile, delta_s_hint);
     // The contiguous decomposition at every candidate count, all scored
     // in one mask sweep.
     let mut contiguous: Vec<ShardPlan> = candidate_shard_counts(cap)
@@ -1235,7 +1137,7 @@ fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> Shard
     // The overlap-aware alternative wherever the contiguous cut duplicates
     // noticeably, scored in a second sweep. The hub-clustered order does
     // not depend on the shard count.
-    let duplicating = |p: &ShardPlan| p.estimated_duplication > config.overlap_fallback;
+    let duplicating = |p: &ShardPlan| p.estimated_duplication > OVERLAP_FALLBACK;
     let mut clustered: Option<Vec<u32>> = None;
     let mut overlap: Vec<ShardPlan> = contiguous
         .iter()
@@ -1244,13 +1146,7 @@ fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> Shard
             let order = clustered
                 .get_or_insert_with(|| cluster_order(profile))
                 .clone();
-            assemble(
-                ShardPlanner::OverlapAware,
-                profile,
-                order,
-                p.shard_count(),
-                Some(config),
-            )
+            assemble(profile, order, p.shard_count())
         })
         .collect();
     estimate_duplication(profile, &mut overlap);
@@ -1269,14 +1165,15 @@ fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> Shard
         } else {
             contiguous
         };
-        let score = plan_score(&candidate, config, rho);
+        let score = plan_score(&candidate, rho);
         match &best {
             Some((best_score, _)) if *best_score < score => {}
             _ => best = Some((score, candidate)),
         }
     }
     let mut plan = best.expect("at least one candidate shard count").1;
-    plan.planner = ShardPlanner::Auto;
+    plan.probe_entries = profile.probe_entries;
+    plan.partition_ratio = rho;
     plan
 }
 
@@ -1342,17 +1239,10 @@ mod tests {
 
     /// The rewritten probe, scoring and seed derivation against the
     /// previous edition kept in `reference`: equal profiles, equal plans
-    /// for all four planners at every cap (one shard, odd counts, the
-    /// default 16, one past it, a full mask word, one past that), equal
-    /// seeds.
+    /// at every cap (one shard, odd counts, the default 16, one past it, a
+    /// full mask word, one past that), equal seeds.
     #[test]
     fn rewritten_planner_reproduces_the_reference() {
-        let planners = [
-            ShardPlanner::Contiguous,
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ];
         let (mut overlap_wins, mut wide) = (0, 0);
         for index in 0..CASES {
             let (q, g, tree) = case(index);
@@ -1367,42 +1257,33 @@ mod tests {
                 old.assert_same(&new);
                 wide += usize::from(roots.len() > 65);
                 // With and without a δ_S hint, so ρ takes both routes.
-                let config = PlannerConfig {
-                    delta_s_hint: index.is_multiple_of(3).then_some(4096),
-                    ..PlannerConfig::default()
-                };
+                let hint = index.is_multiple_of(3).then_some(4096);
                 for cap in [1usize, 2, 3, 6, 16, 17, 64, 65] {
-                    for planner in planners {
-                        let plan = plan_shards(planner, &new, cap, &config);
-                        let expected = reference::plan_shards(planner, &old, cap, &config);
-                        assert_eq!(
-                            plan, expected,
-                            "case {index} nlf {use_nlf} cap {cap} {planner}"
-                        );
-                        assert_eq!(
-                            estimated_duplication(&new, &plan.order, &plan.ranges).to_bits(),
-                            reference::estimated_duplication(&old, &plan.order, &plan.ranges)
-                                .to_bits(),
-                            "case {index} nlf {use_nlf} cap {cap} {planner}"
-                        );
-                        let seeds = |s: Option<Vec<TopDownSeed>>| {
-                            s.map(|s| s.into_iter().map(|s| s.candidates).collect::<Vec<_>>())
-                        };
-                        assert_eq!(
-                            seeds(new.seed_chunks(&plan, &roots)),
-                            seeds(old.seed_chunks(&plan, &roots)),
-                            "case {index} nlf {use_nlf} cap {cap} {planner}"
-                        );
-                        let identity = plan.order.iter().enumerate().all(|(i, &o)| i as u32 == o);
-                        overlap_wins += usize::from(planner == ShardPlanner::Auto && !identity);
-                    }
+                    let plan = plan_shards(&new, cap, hint);
+                    let expected = reference::plan_shards(&old, cap, hint);
+                    assert_eq!(plan, expected, "case {index} nlf {use_nlf} cap {cap}");
+                    assert_eq!(
+                        estimated_duplication(&new, &plan.order, &plan.ranges).to_bits(),
+                        reference::estimated_duplication(&old, &plan.order, &plan.ranges).to_bits(),
+                        "case {index} nlf {use_nlf} cap {cap}"
+                    );
+                    let seeds = |s: Option<Vec<TopDownSeed>>| {
+                        s.map(|s| s.into_iter().map(|s| s.candidates).collect::<Vec<_>>())
+                    };
+                    assert_eq!(
+                        seeds(new.seed_chunks(&plan, &roots)),
+                        seeds(old.seed_chunks(&plan, &roots)),
+                        "case {index} nlf {use_nlf} cap {cap}"
+                    );
+                    let identity = plan.order.iter().enumerate().all(|(i, &o)| i as u32 == o);
+                    overlap_wins += usize::from(!identity);
                 }
             }
         }
         // The generator reaches the branches the comparison is for.
         assert!(
             overlap_wins > 0,
-            "no case where Auto keeps an overlap-aware plan"
+            "no case where the planner keeps an overlap-aware plan"
         );
         assert!(
             wide > CASES as usize / 2,
@@ -1470,17 +1351,19 @@ mod tests {
         assert_eq!(prev_end, n);
     }
 
+    /// The balanced cut over the identity order (weights-only profiles
+    /// have no seams to refine).
+    fn balanced(weights: Vec<f64>, shards: usize) -> ShardPlan {
+        let n = weights.len() as u32;
+        assemble(&profile(weights), (0..n).collect(), shards)
+    }
+
     #[test]
     fn balanced_respects_weights() {
         // One heavy root at the front: equal-count halves would put 5 roots
         // in each shard; balanced puts the heavy root alone.
         let w = vec![100.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-        let plan = plan_shards(
-            ShardPlanner::WorkloadBalanced,
-            &profile(w),
-            2,
-            &PlannerConfig::default(),
-        );
+        let plan = balanced(w, 2);
         coverage_ok(&plan, 10);
         assert_eq!(plan.ranges[0], 0..1);
         assert_eq!(plan.shard_weights, vec![100.0, 9.0]);
@@ -1491,12 +1374,7 @@ mod tests {
         // Uniform-ish weights where max ≤ mean shard workload.
         let w: Vec<f64> = (0..64).map(|i| 1.0 + (i % 5) as f64 * 0.2).collect();
         for shards in [2usize, 3, 4, 8] {
-            let plan = plan_shards(
-                ShardPlanner::WorkloadBalanced,
-                &profile(w.clone()),
-                shards,
-                &PlannerConfig::default(),
-            );
+            let plan = balanced(w.clone(), shards);
             coverage_ok(&plan, 64);
             let total: f64 = w.iter().sum();
             let mean = total / shards as f64;
@@ -1506,41 +1384,61 @@ mod tests {
         }
     }
 
+    /// The same guarantee over random weight vectors: 1..=120 roots, about
+    /// a quarter of them weightless, 1..=12 shards. Whenever no weight
+    /// exceeds the mean shard workload, every shard stays strictly below
+    /// 2× the mean.
+    #[test]
+    fn balanced_two_x_mean_guarantee_on_random_weights() {
+        let mut state = 0x0ba1_a9ce_u64;
+        let mut bounded = 0;
+        for _ in 0..500 {
+            let n = 1 + draw(&mut state, 120);
+            let shards = 1 + draw(&mut state, 12);
+            let w: Vec<f64> = (0..n)
+                .map(|_| match draw(&mut state, 4) {
+                    0 => 0.0,
+                    _ => draw(&mut state, 1000) as f64 / 16.0,
+                })
+                .collect();
+            let plan = balanced(w.clone(), shards);
+            coverage_ok(&plan, n);
+            let effective = plan.shard_count();
+            assert_eq!(effective, shards.min(n));
+            let total: f64 = w.iter().sum();
+            let mean = total / effective as f64;
+            let max_weight = w.iter().cloned().fold(0.0, f64::max);
+            if total > 0.0 && max_weight <= mean {
+                bounded += 1;
+                for sw in &plan.shard_weights {
+                    assert!(
+                        *sw < 2.0 * mean,
+                        "shard {sw} vs mean {mean} (n={n} S={effective})"
+                    );
+                }
+            }
+        }
+        assert!(bounded > 100, "only {bounded} cases reach the bound");
+    }
+
     #[test]
     fn zero_workload_roots_fall_back_to_equal_count() {
-        let plan = plan_shards(
-            ShardPlanner::WorkloadBalanced,
-            &profile(vec![0.0; 12]),
-            4,
-            &PlannerConfig::default(),
-        );
+        let plan = balanced(vec![0.0; 12], 4);
         coverage_ok(&plan, 12);
         assert!(plan.ranges.iter().all(|r| r.len() == 3));
     }
 
     #[test]
     fn single_root_collapses_to_one_shard() {
-        for planner in [
-            ShardPlanner::Contiguous,
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ] {
-            let plan = plan_shards(planner, &profile(vec![3.0]), 8, &PlannerConfig::default());
-            assert_eq!(plan.shard_count(), 1);
-            coverage_ok(&plan, 1);
-            assert_eq!(plan.estimated_duplication, 1.0);
-        }
+        let plan = plan_shards(&profile(vec![3.0]), 8, None);
+        assert_eq!(plan.shard_count(), 1);
+        coverage_ok(&plan, 1);
+        assert_eq!(plan.estimated_duplication, 1.0);
     }
 
     #[test]
     fn more_shards_than_roots_clamp() {
-        let plan = plan_shards(
-            ShardPlanner::WorkloadBalanced,
-            &profile(vec![1.0, 2.0, 3.0]),
-            100,
-            &PlannerConfig::default(),
-        );
+        let plan = plan_shards(&profile(vec![1.0, 2.0, 3.0]), 100, None);
         assert_eq!(plan.shard_count(), 3);
         coverage_ok(&plan, 3);
         assert!(plan.ranges.iter().all(|r| r.len() == 1));
@@ -1550,12 +1448,7 @@ mod tests {
     fn auto_without_frontiers_keeps_the_cap_on_flat_weights() {
         // No frontier info ⇒ duplication 1.0 everywhere ⇒ the score is
         // minimised by the largest shard count (smallest fill).
-        let plan = plan_shards(
-            ShardPlanner::Auto,
-            &profile(vec![1.0; 64]),
-            16,
-            &PlannerConfig::default(),
-        );
+        let plan = plan_shards(&profile(vec![1.0; 64]), 16, None);
         assert_eq!(plan.shard_count(), 16);
         coverage_ok(&plan, 64);
     }
@@ -1572,50 +1465,36 @@ mod tests {
 
     #[test]
     fn partition_ratio_falls_back_without_hint_or_mass() {
-        let config = PlannerConfig::default();
         let p = profile(vec![1.0; 8]);
-        // No hint: the calibrated constant, exactly the old fixed ρ.
-        assert_eq!(
-            estimated_partition_ratio(&p, &config),
-            config.partition_build_ratio
-        );
+        // No hint: the calibrated constant.
+        assert_eq!(estimated_partition_ratio(&p, None), PARTITION_BUILD_RATIO);
         // Hint but no probed mass (weights-only profile): same fallback.
-        let hinted = PlannerConfig {
-            delta_s_hint: Some(1 << 16),
-            ..config
-        };
         assert_eq!(
-            estimated_partition_ratio(&p, &hinted),
-            config.partition_build_ratio
+            estimated_partition_ratio(&p, Some(1 << 16)),
+            PARTITION_BUILD_RATIO
         );
     }
 
     #[test]
     fn partition_ratio_scales_with_candidate_mass() {
-        let base = PlannerConfig {
-            delta_s_hint: Some(10_000),
-            ..PlannerConfig::default()
-        };
+        let hint = Some(10_000);
         let mut p = profile(vec![1.0; 8]);
         // Fits in one partition: only the fits-check share of ρ.
         p.entry_mass = 100.0;
-        let fits = estimated_partition_ratio(&p, &base);
-        assert!(
-            (fits - 0.2 * base.partition_build_ratio).abs() < 1e-12,
-            "{fits}"
-        );
+        let fits = estimated_partition_ratio(&p, hint);
+        assert!((fits - 0.2 * PARTITION_BUILD_RATIO).abs() < 1e-12, "{fits}");
         // Hundreds of partitions: saturates above the calibrated constant.
         p.entry_mass = 1e9;
-        let split = estimated_partition_ratio(&p, &base);
+        let split = estimated_partition_ratio(&p, hint);
         assert!(
-            (split - 1.5 * base.partition_build_ratio).abs() < 1e-12,
+            (split - 1.5 * PARTITION_BUILD_RATIO).abs() < 1e-12,
             "{split}"
         );
         // Monotone in the candidate mass between the clamps.
         let mut prev = 0.0;
         for mass in [1e3, 1e4, 1e5, 1e6, 1e7] {
             p.entry_mass = mass;
-            let rho = estimated_partition_ratio(&p, &base);
+            let rho = estimated_partition_ratio(&p, hint);
             assert!(rho >= prev, "ρ must not decrease with mass");
             prev = rho;
         }
@@ -1623,26 +1502,17 @@ mod tests {
 
     #[test]
     fn plans_carry_the_ratio_they_scored_with() {
-        let config = PlannerConfig {
-            delta_s_hint: Some(1_000),
-            ..PlannerConfig::default()
-        };
+        let hint = Some(1_000);
         let mut p = profile(vec![1.0; 16]);
         p.entry_mass = 5e5;
-        let expected = estimated_partition_ratio(&p, &config);
-        for planner in [
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ] {
-            let plan = plan_shards(planner, &p, 8, &config);
-            assert!(
-                (plan.partition_ratio - expected).abs() < 1e-12,
-                "{planner}: {} vs {}",
-                plan.partition_ratio,
-                expected
-            );
-        }
+        let expected = estimated_partition_ratio(&p, hint);
+        let plan = plan_shards(&p, 8, hint);
+        assert!(
+            (plan.partition_ratio - expected).abs() < 1e-12,
+            "{} vs {}",
+            plan.partition_ratio,
+            expected
+        );
     }
 
     #[test]

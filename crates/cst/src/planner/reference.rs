@@ -8,11 +8,12 @@
 //! it: [`RootProfile::assert_same`] for profiles, plain `==` for the
 //! [`ShardPlan`]s and seeds. Only what the rewrite left untouched is shared
 //! (`balanced_boundaries`, `plan_score`, `candidate_shard_counts`, the
-//! sample and seed types).
+//! cost-model constants, the sample and seed types). Planning is trimmed
+//! to the one planner the rewrite kept.
 
 use super::{
-    balanced_boundaries, candidate_shard_counts, plan_score, NonTreeSample, PlannerConfig,
-    SeedMasks, ShardPlan, ShardPlanner, NONTREE_SAMPLE_CAP, NONTREE_SCAN_BUDGET,
+    balanced_boundaries, candidate_shard_counts, plan_score, NonTreeSample, SeedMasks, ShardPlan,
+    BALANCE_SLACK, NONTREE_SAMPLE_CAP, NONTREE_SCAN_BUDGET, OVERLAP_FALLBACK,
 };
 use crate::construct::{CstOptions, TopDownSeed};
 use crate::filter::CandidateFilter;
@@ -106,12 +107,12 @@ impl RootProfile {
     }
 
     /// `estimated_partition_ratio` reads nothing but the entry mass.
-    fn partition_ratio(&self, config: &PlannerConfig) -> f64 {
+    fn partition_ratio(&self, delta_s_hint: Option<usize>) -> f64 {
         let carrier = super::RootProfile {
             entry_mass: self.entry_mass,
             ..Default::default()
         };
-        super::estimated_partition_ratio(&carrier, config)
+        super::estimated_partition_ratio(&carrier, delta_s_hint)
     }
 
     pub fn probe(
@@ -469,39 +470,18 @@ impl RootProfile {
     }
 }
 
-pub fn plan_shards(
-    planner: ShardPlanner,
-    profile: &RootProfile,
-    shards: usize,
-    config: &PlannerConfig,
-) -> ShardPlan {
+pub fn plan_shards(profile: &RootProfile, shards: usize, delta_s_hint: Option<usize>) -> ShardPlan {
     let n = profile.weights.len();
     let shards = shards.clamp(1, n.max(1));
-    let mut plan = match planner {
-        ShardPlanner::Contiguous => ShardPlan::contiguous(n, shards),
-        ShardPlanner::WorkloadBalanced => {
-            let order: Vec<u32> = (0..n as u32).collect();
-            assemble(ShardPlanner::WorkloadBalanced, profile, order, shards, None)
-        }
-        ShardPlanner::OverlapAware => overlap_plan(profile, shards, config),
-        ShardPlanner::Auto => auto_plan(profile, shards, config),
-    };
+    let mut plan = auto_plan(profile, shards, delta_s_hint);
     plan.probe_entries = profile.probe_entries;
-    plan.partition_ratio = profile.partition_ratio(config);
+    plan.partition_ratio = profile.partition_ratio(delta_s_hint);
     plan
 }
 
-fn assemble(
-    planner: ShardPlanner,
-    profile: &RootProfile,
-    order: Vec<u32>,
-    shards: usize,
-    refine: Option<&PlannerConfig>,
-) -> ShardPlan {
+fn assemble(profile: &RootProfile, order: Vec<u32>, shards: usize) -> ShardPlan {
     let mut ranges = balanced_boundaries(&profile.weights, &order, shards);
-    if let Some(config) = refine {
-        refine_boundaries(profile, &order, &mut ranges, config);
-    }
+    refine_boundaries(profile, &order, &mut ranges);
     let shard_weights: Vec<f64> = ranges
         .iter()
         .map(|r| {
@@ -513,7 +493,6 @@ fn assemble(
         .collect();
     let estimated_duplication = estimated_duplication(profile, &order, &ranges);
     ShardPlan {
-        planner,
         order,
         ranges,
         shard_weights,
@@ -562,12 +541,7 @@ fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
     count
 }
 
-fn refine_boundaries(
-    profile: &RootProfile,
-    order: &[u32],
-    ranges: &mut [Range<usize>],
-    config: &PlannerConfig,
-) {
+fn refine_boundaries(profile: &RootProfile, order: &[u32], ranges: &mut [Range<usize>]) {
     if !profile.has_levels() || ranges.len() <= 1 {
         return;
     }
@@ -579,7 +553,7 @@ fn refine_boundaries(
     } else {
         0.0
     };
-    let cap = config.balance_slack * mean;
+    let cap = BALANCE_SLACK * mean;
     let window = (n / (4 * shards)).clamp(2, 32);
     let weight_of =
         |r: Range<usize>| -> f64 { order[r].iter().map(|&i| profile.weights[i as usize]).sum() };
@@ -720,28 +694,10 @@ fn cluster_order(profile: &RootProfile) -> Vec<u32> {
     order
 }
 
-fn overlap_plan(profile: &RootProfile, shards: usize, config: &PlannerConfig) -> ShardPlan {
-    if !profile.has_levels() {
-        // No frontier information: the best we can do is balance workloads.
-        let order: Vec<u32> = (0..profile.weights.len() as u32).collect();
-        let mut plan = assemble(ShardPlanner::OverlapAware, profile, order, shards, None);
-        plan.planner = ShardPlanner::OverlapAware;
-        return plan;
-    }
-    let order = cluster_order(profile);
-    assemble(
-        ShardPlanner::OverlapAware,
-        profile,
-        order,
-        shards,
-        Some(config),
-    )
-}
-
-fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> ShardPlan {
+fn auto_plan(profile: &RootProfile, cap: usize, delta_s_hint: Option<usize>) -> ShardPlan {
     let n = profile.weights.len();
     let cap = cap.clamp(1, n.max(1));
-    let rho = profile.partition_ratio(config);
+    let rho = profile.partition_ratio(delta_s_hint);
     let mut best: Option<(f64, ShardPlan)> = None;
     for s in candidate_shard_counts(cap) {
         let contiguous = {
@@ -754,24 +710,23 @@ fn auto_plan(profile: &RootProfile, cap: usize, config: &PlannerConfig) -> Shard
             p.estimated_duplication = estimated_duplication(profile, &p.order, &p.ranges);
             p
         };
-        let candidate = if contiguous.estimated_duplication <= config.overlap_fallback {
+        let candidate = if contiguous.estimated_duplication <= OVERLAP_FALLBACK {
             contiguous
         } else {
-            let overlap = overlap_plan(profile, s, config);
+            let overlap = assemble(profile, cluster_order(profile), s);
             if overlap.estimated_duplication < contiguous.estimated_duplication {
                 overlap
             } else {
                 contiguous
             }
         };
-        let score = plan_score(&candidate, config, rho);
+        let score = plan_score(&candidate, rho);
         match &best {
             Some((best_score, _)) if *best_score < score => {}
             _ => best = Some((score, candidate)),
         }
     }
     let mut plan = best.expect("at least one candidate shard count").1;
-    plan.planner = ShardPlanner::Auto;
     plan.probe_entries = profile.probe_entries;
     plan
 }

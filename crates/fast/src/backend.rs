@@ -14,14 +14,16 @@
 //!   path `run_fast` uses (the host driver routes through the same
 //!   backend), so a pool of `FpgaBackend`s is bit-identical to the
 //!   one-shot flow.
-//! * [`CpuBackend`] — the host fallback: [`matching::run_backtrack`] over
-//!   the partition CST (intersection extension) for counting and
-//!   [`cst::enumerate_embeddings`] for collection, priced through the
-//!   calibrated [`CpuCostModel`]. (The FAST-SHARE CPU share of `run_fast`
-//!   is a different engine under the same cost model: it always runs
-//!   [`cst::enumerate_embeddings`].) A partition CST encodes its
-//!   embeddings exactly, so CPU and FPGA execution of the same partition
-//!   agree bit-for-bit (`tests/prop_backend.rs`).
+//! * [`CpuBackend`] — the host fallback: one engine,
+//!   [`matching::run_backtrack`] over the partition CST (intersection
+//!   extension), in both collect modes — collection only adds a sink — so
+//!   a partition is priced through the calibrated [`CpuCostModel`] from the
+//!   same search counters whether or not its embeddings are collected.
+//!   (The FAST-SHARE CPU share of `run_fast` is a different engine under
+//!   the same cost model: it runs [`cst::enumerate_embeddings`], which
+//!   visits the same embeddings in the same order.) A partition CST
+//!   encodes its embeddings exactly, so CPU and FPGA execution of the same
+//!   partition agree bit-for-bit (`tests/prop_backend.rs`).
 //!
 //! Both report a **modelled execution time** in seconds — the common
 //! currency a shortest-expected-completion scheduler needs to price
@@ -36,7 +38,7 @@ use crate::variants::Variant;
 use cst::Cst;
 use fpga_sim::{CycleModel, FpgaSpec, WorkloadCounts};
 use graph_core::{Graph, MatchingOrder, QueryGraph, VertexId};
-use matching::{run_backtrack, CpuCostModel, EngineStats, ExtensionMethod, RunLimits};
+use matching::{run_backtrack, run_backtrack_with_sink, CpuCostModel, ExtensionMethod, RunLimits};
 use std::sync::{Arc, OnceLock};
 
 /// Lifetime count of partition executions across every in-process
@@ -330,46 +332,27 @@ impl ExecutionBackend for CpuBackend {
         span.arg_str("backend", "cpu");
         span.arg_u64("partition", job.index as u64);
         exec_counter(BackendClass::Cpu).inc();
-        Ok(match ctx.collect {
-            CollectMode::CountOnly => {
-                let (_, stats) = run_backtrack(
-                    ctx.query,
-                    ctx.graph,
-                    &job.cst,
-                    ctx.order,
-                    ExtensionMethod::Intersection,
-                    &RunLimits::unlimited(),
-                );
-                BackendOutput {
-                    embeddings: stats.embeddings,
-                    collected: Vec::new(),
-                    kernel_cycles: 0,
-                    modeled_sec: self.cost.parallel_search_time_sec(&stats, self.threads),
-                }
-            }
+        let (q, g, cst, order) = (ctx.query, ctx.graph, &*job.cst, ctx.order);
+        let (method, limits) = (ExtensionMethod::Intersection, RunLimits::unlimited());
+        let mut collected = Vec::new();
+        let (_, stats) = match ctx.collect {
+            CollectMode::CountOnly => run_backtrack(q, g, cst, order, method, &limits),
+            // The search counts every embedding (the count must stay
+            // exact); collection alone is capped.
             CollectMode::Collect(cap) => {
-                // The enumerator reports every embedding (the count must
-                // stay exact); collection alone is capped.
-                let mut collected = Vec::new();
-                let stats = cst::enumerate_embeddings(&job.cst, ctx.query, ctx.order, |emb| {
+                let mut sink = |row: &[VertexId]| {
                     if collected.len() < cap {
-                        collected.push(emb.to_vec());
+                        collected.push(row.to_vec());
                     }
-                    true
-                });
-                let engine = EngineStats {
-                    embeddings: stats.embeddings,
-                    partials_generated: stats.partials_generated,
-                    edge_verifications: stats.edge_validations,
-                    ..EngineStats::default()
                 };
-                BackendOutput {
-                    embeddings: stats.embeddings,
-                    collected,
-                    kernel_cycles: 0,
-                    modeled_sec: self.cost.parallel_search_time_sec(&engine, self.threads),
-                }
+                run_backtrack_with_sink(q, g, cst, order, method, &limits, &mut sink)
             }
+        };
+        Ok(BackendOutput {
+            embeddings: stats.embeddings,
+            collected,
+            kernel_cycles: 0,
+            modeled_sec: self.cost.parallel_search_time_sec(&stats, self.threads),
         })
     }
 }
@@ -454,6 +437,54 @@ mod tests {
             embeddings += out.embeddings;
         });
         assert_eq!(embeddings, counted, "capping collection must not cap counting");
+    }
+
+    /// One engine, one price: on every partition of a few benchmark
+    /// queries, counting and collecting everything report the same count
+    /// and bit-equal modelled seconds, and the collected rows are
+    /// `cst::enumerate_embeddings`' rows in the same order.
+    #[test]
+    fn collect_and_count_book_the_same_price() {
+        let g = graph_core::generators::generate_ldbc(
+            &graph_core::generators::LdbcParams::with_scale_factor(0.05),
+            42,
+        );
+        let config = FastConfig::test_small(Variant::Sep);
+        let cpu = CpuBackend::new(4);
+        let mut checked = 0usize;
+        for qi in [0, 1, 4, 8] {
+            let q = graph_core::benchmark_query(qi);
+            let tree = BfsTree::new(&q, select_root(&q, &g));
+            let order = path_based_order(&q, &tree, &g);
+            let kernel_plan = KernelPlan::new(&q, &order, &tree).unwrap();
+            let ctx = |collect| QueryCtx {
+                query: &q,
+                graph: &g,
+                order: &order,
+                kernel_plan: &kernel_plan,
+                collect,
+            };
+            prepare_partitions(&q, &g, &config, &tree, &order, &mut |job| {
+                let counted = cpu.execute(&job, &ctx(CollectMode::CountOnly)).unwrap();
+                let all = cpu
+                    .execute(&job, &ctx(CollectMode::Collect(usize::MAX)))
+                    .unwrap();
+                assert_eq!(counted.embeddings, all.embeddings, "q{qi}");
+                assert_eq!(
+                    counted.modeled_sec.to_bits(),
+                    all.modeled_sec.to_bits(),
+                    "q{qi}: collecting changed the price"
+                );
+                let mut rows = Vec::new();
+                cst::enumerate_embeddings(&job.cst, &q, &order, |row| {
+                    rows.push(row.to_vec());
+                    true
+                });
+                assert_eq!(all.collected, rows, "q{qi}");
+                checked += rows.len();
+            });
+        }
+        assert!(checked > 0, "degenerate instance");
     }
 
     #[test]

@@ -25,14 +25,12 @@ pub struct FastConfig {
     pub fixed_k: Option<u32>,
     /// What to do with embeddings.
     pub collect: CollectMode,
-    /// Safety cap on partition count.
-    pub max_partitions: usize,
     /// Host-side worker threads building shard CSTs (`cst::pipeline`).
     /// Every flow is the same build → shard → partition stream; in the
     /// one-shot flow (`run_fast`) `1` (default) selects
     /// `cst::PipelineOptions::sequential` — one contiguous shard, the
-    /// paper's Fig. 2, so the four sharding fields below have nothing to
-    /// decide there — and `> 1` builds the planned shards on worker threads
+    /// paper's Fig. 2, so the sharding fields below have nothing to decide
+    /// there — and `> 1` builds the planned shards on worker threads
     /// so offload overlaps construction. `prepare_partitions` (serving,
     /// `run_multi_fpga`) shards for every value. Embedding counts are
     /// identical for every value (`tests/prop_pipeline_parallel.rs`).
@@ -40,14 +38,10 @@ pub struct FastConfig {
     /// Shard (batch) count of the host pipeline; `None` resolves to
     /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from
     /// `host_threads`, so all downstream artefacts are thread-count
-    /// independent. Under [`ShardPlanner::Auto`] this is the planner's
-    /// shard-count *cap*.
+    /// independent. This is the planner's shard-count *cap*.
     pub pipeline_shards: Option<usize>,
-    /// Shard-boundary planning policy of the host pipeline
-    /// (`cst::planner`): `Contiguous` (the blind equal-count rule),
-    /// `WorkloadBalanced`, `OverlapAware`, or `Auto` (per-query shard-count
-    /// selection). Plans never depend on `host_threads`, so every planner
-    /// preserves the pipeline's thread-count determinism.
+    /// Inert: there is one shard planner (`cst::planner`), so this field
+    /// chooses nothing. It stays only because the benchmark assigns it.
     pub shard_planner: ShardPlanner,
     /// Optional precomputed shard plan. A [`ShardPlan`] is a pure function
     /// of `(q, g, tree, options)`, so a serving layer that caches plans by
@@ -58,15 +52,6 @@ pub struct FastConfig {
     /// same query/graph/options; a mismatched plan is detected and silently
     /// replanned. `None` (default) plans fresh.
     pub shard_plan: Option<Arc<ShardPlan>>,
-    /// Seed shard builds from the plan's probe (`cst::build_cst_seeded`):
-    /// when the planner probed (every planner except `Contiguous`), each
-    /// shard starts from the probe's memoised phase-1 candidate space
-    /// restricted to its roots instead of re-running the top-down scan —
-    /// the probe *becomes* the build's phase 1 rather than extra planning
-    /// work. Results are bit-identical either way
-    /// (`tests/prop_seeded_build.rs`); disable to measure the cold path
-    /// (the `hostscale` figure runs both).
-    pub seed_from_probe: bool,
     /// Capture this build's [`crate::PreparedCsts`] on
     /// `prepare_partitions` (returned on `PreparePhase::prepared`) so a
     /// serving layer can insert it into a tier-2 cache. Off by default:
@@ -85,12 +70,10 @@ impl Default for FastConfig {
             cst_options: CstOptions::default(),
             fixed_k: None,
             collect: CollectMode::CountOnly,
-            max_partitions: 1 << 20,
             host_threads: 1,
             pipeline_shards: None,
-            shard_planner: ShardPlanner::Contiguous,
+            shard_planner: ShardPlanner::Auto,
             shard_plan: None,
-            seed_from_probe: true,
             capture_prepared: false,
         }
     }
@@ -147,27 +130,24 @@ impl FastConfig {
             delta_d: self.spec.port_max,
             footprint_budget: Some(budget.max(1)),
             fixed_k: self.fixed_k,
-            max_partitions: self.max_partitions,
         }
     }
 
     /// The sharded-pipeline options induced by this configuration
     /// (`cst::pipeline`) for a query with `query_len` vertices. The device's
     /// raw δ_S BRAM grant rides along as the planner's partition hint, so
-    /// the auto planner's ρ estimate sees the same budget the partitioner
-    /// will split against.
+    /// the planner's ρ estimate sees the same budget the partitioner will
+    /// split against.
     pub fn pipeline_options(&self, query_len: usize) -> cst::PipelineOptions {
         cst::PipelineOptions {
             threads: self.host_threads.max(1),
             shards: self.pipeline_shards,
-            planner: self.shard_planner,
             cst: self.cst_options,
             partition_hint: Some(
                 self.spec
                     .cst_bram_budget(query_len, PARTIAL_SLOT_BYTES)
                     .max(1),
             ),
-            seed_builds: self.seed_from_probe,
         }
     }
 

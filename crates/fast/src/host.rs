@@ -53,7 +53,7 @@ use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
     estimate_workload, for_each_shard_cst_planned, partition_cst_with_steal, Cst, PipelineOptions,
-    ShardPlan, ShardPlanner,
+    ShardPlan,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
@@ -125,37 +125,32 @@ pub struct FastReport {
     pub workload_fpga: f64,
     /// Host threads used by the CST pipeline.
     pub host_threads: usize,
-    /// Shards the root candidate set was split into (1 = unsharded). Under
-    /// [`ShardPlanner::Auto`] this is the planner's per-query choice.
+    /// Shards the root candidate set was split into (1 = unsharded): the
+    /// planner's per-query choice, at most the requested cap.
     pub pipeline_shards: usize,
-    /// Shard-boundary planner the pipeline ran under (`Contiguous` at
-    /// `host_threads = 1`).
-    pub shard_planner: ShardPlanner,
     /// The executed plan's estimated interior-candidate duplication over
-    /// the probed 1-hop frontiers (1.0 for contiguous plans).
+    /// the probed 1-hop frontiers (1.0 for a single shard).
     pub planned_duplication: f64,
     /// Measured wall time of shard planning (root probe + boundary
-    /// search); zero for the contiguous planner.
+    /// search); ~0 for a single shard, which is not probed.
     pub plan_time: Duration,
     /// Planning work normalised to the paper's Xeon (probe entries at the
-    /// streaming `ns_per_partition_entry` rate). Reported alongside — not
-    /// inside — the overlapped prepare model, the same treatment as
-    /// matching-order selection and `KernelPlan` construction (planning is
-    /// one scan of the root adjacency, orders of magnitude below build).
-    /// When every shard build was seeded from the probe, this work is
-    /// *absorbed* — see [`FastReport::modeled_plan_overhead_sec`].
+    /// streaming `ns_per_partition_entry` rate). Not part of the overlapped
+    /// prepare model: a probed plan seeds every shard build, so the probe
+    /// *is* the builds' top-down pass (whose cost the calibrated per-entry
+    /// build rate already includes), and a plan with no probe has no
+    /// probe work. DESIGN.md §7 derives this.
     pub modeled_plan_sec: f64,
     /// Shards built from the probe's memoised candidate space
-    /// (`cst::build_cst_seeded`); 0 when builds ran cold (contiguous
-    /// planner or seeding disabled). Either 0 or equal to
+    /// (`cst::build_cst_seeded`); 0 when builds ran cold (a single shard,
+    /// or a supplied plan without its probe). Either 0 or equal to
     /// [`pipeline_shards`](Self::pipeline_shards).
     pub seeded_shards: usize,
     /// Phase-1 top-down scan work across shard builds (neighbour visits,
     /// each a filter evaluation — the same unit as the probe's
     /// `probe_entries`). 0 when every shard was seeded: the probe's single
     /// pass replaced the per-shard scans. Deterministic (a pure function of
-    /// the inputs), unlike the measured walls — the `hostscale` figure's
-    /// seeded-vs-cold assertion compares this.
+    /// the inputs), unlike the measured walls.
     pub build_topdown_entries: usize,
     /// Measured wall time deriving per-shard seeds from the probe (the
     /// integer mask sweep); zero for cold builds.
@@ -206,21 +201,6 @@ pub struct FastReport {
 }
 
 impl FastReport {
-    /// Modelled planning seconds **not** absorbed by seeded shard builds.
-    /// When every shard started from the probe's candidate space, the probe
-    /// *was* the builds' top-down pass — charging it on top of the build
-    /// (whose calibrated per-entry rate includes the top-down share) would
-    /// double-count, so the overhead is 0. With cold builds the probe is
-    /// pure extra work and the full [`modeled_plan_sec`](Self::modeled_plan_sec)
-    /// is charged. DESIGN.md §7 derives this split.
-    pub fn modeled_plan_overhead_sec(&self) -> f64 {
-        if self.pipeline_shards > 0 && self.seeded_shards == self.pipeline_shards {
-            0.0
-        } else {
-            self.modeled_plan_sec
-        }
-    }
-
     /// The modelled end-to-end elapsed time (seconds) under the overlapped
     /// regime (module docs): host work on the paper's Xeon plus
     /// kernel/transfer time on the modelled card. At `host_threads = 1`
@@ -736,7 +716,6 @@ fn finish_report(
         workload_fpga: state.scheduler.fpga_workload(),
         host_threads: phase.host_threads,
         pipeline_shards: phase.pipeline_shards,
-        shard_planner: phase.shard_plan.planner,
         planned_duplication: phase.shard_plan.estimated_duplication,
         plan_time: phase.plan_time,
         modeled_plan_sec: cpu_cost.partition_time_sec(phase.shard_plan.probe_entries),
@@ -905,8 +884,9 @@ mod tests {
                     report.embeddings, sequential.embeddings,
                     "threads={threads} q{qi}"
                 );
-                assert_eq!(report.pipeline_shards, 4);
+                assert!(report.pipeline_shards <= 4, "the cap bounds the plan");
                 per_thread.push((
+                    report.pipeline_shards,
                     report.fpga_partitions,
                     report.cpu_partitions,
                     report.stolen,
@@ -1020,7 +1000,6 @@ mod tests {
         // T = 1: one shard, and the general model degenerates to the paper's.
         assert_eq!(report.host_threads, 1);
         assert_eq!(report.pipeline_shards, 1);
-        assert_eq!(report.shard_planner, ShardPlanner::Contiguous);
         assert_eq!(report.modeled_fill_sec, report.modeled_build_sec);
         // The build wall brackets the shard build plus its skew estimate.
         assert!(report.build_cpu_time <= report.build_time);
@@ -1072,7 +1051,6 @@ mod tests {
             let mut config = FastConfig::test_small(Variant::Share);
             config.host_threads = 2;
             config.pipeline_shards = Some(4);
-            config.shard_planner = ShardPlanner::WorkloadBalanced;
             config.capture_prepared = true;
             let root = select_root(&q, &g);
             let tree = BfsTree::new(&q, root);

@@ -6,8 +6,6 @@
 //!
 //! * [`FpgaSpec`] / [`PcieSpec`] — device parameters (35 MB BRAM, 64 GB
 //!   DRAM, 300 MHz, PCIe gen3 x16);
-//! * [`MemoryModel`] — capacity + read-latency accounting for BRAM (1 cycle)
-//!   vs DRAM (~8 cycles), the mechanism behind Fig. 7;
 //! * [`Fifo`] — the bounded inter-module streams of Fig. 5(b)/(c);
 //! * [`CycleModel`] — the paper's closed-form cycle equations (1)-(4);
 //! * [`des`] — a discrete-event pipeline simulator (stages with latency and
@@ -17,11 +15,9 @@
 pub mod cycles;
 pub mod des;
 pub mod fifo;
-pub mod memory;
 pub mod spec;
 
 pub use cycles::{CycleModel, StageLatencies, WorkloadCounts};
 pub use des::{EdgeId, Pipeline, PipelineBuilder, RunReport, StageId};
 pub use fifo::Fifo;
-pub use memory::{CapacityError, MemoryKind, MemoryModel};
 pub use spec::{FpgaSpec, PcieSpec};

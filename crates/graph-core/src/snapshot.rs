@@ -33,10 +33,9 @@
 //!   sections straight from the page cache
 //!   ([`Graph::owned_csr_bytes`]` == 0`), so tenant restore cost is
 //!   page-cache-bound instead of proportional to array bytes. The
-//!   checksum pass is a read-only scan (no copy) and can be deferred
-//!   ([`SnapshotVerify::Lazy`]) to overlap restore with first use;
-//!   structural CSR invariants are *always* validated at load so a
-//!   corrupt snapshot can never index out of bounds. On targets without
+//!   checksum pass is a read-only scan (no copy); structural CSR
+//!   invariants are validated at load too, so a corrupt snapshot can never
+//!   index out of bounds. On targets without
 //!   the mapping fast path (non-unix, big-endian, 32-bit) it degrades to
 //!   the copying reader.
 //!
@@ -52,7 +51,6 @@ use crate::types::{Label, VertexId};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// Magic prefix: format name + layout version byte.
 const MAGIC: [u8; 8] = *b"FASTCSR\x01";
@@ -298,87 +296,33 @@ pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
     read_snapshot(&mut BufReader::new(File::open(path)?))
 }
 
-/// When [`load_snapshot_mapped`] verifies the payload checksum.
+/// When [`load_snapshot_mapped`] verifies the payload checksum: during
+/// load, always.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotVerify {
     /// Checksum the payload during load — a read-only pass over the
     /// mapping (still no copy) — and fail fast on mismatch.
     Eager,
-    /// Defer the checksum to [`MappedSnapshot::verify`], letting restore
-    /// return as soon as the structure is validated. Structural CSR
-    /// invariants (offset monotonicity/span, strictly ascending in-range
-    /// lists without self loops) are always checked at load, so an
-    /// unverified graph can never index out of bounds — a deferred mismatch
-    /// only means payload *values* may be corrupt.
-    Lazy,
 }
 
-/// Memoized checksum verdict: `None` = payload matches, `Some(msg)` = the
-/// mismatch message.
-type VerifyThunk = Box<dyn Fn() -> Option<String> + Send + Sync>;
-
-/// A snapshot loaded by [`load_snapshot_mapped`]: the [`Graph`] (borrowing
-/// its CSR sections from the mapping where the platform supports it) plus
-/// the deferred-verification handle.
+/// A snapshot loaded and verified by [`load_snapshot_mapped`]: the
+/// [`Graph`], borrowing its CSR sections from the mapping where the
+/// platform supports it.
+#[derive(Debug)]
 pub struct MappedSnapshot {
     graph: Graph,
-    verdict: OnceLock<Option<String>>,
-    thunk: VerifyThunk,
-}
-
-impl std::fmt::Debug for MappedSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MappedSnapshot")
-            .field("vertices", &self.graph.vertex_count())
-            .field("edges", &self.graph.edge_count())
-            .field("verdict", &self.verdict.get())
-            .finish()
-    }
 }
 
 impl MappedSnapshot {
-    /// A snapshot whose checksum was already verified during load (the
-    /// eager and portable-fallback paths).
-    fn verified(graph: Graph) -> Self {
-        let verdict = OnceLock::new();
-        let _ = verdict.set(None);
-        MappedSnapshot {
-            graph,
-            verdict,
-            thunk: Box::new(|| None),
-        }
-    }
-
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    fn deferred(graph: Graph, thunk: VerifyThunk) -> Self {
-        MappedSnapshot {
-            graph,
-            verdict: OnceLock::new(),
-            thunk,
-        }
-    }
-
-    /// The loaded graph. Usable before [`Self::verify`] — structure is
-    /// validated at load — but an unverified lazy snapshot may carry
-    /// corrupt payload values.
+    /// The loaded graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
 
     /// Consumes the handle, keeping the graph (the mapping stays alive
-    /// inside the graph's sections). Skipping [`Self::verify`] forfeits
-    /// corruption detection on a lazily-loaded snapshot.
+    /// inside the graph's sections).
     pub fn into_graph(self) -> Graph {
         self.graph
-    }
-
-    /// Runs (or recalls) the checksum verification. Idempotent: the scan
-    /// happens at most once and the verdict is memoized.
-    pub fn verify(&self) -> Result<(), SnapshotError> {
-        match self.verdict.get_or_init(|| (self.thunk)()) {
-            None => Ok(()),
-            Some(msg) => Err(SnapshotError::Format(msg.clone())),
-        }
     }
 }
 
@@ -462,12 +406,12 @@ mod mapping {
 
 /// Loads a snapshot zero-copy: the file is mapped read-only and the
 /// returned [`Graph`] borrows its label/offset/neighbour sections from the
-/// mapping ([`Graph::owned_csr_bytes`] is 0). Structure is always
-/// validated; the checksum pass runs per `verify` (see [`SnapshotVerify`]).
+/// mapping ([`Graph::owned_csr_bytes`] is 0). The checksum and the
+/// structure are both validated before it returns.
 #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
 pub fn load_snapshot_mapped(
     path: impl AsRef<Path>,
-    verify: SnapshotVerify,
+    _verify: SnapshotVerify,
 ) -> Result<MappedSnapshot, SnapshotError> {
     use crate::csr::Section;
     use std::any::Any;
@@ -540,19 +484,17 @@ pub fn load_snapshot_mapped(
     let offsets_view: &[usize] = unsafe { std::slice::from_raw_parts(offsets_ptr, n + 1) };
     let neighbors_view: &[VertexId] = unsafe { std::slice::from_raw_parts(neighbors_ptr, nbr_len) };
 
-    if verify == SnapshotVerify::Eager {
-        let mut fnv = Fnv::new();
-        fnv.update(&bytes[HEADER_LEN..payload_end]);
-        if fnv.0 != stored {
-            return Err(SnapshotError::Format(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {:#018x})",
-                fnv.0
-            )));
-        }
+    let mut fnv = Fnv::new();
+    fnv.update(&bytes[HEADER_LEN..payload_end]);
+    if fnv.0 != stored {
+        return Err(SnapshotError::Format(format!(
+            "checksum mismatch (stored {stored:#018x}, computed {:#018x})",
+            fnv.0
+        )));
     }
 
-    // Structural invariants are non-negotiable even for a lazy load: the
-    // graph indexes through these arrays.
+    // Structural invariants are checked even under a matching checksum:
+    // the graph indexes through these arrays.
     if offsets_view.first() != Some(&0) || offsets_view.last() != Some(&nbr_len) {
         return Err(SnapshotError::Format(
             "offsets do not span the neighbors section".into(),
@@ -570,22 +512,7 @@ pub fn load_snapshot_mapped(
         Section::mapped(keep, neighbors_ptr, nbr_len),
         m,
     );
-    Ok(match verify {
-        SnapshotVerify::Eager => MappedSnapshot::verified(graph),
-        SnapshotVerify::Lazy => MappedSnapshot::deferred(
-            graph,
-            Box::new(move || {
-                let mut fnv = Fnv::new();
-                fnv.update(&map.bytes()[HEADER_LEN..payload_end]);
-                (fnv.0 != stored).then(|| {
-                    format!(
-                        "checksum mismatch (stored {stored:#018x}, computed {:#018x})",
-                        fnv.0
-                    )
-                })
-            }),
-        ),
-    })
+    Ok(MappedSnapshot { graph })
 }
 
 /// Portable fallback for targets without the mapping fast path: loads via
@@ -595,7 +522,9 @@ pub fn load_snapshot_mapped(
     path: impl AsRef<Path>,
     _verify: SnapshotVerify,
 ) -> Result<MappedSnapshot, SnapshotError> {
-    Ok(MappedSnapshot::verified(load_snapshot(path)?))
+    Ok(MappedSnapshot {
+        graph: load_snapshot(path)?,
+    })
 }
 
 /// A structural fingerprint of `g`: FNV-1a over the exact byte sections a
@@ -725,7 +654,6 @@ mod tests {
         save_snapshot(&g, &path).unwrap();
 
         let snap = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap();
-        snap.verify().expect("eager load is already verified");
         let back = snap.graph();
         assert_eq!(graph_fingerprint(back), graph_fingerprint(&g));
         assert_eq!(back.vertex_count(), g.vertex_count());
@@ -757,9 +685,8 @@ mod tests {
         let g = Graph::from_csr_parts(Vec::new(), vec![0], Vec::new(), 0);
         let path = std::env::temp_dir().join(format!("fast-snap-mapped-empty-{}.bin", std::process::id()));
         save_snapshot(&g, &path).unwrap();
-        let snap = load_snapshot_mapped(&path, SnapshotVerify::Lazy).unwrap();
+        let snap = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap();
         assert_eq!(snap.graph().vertex_count(), 0);
-        snap.verify().unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -777,46 +704,27 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] = b'X';
         std::fs::write(&path, &bad).unwrap();
-        let err = load_snapshot_mapped(&path, SnapshotVerify::Lazy).unwrap_err();
+        let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
         assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("magic")), "{err}");
+
+        // Flip a *label* byte: structurally valid (any u16 is a label), so
+        // only the checksum can catch it.
+        let mut bad = buf.clone();
+        bad[HEADER_LEN] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
+        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")), "{err}");
 
         std::fs::remove_file(&path).ok();
         let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)), "{err}");
     }
 
-    /// Lazy verification semantics only exist where the mapping fast path
-    /// does; the fallback loader verifies eagerly regardless of the flag.
+    /// Structural invariants are checked past the checksum: a snapshot with
+    /// a *valid* checksum but corrupt offsets is rejected at load.
     #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
     #[test]
-    fn mapped_lazy_defers_checksum_but_catches_corruption() {
-        let g = random_labelled_graph(40, 0.2, 2, 3);
-        let mut buf = Vec::new();
-        write_snapshot(&g, &mut buf).unwrap();
-        // Flip a *label* byte: structurally valid (any u16 is a label), so
-        // only the checksum can catch it.
-        buf[HEADER_LEN] ^= 0x01;
-        let path = std::env::temp_dir().join(format!("fast-snap-mapped-lazy-{}.bin", std::process::id()));
-        std::fs::write(&path, &buf).unwrap();
-
-        let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")), "{err}");
-
-        let snap = load_snapshot_mapped(&path, SnapshotVerify::Lazy).expect("lazy load defers the checksum");
-        assert_eq!(snap.graph().vertex_count(), g.vertex_count());
-        let err = snap.verify().unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")), "{err}");
-        // Memoized: the second call recalls the verdict.
-        assert!(snap.verify().is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Structural invariants hold even when the checksum pass is deferred:
-    /// a snapshot with a *valid* checksum but corrupt offsets is rejected
-    /// at load.
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    #[test]
-    fn mapped_lazy_still_rejects_structural_corruption() {
+    fn mapped_load_rejects_structural_corruption() {
         let g = random_labelled_graph(30, 0.2, 2, 9);
         let mut buf = Vec::new();
         write_snapshot(&g, &mut buf).unwrap();
@@ -830,14 +738,14 @@ mod tests {
         buf[40..48].copy_from_slice(&fnv.0.to_le_bytes());
         let path = std::env::temp_dir().join(format!("fast-snap-mapped-struct-{}.bin", std::process::id()));
         std::fs::write(&path, &buf).unwrap();
-        let err = load_snapshot_mapped(&path, SnapshotVerify::Lazy).unwrap_err();
+        let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
         assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("offsets")), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
     /// A checksum-valid snapshot whose one list is unsorted, repeats a
-    /// neighbour or holds its own vertex is rejected by every loader —
-    /// copying, mapped eager and mapped lazy — naming the vertex.
+    /// neighbour or holds its own vertex is rejected by both loaders —
+    /// copying and mapped — naming the vertex.
     #[test]
     fn loaders_reject_unsorted_repeated_and_self_loop_lists() {
         // Vertex 1's list is the broken one; 0, 2 and 3 each list 1.
@@ -866,9 +774,7 @@ mod tests {
             let path =
                 std::env::temp_dir().join(format!("fast-snap-lists-{}.bin", std::process::id()));
             std::fs::write(&path, &buf).unwrap();
-            for verify in [SnapshotVerify::Eager, SnapshotVerify::Lazy] {
-                expect(load_snapshot_mapped(&path, verify).unwrap_err());
-            }
+            expect(load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err());
             std::fs::remove_file(&path).ok();
         }
     }

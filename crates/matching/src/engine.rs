@@ -13,6 +13,9 @@
 //!
 //! This engine implements both extension methods over a CST index with
 //! timeout/memory/result limits, so each baseline is a thin configuration.
+//! It counts ([`run_backtrack`]) or also hands every embedding to a sink
+//! ([`run_backtrack_with_sink`]); the search and its counters are the same
+//! either way.
 
 use crate::limits::{Outcome, RunLimits};
 use cst::{seek, Cst, MatchPlan};
@@ -55,7 +58,13 @@ pub struct EngineStats {
 /// How often the timeout is polled (in partials).
 const TIMEOUT_POLL_MASK: u64 = (1 << 14) - 1;
 
-struct Search<'a> {
+/// Receives every embedding, indexed by query vertex id.
+type Sink<'s> = &'s mut dyn FnMut(&[VertexId]);
+
+struct Search<'a, 's> {
+    sink: Option<Sink<'s>>,
+    /// The sink's row buffer (`row[u] = M(u)`).
+    row: Vec<VertexId>,
     cst: &'a Cst,
     g: &'a Graph,
     plan: &'a MatchPlan,
@@ -78,9 +87,42 @@ pub fn run_backtrack(
     extension: ExtensionMethod,
     limits: &RunLimits,
 ) -> (Outcome, EngineStats) {
+    backtrack(q, g, cst, order, extension, limits, None)
+}
+
+/// [`run_backtrack`] that also hands every embedding to `sink`, **indexed by
+/// query vertex id** (`row[u] = M(u)`), in search order: depth first,
+/// candidates in ascending index. Statistics are those of the counting run.
+pub fn run_backtrack_with_sink(
+    q: &QueryGraph,
+    g: &Graph,
+    cst: &Cst,
+    order: &MatchingOrder,
+    extension: ExtensionMethod,
+    limits: &RunLimits,
+    sink: &mut dyn FnMut(&[VertexId]),
+) -> (Outcome, EngineStats) {
+    backtrack(q, g, cst, order, extension, limits, Some(sink))
+}
+
+fn backtrack(
+    q: &QueryGraph,
+    g: &Graph,
+    cst: &Cst,
+    order: &MatchingOrder,
+    extension: ExtensionMethod,
+    limits: &RunLimits,
+    sink: Option<Sink<'_>>,
+) -> (Outcome, EngineStats) {
     let plan = MatchPlan::new(q, order);
     let n = plan.len();
+    let row = match sink {
+        Some(_) => vec![VertexId::new(0); n],
+        None => Vec::new(),
+    };
     let mut search = Search {
+        sink,
+        row,
         cst,
         g,
         plan: &plan,
@@ -148,7 +190,7 @@ fn intersect_sorted(result: &mut Vec<u32>, other: &[u32]) {
     result.truncate(w);
 }
 
-impl<'a> Search<'a> {
+impl<'a> Search<'a, '_> {
     fn check_limits(&self) -> Option<Outcome> {
         if self.stats.embeddings >= self.max_results {
             return Some(Outcome::ResultLimit);
@@ -165,6 +207,12 @@ impl<'a> Search<'a> {
 
     fn descend(&mut self, depth: usize) -> Flow {
         if depth == self.plan.len() {
+            if let Some(sink) = self.sink.as_mut() {
+                for (d, &v) in self.mapped.iter().enumerate() {
+                    self.row[self.plan.vertex_at(d).index()] = v;
+                }
+                sink(&self.row);
+            }
             self.stats.embeddings += 1;
             if self.stats.embeddings >= self.max_results {
                 return Flow::Stop(Outcome::ResultLimit);

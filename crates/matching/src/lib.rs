@@ -27,7 +27,9 @@ pub use baselines::{
     BASELINE_INDEX_OPTIONS,
 };
 pub use cost_model::{CpuCostModel, GpuCostModel};
-pub use engine::{run_backtrack, AnchorPolicy, EngineStats, ExtensionMethod};
+pub use engine::{
+    run_backtrack, run_backtrack_with_sink, AnchorPolicy, EngineStats, ExtensionMethod,
+};
 pub use limits::{MatchResult, Outcome, RunLimits};
 pub use parallel::run_baseline_parallel;
 pub use vf2::vf2_count;

@@ -859,7 +859,7 @@ fn panic_retire(inner: &Inner, sid: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cst::{plan_pipeline_shards, root_candidates, PipelineOptions, ShardPlanner};
+    use cst::{plan_pipeline_shards, root_candidates, PipelineOptions};
     use graph_core::generators::random_power_law_graph;
     use graph_core::Label;
 
@@ -872,13 +872,13 @@ mod tests {
         )
         .unwrap();
         let tree = BfsTree::new(&q, select_root(&q, &g));
-        let options = PipelineOptions {
-            planner: ShardPlanner::Auto,
-            ..PipelineOptions::default()
-        };
+        let options = PipelineOptions::default();
         let roots = root_candidates(&q, &g, &tree, options.cst);
         let plan = plan_pipeline_shards(&q, &g, &tree, &options, &roots);
-        let probe = plan.probe.as_ref().expect("an auto plan carries its probe");
+        let probe = plan
+            .probe
+            .as_ref()
+            .expect("a multi-shard plan carries its probe");
         assert!(probe.filter_evaluations > 0 && probe.filter_evaluations < plan.probe_entries);
 
         use obs::ArgValue::{Str, F64, U64};

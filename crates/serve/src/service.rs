@@ -60,7 +60,7 @@ pub use crate::resilience::FaultPolicy;
 use crate::resilience::FALLBACK_THREADS;
 use crate::tenant::{TenantConfig, TenantId, WrrQueue};
 use cst::PlanKey;
-use fast::{BackendClass, CpuBackend, FastConfig, ShardPlanner};
+use fast::{BackendClass, CpuBackend, FastConfig};
 use graph_core::{Graph, QueryGraph, VertexId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -112,7 +112,7 @@ pub(crate) fn pwait<'a, T>(cond: &Condvar, guard: MutexGuard<'a, T>) -> MutexGua
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Per-session FAST configuration (device spec, variant, CST options,
-    /// planner). [`FastConfig::shard_plan`] is overwritten per session by
+    /// shard cap). [`FastConfig::shard_plan`] is overwritten per session by
     /// the cache outcome. When the fleet contains FPGA devices with less
     /// BRAM than `fast.spec`, the session spec's BRAM is clamped down to
     /// the fleet minimum so one shared partition stream fits every card.
@@ -158,15 +158,8 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        // Serving wants the planned pipeline: the auto planner is what the
-        // plan cache amortises, and per-query shard counts are chosen once
-        // then replayed from cache.
-        let fast = FastConfig {
-            shard_planner: ShardPlanner::Auto,
-            ..FastConfig::default()
-        };
         ServeConfig {
-            fast,
+            fast: FastConfig::default(),
             devices: 2,
             extra_devices: Vec::new(),
             workers: 2,

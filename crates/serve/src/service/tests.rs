@@ -6,11 +6,7 @@ use graph_core::Label;
 
 fn small_config() -> ServeConfig {
     ServeConfig {
-        fast: {
-            let mut f = FastConfig::test_small(Variant::Sep);
-            f.shard_planner = ShardPlanner::Auto;
-            f
-        },
+        fast: FastConfig::test_small(Variant::Sep),
         devices: 2,
         extra_devices: Vec::new(),
         workers: 2,

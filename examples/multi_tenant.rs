@@ -8,7 +8,7 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::generators::{generate_ldbc, LdbcParams};
 use graph_core::{benchmark_query, graph_fingerprint, save_snapshot};
 use serve::{DeviceKind, FastService, ServeConfig, TenantConfig};
@@ -24,8 +24,7 @@ fn main() {
     let fingerprint_b = graph_fingerprint(&graph_b);
     drop(graph_b); // B is served from the snapshot alone.
 
-    let mut fast = FastConfig::for_variant(Variant::Sep);
-    fast.shard_planner = ShardPlanner::Auto;
+    let fast = FastConfig::for_variant(Variant::Sep);
     let service = FastService::new(
         graph_a,
         ServeConfig {

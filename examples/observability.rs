@@ -8,7 +8,7 @@
 //! cargo run --release --example observability
 //! ```
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::benchmark_query;
 use graph_core::generators::{generate_ldbc, LdbcParams};
 use serve::{FastService, ServeConfig, TenantConfig};
@@ -19,8 +19,7 @@ fn main() {
     obs::enable();
 
     let graph = generate_ldbc(&LdbcParams::with_scale_factor(0.5), 7);
-    let mut fast = FastConfig::for_variant(Variant::Sep);
-    fast.shard_planner = ShardPlanner::Auto;
+    let fast = FastConfig::for_variant(Variant::Sep);
     let service = FastService::new(
         graph,
         ServeConfig {

@@ -7,7 +7,7 @@
 //! cargo run --release --example serving
 //! ```
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::benchmark_query;
 use graph_core::generators::{generate_ldbc, LdbcParams};
 use serve::{FastService, ServeConfig, SessionEvent};
@@ -20,8 +20,7 @@ fn main() {
         graph.edge_count()
     );
 
-    let mut fast = FastConfig::for_variant(Variant::Sep);
-    fast.shard_planner = ShardPlanner::Auto;
+    let fast = FastConfig::for_variant(Variant::Sep);
     let service = FastService::new(
         graph,
         ServeConfig {

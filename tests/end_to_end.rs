@@ -40,7 +40,8 @@ fn all_engines_agree_on_all_benchmark_queries() {
 
 /// Every `KernelOutput` field of q0-q8 on [`tiny_ldbc`], summed over each
 /// query's partitions under the benchmark's device (`N_o` 512, `Port_max`
-/// 2048, 2 MiB BRAM), against recorded values. The benchmark's exact
+/// 2048, 2 MiB BRAM) and the shard planner's plans, against recorded
+/// values. The benchmark's exact
 /// checks pin only `n`, `m`, rounds and cycles, and the kernel oracle's
 /// graphs have 30-90 vertices; here `run_kernel` resolves q1's last level
 /// (the Comment closing the 4-cycle) by sibling runs, adding `cst_reads`,
@@ -63,14 +64,14 @@ fn kernel_counters_are_pinned_on_ldbc_data() {
     #[rustfmt::skip]
     let pinned: [[u64; 11]; 9] = [
         [15, 1222, 2756, 0, 60, 4271, 1534, 1534, 0, 0, 1534],
-        [16, 348, 96550, 92095, 239, 193217, 4616, 4455, 0, 91747, 3049],
-        [16, 837, 105260, 92095, 414, 210132, 12821, 12676, 0, 91747, 7608],
-        [15, 837, 38895, 27107, 158, 77815, 11832, 11788, 0, 26270, 5631],
+        [1, 348, 96550, 92095, 194, 193229, 4628, 4455, 0, 91747, 809],
+        [1, 837, 105260, 92095, 374, 210140, 12829, 12676, 0, 91747, 1082],
+        [1, 837, 38895, 27107, 91, 77823, 11840, 11788, 0, 26270, 1770],
         [13, 12, 228, 52, 58, 392, 131, 131, 45, 40, 131],
         [1, 104, 555, 440, 5, 1143, 149, 149, 78, 224, 149],
         [1, 54, 505, 780, 5, 1383, 99, 99, 78, 274, 99],
-        [16, 52, 15875, 10156, 124, 34101, 8115, 8109, 722, 6992, 5935],
-        [16, 7824, 66031, 91810, 332, 176669, 18873, 18805, 5674, 33728, 5527],
+        [2, 52, 15875, 10156, 68, 34108, 8122, 8109, 722, 6992, 1840],
+        [1, 7824, 66031, 91810, 290, 176681, 18885, 18805, 5674, 33728, 1292],
     ];
     for (qi, q) in all_benchmark_queries().iter().enumerate() {
         let tree = BfsTree::new(q, select_root(q, &g));

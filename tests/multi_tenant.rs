@@ -1,15 +1,14 @@
 //! Multi-tenant service tests: weighted-fair admission under saturation,
 //! snapshot-loaded tenants, per-tenant report slices, and epoch isolation.
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{graph_fingerprint, save_snapshot, Label, QueryGraph};
 use serve::{FastService, QueryReport, ServeConfig, TenantConfig, TenantId};
 use std::sync::Arc;
 
 fn config(workers: usize, max_in_flight: usize) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = ShardPlanner::Auto;
+    let fast = FastConfig::test_small(Variant::Sep);
     ServeConfig {
         fast,
         devices: 1,

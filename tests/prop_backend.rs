@@ -1,10 +1,9 @@
 //! Backend-equivalence tests: the heterogeneous device pool must never
 //! change an answer. A CPU-only fleet, an FPGA-only fleet, and a mixed
-//! fleet serve bit-identical embedding counts for every shard planner on
-//! the benchmark queries — and all of them agree with the one-shot
-//! `run_fast` path.
+//! fleet serve bit-identical embedding counts on the benchmark queries —
+//! and all of them agree with the one-shot `run_fast` path.
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::generators::{generate_ldbc, LdbcParams};
 use graph_core::{benchmark_query, Graph, QueryGraph};
 use serve::{DeviceKind, FastService, ServeConfig, SessionHandle};
@@ -14,11 +13,9 @@ use std::sync::Arc;
 /// cycles, q4 cycle) — planner-heavy and flat shapes together.
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
-fn config(planner: ShardPlanner, devices: usize, extra: Vec<DeviceKind>) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = planner;
+fn config(devices: usize, extra: Vec<DeviceKind>) -> ServeConfig {
     ServeConfig {
-        fast,
+        fast: FastConfig::test_small(Variant::Sep),
         devices,
         extra_devices: extra,
         workers: 2,
@@ -32,11 +29,10 @@ fn config(planner: ShardPlanner, devices: usize, extra: Vec<DeviceKind>) -> Serv
 fn serve_counts(
     g: &Arc<Graph>,
     queries: &[QueryGraph],
-    planner: ShardPlanner,
     devices: usize,
     extra: Vec<DeviceKind>,
 ) -> Vec<u64> {
-    let service = FastService::new(Arc::clone(g), config(planner, devices, extra));
+    let service = FastService::new(Arc::clone(g), config(devices, extra));
     let handles: Vec<SessionHandle> = queries.iter().map(|q| service.submit(q.clone())).collect();
     let counts = handles
         .into_iter()
@@ -48,7 +44,7 @@ fn serve_counts(
 }
 
 /// CPU-only, FPGA-only, and mixed fleets are bit-identical to each other
-/// and to `run_fast`, for all four shard planners.
+/// and to `run_fast`, under the shard planner.
 #[test]
 fn all_fleets_agree_with_run_fast_for_every_planner() {
     let g = Arc::new(generate_ldbc(&LdbcParams::with_scale_factor(0.05), 42));
@@ -65,40 +61,17 @@ fn all_fleets_agree_with_run_fast_for_every_planner() {
         .collect();
     assert!(oneshot.iter().any(|&e| e > 0), "degenerate workload");
 
-    for planner in [
-        ShardPlanner::Contiguous,
-        ShardPlanner::WorkloadBalanced,
-        ShardPlanner::OverlapAware,
-        ShardPlanner::Auto,
-    ] {
-        let fpga_only = serve_counts(&g, &queries, planner, 2, Vec::new());
-        let cpu_only = serve_counts(
-            &g,
-            &queries,
-            planner,
-            0,
-            vec![DeviceKind::Cpu { threads: 2 }, DeviceKind::Cpu { threads: 4 }],
-        );
-        let mixed = serve_counts(
-            &g,
-            &queries,
-            planner,
-            1,
-            vec![DeviceKind::Cpu { threads: 4 }],
-        );
-        assert_eq!(
-            fpga_only, oneshot,
-            "{planner}: FPGA fleet disagrees with run_fast"
-        );
-        assert_eq!(
-            cpu_only, oneshot,
-            "{planner}: CPU fallback fleet disagrees with run_fast"
-        );
-        assert_eq!(
-            mixed, oneshot,
-            "{planner}: heterogeneous fleet disagrees with run_fast"
-        );
-    }
+    let fpga_only = serve_counts(&g, &queries, 2, Vec::new());
+    let cpu_only = serve_counts(
+        &g,
+        &queries,
+        0,
+        vec![DeviceKind::Cpu { threads: 2 }, DeviceKind::Cpu { threads: 4 }],
+    );
+    let mixed = serve_counts(&g, &queries, 1, vec![DeviceKind::Cpu { threads: 4 }]);
+    assert_eq!(fpga_only, oneshot, "FPGA fleet disagrees with run_fast");
+    assert_eq!(cpu_only, oneshot, "CPU fallback fleet disagrees with run_fast");
+    assert_eq!(mixed, oneshot, "heterogeneous fleet disagrees with run_fast");
 }
 
 /// Double-submit on every fleet: the second serve of each query is a
@@ -120,10 +93,7 @@ fn warm_tier2_serves_agree_across_fleets() {
     ];
     let mut reference: Option<Vec<u64>> = None;
     for (fleet_idx, (devices, extra)) in fleets.into_iter().enumerate() {
-        let service = FastService::new(
-            Arc::clone(&g),
-            config(ShardPlanner::Auto, devices, extra),
-        );
+        let service = FastService::new(Arc::clone(&g), config(devices, extra));
         let mut warm_counts = Vec::new();
         for q in &queries {
             let cold = service.submit(q.clone()).wait().expect("cold serve");
@@ -172,11 +142,7 @@ fn cpu_partitions_have_cpu_pricing() {
     let g = Arc::new(generate_ldbc(&LdbcParams::with_scale_factor(0.05), 42));
     let service = FastService::new(
         Arc::clone(&g),
-        config(
-            ShardPlanner::Auto,
-            0,
-            vec![DeviceKind::Cpu { threads: 2 }],
-        ),
+        config(0, vec![DeviceKind::Cpu { threads: 2 }]),
     );
     let handle = service.submit(benchmark_query(1));
     let mut streamed = 0u64;

@@ -3,7 +3,7 @@
 //! randomized operation sequences, plus the service-level exactly-once
 //! and epoch-isolation guarantees of the tier-2 cache.
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{Label, QueryGraph};
 use proptest::prelude::*;
@@ -214,8 +214,7 @@ fn triangle() -> QueryGraph {
 }
 
 fn config(workers: usize, cst_bytes: usize) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = ShardPlanner::Auto;
+    let fast = FastConfig::test_small(Variant::Sep);
     ServeConfig {
         fast,
         devices: 2,

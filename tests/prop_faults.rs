@@ -6,7 +6,7 @@
 //! deadline budget, a fleet that is dead on arrival) shed with *typed*
 //! errors instead of hanging or panicking.
 
-use fast::{FastConfig, FaultPlan, ShardPlanner, Variant};
+use fast::{FastConfig, FaultPlan, Variant};
 use graph_core::generators::{generate_ldbc, LdbcParams};
 use graph_core::{benchmark_query, Graph};
 use proptest::prelude::*;
@@ -99,11 +99,9 @@ fn fleets(fast: &FastConfig, p0: FaultPlan, p1: FaultPlan) -> Vec<(&'static str,
     ]
 }
 
-fn chaos_config(planner: ShardPlanner, extra: Vec<DeviceKind>) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = planner;
+fn chaos_config(extra: Vec<DeviceKind>) -> ServeConfig {
     ServeConfig {
-        fast,
+        fast: FastConfig::test_small(Variant::Sep),
         devices: 0,
         extra_devices: extra,
         workers: 2,
@@ -155,8 +153,8 @@ proptest! {
 
     /// The tentpole correctness bar: under any seeded fault schedule that
     /// leaves at least one healthy device, per-query embedding counts are
-    /// bit-identical to the fault-free run — for all four shard planners
-    /// across FPGA-only, CPU-only, and mixed fleets — with exactly-once
+    /// bit-identical to the fault-free run — across FPGA-only, CPU-only,
+    /// and mixed fleets — with exactly-once
     /// retry accounting and monotone quarantine counters.
     #[test]
     fn chaos_serves_are_bit_identical_with_exact_accounting(
@@ -164,35 +162,27 @@ proptest! {
         p1 in arb_plan(false),
     ) {
         let (g, baseline) = workload();
-        for planner in [
-            ShardPlanner::Contiguous,
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ] {
-            for (label, extra) in fleets(&FastConfig::test_small(Variant::Sep), p0.clone(), p1.clone()) {
-                let label = format!("{planner}/{label}");
-                let service = FastService::new(Arc::clone(g), chaos_config(planner, extra));
-                let handles: Vec<SessionHandle> = QUERY_MIX
-                    .iter()
-                    .map(|&i| service.submit(benchmark_query(i)))
-                    .collect();
-                let counts: Vec<u64> = handles
-                    .into_iter()
-                    .map(|h| h.wait().expect("chaos session completes").embeddings)
-                    .collect();
-                prop_assert_eq!(
-                    &counts, baseline,
-                    "{}: faulted counts diverge from the fault-free run", label
-                );
-                let mid = service.report();
-                // A second wave after the snapshot exercises monotonicity.
-                let again = service.submit(benchmark_query(1)).wait().expect("post-snapshot session");
-                prop_assert_eq!(again.embeddings, baseline[1]);
-                let report = service.shutdown();
-                prop_assert_eq!(report.completed, QUERY_MIX.len() as u64 + 1);
-                assert_fault_invariants(&mid, &report, &label);
-            }
+        for (label, extra) in fleets(&FastConfig::test_small(Variant::Sep), p0.clone(), p1.clone()) {
+            let service = FastService::new(Arc::clone(g), chaos_config(extra));
+            let handles: Vec<SessionHandle> = QUERY_MIX
+                .iter()
+                .map(|&i| service.submit(benchmark_query(i)))
+                .collect();
+            let counts: Vec<u64> = handles
+                .into_iter()
+                .map(|h| h.wait().expect("chaos session completes").embeddings)
+                .collect();
+            prop_assert_eq!(
+                &counts, baseline,
+                "{}: faulted counts diverge from the fault-free run", label
+            );
+            let mid = service.report();
+            // A second wave after the snapshot exercises monotonicity.
+            let again = service.submit(benchmark_query(1)).wait().expect("post-snapshot session");
+            prop_assert_eq!(again.embeddings, baseline[1]);
+            let report = service.shutdown();
+            prop_assert_eq!(report.completed, QUERY_MIX.len() as u64 + 1);
+            assert_fault_invariants(&mid, &report, label);
         }
     }
 
@@ -203,7 +193,6 @@ proptest! {
     fn zero_deadline_budget_sheds_typed(p0 in arb_plan(true)) {
         let (g, _) = workload();
         let mut config = chaos_config(
-            ShardPlanner::Auto,
             fleets(&FastConfig::test_small(Variant::Sep), p0.clone(), p0)
                 .remove(2)
                 .1,
@@ -232,7 +221,7 @@ proptest! {
             faulty(DeviceKind::Fpga(spec.clone()), FaultPlan::dies_at(seed, 0)),
             faulty(DeviceKind::Fpga(spec), FaultPlan::dies_at(seed ^ 1, 0)),
         ];
-        let mut config = chaos_config(ShardPlanner::Auto, dead);
+        let mut config = chaos_config(dead);
         config.fault.cpu_fallback = fallback;
         let service = FastService::new(Arc::clone(g), config);
         if fallback {

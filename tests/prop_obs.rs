@@ -12,7 +12,7 @@
 //! cannot close its session span, which is exactly the one exit path the
 //! exactly-once claim excludes.
 
-use fast::{FastConfig, FaultPlan, ShardPlanner, Variant};
+use fast::{FastConfig, FaultPlan, Variant};
 use graph_core::generators::{generate_ldbc, LdbcParams};
 use graph_core::{benchmark_query, Graph};
 use proptest::prelude::*;
@@ -74,8 +74,7 @@ fn fleet(fast: &FastConfig, p0: FaultPlan, p1: FaultPlan) -> Vec<DeviceKind> {
 }
 
 fn obs_config(extra: Vec<DeviceKind>) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = ShardPlanner::Auto;
+    let fast = FastConfig::test_small(Variant::Sep);
     ServeConfig {
         fast,
         devices: 0,

@@ -53,7 +53,6 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k,
-            max_partitions: 1 << 16,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
@@ -80,7 +79,6 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         let (parts, _) = partition_cst(&cst, &order, &config);
         for p in &parts {
@@ -110,7 +108,6 @@ proptest! {
             delta_d: d / 2,
             footprint_budget: None,
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         let whole = count_embeddings(&cst, &q, &order);

@@ -54,9 +54,6 @@ mod oracle {
         stats: &mut PartitionStats,
     ) {
         stats.max_index = stats.max_index.max(index);
-        if stats.partitions >= config.max_partitions {
-            return;
-        }
         if cst.any_empty() {
             stats.skipped_empty += 1;
             return;
@@ -106,9 +103,6 @@ mod oracle {
         let extra = count % k;
         let mut start = 0usize;
         for part in 0..k {
-            if stats.partitions >= config.max_partitions {
-                return;
-            }
             let len = base + usize::from(part < extra);
             if len == 0 {
                 continue;
@@ -123,9 +117,6 @@ mod oracle {
             if fits(&sub, config) {
                 stats.partitions += 1;
                 sink(sub);
-                if stats.partitions >= config.max_partitions {
-                    return;
-                }
             } else if sub.candidate_count(u) <= 1 {
                 recurse(sub, order, config, index + 1, steal, sink, stats);
             } else {
@@ -419,7 +410,6 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: footprint.then(|| case.cst.size_bytes() / size_divisor + 64),
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         check(&case, &config, steal_every)?;
     }
@@ -441,21 +431,19 @@ proptest! {
             delta_d: d / degree_divisor,
             footprint_budget: None,
             fixed_k: None,
-            max_partitions: 1 << 16,
         };
         check(&case, &config, steal_every)?;
     }
 
     /// Fixed `k`, including factors past one 64-wide label batch (which
     /// need a split vertex with more than 64 candidates: a denser, larger
-    /// graph), and a partition cap that cuts a split mid-way.
+    /// graph).
     #[test]
     fn fixed_k_stream_matches_the_rebuild_oracle(
         q in arb_query(),
         graph_seed in 0u64..400,
         k_index in 0usize..5,
         size_divisor in 2usize..40,
-        cap in proptest::option::of(1usize..40),
         steal_every in 0usize..4,
     ) {
         let k = [2u32, 7, 64, 65, 200][k_index];
@@ -469,18 +457,16 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: Some(k),
-            max_partitions: cap.unwrap_or(1 << 16),
         };
         check(&case, &config, steal_every)?;
     }
 
-    /// Zero and tiny thresholds: every leaf is forced, the recursion runs
-    /// the whole order, and `max_partitions = 0` emits nothing.
+    /// Zero and tiny thresholds: every leaf is forced and the recursion
+    /// runs the whole order.
     #[test]
     fn degenerate_configs_match_the_rebuild_oracle(
         q in arb_query(),
         graph_seed in 0u64..400,
-        cap in 0usize..12,
         steal_every in 0usize..4,
     ) {
         let case = case(&q, 24, 0.2, graph_seed);
@@ -489,7 +475,6 @@ proptest! {
             delta_d: 1,
             footprint_budget: Some(1),
             fixed_k: None,
-            max_partitions: cap,
         };
         check(&case, &config, steal_every)?;
     }

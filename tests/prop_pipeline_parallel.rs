@@ -5,34 +5,39 @@
 //! every shard count — the correctness bar of the overlapped host path.
 
 use cst::{
-    build_cst, build_cst_sharded, count_embeddings, for_each_shard_cst, plan_shards,
-    CstOptions, PipelineOptions, PlannerConfig, RootProfile, ShardPlanner,
+    build_cst, build_cst_sharded, count_embeddings, for_each_shard_cst, for_each_shard_cst_planned,
+    plan_pipeline_shards, plan_provenance, plan_shards, root_candidates, CstOptions,
+    PipelineOptions, RootProfile, ShardPlan,
 };
 use fast::{run_fast, FastConfig, Variant};
-use graph_core::generators::random_labelled_graph;
+use graph_core::generators::{random_labelled_graph, random_power_law_graph};
 use graph_core::{BfsTree, Label, MatchingOrder, QueryGraph, QueryVertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn arb_query() -> impl Strategy<Value = QueryGraph> {
-    (3usize..=5, any::<u64>()).prop_map(|(n, seed)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        use rand::Rng;
-        let labels: Vec<Label> = (0..n).map(|_| Label::new(rng.gen_range(0..2))).collect();
-        let mut edges = Vec::new();
-        for i in 1..n {
-            edges.push((rng.gen_range(0..i), i));
-        }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if rng.gen_bool(0.3) {
-                    edges.push((a, b));
-                }
+/// A connected query on `n` vertices over two labels: a random spanning
+/// tree plus each further edge with probability 0.3, drawn from `seed`.
+fn seeded_query(n: usize, seed: u64) -> QueryGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    use rand::Rng;
+    let labels: Vec<Label> = (0..n).map(|_| Label::new(rng.gen_range(0..2))).collect();
+    let mut edges = Vec::new();
+    for i in 1..n {
+        edges.push((rng.gen_range(0..i), i));
+    }
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if rng.gen_bool(0.3) {
+                edges.push((a, b));
             }
         }
-        QueryGraph::new(labels, &edges).expect("connected by construction")
-    })
+    }
+    QueryGraph::new(labels, &edges).expect("connected by construction")
+}
+
+fn arb_query() -> impl Strategy<Value = QueryGraph> {
+    (3usize..=5, any::<u64>()).prop_map(|(n, seed)| seeded_query(n, seed))
 }
 
 /// Structural equality of two CSTs: same candidate sets and same adjacency
@@ -66,8 +71,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
 
     /// The merged CST is bit-identical across thread counts {1, 2, 4, 8}
-    /// at a fixed shard count, and its embedding count matches the
-    /// sequential build for every shard count.
+    /// at a fixed shard count, its shards cover every root exactly once,
+    /// and its embedding count matches the sequential build for every
+    /// shard count.
     #[test]
     fn thread_count_never_changes_the_output(
         q in arb_query(),
@@ -98,7 +104,11 @@ proptest! {
                 threads,
                 shards
             );
-            prop_assert_eq!(stats.shards, shards.min(stats.root_candidates.max(1)));
+            prop_assert!(stats.shards <= shards.min(stats.root_candidates.max(1)));
+            prop_assert_eq!(
+                stats.shard_reports.iter().map(|r| r.roots).sum::<usize>(),
+                stats.root_candidates
+            );
             match &reference {
                 None => reference = Some(merged),
                 Some(r) => prop_assert!(
@@ -120,111 +130,48 @@ proptest! {
         prop_assert!(csts_identical(&sequential, &single));
     }
 
-    /// Every shard planner preserves the pipeline's correctness bar: the
-    /// merged CST's embedding count matches the sequential build, and the
-    /// merged CST is bit-identical across thread counts at a fixed
-    /// (planner, shard-count) pair — planned decompositions must never
-    /// depend on the thread count.
+    /// The same bar on hub-heavy power-law graphs, where the planner keeps
+    /// reordered (hub-clustered) cuts: the merged CST's embedding count
+    /// matches the sequential build, and the merged CST is bit-identical
+    /// across thread counts at a fixed shard cap — planned decompositions
+    /// must never depend on the thread count.
     #[test]
     fn planners_preserve_counts_and_thread_invariance(
         q in arb_query(),
         graph_seed in 0u64..200,
         shards in 2usize..10,
     ) {
-        let g = random_labelled_graph(45, 0.15, 2, graph_seed);
+        let g = random_power_law_graph(160, 3, 2, graph_seed);
         let root = QueryVertexId::new(0);
         let tree = BfsTree::new(&q, root);
         let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).expect("bfs");
         let sequential = build_cst(&q, &g, &tree);
         let whole = count_embeddings(&sequential, &q, &order);
-        for planner in [
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ] {
-            let mut reference: Option<cst::Cst> = None;
-            for threads in [1usize, 4] {
-                let opts = PipelineOptions {
-                    threads,
-                    shards: Some(shards),
-                    planner,
-                    cst: CstOptions::default(),
-                    ..PipelineOptions::default()
-                };
-                let (merged, stats) = build_cst_sharded(&q, &g, &tree, &opts);
-                prop_assert!(merged.validate(&q).is_ok());
-                prop_assert_eq!(
-                    count_embeddings(&merged, &q, &order),
-                    whole,
-                    "{} threads {} shards {}",
-                    planner,
-                    threads,
-                    shards
-                );
-                prop_assert!(stats.shards <= shards.max(1), "{} over cap", planner);
-                // Planned shards cover every root exactly once.
-                prop_assert_eq!(
-                    stats.shard_reports.iter().map(|r| r.roots).sum::<usize>(),
-                    stats.root_candidates
-                );
-                match &reference {
-                    None => reference = Some(merged),
-                    Some(r) => prop_assert!(
-                        csts_identical(r, &merged),
-                        "{} threads {} produced a different CST",
-                        planner,
-                        threads
-                    ),
-                }
-            }
-        }
-    }
-
-    /// The workload-balanced boundary search's guarantee: whenever no
-    /// single root weight exceeds the mean shard workload, every planned
-    /// shard stays within 2× of the mean.
-    #[test]
-    fn balanced_shards_within_two_x_mean_when_possible(
-        weight_seed in any::<u64>(),
-        len in 1usize..120,
-        shards in 1usize..12,
-    ) {
-        let weights: Vec<f64> = {
-            use rand::Rng;
-            let mut rng = StdRng::seed_from_u64(weight_seed);
-            (0..len).map(|_| rng.gen_range(0u32..1000) as f64).collect()
-        };
-        let total: f64 = weights.iter().sum();
-        let profile = RootProfile::from_weights(weights.clone());
-        let plan = plan_shards(
-            ShardPlanner::WorkloadBalanced,
-            &profile,
-            shards,
-            &PlannerConfig::default(),
-        );
-        // Coverage: every root in exactly one shard, boundaries contiguous.
-        let mut seen: Vec<u32> = plan
-            .ranges
-            .iter()
-            .flat_map(|r| plan.order[r.clone()].iter().copied())
-            .collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen.len(), weights.len());
-        prop_assert!(seen.iter().enumerate().all(|(i, &v)| i as u32 == v));
-        let effective = plan.shard_count();
-        prop_assert!(effective <= shards.max(1));
-        let mean = total / effective as f64;
-        let max_weight = weights.iter().cloned().fold(0.0, f64::max);
-        if total > 0.0 && max_weight <= mean {
-            for (s, sw) in plan.shard_weights.iter().enumerate() {
-                prop_assert!(
-                    *sw < 2.0 * mean,
-                    "shard {} workload {} vs mean {} (S={})",
-                    s,
-                    sw,
-                    mean,
-                    effective
-                );
+        let mut reference: Option<cst::Cst> = None;
+        for threads in [1usize, 4] {
+            let opts = PipelineOptions {
+                threads,
+                shards: Some(shards),
+                cst: CstOptions::default(),
+                ..PipelineOptions::default()
+            };
+            let (merged, stats) = build_cst_sharded(&q, &g, &tree, &opts);
+            prop_assert!(merged.validate(&q).is_ok());
+            prop_assert_eq!(
+                count_embeddings(&merged, &q, &order),
+                whole,
+                "threads {} shards {}",
+                threads,
+                shards
+            );
+            prop_assert!(stats.shards <= shards.max(1), "over cap");
+            match &reference {
+                None => reference = Some(merged),
+                Some(r) => prop_assert!(
+                    csts_identical(r, &merged),
+                    "threads {} produced a different CST",
+                    threads
+                ),
             }
         }
     }
@@ -264,6 +211,59 @@ proptest! {
     }
 }
 
+/// The balanced boundary search's guarantee as the planner uses it, on
+/// hub-heavy power-law graphs: every plan covers every root exactly once
+/// within the cap, and whenever it keeps a balanced (reordered,
+/// hub-clustered) cut and no single root weight exceeds the mean shard
+/// workload, every planned shard stays within 2× of the mean (refinement
+/// may move a seam up to that slack, never past it). The strict bound of
+/// the cut before refinement is `cst::planner`'s
+/// `balanced_two_x_mean_guarantee_on_random_weights`.
+#[test]
+fn balanced_shards_within_two_x_mean_when_possible() {
+    let mut reordered_cases = 0;
+    for case in 0..60u64 {
+        let q = seeded_query(3 + (case % 3) as usize, case);
+        let g = random_power_law_graph(160, 3, 2, case);
+        let shards = 2 + (case % 10) as usize;
+        let tree = BfsTree::new(&q, QueryVertexId::new(0));
+        let opts = PipelineOptions {
+            shards: Some(shards),
+            ..PipelineOptions::default()
+        };
+        let roots = root_candidates(&q, &g, &tree, opts.cst);
+        let plan = plan_pipeline_shards(&q, &g, &tree, &opts, &roots);
+        // Coverage: every root in exactly one shard, boundaries contiguous.
+        let mut seen: Vec<u32> = plan
+            .ranges
+            .iter()
+            .flat_map(|r| plan.order[r.clone()].iter().copied())
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen.len(), roots.len(), "case {case}");
+        assert!(seen.iter().enumerate().all(|(i, &v)| i as u32 == v));
+        let effective = plan.shard_count();
+        assert!(effective <= shards.min(roots.len().max(1)), "case {case}");
+        let reordered = plan.order.iter().enumerate().any(|(i, &o)| i as u32 != o);
+        let Some(probe) = plan.probe.as_ref().filter(|_| reordered) else {
+            continue;
+        };
+        reordered_cases += 1;
+        let total: f64 = probe.weights.iter().sum();
+        let mean = total / effective as f64;
+        let max_weight = probe.weights.iter().cloned().fold(0.0, f64::max);
+        if total > 0.0 && max_weight <= mean {
+            for (s, sw) in plan.shard_weights.iter().enumerate() {
+                assert!(
+                    *sw <= 2.0 * mean,
+                    "case {case}: shard {s} workload {sw} vs mean {mean} (S={effective})"
+                );
+            }
+        }
+    }
+    assert!(reordered_cases > 0, "no case keeps a reordered cut");
+}
+
 /// A query whose label exists nowhere in the graph: the root candidate set
 /// is empty, every shard is empty, and the pipeline reports zero work.
 #[test]
@@ -289,8 +289,11 @@ fn empty_root_candidate_set() {
     assert!(merged.any_empty());
 }
 
-/// More shards than root candidates: every shard holds at most one root
-/// (singleton shards), and the output still matches the sequential count.
+/// One root per shard: handed a plan that cuts every root into a shard of
+/// its own, the pipeline builds exactly that many one-root shards and the
+/// shard counts still sum to the sequential count. (The planner's own
+/// clamp of the shard count to the root count is `cst::planner`'s
+/// `more_shards_than_roots_clamp`.)
 #[test]
 fn singleton_root_shards() {
     let q = QueryGraph::new(
@@ -303,38 +306,36 @@ fn singleton_root_shards() {
     let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).unwrap();
     let sequential = build_cst(&q, &g, &tree);
     let whole = count_embeddings(&sequential, &q, &order);
-    let roots = cst::root_candidates(&q, &g, &tree, CstOptions::default()).len();
-    assert!(roots >= 1, "test graph must have root candidates");
-
     let opts = PipelineOptions {
         threads: 4,
-        shards: Some(roots * 3), // force the clamp to one root per shard
+        shards: Some(64),
         cst: CstOptions::default(),
         ..PipelineOptions::default()
     };
+    let roots = root_candidates(&q, &g, &tree, opts.cst);
+    assert!(
+        roots.len() >= 2,
+        "test graph must have several root candidates"
+    );
+    let plan = ShardPlan {
+        provenance: plan_provenance(&roots, &opts),
+        ..ShardPlan::contiguous(roots.len(), roots.len())
+    };
     let mut sum = 0u64;
-    let stats = for_each_shard_cst(&q, &g, &tree, &opts, |s| {
+    let stats = for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&plan), |s| {
         assert_eq!(s.report.roots, 1);
         sum += count_embeddings(&s.cst, &q, &order);
     });
-    assert_eq!(stats.shards, roots);
+    assert_eq!(stats.shards, roots.len());
+    assert_eq!(stats.plan, plan, "the handed-in plan is used as is");
     assert_eq!(sum, whole);
-    let (merged, _) = build_cst_sharded(&q, &g, &tree, &opts);
-    assert_eq!(count_embeddings(&merged, &q, &order), whole);
 }
 
 /// Planner edge cases through the whole pipeline: empty root sets, a
-/// single root candidate, and more shards than candidates, under every
-/// planner.
+/// single root candidate, and more shards than candidates.
 #[test]
 fn planner_edge_cases_end_to_end() {
     let g = random_labelled_graph(25, 0.3, 2, 13);
-    let planners = [
-        ShardPlanner::Contiguous,
-        ShardPlanner::WorkloadBalanced,
-        ShardPlanner::OverlapAware,
-        ShardPlanner::Auto,
-    ];
     // (query, expected-empty) pairs: a label absent from the graph (zero
     // roots → zero-workload plan) and a normal triangle query.
     let absent = QueryGraph::new(vec![Label::new(9), Label::new(1)], &[(0, 1)]).unwrap();
@@ -343,48 +344,35 @@ fn planner_edge_cases_end_to_end() {
         &[(0, 1), (1, 2), (0, 2)],
     )
     .unwrap();
-    for planner in planners {
-        // Zero roots: one empty shard, regardless of planner.
-        let tree = BfsTree::new(&absent, QueryVertexId::new(0));
-        let opts = PipelineOptions {
-            threads: 2,
-            shards: Some(8),
-            planner,
-            cst: CstOptions::default(),
-            ..PipelineOptions::default()
-        };
-        let stats = for_each_shard_cst(&absent, &g, &tree, &opts, |s| {
-            assert!(s.cst.any_empty());
-        });
-        assert_eq!(stats.shards, 1, "{planner}: zero roots collapse to one shard");
+    // Zero roots: one empty shard.
+    let tree = BfsTree::new(&absent, QueryVertexId::new(0));
+    let opts = PipelineOptions {
+        threads: 2,
+        shards: Some(8),
+        cst: CstOptions::default(),
+        ..PipelineOptions::default()
+    };
+    let stats = for_each_shard_cst(&absent, &g, &tree, &opts, |s| {
+        assert!(s.cst.any_empty());
+    });
+    assert_eq!(stats.shards, 1, "zero roots collapse to one shard");
 
-        // Triangle query: shards > roots clamps, counts preserved.
-        let tree = BfsTree::new(&triangle, QueryVertexId::new(0));
-        let order = MatchingOrder::new(&triangle, tree.bfs_order().to_vec()).unwrap();
-        let whole = count_embeddings(&build_cst(&triangle, &g, &tree), &triangle, &order);
-        let roots = cst::root_candidates(&triangle, &g, &tree, CstOptions::default()).len();
-        let opts = PipelineOptions {
-            threads: 2,
-            shards: Some(roots * 5),
-            planner,
-            cst: CstOptions::default(),
-            ..PipelineOptions::default()
-        };
-        let (merged, stats) = build_cst_sharded(&triangle, &g, &tree, &opts);
-        assert!(stats.shards <= roots, "{planner}: clamped to the root count");
-        assert_eq!(
-            count_embeddings(&merged, &triangle, &order),
-            whole,
-            "{planner}"
-        );
+    // Triangle query: shards > roots clamps, counts preserved.
+    let tree = BfsTree::new(&triangle, QueryVertexId::new(0));
+    let order = MatchingOrder::new(&triangle, tree.bfs_order().to_vec()).unwrap();
+    let whole = count_embeddings(&build_cst(&triangle, &g, &tree), &triangle, &order);
+    let roots = cst::root_candidates(&triangle, &g, &tree, CstOptions::default()).len();
+    let opts = PipelineOptions {
+        threads: 2,
+        shards: Some(roots * 5),
+        cst: CstOptions::default(),
+        ..PipelineOptions::default()
+    };
+    let (merged, stats) = build_cst_sharded(&triangle, &g, &tree, &opts);
+    assert!(stats.shards <= roots, "clamped to the root count");
+    assert_eq!(count_embeddings(&merged, &triangle, &order), whole);
 
-        // Single root candidate: every planner degenerates to one shard.
-        let single_plan = cst::plan_shards(
-            planner,
-            &RootProfile::from_weights(vec![7.0]),
-            16,
-            &PlannerConfig::default(),
-        );
-        assert_eq!(single_plan.shard_count(), 1, "{planner}");
-    }
+    // Single root candidate: the plan degenerates to one shard.
+    let single_plan = plan_shards(&RootProfile::from_weights(vec![7.0]), 16, None);
+    assert_eq!(single_plan.shard_count(), 1);
 }

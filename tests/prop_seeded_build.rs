@@ -1,22 +1,26 @@
 //! Property-based tests of probe-seeded shard builds: a shard build that
 //! starts from the planner probe's memoised candidate space
 //! (`cst::build_cst_seeded`, `RootProfile::seed_chunks`) must be
-//! **bit-identical** to the cold top-down build — same CSTs, same partition
-//! sequence, same embedding counts — for every planner and thread count;
-//! and a probe whose provenance does not match the pipeline's freshly
-//! derived inputs must be discarded and recomputed, never trusted.
+//! **bit-identical** to the cold top-down build of the same root chunk
+//! (`cst::build_cst_from_roots`) — same CSTs, same partition sequence, same
+//! embedding counts — at every thread count; and a probe whose provenance
+//! does not match the pipeline's freshly derived inputs must be discarded
+//! and recomputed, never trusted.
 
 use cst::{
-    build_cst_from_roots, build_cst_seeded, build_cst_sharded, count_embeddings,
-    for_each_shard_cst_planned, plan_pipeline_shards, root_candidates, BuildStats,
-    CandidateFilter, Cst, CstOptions, PipelineOptions, ShardPlanner,
+    build_cst_from_roots, build_cst_seeded, count_embeddings, for_each_shard_cst,
+    for_each_shard_cst_planned, plan_pipeline_shards, root_candidates, BuildStats, CandidateFilter,
+    Cst, CstOptions, PipelineOptions, ShardCst,
 };
-use fast::{run_fast, FastConfig, Variant};
+use fast::{run_fast, FastConfig, ShardPlan, Variant};
 use graph_core::generators::{random_labelled_graph, random_power_law_graph};
-use graph_core::{BfsTree, Graph, Label, MatchingOrder, QueryGraph, QueryVertexId, VertexId};
+use graph_core::{
+    select_root, BfsTree, Graph, Label, MatchingOrder, QueryGraph, QueryVertexId, VertexId,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn arb_query() -> impl Strategy<Value = QueryGraph> {
     (3usize..=5, any::<u64>()).prop_map(|(n, seed)| {
@@ -68,13 +72,11 @@ fn csts_identical(a: &cst::Cst, b: &cst::Cst) -> bool {
     true
 }
 
-fn options(planner: ShardPlanner, threads: usize, shards: usize, seed: bool) -> PipelineOptions {
+fn options(threads: usize, shards: usize) -> PipelineOptions {
     PipelineOptions {
         threads,
         shards: Some(shards),
-        planner,
         cst: CstOptions::default(),
-        seed_builds: seed,
         ..PipelineOptions::default()
     }
 }
@@ -246,9 +248,12 @@ proptest! {
         assert_builds_are_the_definition(&q, &random_power_law_graph(60, 3, 3, graph_seed), shards);
     }
 
-    /// Seeded and cold shard builds produce bit-identical CSTs (per shard
-    /// *and* merged) and identical embedding counts, for all four planners
-    /// across thread counts {1, 2, 4, 8}.
+    /// Every shard CST the pipeline emits equals the cold
+    /// `build_cst_from_roots` on the same root chunk, bit for bit, at
+    /// thread counts {1, 2, 4, 8}: a probed plan seeds every shard, and
+    /// seeded builds scan nothing top-down while the cold builds do. The
+    /// plan and the summed embedding count are the same at every thread
+    /// count.
     #[test]
     fn seeded_builds_are_bit_identical_to_cold(
         q in arb_query(),
@@ -258,45 +263,45 @@ proptest! {
         let g = random_labelled_graph(45, 0.15, 2, graph_seed);
         let tree = BfsTree::new(&q, QueryVertexId::new(0));
         let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).expect("bfs");
-        let sequential = cst::build_cst(&q, &g, &tree);
-        let whole = count_embeddings(&sequential, &q, &order);
-        for planner in [
-            ShardPlanner::Contiguous,
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ] {
-            // Cold reference at one thread, then every seeded thread count
-            // must reproduce it bit for bit.
-            let (cold, cold_stats) =
-                build_cst_sharded(&q, &g, &tree, &options(planner, 1, shards, false));
-            prop_assert_eq!(cold_stats.seeded_shards, 0, "{}: seeding was disabled", planner);
-            for threads in [1usize, 2, 4, 8] {
-                let opts = options(planner, threads, shards, true);
-                let (seeded, stats) = build_cst_sharded(&q, &g, &tree, &opts);
+        let whole = count_embeddings(&cst::build_cst(&q, &g, &tree), &q, &order);
+        let roots = root_candidates(&q, &g, &tree, CstOptions::default());
+        let mut first_plan = None;
+        for threads in [1usize, 2, 4, 8] {
+            let mut built: Vec<ShardCst> = Vec::new();
+            let stats = for_each_shard_cst(&q, &g, &tree, &options(threads, shards), |s| {
+                built.push(s)
+            });
+            prop_assert_eq!(built.len(), stats.shards);
+            let probed = stats.plan.probe.is_some();
+            // The pipeline probes exactly when it cuts more than one shard's
+            // worth of roots, and a probed plan seeds every shard.
+            prop_assert_eq!(probed, roots.len() > 1, "threads {}", threads);
+            if probed {
+                prop_assert_eq!(stats.seeded_shards, stats.shards, "threads {}", threads);
+                prop_assert_eq!(stats.topdown_entries, 0usize, "threads {}", threads);
+            }
+            let (mut sum, mut cold_scans) = (0u64, 0usize);
+            for (s, shard) in built.iter().enumerate() {
+                let chunk = stats.plan.chunk_roots(&roots, s);
+                let (cold, cold_stats) =
+                    build_cst_from_roots(&q, &g, &tree, CstOptions::default(), chunk);
                 prop_assert!(
-                    csts_identical(&cold, &seeded),
-                    "{} threads {} seeded CST differs",
-                    planner,
-                    threads
+                    csts_identical(&cold, &shard.cst),
+                    "threads {} shard {} differs from its cold build",
+                    threads,
+                    s
                 );
-                prop_assert_eq!(
-                    count_embeddings(&seeded, &q, &order),
-                    whole,
-                    "{} threads {}",
-                    planner,
-                    threads
-                );
-                // Non-contiguous planners probe (except in the degenerate
-                // ≤1-root case, where planning short-circuits), so their
-                // builds must have been seeded — and seeded builds do no
-                // top-down scanning.
-                if planner != ShardPlanner::Contiguous && stats.root_candidates > 1 {
-                    prop_assert_eq!(stats.seeded_shards, stats.shards, "{}", planner);
-                    prop_assert_eq!(stats.topdown_entries, 0usize, "{}", planner);
-                } else if planner == ShardPlanner::Contiguous {
-                    prop_assert_eq!(stats.seeded_shards, 0usize, "{}", planner);
-                }
+                prop_assert_eq!(shard.report.seeded, probed);
+                cold_scans += cold_stats.topdown_entries;
+                sum += count_embeddings(&shard.cst, &q, &order);
+            }
+            prop_assert_eq!(sum, whole, "threads {}", threads);
+            if !roots.is_empty() {
+                prop_assert!(cold_scans > 0, "cold builds scan top-down");
+            }
+            match &first_plan {
+                None => first_plan = Some(stats.plan),
+                Some(p) => prop_assert_eq!(p, &stats.plan, "threads {} replanned", threads),
             }
         }
     }
@@ -314,13 +319,13 @@ proptest! {
     ) {
         let g = random_labelled_graph(40, 0.18, 2, graph_seed);
         let tree = BfsTree::new(&q, QueryVertexId::new(0));
-        let opts = options(ShardPlanner::OverlapAware, 1, shards, true);
+        let opts = options(1, shards);
         let roots = root_candidates(&q, &g, &tree, opts.cst);
         if roots.len() <= 1 {
             return Ok(()); // degenerate: the pipeline never probes
         }
         let plan = plan_pipeline_shards(&q, &g, &tree, &opts, &roots);
-        let probe = plan.probe.as_ref().expect("probing planner retains its probe");
+        let probe = plan.probe.as_ref().expect("a multi-shard plan retains its probe");
         let seeds = probe
             .seed_chunks(&plan, &roots)
             .expect("probe carries the candidate space");
@@ -343,7 +348,9 @@ proptest! {
 
     /// The full host driver (partition → schedule → kernel) is unchanged by
     /// seeding: identical embeddings and identical downstream partition /
-    /// transfer / kernel counts with `seed_from_probe` on and off.
+    /// transfer / kernel counts whether the shards are seeded from the
+    /// plan's probe or built cold from the same plan handed back without
+    /// it (`FastConfig::shard_plan`).
     #[test]
     fn host_driver_downstream_is_identical_with_and_without_seeding(
         graph_seed in 0u64..150,
@@ -354,14 +361,26 @@ proptest! {
             &[(0, 1), (1, 2), (0, 2)],
         ).expect("triangle");
         let g = random_labelled_graph(50, 0.2, 2, graph_seed);
+        let mut config = FastConfig::test_small(Variant::Share);
+        config.host_threads = 2;
+        config.pipeline_shards = Some(shards);
+        let tree = BfsTree::new(&q, select_root(&q, &g));
+        let options = config.pipeline_options(q.vertex_count());
+        let roots = root_candidates(&q, &g, &tree, options.cst);
+        let plan = plan_pipeline_shards(&q, &g, &tree, &options, &roots);
         let mut fingerprints = Vec::new();
-        for seed in [false, true] {
-            let mut config = FastConfig::test_small(Variant::Share);
-            config.host_threads = 2;
-            config.pipeline_shards = Some(shards);
-            config.shard_planner = ShardPlanner::Auto;
-            config.seed_from_probe = seed;
+        for probe in [None, plan.probe.clone()] {
+            let seeds = probe.is_some();
+            config.shard_plan = Some(Arc::new(ShardPlan { probe, ..plan.clone() }));
             let r = run_fast(&q, &g, &config).expect("run");
+            prop_assert_eq!(r.seeded_shards > 0, seeds);
+            if !roots.is_empty() {
+                prop_assert_eq!(
+                    r.build_topdown_entries == 0,
+                    seeds,
+                    "seeded builds and only they skip the scan"
+                );
+            }
             fingerprints.push((
                 r.embeddings,
                 r.fpga_partitions,
@@ -393,22 +412,32 @@ fn foreign_probe_is_discarded_and_recomputed() {
     let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).unwrap();
     let whole = count_embeddings(&cst::build_cst(&q, &g, &tree), &q, &order);
 
-    let opts = options(ShardPlanner::WorkloadBalanced, 1, 4, true);
+    let opts = options(1, 4);
     let fresh = for_each_shard_cst_planned(&q, &g, &tree, &opts, None, |_| {});
-    assert!(fresh.plan.probe.is_some(), "probing planner retains its probe");
+    assert!(
+        fresh.plan.probe.is_some(),
+        "a multi-shard plan retains its probe"
+    );
     assert_eq!(fresh.seeded_shards, fresh.shards, "fresh run seeds from its probe");
 
     // Same root set, different plan-relevant options: provenance mismatch.
     // The stale plan (and the probe inside it) must be replanned, and the
     // replanned run still seeds — from the *new* probe.
-    let other = options(ShardPlanner::WorkloadBalanced, 1, 2, true);
+    let other = options(1, 2);
     let mut sum = 0u64;
     let replanned =
         for_each_shard_cst_planned(&q, &g, &tree, &other, Some(&fresh.plan), |s| {
             sum += count_embeddings(&s.cst, &q, &order);
         });
-    assert_eq!(replanned.shards, 2, "stale plan must not override the options");
-    assert_eq!(replanned.seeded_shards, 2, "replanned run seeds from the fresh probe");
+    assert_ne!(replanned.plan.provenance, fresh.plan.provenance);
+    assert!(
+        replanned.shards <= 2,
+        "stale plan must not override the options"
+    );
+    assert_eq!(
+        replanned.seeded_shards, replanned.shards,
+        "replanned run seeds from the fresh probe"
+    );
     assert_eq!(sum, whole);
 
     // A tampered plan (provenance zeroed) is never trusted — even though it
@@ -419,12 +448,13 @@ fn foreign_probe_is_discarded_and_recomputed() {
     let guarded = for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&tampered), |s| {
         sum2 += count_embeddings(&s.cst, &q, &order);
     });
-    assert_eq!(guarded.plan.planner, ShardPlanner::WorkloadBalanced);
+    assert_eq!(guarded.plan, fresh.plan, "replanned from scratch");
     assert_ne!(guarded.plan.provenance, 0, "replanned plan carries provenance");
     assert_eq!(sum2, whole);
 }
 
-/// Disabling seeding falls back to cold builds without touching results.
+/// Switching seeding off — replaying a plan without its probe — falls back
+/// to cold builds without touching results.
 #[test]
 fn seeding_knob_off_runs_cold() {
     let q = QueryGraph::new(
@@ -434,10 +464,21 @@ fn seeding_knob_off_runs_cold() {
     .unwrap();
     let g = random_labelled_graph(50, 0.22, 2, 21);
     let tree = BfsTree::new(&q, QueryVertexId::new(0));
-    let on = build_cst_sharded(&q, &g, &tree, &options(ShardPlanner::Auto, 2, 4, true));
-    let off = build_cst_sharded(&q, &g, &tree, &options(ShardPlanner::Auto, 2, 4, false));
-    assert!(csts_identical(&on.0, &off.0));
-    assert!(on.1.seeded_shards == on.1.shards || on.1.shards == 1);
-    assert_eq!(off.1.seeded_shards, 0);
-    assert!(off.1.topdown_entries > 0, "cold builds scan top-down");
+    let opts = options(2, 4);
+    let mut on: Vec<ShardCst> = Vec::new();
+    let seeded = for_each_shard_cst(&q, &g, &tree, &opts, |s| on.push(s));
+    let cold_plan = ShardPlan {
+        probe: None,
+        ..seeded.plan.clone()
+    };
+    let mut off: Vec<ShardCst> = Vec::new();
+    let cold = for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&cold_plan), |s| off.push(s));
+    assert!(seeded.shards > 1, "a multi-shard plan");
+    assert_eq!(seeded.seeded_shards, seeded.shards);
+    assert_eq!(cold.seeded_shards, 0);
+    assert!(cold.topdown_entries > 0, "cold builds scan top-down");
+    assert_eq!(on.len(), off.len());
+    for (a, b) in on.iter().zip(&off) {
+        assert!(csts_identical(&a.cst, &b.cst), "shard {}", a.report.shard);
+    }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests of the serving subsystem (`serve`): cache-hit
-//! serves are bit-identical to cold runs for every planner, and concurrent
+//! serves are bit-identical to cold runs, and concurrent
 //! serving is deterministic in its per-query results regardless of device
 //! count, worker count, and admission interleaving.
 
-use fast::{FastConfig, ShardPlanner, Variant};
+use fast::{FastConfig, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{Graph, Label, QueryGraph};
 use proptest::prelude::*;
@@ -35,16 +35,9 @@ fn arb_query() -> impl Strategy<Value = QueryGraph> {
     (3usize..=5, any::<u64>()).prop_map(|(n, seed)| random_query(n, seed))
 }
 
-fn service_config(
-    planner: ShardPlanner,
-    devices: usize,
-    workers: usize,
-    cst_bytes: usize,
-) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = planner;
+fn service_config(devices: usize, workers: usize, cst_bytes: usize) -> ServeConfig {
     ServeConfig {
-        fast,
+        fast: FastConfig::test_small(Variant::Sep),
         devices,
         extra_devices: Vec::new(),
         workers,
@@ -60,10 +53,9 @@ fn service_config(
 fn cold_then_hit(
     g: &Arc<Graph>,
     q: &QueryGraph,
-    planner: ShardPlanner,
     cst_bytes: usize,
 ) -> (serve::QueryReport, serve::QueryReport) {
-    let service = FastService::new(Arc::clone(g), service_config(planner, 2, 1, cst_bytes));
+    let service = FastService::new(Arc::clone(g), service_config(2, 1, cst_bytes));
     let cold = service.submit(q.clone()).wait().expect("cold run");
     let hit = service.submit(q.clone()).wait().expect("warm run");
     let report = service.shutdown();
@@ -74,78 +66,70 @@ fn cold_then_hit(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A warm serve is bit-identical to the cold run for every planner, on
-    /// **both** warm paths: tier 2 disabled (the stored plan seeds the
-    /// rebuild) and tier 2 enabled (the cached shard CSTs replay with zero
-    /// build work). Three-way differential: cold vs seeded vs tier-2 hit.
+    /// A warm serve is bit-identical to the cold run on **both** warm
+    /// paths: tier 2 disabled (the stored plan seeds the rebuild) and
+    /// tier 2 enabled (the cached shard CSTs replay with zero build work). Three-way differential: cold vs seeded vs tier-2 hit.
     #[test]
     fn warm_serves_are_bit_identical_to_cold_for_every_planner(
         q in arb_query(),
         graph_seed in 0u64..200,
     ) {
         let g = Arc::new(random_labelled_graph(45, 0.18, 2, graph_seed));
-        for planner in [
-            ShardPlanner::Contiguous,
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ] {
-            // Tier 2 off: the warm serve replays the cached plan.
-            let (cold, seeded) = cold_then_hit(&g, &q, planner, 0);
-            // Tier 2 on: the warm serve replays the cached artifact.
-            let (cold2, warm) = cold_then_hit(&g, &q, planner, 64 << 20);
-            prop_assert!(!cold.cache_hit, "{planner}: first run must miss");
-            prop_assert!(
-                seeded.cache_hit && !seeded.cst_cache_hit,
-                "{planner}: tier-2-off warm run must be a plan hit"
-            );
-            prop_assert!(
-                warm.cst_cache_hit,
-                "{planner}: tier-2-on warm run must be an artifact hit"
-            );
-            for (label, r) in [("seeded", &seeded), ("cold+capture", &cold2), ("tier-2", &warm)] {
-                prop_assert_eq!(
-                    cold.embeddings, r.embeddings,
-                    "{} changed the count on the {} serve", planner, label
-                );
-                prop_assert_eq!(
-                    cold.partitions, r.partitions,
-                    "{} changed the partition sequence on the {} serve", planner, label
-                );
-                prop_assert_eq!(
-                    cold.pipeline_shards, r.pipeline_shards,
-                    "{} changed the shard decomposition on the {} serve", planner, label
-                );
-                prop_assert_eq!(
-                    cold.kernel_cycles, r.kernel_cycles,
-                    "{} changed the modelled kernel work on the {} serve", planner, label
-                );
-            }
-            // Cached plans retain their probe, so a tier-2-off warm session
-            // builds every shard from the memoised candidate space — the
-            // global top-down scan is skipped entirely. (Contiguous plans
-            // never probe; degenerate ≤1-root plans short-circuit planning.)
-            if planner != ShardPlanner::Contiguous && seeded.pipeline_shards > 1 {
-                prop_assert_eq!(
-                    seeded.seeded_shards, seeded.pipeline_shards,
-                    "{} warm session did not seed from the cached probe", planner
-                );
-            }
-            // A tier-2 hit is pure dispatch + kernel: no top-down scan, no
-            // seeding, and exactly zero build/partition wall.
+        // Tier 2 off: the warm serve replays the cached plan.
+        let (cold, seeded) = cold_then_hit(&g, &q, 0);
+        // Tier 2 on: the warm serve replays the cached artifact.
+        let (cold2, warm) = cold_then_hit(&g, &q, 64 << 20);
+        prop_assert!(!cold.cache_hit, "first run must miss");
+        prop_assert!(
+            seeded.cache_hit && !seeded.cst_cache_hit,
+            "tier-2-off warm run must be a plan hit"
+        );
+        prop_assert!(
+            warm.cst_cache_hit,
+            "tier-2-on warm run must be an artifact hit"
+        );
+        for (label, r) in [("seeded", &seeded), ("cold+capture", &cold2), ("tier-2", &warm)] {
             prop_assert_eq!(
-                warm.build_time, std::time::Duration::ZERO,
-                "{} tier-2 hit must build nothing", planner
+                cold.embeddings, r.embeddings,
+                "changed the count on the {} serve", label
             );
             prop_assert_eq!(
-                warm.topdown_entries, 0usize,
-                "{} tier-2 hit must not scan the graph top-down", planner
+                cold.partitions, r.partitions,
+                "changed the partition sequence on the {} serve", label
             );
             prop_assert_eq!(
-                warm.seeded_shards, 0usize,
-                "{} tier-2 hit must not seed a rebuild", planner
+                cold.pipeline_shards, r.pipeline_shards,
+                "changed the shard decomposition on the {} serve", label
+            );
+            prop_assert_eq!(
+                cold.kernel_cycles, r.kernel_cycles,
+                "changed the modelled kernel work on the {} serve", label
             );
         }
+        // Cached plans retain their probe, so a tier-2-off warm session
+        // builds every shard from the memoised candidate space — the
+        // global top-down scan is skipped entirely. (Single-shard plans
+        // are not probed.)
+        if seeded.pipeline_shards > 1 {
+            prop_assert_eq!(
+                seeded.seeded_shards, seeded.pipeline_shards,
+                "warm session did not seed from the cached probe"
+            );
+        }
+        // A tier-2 hit is pure dispatch + kernel: no top-down scan, no
+        // seeding, and exactly zero build/partition wall.
+        prop_assert_eq!(
+            warm.build_time, std::time::Duration::ZERO,
+            "tier-2 hit must build nothing"
+        );
+        prop_assert_eq!(
+            warm.topdown_entries, 0usize,
+            "tier-2 hit must not scan the graph top-down"
+        );
+        prop_assert_eq!(
+            warm.seeded_shards, 0usize,
+            "tier-2 hit must not seed a rebuild"
+        );
     }
 
     /// Concurrent sessions over a fixed seeded query set produce a
@@ -173,7 +157,7 @@ proptest! {
         for (devices, workers) in [(1usize, 1usize), (2, 4), (4, 2)] {
             let service = FastService::new(
                 Arc::clone(&g),
-                service_config(ShardPlanner::Auto, devices, workers, 64 << 20),
+                service_config(devices, workers, 64 << 20),
             );
             let handles: Vec<_> = queries
                 .iter()
@@ -211,7 +195,7 @@ fn serve_agrees_with_run_fast() {
     .unwrap();
     let oneshot = fast::run_fast(&q, &g, &FastConfig::test_small(Variant::Sep))
         .expect("one-shot run");
-    let service = FastService::new(g, service_config(ShardPlanner::Auto, 2, 2, 64 << 20));
+    let service = FastService::new(g, service_config(2, 2, 64 << 20));
     let served = service.submit(q).wait().expect("served run");
     assert_eq!(served.embeddings, oneshot.embeddings);
     service.shutdown();
@@ -228,7 +212,7 @@ fn in_flight_depth_is_bounded() {
         &[(0, 1), (1, 2), (0, 2)],
     )
     .unwrap();
-    let mut config = service_config(ShardPlanner::Auto, 2, 4, 64 << 20);
+    let mut config = service_config(2, 4, 64 << 20);
     config.max_in_flight = 2;
     let service = FastService::new(g, config);
     std::thread::scope(|scope| {

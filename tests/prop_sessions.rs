@@ -3,11 +3,11 @@
 //! and mid-stream epoch bumps is driven against the serving layer under
 //! tight permits, live (huge) deadlines, and recoverable faults — and
 //! every session's embedding count must equal the one-shot `run_fast`
-//! oracle, for all four shard planners. The session state machine may
+//! oracle. The session state machine may
 //! park, steal, retry, and re-plan however it likes; the answer may not
 //! move by a bit.
 
-use fast::{FastConfig, FaultPlan, ShardPlanner, Variant};
+use fast::{FastConfig, FaultPlan, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{Graph, Label, QueryGraph};
 use proptest::prelude::*;
@@ -63,14 +63,8 @@ fn workload() -> &'static (Arc<Graph>, Vec<QueryGraph>, Vec<u64>) {
 /// Service under test: tight permits, a live-but-never-binding deadline
 /// (so every state transition runs its deadline re-check without a shed),
 /// and one recoverably-faulty device next to a healthy one.
-fn session_config(
-    planner: ShardPlanner,
-    workers: usize,
-    max_in_flight: usize,
-    fault_seed: u64,
-) -> ServeConfig {
-    let mut fast = FastConfig::test_small(Variant::Sep);
-    fast.shard_planner = planner;
+fn session_config(workers: usize, max_in_flight: usize, fault_seed: u64) -> ServeConfig {
+    let fast = FastConfig::test_small(Variant::Sep);
     let healthy = DeviceKind::Cpu { threads: 2 };
     let flaky = DeviceKind::Faulty {
         inner: Box::new(DeviceKind::Cpu { threads: 2 }),
@@ -139,14 +133,14 @@ fn script(seed: u64, queries: usize) -> Vec<Op> {
     ops
 }
 
-/// Runs one scripted interleaving against one planner and checks every
-/// session against the oracle.
-fn drive(planner: ShardPlanner, scenario: u64) -> Result<(), TestCaseError> {
+/// Runs one scripted interleaving and checks every session against the
+/// oracle.
+fn drive(scenario: u64) -> Result<(), TestCaseError> {
     let (g, queries, oracle) = workload();
     let mut rng = StdRng::seed_from_u64(scenario ^ 0x5e55);
     let workers = rng.gen_range(1..=3);
     let max_in_flight = rng.gen_range(1..=4);
-    let config = session_config(planner, workers, max_in_flight, scenario);
+    let config = session_config(workers, max_in_flight, scenario);
     let service = FastService::new(Arc::clone(g), config);
 
     let mut pending: VecDeque<(usize, SessionHandle)> = VecDeque::new();
@@ -156,8 +150,7 @@ fn drive(planner: ShardPlanner, scenario: u64) -> Result<(), TestCaseError> {
             prop_assert_eq!(
                 report.embeddings,
                 oracle[qi],
-                "{}: query {} diverged from the run_fast oracle",
-                planner,
+                "query {} diverged from the run_fast oracle",
                 qi
             );
         }
@@ -201,8 +194,7 @@ fn drive(planner: ShardPlanner, scenario: u64) -> Result<(), TestCaseError> {
     prop_assert_eq!(report.deadline_misses, 0);
     prop_assert!(
         report.max_in_flight <= max_in_flight,
-        "{}: admission exceeded the permit bound: {} > {}",
-        planner,
+        "admission exceeded the permit bound: {} > {}",
         report.max_in_flight,
         max_in_flight
     );
@@ -215,16 +207,9 @@ proptest! {
     /// The model-based bar: any seeded interleaving of submits, saturated
     /// retries, waits, and mid-stream epoch bumps — under tight permits,
     /// live deadlines, and recoverable faults — serves every session with
-    /// the oracle's exact count, for all four planners.
+    /// the oracle's exact count.
     #[test]
     fn scripted_interleavings_match_the_oracle(scenario in any::<u64>()) {
-        for planner in [
-            ShardPlanner::Contiguous,
-            ShardPlanner::WorkloadBalanced,
-            ShardPlanner::OverlapAware,
-            ShardPlanner::Auto,
-        ] {
-            drive(planner, scenario)?;
-        }
+        drive(scenario)?;
     }
 }
