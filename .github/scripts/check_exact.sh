@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pins the exact (wall-clock-free) counters of one traced run each of
-# `oneshot_dg10`, `serve_cold_dg03` and `serve_warm_dg03`: the partition
+# `oneshot_dg10`, `serve_cold_dg03`, `serve_warm_dg03` and
+# `serve_warm_cpu_dg03`: the partition
 # stream, the kernel's work, the bytes shipped, the modelled seconds and the
 # CST sizes are
 # functions of the code and the seed-independent inputs, so a host-speed
@@ -13,7 +14,9 @@
 # partition and kernel counters. The warm run is the one a kernel-speed
 # claim is made on: the same kernel work as the cold run, every session a
 # tier-2 hit, nothing evicted (structural on a fully primed cache under the
-# default budget). Reads each run's last stdout line
+# default budget). The warm CPU run is the one an engine-speed claim is made
+# on: the same service with two CPU shares, whose search work is
+# `matching.engine.intersection_elements`. Reads each run's last stdout line
 # (`{"correct": ..., "metrics": {name: {"value": ...}}}`).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
@@ -71,6 +74,12 @@ check serve_warm_dg03 '{
     "fast.kernel.m": 35353910,
     "fast.kernel.rounds": 71106,
     "fast.kernel.cycles": 71209722,
+    "serve.cache.cst_hit_rate": 1,
+    "serve.cache.evictions": 0
+}'
+
+check serve_warm_cpu_dg03 '{
+    "matching.engine.intersection_elements": 2765533,
     "serve.cache.cst_hit_rate": 1,
     "serve.cache.evictions": 0
 }'

@@ -1,7 +1,11 @@
 //! Seeking and intersecting strictly ascending `u32` lists — CST adjacency
 //! lists are such lists. The emulated kernel's expansion (`fast::kernel`)
-//! uses both; the CPU engine (`matching::engine`) shares only [`seek`] and
-//! keeps its own pairwise `intersect_sorted`.
+//! uses [`seek`] and [`intersect_each`]; the CPU engine (`matching::engine`)
+//! gallops with [`seek`] inside its own pairwise `intersect_sorted`. Both
+//! count a sibling run at a cycle-closing last depth with [`count_run`], the
+//! one implementation of that step.
+
+use crate::structure::CsrAdj;
 
 /// First index `i` with `list[i] >= x` (`list.len()` if none): doubling
 /// probes from the front, then a binary search within the final bracket,
@@ -42,6 +46,49 @@ pub fn intersect_each(lists: &mut [&[u32]], mut each: impl FnMut(u32)) {
         }
         each(x);
     }
+}
+
+/// Survivors of a *sibling run* at a cycle-closing last depth `u`: partials
+/// that agree on every mapped depth but the anchor's, whose indices — the
+/// `members`, strictly ascending, read through `member` — each expand into
+/// the window `N(anchor → u)(s)`, validated against the same `lists`. By CST
+/// symmetry (`x ∈ N(anchor → u)(s) ⇔ s ∈ N(u → anchor)(x)`) that is, over
+/// every `x` common to `lists`, `|rev(x) ∩ members|`: one merge of `x`'s
+/// reverse list against the members, clipped to the first and last of them.
+/// `None` once that walk (`Σ |rev(x)|`) is longer than `window`, the members'
+/// windows together — expanding member by member is then no dearer. Visited
+/// candidates are the caller's concern. `lists` is scratch, as in
+/// [`intersect_each`].
+#[inline]
+pub fn count_run(
+    lists: &mut [&[u32]],
+    rev: &CsrAdj,
+    members: usize,
+    member: impl Fn(usize) -> u32,
+    window: usize,
+) -> Option<usize> {
+    if members == 0 {
+        return Some(0);
+    }
+    let (first, last) = (member(0), member(members - 1));
+    debug_assert!((1..members).all(|m| member(m - 1) < member(m)));
+    let (mut walk, mut survivors) = (0usize, 0usize);
+    intersect_each(lists, |x| {
+        let list = rev.neighbors(x as usize);
+        walk += list.len();
+        if walk > window {
+            return;
+        }
+        let lo = seek(list, first);
+        let mut m = 0;
+        for &s in &list[lo..lo + seek(&list[lo..], last + 1)] {
+            while member(m) < s {
+                m += 1;
+            }
+            survivors += usize::from(member(m) == s);
+        }
+    });
+    (walk <= window).then_some(survivors)
 }
 
 #[cfg(test)]

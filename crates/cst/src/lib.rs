@@ -14,8 +14,9 @@
 //! * [`enumerate_embeddings`] — CST-only backtracking (Theorem 1), the CPU
 //!   share's matcher and the kernel's correctness oracle;
 //! * [`intersect`] — seeking and k-way intersection of sorted adjacency
-//!   lists ([`seek`], [`intersect_each`]), shared by the emulated kernel and
-//!   the CPU engine;
+//!   lists ([`seek`], [`intersect_each`]) and the sibling-run count at a
+//!   cycle-closing last depth ([`count_run`]), shared by the emulated kernel
+//!   and the CPU engine;
 //! * [`pipeline`] — the sharded, multi-threaded host pipeline: shard CSTs
 //!   built on worker threads and merged ([`build_cst_sharded`]) or streamed
 //!   in shard order into the partitioner ([`for_each_shard_cst`]) so device
@@ -48,7 +49,7 @@ pub use enumerate::{
     count_embeddings, enumerate_embeddings, EnumerationStats, MatchPlan,
 };
 pub use filter::CandidateFilter;
-pub use intersect::{intersect_each, seek};
+pub use intersect::{count_run, intersect_each, seek};
 pub use partition::{
     fits, partition_cst, partition_cst_into, partition_cst_with_steal, shard_at_vertex,
     PartitionConfig, PartitionStats,

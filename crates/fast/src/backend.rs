@@ -18,7 +18,10 @@
 //!   [`matching::run_backtrack`] over the partition CST (intersection
 //!   extension), in both collect modes — collection only adds a sink — so
 //!   a partition is priced through the calibrated [`CpuCostModel`] from the
-//!   same search counters whether or not its embeddings are collected.
+//!   same search counters whether or not its embeddings are collected. The
+//!   engine shares [`cst::seek`] and the cycle-closing sibling-run count
+//!   ([`cst::count_run`]) with [`run_kernel`]; a count request takes the
+//!   runs, a collect request the per-partial path, with equal counters.
 //!   (The FAST-SHARE CPU share of `run_fast` is a different engine under
 //!   the same cost model: it runs [`cst::enumerate_embeddings`], which
 //!   visits the same embeddings in the same order.) A partition CST
@@ -211,7 +214,7 @@ pub struct FpgaBackend {
 }
 
 impl FpgaBackend {
-    /// A backend on `config`'s device spec, variant, and stage latencies.
+    /// A backend on `config`'s device spec, variant and cycle model.
     pub fn from_config(config: &FastConfig) -> Self {
         FpgaBackend {
             spec: config.spec.clone(),

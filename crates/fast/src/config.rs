@@ -12,8 +12,6 @@ use std::sync::Arc;
 pub struct FastConfig {
     /// Device parameters (Alveo U200 defaults).
     pub spec: FpgaSpec,
-    /// Pipeline stage latencies `L1..L6`.
-    pub latencies: StageLatencies,
     /// Which variant to run (the paper's final algorithm is FAST-SHARE).
     pub variant: Variant,
     /// CPU workload share `δ` (only used by FAST-SHARE; the paper's best
@@ -21,8 +19,6 @@ pub struct FastConfig {
     pub delta: f64,
     /// CST construction pruning strength.
     pub cst_options: CstOptions,
-    /// `Some(k)`: fixed partition factor (Fig. 8 ablation); `None`: greedy.
-    pub fixed_k: Option<u32>,
     /// What to do with embeddings.
     pub collect: CollectMode,
     /// Host-side worker threads building shard CSTs (`cst::pipeline`).
@@ -64,11 +60,9 @@ impl Default for FastConfig {
     fn default() -> Self {
         FastConfig {
             spec: FpgaSpec::default(),
-            latencies: StageLatencies::default(),
             variant: Variant::Share,
             delta: 0.1,
             cst_options: CstOptions::default(),
-            fixed_k: None,
             collect: CollectMode::CountOnly,
             host_threads: 1,
             pipeline_shards: None,
@@ -129,7 +123,8 @@ impl FastConfig {
             delta_s: delta_s.max(1),
             delta_d: self.spec.port_max,
             footprint_budget: Some(budget.max(1)),
-            fixed_k: self.fixed_k,
+            // Greedy; the Fig. 8 ablation sets its `k` on this type itself.
+            fixed_k: None,
         }
     }
 
@@ -169,13 +164,14 @@ impl FastConfig {
         Ok(())
     }
 
-    /// The cycle model induced by this configuration.
+    /// The cycle model induced by this configuration, at the default stage
+    /// latencies `L1..L6`.
     ///
     /// # Panics
     /// If `spec.no == 0`; see [`validate`](Self::validate).
     pub fn cycle_model(&self) -> fpga_sim::CycleModel {
         fpga_sim::CycleModel::new(
-            self.latencies,
+            StageLatencies::default(),
             self.spec.no,
             self.spec.bram_read_latency,
             self.spec.dram_read_latency,

@@ -65,7 +65,7 @@
 //! the host touches.
 
 use crate::plan::{KernelPlan, MAX_KERNEL_QUERY};
-use cst::{intersect_each, seek, CsrAdj, Cst};
+use cst::{count_run, intersect_each, CsrAdj, Cst};
 use fpga_sim::WorkloadCounts;
 use graph_core::VertexId;
 
@@ -128,8 +128,9 @@ struct Expansion<'a> {
 /// Resolves the run at the head of `cur` (closing depth `step`, reverse
 /// adjacency `rev`): the partials sharing the head's first `level - 1`
 /// indices while each whole window fits `budget`, if two or more and no
-/// shorter than their reverse lists; else `Err(members)`. Not inlined:
-/// that slows every level's per-partial loop by a few per cent.
+/// shorter than their reverse lists ([`count_run`], which the CPU engine
+/// shares); else `Err(members)`. Not inlined: that slows every level's
+/// per-partial loop by a few per cent.
 #[inline(never)]
 fn sibling_run(
     cur: &mut Level,
@@ -158,27 +159,12 @@ fn sibling_run(
     for (l, &(bd, adj)) in lists.iter_mut().zip(&step.validate) {
         *l = adj.neighbors(prefix[bd] as usize);
     }
-    let mut walk = 0;
-    intersect_each(&mut { lists }[..probes], |x| walk += rev.degree(x as usize));
-    if walk as usize > window {
-        return Err(members);
-    }
-    // Siblings leave their parent ascending, so each walk is a merge.
+    // Siblings leave their parent ascending in their last index.
     let run = &slots[..members * level];
     let last = |m: usize| run[m * level + level - 1];
-    debug_assert!((1..members).all(|m| last(m - 1) < last(m)));
-    let mut survivors = 0;
-    intersect_each(&mut lists[..probes], |x| {
-        let list = rev.neighbors(x as usize);
-        let lo = seek(list, last(0));
-        let mut m = 0;
-        for &s in &list[lo..lo + seek(&list[lo..], last(members - 1) + 1)] {
-            while last(m) < s {
-                m += 1;
-            }
-            survivors += usize::from(last(m) == s);
-        }
-    });
+    let Some(survivors) = count_run(&mut lists[..probes], rev, members, last, window) else {
+        return Err(members);
+    };
     // With the ids apart, none is visited.
     out.buffer_reads += members as u64;
     out.counts.n += window as u64;

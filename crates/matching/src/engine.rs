@@ -16,10 +16,34 @@
 //! It counts ([`run_backtrack`]) or also hands every embedding to a sink
 //! ([`run_backtrack_with_sink`]); the search and its counters are the same
 //! either way.
+//!
+//! A search resolves its depths once: per depth, `C(u)` as a slice and one
+//! `(backward depth, CsrAdj)` pair per backward neighbour, so a node reads
+//! its lists without a CST lookup.
+//!
+//! ## Closing runs
+//!
+//! The last depth `n − 1` *closes a cycle* when it has exactly two backward
+//! neighbours — the anchor at depth `n − 2` and one earlier validator — and
+//! `C(u)`'s vertex-id range lies apart from every earlier depth's (q1's
+//! Comment, closing the Person–Person–Post–Comment 4-cycle). In an
+//! intersection search with no sink and no result limit, depth `n − 2` then
+//! does not descend candidate by candidate: after its usual partial count,
+//! limit poll and visited check it counts its surviving *siblings* into the
+//! last depth at once ([`cst::count_run`], the emulated kernel's run
+//! counter): `x` in the validator's list survives under sibling `j` iff `j`
+//! is in `x`'s reverse `(u → anchor)` list (CST symmetry). A sibling's
+//! `intersection_elements` is `min(|N(anchor → u)(j)|, |validator list|)`,
+//! what the pairwise merge charges; its survivors are partials and
+//! embeddings, and none is visited, as the id ranges lie apart. When the
+//! reverse walk is longer than the siblings' windows together, depth
+//! `n − 2` descends per sibling after all. Every [`EngineStats`] field is
+//! the per-partial path's; only a timeout can stop the two at different
+//! points (a bulk add polls the deadline when it crosses a poll boundary).
 
 use crate::limits::{Outcome, RunLimits};
-use cst::{seek, Cst, MatchPlan};
-use graph_core::{Graph, MatchingOrder, QueryGraph, VertexId};
+use cst::{count_run, seek, CsrAdj, Cst, MatchPlan};
+use graph_core::{Graph, MatchingOrder, QueryGraph, VertexId, MAX_QUERY_VERTICES};
 use std::time::Instant;
 
 /// Candidate-extension strategy.
@@ -61,11 +85,52 @@ const TIMEOUT_POLL_MASK: u64 = (1 << 14) - 1;
 /// Receives every embedding, indexed by query vertex id.
 type Sink<'s> = &'s mut dyn FnMut(&[VertexId]);
 
+/// One depth of the search, resolved against the CST.
+struct Depth<'a> {
+    /// `C(u)` of the query vertex `u` matched at this depth.
+    candidates: &'a [VertexId],
+    /// `(depth, (u_depth → u) adjacency)` per backward neighbour, in plan
+    /// order.
+    backward: Vec<(usize, &'a CsrAdj)>,
+}
+
+/// A cycle-closing last depth (module docs).
+#[derive(Clone, Copy)]
+struct Closing<'a> {
+    /// `(u_{n−2} → u)`: a sibling's window.
+    anchor: &'a CsrAdj,
+    /// The validator's depth and its `(u_b → u)` adjacency.
+    validator: (usize, &'a CsrAdj),
+    /// `(u → u_{n−2})`, the reverse of `anchor`.
+    rev: &'a CsrAdj,
+}
+
+impl<'a> Closing<'a> {
+    /// The last depth of `depths`, if it closes a cycle.
+    fn of(cst: &'a Cst, plan: &MatchPlan, depths: &[Depth<'a>]) -> Option<Self> {
+        let n = depths.len();
+        let last = depths.last()?;
+        let (anchor, validator) = match *last.backward.as_slice() {
+            [a, b] | [b, a] if a.0 == n - 2 => (a.1, b),
+            _ => return None,
+        };
+        let (lo, hi) = (last.candidates.first(), last.candidates.last());
+        let apart = |d: &Depth<'_>| d.candidates.last() < lo || d.candidates.first() > hi;
+        depths[..n - 1].iter().all(apart).then(|| Closing {
+            anchor,
+            validator,
+            rev: cst.adjacency(plan.vertex_at(n - 1), plan.vertex_at(n - 2)),
+        })
+    }
+}
+
 struct Search<'a, 's> {
     sink: Option<Sink<'s>>,
     /// The sink's row buffer (`row[u] = M(u)`).
     row: Vec<VertexId>,
-    cst: &'a Cst,
+    depths: &'a [Depth<'a>],
+    /// Set when depth `n − 2` counts its siblings into the last depth.
+    closing: Option<Closing<'a>>,
     g: &'a Graph,
     plan: &'a MatchPlan,
     extension: ExtensionMethod,
@@ -74,8 +139,10 @@ struct Search<'a, 's> {
     stats: EngineStats,
     mapping: Vec<u32>,
     mapped: Vec<VertexId>,
-    /// Reusable intersection buffers, one pair per depth.
+    /// Reusable intersection buffers, one per depth.
     scratch: Vec<Vec<u32>>,
+    /// Closing runs `[counted, declined by the walk guard]`.
+    runs: [u64; 2],
 }
 
 /// Runs the backtracking search; returns the outcome and statistics.
@@ -87,7 +154,8 @@ pub fn run_backtrack(
     extension: ExtensionMethod,
     limits: &RunLimits,
 ) -> (Outcome, EngineStats) {
-    backtrack(q, g, cst, order, extension, limits, None)
+    let (outcome, stats, _) = backtrack(q, g, cst, order, extension, limits, None);
+    (outcome, stats)
 }
 
 /// [`run_backtrack`] that also hands every embedding to `sink`, **indexed by
@@ -102,9 +170,12 @@ pub fn run_backtrack_with_sink(
     limits: &RunLimits,
     sink: &mut dyn FnMut(&[VertexId]),
 ) -> (Outcome, EngineStats) {
-    backtrack(q, g, cst, order, extension, limits, Some(sink))
+    let (outcome, stats, _) = backtrack(q, g, cst, order, extension, limits, Some(sink));
+    (outcome, stats)
 }
 
+/// The search behind both entry points; also returns the closing runs
+/// `[counted, declined]`.
 fn backtrack(
     q: &QueryGraph,
     g: &Graph,
@@ -113,9 +184,28 @@ fn backtrack(
     extension: ExtensionMethod,
     limits: &RunLimits,
     sink: Option<Sink<'_>>,
-) -> (Outcome, EngineStats) {
+) -> (Outcome, EngineStats, [u64; 2]) {
     let plan = MatchPlan::new(q, order);
     let n = plan.len();
+    let depths: Vec<Depth<'_>> = (0..n)
+        .map(|d| {
+            let u = plan.vertex_at(d);
+            Depth {
+                candidates: cst.candidates(u),
+                backward: plan
+                    .backward(d)
+                    .iter()
+                    .map(|&bd| (bd, cst.adjacency(plan.vertex_at(bd), u)))
+                    .collect(),
+            }
+        })
+        .collect();
+    let max_results = limits.max_results.unwrap_or(u64::MAX);
+    let counting = sink.is_none() && max_results == u64::MAX;
+    let closing = match extension {
+        ExtensionMethod::Intersection if counting => Closing::of(cst, &plan, &depths),
+        _ => None,
+    };
     let row = match sink {
         Some(_) => vec![VertexId::new(0); n],
         None => Vec::new(),
@@ -123,32 +213,31 @@ fn backtrack(
     let mut search = Search {
         sink,
         row,
-        cst,
+        depths: &depths,
+        closing,
         g,
         plan: &plan,
         extension,
         deadline: limits.timeout.map(|t| (Instant::now(), t)),
-        max_results: limits.max_results.unwrap_or(u64::MAX),
+        max_results,
         stats: EngineStats::default(),
         mapping: vec![0u32; n],
         mapped: vec![VertexId::new(0); n],
         scratch: vec![Vec::new(); n],
+        runs: [0; 2],
     };
-    if n == 0 {
-        return (Outcome::Completed, search.stats);
-    }
-    let root = plan.vertex_at(0);
-    let root_count = cst.candidate_count(root) as u32;
-    for i in 0..root_count {
+    let Some(root) = depths.first() else {
+        return (Outcome::Completed, search.stats, search.runs);
+    };
+    for (i, &v) in root.candidates.iter().enumerate() {
         search.stats.partials_generated += 1;
-        search.mapping[0] = i;
-        search.mapped[0] = cst.candidate(root, i);
-        match search.descend(1) {
-            Flow::Continue => {}
-            Flow::Stop(outcome) => return (outcome, search.stats),
+        search.mapping[0] = i as u32;
+        search.mapped[0] = v;
+        if let Flow::Stop(outcome) = search.descend(1) {
+            return (outcome, search.stats, search.runs);
         }
     }
-    (Outcome::Completed, search.stats)
+    (Outcome::Completed, search.stats, search.runs)
 }
 
 enum Flow {
@@ -191,22 +280,23 @@ fn intersect_sorted(result: &mut Vec<u32>, other: &[u32]) {
 }
 
 impl<'a> Search<'a, '_> {
+    fn timed_out(&self) -> bool {
+        self.deadline
+            .is_some_and(|(start, budget)| start.elapsed() > budget)
+    }
+
     fn check_limits(&self) -> Option<Outcome> {
         if self.stats.embeddings >= self.max_results {
             return Some(Outcome::ResultLimit);
         }
-        if self.stats.partials_generated & TIMEOUT_POLL_MASK == 0 {
-            if let Some((start, budget)) = self.deadline {
-                if start.elapsed() > budget {
-                    return Some(Outcome::Timeout);
-                }
-            }
+        if self.stats.partials_generated & TIMEOUT_POLL_MASK == 0 && self.timed_out() {
+            return Some(Outcome::Timeout);
         }
         None
     }
 
     fn descend(&mut self, depth: usize) -> Flow {
-        if depth == self.plan.len() {
+        if depth == self.depths.len() {
             if let Some(sink) = self.sink.as_mut() {
                 for (d, &v) in self.mapped.iter().enumerate() {
                     self.row[self.plan.vertex_at(d).index()] = v;
@@ -219,29 +309,23 @@ impl<'a> Search<'a, '_> {
             }
             return Flow::Continue;
         }
-        let u = self.plan.vertex_at(depth);
-        let backward = self.plan.backward(depth);
-        debug_assert!(!backward.is_empty());
-
-        // The CST reference outlives `self`'s borrows, so slices taken from
-        // it stay valid across recursive calls.
-        let cst: &'a Cst = self.cst;
+        // The resolved depths outlive `self`'s borrows, so lists taken from
+        // them stay valid across recursive calls.
+        let step: &'a Depth<'a> = &self.depths[depth];
+        debug_assert!(!step.backward.is_empty());
 
         match self.extension {
             ExtensionMethod::EdgeVerification(policy) => {
+                let mapping = &self.mapping;
+                let list =
+                    |&(bd, adj): &(usize, &'a CsrAdj)| (bd, adj.neighbors(mapping[bd] as usize));
                 let (anchor_pos, anchor_list) = match policy {
-                    AnchorPolicy::FirstBackward => {
-                        let bd = backward[0];
-                        let bu = self.plan.vertex_at(bd);
-                        (bd, cst.neighbors(bu, self.mapping[bd], u))
-                    }
-                    AnchorPolicy::MinList => backward
+                    AnchorPolicy::FirstBackward => list(&step.backward[0]),
+                    AnchorPolicy::MinList => step
+                        .backward
                         .iter()
-                        .map(|&bd| {
-                            let bu = self.plan.vertex_at(bd);
-                            (bd, cst.neighbors(bu, self.mapping[bd], u))
-                        })
-                        .min_by_key(|(_, list)| list.len())
+                        .map(list)
+                        .min_by_key(|(_, l)| l.len())
                         .expect("backward non-empty"),
                 };
 
@@ -250,13 +334,13 @@ impl<'a> Search<'a, '_> {
                     if let Some(outcome) = self.check_limits() {
                         return Flow::Stop(outcome);
                     }
-                    let v = cst.candidate(u, j);
+                    let v = step.candidates[j as usize];
                     if self.mapped[..depth].contains(&v) {
                         self.stats.visited_rejections += 1;
                         continue;
                     }
                     let mut ok = true;
-                    for &bd in backward {
+                    for &(bd, _) in &step.backward {
                         if bd == anchor_pos {
                             continue;
                         }
@@ -279,13 +363,11 @@ impl<'a> Search<'a, '_> {
             }
             ExtensionMethod::Intersection => {
                 // Intersect all backward candidate lists, smallest first.
-                let mut lists: Vec<&[u32]> = backward
-                    .iter()
-                    .map(|&bd| {
-                        let bu = self.plan.vertex_at(bd);
-                        cst.neighbors(bu, self.mapping[bd], u)
-                    })
-                    .collect();
+                let mut lists: [&[u32]; MAX_QUERY_VERTICES] = [&[]; MAX_QUERY_VERTICES];
+                for (l, &(bd, adj)) in lists.iter_mut().zip(&step.backward) {
+                    *l = adj.neighbors(self.mapping[bd] as usize);
+                }
+                let lists = &mut lists[..step.backward.len()];
                 lists.sort_by_key(|l| l.len());
 
                 let mut result = std::mem::take(&mut self.scratch[depth]);
@@ -303,26 +385,80 @@ impl<'a> Search<'a, '_> {
                     intersect_sorted(&mut result, other);
                 }
 
-                for &j in &result {
+                // At depth n − 2 of a closing search, the candidates that
+                // pass stay in `result` as the run's siblings.
+                let closing = self.closing.filter(|_| depth + 2 == self.depths.len());
+                let mut siblings = 0;
+                let mut flow = Flow::Continue;
+                for r in 0..result.len() {
+                    let j = result[r];
                     self.stats.partials_generated += 1;
                     if let Some(outcome) = self.check_limits() {
-                        self.scratch[depth] = result;
-                        return Flow::Stop(outcome);
+                        flow = Flow::Stop(outcome);
+                        break;
                     }
-                    let v = cst.candidate(u, j);
+                    let v = step.candidates[j as usize];
                     if self.mapped[..depth].contains(&v) {
                         self.stats.visited_rejections += 1;
+                        continue;
+                    }
+                    if closing.is_some() {
+                        result[siblings] = j;
+                        siblings += 1;
                         continue;
                     }
                     self.mapping[depth] = j;
                     self.mapped[depth] = v;
                     if let Flow::Stop(o) = self.descend(depth + 1) {
-                        self.scratch[depth] = result;
-                        return Flow::Stop(o);
+                        flow = Flow::Stop(o);
+                        break;
                     }
                 }
+                if let (Some(run), Flow::Continue) = (closing, &flow) {
+                    flow = self.close(depth, run, &result[..siblings]);
+                }
                 self.scratch[depth] = result;
+                return flow;
             }
+        }
+        Flow::Continue
+    }
+
+    /// Expands the siblings `members` (ascending candidate indices mapped
+    /// at depth `depth = n − 2`, none visited) into the closing last depth:
+    /// counted at once, or one by one when the guard declines the run.
+    fn close(&mut self, depth: usize, run: Closing<'a>, members: &[u32]) -> Flow {
+        let (vd, validator) = run.validator;
+        let validator = validator.neighbors(self.mapping[vd] as usize);
+        let (mut window, mut elements) = (0usize, 0usize);
+        for &j in members {
+            let len = run.anchor.degree(j as usize) as usize;
+            window += len;
+            elements += len.min(validator.len());
+        }
+        let member = |m: usize| members[m];
+        let Some(survivors) = count_run(&mut [validator], run.rev, members.len(), member, window)
+        else {
+            self.runs[1] += 1;
+            let candidates = self.depths[depth].candidates;
+            for &j in members {
+                self.mapping[depth] = j;
+                self.mapped[depth] = candidates[j as usize];
+                if let Flow::Stop(o) = self.descend(depth + 1) {
+                    return Flow::Stop(o);
+                }
+            }
+            return Flow::Continue;
+        };
+        self.runs[0] += 1;
+        let before = self.stats.partials_generated;
+        self.stats.intersection_elements += elements as u64;
+        self.stats.partials_generated += survivors as u64;
+        self.stats.embeddings += survivors as u64;
+        // Past the next multiple of the poll interval?
+        let crossed = (before | TIMEOUT_POLL_MASK) < self.stats.partials_generated;
+        if crossed && self.timed_out() {
+            return Flow::Stop(Outcome::Timeout);
         }
         Flow::Continue
     }
@@ -333,7 +469,7 @@ mod tests {
     use super::*;
     use cst::build_cst;
     use graph_core::generators::random_labelled_graph;
-    use graph_core::{BfsTree, Label, QueryVertexId};
+    use graph_core::{all_connected_orders, BfsTree, GraphBuilder, Label, QueryVertexId};
 
     fn l(x: u16) -> Label {
         Label::new(x)
@@ -408,29 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_timeout_reports_timeout() {
-        let (q, g, order, cstx) = setup(9);
-        let limits = RunLimits {
-            timeout: Some(std::time::Duration::ZERO),
-            ..RunLimits::unlimited()
-        };
-        // With a zero budget the first poll must trip (poll happens at the
-        // first partial because partials_generated starts at multiples of
-        // the mask + 1... force many partials by running the search).
-        let (o, _) = run_backtrack(
-            &q,
-            &g,
-            &cstx,
-            &order,
-            ExtensionMethod::Intersection,
-            &limits,
-        );
-        // Tiny searches may finish before the first poll; accept either but
-        // require no panic. Larger searches are covered by baseline tests.
-        assert!(matches!(o, Outcome::Completed | Outcome::Timeout));
-    }
-
-    #[test]
     fn intersect_sorted_matches_naive_for_both_strategies() {
         let naive = |a: &[u32], b: &[u32]| -> Vec<u32> {
             a.iter().copied().filter(|x| b.contains(x)).collect()
@@ -473,5 +586,229 @@ mod tests {
         if s.partials_generated > cstx.candidate_count(qv(0)) as u64 {
             assert!(s.intersection_elements > 0);
         }
+    }
+
+    /// SplitMix64, the seeded stream behind [`label_blocked_graph`].
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// `true` with probability `p`.
+        fn chance(&mut self, p: f64) -> bool {
+            ((self.next() >> 11) as f64) < p * (1u64 << 53) as f64
+        }
+    }
+
+    /// A graph whose labels each hold one contiguous block of ids,
+    /// `sizes[label]` vertices, so candidates of different labels never
+    /// interleave by id (what a closing run needs, and what
+    /// [`random_labelled_graph`] never gives). Vertices of labels `a` and
+    /// `b` are joined with probability `p(a, b)`; for each `(a, b)` in
+    /// `one_of`, every label-`a` vertex gets one label-`b` neighbour (LDBC's
+    /// reply-of and has-creator links).
+    fn label_blocked_graph(
+        seed: u64,
+        sizes: &[u32],
+        p: impl Fn(u16, u16) -> f64,
+        one_of: &[(u16, u16)],
+    ) -> Graph {
+        let mut rng = SplitMix(seed);
+        let mut b = GraphBuilder::new();
+        let blocks: Vec<std::ops::Range<u32>> = (0..sizes.len())
+            .map(|label| {
+                let first = b.add_vertices(sizes[label] as usize, l(label as u16));
+                first.raw()..first.raw() + sizes[label]
+            })
+            .collect();
+        let label_of = |v: u32| blocks.iter().position(|r| r.contains(&v)).unwrap() as u16;
+        let n = b.vertex_count() as u32;
+        for i in 0..n {
+            for j in i + 1..n {
+                if rng.chance(p(label_of(i), label_of(j))) {
+                    b.add_edge(VertexId::new(i), VertexId::new(j)).unwrap();
+                }
+            }
+        }
+        for &(a, to) in one_of {
+            let to = &blocks[to as usize];
+            for v in blocks[a as usize].clone() {
+                let w = to.start + (rng.next() % to.len() as u64) as u32;
+                b.add_edge(VertexId::new(v), VertexId::new(w)).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    /// Cycle queries on [`label_blocked_graph`]s. Whether the last depth
+    /// closes a cycle depends on the root and the order; the test tries them
+    /// all.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// A 4-cycle of four labels over sparse label pairs.
+        Square,
+        /// q1's shape: Person knows Person, one wrote a Post, the other a
+        /// Comment replying to it. Every Comment has one Post and one
+        /// creator, so a closing Comment's reverse list has one entry.
+        ReplyOf,
+        /// A 4-cycle over dense label pairs: reverse lists as long as the
+        /// windows, so the walk guard declines runs.
+        Dense,
+        /// A 4-cycle labelled 0, 1, 0, 1: an earlier depth shares the last
+        /// depth's label, so the id ranges overlap, and its vertex lies in
+        /// every last-depth intersection (a visited rejection each time).
+        Alternating,
+    }
+
+    impl Shape {
+        const ALL: [Shape; 4] = [
+            Shape::Square,
+            Shape::ReplyOf,
+            Shape::Dense,
+            Shape::Alternating,
+        ];
+
+        fn instance(self, seed: u64) -> (QueryGraph, Graph) {
+            let ring: [(usize, usize); 4] = [(0, 1), (1, 2), (2, 3), (3, 0)];
+            let sizes: Vec<u32> = (0..4).map(|i| 12 + ((seed + i) % 7) as u32).collect();
+            let (labels, edges, g) = match self {
+                Shape::Square => {
+                    let p = |a: u16, b: u16| if a == b { 0.0 } else { 0.15 };
+                    (
+                        vec![0, 1, 2, 3],
+                        ring,
+                        label_blocked_graph(seed, &sizes, p, &[]),
+                    )
+                }
+                // Labels: 0 Person (knows), 1 Post, 2 Comment.
+                Shape::ReplyOf => {
+                    let p = |a: u16, b: u16| match (a.min(b), a.max(b)) {
+                        (0, 0) => 0.3,
+                        (0, 1) => 0.1,
+                        _ => 0.0,
+                    };
+                    let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
+                    let g = label_blocked_graph(seed, &sizes[..3], p, &[(2, 1), (2, 0)]);
+                    (vec![0, 0, 1, 2], edges, g)
+                }
+                Shape::Dense => {
+                    let p = |a: u16, b: u16| if a.abs_diff(b) % 2 == 1 { 0.6 } else { 0.0 };
+                    (
+                        vec![0, 1, 2, 3],
+                        ring,
+                        label_blocked_graph(seed, &sizes, p, &[]),
+                    )
+                }
+                Shape::Alternating => {
+                    let p = |a: u16, b: u16| if a == b { 0.05 } else { 0.2 };
+                    (
+                        vec![0, 1, 0, 1],
+                        ring,
+                        label_blocked_graph(seed, &sizes[..2], p, &[]),
+                    )
+                }
+            };
+            (
+                QueryGraph::new(labels.into_iter().map(l).collect(), &edges).unwrap(),
+                g,
+            )
+        }
+    }
+
+    /// A count-only intersection search counts sibling runs wherever the
+    /// last depth closes a cycle; a no-op sink forces the same search down
+    /// the per-partial path. Every [`EngineStats`] field must agree on every
+    /// [`Shape`] under every root and connected order, and each shape must
+    /// see what it is there for: runs counted on `Square` and `ReplyOf`,
+    /// runs declined by the walk guard on `Dense`.
+    ///
+    /// Mutations of [`Search::close`] that fail it: `intersection_elements`
+    /// taken as the anchor's degree instead of its minimum with the
+    /// validator list; the walk guard dropped (`Dense` declines nothing);
+    /// runs allowed when an earlier depth's id range overlaps `C(u)`
+    /// (`Alternating`'s visited rejections become embeddings).
+    #[test]
+    fn closing_runs_match_the_per_partial_path() {
+        let unlimited = RunLimits::unlimited();
+        for shape in Shape::ALL {
+            let mut runs = [0u64; 2];
+            for seed in 0..8 {
+                let (q, g) = shape.instance(seed);
+                for root in q.vertices() {
+                    let tree = BfsTree::new(&q, root);
+                    let cst = build_cst(&q, &g, &tree);
+                    for order in all_connected_orders(&q, root) {
+                        let at = format!("{shape:?} seed {seed} order {:?}", order.as_slice());
+                        let method = ExtensionMethod::Intersection;
+                        let counted = backtrack(&q, &g, &cst, &order, method, &unlimited, None);
+                        let mut noop = |_: &[VertexId]| {};
+                        let sink = Some(&mut noop as Sink<'_>);
+                        let per_partial = backtrack(&q, &g, &cst, &order, method, &unlimited, sink);
+                        assert_eq!(per_partial.2, [0, 0], "{at}: a sink takes no runs");
+                        assert_eq!(counted.0, Outcome::Completed, "{at}");
+                        assert_eq!(counted.1, per_partial.1, "{at}");
+                        let oracle = cst::count_embeddings(&cst, &q, &order);
+                        assert_eq!(counted.1.embeddings, oracle, "{at}");
+                        runs[0] += counted.2[0];
+                        runs[1] += counted.2[1];
+                    }
+                }
+            }
+            match shape {
+                Shape::Square | Shape::ReplyOf => assert!(runs[0] > 0, "{shape:?} {runs:?}"),
+                Shape::Dense => assert!(runs[1] > 0, "{shape:?} {runs:?}"),
+                Shape::Alternating => {}
+            }
+        }
+    }
+
+    /// With a zero budget, a search past the first poll stops with
+    /// `Timeout`, both when it counts closing runs and down the per-partial
+    /// path. On this shape only the last depth crosses a poll boundary
+    /// (1,884 partials above it, 20,736 at it), so the counted search stops
+    /// only if a bulk add polls the deadline: dropping that poll from
+    /// [`Search::close`] fails this test.
+    #[test]
+    fn zero_timeout_stops_at_the_first_poll_on_either_path() {
+        // Four blocks of 12, each joined to the next around the ring.
+        let ring = [(0, 1), (1, 2), (2, 3), (3, 0)];
+        let q = QueryGraph::new((0..4).map(l).collect(), &ring).unwrap();
+        let p = |a: u16, b: u16| {
+            if (a + 1) % 4 == b || (b + 1) % 4 == a {
+                1.0
+            } else {
+                0.0
+            }
+        };
+        let g = label_blocked_graph(0, &[12; 4], p, &[]);
+        let tree = BfsTree::new(&q, qv(0));
+        let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).unwrap();
+        let cst = build_cst(&q, &g, &tree);
+        let method = ExtensionMethod::Intersection;
+
+        let (outcome, stats, runs) =
+            backtrack(&q, &g, &cst, &order, method, &RunLimits::unlimited(), None);
+        assert_eq!(outcome, Outcome::Completed);
+        assert_eq!(stats.embeddings, 12u64.pow(4));
+        assert_eq!(runs, [144, 0], "every depth-2 node counts its 12 siblings");
+        assert!(stats.partials_generated - stats.embeddings < TIMEOUT_POLL_MASK);
+        assert!(stats.partials_generated > TIMEOUT_POLL_MASK);
+
+        let zero = RunLimits {
+            timeout: Some(std::time::Duration::ZERO),
+            ..RunLimits::unlimited()
+        };
+        let (outcome, _, runs) = backtrack(&q, &g, &cst, &order, method, &zero, None);
+        assert_eq!(outcome, Outcome::Timeout);
+        assert!(runs[0] > 0);
+        let (outcome, _) =
+            run_backtrack_with_sink(&q, &g, &cst, &order, method, &zero, &mut |_| {});
+        assert_eq!(outcome, Outcome::Timeout);
     }
 }
