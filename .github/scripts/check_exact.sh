@@ -6,11 +6,12 @@
 # CST sizes are
 # functions of the code and the seed-independent inputs, so a host-speed
 # change that shifts any of them changed the decomposition, not only its
-# speed. The one-shot run is the only one whose builds scan top-down
-# (`topdown_entries` is 0 under serving, where every shard is probe-seeded),
-# so the construct counters are pinned on it too. The cold-serving run is
-# the one that goes through the shard
-# planner — a planner that starts choosing different shard counts moves its
+# speed. Both flows' builds scan top-down: a cold serving session builds one
+# contiguous shard with no probe and no seeding (the T = 1 rule of
+# `FastConfig::build_options`), so the construct counters are pinned on the
+# one-shot and the cold-serving run. The cold-serving run is also the one
+# whose partitioner fans out at the root (`PartitionConfig::root_fanout`,
+# 16 chunks at the first split): a change to the fan-out moves its
 # partition and kernel counters. The warm run is the one a kernel-speed
 # claim is made on: the same kernel work as the cold run, every session a
 # tier-2 hit, nothing evicted (structural on a fully primed cache under the
@@ -57,29 +58,44 @@ check oneshot_dg10 '{
     "cst.construct.cst_bytes": 44741112
 }'
 
+# Serving re-pinned when cold sessions stopped probing and seeding 16 shard
+# builds and built one CST fanned out at the root instead:
+# - partitions 217 -> 257: the fan-out cuts every multi-candidate root into
+#   16 children, also on q1-q3 and q8, whose plans had one shard;
+# - kernel n/m/rounds/cycles fall (n 34268995 -> 32931199): the kernel
+#   searches the fan-out's children, each forward-pruned to its root chunk
+#   by Algorithm 2's labels, instead of the planned shards' partitions;
+# - cst_bytes 12401300 -> 13469812 and adjacency_entries 2077198 ->
+#   2518998: one unsharded CST per query is bigger than the 16 shard CSTs
+#   that bottom-up refinement narrowed chunk by chunk;
+# - seeded_share 1 -> 0 and topdown_entries pinned: nothing is seeded, so
+#   every build scans top-down.
 check serve_cold_dg03 '{
-    "cst.partition.partitions": 217,
+    "cst.partition.partitions": 257,
     "cst.partition.forced": 0,
-    "fast.kernel.n": 34268995,
-    "fast.kernel.m": 35353910,
-    "fast.kernel.rounds": 71106,
-    "fast.kernel.cycles": 71209722,
-    "cst.construct.cst_bytes": 12401300,
-    "cst.construct.adjacency_entries": 2077198,
-    "cst.pipeline.seeded_share": 1
+    "fast.kernel.n": 32931199,
+    "fast.kernel.m": 33993582,
+    "fast.kernel.rounds": 68516,
+    "fast.kernel.cycles": 68511616,
+    "cst.construct.cst_bytes": 13469812,
+    "cst.construct.adjacency_entries": 2518998,
+    "cst.construct.topdown_entries": 2568522,
+    "cst.pipeline.seeded_share": 0
 }'
 
 check serve_warm_dg03 '{
-    "fast.kernel.n": 34268995,
-    "fast.kernel.m": 35353910,
-    "fast.kernel.rounds": 71106,
-    "fast.kernel.cycles": 71209722,
+    "fast.kernel.n": 32931199,
+    "fast.kernel.m": 33993582,
+    "fast.kernel.rounds": 68516,
+    "fast.kernel.cycles": 68511616,
     "serve.cache.cst_hit_rate": 1,
     "serve.cache.evictions": 0
 }'
 
+# intersection_elements 2765533 -> 2506293 with the serve blocks above: the
+# engine searches the same root-fanned partitions the kernel does.
 check serve_warm_cpu_dg03 '{
-    "matching.engine.intersection_elements": 2765533,
+    "matching.engine.intersection_elements": 2506293,
     "serve.cache.cst_hit_rate": 1,
     "serve.cache.evictions": 0
 }'

@@ -10,7 +10,11 @@
 //! never duplicated.
 //!
 //! The greedy `k = max(|CST|/δ_S, D_CST/δ_D)` is the paper's default; a
-//! fixed-`k` mode reproduces the Fig. 8 ablation.
+//! fixed-`k` mode reproduces the Fig. 8 ablation. A *root fan-out* `S`
+//! ([`PartitionConfig::root_fanout`]) raises the first split, at order
+//! position 0, to at least `min(S, |C(root)|)` chunks even when the CST
+//! fits: the same root localisation a sharded build gives, obtained from one
+//! build. Deeper splits stay greedy.
 //!
 //! A split costs one pass over the parent plus the children it emits
 //! (DESIGN.md §3): `label` marks every candidate with the set of children
@@ -42,6 +46,12 @@ pub struct PartitionConfig {
     /// `Some(k)` forces a fixed partition factor (Fig. 8); `None` uses the
     /// paper's greedy ratio rule.
     pub fixed_k: Option<u32>,
+    /// Root fan-out `S`: the first split, at order position 0, cuts the
+    /// root's candidates into `k = max(k, S)` chunks (at most `|C(root)|`),
+    /// and happens even when the CST fits, so one build reaches the
+    /// devices as up to `S` root-localised children. Only that split fans
+    /// out. `1` is Algorithm 2 as published.
+    pub root_fanout: usize,
 }
 
 impl Default for PartitionConfig {
@@ -53,6 +63,7 @@ impl Default for PartitionConfig {
             delta_d: 4096,
             footprint_budget: None,
             fixed_k: None,
+            root_fanout: 1,
         }
     }
 }
@@ -120,7 +131,8 @@ pub fn partition_cst_with_steal(
         return stats;
     }
     let metrics = cst.metrics();
-    if metrics_fit(&metrics, config) {
+    let fanout = config.root_fanout.min(cst.candidate_count(order.first()));
+    if fanout <= 1 && metrics_fit(&metrics, config) {
         stats.partitions = 1;
         sink(cst.clone());
         return stats;
@@ -135,7 +147,7 @@ pub fn partition_cst_with_steal(
         emitter: Emitter::new(cst),
         planes: Vec::new(),
     };
-    if splitter.visit(cst, metrics, 0) {
+    if splitter.visit(cst, metrics, 0, fanout) {
         (splitter.sink)(cst.clone());
     }
     splitter.stats
@@ -214,7 +226,10 @@ impl Splitter<'_> {
     /// first position from `index` with more than one candidate, re-offering
     /// it at every position it passes. Returns `true` when no position is
     /// left and the caller has to emit `cst` itself (counted as `forced`).
-    fn visit(&mut self, cst: &Cst, metrics: CstMetrics, mut index: usize) -> bool {
+    /// `fanout` is the split's lower bound on `k`: the root fan-out for the
+    /// whole CST's first split (whose root has that many candidates), 1
+    /// below it.
+    fn visit(&mut self, cst: &Cst, metrics: CstMetrics, mut index: usize, fanout: usize) -> bool {
         let (vertex, count) = loop {
             self.stats.max_index = self.stats.max_index.max(index);
             if (self.steal)(cst) {
@@ -251,6 +266,7 @@ impl Splitter<'_> {
                 by_size.max(by_degree).max(by_footprint)
             }
         }
+        .max(fanout)
         .clamp(2, count);
 
         let mut plane = self.planes.pop().unwrap_or_default();
@@ -291,7 +307,7 @@ impl Splitter<'_> {
                     continue;
                 }
                 let next = index + usize::from(sub.candidate_count(vertex) <= 1);
-                if self.visit(&sub, metrics, next) {
+                if self.visit(&sub, metrics, next, 1) {
                     (self.sink)(sub);
                 }
             }
@@ -625,6 +641,7 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: None,
+            root_fanout: 1,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         assert!(parts.len() >= 2, "expected a real split");
@@ -646,6 +663,7 @@ mod tests {
                 delta_d: u32::MAX,
                 footprint_budget: None,
                 fixed_k: None,
+                root_fanout: 1,
             };
             let (parts, _) = partition_cst(&cst, &order, &config);
             let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
@@ -663,6 +681,7 @@ mod tests {
                 delta_d: u32::MAX,
                 footprint_budget: None,
                 fixed_k: Some(k),
+                root_fanout: 1,
             };
             let (parts, _) = partition_cst(&cst, &order, &config);
             let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
@@ -682,6 +701,7 @@ mod tests {
             delta_d: d / 2,
             footprint_budget: None,
             fixed_k: None,
+            root_fanout: 1,
         };
         let (parts, _) = partition_cst(&cst, &order, &config);
         assert!(!parts.is_empty());
@@ -709,6 +729,7 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: None,
+            root_fanout: 1,
         };
         let (parts, _) = partition_cst(&cst, &order, &config);
         for p in &parts {
@@ -726,6 +747,7 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k,
+            root_fanout: 1,
         };
         let (greedy, _) = partition_cst(&cst, &order, &mk(None));
         let (k2, _) = partition_cst(&cst, &order, &mk(Some(2)));
@@ -746,6 +768,7 @@ mod tests {
             delta_d: u32::MAX,
             footprint_budget: Some(budget),
             fixed_k: None,
+            root_fanout: 1,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         assert!(parts.len() >= 2, "footprint check must trigger a split");
@@ -794,5 +817,172 @@ mod tests {
             delta_d: 0,
             ..PartitionConfig::default()
         });
+    }
+
+    /// Embeddings of `q` in `g` by definition: injective, label-preserving
+    /// maps keeping every query edge, extended along `order` (whose every
+    /// vertex after the first has an earlier neighbour). The same count as
+    /// `matching::vf2_count`, which this crate cannot depend on.
+    fn count_by_definition(q: &QueryGraph, g: &graph_core::Graph, order: &MatchingOrder) -> u64 {
+        fn extend(
+            q: &QueryGraph,
+            g: &graph_core::Graph,
+            order: &MatchingOrder,
+            at: usize,
+            mapped: &mut [Option<VertexId>],
+        ) -> u64 {
+            if at == order.len() {
+                return 1;
+            }
+            let u = order.vertex_at(at);
+            let anchor = q.neighbors(u).find_map(|w| mapped[w.index()]);
+            let pool: Vec<VertexId> = match anchor {
+                Some(v) => g.neighbors(v).to_vec(),
+                None => g.vertices().collect(),
+            };
+            let mut total = 0;
+            for v in pool {
+                let fits = g.label(v) == q.label(u)
+                    && !mapped.contains(&Some(v))
+                    && q.neighbors(u)
+                        .all(|w| mapped[w.index()].is_none_or(|m| g.has_edge(v, m)));
+                if fits {
+                    mapped[u.index()] = Some(v);
+                    total += extend(q, g, order, at + 1, mapped);
+                    mapped[u.index()] = None;
+                }
+            }
+            total
+        }
+        extend(q, g, order, 0, &mut vec![None; q.vertex_count()])
+    }
+
+    /// The root fan-out (`PartitionConfig::root_fanout`) on generated
+    /// graphs, from every root, for S ∈ {1, 2, 3, 16, 64}:
+    ///
+    /// * under thresholds that everything fits, the first split still cuts
+    ///   `C(root)` into `min(S, |C(root)|)` even chunks, in order, each a
+    ///   child's whole root set (a chunk whose child is empty is counted as
+    ///   skipped), so the chunks are disjoint and cover `C(root)`;
+    /// * under thresholds that force recursion, the stream is the first
+    ///   split's children, each partitioned greedily with no fan-out;
+    /// * with S = 1 `partition_cst_with_steal` is Algorithm 2 as published,
+    ///   bit for bit: a fitting CST whole, otherwise the identity above
+    ///   with the greedy first split;
+    /// * every stream's embeddings sum to the whole CST's count and to the
+    ///   definition's count over `G`.
+    ///
+    /// Mutations it catches: no fan-out when the CST fits (one partition
+    /// instead of the chunks), an off-by-one chunk bound (chunks of the
+    /// wrong size or count, or a candidate in no chunk), the fan-out
+    /// re-applied below the first split (a child re-split at its root into
+    /// S chunks instead of greedily), and a fitting CST split at S = 1.
+    #[test]
+    fn root_fanout_cuts_the_first_split_only() {
+        let queries = [
+            QueryGraph::new(
+                vec![l(0), l(1), l(0), l(1)],
+                &[(0, 1), (1, 2), (2, 3), (3, 0)],
+            )
+            .unwrap(),
+            QueryGraph::new(
+                vec![l(0), l(1), l(1), l(0)],
+                &[(0, 1), (1, 2), (0, 2), (2, 3)],
+            )
+            .unwrap(),
+        ];
+        let collect = |cst: &Cst, order: &MatchingOrder, config: &PartitionConfig| {
+            let mut parts = Vec::new();
+            let stats = partition_cst_with_steal(cst, order, config, &mut |_| false, &mut |p| {
+                parts.push(p)
+            });
+            (parts, stats)
+        };
+        let mut fanned_out = 0;
+        for (qi, q) in queries.iter().enumerate() {
+            for seed in [31, 32] {
+                let g = random_labelled_graph(80, 0.12, 2, seed);
+                for root in q.vertices() {
+                    let tree = BfsTree::new(q, root);
+                    let order = MatchingOrder::new(q, tree.bfs_order().to_vec()).unwrap();
+                    let cst = build_cst(q, &g, &tree);
+                    let whole = count_embeddings(&cst, q, &order);
+                    assert_eq!(
+                        whole,
+                        count_by_definition(q, &g, &order),
+                        "q{qi} seed {seed}"
+                    );
+                    let roots = cst.candidate_count(root);
+                    let loose = PartitionConfig {
+                        delta_s: usize::MAX,
+                        delta_d: u32::MAX,
+                        ..PartitionConfig::default()
+                    };
+                    let tight = PartitionConfig {
+                        delta_s: cst.payload_bytes().div_ceil(8).max(1),
+                        ..loose.clone()
+                    };
+                    let greedy = cst.payload_bytes().div_ceil(tight.delta_s);
+                    for fanout in [1, 2, 3, 16, 64] {
+                        let case = format!("q{qi} seed {seed} root {root:?} S={fanout}");
+                        let with = |config: &PartitionConfig, root_fanout| PartitionConfig {
+                            root_fanout,
+                            ..config.clone()
+                        };
+                        for config in [&loose, &tight] {
+                            let (parts, _) = collect(&cst, &order, &with(config, fanout));
+                            let sum: u64 =
+                                parts.iter().map(|p| count_embeddings(p, q, &order)).sum();
+                            assert_eq!(sum, whole, "{case}");
+                        }
+                        if fanout == 1 {
+                            // Algorithm 2 as published: a CST that fits is
+                            // emitted whole.
+                            let (parts, stats) = collect(&cst, &order, &loose);
+                            assert_eq!(stats.partitions, 1, "{case}");
+                            assert_eq!(parts, std::slice::from_ref(&cst), "{case}");
+                        }
+                        if roots < 2 {
+                            continue;
+                        }
+                        if fanout > 1 {
+                            // The first split, on a CST that fits: even chunks.
+                            let (children, stats) = collect(&cst, &order, &with(&loose, fanout));
+                            let k = fanout.min(roots);
+                            assert_eq!(stats.partitions + stats.skipped_empty, k, "{case}");
+                            let all = cst.candidates(root);
+                            let mut chunks = (0..k).map(|c| {
+                                let start = |c: usize| c * (roots / k) + c.min(roots % k);
+                                &all[start(c)..start(c + 1)]
+                            });
+                            for child in &children {
+                                let own = child.candidates(root);
+                                assert!(
+                                    chunks.by_ref().any(|chunk| chunk == own),
+                                    "{case}: {own:?} is not the next chunk"
+                                );
+                            }
+                            fanned_out += 1;
+                        }
+
+                        // Below the first split (`max(greedy k, S)` chunks)
+                        // each child splits greedily, with no fan-out; at
+                        // S = 1 this is the whole greedy recursion.
+                        let first = with(&loose, greedy.max(fanout));
+                        let expected: Vec<Cst> = collect(&cst, &order, &first)
+                            .0
+                            .iter()
+                            .flat_map(|child| collect(child, &order, &tight).0)
+                            .collect();
+                        assert_eq!(
+                            collect(&cst, &order, &with(&tight, fanout)).0,
+                            expected,
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(fanned_out > 20, "too few fan-outs exercised: {fanned_out}");
     }
 }

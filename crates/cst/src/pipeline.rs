@@ -19,6 +19,15 @@
 //!   streamed straight into the partitioner ([`for_each_shard_cst`]) so
 //!   partitions reach the device while later shards are still being built.
 //!
+//! The host flows (`fast::FastConfig::build_options`) run this pipeline
+//! with more than one shard only above one host thread. At one thread they
+//! build a single contiguous shard ([`PipelineOptions::sequential`]): no
+//! probe, no plan scoring, no seeding. A serving session then gets the
+//! shards' root localisation from the partitioner instead, whose first
+//! split fans the root out into that many chunks
+//! (`crate::PartitionConfig::root_fanout`). So the planner and the seeded
+//! builds serve multi-threaded hosts only.
+//!
 //! # Determinism
 //!
 //! Every shard CST depends only on `(q, g, tree, options, shard index,

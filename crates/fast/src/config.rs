@@ -22,19 +22,23 @@ pub struct FastConfig {
     /// What to do with embeddings.
     pub collect: CollectMode,
     /// Host-side worker threads building shard CSTs (`cst::pipeline`).
-    /// Every flow is the same build → shard → partition stream; in the
-    /// one-shot flow (`run_fast`) `1` (default) selects
-    /// `cst::PipelineOptions::sequential` — one contiguous shard, the
-    /// paper's Fig. 2, so the sharding fields below have nothing to decide
-    /// there — and `> 1` builds the planned shards on worker threads
-    /// so offload overlaps construction. `prepare_partitions` (serving,
-    /// `run_multi_fpga`) shards for every value. Embedding counts are
-    /// identical for every value (`tests/prop_pipeline_parallel.rs`).
+    /// Every flow is the same build → shard → partition stream under one
+    /// rule, [`build_options`](Self::build_options): `1` (default) builds
+    /// one contiguous shard — the paper's Fig. 2, with no probe, no shard
+    /// plan and no seeding — and `> 1` builds the planned shards on worker
+    /// threads so offload overlaps construction. At `1`,
+    /// `prepare_partitions` (serving, `run_multi_fpga`) gets the shards'
+    /// root localisation from the partitioner instead: its first split fans
+    /// the root out into `pipeline_shards` chunks
+    /// (`cst::PartitionConfig::root_fanout`). Embedding counts are identical
+    /// for every value (`tests/prop_pipeline_parallel.rs`).
     pub host_threads: usize,
     /// Shard (batch) count of the host pipeline; `None` resolves to
     /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from
-    /// `host_threads`, so all downstream artefacts are thread-count
-    /// independent. This is the planner's shard-count *cap*.
+    /// `host_threads`, so the planned shards do not depend on how many
+    /// threads build them. At `host_threads > 1` this is the planner's
+    /// shard-count *cap*; at `1` it is `prepare_partitions`' root fan-out
+    /// (`run_fast` builds one shard and does not fan out).
     pub pipeline_shards: Option<usize>,
     /// Inert: there is one shard planner (`cst::planner`), so this field
     /// chooses nothing. It stays only because the benchmark assigns it.
@@ -125,11 +129,15 @@ impl FastConfig {
             footprint_budget: Some(budget.max(1)),
             // Greedy; the Fig. 8 ablation sets its `k` on this type itself.
             fixed_k: None,
+            // Only `prepare_partitions` fans out, and only at T = 1.
+            root_fanout: 1,
         }
     }
 
     /// The sharded-pipeline options induced by this configuration
-    /// (`cst::pipeline`) for a query with `query_len` vertices. The device's
+    /// (`cst::pipeline`) for a query with `query_len` vertices — what
+    /// [`build_options`](Self::build_options) builds with above one host
+    /// thread, and what the shard planner is keyed on. The device's
     /// raw δ_S BRAM grant rides along as the planner's partition hint, so
     /// the planner's ρ estimate sees the same budget the partitioner will
     /// split against.
@@ -143,6 +151,19 @@ impl FastConfig {
                     .cst_bram_budget(query_len, PARTIAL_SLOT_BYTES)
                     .max(1),
             ),
+        }
+    }
+
+    /// The options every host flow builds with — the T = 1 rule: one
+    /// contiguous shard at `host_threads = 1` (no probe, no plan scoring,
+    /// no seeding), the planned [`pipeline_options`](Self::pipeline_options)
+    /// above that. `run_fast`, `prepare_partitions` and a serving layer's
+    /// plan-cache key all derive from it, so they cannot disagree.
+    pub fn build_options(&self, query_len: usize) -> cst::PipelineOptions {
+        if self.host_threads > 1 {
+            self.pipeline_options(query_len)
+        } else {
+            cst::PipelineOptions::sequential(self.cst_options)
         }
     }
 

@@ -5,7 +5,9 @@
 //!    [`FastConfig::host_threads`] = 1 — the paper's sequential build —
 //!    and planned shards built on worker threads above that;
 //! 2. partition each shard CST, in shard order, to fit the kernel's BRAM
-//!    budget (Section V-B) and estimate every partition's `W_CST`;
+//!    budget (Section V-B) — [`prepare_partitions`]' one shard at T = 1
+//!    with its first split fanned out at the root — and estimate every
+//!    partition's `W_CST`;
 //! 3. offload partitions over the modelled PCIe link and run the emulated
 //!    kernel on each (Section VI), while FAST-SHARE books a bounded share of
 //!    partitions to the CPU (Algorithm 3) and steals oversized CSTs to skip
@@ -52,8 +54,8 @@ use crate::plan::{KernelPlan, PlanError};
 use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
-    estimate_workload, for_each_shard_cst_planned, partition_cst_with_steal, Cst, PipelineOptions,
-    ShardPlan,
+    estimate_workload, for_each_shard_cst_planned, partition_cst_with_steal, Cst, PartitionConfig,
+    PipelineOptions, ShardPlan, DEFAULT_SHARDS,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
@@ -261,12 +263,7 @@ fn run_fast_with_tree(
     config.validate()?;
     let wall_start = Instant::now();
     let plan = KernelPlan::new(q, order, tree)?;
-    // The T = 1 rule (`FastConfig::host_threads`): one contiguous shard.
-    let options = if config.host_threads > 1 {
-        config.pipeline_options(q.vertex_count())
-    } else {
-        PipelineOptions::sequential(config.cst_options)
-    };
+    let options = config.build_options(q.vertex_count());
     // The partitioner takes the steal hook and the sink as two independent
     // `&mut dyn FnMut`; both book into the same scheduler, so share it.
     let state = RefCell::new(OffloadState::new(config, &plan));
@@ -278,6 +275,7 @@ fn run_fast_with_tree(
         tree,
         order,
         &options,
+        1,
         false,
         config
             .variant
@@ -485,6 +483,7 @@ type StealHook<'a> = &'a mut dyn FnMut(&Cst, f64) -> bool;
 /// host flow is this function with a different consumer:
 /// [`prepare_partitions`] stages or dispatches the jobs, [`run_fast`] plugs
 /// in Algorithm 3, [`run_multi_fpga`](crate::run_multi_fpga) books cards.
+/// `root_fanout` is every shard's `cst::PartitionConfig::root_fanout`.
 ///
 /// `steal`, when given, is offered every oversized CST with its workload
 /// estimate before it is split; returning `true` consumes it (FAST-SHARE's
@@ -502,6 +501,7 @@ fn produce_partitions(
     tree: &BfsTree,
     order: &MatchingOrder,
     options: &PipelineOptions,
+    root_fanout: usize,
     capture: bool,
     mut steal: Option<StealHook<'_>>,
     sink: &mut dyn FnMut(PartitionJob),
@@ -528,7 +528,10 @@ fn produce_partitions(
             // Thresholds derive from each shard's own payload share — the
             // only CST-dependent input — so they too are thread-count
             // independent.
-            let partition_config = config.partition_config(q.vertex_count(), &shard.cst);
+            let partition_config = PartitionConfig {
+                root_fanout,
+                ..config.partition_config(q.vertex_count(), &shard.cst)
+            };
             let mut offer = |oversized: &Cst| match steal.as_mut() {
                 Some(steal) => steal(oversized, estimate_workload(oversized, tree).total),
                 None => false,
@@ -583,15 +586,21 @@ fn produce_partitions(
 }
 
 /// The prepare phase of Fig. 2 decoupled from execution: builds the CST on
-/// the sharded host pipeline ([`FastConfig::pipeline_options`], for every
-/// `host_threads`) and streams every partition into `sink` with its
-/// workload estimate, running **no** kernel and booking **no** CPU share —
-/// execution policy belongs to the caller. This is the per-session entry
-/// point of the serving layer (`serve`): the caller derives the tree/order
-/// once (reusing them for its cache key), and a cached [`ShardPlan`] in
-/// [`FastConfig::shard_plan`] skips the probe/boundary search exactly as
-/// in [`run_fast`]. The partition sequence is deterministic for every
-/// `host_threads` value.
+/// the host pipeline under the T = 1 rule ([`FastConfig::build_options`])
+/// and streams every partition into `sink` with its workload estimate,
+/// running **no** kernel and booking **no** CPU share — execution policy
+/// belongs to the caller. This is the per-session entry point of the
+/// serving layer (`serve`): the caller derives the tree/order once
+/// (reusing them for its cache key), and a cached [`ShardPlan`] in
+/// [`FastConfig::shard_plan`] skips the probe/boundary search exactly as in
+/// [`run_fast`].
+///
+/// At `host_threads = 1` the one shard is never probed, planned or seeded;
+/// its partitioner fans out at the root instead
+/// (`cst::PartitionConfig::root_fanout` = `pipeline_shards`, default
+/// [`cst::DEFAULT_SHARDS`]), so a device pool still receives that many
+/// root-localised partitions to spread. Above that the planned shards
+/// partition greedily. Either way the stream is deterministic.
 pub fn prepare_partitions(
     q: &QueryGraph,
     g: &Graph,
@@ -600,7 +609,12 @@ pub fn prepare_partitions(
     order: &MatchingOrder,
     sink: &mut dyn FnMut(PartitionJob),
 ) -> PreparePhase {
-    let options = config.pipeline_options(q.vertex_count());
+    let options = config.build_options(q.vertex_count());
+    let root_fanout = if config.host_threads > 1 {
+        1
+    } else {
+        config.pipeline_shards.unwrap_or(DEFAULT_SHARDS)
+    };
     produce_partitions(
         q,
         g,
@@ -608,6 +622,7 @@ pub fn prepare_partitions(
         tree,
         order,
         &options,
+        root_fanout,
         config.capture_prepared,
         None,
         sink,
@@ -749,6 +764,7 @@ fn finish_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::run_kernel;
     use graph_core::generators::random_labelled_graph;
     use graph_core::Label;
     use matching::vf2_count;
@@ -1090,6 +1106,47 @@ mod tests {
                 .collect();
             assert_eq!(plain, held, "q{qi}: partition stream drifted");
         }
+    }
+
+    /// The T = 1 rule holds for `prepare_partitions` too: one shard, never
+    /// probed, planned or seeded, and the root fanned out by the
+    /// partitioner instead. Above one thread it still plans and seeds.
+    #[test]
+    fn prepare_partitions_probes_only_above_one_thread() {
+        let q = queries().remove(2);
+        let g = random_labelled_graph(120, 0.15, 2, 920);
+        let tree = BfsTree::new(&q, select_root(&q, &g));
+        let order = path_based_order(&q, &tree, &g);
+        let mut config = FastConfig::test_small(Variant::Sep);
+        config.pipeline_shards = Some(4);
+        let expected = vf2_count(&q, &g);
+        let plan = KernelPlan::new(&q, &order, &tree).unwrap();
+        let run = |config: &FastConfig| {
+            let mut embeddings = 0;
+            let phase = prepare_partitions(&q, &g, config, &tree, &order, &mut |job| {
+                embeddings +=
+                    run_kernel(&job.cst, &plan, config.spec.no, CollectMode::CountOnly).embeddings;
+            });
+            assert_eq!(embeddings, expected, "host_threads={}", config.host_threads);
+            phase
+        };
+
+        let one = run(&config);
+        assert!(one.shard_plan.probe.is_none());
+        assert_eq!(one.shard_plan.probe_entries, 0);
+        assert_eq!((one.pipeline_shards, one.seeded_shards), (1, 0));
+        assert!(
+            one.build_topdown_entries > 0,
+            "the one shard scans top-down"
+        );
+        assert!(one.partitions >= 4, "the root fans out: {}", one.partitions);
+
+        config.host_threads = 2;
+        let two = run(&config);
+        assert!(two.shard_plan.probe.is_some());
+        assert!(two.pipeline_shards > 1);
+        assert_eq!(two.seeded_shards, two.pipeline_shards);
+        assert_eq!(two.build_topdown_entries, 0);
     }
 
     #[test]

@@ -471,8 +471,13 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     //   immediately. With tier 2 disabled the flight is released at plan
     //   publication (waiters need only the plan); with tier 2 enabled it
     //   is held through the build as above.
+    //
+    // The key and the plan come from `FastConfig::build_options`, the
+    // options `prepare_partitions` builds with. At `host_threads = 1` they
+    // are one shard: the plan is trivial, nothing probes or seeds, and the
+    // partitioner fans out at the root instead.
     let mut config = inner.config.fast.clone();
-    let pipe_opts = config.pipeline_options(q.vertex_count());
+    let pipe_opts = config.build_options(q.vertex_count());
     let epoch = tenant.epoch.load(Ordering::Relaxed);
     let key = PlanKey::derive(q, tree, &pipe_opts, epoch);
     let flight_key = (tenant.id, key);

@@ -30,7 +30,8 @@
 //!    artifact ([`fast::PreparedCsts`]) holds, as they are (zero
 //!    planning, zero build, zero partitioning); a plan-only hit rides the stored [`cst::ShardPlan`]
 //!    into [`fast::prepare_partitions`] through [`FastConfig::shard_plan`]
-//!    (probe skipped, build seeded); a full miss computes and publishes
+//!    (above one host thread: probe skipped, build seeded; at the default
+//!    one thread the plan is the trivial one-shard plan); a full miss computes and publishes
 //!    the plan, builds, and inserts the captured artifact into tier 2. A
 //!    session whose key is already being computed **parks** (its lane's
 //!    deficit round is told via `WrrQueue::park`; no executor thread
@@ -231,7 +232,8 @@ pub struct QueryReport {
     pub pipeline_shards: usize,
     /// Shards built from the cached/fresh plan's probe — a warm-cache
     /// session seeds every shard and skips the global top-down scan. 0 on
-    /// a tier-2 hit (nothing is built at all).
+    /// a tier-2 hit (nothing is built at all) and at `host_threads = 1`,
+    /// where the one shard is never probed.
     pub seeded_shards: usize,
     /// Wall time from worker pickup to completion (build + partition +
     /// inline emulated backends).

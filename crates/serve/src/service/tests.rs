@@ -222,7 +222,7 @@ fn foreign_shaped_artifact_under_the_same_key_is_ignored() {
     let tenant = Arc::clone(&service.inner.default_tenant);
     let key_of = |q: &QueryGraph| {
         let tree = BfsTree::new(q, graph_core::select_root(q, &g));
-        let options = service.inner.config.fast.pipeline_options(q.vertex_count());
+        let options = service.inner.config.fast.build_options(q.vertex_count());
         PlanKey::derive(q, &tree, &options, tenant.epoch.load(Ordering::Relaxed))
     };
     // Serve the 4-vertex query, then plant its artifact under the

@@ -53,6 +53,7 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k,
+            root_fanout: 1,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
@@ -79,6 +80,7 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: None,
+            root_fanout: 1,
         };
         let (parts, _) = partition_cst(&cst, &order, &config);
         for p in &parts {
@@ -108,6 +110,7 @@ proptest! {
             delta_d: d / 2,
             footprint_budget: None,
             fixed_k: None,
+            root_fanout: 1,
         };
         let (parts, stats) = partition_cst(&cst, &order, &config);
         let whole = count_embeddings(&cst, &q, &order);

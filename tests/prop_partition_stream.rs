@@ -410,6 +410,7 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: footprint.then(|| case.cst.size_bytes() / size_divisor + 64),
             fixed_k: None,
+            root_fanout: 1,
         };
         check(&case, &config, steal_every)?;
     }
@@ -431,6 +432,7 @@ proptest! {
             delta_d: d / degree_divisor,
             footprint_budget: None,
             fixed_k: None,
+            root_fanout: 1,
         };
         check(&case, &config, steal_every)?;
     }
@@ -457,6 +459,7 @@ proptest! {
             delta_d: u32::MAX,
             footprint_budget: None,
             fixed_k: Some(k),
+            root_fanout: 1,
         };
         check(&case, &config, steal_every)?;
     }
@@ -475,6 +478,7 @@ proptest! {
             delta_d: 1,
             footprint_budget: Some(1),
             fixed_k: None,
+            root_fanout: 1,
         };
         check(&case, &config, steal_every)?;
     }
