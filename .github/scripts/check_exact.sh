@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pins the exact (wall-clock-free) counters of one traced run each of
-# `oneshot_dg10`, `serve_cold_dg03`, `serve_warm_dg03` and
-# `serve_warm_cpu_dg03`: the partition
+# `oneshot_dg10`, `serve_cold_dg03`, `serve_warm_dg03`,
+# `serve_warm_cpu_dg03` and `sessions_10k_tiny`: the partition
 # stream, the kernel's work, the bytes shipped, the modelled seconds and the
 # CST sizes are
 # functions of the code and the seed-independent inputs, so a host-speed
@@ -11,11 +11,15 @@
 # `FastConfig::build_options`), so the construct counters are pinned on the
 # one-shot and the cold-serving run. The cold-serving run is also the one
 # whose partitioner fans out at the root (`PartitionConfig::root_fanout`,
-# 16 chunks at the first split): a change to the fan-out moves its
-# partition and kernel counters. The warm run is the one a kernel-speed
-# claim is made on: the same kernel work as the cold run, every session a
-# tier-2 hit, nothing evicted (structural on a fully primed cache under the
-# default budget). The warm CPU run is the one an engine-speed claim is made
+# 16 chunks at the first split; every DG03 query has W_CST / N_o >= 142, so
+# the work rule never caps it): a change to the fan-out moves its
+# partition and kernel counters. The tiny-sessions run is the one whose
+# fan-out the work rule caps: its triangle's CST has W_CST 1928 against
+# N_o 512, so each session dispatches floor(1928 / 512) = 3 root chunks.
+# The warm run is the one a kernel-speed claim is made on: the same kernel
+# work as the cold run, every session a tier-2 hit, nothing evicted
+# (structural on a fully primed cache under the default budget). The warm
+# CPU run is the one an engine-speed claim is made
 # on: the same service with two CPU shares, whose search work is
 # `matching.engine.intersection_elements`. Reads each run's last stdout line
 # (`{"correct": ..., "metrics": {name: {"value": ...}}}`).
@@ -96,6 +100,20 @@ check serve_warm_dg03 '{
 # engine searches the same root-fanned partitions the kernel does.
 check serve_warm_cpu_dg03 '{
     "matching.engine.intersection_elements": 2506293,
+    "serve.cache.cst_hit_rate": 1,
+    "serve.cache.evictions": 0
+}'
+
+# The fan-out is capped at floor(W_CST / N_o) chunks, so no chunk carries
+# less than one kernel round of estimated work. Before the cap each session
+# dispatched 16 quarter-round partitions (n 1626, m 1155, rounds 48, cycles
+# 3252); three root chunks each prune less than sixteen did, so n and cycles
+# rise while rounds fall.
+check sessions_10k_tiny '{
+    "fast.kernel.n": 2381,
+    "fast.kernel.m": 1910,
+    "fast.kernel.rounds": 12,
+    "fast.kernel.cycles": 4762,
     "serve.cache.cst_hit_rate": 1,
     "serve.cache.evictions": 0
 }'

@@ -29,7 +29,7 @@ pub struct FastConfig {
     /// threads so offload overlaps construction. At `1`,
     /// `prepare_partitions` (serving, `run_multi_fpga`) gets the shards'
     /// root localisation from the partitioner instead: its first split fans
-    /// the root out into `pipeline_shards` chunks
+    /// the root out into at most `pipeline_shards` chunks
     /// (`cst::PartitionConfig::root_fanout`). Embedding counts are identical
     /// for every value (`tests/prop_pipeline_parallel.rs`).
     pub host_threads: usize,
@@ -37,7 +37,9 @@ pub struct FastConfig {
     /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from
     /// `host_threads`, so the planned shards do not depend on how many
     /// threads build them. At `host_threads > 1` this is the planner's
-    /// shard-count *cap*; at `1` it is `prepare_partitions`' root fan-out
+    /// shard-count *cap*; at `1` it caps `prepare_partitions`' root fan-out,
+    /// which cuts at most `⌊W_CST / N_o⌋` chunks (at least 1) so that no
+    /// chunk carries less than one kernel round of estimated work
     /// (`run_fast` builds one shard and does not fan out).
     pub pipeline_shards: Option<usize>,
     /// Inert: there is one shard planner (`cst::planner`), so this field

@@ -6,8 +6,8 @@
 //!    and planned shards built on worker threads above that;
 //! 2. partition each shard CST, in shard order, to fit the kernel's BRAM
 //!    budget (Section V-B) — [`prepare_partitions`]' one shard at T = 1
-//!    with its first split fanned out at the root — and estimate every
-//!    partition's `W_CST`;
+//!    with its first split fanned out at the root into at most
+//!    `⌊W_CST / N_o⌋` chunks — and estimate every partition's `W_CST`;
 //! 3. offload partitions over the modelled PCIe link and run the emulated
 //!    kernel on each (Section VI), while FAST-SHARE books a bounded share of
 //!    partitions to the CPU (Algorithm 3) and steals oversized CSTs to skip
@@ -483,16 +483,18 @@ type StealHook<'a> = &'a mut dyn FnMut(&Cst, f64) -> bool;
 /// host flow is this function with a different consumer:
 /// [`prepare_partitions`] stages or dispatches the jobs, [`run_fast`] plugs
 /// in Algorithm 3, [`run_multi_fpga`](crate::run_multi_fpga) books cards.
-/// `root_fanout` is every shard's `cst::PartitionConfig::root_fanout`.
+/// `root_fanout` caps every shard's `cst::PartitionConfig::root_fanout`:
+/// above 1 it is sized by the shard's own `W_CST` ([`work_sized_fanout`]),
+/// the one estimate run before a split.
 ///
 /// `steal`, when given, is offered every oversized CST with its workload
 /// estimate before it is split; returning `true` consumes it (FAST-SHARE's
 /// "directly assign it to CPU, reducing the cost of partitioning"). Without
-/// one, nothing is estimated before a split. With `capture` the shard CSTs
-/// and the emitted jobs are also kept as [`PreparePhase::prepared`] — only
-/// meaningful without a steal hook, since a stolen CST never reaches the
-/// stream. The stream is deterministic for every thread count
-/// (`cst::pipeline` docs).
+/// one, only a shard whose root fans out is estimated before a split. With
+/// `capture` the shard CSTs and the emitted jobs are also kept as
+/// [`PreparePhase::prepared`] — only meaningful without a steal hook, since
+/// a stolen CST never reaches the stream. The stream is deterministic for
+/// every thread count (`cst::pipeline` docs).
 #[allow(clippy::too_many_arguments)]
 fn produce_partitions(
     q: &QueryGraph,
@@ -528,8 +530,9 @@ fn produce_partitions(
             // Thresholds derive from each shard's own payload share — the
             // only CST-dependent input — so they too are thread-count
             // independent.
+            let fanout = work_sized_fanout(&shard.cst, tree, order, root_fanout, config.spec.no);
             let partition_config = PartitionConfig {
-                root_fanout,
+                root_fanout: fanout,
                 ..config.partition_config(q.vertex_count(), &shard.cst)
             };
             let mut offer = |oversized: &Cst| match steal.as_mut() {
@@ -585,6 +588,25 @@ fn produce_partitions(
     }
 }
 
+/// The root fan-out sized by the work it spreads: at most
+/// `⌊W_CST / n_o⌋` chunks of `cst`, clamped to `[1, fanout]`, so no chunk
+/// carries less than one kernel round (`N_o` partials) of estimated work.
+/// A fan-out of 1 or a single root candidate is returned as is, without
+/// running the estimate.
+fn work_sized_fanout(
+    cst: &Cst,
+    tree: &BfsTree,
+    order: &MatchingOrder,
+    fanout: usize,
+    n_o: u32,
+) -> usize {
+    if fanout <= 1 || cst.candidate_count(order.first()) <= 1 {
+        return fanout;
+    }
+    let rounds = estimate_workload(cst, tree).total / f64::from(n_o.max(1));
+    (rounds.floor() as usize).clamp(1, fanout)
+}
+
 /// The prepare phase of Fig. 2 decoupled from execution: builds the CST on
 /// the host pipeline under the T = 1 rule ([`FastConfig::build_options`])
 /// and streams every partition into `sink` with its workload estimate,
@@ -596,11 +618,13 @@ fn produce_partitions(
 /// [`run_fast`].
 ///
 /// At `host_threads = 1` the one shard is never probed, planned or seeded;
-/// its partitioner fans out at the root instead
-/// (`cst::PartitionConfig::root_fanout` = `pipeline_shards`, default
-/// [`cst::DEFAULT_SHARDS`]), so a device pool still receives that many
-/// root-localised partitions to spread. Above that the planned shards
-/// partition greedily. Either way the stream is deterministic.
+/// its partitioner fans out at the root instead, into
+/// `cst::PartitionConfig::root_fanout = clamp(⌊W_CST / N_o⌋, 1, S)` chunks
+/// with `S = pipeline_shards` (default [`cst::DEFAULT_SHARDS`]), so a
+/// device pool still receives root-localised partitions to spread and no
+/// chunk of the fan-out carries less than one kernel round of estimated
+/// work. Above that the planned shards partition greedily. Either way the
+/// stream is deterministic.
 pub fn prepare_partitions(
     q: &QueryGraph,
     g: &Graph,
@@ -1147,6 +1171,111 @@ mod tests {
         assert!(two.pipeline_shards > 1);
         assert_eq!(two.seeded_shards, two.pipeline_shards);
         assert_eq!(two.build_topdown_entries, 0);
+    }
+
+    /// The root fan-out is sized by the work it spreads. On generated
+    /// graphs, from every root, for S ∈ {2, 4, 16} and N_o = 16, under a BRAM
+    /// everything fits and under `FpgaSpec::test_small`'s:
+    ///
+    /// * `prepare_partitions`' stream at T = 1 is `partition_cst_with_steal`
+    ///   on the built shard CST with `root_fanout = clamp(⌊W/N_o⌋, 1, S)`,
+    ///   `W` the whole shard's `W_CST`;
+    /// * so it is Algorithm 2 as published (one whole partition when the CST
+    ///   fits) when `W < 2·N_o`, and the full S-way cut when `W ≥ S·N_o`;
+    /// * its partitions' embeddings sum to `vf2_count`;
+    /// * `run_fast` never fans out: it emits the unfanned stream;
+    /// * a fan-out of 1 returns before the estimate runs (a tree of a larger
+    ///   query, which the DP would index out of range, stands in for it).
+    ///
+    /// Mutations it catches: ceil for floor, a missing S cap, `W` taken from
+    /// a partition instead of the whole shard, the rule applied in
+    /// `run_fast`, and estimating when S = 1.
+    #[test]
+    fn root_fanout_is_sized_by_the_shard_workload() {
+        let n_o = 16u32;
+        let per_round = f64::from(n_o);
+        let larger =
+            QueryGraph::new(vec![l(0); 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
+        let larger_tree = BfsTree::new(&larger, larger.vertices().next().unwrap());
+        let mut cases = Vec::new();
+        for (qi, q) in queries().into_iter().enumerate() {
+            for (vertices, seed) in [(16, 962), (24, 963), (40, 960), (90, 961)] {
+                let g = random_labelled_graph(vertices, 0.15, 2, seed);
+                let expected = vf2_count(&q, &g);
+                for mut config in [
+                    FastConfig::for_variant(Variant::Sep),
+                    FastConfig::test_small(Variant::Sep),
+                ] {
+                    config.spec.no = n_o;
+                    for fanout in [2, 4, 16] {
+                        config.pipeline_shards = Some(fanout);
+                        let case = format!("q{qi} seed {seed} S={fanout}");
+                        cases.push((case, q.clone(), g.clone(), expected, config.clone()));
+                    }
+                }
+            }
+        }
+        let (mut whole, mut capped, mut full) = (0, 0, 0);
+        for (case, q, g, expected, mut config) in cases {
+            let fanout = config.pipeline_shards.unwrap();
+            for root in q.vertices() {
+                let case = format!("{case} root {root:?}");
+                let tree = BfsTree::new(&q, root);
+                let order = path_based_order(&q, &tree, &g);
+                config.capture_prepared = true;
+                let mut streamed = Vec::new();
+                let phase = prepare_partitions(&q, &g, &config, &tree, &order, &mut |job| {
+                    streamed.push(Arc::unwrap_or_clone(job.cst));
+                });
+                let shard = &phase.prepared.expect("capture requested").shard_csts[0];
+                let sum: u64 = streamed
+                    .iter()
+                    .map(|p| cst::count_embeddings(p, &q, &order))
+                    .sum();
+                assert_eq!(sum, expected, "{case}");
+                if shard.any_empty() {
+                    continue;
+                }
+
+                let thresholds = config.partition_config(q.vertex_count(), shard);
+                let stream = |root_fanout| {
+                    let config = PartitionConfig {
+                        root_fanout,
+                        ..thresholds.clone()
+                    };
+                    let mut parts = Vec::new();
+                    partition_cst_with_steal(shard, &order, &config, &mut |_| false, &mut |p| {
+                        parts.push(p)
+                    });
+                    parts
+                };
+                let w = estimate_workload(shard, &tree).total;
+                let sized = ((w / per_round).floor() as usize).clamp(1, fanout);
+                assert_eq!(streamed, stream(sized), "{case} W={w}");
+                let roots = shard.candidate_count(root);
+                if roots > 1 && w < 2.0 * per_round {
+                    whole += 1;
+                    assert_eq!(streamed, stream(1), "{case} W={w}");
+                } else if roots > 1 && w >= fanout as f64 * per_round {
+                    full += 1;
+                    assert_eq!(streamed, stream(fanout), "{case} W={w}");
+                } else if sized > 1 && sized < fanout.min(roots) {
+                    capped += 1;
+                }
+                let unestimated = work_sized_fanout(shard, &larger_tree, &order, 1, n_o);
+                assert_eq!(unestimated, 1, "{case}");
+
+                config.capture_prepared = false;
+                let report = run_fast_with_order(&q, &g, &config, &order).unwrap();
+                assert_eq!((report.cpu_partitions, report.stolen), (0, 0), "{case}");
+                assert_eq!(report.fpga_partitions, stream(1).len(), "{case}");
+                assert_eq!(report.embeddings, expected, "{case}");
+            }
+        }
+        assert!(
+            whole > 0 && capped > 0 && full > 0,
+            "every regime is exercised: whole {whole}, capped {capped}, full {full}"
+        );
     }
 
     #[test]

@@ -475,7 +475,8 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     // The key and the plan come from `FastConfig::build_options`, the
     // options `prepare_partitions` builds with. At `host_threads = 1` they
     // are one shard: the plan is trivial, nothing probes or seeds, and the
-    // partitioner fans out at the root instead.
+    // partitioner fans out at the root instead, into at most
+    // `pipeline_shards` and at most `⌊W_CST / N_o⌋` chunks.
     let mut config = inner.config.fast.clone();
     let pipe_opts = config.build_options(q.vertex_count());
     let epoch = tenant.epoch.load(Ordering::Relaxed);
