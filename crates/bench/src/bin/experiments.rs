@@ -5,7 +5,7 @@
 //!
 //! targets: all (default) | table3 | fig7 | fig8 | fig9 | fig10 | fig11
 //!        | fig12 | fig13 | fig14 | fig15 | fig16 | fig17 | ablation
-//!        | hostscale | shardplan | serving | sessions | tenants | cstcache | chaos
+//!        | hostscale | serving | sessions | tenants | cstcache | chaos
 //!        | snapshot | obsfig
 //! --quick: restrict to the smaller datasets (CI-friendly).
 //! ```
@@ -29,7 +29,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [targets...] [--quick]\n\
-                     targets: all table3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 ablation hostscale shardplan serving sessions tenants cstcache chaos snapshot obsfig"
+                     targets: all table3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 ablation hostscale serving sessions tenants cstcache chaos snapshot obsfig"
                 );
                 std::process::exit(0);
             }
@@ -143,15 +143,6 @@ fn main() {
         // bundled dataset (DG60); quick mode stays at DG03.
         let rows = host_scaling::run(&mut cache, huge, &host_scaling::QUERIES);
         println!("{}", host_scaling::render(huge, &rows));
-    }
-    if wants("shardplan") {
-        // Duplication factors, blind and planned (EXPERIMENTS.md §13); the
-        // full query set — the planner exists for the hub-dominated
-        // queries the hostscale sweep has to exclude.
-        let queries: Vec<usize> = (0..9).collect();
-        let d = if opts.quick { DatasetId::Dg03 } else { huge };
-        let rows = shard_planning::run(&mut cache, d, &queries);
-        println!("{}", shard_planning::render(d, &rows));
     }
     if wants("serving") {
         // Cold-vs-warm serving sweep (the `serve` subsystem): quick mode

@@ -18,6 +18,5 @@ pub mod multi_tenant;
 pub mod obsfig;
 pub mod serving;
 pub mod sessions;
-pub mod shard_planning;
 pub mod snapshot;
 pub mod table3;

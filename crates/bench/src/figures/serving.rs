@@ -6,7 +6,7 @@
 //! exponential think time (Poisson-like arrivals at the service), and
 //! repeats. Sweeping the client count traces the throughput–latency curve;
 //! running each level twice — both cache tiers disabled ("cold": every
-//! session pays the probe/boundary search *and* the CST build) vs warm
+//! session pays the shard plan *and* the CST build) vs warm
 //! caches ("warm": repeats replay the cached shard CSTs through tier 2) —
 //! isolates what caching buys at the service level. Per-query embedding
 //! counts are captured per mode and must be bit-identical (a cached
@@ -25,9 +25,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The repeated query mix: the hub-dominated planner-heavy queries (q1,
-/// q2) alongside flat ones (q0, q4) — the regime where plan caching must
-/// help without hurting.
+/// The repeated query mix: the hub-dominated queries (q1, q2) alongside
+/// flat ones (q0, q4) — the regime where caching must help without
+/// hurting.
 pub const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
 /// Closed-loop load parameters.

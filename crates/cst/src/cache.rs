@@ -1,16 +1,16 @@
-//! Cache-key derivation for shard plans.
+//! Cache-key derivation for shard plans and the artifacts built from them.
 //!
 //! A [`ShardPlan`](crate::ShardPlan) is a pure function of
-//! `(q, g, tree, PipelineOptions)` (see `cst::planner`), so a serving layer
-//! can cache plans across repeated queries and skip the probe entirely.
-//! This module derives the cache key: a structural fingerprint of the query
-//! and BFS tree, a *graph epoch* supplied by the owner of the loaded graph
-//! (bumped whenever the graph changes, so stale plans can never be served),
-//! and a fingerprint of every [`PipelineOptions`] knob that influences
-//! planning.
+//! `(q, g, tree, PipelineOptions)` (see `cst::pipeline`), and so is every
+//! shard CST built under it, so a serving layer can cache both across
+//! repeated queries. This module derives the cache key: a structural
+//! fingerprint of the query and BFS tree, a *graph epoch* supplied by the
+//! owner of the loaded graph (bumped whenever the graph changes, so stale
+//! plans can never be served), and a fingerprint of every
+//! [`PipelineOptions`] knob that influences planning.
 //!
 //! The key deliberately lives here rather than in the serving crate: the
-//! set of plan-relevant inputs is a property of the planner, and any new
+//! set of plan-relevant inputs is a property of the pipeline, and any new
 //! `PipelineOptions` knob must be folded into
 //! [`PipelineOptions::plan_fingerprint`] next to the knob itself.
 
@@ -89,7 +89,6 @@ impl PipelineOptions {
         let CstOptions { use_nlf, refine } = self.cst;
         f.mix(u64::from(use_nlf));
         f.mix(u64::from(refine));
-        f.mix(self.partition_hint.map(|b| b as u64 + 1).unwrap_or(0));
         f.finish()
     }
 }
@@ -205,10 +204,6 @@ mod tests {
                 cst: CstOptions::minimal(),
                 ..opts
             },
-            PipelineOptions {
-                partition_hint: Some(1 << 16),
-                ..opts
-            },
         ] {
             assert_ne!(
                 opts.plan_fingerprint(),
@@ -229,34 +224,5 @@ mod tests {
             ..PipelineOptions::default()
         };
         assert_eq!(a.plan_fingerprint(), b.plan_fingerprint());
-    }
-
-    #[test]
-    fn seeding_does_not_change_the_key() {
-        // Whether a replayed plan seeds its shard builds (it carries its
-        // probe) or builds them cold (handed back without it) is not a
-        // planning input: both replay under the same provenance.
-        use crate::pipeline::for_each_shard_cst_planned;
-        let g = graph_core::generators::random_labelled_graph(60, 0.2, 3, 7);
-        let q = q1();
-        let tree = BfsTree::new(&q, QueryVertexId::new(0));
-        let opts = PipelineOptions {
-            shards: Some(4),
-            ..PipelineOptions::default()
-        };
-        let seeded = for_each_shard_cst_planned(&q, &g, &tree, &opts, None, |_| {});
-        assert!(seeded.plan.probe.is_some());
-        assert_eq!(seeded.seeded_shards, seeded.shards);
-        let cold_plan = crate::ShardPlan {
-            probe: None,
-            ..seeded.plan.clone()
-        };
-        let cold = for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&cold_plan), |_| {});
-        assert_eq!(cold.plan, cold_plan, "replayed, not replanned");
-        assert_eq!(cold.seeded_shards, 0);
-        assert_eq!(
-            cold.total_adjacency_entries(),
-            seeded.total_adjacency_entries()
-        );
     }
 }

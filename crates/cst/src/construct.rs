@@ -71,10 +71,7 @@ pub struct BuildStats {
     /// Total directed adjacency entries in the final CST.
     pub adjacency_entries: usize,
     /// Neighbour visits (each a candidate filter evaluation) of the
-    /// top-down pass — the phase-1 scan work, in the same unit as
-    /// `RootProfile::probe_entries`. **0 for seeded builds**
-    /// ([`build_cst_seeded`]), which restrict a memoised candidate space
-    /// instead of re-scanning the graph.
+    /// top-down pass — the phase-1 scan work.
     pub topdown_entries: usize,
 }
 
@@ -125,19 +122,6 @@ pub fn build_cst_with_stats(
     build_cst_from_roots(q, g, tree, options, roots)
 }
 
-/// The memoised phase-1 output handed to a seeded build: per query vertex,
-/// exactly the sorted candidate list the top-down pass of
-/// [`build_cst_from_roots`] would produce for the corresponding root chunk.
-/// Produced by `RootProfile::seed_chunks` (the planner's probe already ran
-/// the global top-down pass; restricting its candidate space to one shard's
-/// roots is an integer sweep, not a filtered graph scan).
-#[derive(Debug, Clone, Default)]
-pub struct TopDownSeed {
-    /// Sorted, deduplicated candidates per query vertex (indexed by query
-    /// vertex index; the tree root's entry is the shard's root chunk).
-    pub candidates: Vec<Vec<VertexId>>,
-}
-
 /// Builds the CST whose root candidate set is exactly `roots` (which must be
 /// sorted, deduplicated, and a subset of [`root_candidates`]). Phases 2-3 of
 /// Algorithm 1 run unchanged; only the root seeding differs. With the full
@@ -151,27 +135,6 @@ pub fn build_cst_from_roots(
     roots: Vec<VertexId>,
 ) -> (Cst, BuildStats) {
     BuildScratch::default().build_from_roots(q, g, tree, options, roots)
-}
-
-/// Builds the CST from a precomputed phase-1 candidate space: phases 2-3 of
-/// Algorithm 1 (bottom-up refinement, adjacency materialisation for every
-/// query edge) run unchanged on `seed.candidates` — exactly what the
-/// top-down pass of [`build_cst_from_roots`] would have produced, so the
-/// result is **bit-identical** to the unseeded build
-/// (`tests/prop_seeded_build.rs`). The seed must come from a probe of the
-/// *same* `(q, g, tree, options)` (the pipeline checks the plan's
-/// provenance fingerprint before seeding); note that the adjacency — tree
-/// and non-tree edges alike — is re-materialised from the graph here: the
-/// probe's stride-sampled non-tree edge *samples* are a counting estimate
-/// and are never used as exact candidates.
-pub fn build_cst_seeded(
-    q: &QueryGraph,
-    g: &Graph,
-    tree: &BfsTree,
-    options: CstOptions,
-    seed: TopDownSeed,
-) -> (Cst, BuildStats) {
-    BuildScratch::default().build_seeded(q, g, tree, options, seed)
 }
 
 /// "Not a candidate of the current target" in [`BuildScratch::rank`].
@@ -270,30 +233,9 @@ impl BuildScratch {
         self.refine_and_materialise(q, g, tree, options, candidates, topdown_entries)
     }
 
-    /// [`build_cst_seeded`] on this scratch.
-    pub(crate) fn build_seeded(
-        &mut self,
-        q: &QueryGraph,
-        g: &Graph,
-        tree: &BfsTree,
-        options: CstOptions,
-        seed: TopDownSeed,
-    ) -> (Cst, BuildStats) {
-        let n = q.vertex_count();
-        assert_eq!(seed.candidates.len(), n, "seed covers every query vertex");
-        self.fit(n, g);
-        for (bits, cands) in self.member.iter_mut().zip(&seed.candidates) {
-            debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "seed sorted+dedup");
-            for &v in cands {
-                set(bits, v);
-            }
-        }
-        self.refine_and_materialise(q, g, tree, options, seed.candidates, 0)
-    }
-
-    /// Phases 2-3 of Algorithm 1, shared by both entry points: bottom-up
-    /// refinement of the phase-1 candidate sets (their bitmaps set in `self`),
-    /// then the adjacency of every directed query edge. Clears the scratch.
+    /// Phases 2-3 of Algorithm 1: bottom-up refinement of the phase-1
+    /// candidate sets (their bitmaps set in `self`), then the adjacency of
+    /// every directed query edge. Clears the scratch.
     fn refine_and_materialise(
         &mut self,
         q: &QueryGraph,
@@ -609,9 +551,9 @@ mod tests {
     fn a_scratch_is_clear_between_builds() {
         // Two copies of one graph side by side (vertices 0..20 and 20..40,
         // no edge between them), built through one scratch one after the
-        // other, cold then seeded. The second region shares no vertex with
-        // the first, so nothing the second build writes would cover a bit
-        // or a rank the first left behind.
+        // other. The second region shares no vertex with the first, so
+        // nothing the second build writes would cover a bit or a rank the
+        // first left behind.
         use graph_core::generators::random_labelled_graph;
         let half = random_labelled_graph(20, 0.35, 2, 17);
         let mut b = GraphBuilder::new();
@@ -640,15 +582,6 @@ mod tests {
             let fresh = build_cst_from_roots(&q, &g, &tree, opts, chunk.clone());
             assert!(fresh.1.adjacency_entries > 0, "the region reaches phase 3");
             assert_eq!(scratch.build_from_roots(&q, &g, &tree, opts, chunk), fresh);
-            assert_clear(&scratch);
-            // Seeded from the refined sets, phase 2 removes nothing and
-            // phase 3 sees the same candidates: the same CST again.
-            let candidates = q
-                .vertices()
-                .map(|u| fresh.0.candidates(u).to_vec())
-                .collect();
-            let seeded = scratch.build_seeded(&q, &g, &tree, opts, TopDownSeed { candidates });
-            assert_eq!(seeded.0, fresh.0);
             assert_clear(&scratch);
             built.push(fresh.0);
         }

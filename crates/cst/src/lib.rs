@@ -17,17 +17,15 @@
 //!   lists ([`seek`], [`intersect_each`]) and the sibling-run count at a
 //!   cycle-closing last depth ([`count_run`]), shared by the emulated kernel
 //!   and the CPU engine;
-//! * [`pipeline`] — the sharded, multi-threaded host pipeline: shard CSTs
-//!   built on worker threads and merged ([`build_cst_sharded`]) or streamed
-//!   in shard order into the partitioner ([`for_each_shard_cst`]) so device
-//!   offload overlaps construction;
-//! * [`planner`] — workload-aware shard planning for that pipeline: one
-//!   probe, then per query the shard count and the cut (contiguous or
-//!   hub-clustered) with the lowest modelled prepare time ([`ShardPlan`]);
+//! * [`pipeline`] — the sharded, multi-threaded host pipeline: the root
+//!   candidate set cut into contiguous equal-count shards ([`ShardPlan`]),
+//!   shard CSTs built on worker threads and streamed in shard order into
+//!   the partitioner ([`for_each_shard_cst`]) so device offload overlaps
+//!   construction;
 //! * [`cache`] — cache-key derivation for shard plans ([`PlanKey`]): a
 //!   plan is a pure function of `(q, g, tree, options)`, so a serving
-//!   layer can key a plan cache on the query/tree fingerprint, a graph
-//!   epoch, and the plan-relevant options and skip the probe on repeats
+//!   layer can key its caches on the query/tree fingerprint, a graph
+//!   epoch, and the plan-relevant options and replay a plan on repeats
 //!   ([`for_each_shard_cst_planned`]).
 
 pub mod cache;
@@ -37,13 +35,11 @@ pub mod filter;
 pub mod intersect;
 pub mod partition;
 pub mod pipeline;
-pub mod planner;
 pub mod structure;
 pub mod workload;
 
 pub use construct::{
-    build_cst, build_cst_from_roots, build_cst_seeded, build_cst_with_stats, root_candidates,
-    BuildStats, CstOptions, TopDownSeed,
+    build_cst, build_cst_from_roots, build_cst_with_stats, root_candidates, BuildStats, CstOptions,
 };
 pub use enumerate::{
     count_embeddings, enumerate_embeddings, EnumerationStats, MatchPlan,
@@ -56,13 +52,8 @@ pub use partition::{
 };
 pub use cache::{plan_provenance, query_fingerprint, Fingerprint, PlanKey};
 pub use pipeline::{
-    build_cst_sharded, for_each_shard_cst, for_each_shard_cst_planned,
-    merge_shard_csts, PipelineOptions, PipelineStats, ShardCst, ShardReport,
-    DEFAULT_SHARDS,
-};
-pub use planner::{
-    estimated_duplication, estimated_partition_ratio, plan_pipeline_shards, plan_shards,
-    RootProfile, SeedMasks, ShardPlan, ShardPlanner,
+    for_each_shard_cst, for_each_shard_cst_planned, plan_pipeline_shards, PipelineOptions,
+    PipelineStats, ShardCst, ShardPlan, ShardPlanner, ShardReport, DEFAULT_SHARDS,
 };
 pub use structure::{CsrAdj, Cst};
 pub use workload::{estimate_workload, WorkloadEstimate};

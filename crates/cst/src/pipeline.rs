@@ -5,38 +5,35 @@
 //! build + partition dominating host time at the larger datasets. This
 //! module parallelises and *overlaps* that host work:
 //!
-//! * the root candidate set is split into `shards` chunks — the same axis
-//!   the parallel baselines (`DAF-8`/`CECI-8`) and the multi-FPGA
-//!   extension shard on; *where* the boundaries fall (and how many shards
-//!   a query gets) is decided by the shard planner (`cst::planner`) before
-//!   any build starts;
+//! * the sorted root candidate set is cut into `shards` contiguous
+//!   equal-count chunks ([`ShardPlan::contiguous`], the even split of
+//!   Algorithm 2 line 4) — the same axis the parallel baselines
+//!   (`DAF-8`/`CECI-8`) and the multi-FPGA extension shard on;
 //! * worker threads ([`std::thread::scope`]) run Algorithm 1 per shard:
-//!   the top-down phase restricted from the planner's probe (or scanned
-//!   from the shard's roots when the plan has no probe), then bottom-up
-//!   refinement and non-tree-edge population;
-//! * finished shard CSTs are consumed **in shard order** on the caller's
-//!   thread — either merged back into one CST ([`build_cst_sharded`]) or
-//!   streamed straight into the partitioner ([`for_each_shard_cst`]) so
-//!   partitions reach the device while later shards are still being built.
+//!   the top-down scan from the shard's roots, then bottom-up refinement
+//!   and non-tree-edge population;
+//! * finished shard CSTs are handed over **in shard order** on the
+//!   caller's thread ([`for_each_shard_cst`]), typically straight into the
+//!   partitioner, so partitions reach the device while later shards are
+//!   still being built.
 //!
 //! The host flows (`fast::FastConfig::build_options`) run this pipeline
 //! with more than one shard only above one host thread. At one thread they
-//! build a single contiguous shard ([`PipelineOptions::sequential`]): no
-//! probe, no plan scoring, no seeding. A serving session then gets the
-//! shards' root localisation from the partitioner instead, whose first
-//! split fans the root out into that many chunks
-//! (`crate::PartitionConfig::root_fanout`). So the planner and the seeded
-//! builds serve multi-threaded hosts only.
+//! build a single contiguous shard ([`PipelineOptions::sequential`]). A
+//! serving session then gets the shards' root localisation from the
+//! partitioner instead, whose first split fans the root out into that many
+//! chunks (`crate::PartitionConfig::root_fanout`).
 //!
 //! # Determinism
 //!
-//! Every shard CST depends only on `(q, g, tree, options, shard index,
-//! shard plan)` — the plan itself is a pure function of everything but the
-//! thread count — and shards are consumed in index order. The output (merged CST, shard stream, and everything
-//! downstream: partition sequence, `ShareScheduler` bookings, embedding
-//! counts) is therefore **bit-identical for every thread count** at a fixed
-//! shard count. The default shard count is a thread-independent constant
-//! for exactly this reason. `tests/prop_pipeline_parallel.rs` enforces it.
+//! Every shard CST depends only on `(q, g, tree, options, shard index)` —
+//! the cut is a function of the root count and the shard count, never of
+//! the thread count — and shards are consumed in index order. The output
+//! (the shard stream and everything downstream: partition sequence,
+//! `ShareScheduler` bookings, embedding counts) is therefore
+//! **bit-identical for every thread count** at a fixed shard count. The
+//! default shard count is a thread-independent constant for exactly this
+//! reason. `tests/prop_pipeline_parallel.rs` enforces it.
 //!
 //! # Soundness of the shard decomposition
 //!
@@ -45,13 +42,16 @@
 //! and their union covers the sequential search space: per-shard bottom-up
 //! refinement sees smaller candidate sets and may prune *more* than the
 //! sequential pass, but never a candidate participating in an embedding
-//! rooted in the shard. Summed (or merged) embedding counts are identical
-//! to the sequential pipeline's.
+//! rooted in the shard. Summed embedding counts are identical to the
+//! sequential pipeline's. The price is duplicated work: interior
+//! candidates reachable from several shards are rebuilt per shard
+//! (EXPERIMENTS.md §13 records the factor).
 
+use crate::cache::plan_provenance;
 use crate::construct::{root_candidates, BuildScratch, BuildStats, CstOptions};
-use crate::planner::{plan_pipeline_shards, RootProfile, SeedMasks, ShardPlan};
-use crate::structure::{CsrAdj, Cst};
-use graph_core::{BfsTree, Graph, QueryGraph, QueryVertexId, VertexId};
+use crate::structure::Cst;
+use graph_core::{BfsTree, Graph, QueryGraph, VertexId};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -69,19 +69,12 @@ pub struct PipelineOptions {
     /// Worker threads building shard CSTs. 1 = fully sequential (build and
     /// consumption interleave on the caller's thread, no spawning).
     pub threads: usize,
-    /// Shard (batch) count cap; `None` resolves to [`DEFAULT_SHARDS`].
-    /// Clamped to the root candidate count; the planner may choose fewer
-    /// shards. Must not be derived from `threads` — see the module docs on
-    /// determinism.
+    /// Shard (batch) count; `None` resolves to [`DEFAULT_SHARDS`].
+    /// Clamped to the root candidate count. Must not be derived from
+    /// `threads` — see the module docs on determinism.
     pub shards: Option<usize>,
     /// CST construction pruning strength, forwarded to Algorithm 1.
     pub cst: CstOptions,
-    /// The device's δ_S payload threshold (bytes per partition) when the
-    /// caller knows it. Feeds the planner's per-query partition/build
-    /// ratio estimate (`cst::planner::estimated_partition_ratio`); `None`
-    /// keeps the calibrated constant ρ. Thread-count independent by
-    /// construction (a device property).
-    pub partition_hint: Option<usize>,
 }
 
 impl Default for PipelineOptions {
@@ -90,7 +83,6 @@ impl Default for PipelineOptions {
             threads: 1,
             shards: None,
             cst: CstOptions::default(),
-            partition_hint: None,
         }
     }
 }
@@ -123,26 +115,18 @@ pub struct ShardReport {
     /// Adjacency entries materialised for this shard (the build-cost unit
     /// of `matching::CpuCostModel::index_time_sec`).
     pub adjacency_entries: usize,
-    /// Whether this shard was built from the probe's memoised candidate
-    /// space (`build_cst_seeded`) instead of a cold top-down scan.
-    pub seeded: bool,
 }
 
 /// Aggregate statistics of a sharded pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
-    /// Effective shard count after clamping and planning.
+    /// Effective shard count after clamping.
     pub shards: usize,
-    /// The shard plan the pipeline executed (boundaries, planned
-    /// workloads, estimated duplication, probe work).
+    /// The shard plan the pipeline executed.
     pub plan: ShardPlan,
-    /// Wall time spent planning (root probe + boundary search); ~0 for a
-    /// single shard, which is not probed.
+    /// Wall time spent deriving the plan (the even cut and its provenance
+    /// fingerprint, or the check of a supplied plan).
     pub plan_time: Duration,
-    /// Wall time spent deriving per-shard seeds from the probe's candidate
-    /// space (`RootProfile::seed_chunks` — the integer mask sweep); zero
-    /// when builds run cold (no probe).
-    pub seed_time: Duration,
     /// Worker threads used.
     pub threads: usize,
     /// Total root candidates (over all shards).
@@ -158,13 +142,8 @@ pub struct PipelineStats {
     /// the sequential build's because interior candidates shared by several
     /// shards are re-derived per shard.
     pub build_cpu: Duration,
-    /// Shards built from the probe seed (either 0 or
-    /// [`shards`](Self::shards): a plan with a probe seeds every shard).
-    pub seeded_shards: usize,
     /// Phase-1 scan work across shard builds (neighbour visits, each a
-    /// filter evaluation — the same unit as `ShardPlan::probe_entries`).
-    /// 0 when every shard was seeded: the probe's single pass replaced the
-    /// per-shard scans.
+    /// filter evaluation).
     pub topdown_entries: usize,
 }
 
@@ -191,10 +170,9 @@ pub struct ShardCst {
 }
 
 /// Splits `count` root candidates into `shards` chunks, returning the chunk
-/// boundaries (the same even-split rule as Algorithm 2 line 4). Shared with
-/// `WorkloadEstimate::shard_workloads` so the skew diagnostic always splits
-/// exactly like the pipeline.
-pub(crate) fn shard_ranges(count: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
+/// boundaries (the same even-split rule as Algorithm 2 line 4): the first
+/// `count % shards` chunks are one root longer.
+pub(crate) fn shard_ranges(count: usize, shards: usize) -> Vec<Range<usize>> {
     let shards = shards.clamp(1, count.max(1));
     let base = count / shards;
     let extra = count % shards;
@@ -208,66 +186,80 @@ pub(crate) fn shard_ranges(count: usize, shards: usize) -> Vec<std::ops::Range<u
     out
 }
 
-/// One shard's build input: the root chunk for a cold top-down scan (a
-/// single-shard plan, or one without a probe), or the chunk plus the
-/// shared probe/mask artifacts for a seeded build (the
-/// shard's phase-1 candidate sets are extracted lazily on the building
-/// thread — `RootProfile::seed_shard` — so peak memory is bounded by the
-/// in-flight shards, not all shards' duplicated candidate space). Either
-/// way the shard CST is a pure function of `(q, g, tree, options, input)` —
-/// and the two variants produce **bit-identical** CSTs for the same shard
-/// (`tests/prop_seeded_build.rs`) — so the pipeline's determinism anchor
-/// is unchanged.
-enum ShardInput {
-    /// Sorted root chunk; the build runs the full top-down scan.
-    Roots(Vec<VertexId>),
-    /// Sorted root chunk plus the probe's memoised candidate space and the
-    /// propagated shard masks; the build extracts its phase-1 sets and
-    /// skips straight to refinement + adjacency materialisation.
-    Seed {
-        chunk: Vec<VertexId>,
-        probe: Arc<RootProfile>,
-        masks: Arc<SeedMasks>,
-    },
+/// Inert: the pipeline has one cut, contiguous equal-count shards, so this
+/// type has nothing to choose. It stays only because the benchmark assigns
+/// `fast::FastConfig::shard_planner`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ShardPlanner {
+    /// Contiguous equal-count shards ([`ShardPlan::contiguous`]).
+    #[default]
+    Auto,
 }
 
-/// Builds the shard with the given index. Pure function of its arguments
-/// (`scratch` is clear between builds) — the pipeline's determinism anchor.
+/// The pipeline's shard decomposition: shard `s` owns the sorted root
+/// candidates `roots[ranges[s]]`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardPlan {
+    /// Contiguous shard boundaries over the sorted root candidate list.
+    pub ranges: Vec<Range<usize>>,
+    /// Fingerprint of the inputs the plan was cut for
+    /// ([`crate::cache::plan_provenance`]): set by
+    /// [`plan_pipeline_shards`], 0 for hand-built plans. A supplied plan is
+    /// only trusted by [`for_each_shard_cst_planned`] when this matches the
+    /// freshly derived inputs.
+    pub provenance: u64,
+}
+
+impl ShardPlan {
+    /// The equal-count cut of `count` roots into `shards` chunks (clamped
+    /// to `[1, count]`), with unknown provenance.
+    pub fn contiguous(count: usize, shards: usize) -> ShardPlan {
+        ShardPlan {
+            ranges: shard_ranges(count, shards),
+            provenance: 0,
+        }
+    }
+
+    /// Number of shards in the plan.
+    pub fn shard_count(&self) -> usize {
+        self.ranges.len()
+    }
+}
+
+/// The pipeline's plan for `roots` under `options`: the contiguous cut into
+/// [`PipelineOptions::resolve_shards`] chunks, stamped with its provenance.
+pub fn plan_pipeline_shards(roots: &[VertexId], options: &PipelineOptions) -> ShardPlan {
+    ShardPlan {
+        provenance: plan_provenance(roots, options),
+        ..ShardPlan::contiguous(roots.len(), options.resolve_shards(roots.len()))
+    }
+}
+
+/// Builds the shard with the given index from its sorted root chunk. Pure
+/// function of its arguments (`scratch` is clear between builds) — the
+/// pipeline's determinism anchor.
 fn build_shard(
     q: &QueryGraph,
     g: &Graph,
     tree: &BfsTree,
     options: CstOptions,
-    input: ShardInput,
+    chunk: Vec<VertexId>,
     shard: usize,
     scratch: &mut BuildScratch,
 ) -> ShardCst {
     let mut span = obs::span_cat("build_shard", "build");
     span.arg_u64("shard", shard as u64);
     let t0 = Instant::now();
-    let (seeded, root_count, cst, stats) = match input {
-        ShardInput::Roots(chunk) => {
-            let roots = chunk.len();
-            let (cst, stats) = scratch.build_from_roots(q, g, tree, options, chunk);
-            (false, roots, cst, stats)
-        }
-        ShardInput::Seed { chunk, probe, masks } => {
-            let roots = chunk.len();
-            let seed = probe.seed_shard(&masks, chunk, shard);
-            let (cst, stats) = scratch.build_seeded(q, g, tree, options, seed);
-            (true, roots, cst, stats)
-        }
-    };
+    let roots = chunk.len();
+    let (cst, stats) = scratch.build_from_roots(q, g, tree, options, chunk);
     let build_time = t0.elapsed();
-    span.arg_u64("roots", root_count as u64);
-    span.arg_u64("seeded", seeded as u64);
+    span.arg_u64("roots", roots as u64);
     ShardCst {
         report: ShardReport {
             shard,
-            roots: root_count,
+            roots,
             build_time,
             adjacency_entries: stats.adjacency_entries,
-            seeded,
         },
         cst: Arc::new(cst),
         stats,
@@ -275,7 +267,7 @@ fn build_shard(
 }
 
 /// [`for_each_shard_cst_planned`] without a precomputed plan — the spelling
-/// the property suites and [`build_cst_sharded`] use.
+/// the property suites use.
 pub fn for_each_shard_cst<F: FnMut(ShardCst)>(
     q: &QueryGraph,
     g: &Graph,
@@ -296,9 +288,8 @@ pub fn for_each_shard_cst<F: FnMut(ShardCst)>(
 /// interleave sequentially with identical output.
 ///
 /// `plan_override` is an optional precomputed [`ShardPlan`]: a cache-hit
-/// serving path hands the plan back in and the probe/boundary search is
-/// skipped entirely (`plan_time` ≈ 0). The plan must have been produced for
-/// the same `(q, g, tree, options)` — its
+/// serving path hands the plan back in and it is replayed as is. The plan
+/// must have been produced for the same `(q, g, tree, options)` — its
 /// [`provenance`](ShardPlan::provenance) fingerprint is checked against
 /// the freshly derived root candidate list and plan-relevant options, and
 /// a stale or foreign plan (hand-built plans included — their provenance
@@ -317,60 +308,31 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
     let plan = match plan_override {
         Some(p)
             if p.provenance != 0
-                && p.provenance == crate::cache::plan_provenance(&roots, options)
+                && p.provenance == plan_provenance(&roots, options)
                 && !p.ranges.is_empty() =>
         {
             p.clone()
         }
-        _ => plan_pipeline_shards(q, g, tree, options, &roots),
+        _ => plan_pipeline_shards(&roots, options),
     };
     let plan_time = plan_t0.elapsed();
     let shards = plan.shard_count();
-    // Seed-mask derivation (whenever the plan carries a probe): one
-    // integer mask sweep per 64 shards over the probed candidate space,
-    // replacing every shard's top-down scan. The per-shard candidate-set
-    // extraction happens lazily on the *building* thread
-    // (`ShardInput::Seed`), so peak memory stays bounded by the in-flight
-    // shards instead of all shards' duplicated candidate space.
-    let seed_t0 = Instant::now();
-    let seed_artifacts: Option<(Arc<RootProfile>, Arc<SeedMasks>)> =
-        plan.probe.as_ref().and_then(|probe| {
-            probe
-                .seed_masks(&plan, &roots)
-                .map(|masks| (Arc::clone(probe), Arc::new(masks)))
-        });
-    let seed_time = if seed_artifacts.is_some() {
-        seed_t0.elapsed()
-    } else {
-        Duration::ZERO
-    };
-    let seeded_shards = if seed_artifacts.is_some() { shards } else { 0 };
     // Chunk extraction is part of planning, not of any shard's build time.
-    let inputs: Vec<ShardInput> = (0..shards)
-        .map(|s| {
-            let chunk = plan.chunk_roots(&roots, s);
-            match &seed_artifacts {
-                Some((probe, masks)) => ShardInput::Seed {
-                    chunk,
-                    probe: Arc::clone(probe),
-                    masks: Arc::clone(masks),
-                },
-                None => ShardInput::Roots(chunk),
-            }
-        })
+    let chunks: Vec<Vec<VertexId>> = plan
+        .ranges
+        .iter()
+        .map(|r| roots[r.clone()].to_vec())
         .collect();
     let wall0 = Instant::now();
     let mut stats = PipelineStats {
         shards,
         plan,
         plan_time,
-        seed_time,
         threads: options.threads.max(1).min(shards),
         root_candidates: roots.len(),
         shard_reports: Vec::with_capacity(shards),
         build_wall: Duration::ZERO,
         build_cpu: Duration::ZERO,
-        seeded_shards,
         topdown_entries: 0,
     };
 
@@ -383,8 +345,8 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
 
     if stats.threads <= 1 {
         let mut scratch = BuildScratch::default();
-        for (i, input) in inputs.into_iter().enumerate() {
-            let shard = build_shard(q, g, tree, options.cst, input, i, &mut scratch);
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            let shard = build_shard(q, g, tree, options.cst, chunk, i, &mut scratch);
             stats.build_wall = wall0.elapsed();
             take(shard, &mut stats);
         }
@@ -396,10 +358,10 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
     // partitioning of earlier shards must not count as build time.
     let build_done: Mutex<Duration> = Mutex::new(Duration::ZERO);
     let (tx, rx) = mpsc::channel::<ShardCst>();
-    // Each input is consumed exactly once by whichever worker claims it.
-    let inputs: Vec<Mutex<Option<ShardInput>>> =
-        inputs.into_iter().map(|input| Mutex::new(Some(input))).collect();
-    let inputs_ref = &inputs;
+    // Each chunk is consumed exactly once by whichever worker claims it.
+    let chunks: Vec<Mutex<Option<Vec<VertexId>>>> =
+        chunks.into_iter().map(|chunk| Mutex::new(Some(chunk))).collect();
+    let chunks_ref = &chunks;
     std::thread::scope(|scope| {
         for _ in 0..stats.threads {
             let tx = tx.clone();
@@ -409,15 +371,15 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
                 let mut scratch = BuildScratch::default();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= inputs_ref.len() {
+                    if i >= chunks_ref.len() {
                         return;
                     }
-                    let input = inputs_ref[i]
+                    let chunk = chunks_ref[i]
                         .lock()
-                        .expect("shard input lock")
+                        .expect("shard chunk lock")
                         .take()
-                        .expect("each shard input claimed once");
-                    let shard = build_shard(q, g, tree, options.cst, input, i, &mut scratch);
+                        .expect("each shard chunk claimed once");
+                    let shard = build_shard(q, g, tree, options.cst, chunk, i, &mut scratch);
                     let done = wall0.elapsed();
                     let mut latest = build_done.lock().expect("timestamp lock");
                     if done > *latest {
@@ -456,119 +418,13 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
     stats
 }
 
-/// Builds the CST with the sharded parallel pipeline and **merges** the
-/// shard CSTs back into a single CST.
-///
-/// With one shard the result is exactly `build_cst_with_stats`. With
-/// several, the merged CST can be *smaller* (per-shard refinement prunes
-/// more), but it contains every embedding: counts are identical to the
-/// sequential pipeline, and the merge is deterministic for every thread
-/// count at a fixed shard count.
-pub fn build_cst_sharded(
-    q: &QueryGraph,
-    g: &Graph,
-    tree: &BfsTree,
-    options: &PipelineOptions,
-) -> (Cst, PipelineStats) {
-    let mut shards: Vec<ShardCst> = Vec::new();
-    let stats = for_each_shard_cst(q, g, tree, options, |s| shards.push(s));
-    let merged = merge_shard_csts(shards.iter().map(|s| s.cst.as_ref()));
-    (merged, stats)
-}
-
-/// Merges shard CSTs (disjoint at the root, overlapping elsewhere) into one
-/// CST: candidate sets are sorted unions, adjacency lists are per-candidate
-/// unions remapped to merged indices.
-pub fn merge_shard_csts<'a, I>(shards: I) -> Cst
-where
-    I: IntoIterator<Item = &'a Cst>,
-{
-    let shards: Vec<&Cst> = shards.into_iter().collect();
-    assert!(!shards.is_empty(), "need at least one shard CST");
-    if shards.len() == 1 {
-        return shards[0].clone();
-    }
-    let n = shards[0].query_vertex_count();
-
-    // Merged candidate sets: sorted union per query vertex.
-    let mut merged_candidates: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-    for u in 0..n {
-        let qu = QueryVertexId::from_index(u);
-        let mut all: Vec<VertexId> = shards
-            .iter()
-            .flat_map(|s| s.candidates(qu).iter().copied())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        merged_candidates.push(all);
-    }
-
-    // Shard-local index → merged index, per shard per query vertex. Both
-    // lists are sorted and the shard list is a subset of the merged one, so
-    // a single two-pointer merge resolves every index in O(k + n) instead
-    // of O(k log n) binary searches.
-    let remap: Vec<Vec<Vec<u32>>> = shards
-        .iter()
-        .map(|s| {
-            (0..n)
-                .map(|u| {
-                    let qu = QueryVertexId::from_index(u);
-                    let merged = &merged_candidates[u];
-                    let mut j = 0usize;
-                    s.candidates(qu)
-                        .iter()
-                        .map(|v| {
-                            while merged[j] < *v {
-                                j += 1;
-                            }
-                            debug_assert_eq!(merged[j], *v, "shard candidate in merged set");
-                            let out = j as u32;
-                            j += 1;
-                            out
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-
-    // Merged adjacency: union of remapped shard lists per merged candidate.
-    let mut pairs = Vec::new();
-    for (a, b) in shards[0].directed_edges() {
-        let src_count = merged_candidates[a.index()].len();
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); src_count];
-        for (si, s) in shards.iter().enumerate() {
-            let adj = s.adjacency(a, b);
-            let map_a = &remap[si][a.index()];
-            let map_b = &remap[si][b.index()];
-            for i in 0..adj.source_count() {
-                let list = &mut lists[map_a[i] as usize];
-                for &t in adj.neighbors(i) {
-                    list.push(map_b[t as usize]);
-                }
-            }
-        }
-        let mut offsets = Vec::with_capacity(src_count + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u32);
-        for mut list in lists {
-            list.sort_unstable();
-            list.dedup();
-            targets.extend_from_slice(&list);
-            offsets.push(targets.len() as u32);
-        }
-        pairs.push(((a, b), CsrAdj { offsets, targets }));
-    }
-    Cst::from_parts(n, merged_candidates, pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::construct::{build_cst, build_cst_with_stats};
     use crate::enumerate::count_embeddings;
     use graph_core::generators::random_labelled_graph;
-    use graph_core::{Label, MatchingOrder, QueryGraph};
+    use graph_core::{Label, MatchingOrder, QueryGraph, QueryVertexId};
 
     fn l(x: u16) -> Label {
         Label::new(x)
@@ -591,12 +447,12 @@ mod tests {
         let (q, g, tree, _) = setup();
         let (seq, seq_stats) = build_cst_with_stats(&q, &g, &tree, CstOptions::default());
         let opts = PipelineOptions::sequential(CstOptions::default());
-        let (par, stats) = build_cst_sharded(&q, &g, &tree, &opts);
+        let mut shards = Vec::new();
+        let stats = for_each_shard_cst(&q, &g, &tree, &opts, |s| shards.push(s));
         assert_eq!(stats.shards, 1);
-        for u in q.vertices() {
-            assert_eq!(seq.candidates(u), par.candidates(u));
-        }
-        assert_eq!(seq.total_adjacency_entries(), par.total_adjacency_entries());
+        assert_eq!(shards.len(), 1);
+        assert_eq!(*shards[0].cst, seq);
+        assert_eq!(shards[0].stats, seq_stats);
         assert_eq!(stats.total_adjacency_entries(), seq_stats.adjacency_entries);
     }
 
@@ -610,15 +466,14 @@ mod tests {
                 threads: 2,
                 shards: Some(shards),
                 cst: CstOptions::default(),
-                ..PipelineOptions::default()
             };
-            let (merged, stats) = build_cst_sharded(&q, &g, &tree, &opts);
-            merged.validate(&q).unwrap();
-            assert_eq!(
-                count_embeddings(&merged, &q, &order),
-                whole,
-                "shards={shards}"
-            );
+            let mut sum = 0u64;
+            let stats = for_each_shard_cst(&q, &g, &tree, &opts, |s| {
+                s.cst.validate(&q).unwrap();
+                sum += count_embeddings(&s.cst, &q, &order);
+            });
+            assert_eq!(sum, whole, "shards={shards}");
+            assert_eq!(stats.shards, shards.min(stats.root_candidates));
             assert_eq!(
                 stats.shard_reports.iter().map(|r| r.roots).sum::<usize>(),
                 stats.root_candidates
@@ -636,7 +491,6 @@ mod tests {
                 threads,
                 shards: Some(6),
                 cst: CstOptions::default(),
-                ..PipelineOptions::default()
             };
             let mut sum = 0u64;
             let mut seen = Vec::new();
@@ -661,7 +515,7 @@ mod tests {
         let fresh = for_each_shard_cst(&q, &g, &tree, &opts, |_| {});
         assert_ne!(fresh.plan.provenance, 0, "pipeline plans carry provenance");
 
-        // Replaying it skips planning and executes the same decomposition.
+        // Replaying it executes the same decomposition.
         let replay =
             for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&fresh.plan), |_| {});
         assert_eq!(replay.plan, fresh.plan);
@@ -675,10 +529,14 @@ mod tests {
         let replanned =
             for_each_shard_cst_planned(&q, &g, &tree, &other_opts, Some(&fresh.plan), |_| {});
         assert_ne!(replanned.plan.provenance, fresh.plan.provenance);
-        assert!(replanned.shards <= 2, "stale plan must not override the options");
+        assert_eq!(
+            replanned.shards,
+            other_opts.resolve_shards(fresh.root_candidates),
+            "stale plan must not override the options"
+        );
 
         // Hand-built plans (provenance 0) are never trusted.
-        let hand_built = ShardPlan::contiguous(fresh.plan.order.len(), 4);
+        let hand_built = ShardPlan::contiguous(fresh.root_candidates, 4);
         let guarded =
             for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&hand_built), |_| {});
         assert_eq!(guarded.plan, fresh.plan, "replanned from scratch");

@@ -63,22 +63,6 @@ pub fn estimate_workload(cst: &Cst, tree: &BfsTree) -> WorkloadEstimate {
     }
 }
 
-impl WorkloadEstimate {
-    /// Splits the per-root-candidate workloads into `shards` contiguous
-    /// chunks — the sharding rule of `cst::pipeline` — and returns each
-    /// shard's total. The ratio `max / mean` of the returned vector is the
-    /// pipeline's load-imbalance diagnostic: contiguous root sharding is
-    /// exactly what limits `DAF-8`/`CECI-8` scaling on skewed graphs
-    /// (Fig. 14 commentary), and the same skew bounds the sharded host
-    /// pipeline's build-phase speedup.
-    pub fn shard_workloads(&self, shards: usize) -> Vec<f64> {
-        crate::pipeline::shard_ranges(self.per_root_candidate.len(), shards)
-            .into_iter()
-            .map(|r| self.per_root_candidate[r].iter().sum())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,18 +137,6 @@ mod tests {
         };
         let w = estimate_workload(&cst, &tree);
         assert_eq!(w.total, 0.0);
-    }
-
-    #[test]
-    fn shard_workloads_partition_the_total() {
-        let (_, tree, cst) = example4();
-        let w = estimate_workload(&cst, &tree);
-        assert_eq!(w.shard_workloads(1), vec![w.total]);
-        let halves = w.shard_workloads(2);
-        assert_eq!(halves.len(), 2);
-        assert_eq!(halves.iter().sum::<f64>(), w.total);
-        // More shards than root candidates clamps.
-        assert_eq!(w.shard_workloads(99).len(), w.per_root_candidate.len());
     }
 
     #[test]

@@ -24,9 +24,9 @@ pub struct FastConfig {
     /// Host-side worker threads building shard CSTs (`cst::pipeline`).
     /// Every flow is the same build → shard → partition stream under one
     /// rule, [`build_options`](Self::build_options): `1` (default) builds
-    /// one contiguous shard — the paper's Fig. 2, with no probe, no shard
-    /// plan and no seeding — and `> 1` builds the planned shards on worker
-    /// threads so offload overlaps construction. At `1`,
+    /// one contiguous shard — the paper's Fig. 2 — and `> 1` builds
+    /// [`pipeline_shards`](Self::pipeline_shards) contiguous equal-count
+    /// shards on worker threads so offload overlaps construction. At `1`,
     /// `prepare_partitions` (serving, `run_multi_fpga`) gets the shards'
     /// root localisation from the partitioner instead: its first split fans
     /// the root out into at most `pipeline_shards` chunks
@@ -35,24 +35,25 @@ pub struct FastConfig {
     pub host_threads: usize,
     /// Shard (batch) count of the host pipeline; `None` resolves to
     /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from
-    /// `host_threads`, so the planned shards do not depend on how many
-    /// threads build them. At `host_threads > 1` this is the planner's
-    /// shard-count *cap*; at `1` it caps `prepare_partitions`' root fan-out,
-    /// which cuts at most `⌊W_CST / N_o⌋` chunks (at least 1) so that no
-    /// chunk carries less than one kernel round of estimated work
-    /// (`run_fast` builds one shard and does not fan out).
+    /// `host_threads`, so the shards do not depend on how many threads
+    /// build them. At `host_threads > 1` this is the exact shard count,
+    /// `min(pipeline_shards, |C(root)|)`; at `1` it caps
+    /// `prepare_partitions`' root fan-out, which cuts at most
+    /// `⌊W_CST / N_o⌋` chunks (at least 1) so that no chunk carries less
+    /// than one kernel round of estimated work (`run_fast` builds one shard
+    /// and does not fan out).
     pub pipeline_shards: Option<usize>,
-    /// Inert: there is one shard planner (`cst::planner`), so this field
-    /// chooses nothing. It stays only because the benchmark assigns it.
+    /// Inert: the pipeline has one cut (contiguous equal-count shards), so
+    /// this field chooses nothing. It stays only because the benchmark
+    /// assigns it.
     pub shard_planner: ShardPlanner,
     /// Optional precomputed shard plan. A [`ShardPlan`] is a pure function
     /// of `(q, g, tree, options)`, so a serving layer that caches plans by
     /// [`cst::PlanKey`] hands the hit back through this field and the run
-    /// skips the probe/boundary search entirely (the cache path and the
-    /// one-shot path share the same pipeline entry,
-    /// `cst::for_each_shard_cst_planned`). Must have been planned for the
-    /// same query/graph/options; a mismatched plan is detected and silently
-    /// replanned. `None` (default) plans fresh.
+    /// replays it (the cache path and the one-shot path share the same
+    /// pipeline entry, `cst::for_each_shard_cst_planned`). Must have been
+    /// planned for the same query/graph/options; a mismatched plan is
+    /// detected and silently replanned. `None` (default) plans fresh.
     pub shard_plan: Option<Arc<ShardPlan>>,
     /// Capture this build's [`crate::PreparedCsts`] on
     /// `prepare_partitions` (returned on `PreparePhase::prepared`) so a
@@ -136,34 +137,18 @@ impl FastConfig {
         }
     }
 
-    /// The sharded-pipeline options induced by this configuration
-    /// (`cst::pipeline`) for a query with `query_len` vertices — what
-    /// [`build_options`](Self::build_options) builds with above one host
-    /// thread, and what the shard planner is keyed on. The device's
-    /// raw δ_S BRAM grant rides along as the planner's partition hint, so
-    /// the planner's ρ estimate sees the same budget the partitioner will
-    /// split against.
-    pub fn pipeline_options(&self, query_len: usize) -> cst::PipelineOptions {
-        cst::PipelineOptions {
-            threads: self.host_threads.max(1),
-            shards: self.pipeline_shards,
-            cst: self.cst_options,
-            partition_hint: Some(
-                self.spec
-                    .cst_bram_budget(query_len, PARTIAL_SLOT_BYTES)
-                    .max(1),
-            ),
-        }
-    }
-
     /// The options every host flow builds with — the T = 1 rule: one
-    /// contiguous shard at `host_threads = 1` (no probe, no plan scoring,
-    /// no seeding), the planned [`pipeline_options`](Self::pipeline_options)
-    /// above that. `run_fast`, `prepare_partitions` and a serving layer's
-    /// plan-cache key all derive from it, so they cannot disagree.
-    pub fn build_options(&self, query_len: usize) -> cst::PipelineOptions {
+    /// contiguous shard at `host_threads = 1`, `pipeline_shards`
+    /// contiguous shards on `host_threads` workers above that.
+    /// `run_fast`, `prepare_partitions` and a serving layer's plan-cache key
+    /// all derive from it, so they cannot disagree.
+    pub fn build_options(&self) -> cst::PipelineOptions {
         if self.host_threads > 1 {
-            self.pipeline_options(query_len)
+            cst::PipelineOptions {
+                threads: self.host_threads,
+                shards: self.pipeline_shards,
+                cst: self.cst_options,
+            }
         } else {
             cst::PipelineOptions::sequential(self.cst_options)
         }

@@ -3,7 +3,7 @@
 //! 1. construct the CST (Section V-A, measured on the real CPU) on the
 //!    sharded pipeline (`cst::pipeline`): one contiguous shard at
 //!    [`FastConfig::host_threads`] = 1 — the paper's sequential build —
-//!    and planned shards built on worker threads above that;
+//!    and contiguous equal-count shards built on worker threads above that;
 //! 2. partition each shard CST, in shard order, to fit the kernel's BRAM
 //!    budget (Section V-B) — [`prepare_partitions`]' one shard at T = 1
 //!    with its first split fanned out at the root into at most
@@ -55,7 +55,7 @@ use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
     estimate_workload, for_each_shard_cst_planned, partition_cst_with_steal, Cst, PartitionConfig,
-    PipelineOptions, ShardPlan, DEFAULT_SHARDS,
+    PipelineOptions, DEFAULT_SHARDS,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
@@ -127,36 +127,15 @@ pub struct FastReport {
     pub workload_fpga: f64,
     /// Host threads used by the CST pipeline.
     pub host_threads: usize,
-    /// Shards the root candidate set was split into (1 = unsharded): the
-    /// planner's per-query choice, at most the requested cap.
+    /// Shards the root candidate set was split into (1 = unsharded):
+    /// `min(pipeline_shards, |C(root)|)` above one host thread.
     pub pipeline_shards: usize,
-    /// The executed plan's estimated interior-candidate duplication over
-    /// the probed 1-hop frontiers (1.0 for a single shard).
-    pub planned_duplication: f64,
-    /// Measured wall time of shard planning (root probe + boundary
-    /// search); ~0 for a single shard, which is not probed.
+    /// Measured wall time deriving the shard plan (the even cut).
     pub plan_time: Duration,
-    /// Planning work normalised to the paper's Xeon (probe entries at the
-    /// streaming `ns_per_partition_entry` rate). Not part of the overlapped
-    /// prepare model: a probed plan seeds every shard build, so the probe
-    /// *is* the builds' top-down pass (whose cost the calibrated per-entry
-    /// build rate already includes), and a plan with no probe has no
-    /// probe work. DESIGN.md §7 derives this.
-    pub modeled_plan_sec: f64,
-    /// Shards built from the probe's memoised candidate space
-    /// (`cst::build_cst_seeded`); 0 when builds ran cold (a single shard,
-    /// or a supplied plan without its probe). Either 0 or equal to
-    /// [`pipeline_shards`](Self::pipeline_shards).
-    pub seeded_shards: usize,
     /// Phase-1 top-down scan work across shard builds (neighbour visits,
-    /// each a filter evaluation — the same unit as the probe's
-    /// `probe_entries`). 0 when every shard was seeded: the probe's single
-    /// pass replaced the per-shard scans. Deterministic (a pure function of
-    /// the inputs), unlike the measured walls.
+    /// each a filter evaluation). Deterministic (a pure function of the
+    /// inputs), unlike the measured walls.
     pub build_topdown_entries: usize,
-    /// Measured wall time deriving per-shard seeds from the probe (the
-    /// integer mask sweep); zero for cold builds.
-    pub seed_time: Duration,
     /// Measured wall time of the CST build phase (first shard started →
     /// last shard finished).
     pub build_time: Duration,
@@ -263,7 +242,7 @@ fn run_fast_with_tree(
     config.validate()?;
     let wall_start = Instant::now();
     let plan = KernelPlan::new(q, order, tree)?;
-    let options = config.build_options(q.vertex_count());
+    let options = config.build_options();
     // The partitioner takes the steal hook and the sink as two independent
     // `&mut dyn FnMut`; both book into the same scheduler, so share it.
     let state = RefCell::new(OffloadState::new(config, &plan));
@@ -434,19 +413,10 @@ impl PreparedCsts {
 /// Summary of the prepare phase (build + partition, no kernel).
 #[derive(Debug, Clone)]
 pub struct PreparePhase {
-    /// The shard plan the pipeline executed (cached or freshly probed).
-    pub shard_plan: ShardPlan,
-    /// Wall time of shard planning; ~0 when a cached plan was supplied.
+    /// Wall time of shard planning (the even cut, or the check of a
+    /// supplied plan).
     pub plan_time: Duration,
-    /// Wall time deriving per-shard seeds from the plan's probe; 0 for
-    /// cold builds.
-    pub seed_time: Duration,
-    /// Shards built from the probe's memoised candidate space — a cached
-    /// plan carries its probe, so a warm-cache session skips the global
-    /// top-down scan entirely (0 or [`pipeline_shards`](Self::pipeline_shards)).
-    pub seeded_shards: usize,
-    /// Phase-1 top-down scan work across shard builds; 0 when every shard
-    /// was seeded.
+    /// Phase-1 top-down scan work across shard builds.
     pub build_topdown_entries: usize,
     /// Shards the root candidate set was split into.
     pub pipeline_shards: usize,
@@ -577,10 +547,7 @@ fn produce_partitions(
         build_wall: pipe_stats.build_wall,
         build_cpu: pipe_stats.build_cpu,
         plan_time: pipe_stats.plan_time,
-        seed_time: pipe_stats.seed_time,
-        seeded_shards: pipe_stats.seeded_shards,
         build_topdown_entries: pipe_stats.topdown_entries,
-        shard_plan: pipe_stats.plan,
         partition_time,
         partitions: emitted,
         forced,
@@ -613,18 +580,17 @@ fn work_sized_fanout(
 /// running **no** kernel and booking **no** CPU share — execution policy
 /// belongs to the caller. This is the per-session entry point of the
 /// serving layer (`serve`): the caller derives the tree/order once
-/// (reusing them for its cache key), and a cached [`ShardPlan`] in
-/// [`FastConfig::shard_plan`] skips the probe/boundary search exactly as in
-/// [`run_fast`].
+/// (reusing them for its cache key), and a cached `cst::ShardPlan` in
+/// [`FastConfig::shard_plan`] is replayed exactly as in [`run_fast`].
 ///
-/// At `host_threads = 1` the one shard is never probed, planned or seeded;
-/// its partitioner fans out at the root instead, into
+/// At `host_threads = 1` the one shard's partitioner fans out at the root,
+/// into
 /// `cst::PartitionConfig::root_fanout = clamp(⌊W_CST / N_o⌋, 1, S)` chunks
 /// with `S = pipeline_shards` (default [`cst::DEFAULT_SHARDS`]), so a
 /// device pool still receives root-localised partitions to spread and no
 /// chunk of the fan-out carries less than one kernel round of estimated
-/// work. Above that the planned shards partition greedily. Either way the
-/// stream is deterministic.
+/// work. Above that the `pipeline_shards` contiguous shards partition
+/// greedily. Either way the stream is deterministic.
 pub fn prepare_partitions(
     q: &QueryGraph,
     g: &Graph,
@@ -633,7 +599,7 @@ pub fn prepare_partitions(
     order: &MatchingOrder,
     sink: &mut dyn FnMut(PartitionJob),
 ) -> PreparePhase {
-    let options = config.build_options(q.vertex_count());
+    let options = config.build_options();
     let root_fanout = if config.host_threads > 1 {
         1
     } else {
@@ -755,12 +721,8 @@ fn finish_report(
         workload_fpga: state.scheduler.fpga_workload(),
         host_threads: phase.host_threads,
         pipeline_shards: phase.pipeline_shards,
-        planned_duplication: phase.shard_plan.estimated_duplication,
         plan_time: phase.plan_time,
-        modeled_plan_sec: cpu_cost.partition_time_sec(phase.shard_plan.probe_entries),
-        seeded_shards: phase.seeded_shards,
         build_topdown_entries: phase.build_topdown_entries,
-        seed_time: phase.seed_time,
         build_time: phase.build_wall,
         build_cpu_time: phase.build_cpu,
         // Partition time excludes the inline (emulated) kernel execution.
@@ -1132,11 +1094,13 @@ mod tests {
         }
     }
 
-    /// The T = 1 rule holds for `prepare_partitions` too: one shard, never
-    /// probed, planned or seeded, and the root fanned out by the
-    /// partitioner instead. Above one thread it still plans and seeds.
+    /// The T = 1 rule holds for `prepare_partitions` too: one shard that
+    /// scans top-down, with the root fanned out by the partitioner. Above
+    /// one thread it builds exactly `min(pipeline_shards, |C(root)|)`
+    /// contiguous shards, which scan top-down too, and counts the same
+    /// embeddings.
     #[test]
-    fn prepare_partitions_probes_only_above_one_thread() {
+    fn prepare_partitions_cuts_the_roots_evenly_above_one_thread() {
         let q = queries().remove(2);
         let g = random_labelled_graph(120, 0.15, 2, 920);
         let tree = BfsTree::new(&q, select_root(&q, &g));
@@ -1156,9 +1120,7 @@ mod tests {
         };
 
         let one = run(&config);
-        assert!(one.shard_plan.probe.is_none());
-        assert_eq!(one.shard_plan.probe_entries, 0);
-        assert_eq!((one.pipeline_shards, one.seeded_shards), (1, 0));
+        assert_eq!(one.pipeline_shards, 1);
         assert!(
             one.build_topdown_entries > 0,
             "the one shard scans top-down"
@@ -1167,10 +1129,11 @@ mod tests {
 
         config.host_threads = 2;
         let two = run(&config);
-        assert!(two.shard_plan.probe.is_some());
-        assert!(two.pipeline_shards > 1);
-        assert_eq!(two.seeded_shards, two.pipeline_shards);
-        assert_eq!(two.build_topdown_entries, 0);
+        let roots = cst::root_candidates(&q, &g, &tree, config.cst_options).len();
+        assert!(roots > 4, "the cut is not clamped: {roots} roots");
+        assert_eq!(two.pipeline_shards, 4);
+        assert_eq!(two.host_threads, 2);
+        assert!(two.build_topdown_entries > 0, "every shard scans top-down");
     }
 
     /// The root fan-out is sized by the work it spreads. On generated

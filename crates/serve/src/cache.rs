@@ -8,7 +8,7 @@
 //! (every weight 1), so both tiers share one implementation:
 //!
 //! * [`PlanCache`] (tier 1): [`cst::PlanKey`] → [`Arc<ShardPlan>`] — the
-//!   probe/boundary-search result, bounded by an entry count.
+//!   contiguous cut of the root set, bounded by an entry count.
 //! * [`CstCache`] (tier 2): [`cst::PlanKey`] → [`Arc<fast::PreparedCsts>`]
 //!   — the refined shard CSTs *and* their partition decomposition, weighed
 //!   by `PreparedCsts::payload_bytes`. A hit makes a warm serve pure

@@ -75,7 +75,6 @@ struct PrepareCost {
     build_time: Duration,
     topdown_entries: usize,
     pipeline_shards: usize,
-    seeded_shards: usize,
 }
 
 /// Accumulated results and timing splits, folded partition by partition
@@ -363,27 +362,10 @@ enum BuildOutcome {
     Ready,
 }
 
-/// The `plan` span's arguments: why the plan cost what it did (the probe's
-/// neighbour visits and filter evaluations) and what the planner settled
-/// on, so a trace answers "why was this plan slow" without a re-run.
+/// The `plan` span's arguments: the shard count the plan cut the root set
+/// into.
 fn plan_span_args(plan: &cst::ShardPlan) -> obs::Args {
-    use obs::ArgValue::{Str, F64, U64};
-    // The blind plan: roots in index order, cut evenly (the first
-    // `n % shards` shards one root longer).
-    let (n, shards) = (plan.order.len(), plan.shard_count().max(1));
-    let contiguous = plan.order.iter().enumerate().all(|(i, &o)| i as u32 == o)
-        && plan.ranges.iter().enumerate().all(|(s, r)| {
-            r.len() == n / shards + usize::from(s < n % shards)
-        });
-    let boundaries = if contiguous { "contiguous" } else { "overlap" };
-    let evaluations = plan.probe.as_ref().map_or(0, |p| p.filter_evaluations);
-    vec![
-        ("probe_entries", U64(plan.probe_entries as u64)),
-        ("filter_evaluations", U64(evaluations as u64)),
-        ("shards", U64(plan.shard_count() as u64)),
-        ("estimated_duplication", F64(plan.estimated_duplication)),
-        ("boundaries", Str(boundaries)),
-    ]
+    vec![("shards", obs::ArgValue::U64(plan.shard_count() as u64))]
 }
 
 /// The planning/build half of a session: queue-wait accounting, plan
@@ -460,10 +442,10 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     //   earlier identical build and its jobs are staged as they are: no
     //   planning, no build, no partitioning — the session is pure dispatch
     //   + kernel. No flight is claimed (there is nothing left to compute).
-    // * **Tier-2 miss, plan hit** — the stored plan skips the probe and
-    //   the build is seeded from its riding probe, as before tier 2. With
-    //   tier 2 enabled the flight is **held through the build** and the
-    //   finished artifact is inserted before release, so N identical
+    // * **Tier-2 miss, plan hit** — the stored plan is replayed, as
+    //   before tier 2. With tier 2 enabled the flight is **held through
+    //   the build** and the finished artifact is inserted before release,
+    //   so N identical
     //   concurrent cold sessions build the shard CSTs exactly once:
     //   waiters wake straight into a tier-2 hit.
     // * **Both miss** — the plan is computed *here* (the same
@@ -474,11 +456,10 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     //
     // The key and the plan come from `FastConfig::build_options`, the
     // options `prepare_partitions` builds with. At `host_threads = 1` they
-    // are one shard: the plan is trivial, nothing probes or seeds, and the
-    // partitioner fans out at the root instead, into at most
-    // `pipeline_shards` and at most `⌊W_CST / N_o⌋` chunks.
+    // are one shard, and the partitioner fans out at the root instead,
+    // into at most `pipeline_shards` and at most `⌊W_CST / N_o⌋` chunks.
     let mut config = inner.config.fast.clone();
-    let pipe_opts = config.build_options(q.vertex_count());
+    let pipe_opts = config.build_options();
     let epoch = tenant.epoch.load(Ordering::Relaxed);
     let key = PlanKey::derive(q, tree, &pipe_opts, epoch);
     let flight_key = (tenant.id, key);
@@ -551,8 +532,7 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
                 let t0 = Instant::now();
                 let t0_ns = obs::now_ns();
                 let roots = cst::root_candidates(q, g, tree, pipe_opts.cst);
-                let shard_plan =
-                    Arc::new(cst::plan_pipeline_shards(q, g, tree, &pipe_opts, &roots));
+                let shard_plan = Arc::new(cst::plan_pipeline_shards(&roots, &pipe_opts));
                 measured_plan_time = t0.elapsed();
                 let (end_ns, args) = (obs::now_ns(), plan_span_args(&shard_plan));
                 obs::record_span(strack, "plan", "serve", t0_ns, end_ns, args);
@@ -599,7 +579,6 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             build_time: prep.build_wall + prep.partition_time.saturating_sub(sink_exec),
             topdown_entries: prep.build_topdown_entries,
             pipeline_shards: prep.pipeline_shards,
-            seeded_shards: prep.seeded_shards,
         };
         (jobs, build_start_ns, prepare)
     };
@@ -764,7 +743,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 build_time: stats.prepare.build_time,
                 topdown_entries: stats.prepare.topdown_entries,
                 pipeline_shards: stats.prepare.pipeline_shards,
-                seeded_shards: stats.prepare.seeded_shards,
+                seeded_shards: 0,
                 service_time: now.duration_since(picked),
                 queue_wait: stats.queue_wait,
                 device_queue_sec: stats.acc.device_queue_sec,
@@ -791,7 +770,6 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                     ("tier2_hit", obs::ArgValue::U64(stats.cst_cache_hit as u64)),
                     ("plan_hit", obs::ArgValue::U64(stats.plan_hit as u64)),
                     ("shards", obs::ArgValue::U64(stats.prepare.pipeline_shards as u64)),
-                    ("seeded", obs::ArgValue::U64(stats.prepare.seeded_shards as u64)),
                 ],
             );
             close_session(strack, slot, "completed", stats.embeddings);
@@ -880,42 +858,12 @@ mod tests {
         let tree = BfsTree::new(&q, select_root(&q, &g));
         let options = PipelineOptions::default();
         let roots = root_candidates(&q, &g, &tree, options.cst);
-        let plan = plan_pipeline_shards(&q, &g, &tree, &options, &roots);
-        let probe = plan
-            .probe
-            .as_ref()
-            .expect("a multi-shard plan carries its probe");
-        assert!(probe.filter_evaluations > 0 && probe.filter_evaluations < plan.probe_entries);
+        let plan = plan_pipeline_shards(&roots, &options);
+        assert_eq!(plan.shard_count(), options.resolve_shards(roots.len()));
 
-        use obs::ArgValue::{Str, F64, U64};
         let args = plan_span_args(&plan);
         let names: Vec<_> = args.iter().map(|(name, _)| *name).collect();
-        assert_eq!(
-            names,
-            ["probe_entries", "filter_evaluations", "shards", "estimated_duplication", "boundaries"]
-        );
-        assert!(matches!(args[0].1, U64(n) if n == plan.probe_entries as u64));
-        assert!(matches!(args[1].1, U64(n) if n == probe.filter_evaluations as u64));
-        assert!(matches!(args[2].1, U64(n) if n == plan.shard_count() as u64));
-        assert!(matches!(args[3].1, F64(d) if d == plan.estimated_duplication));
-        let blind = cst::ShardPlan::contiguous(roots.len(), plan.shard_count());
-        let expected = if plan.order == blind.order && plan.ranges == blind.ranges {
-            "contiguous"
-        } else {
-            "overlap"
-        };
-        assert!(matches!(args[4].1, Str(s) if s == expected));
-
-        // A plan that never probed reports zeros and the blind boundaries.
-        let blind = plan_span_args(&cst::ShardPlan::contiguous(roots.len(), 4));
-        assert!(matches!(blind[0].1, U64(0)) && matches!(blind[1].1, U64(0)));
-        assert!(matches!(blind[4].1, Str("contiguous")));
-        // Another order, or another cut of the same order, is not blind.
-        let mut reordered = cst::ShardPlan::contiguous(5, 2);
-        reordered.order.swap(0, 4);
-        assert!(matches!(plan_span_args(&reordered)[4].1, Str("overlap")));
-        let mut recut = cst::ShardPlan::contiguous(5, 2);
-        recut.ranges = vec![0..1, 1..5];
-        assert!(matches!(plan_span_args(&recut)[4].1, Str("overlap")));
+        assert_eq!(names, ["shards"]);
+        assert!(matches!(args[0].1, obs::ArgValue::U64(n) if n == plan.shard_count() as u64));
     }
 }

@@ -15,8 +15,8 @@
 //! * [`cache`] — **two cache tiers** keyed on [`cst::PlanKey`] (query
 //!   fingerprint × tenant graph epoch × planning options), partitioned per
 //!   tenant and unified on one size-aware LRU ([`SizedCache`]): tier 1
-//!   caches the [`ShardPlan`](cst::ShardPlan) (skip the probe/boundary
-//!   search above one host thread; a trivial one-shard plan at one), tier 2 ([`CstCache`]) caches the refined shard CSTs *and*
+//!   caches the [`ShardPlan`](cst::ShardPlan) (the contiguous cut of the
+//!   root set), tier 2 ([`CstCache`]) caches the refined shard CSTs *and*
 //!   their partition decomposition under a **byte budget**
 //!   (`Cst::payload_bytes`), so a warm serve is pure dispatch + kernel —
 //!   zero build work — and one tenant's entries can never collide with

@@ -28,11 +28,11 @@
 //!    same [`cst::PlanKey`] × the *tenant's* graph epoch — under a
 //!    single-flight gate: a **tier-2** hit stages the partition jobs its
 //!    artifact ([`fast::PreparedCsts`]) holds, as they are (zero
-//!    planning, zero build, zero partitioning); a plan-only hit rides the stored [`cst::ShardPlan`]
-//!    into [`fast::prepare_partitions`] through [`FastConfig::shard_plan`]
-//!    (above one host thread: probe skipped, build seeded; at the default
-//!    one thread the plan is the trivial one-shard plan); a full miss computes and publishes
-//!    the plan, builds, and inserts the captured artifact into tier 2. A
+//!    planning, zero build, zero partitioning); a plan-only hit rides the
+//!    stored [`cst::ShardPlan`] (the contiguous cut of the root set) into
+//!    [`fast::prepare_partitions`] through [`FastConfig::shard_plan`]; a
+//!    full miss computes and publishes the plan, builds, and inserts the
+//!    captured artifact into tier 2. A
 //!    session whose key is already being computed **parks** (its lane's
 //!    deficit round is told via `WrrQueue::park`; no executor thread
 //!    blocks) and is re-enqueued by the owner's flight release.
@@ -218,22 +218,21 @@ pub struct QueryReport {
     /// fully warm path: no planning, no build, no partitioning; the
     /// session was pure dispatch + kernel.
     pub cst_cache_hit: bool,
-    /// Shard-planning wall time (~0 on a hit).
+    /// Shard-planning wall time: the even cut of the root set (~0 on a
+    /// hit).
     pub plan_time: Duration,
     /// CST build wall: refinement + materialisation + partitioning,
     /// excluding inline backend execution. **Exactly zero** on a tier-2
     /// hit — the claim the `cstcache` figure and the release-mode warm
     /// test assert.
     pub build_time: Duration,
-    /// Phase-1 top-down scan work of the session's build — 0 when every
-    /// shard was seeded from the plan's probe *or* replayed from tier 2.
+    /// Phase-1 top-down scan work of the session's build: every built
+    /// shard scans; 0 when the shards were replayed from tier 2.
     pub topdown_entries: usize,
     /// Shards the plan decomposed the root set into.
     pub pipeline_shards: usize,
-    /// Shards built from the cached/fresh plan's probe — a warm-cache
-    /// session seeds every shard and skips the global top-down scan. 0 on
-    /// a tier-2 hit (nothing is built at all) and at `host_threads = 1`,
-    /// where the one shard is never probed.
+    /// Always 0: every shard is built by a top-down scan. Kept because the
+    /// benchmark reads it.
     pub seeded_shards: usize,
     /// Wall time from worker pickup to completion (build + partition +
     /// inline emulated backends).

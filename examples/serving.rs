@@ -1,7 +1,7 @@
 //! Serving quickstart: a [`serve::FastService`] holding one loaded graph,
 //! serving a concurrent stream of repeated queries across a pool of
-//! emulated FPGA devices, with plan caching amortising the shard
-//! probe/boundary search across repeats.
+//! emulated FPGA devices, with the shard-CST cache amortising the build
+//! across repeats.
 //!
 //! ```sh
 //! cargo run --release --example serving

@@ -10,7 +10,7 @@ use serve::{DeviceKind, FastService, ServeConfig, SessionHandle};
 use std::sync::Arc;
 
 /// The small-figure query subset the serving studies use (q0 path, q1/q2
-/// cycles, q4 cycle) — planner-heavy and flat shapes together.
+/// cycles, q4 cycle) — hub-dominated and flat shapes together.
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
 fn config(devices: usize, extra: Vec<DeviceKind>) -> ServeConfig {
@@ -44,7 +44,7 @@ fn serve_counts(
 }
 
 /// CPU-only, FPGA-only, and mixed fleets are bit-identical to each other
-/// and to `run_fast`, under the shard planner.
+/// and to `run_fast`.
 #[test]
 fn all_fleets_agree_with_run_fast_for_every_planner() {
     let g = Arc::new(generate_ldbc(&LdbcParams::with_scale_factor(0.05), 42));

@@ -1,7 +1,7 @@
 //! Chaos property tests: under randomized seeded fault schedules —
 //! transient errors, watchdog stalls, silent corruption, permanent device
 //! death — the service still serves **bit-identical** embedding counts for
-//! every shard planner and fleet shape, with exactly-once retry accounting
+//! every fleet shape, with exactly-once retry accounting
 //! and monotone quarantine counters. Degenerate configurations (zero
 //! deadline budget, a fleet that is dead on arrival) shed with *typed*
 //! errors instead of hanging or panicking.
@@ -16,11 +16,11 @@ use serve::{
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// The serving studies' query subset (planner-heavy and flat shapes).
+/// The serving studies' query subset (hub-dominated and flat shapes).
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
-/// The shared workload: graph + fault-free reference counts (fleet- and
-/// planner-independent, witnessed by `prop_backend.rs`).
+/// The shared workload: graph + fault-free reference counts
+/// (fleet-independent, witnessed by `prop_backend.rs`).
 fn workload() -> &'static (Arc<Graph>, Vec<u64>) {
     static W: OnceLock<(Arc<Graph>, Vec<u64>)> = OnceLock::new();
     W.get_or_init(|| {

@@ -20,7 +20,7 @@ use serve::{DeviceKind, FastService, FaultPolicy, ServeConfig, ServeError};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// The serving studies' query subset (planner-heavy and flat shapes).
+/// The serving studies' query subset (hub-dominated and flat shapes).
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
 /// Serializes obs-enabled tests: the tracer and registry are global, so

@@ -5,9 +5,9 @@
 //! every shard count — the correctness bar of the overlapped host path.
 
 use cst::{
-    build_cst, build_cst_sharded, count_embeddings, for_each_shard_cst, for_each_shard_cst_planned,
-    plan_pipeline_shards, plan_provenance, plan_shards, root_candidates, CstOptions,
-    PipelineOptions, RootProfile, ShardPlan,
+    build_cst, build_cst_from_roots, build_cst_with_stats, count_embeddings, for_each_shard_cst,
+    for_each_shard_cst_planned, plan_pipeline_shards, plan_provenance, root_candidates, Cst,
+    CstOptions, PipelineOptions, PipelineStats, ShardPlan,
 };
 use fast::{run_fast, FastConfig, Variant};
 use graph_core::generators::{random_labelled_graph, random_power_law_graph};
@@ -15,6 +15,7 @@ use graph_core::{BfsTree, Label, MatchingOrder, QueryGraph, QueryVertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// A connected query on `n` vertices over two labels: a random spanning
 /// tree plus each further edge with probability 0.3, drawn from `seed`.
@@ -67,13 +68,26 @@ fn csts_identical(a: &cst::Cst, b: &cst::Cst) -> bool {
     true
 }
 
+/// The shard CSTs the pipeline streams, in consumption order, with its
+/// statistics.
+fn shard_stream(
+    q: &QueryGraph,
+    g: &graph_core::Graph,
+    tree: &BfsTree,
+    opts: &PipelineOptions,
+) -> (Vec<Arc<Cst>>, PipelineStats) {
+    let mut csts = Vec::new();
+    let stats = for_each_shard_cst(q, g, tree, opts, |s| csts.push(s.cst));
+    (csts, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
 
-    /// The merged CST is bit-identical across thread counts {1, 2, 4, 8}
-    /// at a fixed shard count, its shards cover every root exactly once,
-    /// and its embedding count matches the sequential build for every
-    /// shard count.
+    /// The shard stream is bit-identical, shard by shard, across thread
+    /// counts {1, 2, 4, 8} at a fixed shard count, its shards cover every
+    /// root exactly once, and its summed embedding count matches the
+    /// sequential build for every shard count.
     #[test]
     fn thread_count_never_changes_the_output(
         q in arb_query(),
@@ -87,35 +101,38 @@ proptest! {
         let sequential = build_cst(&q, &g, &tree);
         let whole = count_embeddings(&sequential, &q, &order);
 
-        let mut reference: Option<cst::Cst> = None;
+        let mut reference: Option<Vec<Arc<Cst>>> = None;
         for threads in [1usize, 2, 4, 8] {
             let opts = PipelineOptions {
                 threads,
                 shards: Some(shards),
                 cst: CstOptions::default(),
-                ..PipelineOptions::default()
             };
-            let (merged, stats) = build_cst_sharded(&q, &g, &tree, &opts);
-            prop_assert!(merged.validate(&q).is_ok());
-            prop_assert_eq!(
-                count_embeddings(&merged, &q, &order),
-                whole,
-                "threads {} shards {}",
-                threads,
-                shards
-            );
-            prop_assert!(stats.shards <= shards.min(stats.root_candidates.max(1)));
+            let (stream, stats) = shard_stream(&q, &g, &tree, &opts);
+            let mut sum = 0u64;
+            for shard in &stream {
+                prop_assert!(shard.validate(&q).is_ok());
+                sum += count_embeddings(shard, &q, &order);
+            }
+            prop_assert_eq!(sum, whole, "threads {} shards {}", threads, shards);
+            prop_assert_eq!(stats.shards, shards.min(stats.root_candidates.max(1)));
             prop_assert_eq!(
                 stats.shard_reports.iter().map(|r| r.roots).sum::<usize>(),
                 stats.root_candidates
             );
             match &reference {
-                None => reference = Some(merged),
-                Some(r) => prop_assert!(
-                    csts_identical(r, &merged),
-                    "threads {} produced a different CST",
-                    threads
-                ),
+                None => reference = Some(stream),
+                Some(r) => {
+                    prop_assert_eq!(r.len(), stream.len());
+                    for (s, (a, b)) in r.iter().zip(&stream).enumerate() {
+                        prop_assert!(
+                            csts_identical(a, b),
+                            "threads {} produced a different CST for shard {}",
+                            threads,
+                            s
+                        );
+                    }
+                }
             }
         }
         // One shard reproduces the sequential CST exactly (not just its
@@ -124,17 +141,18 @@ proptest! {
             threads: 4,
             shards: Some(1),
             cst: CstOptions::default(),
-            ..PipelineOptions::default()
         };
-        let (single, _) = build_cst_sharded(&q, &g, &tree, &opts);
-        prop_assert!(csts_identical(&sequential, &single));
+        let (single, _) = shard_stream(&q, &g, &tree, &opts);
+        prop_assert_eq!(single.len(), 1);
+        let (expected, _) = build_cst_with_stats(&q, &g, &tree, CstOptions::default());
+        prop_assert!(csts_identical(&expected, &single[0]));
     }
 
-    /// The same bar on hub-heavy power-law graphs, where the planner keeps
-    /// reordered (hub-clustered) cuts: the merged CST's embedding count
-    /// matches the sequential build, and the merged CST is bit-identical
-    /// across thread counts at a fixed shard cap — planned decompositions
-    /// must never depend on the thread count.
+    /// The same bar on hub-heavy power-law graphs, where sharding
+    /// duplicates the most interior work: the shard stream's summed
+    /// embedding count matches the sequential build, and the stream is
+    /// bit-identical, shard by shard, across thread counts at a fixed
+    /// shard count.
     #[test]
     fn planners_preserve_counts_and_thread_invariance(
         q in arb_query(),
@@ -147,31 +165,79 @@ proptest! {
         let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).expect("bfs");
         let sequential = build_cst(&q, &g, &tree);
         let whole = count_embeddings(&sequential, &q, &order);
-        let mut reference: Option<cst::Cst> = None;
+        let mut reference: Option<Vec<Arc<Cst>>> = None;
         for threads in [1usize, 4] {
             let opts = PipelineOptions {
                 threads,
                 shards: Some(shards),
                 cst: CstOptions::default(),
-                ..PipelineOptions::default()
             };
-            let (merged, stats) = build_cst_sharded(&q, &g, &tree, &opts);
-            prop_assert!(merged.validate(&q).is_ok());
-            prop_assert_eq!(
-                count_embeddings(&merged, &q, &order),
-                whole,
-                "threads {} shards {}",
-                threads,
-                shards
-            );
-            prop_assert!(stats.shards <= shards.max(1), "over cap");
+            let (stream, stats) = shard_stream(&q, &g, &tree, &opts);
+            let mut sum = 0u64;
+            for shard in &stream {
+                prop_assert!(shard.validate(&q).is_ok());
+                sum += count_embeddings(shard, &q, &order);
+            }
+            prop_assert_eq!(sum, whole, "threads {} shards {}", threads, shards);
+            prop_assert_eq!(stats.shards, shards.min(stats.root_candidates.max(1)));
             match &reference {
-                None => reference = Some(merged),
-                Some(r) => prop_assert!(
-                    csts_identical(r, &merged),
-                    "threads {} produced a different CST",
-                    threads
-                ),
+                None => reference = Some(stream),
+                Some(r) => {
+                    prop_assert_eq!(r.len(), stream.len());
+                    for (s, (a, b)) in r.iter().zip(&stream).enumerate() {
+                        prop_assert!(
+                            csts_identical(a, b),
+                            "threads {} produced a different CST for shard {}",
+                            threads,
+                            s
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one cut above one thread: at `threads ∈ {2, 4}` and a fixed
+    /// shard count `S`, the pipeline reports exactly `min(S, |C(root)|)`
+    /// shards; shard `s` is built from exactly the `s`-th equal-count
+    /// chunk of the sorted root list (the first `|C(root)| mod S` chunks
+    /// one root longer), in index order; and the builds scan top-down
+    /// whenever a root exists.
+    #[test]
+    fn threaded_hosts_cut_the_roots_evenly(
+        q in arb_query(),
+        graph_seed in 0u64..200,
+        shards in 1usize..12,
+    ) {
+        let g = random_power_law_graph(160, 3, 2, graph_seed);
+        let tree = BfsTree::new(&q, QueryVertexId::new(0));
+        let roots = root_candidates(&q, &g, &tree, CstOptions::default());
+        let expected_shards = shards.min(roots.len()).max(1);
+        let (base, extra) = (roots.len() / expected_shards, roots.len() % expected_shards);
+        for threads in [2usize, 4] {
+            let opts = PipelineOptions {
+                threads,
+                shards: Some(shards),
+                cst: CstOptions::default(),
+            };
+            let mut seen = Vec::new();
+            let mut start = 0usize;
+            let stats = for_each_shard_cst(&q, &g, &tree, &opts, |s| {
+                let len = base + usize::from(s.report.shard < extra);
+                let chunk = roots[start..start + len].to_vec();
+                start += len;
+                let (expected, _) = build_cst_from_roots(&q, &g, &tree, opts.cst, chunk);
+                let identical = csts_identical(&expected, &s.cst);
+                seen.push((s.report.shard, s.report.roots == len, identical));
+            });
+            prop_assert_eq!(stats.shards, expected_shards, "threads {}", threads);
+            prop_assert_eq!(start, roots.len());
+            for (i, (shard, roots_match, cst_match)) in seen.iter().enumerate() {
+                prop_assert_eq!(*shard, i, "consumed in index order");
+                prop_assert!(*roots_match && *cst_match, "shard {} is not its chunk", i);
+            }
+            if !roots.is_empty() {
+                prop_assert!(stats.topdown_entries > 0, "threads {}", threads);
             }
         }
     }
@@ -211,59 +277,6 @@ proptest! {
     }
 }
 
-/// The balanced boundary search's guarantee as the planner uses it, on
-/// hub-heavy power-law graphs: every plan covers every root exactly once
-/// within the cap, and whenever it keeps a balanced (reordered,
-/// hub-clustered) cut and no single root weight exceeds the mean shard
-/// workload, every planned shard stays within 2× of the mean (refinement
-/// may move a seam up to that slack, never past it). The strict bound of
-/// the cut before refinement is `cst::planner`'s
-/// `balanced_two_x_mean_guarantee_on_random_weights`.
-#[test]
-fn balanced_shards_within_two_x_mean_when_possible() {
-    let mut reordered_cases = 0;
-    for case in 0..60u64 {
-        let q = seeded_query(3 + (case % 3) as usize, case);
-        let g = random_power_law_graph(160, 3, 2, case);
-        let shards = 2 + (case % 10) as usize;
-        let tree = BfsTree::new(&q, QueryVertexId::new(0));
-        let opts = PipelineOptions {
-            shards: Some(shards),
-            ..PipelineOptions::default()
-        };
-        let roots = root_candidates(&q, &g, &tree, opts.cst);
-        let plan = plan_pipeline_shards(&q, &g, &tree, &opts, &roots);
-        // Coverage: every root in exactly one shard, boundaries contiguous.
-        let mut seen: Vec<u32> = plan
-            .ranges
-            .iter()
-            .flat_map(|r| plan.order[r.clone()].iter().copied())
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen.len(), roots.len(), "case {case}");
-        assert!(seen.iter().enumerate().all(|(i, &v)| i as u32 == v));
-        let effective = plan.shard_count();
-        assert!(effective <= shards.min(roots.len().max(1)), "case {case}");
-        let reordered = plan.order.iter().enumerate().any(|(i, &o)| i as u32 != o);
-        let Some(probe) = plan.probe.as_ref().filter(|_| reordered) else {
-            continue;
-        };
-        reordered_cases += 1;
-        let total: f64 = probe.weights.iter().sum();
-        let mean = total / effective as f64;
-        let max_weight = probe.weights.iter().cloned().fold(0.0, f64::max);
-        if total > 0.0 && max_weight <= mean {
-            for (s, sw) in plan.shard_weights.iter().enumerate() {
-                assert!(
-                    *sw <= 2.0 * mean,
-                    "case {case}: shard {s} workload {sw} vs mean {mean} (S={effective})"
-                );
-            }
-        }
-    }
-    assert!(reordered_cases > 0, "no case keeps a reordered cut");
-}
-
 /// A query whose label exists nowhere in the graph: the root candidate set
 /// is empty, every shard is empty, and the pipeline reports zero work.
 #[test]
@@ -275,7 +288,6 @@ fn empty_root_candidate_set() {
         threads: 4,
         shards: Some(8),
         cst: CstOptions::default(),
-        ..PipelineOptions::default()
     };
     let mut seen = 0usize;
     let stats = for_each_shard_cst(&q, &g, &tree, &opts, |s| {
@@ -285,15 +297,13 @@ fn empty_root_candidate_set() {
     assert_eq!(stats.root_candidates, 0);
     assert_eq!(stats.shards, 1, "zero roots collapse to one (empty) shard");
     assert_eq!(seen, 1);
-    let (merged, _) = build_cst_sharded(&q, &g, &tree, &opts);
-    assert!(merged.any_empty());
 }
 
 /// One root per shard: handed a plan that cuts every root into a shard of
 /// its own, the pipeline builds exactly that many one-root shards and the
-/// shard counts still sum to the sequential count. (The planner's own
-/// clamp of the shard count to the root count is `cst::planner`'s
-/// `more_shards_than_roots_clamp`.)
+/// shard counts still sum to the sequential count. (The pipeline's own
+/// clamp of the shard count to the root count is
+/// `planner_edge_cases_end_to_end`.)
 #[test]
 fn singleton_root_shards() {
     let q = QueryGraph::new(
@@ -310,7 +320,6 @@ fn singleton_root_shards() {
         threads: 4,
         shards: Some(64),
         cst: CstOptions::default(),
-        ..PipelineOptions::default()
     };
     let roots = root_candidates(&q, &g, &tree, opts.cst);
     assert!(
@@ -331,13 +340,13 @@ fn singleton_root_shards() {
     assert_eq!(sum, whole);
 }
 
-/// Planner edge cases through the whole pipeline: empty root sets, a
-/// single root candidate, and more shards than candidates.
+/// Plan edge cases through the whole pipeline: empty root sets, a single
+/// root candidate, and more shards than candidates.
 #[test]
 fn planner_edge_cases_end_to_end() {
     let g = random_labelled_graph(25, 0.3, 2, 13);
-    // (query, expected-empty) pairs: a label absent from the graph (zero
-    // roots → zero-workload plan) and a normal triangle query.
+    // A label absent from the graph (zero roots) and a normal triangle
+    // query.
     let absent = QueryGraph::new(vec![Label::new(9), Label::new(1)], &[(0, 1)]).unwrap();
     let triangle = QueryGraph::new(
         vec![Label::new(0), Label::new(1), Label::new(1)],
@@ -350,7 +359,6 @@ fn planner_edge_cases_end_to_end() {
         threads: 2,
         shards: Some(8),
         cst: CstOptions::default(),
-        ..PipelineOptions::default()
     };
     let stats = for_each_shard_cst(&absent, &g, &tree, &opts, |s| {
         assert!(s.cst.any_empty());
@@ -366,13 +374,16 @@ fn planner_edge_cases_end_to_end() {
         threads: 2,
         shards: Some(roots * 5),
         cst: CstOptions::default(),
-        ..PipelineOptions::default()
     };
-    let (merged, stats) = build_cst_sharded(&triangle, &g, &tree, &opts);
-    assert!(stats.shards <= roots, "clamped to the root count");
-    assert_eq!(count_embeddings(&merged, &triangle, &order), whole);
+    let (stream, stats) = shard_stream(&triangle, &g, &tree, &opts);
+    assert_eq!(stats.shards, roots, "clamped to the root count");
+    let sum: u64 = stream
+        .iter()
+        .map(|shard| count_embeddings(shard, &triangle, &order))
+        .sum();
+    assert_eq!(sum, whole);
 
     // Single root candidate: the plan degenerates to one shard.
-    let single_plan = plan_shards(&RootProfile::from_weights(vec![7.0]), 16, None);
-    assert_eq!(single_plan.shard_count(), 1);
+    let first = root_candidates(&triangle, &g, &tree, CstOptions::default())[..1].to_vec();
+    assert_eq!(plan_pipeline_shards(&first, &opts).shard_count(), 1);
 }
