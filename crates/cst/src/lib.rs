@@ -11,8 +11,6 @@
 //!   ([`CstOptions`]);
 //! * [`partition_cst`] — Algorithm 2, greedy or fixed-`k` (Fig. 8);
 //! * [`estimate_workload`] — the `W_CST` dynamic program (Section V-C);
-//! * [`enumerate_embeddings`] — CST-only backtracking (Theorem 1), the CPU
-//!   share's matcher and the kernel's correctness oracle;
 //! * [`intersect`] — seeking and k-way intersection of sorted adjacency
 //!   lists ([`seek`], [`intersect_each`]) and the sibling-run count at a
 //!   cycle-closing last depth ([`count_run`]), shared by the emulated kernel
@@ -30,7 +28,6 @@
 
 pub mod cache;
 pub mod construct;
-pub mod enumerate;
 pub mod filter;
 pub mod intersect;
 pub mod partition;
@@ -40,9 +37,6 @@ pub mod workload;
 
 pub use construct::{
     build_cst, build_cst_from_roots, build_cst_with_stats, root_candidates, BuildStats, CstOptions,
-};
-pub use enumerate::{
-    count_embeddings, enumerate_embeddings, EnumerationStats, MatchPlan,
 };
 pub use filter::CandidateFilter;
 pub use intersect::{count_run, intersect_each, seek};
@@ -57,3 +51,46 @@ pub use pipeline::{
 };
 pub use structure::{CsrAdj, Cst};
 pub use workload::{estimate_workload, WorkloadEstimate};
+
+/// Test-only oracle: the embeddings a CST encodes, counted by plain
+/// backtracking over the CST alone (Theorem 1). The product search is
+/// `matching::engine`, which this crate cannot depend on.
+#[cfg(test)]
+mod testing {
+    use crate::Cst;
+    use graph_core::{MatchingOrder, QueryGraph, QueryVertexId};
+
+    pub(crate) fn count_matches(cst: &Cst, q: &QueryGraph, order: &MatchingOrder) -> u64 {
+        extend(cst, q, order, &mut Vec::with_capacity(order.len()))
+    }
+
+    /// Embeddings below the partial `mapping` (candidate index per depth).
+    fn extend(cst: &Cst, q: &QueryGraph, order: &MatchingOrder, mapping: &mut Vec<u32>) -> u64 {
+        let depth = mapping.len();
+        if depth == order.len() {
+            return 1;
+        }
+        let u = order.vertex_at(depth);
+        let backward: Vec<(QueryVertexId, u32)> = order
+            .backward_neighbors(q, u)
+            .into_iter()
+            .map(|b| (b, mapping[order.position_of(b)]))
+            .collect();
+        let expansions: Vec<u32> = match backward.first() {
+            Some(&(b, i)) => cst.neighbors(b, i, u).to_vec(),
+            None => (0..cst.candidate_count(u) as u32).collect(),
+        };
+        let mut count = 0;
+        for j in expansions {
+            let v = cst.candidate(u, j);
+            let visited = (0..depth).any(|d| cst.candidate(order.vertex_at(d), mapping[d]) == v);
+            if visited || !backward.iter().all(|&(b, i)| cst.has_candidate_edge(b, i, u, j)) {
+                continue;
+            }
+            mapping.push(j);
+            count += extend(cst, q, order, mapping);
+            mapping.pop();
+        }
+        count
+    }
+}

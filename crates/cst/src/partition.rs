@@ -608,7 +608,7 @@ fn remap_edge(
 mod tests {
     use super::*;
     use crate::construct::build_cst;
-    use crate::enumerate::count_embeddings;
+    use crate::testing::count_matches;
     use graph_core::generators::random_labelled_graph;
     use graph_core::{BfsTree, Label, QueryGraph, QueryVertexId};
 
@@ -656,7 +656,7 @@ mod tests {
         // The core disjointness/completeness property (Example 3): summing
         // embeddings over partitions equals the whole-CST count.
         let (q, _, _, order, cst) = setup();
-        let whole = count_embeddings(&cst, &q, &order);
+        let whole = count_matches(&cst, &q, &order);
         for delta_div in [2, 4, 8] {
             let config = PartitionConfig {
                 delta_s: cst.size_bytes() / delta_div + 64,
@@ -666,7 +666,7 @@ mod tests {
                 root_fanout: 1,
             };
             let (parts, _) = partition_cst(&cst, &order, &config);
-            let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
+            let sum: u64 = parts.iter().map(|p| count_matches(p, &q, &order)).sum();
             assert_eq!(sum, whole, "delta_div={delta_div}");
         }
     }
@@ -674,7 +674,7 @@ mod tests {
     #[test]
     fn fixed_k_union_also_preserves_count() {
         let (q, _, _, order, cst) = setup();
-        let whole = count_embeddings(&cst, &q, &order);
+        let whole = count_matches(&cst, &q, &order);
         for k in [2, 4, 6] {
             let config = PartitionConfig {
                 delta_s: cst.size_bytes() / 3 + 64,
@@ -684,7 +684,7 @@ mod tests {
                 root_fanout: 1,
             };
             let (parts, _) = partition_cst(&cst, &order, &config);
-            let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
+            let sum: u64 = parts.iter().map(|p| count_matches(p, &q, &order)).sum();
             assert_eq!(sum, whole, "k={k}");
         }
     }
@@ -782,8 +782,8 @@ mod tests {
             }
         }
         // Disjointness/completeness is preserved under the extra splits.
-        let whole = count_embeddings(&cst, &q, &order);
-        let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
+        let whole = count_matches(&cst, &q, &order);
+        let sum: u64 = parts.iter().map(|p| count_matches(p, &q, &order)).sum();
         assert_eq!(sum, whole);
     }
 
@@ -792,10 +792,10 @@ mod tests {
     /// by it.
     fn assert_total_under(config: PartitionConfig) {
         let (q, _, _, order, cst) = setup();
-        let whole = count_embeddings(&cst, &q, &order);
+        let whole = count_matches(&cst, &q, &order);
         let (parts, stats) = partition_cst(&cst, &order, &config);
         assert_eq!(stats.partitions, parts.len());
-        let sum: u64 = parts.iter().map(|p| count_embeddings(p, &q, &order)).sum();
+        let sum: u64 = parts.iter().map(|p| count_matches(p, &q, &order)).sum();
         assert_eq!(sum, whole);
         let unfit = parts.iter().filter(|p| !fits(p, &config)).count();
         assert_eq!(unfit, stats.forced);
@@ -906,7 +906,7 @@ mod tests {
                     let tree = BfsTree::new(q, root);
                     let order = MatchingOrder::new(q, tree.bfs_order().to_vec()).unwrap();
                     let cst = build_cst(q, &g, &tree);
-                    let whole = count_embeddings(&cst, q, &order);
+                    let whole = count_matches(&cst, q, &order);
                     assert_eq!(
                         whole,
                         count_by_definition(q, &g, &order),
@@ -932,7 +932,7 @@ mod tests {
                         for config in [&loose, &tight] {
                             let (parts, _) = collect(&cst, &order, &with(config, fanout));
                             let sum: u64 =
-                                parts.iter().map(|p| count_embeddings(p, q, &order)).sum();
+                                parts.iter().map(|p| count_matches(p, q, &order)).sum();
                             assert_eq!(sum, whole, "{case}");
                         }
                         if fanout == 1 {

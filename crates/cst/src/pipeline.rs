@@ -422,7 +422,7 @@ pub fn for_each_shard_cst_planned<F: FnMut(ShardCst)>(
 mod tests {
     use super::*;
     use crate::construct::{build_cst, build_cst_with_stats};
-    use crate::enumerate::count_embeddings;
+    use crate::testing::count_matches;
     use graph_core::generators::random_labelled_graph;
     use graph_core::{Label, MatchingOrder, QueryGraph, QueryVertexId};
 
@@ -460,7 +460,7 @@ mod tests {
     fn sharded_counts_match_sequential_for_all_shard_counts() {
         let (q, g, tree, order) = setup();
         let seq = build_cst(&q, &g, &tree);
-        let whole = count_embeddings(&seq, &q, &order);
+        let whole = count_matches(&seq, &q, &order);
         for shards in [1, 2, 3, 5, 8, 64] {
             let opts = PipelineOptions {
                 threads: 2,
@@ -470,7 +470,7 @@ mod tests {
             let mut sum = 0u64;
             let stats = for_each_shard_cst(&q, &g, &tree, &opts, |s| {
                 s.cst.validate(&q).unwrap();
-                sum += count_embeddings(&s.cst, &q, &order);
+                sum += count_matches(&s.cst, &q, &order);
             });
             assert_eq!(sum, whole, "shards={shards}");
             assert_eq!(stats.shards, shards.min(stats.root_candidates));
@@ -485,7 +485,7 @@ mod tests {
     fn streaming_sum_matches_sequential() {
         let (q, g, tree, order) = setup();
         let seq = build_cst(&q, &g, &tree);
-        let whole = count_embeddings(&seq, &q, &order);
+        let whole = count_matches(&seq, &q, &order);
         for threads in [1, 4] {
             let opts = PipelineOptions {
                 threads,
@@ -496,7 +496,7 @@ mod tests {
             let mut seen = Vec::new();
             let stats = for_each_shard_cst(&q, &g, &tree, &opts, |s| {
                 seen.push(s.report.shard);
-                sum += count_embeddings(&s.cst, &q, &order);
+                sum += count_matches(&s.cst, &q, &order);
             });
             assert_eq!(sum, whole, "threads={threads}");
             assert_eq!(seen, (0..stats.shards).collect::<Vec<_>>());

@@ -22,9 +22,9 @@
 //!   engine shares [`cst::seek`] and the cycle-closing sibling-run count
 //!   ([`cst::count_run`]) with [`run_kernel`]; a count request takes the
 //!   runs, a collect request the per-partial path, with equal counters.
-//!   (The FAST-SHARE CPU share of `run_fast` is a different engine under
-//!   the same cost model: it runs [`cst::enumerate_embeddings`], which
-//!   visits the same embeddings in the same order.) A partition CST
+//!   The FAST-SHARE CPU share of `run_fast` is the same engine under the
+//!   same cost model, on edge verification with the min-list anchor: it
+//!   visits the same embeddings in the same order. A partition CST
 //!   encodes its embeddings exactly, so CPU and FPGA execution of the same
 //!   partition agree bit-for-bit (`tests/prop_backend.rs`).
 //!
@@ -364,6 +364,7 @@ impl ExecutionBackend for CpuBackend {
 mod tests {
     use super::*;
     use crate::prepare_partitions;
+    use matching::AnchorPolicy;
     use graph_core::{generators::random_labelled_graph, path_based_order, select_root, BfsTree, Label, QueryGraph};
 
     fn triangle() -> QueryGraph {
@@ -444,8 +445,9 @@ mod tests {
 
     /// One engine, one price: on every partition of a few benchmark
     /// queries, counting and collecting everything report the same count
-    /// and bit-equal modelled seconds, and the collected rows are
-    /// `cst::enumerate_embeddings`' rows in the same order.
+    /// and bit-equal modelled seconds, and the collected rows are the
+    /// FAST-SHARE CPU share's (`EdgeVerification(MinList)`) rows in the
+    /// same order: one engine, two extension methods, the same rows.
     #[test]
     fn collect_and_count_book_the_same_price() {
         let g = graph_core::generators::generate_ldbc(
@@ -479,10 +481,10 @@ mod tests {
                     "q{qi}: collecting changed the price"
                 );
                 let mut rows = Vec::new();
-                cst::enumerate_embeddings(&job.cst, &q, &order, |row| {
-                    rows.push(row.to_vec());
-                    true
-                });
+                let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+                let limits = RunLimits::unlimited();
+                let mut sink = |row: &[VertexId]| rows.push(row.to_vec());
+                run_backtrack_with_sink(&q, &g, &job.cst, &order, method, &limits, &mut sink);
                 assert_eq!(all.collected, rows, "q{qi}");
                 checked += rows.len();
             });

@@ -59,7 +59,9 @@ use cst::{
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
-use matching::CpuCostModel;
+use matching::{
+    run_backtrack_with_sink, AnchorPolicy, CpuCostModel, EngineStats, ExtensionMethod, RunLimits,
+};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -262,7 +264,7 @@ fn run_fast_with_tree(
             .then_some(&mut steal as StealHook<'_>),
         &mut |job| state.borrow_mut().offload(job),
     );
-    finish_report(q, config, order, state.into_inner(), &phase, wall_start)
+    finish_report(q, g, config, order, state.into_inner(), &phase, wall_start)
 }
 
 /// Algorithm 3 over the partition stream (Fig. 2 steps 3/5): books each
@@ -623,6 +625,7 @@ pub fn prepare_partitions(
 /// from `phase`, and assembles the report.
 fn finish_report(
     q: &QueryGraph,
+    g: &Graph,
     config: &FastConfig,
     order: &MatchingOrder,
     state: OffloadState<'_>,
@@ -657,20 +660,23 @@ fn finish_report(
     }
     let kernel_time_sec = config.spec.cycles_to_sec(kernel_cycles);
 
-    // --- Host: CPU share matching (Fig. 2 step 5). The enumerator reports
-    // every embedding (the count stays exact); collection alone is capped.
+    // --- Host: CPU share matching (Fig. 2 step 5), CST-only (Theorem 1).
+    // The search reports every embedding; collection alone is capped.
     let cpu_match_start = Instant::now();
-    let mut cpu_share_ns = 0.0f64;
+    let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+    let limits = RunLimits::unlimited();
+    let mut cpu_stats = EngineStats::default();
     for partition in &state.cpu_queue {
-        let stats = cst::enumerate_embeddings(partition, q, order, |embedding| {
+        let mut sink = |embedding: &[VertexId]| {
             if collected.len() < cap {
                 collected.push(embedding.to_vec());
             }
-            true
-        });
+        };
+        let (_, stats) =
+            run_backtrack_with_sink(q, g, partition, order, method, &limits, &mut sink);
         embeddings += stats.embeddings;
-        cpu_share_ns += stats.partials_generated as f64 * cpu_cost.ns_per_partial
-            + stats.edge_validations as f64 * cpu_cost.ns_per_edge_check;
+        cpu_stats.partials_generated += stats.partials_generated;
+        cpu_stats.edge_verifications += stats.edge_verifications;
     }
     let cpu_match_time = cpu_match_start.elapsed();
     // The host's matching share runs on all cores (the paper's 8-core Xeon
@@ -678,8 +684,7 @@ fn finish_report(
     // parallel model — the memory-bound search steps serialise on the
     // single socket, which is what makes the CPU the bottleneck past the
     // paper's δ ≈ 0.15 (Fig. 13).
-    let host_cores = cpu_cost.parallel_speedup(8);
-    let modeled_cpu_match_sec = cpu_share_ns * 1e-9 / host_cores;
+    let modeled_cpu_match_sec = cpu_cost.parallel_search_time_sec(&cpu_stats, 8);
 
     // PCIe: one transfer per FPGA partition plus the result fetch.
     let result_bytes = (embeddings as usize).saturating_mul(q.vertex_count() * 4);
@@ -753,10 +758,16 @@ mod tests {
     use crate::kernel::run_kernel;
     use graph_core::generators::random_labelled_graph;
     use graph_core::Label;
-    use matching::vf2_count;
+    use matching::{run_backtrack, vf2_count};
 
     fn l(x: u16) -> Label {
         Label::new(x)
+    }
+
+    /// Embeddings of `cst`, counted as the CPU share counts them.
+    fn engine_count(q: &QueryGraph, g: &Graph, cst: &Cst, order: &MatchingOrder) -> u64 {
+        let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+        run_backtrack(q, g, cst, order, method, &RunLimits::unlimited()).1.embeddings
     }
 
     fn queries() -> Vec<QueryGraph> {
@@ -1191,10 +1202,7 @@ mod tests {
                     streamed.push(Arc::unwrap_or_clone(job.cst));
                 });
                 let shard = &phase.prepared.expect("capture requested").shard_csts[0];
-                let sum: u64 = streamed
-                    .iter()
-                    .map(|p| cst::count_embeddings(p, &q, &order))
-                    .sum();
+                let sum: u64 = streamed.iter().map(|p| engine_count(&q, &g, p, &order)).sum();
                 assert_eq!(sum, expected, "{case}");
                 if shard.any_empty() {
                     continue;

@@ -67,7 +67,9 @@ pub const BASELINE_INDEX_OPTIONS: CstOptions = CstOptions {
 };
 
 /// The extension method of each original system: CFL expands from the CPI
-/// tree-parent list and verifies edges against `G`; DAF and CECI intersect.
+/// tree-parent list and verifies the other backward edges, each an
+/// `O(log d)` probe into the CST that answers as `G` would (Theorem 1),
+/// priced as CFL's check; DAF and CECI intersect.
 pub fn baseline_extension(baseline: Baseline) -> ExtensionMethod {
     match baseline {
         Baseline::Cfl => ExtensionMethod::EdgeVerification(AnchorPolicy::FirstBackward),

@@ -1,4 +1,5 @@
-//! The shared backtracking engine behind the CPU baselines.
+//! The one CPU backtracking engine: the CPU baselines, the CPU backend and
+//! FAST-SHARE's CPU share all run it.
 //!
 //! CFL-Match, DAF, and CECI differ (for the purposes of the paper's
 //! evaluation) along three axes:
@@ -7,15 +8,16 @@
 //!    the [`cst::Cst`] is built (refinement passes, filters);
 //! 2. the matching order heuristic — supplied as a [`MatchingOrder`];
 //! 3. the candidate-extension method — **edge verification** (CFL: expand
-//!    from one backward list and verify the remaining query edges against
-//!    `G`) vs **intersection** (CECI/DAF: intersect the candidate lists of
-//!    all backward neighbours), the distinction Section VII-C highlights.
+//!    from one backward list and verify the remaining query edges) vs
+//!    **intersection** (CECI/DAF: intersect the candidate lists of all
+//!    backward neighbours), the distinction Section VII-C highlights.
 //!
 //! This engine implements both extension methods over a CST index with
-//! timeout/memory/result limits, so each baseline is a thin configuration.
-//! It counts ([`run_backtrack`]) or also hands every embedding to a sink
-//! ([`run_backtrack_with_sink`]); the search and its counters are the same
-//! either way.
+//! timeout/memory/result limits, so each baseline is a thin configuration;
+//! the CPU share is `EdgeVerification(MinList)`, Theorem 1's CST-only
+//! backtracking. It counts ([`run_backtrack`]) or also hands every
+//! embedding to a sink ([`run_backtrack_with_sink`]); the search and its
+//! counters are the same either way.
 //!
 //! A search resolves its depths once: per depth, `C(u)` as a slice and one
 //! `(backward depth, CsrAdj)` pair per backward neighbour, so a node reads
@@ -42,7 +44,7 @@
 //! points (a bulk add polls the deadline when it crosses a poll boundary).
 
 use crate::limits::{Outcome, RunLimits};
-use cst::{count_run, seek, CsrAdj, Cst, MatchPlan};
+use cst::{count_run, seek, CsrAdj, Cst};
 use graph_core::{Graph, MatchingOrder, QueryGraph, VertexId, MAX_QUERY_VERTICES};
 use std::time::Instant;
 
@@ -50,7 +52,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtensionMethod {
     /// Expand from one backward adjacency list; verify every other backward
-    /// query edge with an `O(log d)` probe into `G`.
+    /// query edge with an `O(log d)` probe into the CST's `(u_b → u)` list
+    /// (Algorithm 7's edge validator), which holds exactly `G`'s edges
+    /// between the two candidate sets (Theorem 1): CFL's check and price.
     EdgeVerification(AnchorPolicy),
     /// Intersect the backward candidate lists (sorted u32 merges), as the
     /// intersection-based algorithms do.
@@ -64,8 +68,8 @@ pub enum AnchorPolicy {
     /// BFS-derived orders) — what CFL's CPI supports, since it stores
     /// adjacency for tree edges only.
     FirstBackward,
-    /// The dynamically smallest backward list (a modernised improvement,
-    /// and what the FAST CPU share uses).
+    /// The dynamically smallest backward list, the first on ties (a
+    /// modernised improvement, and what the FAST CPU share uses).
     MinList,
 }
 
@@ -89,8 +93,8 @@ type Sink<'s> = &'s mut dyn FnMut(&[VertexId]);
 struct Depth<'a> {
     /// `C(u)` of the query vertex `u` matched at this depth.
     candidates: &'a [VertexId],
-    /// `(depth, (u_depth → u) adjacency)` per backward neighbour, in plan
-    /// order.
+    /// `(depth, (u_depth → u) adjacency)` per backward neighbour, in
+    /// [`MatchingOrder::backward_neighbors`] order.
     backward: Vec<(usize, &'a CsrAdj)>,
 }
 
@@ -107,7 +111,7 @@ struct Closing<'a> {
 
 impl<'a> Closing<'a> {
     /// The last depth of `depths`, if it closes a cycle.
-    fn of(cst: &'a Cst, plan: &MatchPlan, depths: &[Depth<'a>]) -> Option<Self> {
+    fn of(cst: &'a Cst, order: &MatchingOrder, depths: &[Depth<'a>]) -> Option<Self> {
         let n = depths.len();
         let last = depths.last()?;
         let (anchor, validator) = match *last.backward.as_slice() {
@@ -119,7 +123,7 @@ impl<'a> Closing<'a> {
         depths[..n - 1].iter().all(apart).then(|| Closing {
             anchor,
             validator,
-            rev: cst.adjacency(plan.vertex_at(n - 1), plan.vertex_at(n - 2)),
+            rev: cst.adjacency(order.vertex_at(n - 1), order.vertex_at(n - 2)),
         })
     }
 }
@@ -132,7 +136,7 @@ struct Search<'a, 's> {
     /// Set when depth `n − 2` counts its siblings into the last depth.
     closing: Option<Closing<'a>>,
     g: &'a Graph,
-    plan: &'a MatchPlan,
+    order: &'a MatchingOrder,
     extension: ExtensionMethod,
     deadline: Option<(Instant, std::time::Duration)>,
     max_results: u64,
@@ -185,25 +189,23 @@ fn backtrack(
     limits: &RunLimits,
     sink: Option<Sink<'_>>,
 ) -> (Outcome, EngineStats, [u64; 2]) {
-    let plan = MatchPlan::new(q, order);
-    let n = plan.len();
-    let depths: Vec<Depth<'_>> = (0..n)
-        .map(|d| {
-            let u = plan.vertex_at(d);
-            Depth {
-                candidates: cst.candidates(u),
-                backward: plan
-                    .backward(d)
-                    .iter()
-                    .map(|&bd| (bd, cst.adjacency(plan.vertex_at(bd), u)))
-                    .collect(),
-            }
+    let depths: Vec<Depth<'_>> = order
+        .as_slice()
+        .iter()
+        .map(|&u| Depth {
+            candidates: cst.candidates(u),
+            backward: order
+                .backward_neighbors(q, u)
+                .into_iter()
+                .map(|b| (order.position_of(b), cst.adjacency(b, u)))
+                .collect(),
         })
         .collect();
+    let n = depths.len();
     let max_results = limits.max_results.unwrap_or(u64::MAX);
     let counting = sink.is_none() && max_results == u64::MAX;
     let closing = match extension {
-        ExtensionMethod::Intersection if counting => Closing::of(cst, &plan, &depths),
+        ExtensionMethod::Intersection if counting => Closing::of(cst, order, &depths),
         _ => None,
     };
     let row = match sink {
@@ -216,7 +218,7 @@ fn backtrack(
         depths: &depths,
         closing,
         g,
-        plan: &plan,
+        order,
         extension,
         deadline: limits.timeout.map(|t| (Instant::now(), t)),
         max_results,
@@ -299,7 +301,7 @@ impl<'a> Search<'a, '_> {
         if depth == self.depths.len() {
             if let Some(sink) = self.sink.as_mut() {
                 for (d, &v) in self.mapped.iter().enumerate() {
-                    self.row[self.plan.vertex_at(d).index()] = v;
+                    self.row[self.order.vertex_at(d).index()] = v;
                 }
                 sink(&self.row);
             }
@@ -340,13 +342,16 @@ impl<'a> Search<'a, '_> {
                         continue;
                     }
                     let mut ok = true;
-                    for &(bd, _) in &step.backward {
+                    for &(bd, adj) in &step.backward {
                         if bd == anchor_pos {
                             continue;
                         }
                         self.stats.edge_verifications += 1;
-                        // Verify against the data graph (CFL's method).
-                        if !self.g.has_edge(self.mapped[bd], v) {
+                        // Algorithm 7's edge validator: probe the CST, whose
+                        // candidate adjacency is `G`'s (Theorem 1).
+                        let edge = adj.has_edge(self.mapping[bd] as usize, j);
+                        debug_assert_eq!(edge, self.g.has_edge(self.mapped[bd], v));
+                        if !edge {
                             ok = false;
                             break;
                         }
@@ -467,7 +472,8 @@ impl<'a> Search<'a, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cst::build_cst;
+    use crate::vf2::vf2_count;
+    use cst::{build_cst, build_cst_with_stats, CstOptions};
     use graph_core::generators::random_labelled_graph;
     use graph_core::{all_connected_orders, BfsTree, GraphBuilder, Label, QueryVertexId};
 
@@ -492,38 +498,158 @@ mod tests {
         (q, g, order, cst)
     }
 
+    const METHODS: [ExtensionMethod; 2] = [
+        ExtensionMethod::EdgeVerification(AnchorPolicy::MinList),
+        ExtensionMethod::Intersection,
+    ];
+
     #[test]
     fn both_methods_agree_with_cst_enumeration() {
         for seed in [3, 7, 11, 19] {
             let (q, g, order, cstx) = setup(seed);
-            let oracle = cst::count_embeddings(&cstx, &q, &order);
-            let (o1, s1) = run_backtrack(
-                &q,
-                &g,
-                &cstx,
-                &order,
-                ExtensionMethod::EdgeVerification(AnchorPolicy::MinList),
-                &RunLimits::unlimited(),
-            );
-            let (o2, s2) = run_backtrack(
-                &q,
-                &g,
-                &cstx,
-                &order,
-                ExtensionMethod::Intersection,
-                &RunLimits::unlimited(),
-            );
-            assert_eq!(o1, Outcome::Completed);
-            assert_eq!(o2, Outcome::Completed);
-            assert_eq!(s1.embeddings, oracle, "edge-verification seed {seed}");
-            assert_eq!(s2.embeddings, oracle, "intersection seed {seed}");
+            let oracle = vf2_count(&q, &g);
+            for method in METHODS {
+                let (o, s) = run_backtrack(&q, &g, &cstx, &order, method, &RunLimits::unlimited());
+                assert_eq!(o, Outcome::Completed);
+                assert_eq!(s.embeddings, oracle, "{method:?} seed {seed}");
+            }
         }
+    }
+
+    /// Paper Example 1: the Fig. 1 query has exactly 2 embeddings in the
+    /// Fig. 1 data graph.
+    #[test]
+    fn fig1_has_two_embeddings() {
+        let q = QueryGraph::new(
+            vec![l(0), l(1), l(2), l(3)],
+            &[(0, 1), (0, 2), (1, 2), (2, 3)],
+        )
+        .unwrap();
+        let mut b = GraphBuilder::new();
+        let labels = [9, 0, 0, 2, 1, 2, 1, 2, 3, 3, 3, 4, 4];
+        for lab in labels {
+            b.add_vertex(l(lab));
+        }
+        for (a, bb) in [
+            (1, 4),
+            (1, 3),
+            (2, 6),
+            (2, 5),
+            (2, 7),
+            (4, 3),
+            (6, 5),
+            (6, 7),
+            (3, 9),
+            (5, 10),
+            (8, 1),
+            (7, 11),
+            (9, 12),
+        ] {
+            b.add_edge(VertexId::new(a), VertexId::new(bb)).unwrap();
+        }
+        let g = b.build();
+        let tree = BfsTree::new(&q, qv(0));
+        let cst = build_cst(&q, &g, &tree);
+        let order = MatchingOrder::new(&q, vec![qv(0), qv(1), qv(2), qv(3)]).unwrap();
+        // {(u0,v1),(u1,v4),(u2,v3),(u3,v9)} and {(u0,v2),(u1,v6),(u2,v5),(u3,v10)}.
+        let v = VertexId::new;
+        let expected = vec![vec![v(1), v(4), v(3), v(9)], vec![v(2), v(6), v(5), v(10)]];
+        let unlimited = RunLimits::unlimited();
+        for method in METHODS {
+            let mut found = Vec::new();
+            let mut sink = |row: &[VertexId]| found.push(row.to_vec());
+            let (_, stats) =
+                run_backtrack_with_sink(&q, &g, &cst, &order, method, &unlimited, &mut sink);
+            assert_eq!(stats.embeddings, 2, "{method:?}");
+            assert_eq!(found, expected, "{method:?}");
+        }
+    }
+
+    /// Theorem 1: results must be identical for every sound CST
+    /// configuration, every connected matching order and both extension
+    /// methods.
+    #[test]
+    fn counts_invariant_across_options_and_orders() {
+        let q = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+        )
+        .unwrap();
+        let g = random_labelled_graph(35, 0.2, 2, 23);
+        let tree = BfsTree::new(&q, qv(0));
+        let unlimited = RunLimits::unlimited();
+        let mut counts = std::collections::HashSet::new();
+        for opts in [CstOptions::default(), CstOptions::minimal()] {
+            let (cst, _) = build_cst_with_stats(&q, &g, &tree, opts);
+            for order in all_connected_orders(&q, qv(0)) {
+                for method in METHODS {
+                    let (_, s) = run_backtrack(&q, &g, &cst, &order, method, &unlimited);
+                    counts.insert(s.embeddings);
+                }
+            }
+        }
+        assert_eq!(counts.len(), 1, "counts differ: {counts:?}");
+        assert!(counts.contains(&vf2_count(&q, &g)));
+    }
+
+    #[test]
+    fn injectivity_enforced() {
+        // Query: two vertices of the same label joined to a middle vertex.
+        // Data: middle vertex with ONE same-labelled neighbour (plus an
+        // unrelated neighbour so the degree filter passes) — the only
+        // candidate would have to be used twice, so there is no embedding.
+        let q = QueryGraph::new(vec![l(1), l(0), l(1)], &[(0, 1), (1, 2)]).unwrap();
+        let mut b = GraphBuilder::new();
+        let x = b.add_vertex(l(1));
+        let m = b.add_vertex(l(0));
+        let y = b.add_vertex(l(2));
+        b.add_edge(x, m).unwrap();
+        b.add_edge(m, y).unwrap();
+        let g = b.build();
+        let tree = BfsTree::new(&q, qv(1));
+        // NLF would already prune m (it needs two l1 neighbours); disable it
+        // so the engine's visited check is what rejects the reuse.
+        let opts = CstOptions {
+            use_nlf: false,
+            refine: true,
+        };
+        let (cst, _) = build_cst_with_stats(&q, &g, &tree, opts);
+        let order = MatchingOrder::new(&q, vec![qv(1), qv(0), qv(2)]).unwrap();
+        for method in METHODS {
+            let (_, stats) = run_backtrack(&q, &g, &cst, &order, method, &RunLimits::unlimited());
+            assert_eq!(stats.embeddings, 0, "{method:?}");
+            assert!(stats.visited_rejections > 0, "{method:?}");
+        }
+    }
+
+    /// The CPU share's counters on a triangle: every root candidate and
+    /// every `(u0 → u1)` entry is a partial; at the last depth every
+    /// partial is either a visited rejection or one check of the closing
+    /// edge against the CST; no list is intersected.
+    #[test]
+    fn stats_track_generated_and_validated() {
+        let q = QueryGraph::new(vec![l(0), l(1), l(0)], &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        let g = random_labelled_graph(30, 0.3, 2, 8);
+        let tree = BfsTree::new(&q, qv(0));
+        let cst = build_cst(&q, &g, &tree);
+        let order = MatchingOrder::new(&q, vec![qv(0), qv(1), qv(2)]).unwrap();
+        let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+        let (_, stats) = run_backtrack(&q, &g, &cst, &order, method, &RunLimits::unlimited());
+        assert!(stats.embeddings > 0, "degenerate instance");
+        assert_eq!(stats.embeddings, vf2_count(&q, &g));
+        let adj = cst.adjacency(qv(0), qv(1));
+        let depth1: usize = (0..adj.source_count()).map(|i| adj.neighbors(i).len()).sum();
+        let depth2 = stats.edge_verifications + stats.visited_rejections;
+        let partials = cst.candidate_count(qv(0)) + depth1 + depth2 as usize;
+        assert_eq!(stats.partials_generated, partials as u64);
+        assert!(stats.edge_verifications >= stats.embeddings);
+        assert_eq!(stats.intersection_elements, 0);
     }
 
     #[test]
     fn result_limit_stops_early() {
         let (q, g, order, cstx) = setup(5);
-        let total = cst::count_embeddings(&cstx, &q, &order);
+        let total = vf2_count(&q, &g);
         if total < 2 {
             return;
         }
@@ -531,16 +657,36 @@ mod tests {
             max_results: Some(1),
             ..RunLimits::unlimited()
         };
-        let (o, s) = run_backtrack(
-            &q,
-            &g,
-            &cstx,
-            &order,
-            ExtensionMethod::Intersection,
-            &limits,
-        );
-        assert_eq!(o, Outcome::ResultLimit);
-        assert_eq!(s.embeddings, 1);
+        for method in METHODS {
+            let (o, s) = run_backtrack(&q, &g, &cstx, &order, method, &limits);
+            assert_eq!(o, Outcome::ResultLimit, "{method:?}");
+            assert_eq!(s.embeddings, 1, "{method:?}");
+        }
+    }
+
+    /// A result limit stops the search after exactly that many rows have
+    /// reached the sink, under both extension methods.
+    #[test]
+    fn early_stop_via_callback() {
+        let q = QueryGraph::new(vec![l(0), l(1)], &[(0, 1)]).unwrap();
+        let g = random_labelled_graph(60, 0.4, 2, 2);
+        let tree = BfsTree::new(&q, qv(0));
+        let cst = build_cst(&q, &g, &tree);
+        let order = MatchingOrder::new(&q, vec![qv(0), qv(1)]).unwrap();
+        assert!(vf2_count(&q, &g) > 3);
+        let limits = RunLimits {
+            max_results: Some(3),
+            ..RunLimits::unlimited()
+        };
+        for method in METHODS {
+            let mut seen = 0;
+            let mut sink = |_: &[VertexId]| seen += 1;
+            let (o, stats) =
+                run_backtrack_with_sink(&q, &g, &cst, &order, method, &limits, &mut sink);
+            assert_eq!(o, Outcome::ResultLimit, "{method:?}");
+            assert_eq!(stats.embeddings, 3, "{method:?}");
+            assert_eq!(seen, 3, "{method:?}");
+        }
     }
 
     #[test]
@@ -740,6 +886,7 @@ mod tests {
             let mut runs = [0u64; 2];
             for seed in 0..8 {
                 let (q, g) = shape.instance(seed);
+                let oracle = vf2_count(&q, &g);
                 for root in q.vertices() {
                     let tree = BfsTree::new(&q, root);
                     let cst = build_cst(&q, &g, &tree);
@@ -753,7 +900,6 @@ mod tests {
                         assert_eq!(per_partial.2, [0, 0], "{at}: a sink takes no runs");
                         assert_eq!(counted.0, Outcome::Completed, "{at}");
                         assert_eq!(counted.1, per_partial.1, "{at}");
-                        let oracle = cst::count_embeddings(&cst, &q, &order);
                         assert_eq!(counted.1.embeddings, oracle, "{at}");
                         runs[0] += counted.2[0];
                         runs[1] += counted.2[1];

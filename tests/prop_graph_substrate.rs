@@ -1,14 +1,22 @@
 //! Property-based tests of the graph substrate: CSR invariants, I/O
 //! round-trips, order validity, and workload-estimation consistency.
 
-use cst::{build_cst, count_embeddings, estimate_workload};
+use cst::{build_cst, estimate_workload, Cst};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{
-    io, random_connected_order, BfsTree, MatchingOrder, QueryGraph, QueryVertexId,
+    io, random_connected_order, BfsTree, Graph, MatchingOrder, QueryGraph, QueryVertexId,
 };
+use matching::{run_backtrack, vf2_count, AnchorPolicy, ExtensionMethod, RunLimits};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Embeddings of `cst`, counted by the CPU engine's CST search (the
+/// FAST-SHARE CPU share's method).
+fn engine_count(q: &QueryGraph, g: &Graph, cst: &Cst, order: &MatchingOrder) -> u64 {
+    let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+    run_backtrack(q, g, cst, order, method, &RunLimits::unlimited()).1.embeddings
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -75,7 +83,8 @@ proptest! {
         let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).expect("bfs");
         let cst = build_cst(&q, &g, &tree);
         let w = estimate_workload(&cst, &tree);
-        let exact = count_embeddings(&cst, &q, &order);
+        let exact = engine_count(&q, &g, &cst, &order);
+        prop_assert_eq!(exact, vf2_count(&q, &g));
         prop_assert!(
             w.total + 0.5 >= exact as f64,
             "estimate {} < exact {}", w.total, exact
@@ -97,7 +106,7 @@ proptest! {
             let tree = BfsTree::new(&q, root);
             let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).expect("bfs");
             let cst = build_cst(&q, graph, &tree);
-            count_embeddings(&cst, &q, &order)
+            engine_count(&q, graph, &cst, &order)
         };
         prop_assert!(count(&s) <= count(&g));
     }
@@ -130,5 +139,5 @@ fn empty_search_spaces_are_handled() {
     let cst = build_cst(&q, &g, &tree);
     assert!(cst.any_empty());
     let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).unwrap();
-    assert_eq!(count_embeddings(&cst, &q, &order), 0);
+    assert_eq!(engine_count(&q, &g, &cst, &order), 0);
 }

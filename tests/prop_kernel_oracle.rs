@@ -1,9 +1,8 @@
 //! Property-based tests: the emulated kernel is an exact subgraph matcher.
 //!
 //! For random labelled graphs, random small queries, random matching orders,
-//! and random `N_o`, the kernel must produce exactly the embeddings the
-//! CST-enumeration oracle (and VF2) produce, and the BRAM buffer bound of
-//! Section VI-B must hold.
+//! and random `N_o`, the kernel must produce exactly the embeddings VF2
+//! produces, and the BRAM buffer bound of Section VI-B must hold.
 //!
 //! Every *counter* is checked too: [`reference_kernel`] is the literal
 //! Algorithm 4-8 loop — one partial struct per slot, a `VecDeque` per

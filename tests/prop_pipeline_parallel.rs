@@ -5,13 +5,14 @@
 //! every shard count — the correctness bar of the overlapped host path.
 
 use cst::{
-    build_cst, build_cst_from_roots, build_cst_with_stats, count_embeddings, for_each_shard_cst,
+    build_cst, build_cst_from_roots, build_cst_with_stats, for_each_shard_cst,
     for_each_shard_cst_planned, plan_pipeline_shards, plan_provenance, root_candidates, Cst,
     CstOptions, PipelineOptions, PipelineStats, ShardPlan,
 };
 use fast::{run_fast, FastConfig, Variant};
 use graph_core::generators::{random_labelled_graph, random_power_law_graph};
-use graph_core::{BfsTree, Label, MatchingOrder, QueryGraph, QueryVertexId};
+use graph_core::{BfsTree, Graph, Label, MatchingOrder, QueryGraph, QueryVertexId};
+use matching::{run_backtrack, vf2_count, AnchorPolicy, ExtensionMethod, RunLimits};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,6 +36,13 @@ fn seeded_query(n: usize, seed: u64) -> QueryGraph {
         }
     }
     QueryGraph::new(labels, &edges).expect("connected by construction")
+}
+
+/// Embeddings of `cst`, counted by the CPU engine's CST search (the
+/// FAST-SHARE CPU share's method).
+fn engine_count(q: &QueryGraph, g: &Graph, cst: &Cst, order: &MatchingOrder) -> u64 {
+    let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+    run_backtrack(q, g, cst, order, method, &RunLimits::unlimited()).1.embeddings
 }
 
 fn arb_query() -> impl Strategy<Value = QueryGraph> {
@@ -99,7 +107,8 @@ proptest! {
         let tree = BfsTree::new(&q, root);
         let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).expect("bfs");
         let sequential = build_cst(&q, &g, &tree);
-        let whole = count_embeddings(&sequential, &q, &order);
+        let whole = engine_count(&q, &g, &sequential, &order);
+        prop_assert_eq!(whole, vf2_count(&q, &g));
 
         let mut reference: Option<Vec<Arc<Cst>>> = None;
         for threads in [1usize, 2, 4, 8] {
@@ -112,7 +121,7 @@ proptest! {
             let mut sum = 0u64;
             for shard in &stream {
                 prop_assert!(shard.validate(&q).is_ok());
-                sum += count_embeddings(shard, &q, &order);
+                sum += engine_count(&q, &g, shard, &order);
             }
             prop_assert_eq!(sum, whole, "threads {} shards {}", threads, shards);
             prop_assert_eq!(stats.shards, shards.min(stats.root_candidates.max(1)));
@@ -164,7 +173,7 @@ proptest! {
         let tree = BfsTree::new(&q, root);
         let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).expect("bfs");
         let sequential = build_cst(&q, &g, &tree);
-        let whole = count_embeddings(&sequential, &q, &order);
+        let whole = engine_count(&q, &g, &sequential, &order);
         let mut reference: Option<Vec<Arc<Cst>>> = None;
         for threads in [1usize, 4] {
             let opts = PipelineOptions {
@@ -176,7 +185,7 @@ proptest! {
             let mut sum = 0u64;
             for shard in &stream {
                 prop_assert!(shard.validate(&q).is_ok());
-                sum += count_embeddings(shard, &q, &order);
+                sum += engine_count(&q, &g, shard, &order);
             }
             prop_assert_eq!(sum, whole, "threads {} shards {}", threads, shards);
             prop_assert_eq!(stats.shards, shards.min(stats.root_candidates.max(1)));
@@ -315,7 +324,7 @@ fn singleton_root_shards() {
     let tree = BfsTree::new(&q, QueryVertexId::new(0));
     let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).unwrap();
     let sequential = build_cst(&q, &g, &tree);
-    let whole = count_embeddings(&sequential, &q, &order);
+    let whole = engine_count(&q, &g, &sequential, &order);
     let opts = PipelineOptions {
         threads: 4,
         shards: Some(64),
@@ -333,7 +342,7 @@ fn singleton_root_shards() {
     let mut sum = 0u64;
     let stats = for_each_shard_cst_planned(&q, &g, &tree, &opts, Some(&plan), |s| {
         assert_eq!(s.report.roots, 1);
-        sum += count_embeddings(&s.cst, &q, &order);
+        sum += engine_count(&q, &g, &s.cst, &order);
     });
     assert_eq!(stats.shards, roots.len());
     assert_eq!(stats.plan, plan, "the handed-in plan is used as is");
@@ -368,7 +377,7 @@ fn planner_edge_cases_end_to_end() {
     // Triangle query: shards > roots clamps, counts preserved.
     let tree = BfsTree::new(&triangle, QueryVertexId::new(0));
     let order = MatchingOrder::new(&triangle, tree.bfs_order().to_vec()).unwrap();
-    let whole = count_embeddings(&build_cst(&triangle, &g, &tree), &triangle, &order);
+    let whole = engine_count(&triangle, &g, &build_cst(&triangle, &g, &tree), &order);
     let roots = cst::root_candidates(&triangle, &g, &tree, CstOptions::default()).len();
     let opts = PipelineOptions {
         threads: 2,
@@ -379,7 +388,7 @@ fn planner_edge_cases_end_to_end() {
     assert_eq!(stats.shards, roots, "clamped to the root count");
     let sum: u64 = stream
         .iter()
-        .map(|shard| count_embeddings(shard, &triangle, &order))
+        .map(|shard| engine_count(&triangle, &g, shard, &order))
         .sum();
     assert_eq!(sum, whole);
 
