@@ -31,7 +31,9 @@ pub struct FastConfig {
     /// root localisation from the partitioner instead: its first split fans
     /// the root out into at most `pipeline_shards` chunks
     /// (`cst::PartitionConfig::root_fanout`). Embedding counts are identical
-    /// for every value (`tests/prop_pipeline_parallel.rs`).
+    /// for every value (`tests/prop_pipeline_parallel.rs`). These are host
+    /// threads only: at every value `run_fast` also runs the emulated card
+    /// on its own lane, a thread that is the device, not host work.
     pub host_threads: usize,
     /// Shard (batch) count of the host pipeline; `None` resolves to
     /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from

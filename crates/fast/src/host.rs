@@ -9,9 +9,10 @@
 //!    with its first split fanned out at the root into at most
 //!    `⌊W_CST / N_o⌋` chunks — and estimate every partition's `W_CST`;
 //! 3. offload partitions over the modelled PCIe link and run the emulated
-//!    kernel on each (Section VI), while FAST-SHARE books a bounded share of
-//!    partitions to the CPU (Algorithm 3) and steals oversized CSTs to skip
-//!    partitioning work;
+//!    kernel on each (Section VI) — in [`run_fast`] on the card's own lane,
+//!    while the host keeps partitioning — while FAST-SHARE books a bounded
+//!    share of partitions to the CPU (Algorithm 3) and steals oversized CSTs
+//!    to skip partitioning work;
 //! 4. aggregate embeddings and derive elapsed time.
 //!
 //! Steps 1–2 are written once, in `produce_partitions`; who a partition is
@@ -28,9 +29,13 @@
 //! [`matching::CpuCostModel`], so that the end-to-end number is
 //! hardware-consistent with the modelled 300 MHz kernel (see cost_model
 //! docs). The paper overlaps partitioning with kernel execution (partitions
-//! stream to the card as they are produced); the sharded pipeline
-//! additionally overlaps *construction* with both. The generalised elapsed
-//! model with `T` host threads and `S` shards is
+//! stream to the card as they are produced), and so does [`run_fast`]: the
+//! emulated card runs on its own lane, a thread that executes FPGA-bound
+//! partitions in stream order while the host keeps partitioning and then
+//! runs the CPU share, so the overlap the model prices is real on this
+//! machine too. The sharded pipeline additionally overlaps *construction*
+//! with both. The generalised elapsed model with `T` host threads and `S`
+//! shards is
 //!
 //! ```text
 //! build_par = build / (T · e)          # e = parallel efficiency; T=1 ⇒ build
@@ -63,7 +68,7 @@ use matching::{
     run_backtrack_with_sink, AnchorPolicy, CpuCostModel, EngineStats, ExtensionMethod, RunLimits,
 };
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Errors from a FAST run.
@@ -146,15 +151,18 @@ pub struct FastReport {
     /// sequential build when sharding duplicates interior candidates.
     pub build_cpu_time: Duration,
     /// Measured host time: partitioning (including workload estimation).
+    /// A plain wall of the host thread: the emulated kernel runs on its own
+    /// lane, so none of its time is in here.
     pub partition_time: Duration,
     /// Measured host time: CPU-share matching.
     pub cpu_match_time: Duration,
     /// Measured wall time of the whole host preparation (build overlapped
-    /// with partition/offload), excluding the inline emulated kernel.
+    /// with partition/offload) on the host thread, which only hands
+    /// FPGA-bound partitions to the kernel's own lane.
     pub host_prepare_wall: Duration,
-    /// Measured wall time until the first partition was offloaded (the
-    /// device's idle prefix; falls back to the build wall when every
-    /// partition landed on the CPU).
+    /// Measured host wall time until the first partition was sent to the
+    /// kernel's lane (the device's idle prefix; falls back to the build
+    /// wall when every partition landed on the CPU).
     pub first_offload_wall: Duration,
     /// Host times normalised to the paper's Xeon (see `CpuCostModel`).
     /// `modeled_build_sec` is the *total* construction work (all shards).
@@ -179,7 +187,9 @@ pub struct FastReport {
     pub buffer_writes: u64,
     /// Total size of all offloaded partitions (S_CST of Fig. 9).
     pub cst_bytes_total: usize,
-    /// Wall-clock time of the whole emulated run (host measurement).
+    /// Wall-clock time of the whole emulated run (host measurement): the
+    /// host's build, partitioning and CPU share, overlapped with the
+    /// kernel's own lane, until that lane has drained.
     pub wall_time: Duration,
 }
 
@@ -211,6 +221,13 @@ impl FastReport {
 }
 
 /// Runs the co-designed framework on `(q, g)`.
+///
+/// Each call spawns one scoped thread, the emulated card's lane, which runs
+/// the FPGA-bound partitions in stream order while this thread partitions
+/// and runs the CPU share. Counts, counters and modelled seconds do not
+/// depend on how the two interleave. A kernel panic on the lane resurfaces
+/// from `run_fast` as a panic when the lane is joined, never as a hang or a
+/// silent zero.
 pub fn run_fast(q: &QueryGraph, g: &Graph, config: &FastConfig) -> Result<FastReport, FastError> {
     let root = select_root(q, g);
     let tree = BfsTree::new(q, root);
@@ -233,7 +250,8 @@ pub fn run_fast_with_order(
 }
 
 /// The one-shot flow: [`produce_partitions`] with Algorithm 3 as steal hook
-/// and sink, then the CPU share and the report.
+/// and sink, the FPGA-bound partitions running on the card's own lane, then
+/// the CPU share while the lane drains, and the report.
 fn run_fast_with_tree(
     q: &QueryGraph,
     g: &Graph,
@@ -245,74 +263,97 @@ fn run_fast_with_tree(
     let wall_start = Instant::now();
     let plan = KernelPlan::new(q, order, tree)?;
     let options = config.build_options();
-    // The partitioner takes the steal hook and the sink as two independent
-    // `&mut dyn FnMut`; both book into the same scheduler, so share it.
-    let state = RefCell::new(OffloadState::new(config, &plan));
-    let mut steal = |oversized: &Cst, workload: f64| state.borrow_mut().steal(oversized, workload);
-    let phase = produce_partitions(
-        q,
-        g,
-        config,
-        tree,
-        order,
-        &options,
-        1,
-        false,
-        config
-            .variant
-            .shares_with_cpu()
-            .then_some(&mut steal as StealHook<'_>),
-        &mut |job| state.borrow_mut().offload(job),
-    );
-    finish_report(q, g, config, order, state.into_inner(), &phase, wall_start)
+    // The FPGA execution backend: the emulated kernel plus this variant's
+    // cycle pricing. Serving pools run the same backend (`fast::backend`),
+    // so the one-shot and served paths cannot drift.
+    let backend = FpgaBackend::from_config(config);
+    let report = std::thread::scope(|scope| {
+        // The sender is owned inside the scope, so a panic on this thread
+        // drops it while unwinding and the lane's loop ends: the scope's
+        // join cannot hang.
+        let (lane, kernel_queue) = mpsc::channel::<Arc<Cst>>();
+        let device = scope.spawn(|| {
+            kernel_queue
+                .into_iter()
+                .map(|cst| backend.run(&cst, &plan, config.collect))
+                .collect::<Vec<KernelOutput>>()
+        });
+        // The partitioner takes the steal hook and the sink as two
+        // independent `&mut dyn FnMut`; both book into the same scheduler,
+        // so share it.
+        let state = RefCell::new(OffloadState::new(config));
+        let mut steal =
+            |oversized: &Cst, workload: f64| state.borrow_mut().steal(oversized, workload);
+        let phase = produce_partitions(
+            q,
+            g,
+            config,
+            tree,
+            order,
+            &options,
+            1,
+            false,
+            config
+                .variant
+                .shares_with_cpu()
+                .then_some(&mut steal as StealHook<'_>),
+            &mut |job| state.borrow_mut().offload(job, &lane),
+        );
+        let state = state.into_inner();
+        let host_prepare_wall = state.prepare_start.elapsed();
+        drop(lane);
+        let cpu_share = run_cpu_share(q, g, order, &state.cpu_queue, config.collect);
+        // A kernel panic resurfaces here with its own payload.
+        let fpga_outputs = device
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        finish_report(
+            q,
+            config,
+            &backend,
+            state,
+            host_prepare_wall,
+            &fpga_outputs,
+            cpu_share,
+            &phase,
+            wall_start,
+        )
+    });
+    Ok(report)
 }
 
 /// Algorithm 3 over the partition stream (Fig. 2 steps 3/5): books each
-/// partition to a side and runs the kernel inline on FPGA-bound ones — its
-/// *time* is modelled, not measured, so inline execution is equivalent to
-/// streaming. Partitions booked to the CPU wait until the stream ends
-/// (Section V-C: "CST is temporarily cached and will be processed when all
-/// partition procedure finishes").
-struct OffloadState<'a> {
-    config: &'a FastConfig,
-    /// The FPGA execution backend: the emulated kernel plus this variant's
-    /// cycle pricing. Serving pools run the same backend (`fast::backend`),
-    /// so the one-shot and served paths cannot drift.
-    backend: FpgaBackend,
-    plan: &'a KernelPlan,
+/// partition to a side and sends FPGA-bound ones to the emulated card,
+/// which runs on its own lane while the host keeps partitioning.
+/// Partitions booked to the CPU wait until the stream ends (Section V-C:
+/// "CST is temporarily cached and will be processed when all partition
+/// procedure finishes").
+struct OffloadState {
     prepare_start: Instant,
     scheduler: ShareScheduler,
     cpu_queue: Vec<Arc<Cst>>,
-    fpga_outputs: Vec<KernelOutput>,
     /// Bytes of every offloaded partition (what crosses PCIe).
     offloaded_bytes: usize,
     stolen: usize,
     stolen_entries: usize,
-    /// Inline (emulated) kernel execution time, excluded from host times.
-    kernel_wall: Duration,
-    /// Wall timestamp of the first FPGA offload.
+    /// Host wall timestamp of the first FPGA offload.
     first_offload: Option<Duration>,
 }
 
-impl<'a> OffloadState<'a> {
-    fn new(config: &'a FastConfig, plan: &'a KernelPlan) -> Self {
+impl OffloadState {
+    fn new(config: &FastConfig) -> Self {
         let delta = if config.variant.shares_with_cpu() {
             config.delta
         } else {
             0.0
         };
         OffloadState {
-            config,
-            backend: FpgaBackend::from_config(config),
-            plan,
             prepare_start: Instant::now(),
             scheduler: ShareScheduler::new(delta),
             cpu_queue: Vec::new(),
-            fpga_outputs: Vec::new(),
             offloaded_bytes: 0,
             stolen: 0,
             stolen_entries: 0,
-            kernel_wall: Duration::ZERO,
             first_offload: None,
         }
     }
@@ -330,22 +371,71 @@ impl<'a> OffloadState<'a> {
         true
     }
 
-    /// The sink: books the partition and, on the FPGA side, runs it.
-    fn offload(&mut self, job: PartitionJob) {
+    /// The sink: books the partition and, on the FPGA side, sends it to the
+    /// card's lane. A send fails only once the lane has panicked; that
+    /// panic resurfaces when the lane is joined.
+    fn offload(&mut self, job: PartitionJob, lane: &mpsc::Sender<Arc<Cst>>) {
         match self.scheduler.assign(job.workload) {
             Assignment::Cpu => self.cpu_queue.push(job.cst),
             Assignment::Fpga => {
                 self.offloaded_bytes += job.cst.size_bytes();
-                if self.first_offload.is_none() {
-                    self.first_offload =
-                        Some(self.prepare_start.elapsed().saturating_sub(self.kernel_wall));
-                }
-                let t0 = Instant::now();
-                let out = self.backend.run(&job.cst, self.plan, self.config.collect);
-                self.kernel_wall += t0.elapsed();
-                self.fpga_outputs.push(out);
+                self.first_offload
+                    .get_or_insert_with(|| self.prepare_start.elapsed());
+                let _ = lane.send(job.cst);
             }
         }
+    }
+}
+
+/// The FAST-SHARE CPU share (Fig. 2 step 5), run on the host thread while
+/// the card's lane drains: the engine over each queued CST alone
+/// (Theorem 1).
+struct CpuShare {
+    embeddings: u64,
+    /// Up to the collect cap, in queue order.
+    collected: Vec<Vec<VertexId>>,
+    stats: EngineStats,
+    time: Duration,
+}
+
+/// Runs the CPU share over `cpu_queue`. The search reports every
+/// embedding; collection alone is capped.
+fn run_cpu_share(
+    q: &QueryGraph,
+    g: &Graph,
+    order: &MatchingOrder,
+    cpu_queue: &[Arc<Cst>],
+    collect: CollectMode,
+) -> CpuShare {
+    let start = Instant::now();
+    let cap = collect_cap(collect);
+    let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+    let limits = RunLimits::unlimited();
+    let (mut embeddings, mut collected, mut stats) = (0, Vec::new(), EngineStats::default());
+    for partition in cpu_queue {
+        let mut sink = |embedding: &[VertexId]| {
+            if collected.len() < cap {
+                collected.push(embedding.to_vec());
+            }
+        };
+        let (_, run) = run_backtrack_with_sink(q, g, partition, order, method, &limits, &mut sink);
+        embeddings += run.embeddings;
+        stats.partials_generated += run.partials_generated;
+        stats.edge_verifications += run.edge_verifications;
+    }
+    CpuShare {
+        embeddings,
+        collected,
+        stats,
+        time: start.elapsed(),
+    }
+}
+
+/// Rows a report collects at most.
+fn collect_cap(collect: CollectMode) -> usize {
+    match collect {
+        CollectMode::Collect(cap) => cap,
+        CollectMode::CountOnly => 0,
     }
 }
 
@@ -621,25 +711,25 @@ pub fn prepare_partitions(
     )
 }
 
-/// Runs the CPU share, aggregates kernel outputs, derives the host times
-/// from `phase`, and assembles the report.
+/// Aggregates the lane's kernel outputs (in stream order) and the CPU
+/// share, derives the modelled times from `phase`, and assembles the
+/// report.
+#[allow(clippy::too_many_arguments)]
 fn finish_report(
     q: &QueryGraph,
-    g: &Graph,
     config: &FastConfig,
-    order: &MatchingOrder,
-    state: OffloadState<'_>,
+    backend: &FpgaBackend,
+    state: OffloadState,
+    host_prepare_wall: Duration,
+    fpga_outputs: &[KernelOutput],
+    cpu_share: CpuShare,
     phase: &PreparePhase,
     wall_start: Instant,
-) -> Result<FastReport, FastError> {
-    let host_prepare_wall = state.prepare_start.elapsed().saturating_sub(state.kernel_wall);
+) -> FastReport {
     let cpu_cost = CpuCostModel::default();
 
     // --- Aggregate kernel outputs and model device time. ---
-    let cap = match config.collect {
-        CollectMode::Collect(cap) => cap,
-        CollectMode::CountOnly => 0,
-    };
+    let cap = collect_cap(config.collect);
     let mut counts = WorkloadCounts::default();
     let mut embeddings = 0u64;
     let mut collected = Vec::new();
@@ -647,49 +737,33 @@ fn finish_report(
     let mut cst_reads = 0u64;
     let mut buffer_writes = 0u64;
     let mut kernel_cycles = 0u64;
-    for out in &state.fpga_outputs {
+    for out in fpga_outputs {
         counts.n += out.counts.n;
         counts.m += out.counts.m;
         embeddings += out.embeddings;
         rounds += out.rounds;
         cst_reads += out.cst_reads;
         buffer_writes += out.buffer_writes;
-        kernel_cycles += state.backend.price_cycles(out.counts);
+        kernel_cycles += backend.price_cycles(out.counts);
         let room = cap.saturating_sub(collected.len());
         collected.extend(out.collected.iter().take(room).cloned());
     }
     let kernel_time_sec = config.spec.cycles_to_sec(kernel_cycles);
 
-    // --- Host: CPU share matching (Fig. 2 step 5), CST-only (Theorem 1).
-    // The search reports every embedding; collection alone is capped.
-    let cpu_match_start = Instant::now();
-    let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
-    let limits = RunLimits::unlimited();
-    let mut cpu_stats = EngineStats::default();
-    for partition in &state.cpu_queue {
-        let mut sink = |embedding: &[VertexId]| {
-            if collected.len() < cap {
-                collected.push(embedding.to_vec());
-            }
-        };
-        let (_, stats) =
-            run_backtrack_with_sink(q, g, partition, order, method, &limits, &mut sink);
-        embeddings += stats.embeddings;
-        cpu_stats.partials_generated += stats.partials_generated;
-        cpu_stats.edge_verifications += stats.edge_verifications;
-    }
-    let cpu_match_time = cpu_match_start.elapsed();
+    // --- Host: the CPU share's rows follow the FPGA rows, up to the cap.
+    embeddings += cpu_share.embeddings;
+    let room = cap.saturating_sub(collected.len());
+    collected.extend(cpu_share.collected.into_iter().take(room));
     // The host's matching share runs on all cores (the paper's 8-core Xeon
     // is idle once partitioning finishes); apply the contention-aware
     // parallel model — the memory-bound search steps serialise on the
     // single socket, which is what makes the CPU the bottleneck past the
     // paper's δ ≈ 0.15 (Fig. 13).
-    let modeled_cpu_match_sec = cpu_cost.parallel_search_time_sec(&cpu_stats, 8);
+    let modeled_cpu_match_sec = cpu_cost.parallel_search_time_sec(&cpu_share.stats, 8);
 
     // PCIe: one transfer per FPGA partition plus the result fetch.
     let result_bytes = (embeddings as usize).saturating_mul(q.vertex_count() * 4);
-    let transfer_time_sec = state
-        .fpga_outputs
+    let transfer_time_sec = fpga_outputs
         .iter()
         .map(|_| config.spec.pcie.latency_sec)
         .sum::<f64>()
@@ -713,12 +787,12 @@ fn finish_report(
         state.offloaded_bytes / 4 + cpu_entries.saturating_sub(state.stolen_entries);
     let modeled_partition_sec = cpu_cost.partition_time_sec(2 * partition_entries);
 
-    Ok(FastReport {
+    FastReport {
         variant: config.variant,
         embeddings,
         collected,
         counts,
-        fpga_partitions: state.fpga_outputs.len(),
+        fpga_partitions: fpga_outputs.len(),
         cpu_partitions: state.cpu_queue.len(),
         stolen: state.stolen,
         forced: phase.forced,
@@ -730,9 +804,8 @@ fn finish_report(
         build_topdown_entries: phase.build_topdown_entries,
         build_time: phase.build_wall,
         build_cpu_time: phase.build_cpu,
-        // Partition time excludes the inline (emulated) kernel execution.
-        partition_time: phase.partition_time.saturating_sub(state.kernel_wall),
-        cpu_match_time,
+        partition_time: phase.partition_time,
+        cpu_match_time: cpu_share.time,
         host_prepare_wall,
         first_offload_wall: state.first_offload.unwrap_or(phase.build_wall),
         modeled_build_sec,
@@ -749,7 +822,7 @@ fn finish_report(
         buffer_writes,
         cst_bytes_total: state.offloaded_bytes,
         wall_time: wall_start.elapsed(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1247,6 +1320,172 @@ mod tests {
             whole > 0 && capped > 0 && full > 0,
             "every regime is exercised: whole {whole}, capped {capped}, full {full}"
         );
+    }
+
+    /// `run_fast`'s collected rows without the lane: every booking through
+    /// `OffloadState`, the kernel over the sent partitions in stream order
+    /// once the stream ends, then the CPU share, cut to the cap.
+    fn serial_rows(
+        q: &QueryGraph,
+        g: &Graph,
+        config: &FastConfig,
+        tree: &BfsTree,
+        order: &MatchingOrder,
+    ) -> Vec<Vec<VertexId>> {
+        let plan = KernelPlan::new(q, order, tree).unwrap();
+        let (lane, sent) = mpsc::channel::<Arc<Cst>>();
+        let state = RefCell::new(OffloadState::new(config));
+        let mut steal =
+            |oversized: &Cst, workload: f64| state.borrow_mut().steal(oversized, workload);
+        produce_partitions(
+            q,
+            g,
+            config,
+            tree,
+            order,
+            &config.build_options(),
+            1,
+            false,
+            config
+                .variant
+                .shares_with_cpu()
+                .then_some(&mut steal as StealHook<'_>),
+            &mut |job| state.borrow_mut().offload(job, &lane),
+        );
+        drop(lane);
+        let mut rows: Vec<Vec<VertexId>> = sent
+            .iter()
+            .flat_map(|cst| run_kernel(&cst, &plan, config.spec.no, config.collect).collected)
+            .collect();
+        let cpu_queue = state.into_inner().cpu_queue;
+        rows.extend(run_cpu_share(q, g, order, &cpu_queue, config.collect).collected);
+        rows.truncate(collect_cap(config.collect));
+        rows
+    }
+
+    /// The lane keeps the report exact and ordered. On generated instances
+    /// under a tight BRAM (many partitions, and steals under SHARE), for
+    /// `Sep` and `Share` at δ ∈ {0.1, 1.0} and `Collect(cap)` for
+    /// cap ∈ {0, 5, 10 000}, eight repeated `run_fast` calls per case:
+    ///
+    /// * return reports identical field by field (embeddings, collected rows
+    ///   in order, counters, partition counts, steals, transfer bytes and
+    ///   the modelled total's bits), whatever the lane's interleaving;
+    /// * count `vf2_count` embeddings;
+    /// * collect the rows of a serial reference without the lane: the FPGA
+    ///   partitions' kernel rows in stream order, then the CPU share's;
+    /// * under `Sep`, collect exactly the first `cap` rows of
+    ///   `run_kernel(Collect)` over the unfanned `partition_cst` stream of
+    ///   the one shard CST, in stream order.
+    ///
+    /// Mutations it catches: kernel outputs folded in completion order
+    /// instead of stream order, and CPU rows collected before FPGA rows.
+    #[test]
+    fn lane_keeps_the_report_exact_and_ordered() {
+        let cycle = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        .unwrap();
+        let instances = [
+            (queries().remove(1), random_labelled_graph(300, 0.1, 2, 940)),
+            (queries().remove(2), random_labelled_graph(200, 0.1, 2, 941)),
+            (cycle, random_labelled_graph(300, 0.08, 2, 942)),
+        ];
+        let (mut steals, mut mixed) = (0, 0);
+        for (qi, (q, g)) in instances.iter().enumerate() {
+            let expected = vf2_count(q, g);
+            let tree = BfsTree::new(q, select_root(q, g));
+            let order = path_based_order(q, &tree, g);
+            for (variant, delta) in [
+                (Variant::Sep, 0.0),
+                (Variant::Share, 0.1),
+                (Variant::Share, 1.0),
+            ] {
+                for cap in [0, 5, 10_000] {
+                    let case = format!("q{qi} {variant} delta={delta} cap={cap}");
+                    let mut config = FastConfig::test_small(variant);
+                    config.spec.bram_bytes = 1 << 14;
+                    config.spec.no = 16;
+                    config.delta = delta;
+                    config.collect = CollectMode::Collect(cap);
+                    let runs: Vec<FastReport> = (0..8)
+                        .map(|_| run_fast_with_order(q, g, &config, &order).unwrap())
+                        .collect();
+                    let first = &runs[0];
+                    assert_eq!(first.embeddings, expected, "{case}");
+                    assert!(first.fpga_partitions + first.cpu_partitions > 4, "{case}");
+                    let fields = |r: &FastReport| {
+                        (
+                            r.embeddings,
+                            r.collected.clone(),
+                            r.counts,
+                            (r.fpga_partitions, r.cpu_partitions, r.stolen),
+                            (r.kernel_cycles, r.rounds, r.cst_reads, r.buffer_writes),
+                            r.transfer_bytes,
+                            r.modeled_total_sec().to_bits(),
+                        )
+                    };
+                    for run in &runs[1..] {
+                        assert_eq!(fields(run), fields(first), "{case}");
+                    }
+                    let serial = serial_rows(q, g, &config, &tree, &order);
+                    assert_eq!(first.collected, serial, "{case}");
+                    steals += first.stolen;
+                    if first.cpu_partitions > 0 && first.fpga_partitions > 0 && cap == 5 {
+                        mixed += 1;
+                    }
+                    if variant != Variant::Sep {
+                        continue;
+                    }
+                    let mut prepare = config.clone();
+                    prepare.capture_prepared = true;
+                    let phase = prepare_partitions(q, g, &prepare, &tree, &order, &mut |_| {});
+                    let shard = &phase.prepared.expect("capture requested").shard_csts[0];
+                    let thresholds = config.partition_config(q.vertex_count(), shard);
+                    let (stream, _) = cst::partition_cst(shard, &order, &thresholds);
+                    assert_eq!(first.fpga_partitions, stream.len(), "{case}");
+                    let plan = KernelPlan::new(q, &order, &tree).unwrap();
+                    let rows: Vec<Vec<VertexId>> = stream
+                        .iter()
+                        .flat_map(|p| {
+                            run_kernel(p, &plan, config.spec.no, config.collect).collected
+                        })
+                        .take(cap)
+                        .collect();
+                    assert_eq!(first.collected, rows, "{case}");
+                }
+            }
+        }
+        assert!(steals > 0, "no case stole an oversized CST");
+        assert!(mixed > 0, "no case collected from both sides under a cap");
+    }
+
+    /// Lanes that get almost nothing still return, with exact counts: a
+    /// query whose CST has an empty candidate set sends the lane nothing,
+    /// and δ = 1.0 under a tight BRAM sends it exactly one partition
+    /// (Algorithm 3's strict `<` books the first partition to the FPGA and
+    /// every later one to the CPU, stolen or booked).
+    #[test]
+    fn lanes_that_get_almost_nothing_return_exact_counts() {
+        let g = random_labelled_graph(400, 0.08, 2, 7);
+        let absent = QueryGraph::new(vec![l(0), l(9)], &[(0, 1)]).unwrap();
+        let report = run_fast(&absent, &g, &FastConfig::test_small(Variant::Share)).unwrap();
+        assert_eq!(report.embeddings, vf2_count(&absent, &g));
+        assert_eq!(report.fpga_partitions, 0);
+
+        let cycle = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        .unwrap();
+        let mut config = FastConfig::test_small(Variant::Share);
+        config.spec.bram_bytes = 1 << 14;
+        config.delta = 1.0;
+        let report = run_fast(&cycle, &g, &config).unwrap();
+        assert_eq!(report.embeddings, vf2_count(&cycle, &g));
+        assert_eq!(report.fpga_partitions, 1, "{report:?}");
+        assert!(report.cpu_partitions > 1 && report.stolen > 0, "{report:?}");
     }
 
     #[test]
