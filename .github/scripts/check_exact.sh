@@ -6,10 +6,10 @@
 # CST sizes are
 # functions of the code and the seed-independent inputs, so a host-speed
 # change that shifts any of them changed the decomposition, not only its
-# speed. Both flows' builds scan top-down: a cold serving session builds one
-# contiguous shard with no probe and no seeding (the T = 1 rule of
-# `FastConfig::build_options`), so the construct counters are pinned on the
-# one-shot and the cold-serving run. The cold-serving run is also the one
+# speed. Both flows' builds scan top-down: every flow builds one CST per
+# query with no probe and no seeding (`fast::host`'s `produce_partitions`),
+# so the construct counters are pinned on the one-shot and the cold-serving
+# run. The cold-serving run is also the one
 # whose partitioner fans out at the root (`PartitionConfig::root_fanout`,
 # 16 chunks at the first split; every DG03 query has W_CST / N_o >= 142, so
 # the work rule never caps it): a change to the fan-out moves its

@@ -5,8 +5,8 @@
 //!
 //! targets: all (default) | table3 | fig7 | fig8 | fig9 | fig10 | fig11
 //!        | fig12 | fig13 | fig14 | fig15 | fig16 | fig17 | ablation
-//!        | hostscale | serving | sessions | tenants | cstcache | chaos
-//!        | snapshot | obsfig
+//!        | serving | sessions | tenants | cstcache | chaos | snapshot
+//!        | obsfig
 //! --quick: restrict to the smaller datasets (CI-friendly).
 //! ```
 
@@ -29,7 +29,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [targets...] [--quick]\n\
-                     targets: all table3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 ablation hostscale serving sessions tenants cstcache chaos snapshot obsfig"
+                     targets: all table3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 ablation serving sessions tenants cstcache chaos snapshot obsfig"
                 );
                 std::process::exit(0);
             }
@@ -137,12 +137,6 @@ fn main() {
     if wants("fig17") {
         let rows = fig17::run(&mut cache, huge, &fig17::QUERIES);
         println!("{}", fig17::render(huge, &rows));
-    }
-    if wants("hostscale") {
-        // The host-parallel pipeline scaling sweep targets the largest
-        // bundled dataset (DG60); quick mode stays at DG03.
-        let rows = host_scaling::run(&mut cache, huge, &host_scaling::QUERIES);
-        println!("{}", host_scaling::render(huge, &rows));
     }
     if wants("serving") {
         // Cold-vs-warm serving sweep (the `serve` subsystem): quick mode

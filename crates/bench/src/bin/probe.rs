@@ -15,19 +15,6 @@ fn main() {
                 r.modeled_cpu_match_sec*1e3, r.kernel_time_sec*1e3, r.transfer_time_sec*1e3,
                 r.counts.n, r.counts.m, r.fpga_partitions + r.cpu_partitions, r.cpu_partitions, r.stolen
             );
-            // The same run under the sharded host pipeline: build overlaps
-            // partition/offload (identical embeddings, re-derived elapsed
-            // model — see fast::host docs).
-            let mut config = experiment_config(Variant::Share);
-            config.host_threads = 8;
-            let p = run_fast(&q, g, &config).unwrap();
-            assert_eq!(p.embeddings, r.embeddings, "pipeline changed the count");
-            println!(
-                "        pipelined t{}/s{}: total={:.1}ms build_par={:.1}ms fill={:.1}ms part={:.1}ms",
-                p.host_threads, p.pipeline_shards, p.modeled_total_sec()*1e3,
-                p.modeled_build_parallel_sec*1e3, p.modeled_fill_sec*1e3,
-                p.modeled_partition_sec*1e3
-            );
         }
     }
 }

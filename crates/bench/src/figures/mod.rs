@@ -13,7 +13,6 @@ pub mod fig14;
 pub mod fig15;
 pub mod fig16;
 pub mod fig17;
-pub mod host_scaling;
 pub mod multi_tenant;
 pub mod obsfig;
 pub mod serving;

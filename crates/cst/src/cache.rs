@@ -1,22 +1,20 @@
-//! Cache-key derivation for shard plans and the artifacts built from them.
+//! Cache-key derivation for the serving layer's caches, and the shard plan
+//! its tier-1 cache holds.
 //!
-//! A [`ShardPlan`](crate::ShardPlan) is a pure function of
-//! `(q, g, tree, PipelineOptions)` (see `cst::pipeline`), and so is every
-//! shard CST built under it, so a serving layer can cache both across
-//! repeated queries. This module derives the cache key: a structural
-//! fingerprint of the query and BFS tree, a *graph epoch* supplied by the
-//! owner of the loaded graph (bumped whenever the graph changes, so stale
-//! plans can never be served), and a fingerprint of every
-//! [`PipelineOptions`] knob that influences planning.
-//!
-//! The key deliberately lives here rather than in the serving crate: the
-//! set of plan-relevant inputs is a property of the pipeline, and any new
-//! `PipelineOptions` knob must be folded into
-//! [`PipelineOptions::plan_fingerprint`] next to the knob itself.
+//! Every host flow builds one CST per query (`build_cst_with_stats`), a
+//! pure function of `(q, g, tree, CstOptions)`, and so is the plan of that
+//! build ([`plan_pipeline_shards`]: the whole sorted root candidate list as
+//! one range), so a serving layer can cache both across repeated queries.
+//! This module derives the cache key: a structural fingerprint of the query
+//! and BFS tree, a *graph epoch* supplied by the owner of the loaded graph
+//! (bumped whenever the graph changes, so stale entries can never be
+//! served), and a fingerprint of the [`CstOptions`] the build runs with.
+//! A new build knob must be folded into [`PlanKey::derive`] next to the
+//! existing ones.
 
 use crate::construct::CstOptions;
-use crate::pipeline::PipelineOptions;
-use graph_core::{BfsTree, QueryGraph};
+use graph_core::{BfsTree, QueryGraph, VertexId};
+use std::ops::Range;
 
 /// FNV-1a offset basis / prime (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -78,74 +76,89 @@ pub fn query_fingerprint(q: &QueryGraph, tree: &BfsTree) -> u64 {
     f.finish()
 }
 
-impl PipelineOptions {
-    /// Fingerprint of every knob the shard plan depends on. `threads` is
-    /// deliberately excluded: plans are thread-count independent (the
-    /// pipeline's determinism contract), so runs at different thread counts
-    /// share cache entries.
-    pub fn plan_fingerprint(&self) -> u64 {
-        let mut f = Fingerprint::new();
-        f.mix(self.shards.map(|s| s as u64 + 1).unwrap_or(0));
-        let CstOptions { use_nlf, refine } = self.cst;
-        f.mix(u64::from(use_nlf));
-        f.mix(u64::from(refine));
-        f.finish()
-    }
-}
-
-/// Fingerprint of the exact planning inputs a [`crate::ShardPlan`] was
-/// derived from: the root candidate list (which already encodes `(q, g,
-/// tree, CstOptions)`) plus the plan-relevant options. Stored on the plan
-/// as [`crate::ShardPlan::provenance`] by `plan_pipeline_shards`, and
-/// checked by `for_each_shard_cst_planned` before trusting a supplied
-/// plan — a stale or foreign plan (even one with a coincidentally equal
-/// root count) is detected and replanned.
-pub fn plan_provenance(
-    roots: &[graph_core::VertexId],
-    options: &PipelineOptions,
-) -> u64 {
-    let mut f = Fingerprint::new();
-    f.mix(roots.len() as u64);
-    for &v in roots {
-        f.mix(v.index() as u64);
-    }
-    f.mix(options.plan_fingerprint());
-    let out = f.finish();
-    // 0 is reserved for "hand-built plan, unknown provenance".
-    if out == 0 {
-        1
-    } else {
-        out
-    }
-}
-
-/// The full cache key of a shard plan: query structure, graph epoch, and
-/// planning options. `Hash`/`Eq` so it drops straight into a map.
+/// The full cache key of a query's build: query structure, graph epoch,
+/// and build options. `Hash`/`Eq` so it drops straight into a map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// [`query_fingerprint`] of `(q, tree)`.
     pub query: u64,
     /// Epoch of the loaded data graph (owner-assigned; bump on any change).
     pub graph_epoch: u64,
-    /// [`PipelineOptions::plan_fingerprint`].
+    /// Fingerprint of the [`CstOptions`] the CST is built with.
     pub options: u64,
 }
 
 impl PlanKey {
-    /// Derives the key for planning `(q, tree)` against the graph at
+    /// Derives the key for building `(q, tree)` against the graph at
     /// `graph_epoch` under `options`.
     pub fn derive(
         q: &QueryGraph,
         tree: &BfsTree,
-        options: &PipelineOptions,
+        options: &CstOptions,
         graph_epoch: u64,
     ) -> PlanKey {
+        let CstOptions { use_nlf, refine } = *options;
+        let mut f = Fingerprint::new();
+        f.mix(u64::from(use_nlf));
+        f.mix(u64::from(refine));
         PlanKey {
             query: query_fingerprint(q, tree),
             graph_epoch,
-            options: options.plan_fingerprint(),
+            options: f.finish(),
         }
     }
+}
+
+/// Default cap of `fast::prepare_partitions`' root fan-out
+/// (`fast::FastConfig::pipeline_shards` = `None`).
+pub const DEFAULT_SHARDS: usize = 16;
+
+/// Inert: there is one plan, the whole root list, so this type has nothing
+/// to choose. It stays only because the benchmark assigns
+/// `fast::FastConfig::shard_planner`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ShardPlanner {
+    /// The one plan ([`plan_pipeline_shards`]).
+    #[default]
+    Auto,
+}
+
+/// A decomposition of the sorted root candidate list: shard `s` owns
+/// `roots[ranges[s]]`. What a serving layer's tier-1 cache holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardPlan {
+    /// Contiguous shard boundaries over the sorted root candidate list.
+    pub ranges: Vec<Range<usize>>,
+}
+
+impl ShardPlan {
+    /// The equal-count cut of `count` roots into `shards` chunks, clamped
+    /// to `[1, count]` (the even split of Algorithm 2 line 4): the first
+    /// `count % shards` chunks are one root longer.
+    pub fn contiguous(count: usize, shards: usize) -> ShardPlan {
+        let shards = shards.clamp(1, count.max(1));
+        let (base, extra) = (count / shards, count % shards);
+        let mut start = 0usize;
+        let ranges = (0..shards)
+            .map(|s| {
+                let len = base + usize::from(s < extra);
+                start += len;
+                start - len..start
+            })
+            .collect();
+        ShardPlan { ranges }
+    }
+
+    /// Number of shards in the plan.
+    pub fn shard_count(&self) -> usize {
+        self.ranges.len()
+    }
+}
+
+/// The plan of the one build every host flow runs: all of `roots` as one
+/// range.
+pub fn plan_pipeline_shards(roots: &[VertexId]) -> ShardPlan {
+    ShardPlan::contiguous(roots.len(), 1)
 }
 
 #[cfg(test)]
@@ -165,7 +178,7 @@ mod tests {
     fn same_inputs_same_key() {
         let q = q1();
         let tree = BfsTree::new(&q, QueryVertexId::new(0));
-        let opts = PipelineOptions::default();
+        let opts = CstOptions::default();
         let a = PlanKey::derive(&q, &tree, &opts, 7);
         let b = PlanKey::derive(&q, &tree, &opts, 7);
         assert_eq!(a, b);
@@ -175,7 +188,7 @@ mod tests {
     fn structure_root_epoch_and_options_all_discriminate() {
         let q = q1();
         let tree = BfsTree::new(&q, QueryVertexId::new(0));
-        let opts = PipelineOptions::default();
+        let opts = CstOptions::default();
         let base = PlanKey::derive(&q, &tree, &opts, 0);
 
         // Different labels.
@@ -194,35 +207,43 @@ mod tests {
         // Epoch bump invalidates.
         assert_ne!(base, PlanKey::derive(&q, &tree, &opts, 1));
 
-        // Any planning knob discriminates.
+        // Every build knob discriminates.
         for changed in [
-            PipelineOptions {
-                shards: Some(4),
+            CstOptions {
+                use_nlf: !opts.use_nlf,
                 ..opts
             },
-            PipelineOptions {
-                cst: CstOptions::minimal(),
+            CstOptions {
+                refine: !opts.refine,
                 ..opts
             },
         ] {
-            assert_ne!(
-                opts.plan_fingerprint(),
-                changed.plan_fingerprint(),
-                "{changed:?}"
-            );
+            let key = PlanKey::derive(&q, &tree, &changed, 0);
+            assert_ne!(base.options, key.options, "{changed:?}");
         }
     }
 
     #[test]
-    fn threads_do_not_change_the_key() {
-        let a = PipelineOptions {
-            threads: 1,
-            ..PipelineOptions::default()
-        };
-        let b = PipelineOptions {
-            threads: 8,
-            ..PipelineOptions::default()
-        };
-        assert_eq!(a.plan_fingerprint(), b.plan_fingerprint());
+    fn shard_ranges_cover_exactly() {
+        for count in [0usize, 1, 5, 16, 17, 100] {
+            for shards in [1usize, 2, 7, 16, 200] {
+                let plan = ShardPlan::contiguous(count, shards);
+                assert_eq!(plan.shard_count(), shards.clamp(1, count.max(1)));
+                let mut total = 0usize;
+                let mut prev_end = 0usize;
+                for r in &plan.ranges {
+                    assert_eq!(r.start, prev_end);
+                    prev_end = r.end;
+                    total += r.len();
+                }
+                assert_eq!(total, count, "count={count} shards={shards}");
+            }
+        }
+        for count in [0u32, 1, 5] {
+            let roots: Vec<VertexId> = (0..count).map(VertexId::new).collect();
+            let plan = plan_pipeline_shards(&roots);
+            assert_eq!(plan.shard_count(), 1);
+            assert_eq!(plan.ranges[0], 0..roots.len());
+        }
     }
 }

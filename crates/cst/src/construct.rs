@@ -81,9 +81,8 @@ pub fn build_cst(q: &QueryGraph, g: &Graph, tree: &BfsTree) -> Cst {
 }
 
 /// Computes the root candidate set (phase 1 for the root only): every data
-/// vertex passing the root's local filters, sorted by vertex id. This is the
-/// sharding axis of the parallel pipeline (`cst::pipeline`): splitting the
-/// returned list into contiguous chunks and calling
+/// vertex passing the root's local filters, sorted by vertex id. Splitting
+/// the returned list into contiguous chunks and calling
 /// [`build_cst_from_roots`] per chunk yields CSTs whose search spaces are
 /// disjoint at the root.
 pub fn root_candidates(
@@ -126,7 +125,7 @@ pub fn build_cst_with_stats(
 /// sorted, deduplicated, and a subset of [`root_candidates`]). Phases 2-3 of
 /// Algorithm 1 run unchanged; only the root seeding differs. With the full
 /// root candidate list this is exactly [`build_cst_with_stats`]; with a
-/// chunk of it, the result is the shard CST of the parallel pipeline.
+/// chunk of it, the CST of that chunk's embeddings alone.
 pub fn build_cst_from_roots(
     q: &QueryGraph,
     g: &Graph,
@@ -140,10 +139,10 @@ pub fn build_cst_from_roots(
 /// "Not a candidate of the current target" in [`BuildScratch::rank`].
 const NONE: u32 = u32::MAX;
 
-/// The per-vertex tables of a build, kept across the builds of one pipeline
-/// run (one value per worker thread). A build leaves them as it found them
+/// The per-vertex tables of a build. A build leaves them as it found them
 /// — bits clear, ranks [`NONE`] — by un-writing exactly what it wrote, so a
-/// shard with a handful of candidates zeroes no `|V(G)|`-sized table.
+/// scratch reused for a build with a handful of candidates zeroes no
+/// `|V(G)|`-sized table.
 #[derive(Debug, Default)]
 pub(crate) struct BuildScratch {
     /// Membership bitmaps over data vertices, one per query vertex.

@@ -15,23 +15,16 @@
 //!   lists ([`seek`], [`intersect_each`]) and the sibling-run count at a
 //!   cycle-closing last depth ([`count_run`]), shared by the emulated kernel
 //!   and the CPU engine;
-//! * [`pipeline`] — the sharded, multi-threaded host pipeline: the root
-//!   candidate set cut into contiguous equal-count shards ([`ShardPlan`]),
-//!   shard CSTs built on worker threads and streamed in shard order into
-//!   the partitioner ([`for_each_shard_cst`]) so device offload overlaps
-//!   construction;
-//! * [`cache`] — cache-key derivation for shard plans ([`PlanKey`]): a
-//!   plan is a pure function of `(q, g, tree, options)`, so a serving
-//!   layer can key its caches on the query/tree fingerprint, a graph
-//!   epoch, and the plan-relevant options and replay a plan on repeats
-//!   ([`for_each_shard_cst_planned`]).
+//! * [`cache`] — cache-key derivation for a query's build ([`PlanKey`]):
+//!   every host flow builds one CST per query, a pure function of
+//!   `(q, g, tree, CstOptions)`, so a serving layer can key its caches on
+//!   the query/tree fingerprint, a graph epoch and the build options.
 
 pub mod cache;
 pub mod construct;
 pub mod filter;
 pub mod intersect;
 pub mod partition;
-pub mod pipeline;
 pub mod structure;
 pub mod workload;
 
@@ -44,10 +37,9 @@ pub use partition::{
     fits, partition_cst, partition_cst_into, partition_cst_with_steal, shard_at_vertex,
     PartitionConfig, PartitionStats,
 };
-pub use cache::{plan_provenance, query_fingerprint, Fingerprint, PlanKey};
-pub use pipeline::{
-    for_each_shard_cst, for_each_shard_cst_planned, plan_pipeline_shards, PipelineOptions,
-    PipelineStats, ShardCst, ShardPlan, ShardPlanner, ShardReport, DEFAULT_SHARDS,
+pub use cache::{
+    plan_pipeline_shards, query_fingerprint, Fingerprint, PlanKey, ShardPlan, ShardPlanner,
+    DEFAULT_SHARDS,
 };
 pub use structure::{CsrAdj, Cst};
 pub use workload::{estimate_workload, WorkloadEstimate};

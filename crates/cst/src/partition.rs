@@ -13,8 +13,8 @@
 //! fixed-`k` mode reproduces the Fig. 8 ablation. A *root fan-out* `S`
 //! ([`PartitionConfig::root_fanout`]) raises the first split, at order
 //! position 0, to at least `min(S, |C(root)|)` chunks even when the CST
-//! fits: the same root localisation a sharded build gives, obtained from one
-//! build. Deeper splits stay greedy.
+//! fits: root-localised partitions for a device pool to spread, obtained
+//! from one build. Deeper splits stay greedy.
 //!
 //! A split costs one pass over the parent plus the children it emits
 //! (DESIGN.md §3): `label` marks every candidate with the set of children

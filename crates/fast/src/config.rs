@@ -3,9 +3,8 @@
 use crate::host::FastError;
 use crate::kernel::{CollectMode, PARTIAL_SLOT_BYTES};
 use crate::variants::Variant;
-use cst::{CstOptions, PartitionConfig, ShardPlan, ShardPlanner};
+use cst::{CstOptions, PartitionConfig, ShardPlanner};
 use fpga_sim::{FpgaSpec, StageLatencies};
-use std::sync::Arc;
 
 /// Full configuration for a FAST run.
 #[derive(Debug, Clone)]
@@ -21,47 +20,22 @@ pub struct FastConfig {
     pub cst_options: CstOptions,
     /// What to do with embeddings.
     pub collect: CollectMode,
-    /// Host-side worker threads building shard CSTs (`cst::pipeline`).
-    /// Every flow is the same build → shard → partition stream under one
-    /// rule, [`build_options`](Self::build_options): `1` (default) builds
-    /// one contiguous shard — the paper's Fig. 2 — and `> 1` builds
-    /// [`pipeline_shards`](Self::pipeline_shards) contiguous equal-count
-    /// shards on worker threads so offload overlaps construction. At `1`,
-    /// `prepare_partitions` (serving, `run_multi_fpga`) gets the shards'
-    /// root localisation from the partitioner instead: its first split fans
-    /// the root out into at most `pipeline_shards` chunks
-    /// (`cst::PartitionConfig::root_fanout`). Embedding counts are identical
-    /// for every value (`tests/prop_pipeline_parallel.rs`). These are host
-    /// threads only: at every value `run_fast` also runs the emulated card
-    /// on its own lane, a thread that is the device, not host work.
-    pub host_threads: usize,
-    /// Shard (batch) count of the host pipeline; `None` resolves to
-    /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from
-    /// `host_threads`, so the shards do not depend on how many threads
-    /// build them. At `host_threads > 1` this is the exact shard count,
-    /// `min(pipeline_shards, |C(root)|)`; at `1` it caps
-    /// `prepare_partitions`' root fan-out, which cuts at most
-    /// `⌊W_CST / N_o⌋` chunks (at least 1) so that no chunk carries less
-    /// than one kernel round of estimated work (`run_fast` builds one shard
-    /// and does not fan out).
+    /// Cap of [`prepare_partitions`](crate::prepare_partitions)' root
+    /// fan-out: the partitioner's first split cuts the one CST's root
+    /// candidates into at most this many and at most `⌊W_CST / N_o⌋`
+    /// chunks (at least 1), so that no chunk carries less than one kernel
+    /// round of estimated work (`cst::PartitionConfig::root_fanout`).
+    /// `None` resolves to `cst::DEFAULT_SHARDS`; `run_fast` does not fan
+    /// out.
     pub pipeline_shards: Option<usize>,
-    /// Inert: the pipeline has one cut (contiguous equal-count shards), so
-    /// this field chooses nothing. It stays only because the benchmark
-    /// assigns it.
+    /// Inert: every flow builds one CST, so this field chooses nothing. It
+    /// stays only because the benchmark assigns it.
     pub shard_planner: ShardPlanner,
-    /// Optional precomputed shard plan. A [`ShardPlan`] is a pure function
-    /// of `(q, g, tree, options)`, so a serving layer that caches plans by
-    /// [`cst::PlanKey`] hands the hit back through this field and the run
-    /// replays it (the cache path and the one-shot path share the same
-    /// pipeline entry, `cst::for_each_shard_cst_planned`). Must have been
-    /// planned for the same query/graph/options; a mismatched plan is
-    /// detected and silently replanned. `None` (default) plans fresh.
-    pub shard_plan: Option<Arc<ShardPlan>>,
     /// Capture this build's [`crate::PreparedCsts`] on
     /// `prepare_partitions` (returned on `PreparePhase::prepared`) so a
     /// serving layer can insert it into a tier-2 cache. Off by default:
-    /// capture clones shard/partition `Arc`s and keeps payloads alive past
-    /// the run.
+    /// capture clones partition `Arc`s and keeps payloads alive past the
+    /// run.
     pub capture_prepared: bool,
 }
 
@@ -73,10 +47,8 @@ impl Default for FastConfig {
             delta: 0.1,
             cst_options: CstOptions::default(),
             collect: CollectMode::CountOnly,
-            host_threads: 1,
             pipeline_shards: None,
             shard_planner: ShardPlanner::Auto,
-            shard_plan: None,
             capture_prepared: false,
         }
     }
@@ -134,25 +106,8 @@ impl FastConfig {
             footprint_budget: Some(budget.max(1)),
             // Greedy; the Fig. 8 ablation sets its `k` on this type itself.
             fixed_k: None,
-            // Only `prepare_partitions` fans out, and only at T = 1.
+            // Only `prepare_partitions` fans out.
             root_fanout: 1,
-        }
-    }
-
-    /// The options every host flow builds with — the T = 1 rule: one
-    /// contiguous shard at `host_threads = 1`, `pipeline_shards`
-    /// contiguous shards on `host_threads` workers above that.
-    /// `run_fast`, `prepare_partitions` and a serving layer's plan-cache key
-    /// all derive from it, so they cannot disagree.
-    pub fn build_options(&self) -> cst::PipelineOptions {
-        if self.host_threads > 1 {
-            cst::PipelineOptions {
-                threads: self.host_threads,
-                shards: self.pipeline_shards,
-                cst: self.cst_options,
-            }
-        } else {
-            cst::PipelineOptions::sequential(self.cst_options)
         }
     }
 

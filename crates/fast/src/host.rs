@@ -1,13 +1,11 @@
 //! The host-side driver: the full CPU-FPGA co-designed flow of Fig. 2.
 //!
-//! 1. construct the CST (Section V-A, measured on the real CPU) on the
-//!    sharded pipeline (`cst::pipeline`): one contiguous shard at
-//!    [`FastConfig::host_threads`] = 1 — the paper's sequential build —
-//!    and contiguous equal-count shards built on worker threads above that;
-//! 2. partition each shard CST, in shard order, to fit the kernel's BRAM
-//!    budget (Section V-B) — [`prepare_partitions`]' one shard at T = 1
-//!    with its first split fanned out at the root into at most
-//!    `⌊W_CST / N_o⌋` chunks — and estimate every partition's `W_CST`;
+//! 1. construct the CST once (Algorithm 1, Section V-A, measured on the
+//!    real CPU);
+//! 2. partition it to fit the kernel's BRAM budget (Section V-B, Algorithm
+//!    2) — [`prepare_partitions`]' first split fanned out at the root into
+//!    at most `⌊W_CST / N_o⌋` chunks — and estimate every partition's
+//!    `W_CST`;
 //! 3. offload partitions over the modelled PCIe link and run the emulated
 //!    kernel on each (Section VI) — in [`run_fast`] on the card's own lane,
 //!    while the host keeps partitioning — while FAST-SHARE books a bounded
@@ -33,24 +31,16 @@
 //! emulated card runs on its own lane, a thread that executes FPGA-bound
 //! partitions in stream order while the host keeps partitioning and then
 //! runs the CPU share, so the overlap the model prices is real on this
-//! machine too. The sharded pipeline additionally overlaps *construction*
-//! with both. The generalised elapsed model with `T` host threads and `S`
-//! shards is
+//! machine too. The elapsed model is the paper's
 //!
 //! ```text
-//! build_par = build / (T · e)          # e = parallel efficiency; T=1 ⇒ build
-//! fill      = build_par / S            # first shard ready; nothing overlaps it
-//! host      = fill + max(build_par − fill, partition) + cpu_share
-//! device    = fill + transfer + kernel
-//! elapsed   = max(host, device)
+//! elapsed = max(build + partition + cpu_share, build + transfer + kernel)
 //! ```
 //!
-//! With `T = S = 1` this degenerates exactly to the paper's
-//! `build + max(partition + cpu_share, transfer + kernel)`. The `fill` term
-//! is the pipeline's startup latency: the device cannot receive its first
-//! partition before the first shard CST exists, and the host's partition
-//! stream runs concurrently with the remaining `build_par − fill` of
-//! construction. Derivation and calibration live in EXPERIMENTS.md.
+//! The device cannot receive its first partition before the CST exists;
+//! after that the host's partition stream and CPU share run concurrently
+//! with transfer and kernel. Derivation and calibration live in
+//! EXPERIMENTS.md.
 
 use crate::backend::FpgaBackend;
 use crate::config::FastConfig;
@@ -59,8 +49,8 @@ use crate::plan::{KernelPlan, PlanError};
 use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
-    estimate_workload, for_each_shard_cst_planned, partition_cst_with_steal, Cst, PartitionConfig,
-    PipelineOptions, DEFAULT_SHARDS,
+    build_cst_with_stats, estimate_workload, partition_cst_with_steal, Cst, PartitionConfig,
+    DEFAULT_SHARDS,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
@@ -132,24 +122,12 @@ pub struct FastReport {
     /// Estimated workloads booked per side.
     pub workload_cpu: f64,
     pub workload_fpga: f64,
-    /// Host threads used by the CST pipeline.
-    pub host_threads: usize,
-    /// Shards the root candidate set was split into (1 = unsharded):
-    /// `min(pipeline_shards, |C(root)|)` above one host thread.
-    pub pipeline_shards: usize,
-    /// Measured wall time deriving the shard plan (the even cut).
-    pub plan_time: Duration,
-    /// Phase-1 top-down scan work across shard builds (neighbour visits,
-    /// each a filter evaluation). Deterministic (a pure function of the
-    /// inputs), unlike the measured walls.
+    /// Phase-1 top-down scan work of the build (neighbour visits, each a
+    /// filter evaluation). Deterministic (a pure function of the inputs),
+    /// unlike the measured walls.
     pub build_topdown_entries: usize,
-    /// Measured wall time of the CST build phase (first shard started →
-    /// last shard finished).
+    /// Measured wall time of the CST build.
     pub build_time: Duration,
-    /// Total CPU time spent building shard CSTs. Exceeds
-    /// [`build_time`](Self::build_time) when threads overlap; exceeds the
-    /// sequential build when sharding duplicates interior candidates.
-    pub build_cpu_time: Duration,
     /// Measured host time: partitioning (including workload estimation).
     /// A plain wall of the host thread: the emulated kernel runs on its own
     /// lane, so none of its time is in here.
@@ -165,12 +143,7 @@ pub struct FastReport {
     /// wall when every partition landed on the CPU).
     pub first_offload_wall: Duration,
     /// Host times normalised to the paper's Xeon (see `CpuCostModel`).
-    /// `modeled_build_sec` is the *total* construction work (all shards).
     pub modeled_build_sec: f64,
-    /// Construction work divided over the pipeline's effective threads.
-    pub modeled_build_parallel_sec: f64,
-    /// Modelled pipeline fill latency (first shard CST ready).
-    pub modeled_fill_sec: f64,
     pub modeled_partition_sec: f64,
     pub modeled_cpu_match_sec: f64,
     /// Modelled kernel cycles (all FPGA partitions, this variant's model).
@@ -194,17 +167,13 @@ pub struct FastReport {
 }
 
 impl FastReport {
-    /// The modelled end-to-end elapsed time (seconds) under the overlapped
-    /// regime (module docs): host work on the paper's Xeon plus
-    /// kernel/transfer time on the modelled card. At `host_threads = 1`
-    /// this is exactly the paper's
-    /// `build + max(partition + cpu_share, transfer + kernel)`.
+    /// The modelled end-to-end elapsed time (seconds), the paper's
+    /// `max(build + partition + cpu_share, build + transfer + kernel)`
+    /// (module docs): host work on the paper's Xeon against transfer and
+    /// kernel time on the modelled card.
     pub fn modeled_total_sec(&self) -> f64 {
-        let host = self.modeled_fill_sec
-            + (self.modeled_build_parallel_sec - self.modeled_fill_sec)
-                .max(self.modeled_partition_sec)
-            + self.modeled_cpu_match_sec;
-        let device = self.modeled_fill_sec + self.transfer_time_sec + self.kernel_time_sec;
+        let host = self.modeled_build_sec + self.modeled_partition_sec + self.modeled_cpu_match_sec;
+        let device = self.modeled_build_sec + self.transfer_time_sec + self.kernel_time_sec;
         host.max(device)
     }
 
@@ -262,7 +231,6 @@ fn run_fast_with_tree(
     config.validate()?;
     let wall_start = Instant::now();
     let plan = KernelPlan::new(q, order, tree)?;
-    let options = config.build_options();
     // The FPGA execution backend: the emulated kernel plus this variant's
     // cycle pricing. Serving pools run the same backend (`fast::backend`),
     // so the one-shot and served paths cannot drift.
@@ -290,7 +258,6 @@ fn run_fast_with_tree(
             config,
             tree,
             order,
-            &options,
             1,
             false,
             config
@@ -443,8 +410,7 @@ fn collect_cap(collect: CollectMode) -> usize {
 /// workload estimate — the unit a serving layer dispatches to a device.
 #[derive(Debug, Clone)]
 pub struct PartitionJob {
-    /// Position in the partition sequence (shard order, then emission order
-    /// within each shard). Identical for every thread count.
+    /// Position in the partition sequence (emission order).
     pub index: usize,
     /// The partition: a self-contained, independently matchable CST.
     /// Shared, not owned, so a tier-2 result cache can hand the same
@@ -456,9 +422,9 @@ pub struct PartitionJob {
 }
 
 /// Everything [`prepare_partitions`] produces that is a pure function of
-/// `(q, g, tree, options)`: the refined shard CSTs *and* the partition
-/// stream. Captured on a build ([`FastConfig::capture_prepared`]); a
-/// serving layer's tier-2 result cache holds it under the same
+/// `(q, g, tree, config)`: the refined CST *and* the partition stream.
+/// Captured on a build ([`FastConfig::capture_prepared`]); a serving
+/// layer's tier-2 result cache holds it under the same
 /// `(cst::PlanKey, graph epoch)` fingerprint as the plan cache and stages
 /// [`partitions`](Self::partitions) straight to dispatch, so a warm
 /// session does **no** build, partition or workload-estimation work.
@@ -468,18 +434,16 @@ pub struct PreparedCsts {
     /// Query vertex count the artifact was prepared for — the cheap shape
     /// check of [`matches_query`](Self::matches_query).
     pub query_vertices: usize,
-    /// The refined shard CSTs, in shard order (empty shards included).
+    /// The one refined CST the build produced (empty candidate sets
+    /// included). A `Vec` because the benchmark iterates it.
     pub shard_csts: Vec<Arc<Cst>>,
     /// The partition stream exactly as the build's sink received it.
     pub partitions: Vec<PartitionJob>,
-    /// Shards the plan decomposed the root set into.
-    pub pipeline_shards: usize,
 }
 
 impl PreparedCsts {
     /// Resident payload bytes of the artifact (candidate sets + adjacency
-    /// targets, `Cst::payload_bytes`): shard CSTs plus the partition
-    /// copies. The byte-budgeted cache's eviction weight.
+    /// targets, `Cst::payload_bytes`): the CST plus the partition copies. The byte-budgeted cache's eviction weight.
     pub fn payload_bytes(&self) -> usize {
         self.shard_csts
             .iter()
@@ -505,24 +469,15 @@ impl PreparedCsts {
 /// Summary of the prepare phase (build + partition, no kernel).
 #[derive(Debug, Clone)]
 pub struct PreparePhase {
-    /// Wall time of shard planning (the even cut, or the check of a
-    /// supplied plan).
-    pub plan_time: Duration,
-    /// Phase-1 top-down scan work across shard builds.
+    /// Phase-1 top-down scan work of the build.
     pub build_topdown_entries: usize,
-    /// Shards the root candidate set was split into.
-    pub pipeline_shards: usize,
-    /// Worker threads the build used.
-    pub host_threads: usize,
-    /// Wall time of the build phase (first shard started → last finished).
+    /// Wall time of the CST build.
     pub build_wall: Duration,
-    /// Total CPU time across shard builds.
-    pub build_cpu: Duration,
-    /// Wall time spent partitioning shards — **including** time spent
+    /// Wall time spent partitioning the CST — **including** time spent
     /// inside the caller's sink (callers running kernels in the sink should
     /// keep their own split).
     pub partition_time: Duration,
-    /// Adjacency entries materialised across shard builds.
+    /// Adjacency entries the build materialised.
     pub build_entries: usize,
     /// Partitions handed to the sink.
     pub partitions: usize,
@@ -539,24 +494,22 @@ pub struct PreparePhase {
 type StealHook<'a> = &'a mut dyn FnMut(&Cst, f64) -> bool;
 
 /// The host's one partition producer (Fig. 2 steps 1–2 plus the `W_CST`
-/// estimate of Section V-C): builds the shard CSTs on the `options`
-/// pipeline, partitions each in shard order under its own thresholds, and
-/// streams every partition into `sink` with its workload estimate. Every
-/// host flow is this function with a different consumer:
-/// [`prepare_partitions`] stages or dispatches the jobs, [`run_fast`] plugs
-/// in Algorithm 3, [`run_multi_fpga`](crate::run_multi_fpga) books cards.
-/// `root_fanout` caps every shard's `cst::PartitionConfig::root_fanout`:
-/// above 1 it is sized by the shard's own `W_CST` ([`work_sized_fanout`]),
-/// the one estimate run before a split.
+/// estimate of Section V-C): builds the query's one CST, partitions it
+/// under its own thresholds, and streams every partition into `sink` with
+/// its workload estimate. Every host flow is this function with a different
+/// consumer: [`prepare_partitions`] stages or dispatches the jobs,
+/// [`run_fast`] plugs in Algorithm 3, [`run_multi_fpga`](crate::run_multi_fpga)
+/// books cards. `root_fanout` caps the partitioner's
+/// `cst::PartitionConfig::root_fanout`: above 1 it is sized by the CST's
+/// `W_CST` ([`work_sized_fanout`]), the one estimate run before a split.
 ///
 /// `steal`, when given, is offered every oversized CST with its workload
 /// estimate before it is split; returning `true` consumes it (FAST-SHARE's
 /// "directly assign it to CPU, reducing the cost of partitioning"). Without
-/// one, only a shard whose root fans out is estimated before a split. With
-/// `capture` the shard CSTs and the emitted jobs are also kept as
+/// one, only a CST whose root fans out is estimated before a split. With
+/// `capture` the CST and the emitted jobs are also kept as
 /// [`PreparePhase::prepared`] — only meaningful without a steal hook, since
-/// a stolen CST never reaches the stream. The stream is deterministic for
-/// every thread count (`cst::pipeline` docs).
+/// a stolen CST never reaches the stream.
 #[allow(clippy::too_many_arguments)]
 fn produce_partitions(
     q: &QueryGraph,
@@ -564,82 +517,62 @@ fn produce_partitions(
     config: &FastConfig,
     tree: &BfsTree,
     order: &MatchingOrder,
-    options: &PipelineOptions,
     root_fanout: usize,
     capture: bool,
     mut steal: Option<StealHook<'_>>,
     sink: &mut dyn FnMut(PartitionJob),
 ) -> PreparePhase {
+    let build_start = Instant::now();
+    let (cst, build) = {
+        let mut span = obs::span_cat("build_shard", "build");
+        let built = build_cst_with_stats(q, g, tree, config.cst_options);
+        span.arg_u64("roots", built.0.candidate_count(tree.root()) as u64);
+        built
+    };
+    let build_wall = build_start.elapsed();
     let mut partition_time = Duration::ZERO;
     let mut forced = 0usize;
     let mut emitted = 0usize;
-    let mut shard_csts: Vec<Arc<Cst>> = Vec::new();
     let mut captured: Vec<PartitionJob> = Vec::new();
-    let pipe_stats = for_each_shard_cst_planned(
-        q,
-        g,
-        tree,
-        options,
-        config.shard_plan.as_deref(),
-        |shard| {
+    if !cst.any_empty() {
+        let t0 = Instant::now();
+        let fanout = work_sized_fanout(&cst, tree, order, root_fanout, config.spec.no);
+        let partition_config = PartitionConfig {
+            root_fanout: fanout,
+            ..config.partition_config(q.vertex_count(), &cst)
+        };
+        let mut offer = |oversized: &Cst| match steal.as_mut() {
+            Some(steal) => steal(oversized, estimate_workload(oversized, tree).total),
+            None => false,
+        };
+        let mut emit = |partition: Cst| {
+            let job = PartitionJob {
+                index: emitted,
+                workload: estimate_workload(&partition, tree).total,
+                cst: Arc::new(partition),
+            };
+            emitted += 1;
             if capture {
-                shard_csts.push(Arc::clone(&shard.cst));
+                captured.push(job.clone());
             }
-            if shard.cst.any_empty() {
-                return;
-            }
-            let t0 = Instant::now();
-            // Thresholds derive from each shard's own payload share — the
-            // only CST-dependent input — so they too are thread-count
-            // independent.
-            let fanout = work_sized_fanout(&shard.cst, tree, order, root_fanout, config.spec.no);
-            let partition_config = PartitionConfig {
-                root_fanout: fanout,
-                ..config.partition_config(q.vertex_count(), &shard.cst)
-            };
-            let mut offer = |oversized: &Cst| match steal.as_mut() {
-                Some(steal) => steal(oversized, estimate_workload(oversized, tree).total),
-                None => false,
-            };
-            let mut emit = |partition: Cst| {
-                let job = PartitionJob {
-                    index: emitted,
-                    workload: estimate_workload(&partition, tree).total,
-                    cst: Arc::new(partition),
-                };
-                emitted += 1;
-                if capture {
-                    captured.push(job.clone());
-                }
-                sink(job);
-            };
-            let stats = partition_cst_with_steal(
-                &shard.cst,
-                order,
-                &partition_config,
-                &mut offer,
-                &mut emit,
-            );
-            forced += stats.forced;
-            partition_time += t0.elapsed();
-        },
-    );
+            sink(job);
+        };
+        let stats =
+            partition_cst_with_steal(&cst, order, &partition_config, &mut offer, &mut emit);
+        forced = stats.forced;
+        partition_time = t0.elapsed();
+    }
     let prepared = capture.then(|| {
         Arc::new(PreparedCsts {
             query_vertices: q.vertex_count(),
-            shard_csts,
+            shard_csts: vec![Arc::new(cst)],
             partitions: captured,
-            pipeline_shards: pipe_stats.shards,
         })
     });
     PreparePhase {
-        build_entries: pipe_stats.total_adjacency_entries(),
-        pipeline_shards: pipe_stats.shards,
-        host_threads: pipe_stats.threads,
-        build_wall: pipe_stats.build_wall,
-        build_cpu: pipe_stats.build_cpu,
-        plan_time: pipe_stats.plan_time,
-        build_topdown_entries: pipe_stats.topdown_entries,
+        build_entries: build.adjacency_entries,
+        build_wall,
+        build_topdown_entries: build.topdown_entries,
         partition_time,
         partitions: emitted,
         forced,
@@ -666,23 +599,19 @@ fn work_sized_fanout(
     (rounds.floor() as usize).clamp(1, fanout)
 }
 
-/// The prepare phase of Fig. 2 decoupled from execution: builds the CST on
-/// the host pipeline under the T = 1 rule ([`FastConfig::build_options`])
-/// and streams every partition into `sink` with its workload estimate,
-/// running **no** kernel and booking **no** CPU share — execution policy
-/// belongs to the caller. This is the per-session entry point of the
-/// serving layer (`serve`): the caller derives the tree/order once
-/// (reusing them for its cache key), and a cached `cst::ShardPlan` in
-/// [`FastConfig::shard_plan`] is replayed exactly as in [`run_fast`].
+/// The prepare phase of Fig. 2 decoupled from execution: builds the
+/// query's one CST and streams every partition into `sink` with its
+/// workload estimate, running **no** kernel and booking **no** CPU share —
+/// execution policy belongs to the caller. This is the per-session entry
+/// point of the serving layer (`serve`): the caller derives the tree/order
+/// once (reusing them for its cache key).
 ///
-/// At `host_threads = 1` the one shard's partitioner fans out at the root,
-/// into
+/// The partitioner fans out at the root, into
 /// `cst::PartitionConfig::root_fanout = clamp(⌊W_CST / N_o⌋, 1, S)` chunks
 /// with `S = pipeline_shards` (default [`cst::DEFAULT_SHARDS`]), so a
 /// device pool still receives root-localised partitions to spread and no
 /// chunk of the fan-out carries less than one kernel round of estimated
-/// work. Above that the `pipeline_shards` contiguous shards partition
-/// greedily. Either way the stream is deterministic.
+/// work. The stream is deterministic.
 pub fn prepare_partitions(
     q: &QueryGraph,
     g: &Graph,
@@ -691,20 +620,13 @@ pub fn prepare_partitions(
     order: &MatchingOrder,
     sink: &mut dyn FnMut(PartitionJob),
 ) -> PreparePhase {
-    let options = config.build_options();
-    let root_fanout = if config.host_threads > 1 {
-        1
-    } else {
-        config.pipeline_shards.unwrap_or(DEFAULT_SHARDS)
-    };
     produce_partitions(
         q,
         g,
         config,
         tree,
         order,
-        &options,
-        root_fanout,
+        config.pipeline_shards.unwrap_or(DEFAULT_SHARDS),
         config.capture_prepared,
         None,
         sink,
@@ -770,13 +692,7 @@ fn finish_report(
         + config.spec.pcie.transfer_time_sec(state.offloaded_bytes)
         + config.spec.pcie.transfer_time_sec(result_bytes.min(state.offloaded_bytes.max(1 << 20)));
 
-    // Modelled build: the pipeline's *total* work (sharding duplicates
-    // interior candidates, honestly charged), divided over the
-    // contention-adjusted effective threads for the elapsed model.
     let modeled_build_sec = cpu_cost.index_time_sec(phase.build_entries);
-    let modeled_build_parallel_sec =
-        modeled_build_sec / cpu_cost.parallel_speedup(phase.host_threads);
-    let modeled_fill_sec = modeled_build_parallel_sec / phase.pipeline_shards.max(1) as f64;
 
     // Modelled partitioning: every emitted partition's entries (rebuild)
     // plus roughly the same again across recursion levels. Stolen CSTs were
@@ -798,19 +714,13 @@ fn finish_report(
         forced: phase.forced,
         workload_cpu: state.scheduler.cpu_workload(),
         workload_fpga: state.scheduler.fpga_workload(),
-        host_threads: phase.host_threads,
-        pipeline_shards: phase.pipeline_shards,
-        plan_time: phase.plan_time,
         build_topdown_entries: phase.build_topdown_entries,
         build_time: phase.build_wall,
-        build_cpu_time: phase.build_cpu,
         partition_time: phase.partition_time,
         cpu_match_time: cpu_share.time,
         host_prepare_wall,
         first_offload_wall: state.first_offload.unwrap_or(phase.build_wall),
         modeled_build_sec,
-        modeled_build_parallel_sec,
-        modeled_fill_sec,
         modeled_partition_sec,
         modeled_cpu_match_sec,
         kernel_cycles,
@@ -875,20 +785,17 @@ mod tests {
     fn zero_round_budget_is_a_typed_error() {
         let q = &queries()[1];
         let g = random_labelled_graph(45, 0.2, 3, 401);
-        for host_threads in [1, 4] {
-            let mut config = FastConfig::test_small(Variant::Share);
-            config.spec.no = 0;
-            config.host_threads = host_threads;
-            assert_eq!(
-                run_fast(q, &g, &config).unwrap_err(),
-                FastError::ZeroRoundBudget
-            );
-            let order = path_based_order(q, &BfsTree::new(q, select_root(q, &g)), &g);
-            assert_eq!(
-                run_fast_with_order(q, &g, &config, &order).unwrap_err(),
-                FastError::ZeroRoundBudget
-            );
-        }
+        let mut config = FastConfig::test_small(Variant::Share);
+        config.spec.no = 0;
+        assert_eq!(
+            run_fast(q, &g, &config).unwrap_err(),
+            FastError::ZeroRoundBudget
+        );
+        let order = path_based_order(q, &BfsTree::new(q, select_root(q, &g)), &g);
+        assert_eq!(
+            run_fast_with_order(q, &g, &config, &order).unwrap_err(),
+            FastError::ZeroRoundBudget
+        );
         let mut config = FastConfig::test_small(Variant::Sep);
         config.spec.no = 0;
         assert_eq!(
@@ -953,38 +860,6 @@ mod tests {
             crate::run_multi_fpga(q, &g, &config, 0).unwrap_err(),
             FastError::NoCards
         );
-    }
-
-    #[test]
-    fn pipelined_host_agrees_with_sequential_for_all_thread_counts() {
-        for (qi, q) in queries().into_iter().enumerate() {
-            let g = random_labelled_graph(60, 0.2, 3, 700 + qi as u64);
-            let sequential = run_fast(&q, &g, &FastConfig::test_small(Variant::Share)).unwrap();
-            let mut per_thread = Vec::new();
-            for threads in [2, 4, 8] {
-                let mut config = FastConfig::test_small(Variant::Share);
-                config.host_threads = threads;
-                config.pipeline_shards = Some(4);
-                let report = run_fast(&q, &g, &config).unwrap();
-                assert_eq!(
-                    report.embeddings, sequential.embeddings,
-                    "threads={threads} q{qi}"
-                );
-                assert!(report.pipeline_shards <= 4, "the cap bounds the plan");
-                per_thread.push((
-                    report.pipeline_shards,
-                    report.fpga_partitions,
-                    report.cpu_partitions,
-                    report.stolen,
-                    report.transfer_bytes,
-                    report.kernel_cycles,
-                ));
-            }
-            // Everything downstream of the shard stream is deterministic in
-            // the thread count (same shard count ⇒ same partition sequence,
-            // same scheduler bookings, same kernel work).
-            assert!(per_thread.windows(2).all(|w| w[0] == w[1]), "q{qi}: {per_thread:?}");
-        }
     }
 
     #[test]
@@ -1072,48 +947,48 @@ mod tests {
         }
     }
 
+    /// The paper's two-term model, summed left to right on each side.
+    fn paper_model(r: &FastReport) -> f64 {
+        let host = r.modeled_build_sec + r.modeled_partition_sec + r.modeled_cpu_match_sec;
+        let device = r.modeled_build_sec + r.transfer_time_sec + r.kernel_time_sec;
+        host.max(device)
+    }
+
     #[test]
     fn modeled_and_measured_totals_include_their_build() {
         let q = queries().remove(0);
         let g = random_labelled_graph(50, 0.2, 3, 503);
         let report = run_fast(&q, &g, &FastConfig::default()).unwrap();
         // Modelled total uses the *modelled* (paper-Xeon) host times.
+        assert_eq!(report.modeled_total_sec().to_bits(), paper_model(&report).to_bits());
         assert!(report.modeled_total_sec() >= report.modeled_build_sec);
         assert!(report.measured_total_sec() >= report.build_time.as_secs_f64());
         assert!(report.kernel_time_sec >= 0.0);
         assert!(report.transfer_time_sec > 0.0);
         assert!(report.modeled_build_sec > 0.0);
-        // T = 1: one shard, and the general model degenerates to the paper's.
-        assert_eq!(report.host_threads, 1);
-        assert_eq!(report.pipeline_shards, 1);
-        assert_eq!(report.modeled_fill_sec, report.modeled_build_sec);
-        // The build wall brackets the shard build plus its skew estimate.
-        assert!(report.build_cpu_time <= report.build_time);
     }
 
     #[test]
     fn overlapped_model_never_exceeds_serial_sum() {
-        // The overlapped elapsed time is bounded above by the serial sum of
-        // its phases and below by the slowest single phase.
+        // The overlapped elapsed time is the paper's model, so it is bounded
+        // above by the serial sum of its phases and below by the build plus
+        // the slowest single phase after it.
         let q = queries().remove(2);
         let g = random_labelled_graph(70, 0.2, 2, 505);
-        let mut config = FastConfig::test_small(Variant::Sep);
-        config.host_threads = 4;
-        config.pipeline_shards = Some(8);
-        let r = run_fast(&q, &g, &config).unwrap();
-        let serial_sum = r.modeled_build_parallel_sec
-            + r.modeled_partition_sec
-            + r.modeled_cpu_match_sec
-            + r.transfer_time_sec
-            + r.kernel_time_sec;
-        let total = r.modeled_total_sec();
-        assert!(total <= serial_sum + 1e-12, "{total} > {serial_sum}");
-        for floor in [
-            r.modeled_fill_sec,
-            r.modeled_partition_sec,
-            r.kernel_time_sec,
-        ] {
-            assert!(total >= floor - 1e-12, "{total} < {floor}");
+        for variant in [Variant::Sep, Variant::Share] {
+            let r = run_fast(&q, &g, &FastConfig::test_small(variant)).unwrap();
+            let total = r.modeled_total_sec();
+            assert_eq!(total.to_bits(), paper_model(&r).to_bits(), "{variant}");
+            let serial_sum = r.modeled_build_sec
+                + r.modeled_partition_sec
+                + r.modeled_cpu_match_sec
+                + r.transfer_time_sec
+                + r.kernel_time_sec;
+            assert!(total <= serial_sum + 1e-12, "{variant}: {total} > {serial_sum}");
+            for after_build in [r.modeled_partition_sec, r.kernel_time_sec] {
+                let floor = r.modeled_build_sec + after_build;
+                assert!(total >= floor - 1e-12, "{variant}: {total} < {floor}");
+            }
         }
     }
 
@@ -1135,7 +1010,6 @@ mod tests {
         for (qi, q) in queries().into_iter().enumerate() {
             let g = random_labelled_graph(60, 0.2, 3, 900 + qi as u64);
             let mut config = FastConfig::test_small(Variant::Share);
-            config.host_threads = 2;
             config.pipeline_shards = Some(4);
             config.capture_prepared = true;
             let root = select_root(&q, &g);
@@ -1147,8 +1021,7 @@ mod tests {
                 streamed.push(job);
             });
             let artifact = cold.prepared.clone().expect("capture requested");
-            assert_eq!(artifact.shard_csts.len(), cold.pipeline_shards);
-            assert_eq!(artifact.pipeline_shards, cold.pipeline_shards);
+            assert_eq!(artifact.shard_csts.len(), 1, "q{qi}: one build");
             assert!(artifact.payload_bytes() > 0, "q{qi}: empty artifact");
             assert!(artifact.matches_query(&q));
 
@@ -1178,64 +1051,23 @@ mod tests {
         }
     }
 
-    /// The T = 1 rule holds for `prepare_partitions` too: one shard that
-    /// scans top-down, with the root fanned out by the partitioner. Above
-    /// one thread it builds exactly `min(pipeline_shards, |C(root)|)`
-    /// contiguous shards, which scan top-down too, and counts the same
-    /// embeddings.
-    #[test]
-    fn prepare_partitions_cuts_the_roots_evenly_above_one_thread() {
-        let q = queries().remove(2);
-        let g = random_labelled_graph(120, 0.15, 2, 920);
-        let tree = BfsTree::new(&q, select_root(&q, &g));
-        let order = path_based_order(&q, &tree, &g);
-        let mut config = FastConfig::test_small(Variant::Sep);
-        config.pipeline_shards = Some(4);
-        let expected = vf2_count(&q, &g);
-        let plan = KernelPlan::new(&q, &order, &tree).unwrap();
-        let run = |config: &FastConfig| {
-            let mut embeddings = 0;
-            let phase = prepare_partitions(&q, &g, config, &tree, &order, &mut |job| {
-                embeddings +=
-                    run_kernel(&job.cst, &plan, config.spec.no, CollectMode::CountOnly).embeddings;
-            });
-            assert_eq!(embeddings, expected, "host_threads={}", config.host_threads);
-            phase
-        };
-
-        let one = run(&config);
-        assert_eq!(one.pipeline_shards, 1);
-        assert!(
-            one.build_topdown_entries > 0,
-            "the one shard scans top-down"
-        );
-        assert!(one.partitions >= 4, "the root fans out: {}", one.partitions);
-
-        config.host_threads = 2;
-        let two = run(&config);
-        let roots = cst::root_candidates(&q, &g, &tree, config.cst_options).len();
-        assert!(roots > 4, "the cut is not clamped: {roots} roots");
-        assert_eq!(two.pipeline_shards, 4);
-        assert_eq!(two.host_threads, 2);
-        assert!(two.build_topdown_entries > 0, "every shard scans top-down");
-    }
-
     /// The root fan-out is sized by the work it spreads. On generated
     /// graphs, from every root, for S ∈ {2, 4, 16} and N_o = 16, under a BRAM
     /// everything fits and under `FpgaSpec::test_small`'s:
     ///
-    /// * `prepare_partitions`' stream at T = 1 is `partition_cst_with_steal`
-    ///   on the built shard CST with `root_fanout = clamp(⌊W/N_o⌋, 1, S)`,
-    ///   `W` the whole shard's `W_CST`;
+    /// * `prepare_partitions`' stream is `partition_cst_with_steal` on the
+    ///   one CST it built (top-down) with
+    ///   `root_fanout = clamp(⌊W/N_o⌋, 1, S)`, `W` the whole CST's `W_CST`;
     /// * so it is Algorithm 2 as published (one whole partition when the CST
     ///   fits) when `W < 2·N_o`, and the full S-way cut when `W ≥ S·N_o`;
-    /// * its partitions' embeddings sum to `vf2_count`;
+    /// * its partitions' embeddings sum to `vf2_count`, on an empty root
+    ///   set and a single root candidate too;
     /// * `run_fast` never fans out: it emits the unfanned stream;
     /// * a fan-out of 1 returns before the estimate runs (a tree of a larger
     ///   query, which the DP would index out of range, stands in for it).
     ///
     /// Mutations it catches: ceil for floor, a missing S cap, `W` taken from
-    /// a partition instead of the whole shard, the rule applied in
+    /// a partition instead of the whole CST, the rule applied in
     /// `run_fast`, and estimating when S = 1.
     #[test]
     fn root_fanout_is_sized_by_the_shard_workload() {
@@ -1262,6 +1094,31 @@ mod tests {
                 }
             }
         }
+        // Edge inputs: a label no vertex carries (an empty root set from
+        // every root), and a hub that is the only vertex of its label (one
+        // root candidate from the query's label-2 vertex).
+        let absent = QueryGraph::new(vec![l(0), l(9)], &[(0, 1)]).unwrap();
+        let mut hub = graph_core::GraphBuilder::new();
+        let center = hub.add_vertex(l(2));
+        let rim: Vec<VertexId> = (0..30).map(|i| hub.add_vertex(l(i % 2))).collect();
+        for (i, &v) in rim.iter().enumerate() {
+            hub.add_edge(center, v).unwrap();
+            hub.add_edge(v, rim[(i + 1) % rim.len()]).unwrap();
+        }
+        let hub = hub.build();
+        let path = queries().remove(0);
+        let sparse = random_labelled_graph(40, 0.15, 2, 960);
+        for (name, q, g) in [("absent", absent, sparse), ("hub", path, hub)] {
+            let expected = vf2_count(&q, &g);
+            for mut config in [
+                FastConfig::for_variant(Variant::Sep),
+                FastConfig::test_small(Variant::Sep),
+            ] {
+                config.spec.no = n_o;
+                config.pipeline_shards = Some(4);
+                cases.push((format!("{name} S=4"), q.clone(), g.clone(), expected, config));
+            }
+        }
         let (mut whole, mut capped, mut full) = (0, 0, 0);
         for (case, q, g, expected, mut config) in cases {
             let fanout = config.pipeline_shards.unwrap();
@@ -1280,6 +1137,7 @@ mod tests {
                 if shard.any_empty() {
                     continue;
                 }
+                assert!(phase.build_topdown_entries > 0, "{case}: the build scans top-down");
 
                 let thresholds = config.partition_config(q.vertex_count(), shard);
                 let stream = |root_fanout| {
@@ -1343,7 +1201,6 @@ mod tests {
             config,
             tree,
             order,
-            &config.build_options(),
             1,
             false,
             config
@@ -1376,7 +1233,7 @@ mod tests {
     ///   partitions' kernel rows in stream order, then the CPU share's;
     /// * under `Sep`, collect exactly the first `cap` rows of
     ///   `run_kernel(Collect)` over the unfanned `partition_cst` stream of
-    ///   the one shard CST, in stream order.
+    ///   the one CST, in stream order.
     ///
     /// Mutations it catches: kernel outputs folded in completion order
     /// instead of stream order, and CPU rows collected before FPGA rows.
@@ -1493,8 +1350,6 @@ mod tests {
         let qs = queries();
         let g = random_labelled_graph(60, 0.2, 3, 910);
         let mut config = FastConfig::test_small(Variant::Share);
-        config.host_threads = 2;
-        config.pipeline_shards = Some(4);
         config.capture_prepared = true;
         // Captured against the 4-vertex query: no 3-vertex query may take it
         // (the serving layer applies this check at its tier-2 lookup).

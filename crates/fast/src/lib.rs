@@ -24,8 +24,8 @@
 //!   BRAM-only partial-results buffer;
 //! * [`variants`] — FAST-DRAM/BASIC/TASK/SEP/SHARE and their cycle models;
 //! * [`scheduler`] — the CPU-share scheduler (Algorithm 3);
-//! * [`host`] — the co-designed driver (Fig. 2): one build → shard →
-//!   partition → `W_CST` producer, consumed by [`run_fast`] (Algorithm 3),
+//! * [`host`] — the co-designed driver (Fig. 2): one build → partition →
+//!   `W_CST` producer, consumed by [`run_fast`] (Algorithm 3),
 //!   [`run_multi_fpga`] (least-booked card) and, through
 //!   [`prepare_partitions`], a serving layer's device pool;
 //! * [`backend`] — the [`ExecutionBackend`] trait: one synchronous

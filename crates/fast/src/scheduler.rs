@@ -8,10 +8,9 @@
 //! with the CPU becoming the bottleneck past ~0.15, Fig. 13).
 //!
 //! The decision is *stream-order dependent*: assignments depend on the
-//! workloads booked so far. The sharded host pipeline therefore consumes
-//! shard CSTs strictly in shard order (`cst::pipeline` docs), so the
-//! booking sequence — and with it every count in the report — is identical
-//! for every thread count.
+//! workloads booked so far. The host books partitions in the partitioner's
+//! emission order, which is deterministic, so the booking sequence — and
+//! with it every count in the report — is too.
 
 /// Where a CST partition is processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,9 +8,9 @@
 //! (every weight 1), so both tiers share one implementation:
 //!
 //! * [`PlanCache`] (tier 1): [`cst::PlanKey`] → [`Arc<ShardPlan>`] — the
-//!   contiguous cut of the root set, bounded by an entry count.
+//!   root set as one range, bounded by an entry count.
 //! * [`CstCache`] (tier 2): [`cst::PlanKey`] → [`Arc<fast::PreparedCsts>`]
-//!   — the refined shard CSTs *and* their partition decomposition, weighed
+//!   — the refined CST *and* its partition decomposition, weighed
 //!   by `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
 //!   dispatch + kernel: no top-down, no refinement, no materialisation, no
 //!   partitioning.
@@ -253,7 +253,7 @@ impl PlanCache {
 }
 
 /// Tier 2: a byte-budgeted LRU map `PlanKey → Arc<fast::PreparedCsts>` —
-/// refined shard CSTs plus partition decomposition, weighed by
+/// the refined CST plus its partition decomposition, weighed by
 /// `PreparedCsts::payload_bytes`. A hit skips *all* build work; resident
 /// bytes never exceed the budget (`tests/prop_cst_cache.rs` proves the
 /// invariant over randomized sequences).

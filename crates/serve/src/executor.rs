@@ -68,13 +68,12 @@ struct SessionPlan {
 }
 
 /// What a session paid to get its partitions staged. A tier-2 hit paid
-/// nothing: every field but the shard count is exactly zero.
+/// nothing: every field is exactly zero.
 #[derive(Clone, Copy, Default)]
 struct PrepareCost {
     plan_time: Duration,
     build_time: Duration,
     topdown_entries: usize,
-    pipeline_shards: usize,
 }
 
 /// Accumulated results and timing splits, folded partition by partition
@@ -442,26 +441,23 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     //   earlier identical build and its jobs are staged as they are: no
     //   planning, no build, no partitioning — the session is pure dispatch
     //   + kernel. No flight is claimed (there is nothing left to compute).
-    // * **Tier-2 miss, plan hit** — the stored plan is replayed, as
-    //   before tier 2. With tier 2 enabled the flight is **held through
-    //   the build** and the finished artifact is inserted before release,
-    //   so N identical
-    //   concurrent cold sessions build the shard CSTs exactly once:
+    // * **Tier-2 miss, plan hit** — the session builds, skipping only
+    //   the plan. With tier 2 enabled the flight is **held through the
+    //   build** and the finished artifact is inserted before release, so
+    //   N identical concurrent cold sessions build the CST exactly once:
     //   waiters wake straight into a tier-2 hit.
-    // * **Both miss** — the plan is computed *here* (the same
-    //   `plan_pipeline_shards` the pipeline would call) and published
-    //   immediately. With tier 2 disabled the flight is released at plan
-    //   publication (waiters need only the plan); with tier 2 enabled it
-    //   is held through the build as above.
+    // * **Both miss** — the plan (`plan_pipeline_shards`: the whole root
+    //   set as one range) is computed *here* and published immediately.
+    //   With tier 2 disabled the flight is released at plan publication
+    //   (waiters need only the plan); with tier 2 enabled it is held
+    //   through the build as above.
     //
-    // The key and the plan come from `FastConfig::build_options`, the
-    // options `prepare_partitions` builds with. At `host_threads = 1` they
-    // are one shard, and the partitioner fans out at the root instead,
+    // The key comes from the `CstOptions` `prepare_partitions` builds
+    // with. The build is one CST, and the partitioner fans its root out
     // into at most `pipeline_shards` and at most `⌊W_CST / N_o⌋` chunks.
     let mut config = inner.config.fast.clone();
-    let pipe_opts = config.build_options();
     let epoch = tenant.epoch.load(Ordering::Relaxed);
-    let key = PlanKey::derive(q, tree, &pipe_opts, epoch);
+    let key = PlanKey::derive(q, tree, &config.cst_options, epoch);
     let flight_key = (tenant.id, key);
     let cache_enabled = tenant.cache.plock().capacity() > 0;
     let cst_enabled = tenant.cst_cache.plock().budget_bytes() > 0;
@@ -519,30 +515,21 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     // nothing was built.
     let (jobs, build_start_ns, prepare) = if let Some(artifact) = cached_artifact {
         let jobs: VecDeque<PartitionJob> = artifact.partitions.iter().cloned().collect();
-        let prepare = PrepareCost {
-            pipeline_shards: artifact.pipeline_shards,
-            ..PrepareCost::default()
-        };
-        (jobs, obs::now_ns(), prepare)
+        (jobs, obs::now_ns(), PrepareCost::default())
     } else {
-        let mut measured_plan_time = Duration::ZERO;
-        let shard_plan = match cached_plan {
-            Some(plan) => plan,
-            None => {
-                let t0 = Instant::now();
-                let t0_ns = obs::now_ns();
-                let roots = cst::root_candidates(q, g, tree, pipe_opts.cst);
-                let shard_plan = Arc::new(cst::plan_pipeline_shards(&roots, &pipe_opts));
-                measured_plan_time = t0.elapsed();
-                let (end_ns, args) = (obs::now_ns(), plan_span_args(&shard_plan));
-                obs::record_span(strack, "plan", "serve", t0_ns, end_ns, args);
-                if cache_enabled {
-                    tenant.cache.plock().insert(key, Arc::clone(&shard_plan));
-                }
-                shard_plan
+        let mut plan_time = Duration::ZERO;
+        if !plan_hit {
+            let t0 = Instant::now();
+            let t0_ns = obs::now_ns();
+            let roots = cst::root_candidates(q, g, tree, config.cst_options);
+            let shard_plan = Arc::new(cst::plan_pipeline_shards(&roots));
+            plan_time = t0.elapsed();
+            let (end_ns, args) = (obs::now_ns(), plan_span_args(&shard_plan));
+            obs::record_span(strack, "plan", "serve", t0_ns, end_ns, args);
+            if cache_enabled {
+                tenant.cache.plock().insert(key, shard_plan);
             }
-        };
-        config.shard_plan = Some(shard_plan);
+        }
         config.capture_prepared = cst_enabled;
         if !cst_enabled {
             // The plan is published; waiters wake straight into a plan
@@ -574,11 +561,10 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             tenant.cst_cache.plock().insert(key, Arc::clone(artifact));
         }
         let prepare = PrepareCost {
-            plan_time: measured_plan_time + prep.plan_time,
+            plan_time,
             // Build + partition wall net of sink time.
             build_time: prep.build_wall + prep.partition_time.saturating_sub(sink_exec),
             topdown_entries: prep.build_topdown_entries,
-            pipeline_shards: prep.pipeline_shards,
         };
         (jobs, build_start_ns, prepare)
     };
@@ -742,7 +728,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 plan_time: stats.prepare.plan_time,
                 build_time: stats.prepare.build_time,
                 topdown_entries: stats.prepare.topdown_entries,
-                pipeline_shards: stats.prepare.pipeline_shards,
+                pipeline_shards: 1,
                 seeded_shards: 0,
                 service_time: now.duration_since(picked),
                 queue_wait: stats.queue_wait,
@@ -769,7 +755,6 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 vec![
                     ("tier2_hit", obs::ArgValue::U64(stats.cst_cache_hit as u64)),
                     ("plan_hit", obs::ArgValue::U64(stats.plan_hit as u64)),
-                    ("shards", obs::ArgValue::U64(stats.prepare.pipeline_shards as u64)),
                 ],
             );
             close_session(strack, slot, "completed", stats.embeddings);
@@ -843,7 +828,7 @@ fn panic_retire(inner: &Inner, sid: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cst::{plan_pipeline_shards, root_candidates, PipelineOptions};
+    use cst::{plan_pipeline_shards, root_candidates, CstOptions};
     use graph_core::generators::random_power_law_graph;
     use graph_core::Label;
 
@@ -856,10 +841,9 @@ mod tests {
         )
         .unwrap();
         let tree = BfsTree::new(&q, select_root(&q, &g));
-        let options = PipelineOptions::default();
-        let roots = root_candidates(&q, &g, &tree, options.cst);
-        let plan = plan_pipeline_shards(&roots, &options);
-        assert_eq!(plan.shard_count(), options.resolve_shards(roots.len()));
+        let roots = root_candidates(&q, &g, &tree, CstOptions::default());
+        let plan = plan_pipeline_shards(&roots);
+        assert_eq!(plan.shard_count(), 1);
 
         let args = plan_span_args(&plan);
         let names: Vec<_> = args.iter().map(|(name, _)| *name).collect();

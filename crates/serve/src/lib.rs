@@ -13,11 +13,11 @@
 //!   served in proportion to its quota (deficit round-robin), replacing the
 //!   old global blocking semaphore as the cross-tenant scheduling point;
 //! * [`cache`] — **two cache tiers** keyed on [`cst::PlanKey`] (query
-//!   fingerprint × tenant graph epoch × planning options), partitioned per
+//!   fingerprint × tenant graph epoch × build options), partitioned per
 //!   tenant and unified on one size-aware LRU ([`SizedCache`]): tier 1
-//!   caches the [`ShardPlan`](cst::ShardPlan) (the contiguous cut of the
-//!   root set), tier 2 ([`CstCache`]) caches the refined shard CSTs *and*
-//!   their partition decomposition under a **byte budget**
+//!   caches the [`ShardPlan`](cst::ShardPlan) (the root set as one
+//!   range), tier 2 ([`CstCache`]) caches the refined CST *and* its
+//!   partition decomposition under a **byte budget**
 //!   (`Cst::payload_bytes`), so a warm serve is pure dispatch + kernel —
 //!   zero build work — and one tenant's entries can never collide with
 //!   another's;

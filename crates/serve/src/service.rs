@@ -28,11 +28,11 @@
 //!    same [`cst::PlanKey`] × the *tenant's* graph epoch — under a
 //!    single-flight gate: a **tier-2** hit stages the partition jobs its
 //!    artifact ([`fast::PreparedCsts`]) holds, as they are (zero
-//!    planning, zero build, zero partitioning); a plan-only hit rides the
-//!    stored [`cst::ShardPlan`] (the contiguous cut of the root set) into
-//!    [`fast::prepare_partitions`] through [`FastConfig::shard_plan`]; a
-//!    full miss computes and publishes the plan, builds, and inserts the
-//!    captured artifact into tier 2. A
+//!    planning, zero build, zero partitioning); a plan-only hit skips
+//!    planning and builds with [`fast::prepare_partitions`]; a full miss
+//!    computes and publishes the plan ([`cst::ShardPlan`], the whole root
+//!    set as one range), builds, and inserts the captured artifact into
+//!    tier 2. A
 //!    session whose key is already being computed **parks** (its lane's
 //!    deficit round is told via `WrrQueue::park`; no executor thread
 //!    blocks) and is re-enqueued by the owner's flight release.
@@ -113,8 +113,7 @@ pub(crate) fn pwait<'a, T>(cond: &Condvar, guard: MutexGuard<'a, T>) -> MutexGua
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Per-session FAST configuration (device spec, variant, CST options,
-    /// shard cap). [`FastConfig::shard_plan`] is overwritten per session by
-    /// the cache outcome. When the fleet contains FPGA devices with less
+    /// root fan-out cap). When the fleet contains FPGA devices with less
     /// BRAM than `fast.spec`, the session spec's BRAM is clamped down to
     /// the fleet minimum so one shared partition stream fits every card.
     pub fast: FastConfig,
@@ -134,7 +133,7 @@ pub struct ServeConfig {
     /// via [`TenantConfig::cache_capacity`].
     pub cache_capacity: usize,
     /// Byte budget of each tenant's **tier-2** shard-CST cache partition
-    /// ([`crate::CstCache`]): the refined shard CSTs and their partition
+    /// ([`crate::CstCache`]): the refined CSTs and their partition
     /// decompositions, evicted LRU by `Cst::payload_bytes`. A hit makes a
     /// warm serve pure dispatch + kernel (zero build work). 0 disables
     /// tier 2. Override per tenant via [`TenantConfig::cst_cache_bytes`].
@@ -218,18 +217,19 @@ pub struct QueryReport {
     /// fully warm path: no planning, no build, no partitioning; the
     /// session was pure dispatch + kernel.
     pub cst_cache_hit: bool,
-    /// Shard-planning wall time: the even cut of the root set (~0 on a
-    /// hit).
+    /// Planning wall time: the root candidate set and its one-range plan
+    /// (0 on a hit).
     pub plan_time: Duration,
     /// CST build wall: refinement + materialisation + partitioning,
     /// excluding inline backend execution. **Exactly zero** on a tier-2
     /// hit — the claim the `cstcache` figure and the release-mode warm
     /// test assert.
     pub build_time: Duration,
-    /// Phase-1 top-down scan work of the session's build: every built
-    /// shard scans; 0 when the shards were replayed from tier 2.
+    /// Phase-1 top-down scan work of the session's build; 0 when the
+    /// partitions were replayed from tier 2.
     pub topdown_entries: usize,
-    /// Shards the plan decomposed the root set into.
+    /// Always 1: every session builds one CST. Kept because the benchmark
+    /// reads it.
     pub pipeline_shards: usize,
     /// Always 0: every shard is built by a top-down scan. Kept because the
     /// benchmark reads it.

@@ -29,14 +29,10 @@ fn main() {
     );
 
     // Run the full co-designed pipeline: CST construction + partitioning on
-    // the host, the pipelined kernel on the emulated FPGA. `host_threads`
-    // enables the sharded host pipeline: shard CSTs are built on worker
-    // threads and stream through the partitioner while later shards are
-    // still under construction (results are identical for every thread
-    // count). Collect a few embeddings so we can print them.
+    // the host, the pipelined kernel on the emulated FPGA. Collect a few
+    // embeddings so we can print them.
     let config = FastConfig {
         collect: CollectMode::Collect(3),
-        host_threads: 4,
         ..FastConfig::default()
     };
     let report = run_fast(&query, &graph, &config).expect("query fits the kernel");
@@ -50,11 +46,9 @@ fn main() {
         report.counts.n, report.counts.m
     );
     println!(
-        "modelled elapsed: {:.3} ms  (CST build {:.3} ms over {} host threads / {} shards, kernel {:.3} ms at 300 MHz, PCIe {:.3} ms)",
+        "modelled elapsed: {:.3} ms  (CST build {:.3} ms, kernel {:.3} ms at 300 MHz, PCIe {:.3} ms)",
         report.modeled_total_sec() * 1e3,
-        report.modeled_build_parallel_sec * 1e3,
-        report.host_threads,
-        report.pipeline_shards,
+        report.modeled_build_sec * 1e3,
         report.kernel_time_sec * 1e3,
         report.transfer_time_sec * 1e3,
     );

@@ -40,7 +40,7 @@ fn all_engines_agree_on_all_benchmark_queries() {
 
 /// Every `KernelOutput` field of q0-q8 on [`tiny_ldbc`], summed over each
 /// query's partitions under the benchmark's device (`N_o` 512, `Port_max`
-/// 2048, 2 MiB BRAM) and the serving decomposition at `host_threads = 1`
+/// 2048, 2 MiB BRAM) and the serving decomposition
 /// (one build, fanned out into at most `min(16, ⌊W_CST / N_o⌋)` root
 /// chunks, so q0, q4 and q7 get 2, 1 and 15), against recorded
 /// values. The benchmark's exact

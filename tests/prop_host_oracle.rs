@@ -2,7 +2,7 @@
 //! with it.
 //!
 //! `run_fast`, `run_multi_fpga` and the serving path's `prepare_partitions`
-//! all consume one build → shard → partition stream (`fast::host`), so a
+//! all consume one build → partition stream (`fast::host`), so a
 //! suite that compares them with each other cannot see a bug in that
 //! producer. Here every consumer is held to `matching::vf2_count` — plain
 //! backtracking over `(q, g)`, no CST, no partitioner — on generated
@@ -66,24 +66,18 @@ proptest! {
         let expected = vf2_count(&q, &g);
 
         for variant in Variant::ALL {
-            for host_threads in [1, 3] {
-                let mut config = small_device(variant);
-                config.host_threads = host_threads;
-                let report = run_fast(&q, &g, &config).expect("query fits the kernel");
-                prop_assert_eq!(
-                    report.embeddings, expected,
-                    "run_fast {} host_threads={}", variant, host_threads
-                );
-                prop_assert_eq!(report.forced, 0);
-            }
+            let report = run_fast(&q, &g, &small_device(variant)).expect("query fits the kernel");
+            prop_assert_eq!(report.embeddings, expected, "run_fast {}", variant);
+            prop_assert_eq!(report.forced, 0);
         }
 
         let tree = BfsTree::new(&q, select_root(&q, &g));
         let order = path_based_order(&q, &tree, &g);
         let plan = KernelPlan::new(&q, &order, &tree).expect("query fits the kernel");
-        for host_threads in [1, 3] {
+        // No fan-out, the default cap, and a cap above |C(root)|.
+        for pipeline_shards in [Some(1), None, Some(64)] {
             let mut config = small_device(Variant::Sep);
-            config.host_threads = host_threads;
+            config.pipeline_shards = pipeline_shards;
             let mut streamed = 0u64;
             let mut indices = Vec::new();
             let phase = prepare_partitions(&q, &g, &config, &tree, &order, &mut |job| {
@@ -91,7 +85,10 @@ proptest! {
                 streamed +=
                     run_kernel(&job.cst, &plan, config.spec.no, CollectMode::CountOnly).embeddings;
             });
-            prop_assert_eq!(streamed, expected, "prepare_partitions host_threads={}", host_threads);
+            prop_assert_eq!(
+                streamed, expected,
+                "prepare_partitions pipeline_shards={:?}", pipeline_shards
+            );
             prop_assert_eq!(indices, (0..phase.partitions).collect::<Vec<_>>());
         }
 
@@ -122,34 +119,4 @@ fn small_device_forces_partitions_steals_and_cpu_bookings() {
     assert!(report.fpga_partitions > 4, "{report:?}");
     assert!(report.cpu_partitions > 0, "{report:?}");
     assert!(report.stolen > 0, "{report:?}");
-}
-
-/// `host_threads = 1` is not a second flow: it is the same producer on one
-/// contiguous shard, so asking the sharded pipeline for one shard on four
-/// threads gives the same run down to the last counter.
-#[test]
-fn one_host_thread_is_the_one_shard_pipeline() {
-    let q = four_cycle();
-    let g = random_labelled_graph(120, 0.15, 2, 11);
-    let run = |host_threads, pipeline_shards| {
-        let mut config = small_device(Variant::Share);
-        config.host_threads = host_threads;
-        config.pipeline_shards = pipeline_shards;
-        let r = run_fast(&q, &g, &config).unwrap();
-        assert_eq!(r.pipeline_shards, 1);
-        (
-            r.embeddings,
-            r.fpga_partitions,
-            r.cpu_partitions,
-            r.stolen,
-            r.transfer_bytes,
-            r.kernel_cycles,
-            r.counts,
-        )
-    };
-    let sequential = run(1, None);
-    assert!(sequential.1 > 1 && sequential.2 > 0, "{sequential:?}");
-    assert_eq!(sequential, run(4, Some(1)));
-    // At T = 1 the shard count is not the configuration's to choose.
-    assert_eq!(sequential, run(1, Some(8)));
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of CST construction against its definition: every
 //! CST `cst::build_cst_from_roots` builds — over the whole root candidate
-//! set or over any root chunk of it, the pipeline's shard builds — is
+//! set or over any root chunk of it — is
 //! Algorithm 1 read literally (`assert_is_the_definition`), list by list,
 //! at every pruning strength.
 
