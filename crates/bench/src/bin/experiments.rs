@@ -5,19 +5,41 @@
 //!
 //! targets: all (default) | table3 | fig7 | fig8 | fig9 | fig10 | fig11
 //!        | fig12 | fig13 | fig14 | fig15 | fig16 | fig17 | ablation
-//!        | serving | sessions | tenants | cstcache | chaos | snapshot
-//!        | obsfig
 //! --quick: restrict to the smaller datasets (CI-friendly).
 //! ```
+//!
+//! An unknown target exits with code 2; a Fig. 14 count mismatch exits
+//! with code 1 once every requested target has run.
 
 use bench::figures::*;
 use bench::harness::DatasetCache;
 use graph_core::DatasetId;
 use std::time::Instant;
 
+/// Every target name the driver accepts.
+const TARGETS: [&str; 14] = [
+    "all", "table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+    "fig16", "fig17", "ablation",
+];
+
 struct Options {
     targets: Vec<String>,
     quick: bool,
+}
+
+fn usage() -> String {
+    format!(
+        "usage: experiments [targets...] [--quick]\ntargets: {}",
+        TARGETS.join(" ")
+    )
+}
+
+/// Rejects the first requested name that is not a target.
+fn check_targets(targets: &[String]) -> Result<(), String> {
+    match targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
+        Some(t) => Err(format!("unknown target `{t}`")),
+        None => Ok(()),
+    }
 }
 
 fn parse_args() -> Options {
@@ -27,14 +49,15 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--quick" => quick = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: experiments [targets...] [--quick]\n\
-                     targets: all table3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 ablation serving sessions tenants cstcache chaos snapshot obsfig"
-                );
+                println!("{}", usage());
                 std::process::exit(0);
             }
             t => targets.push(t.to_string()),
         }
+    }
+    if let Err(e) = check_targets(&targets) {
+        eprintln!("experiments: {e}\n{}", usage());
+        std::process::exit(2);
     }
     if targets.is_empty() {
         targets.push("all".to_string());
@@ -70,6 +93,7 @@ fn main() {
     };
 
     let t0 = Instant::now();
+    let mut count_mismatch = false;
 
     if wants("table3") {
         let rows = table3::run(&mut cache);
@@ -111,7 +135,10 @@ fn main() {
             println!("{}", fig14::render(&table, &queries));
             match fig14::counts_agree(&table, &queries) {
                 Ok(()) => println!("[check] all completed algorithms agree on counts\n"),
-                Err(e) => println!("[check] COUNT MISMATCH: {e}\n"),
+                Err(e) => {
+                    println!("[check] COUNT MISMATCH: {e}\n");
+                    count_mismatch = true;
+                }
             }
         }
     }
@@ -138,82 +165,6 @@ fn main() {
         let rows = fig17::run(&mut cache, huge, &fig17::QUERIES);
         println!("{}", fig17::render(huge, &rows));
     }
-    if wants("serving") {
-        // Cold-vs-warm serving sweep (the `serve` subsystem): quick mode
-        // stays at DG01 with a shorter run; the full sweep serves DG03.
-        let (d, levels, requests): (DatasetId, &[usize], usize) = if opts.quick {
-            (DatasetId::Dg01, &[1, 4], 16)
-        } else {
-            (DatasetId::Dg03, &[1, 2, 4, 8], 24)
-        };
-        let rows = serving::run(&mut cache, d, levels, requests);
-        println!("{}", serving::render(d, &rows));
-    }
-    if wants("sessions") {
-        // Session-scalability sweep: 64 / 1k / 10k outstanding sessions on
-        // 2 executor threads, event-driven vs thread-per-session, with the
-        // acceptance bar (oracle-identical counts, QPS within 5% at 64,
-        // strictly better at 10k, bounded peak-RSS growth) asserted inside
-        // the run.
-        let rows = sessions::run(opts.quick);
-        println!("{}", sessions::render(&rows));
-    }
-    if wants("tenants") {
-        // Mixed-tenant sweep: fleet composition × cache mode under a 1:3
-        // quota split; quick mode stays at DG01 with a shorter run.
-        let (d, clients, requests): (DatasetId, usize, usize) = if opts.quick {
-            (DatasetId::Dg01, 2, 10)
-        } else {
-            (DatasetId::Dg03, 4, 16)
-        };
-        let rows = multi_tenant::run(&mut cache, d, clients, requests);
-        println!("{}", multi_tenant::render(d, &rows));
-    }
-    if wants("cstcache") {
-        // Tier-2 byte-budget sweep: warm serving at budgets 0 / tight /
-        // generous, self-asserting that tier-2 hits build nothing and
-        // resident bytes respect the budget; quick mode stays at DG01.
-        let (d, clients, requests): (DatasetId, usize, usize) = if opts.quick {
-            (DatasetId::Dg01, 2, 10)
-        } else {
-            (DatasetId::Dg03, 4, 16)
-        };
-        let rows = cst_cache::run(&mut cache, d, clients, requests);
-        println!("{}", cst_cache::render(d, &rows));
-    }
-    if wants("chaos") {
-        // Fault-tolerance sweep: clean / wrapped-zero-fault / moderate /
-        // heavy fleets, self-asserting bit-identity, exactly-once retry
-        // accounting, an eviction under heavy chaos, and < 2% fault-free
-        // injection overhead; quick mode stays at DG01.
-        let (d, clients, requests): (DatasetId, usize, usize) = if opts.quick {
-            (DatasetId::Dg01, 2, 10)
-        } else {
-            (DatasetId::Dg03, 4, 16)
-        };
-        let rows = chaos::run(&mut cache, d, clients, requests);
-        println!("{}", chaos::render(d, &rows));
-    }
-    if wants("obsfig") {
-        // Observability sweep: traced cold/warm serving with stage
-        // decomposition from the spans, self-asserting a valid monotonic
-        // Chrome trace, session ⊇ build ⊇ execute nesting, and < 2%
-        // obs-on overhead on the best interleaved off/on pair. DG03 even
-        // in quick mode — the overhead claim needs real work to amortise.
-        let (clients, requests): (usize, usize) = if opts.quick { (2, 10) } else { (4, 16) };
-        let out = obsfig::run(&mut cache, DatasetId::Dg03, clients, requests);
-        println!("{}", obsfig::render(DatasetId::Dg03, &out));
-    }
-    if wants("snapshot") {
-        // Binary CSR snapshot round-trip: load-vs-build wall per dataset.
-        let sets: Vec<DatasetId> = if opts.quick {
-            vec![DatasetId::Dg01]
-        } else {
-            vec![DatasetId::Dg01, DatasetId::Dg03, DatasetId::Dg10]
-        };
-        let rows = snapshot::run(&sets);
-        println!("{}", snapshot::render(&rows));
-    }
     if wants("ablation") {
         let d = DatasetId::Dg01;
         let no_rows = ablation::sweep_no(&mut cache, d, 2);
@@ -222,4 +173,28 @@ fn main() {
     }
 
     eprintln!("[experiments] total wall time: {:?}", t0.elapsed());
+    if count_mismatch {
+        eprintln!("[experiments] Fig. 14: algorithms disagree on an embedding count");
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn only_paper_targets_are_accepted() {
+        assert!(check_targets(&names(&["fig14"])).is_ok());
+        assert!(check_targets(&names(&["all"])).is_ok());
+        assert!(check_targets(&names(&[])).is_ok());
+        assert_eq!(
+            check_targets(&names(&["fig7", "serving"])),
+            Err("unknown target `serving`".to_string())
+        );
+    }
 }

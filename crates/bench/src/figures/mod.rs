@@ -1,8 +1,7 @@
-//! One module per table/figure of the paper's evaluation (DESIGN.md §4).
+//! One module per table/figure of the paper's evaluation (DESIGN.md §4):
+//! Table III, Figs. 7–17 and the ablations — nothing else.
 
 pub mod ablation;
-pub mod chaos;
-pub mod cst_cache;
 pub mod fig07;
 pub mod fig08;
 pub mod fig09;
@@ -13,9 +12,4 @@ pub mod fig14;
 pub mod fig15;
 pub mod fig16;
 pub mod fig17;
-pub mod multi_tenant;
-pub mod obsfig;
-pub mod serving;
-pub mod sessions;
-pub mod snapshot;
 pub mod table3;

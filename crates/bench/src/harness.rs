@@ -2,7 +2,7 @@
 //!
 //! The paper's hardware is an Alveo U200 against LDBC graphs of 17M-1.25B
 //! edges; this reproduction scales both down together (DESIGN.md §6): the
-//! dataset ladder is ~100x smaller, so [`experiment_spec`] scales the BRAM
+//! dataset ladder is ~100x smaller, so `experiment_spec` scales the BRAM
 //! budget down equivalently, keeping the *relative* partitioning pressure —
 //! the number of CST partitions, the δ_S/δ_D triggers, the PCIe-to-kernel
 //! time ratios — in the regime the paper evaluates.
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// The scaled device used by all experiments: an Alveo U200 with its 35 MB
 /// BRAM scaled by the same ~128x factor as the dataset ladder.
-pub fn experiment_spec() -> FpgaSpec {
+fn experiment_spec() -> FpgaSpec {
     FpgaSpec {
         // The dataset ladder is ~100x smaller than the paper's, but BRAM
         // cannot scale as far: the (|V(q)|-1)·N_o partial-result buffer is a

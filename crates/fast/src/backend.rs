@@ -193,7 +193,7 @@ pub trait ExecutionBackend: Send + Sync {
     /// a [`BackendError`] names the failure mode so the serving layer can
     /// retry, reroute, or evict. The in-process backends below never fail;
     /// [`crate::fault::FaultInjector`] wraps any backend with a seeded
-    /// fault schedule for tests and chaos figures.
+    /// fault schedule for the chaos tests.
     fn execute(
         &self,
         job: &PartitionJob,

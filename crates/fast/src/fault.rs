@@ -10,8 +10,8 @@
 //! `(plan.seed, call index)`. The schedule is therefore a pure function of
 //! the wrapper's own call sequence — independent of thread interleaving,
 //! wall time, and what other devices do — which is what lets the chaos
-//! property test (`tests/prop_faults.rs`) and the `chaos` figure assert
-//! bit-identical results and exact retry accounting under any schedule.
+//! property tests (`tests/prop_faults.rs`) assert bit-identical results
+//! and exact retry accounting under any schedule.
 //!
 //! Failure modes, in the order they are drawn per call:
 //!

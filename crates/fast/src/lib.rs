@@ -35,7 +35,7 @@
 //!   retry and reroute;
 //! * [`fault`] — [`FaultInjector`]: a deterministic seeded fault-injecting
 //!   wrapper backend (transient errors, permanent death, stalls, silent
-//!   corruption, slowdowns) for chaos tests and figures;
+//!   corruption, slowdowns) for the chaos tests;
 //! * [`multi_fpga`] — the Section VII-E extension: [`prepare_partitions`]
 //!   with a least-booked-card sink;
 //! * [`des_check`] — discrete-event cross-validation of the cycle model.

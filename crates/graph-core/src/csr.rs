@@ -282,7 +282,7 @@ impl Graph {
     /// living in owned heap storage. A graph loaded through
     /// [`crate::snapshot::load_snapshot_mapped`] returns 0 here — the
     /// sections are views into the mapping — which is the no-copy witness
-    /// the snapshot tests and figures assert on. The derived label index is
+    /// the snapshot tests assert on. The derived label index is
     /// excluded: it is always recomputed into owned storage.
     pub fn owned_csr_bytes(&self) -> usize {
         self.labels.owned_bytes() + self.offsets.owned_bytes() + self.neighbors.owned_bytes()

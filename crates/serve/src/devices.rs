@@ -66,7 +66,7 @@ pub enum DeviceKind {
     /// A CPU fallback share modelling `threads` host workers.
     Cpu { threads: usize },
     /// Any device wrapped in a seeded [`FaultInjector`]: the fleet
-    /// vocabulary of the chaos tests and figures. The wrapper delegates
+    /// vocabulary of the chaos tests. The wrapper delegates
     /// spec and pricing, so scheduling treats it exactly like its inner
     /// kind — until the schedule starts firing.
     Faulty {

@@ -142,8 +142,8 @@ pub struct ServeReport {
     pub plan_miss_mean_sec: f64,
     /// Mean CST build wall per session (refinement + materialisation +
     /// partitioning), split by tier-2 outcome: a warm serve builds nothing,
-    /// so `build_hit_mean_sec` is exactly 0 — the timing claim the
-    /// `cstcache` figure asserts.
+    /// so `build_hit_mean_sec` is exactly 0 — the timing claim
+    /// `tests/prop_backend.rs` asserts.
     pub build_hit_mean_sec: f64,
     pub build_miss_mean_sec: f64,
     /// Per-device counters (partitions, modelled cycles, booked workload).

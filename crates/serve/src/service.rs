@@ -222,8 +222,8 @@ pub struct QueryReport {
     pub plan_time: Duration,
     /// CST build wall: refinement + materialisation + partitioning,
     /// excluding inline backend execution. **Exactly zero** on a tier-2
-    /// hit — the claim the `cstcache` figure and the release-mode warm
-    /// test assert.
+    /// hit — the claim `tests/prop_serve.rs` and `tests/prop_backend.rs`
+    /// assert.
     pub build_time: Duration,
     /// Phase-1 top-down scan work of the session's build; 0 when the
     /// partitions were replayed from tier 2.

@@ -3,14 +3,14 @@
 //! fleet serve bit-identical embedding counts on the benchmark queries —
 //! and all of them agree with the one-shot `run_fast` path.
 
-use fast::{FastConfig, Variant};
+use fast::{BackendClass, FastConfig, Variant};
 use graph_core::generators::{generate_ldbc, LdbcParams};
-use graph_core::{benchmark_query, Graph, QueryGraph};
-use serve::{DeviceKind, FastService, ServeConfig, SessionHandle};
+use graph_core::{benchmark_query, sample_edges, Graph, QueryGraph};
+use serve::{DeviceKind, FastService, ServeConfig, SessionHandle, TenantConfig, TenantId};
 use std::sync::Arc;
 
-/// The small-figure query subset the serving studies use (q0 path, q1/q2
-/// cycles, q4 cycle) — hub-dominated and flat shapes together.
+/// The serving query mix (q0 path, q1/q2 cycles, q4 cycle) — hub-dominated
+/// and flat shapes together.
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
 fn config(devices: usize, extra: Vec<DeviceKind>) -> ServeConfig {
@@ -74,13 +74,16 @@ fn all_fleets_agree_with_run_fast_for_every_planner() {
     assert_eq!(mixed, oneshot, "heterogeneous fleet disagrees with run_fast");
 }
 
-/// Double-submit on every fleet: the second serve of each query is a
-/// tier-2 hit (zero build work) and still bit-identical to the first —
-/// the cached shard CSTs replay the same answer whether the kernels run
-/// on emulated FPGA cards, CPU fallback shares, or a mix.
+/// Double-submit on every fleet, for two tenants: the second serve of
+/// each query is a tier-2 hit (zero build work) and still bit-identical to
+/// the first — the cached shard CSTs replay the same answer whether the
+/// kernels run on emulated FPGA cards, CPU fallback shares, or a mix.
+/// Tenant B (quota 3) serves an edge-sampled copy of the graph, so a
+/// cross-tenant cache leak would show as a changed count.
 #[test]
 fn warm_tier2_serves_agree_across_fleets() {
     let g = Arc::new(generate_ldbc(&LdbcParams::with_scale_factor(0.05), 42));
+    let g_b = Arc::new(sample_edges(&g, 0.7, 0xB0B));
     let queries: Vec<QueryGraph> = QUERY_MIX.iter().map(|&i| benchmark_query(i)).collect();
 
     let fleets: [(usize, Vec<DeviceKind>); 3] = [
@@ -93,11 +96,31 @@ fn warm_tier2_serves_agree_across_fleets() {
     ];
     let mut reference: Option<Vec<u64>> = None;
     for (fleet_idx, (devices, extra)) in fleets.into_iter().enumerate() {
-        let service = FastService::new(Arc::clone(&g), config(devices, extra));
+        let config = config(devices, extra);
+        let budget = config.cst_cache_bytes;
+        let service = FastService::new(Arc::clone(&g), config);
+        let b = service
+            .add_tenant(
+                Arc::clone(&g_b),
+                TenantConfig {
+                    quota: 3,
+                    ..TenantConfig::default()
+                },
+            )
+            .expect("tenant B");
         let mut warm_counts = Vec::new();
-        for q in &queries {
-            let cold = service.submit(q.clone()).wait().expect("cold serve");
-            let warm = service.submit(q.clone()).wait().expect("warm serve");
+        for (tenant, q) in [TenantId::DEFAULT, b]
+            .into_iter()
+            .flat_map(|t| queries.iter().map(move |q| (t, q)))
+        {
+            let serve = || {
+                service
+                    .submit_for(tenant, q.clone())
+                    .expect("registered tenant")
+                    .wait()
+            };
+            let cold = serve().expect("cold serve");
+            let warm = serve().expect("warm serve");
             assert!(!cold.cst_cache_hit, "fleet {fleet_idx}: first serve must miss");
             assert!(
                 warm.cst_cache_hit,
@@ -121,7 +144,32 @@ fn warm_tier2_serves_agree_across_fleets() {
         }
         let report = service.shutdown();
         assert_eq!(report.failed, 0);
-        assert!(report.cst_cache.hits >= queries.len() as u64);
+        assert_eq!(report.completed, 4 * queries.len() as u64);
+        assert!(report.cst_cache.hits >= 2 * queries.len() as u64);
+        assert_eq!(
+            report.build_hit_mean_sec, 0.0,
+            "fleet {fleet_idx}: tier-2 hits build nothing"
+        );
+        assert!(
+            report.build_miss_mean_sec > 0.0,
+            "fleet {fleet_idx}: cold serves pay a build"
+        );
+        assert!(
+            report.cst_resident_bytes > 0 && report.cst_resident_bytes <= budget,
+            "fleet {fleet_idx}: resident {} bytes against a {budget} byte budget",
+            report.cst_resident_bytes
+        );
+        assert_eq!(report.tenants.len(), 2);
+        assert_eq!((report.tenants[0].quota, report.tenants[1].quota), (1, 3));
+        for d in report.devices.iter().filter(|d| d.class == BackendClass::Cpu) {
+            assert_eq!(d.cycles, 0, "fleet {fleet_idx}: CPU devices have no cycle notion");
+        }
+        let cycles: u64 = report.devices.iter().map(|d| d.cycles).sum();
+        assert_eq!(
+            cycles > 0,
+            devices > 0,
+            "fleet {fleet_idx}: only fleets with a card book kernel cycles"
+        );
         match &reference {
             None => reference = Some(warm_counts),
             Some(r) => assert_eq!(
@@ -136,7 +184,6 @@ fn warm_tier2_serves_agree_across_fleets() {
 /// and a positive modelled time — and still sum to the exact count.
 #[test]
 fn cpu_partitions_have_cpu_pricing() {
-    use fast::BackendClass;
     use serve::SessionEvent;
 
     let g = Arc::new(generate_ldbc(&LdbcParams::with_scale_factor(0.05), 42));

@@ -315,3 +315,41 @@ fn tiny_budget_rejects_artifacts_but_serves_correctly() {
     assert_eq!(report.cst_cache.rejected, 2, "both builds outweigh the budget");
     assert_eq!(report.cst_resident_bytes, 0);
 }
+
+/// A budget of half the working set churns — every round of two distinct
+/// queries evicts or rejects an artifact — yet resident bytes never exceed
+/// the budget and every count matches the generous budget's.
+#[test]
+fn half_working_set_budget_churns_within_the_budget() {
+    let g = Arc::new(random_labelled_graph(60, 0.2, 2, 5));
+    let path = QueryGraph::new(
+        vec![Label::new(1), Label::new(0), Label::new(1)],
+        &[(0, 1), (1, 2)],
+    )
+    .unwrap();
+    let queries = [triangle(), path];
+    let serve_all = |budget: usize, rounds: usize| {
+        let service = FastService::new(Arc::clone(&g), config(1, budget));
+        let counts: Vec<u64> = (0..rounds)
+            .flat_map(|_| queries.iter())
+            .map(|q| service.submit(q.clone()).wait().unwrap().embeddings)
+            .collect();
+        (counts, service.shutdown())
+    };
+    let (generous, full) = serve_all(16 << 20, 1);
+    let working_set = full.cst_resident_bytes;
+    assert!(working_set > 0, "the generous budget keeps both artifacts");
+    let budget = (working_set / 2).max(1);
+    let (tight, report) = serve_all(budget, 3);
+    assert_eq!(tight, generous.repeat(3), "the byte budget changed a count");
+    assert!(
+        report.cst_cache.evictions + report.cst_cache.rejected > 0,
+        "half the working set must evict or reject"
+    );
+    assert!(
+        report.cst_resident_bytes <= budget,
+        "resident {} bytes exceed the {budget} byte budget",
+        report.cst_resident_bytes
+    );
+    assert_eq!(report.failed, 0);
+}

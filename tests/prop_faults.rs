@@ -11,12 +11,13 @@ use graph_core::generators::{generate_ldbc, LdbcParams};
 use graph_core::{benchmark_query, Graph};
 use proptest::prelude::*;
 use serve::{
-    DeviceKind, FastService, FaultPolicy, ServeConfig, ServeError, ServeReport, SessionHandle,
+    DeviceKind, FastService, FaultPolicy, HealthState, ServeConfig, ServeError, ServeReport,
+    SessionHandle,
 };
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// The serving studies' query subset (hub-dominated and flat shapes).
+/// The serving query mix: hub-dominated (q1, q2) and flat (q0, q4) shapes.
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
 /// The shared workload: graph + fault-free reference counts
@@ -146,6 +147,64 @@ fn assert_fault_invariants(mid: &ServeReport, report: &ServeReport, label: &str)
         assert!(b.quarantines >= a.quarantines, "{label}: per-device quarantines monotone");
     }
     assert!(report.is_finite(), "{label}: report stays finite");
+}
+
+/// Serves the query mix on `extra` under the chaos policy and checks the
+/// counts against the fault-free run plus the fault invariants.
+fn serve_mix(extra: Vec<DeviceKind>, label: &str) -> ServeReport {
+    let (g, baseline) = workload();
+    let service = FastService::new(Arc::clone(g), chaos_config(extra));
+    let counts: Vec<u64> = QUERY_MIX
+        .iter()
+        .map(|&i| service.submit(benchmark_query(i)).wait().expect("session").embeddings)
+        .collect();
+    assert_eq!(&counts, baseline, "{label}: counts diverge from the fault-free run");
+    let mid = service.report();
+    let report = service.shutdown();
+    assert_eq!(report.completed, QUERY_MIX.len() as u64, "{label}");
+    assert_fault_invariants(&mid, &report, label);
+    report
+}
+
+/// Two fixed schedules at the ends of the range: zero-rate wrappers
+/// inject nothing, so the fleet never retries; a card that dies on its
+/// first call beside a flaky, lying one is evicted, and the service
+/// still answers bit-exact.
+#[test]
+fn zero_rate_fleet_never_retries_and_a_dying_card_is_evicted() {
+    let spec = FastConfig::test_small(Variant::Sep).spec.clone();
+    let fpga = || DeviceKind::Fpga(spec.clone());
+    let zero = serve_mix(
+        vec![
+            faulty(fpga(), FaultPlan::default()),
+            faulty(fpga(), FaultPlan::default()),
+            fpga(),
+        ],
+        "zero-rate",
+    );
+    assert_eq!(
+        (zero.retries, zero.failovers, zero.corruption_catches),
+        (0, 0, 0),
+        "a zero-rate schedule must fault nothing"
+    );
+    let heavy = serve_mix(
+        vec![
+            faulty(fpga(), FaultPlan::dies_at(0xC4A07, 0)),
+            faulty(
+                fpga(),
+                FaultPlan {
+                    seed: 0xC4A08,
+                    transient_rate: 0.5,
+                    corrupt_rate: 0.25,
+                    ..FaultPlan::default()
+                },
+            ),
+            fpga(),
+        ],
+        "heavy",
+    );
+    assert!(heavy.retries > 0 && heavy.failovers > 0, "heavy chaos must retry and fail over");
+    assert_eq!(heavy.devices[0].health, HealthState::Evicted, "the dying card is evicted");
 }
 
 proptest! {

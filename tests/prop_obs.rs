@@ -20,7 +20,7 @@ use serve::{DeviceKind, FastService, FaultPolicy, ServeConfig, ServeError};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// The serving studies' query subset (hub-dominated and flat shapes).
+/// The serving query mix: hub-dominated (q1, q2) and flat (q0, q4) shapes.
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
 /// Serializes obs-enabled tests: the tracer and registry are global, so
@@ -92,6 +92,24 @@ fn obs_config(extra: Vec<DeviceKind>) -> ServeConfig {
     }
 }
 
+/// Per-query counts of the mix served untraced on a clean fleet: what
+/// tracing must not change. Call with the obs lock held.
+fn untraced_counts() -> &'static Vec<u64> {
+    static C: OnceLock<Vec<u64>> = OnceLock::new();
+    C.get_or_init(|| {
+        obs::disable();
+        let spec = FastConfig::test_small(Variant::Sep).spec;
+        let clean = vec![DeviceKind::Fpga(spec.clone()), DeviceKind::Fpga(spec)];
+        let service = FastService::new(Arc::clone(workload()), obs_config(clean));
+        let counts = QUERY_MIX
+            .iter()
+            .map(|&i| service.submit(benchmark_query(i)).wait().expect("untraced session").embeddings)
+            .collect();
+        service.shutdown();
+        counts
+    })
+}
+
 /// Current value of a global obs counter (registered on first use).
 fn counter(name: &'static str) -> u64 {
     obs::counter(name, "").get()
@@ -105,7 +123,10 @@ proptest! {
     /// `corruption_strike`/`quarantine` event per counted occurrence,
     /// registry counters mirroring the report — and two rolling windows
     /// that sum bit-exactly (integer counters and histogram buckets)
-    /// back to the lifetime report.
+    /// back to the lifetime report. The Chrome export self-validates,
+    /// spans nest `session ⊇ build ⊇ execute`, the span-derived queue-wait
+    /// p99 agrees with the report's histogram, and both waves (cold, then
+    /// tier-2 warm) count exactly what an untraced service counts.
     #[test]
     fn spans_and_counters_reconcile_exactly_once(
         p0 in arb_plan(true),
@@ -115,6 +136,7 @@ proptest! {
             return Ok(());
         }
         let _serial = obs_lock();
+        let untraced = untraced_counts();
         obs::reset();
         obs::enable();
         let g = workload();
@@ -125,16 +147,22 @@ proptest! {
         // Two waves with a window boundary between them; every handle is
         // waited, and `finish` folds metrics *before* the Done event is
         // sent, so the window after the wave covers exactly that wave.
-        for h in QUERY_MIX.map(|i| service.submit(benchmark_query(i))) {
-            h.wait().expect("chaos session completes");
-        }
+        let wave = || -> Vec<u64> {
+            QUERY_MIX
+                .map(|i| service.submit(benchmark_query(i)))
+                .into_iter()
+                .map(|h| h.wait().expect("chaos session completes").embeddings)
+                .collect()
+        };
+        let counts0 = wave();
         let w0 = service.report_window();
-        for h in QUERY_MIX.map(|i| service.submit(benchmark_query(i))) {
-            h.wait().expect("chaos session completes");
-        }
+        let counts1 = wave();
         let w1 = service.report_window();
         let life = service.shutdown();
         obs::disable();
+
+        prop_assert_eq!(&counts0, untraced, "tracing changed a cold count");
+        prop_assert_eq!(&counts1, untraced, "tracing changed a warm count");
 
         prop_assert_eq!(life.failed, 0, "no session may fail under the schedule");
         prop_assert_eq!(life.deadline_misses, 0);
@@ -148,6 +176,33 @@ proptest! {
         prop_assert_eq!(nspan("queue_wait"), life.submitted);
         prop_assert_eq!(nspan("build"), life.completed, "one build span per completed session");
         prop_assert!(nspan("execute") >= life.completed, "each session executes ≥ 1 partition");
+
+        // The Chrome export self-validates (well-formed, strictly monotonic
+        // per track) and every completed session's spans nest.
+        let trace = obs::chrome::validate(&obs::chrome_trace_json());
+        prop_assert!(trace.is_ok(), "chrome export failed validation: {:?}", trace.err());
+        let trace = trace.unwrap();
+        prop_assert!(trace.events > 0 && trace.tracks > 1);
+        let nesting = obs::chrome::check_nesting(&spans, &["session", "build", "execute"]);
+        prop_assert!(nesting.is_ok(), "span nesting violated: {:?}", nesting.err());
+
+        // The queue_wait span and the report's histogram time the same
+        // submit → pickup interval through separate clock reads: their
+        // p99s agree within the histogram's bucketing error.
+        let mut waits: Vec<f64> = spans
+            .iter()
+            .filter(|s| s.name == "queue_wait")
+            .map(|s| (s.end_ns - s.start_ns) as f64 * 1e-9)
+            .collect();
+        waits.sort_by(f64::total_cmp);
+        let span_p99 = serve::metrics::percentile_sorted(&waits, 0.99);
+        let hist_p99 = life.queue_wait_p99;
+        prop_assert!(
+            (span_p99 - hist_p99).abs() <= 0.15 * span_p99.max(hist_p99) + 50e-6,
+            "span-derived queue-wait p99 {}s disagrees with histogram p99 {}s",
+            span_p99,
+            hist_p99
+        );
 
         // Event accounting: exactly one trace event per counted fault.
         prop_assert_eq!(nev("retry"), life.retries);

@@ -9,7 +9,7 @@ use graph_core::{Graph, Label, QueryGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serve::{FastService, ServeConfig};
+use serve::{FastService, ServeConfig, ServeReport};
 use std::sync::Arc;
 
 /// Seeded random connected query (tree skeleton + extra edges).
@@ -48,19 +48,20 @@ fn service_config(devices: usize, workers: usize, cst_bytes: usize) -> ServeConf
     }
 }
 
-/// Serves `q` twice on a fresh service (cold, then warm) with the given
-/// tier-2 byte budget and returns the two reports.
+/// Serves `q` twice on a fresh service (cold, then warm) and returns the
+/// two reports plus the service's final report.
 fn cold_then_hit(
     g: &Arc<Graph>,
     q: &QueryGraph,
-    cst_bytes: usize,
-) -> (serve::QueryReport, serve::QueryReport) {
-    let service = FastService::new(Arc::clone(g), service_config(2, 1, cst_bytes));
+    config: ServeConfig,
+) -> (serve::QueryReport, serve::QueryReport, ServeReport) {
+    let service = FastService::new(Arc::clone(g), config);
     let cold = service.submit(q.clone()).wait().expect("cold run");
     let hit = service.submit(q.clone()).wait().expect("warm run");
     let report = service.shutdown();
     assert_eq!(report.completed, 2);
-    (cold, hit)
+    assert_eq!(report.failed, 0);
+    (cold, hit, report)
 }
 
 proptest! {
@@ -69,7 +70,9 @@ proptest! {
     /// A warm serve is bit-identical to the cold run on **both** warm
     /// paths: tier 2 disabled (the stored plan is replayed for the
     /// rebuild) and tier 2 enabled (the cached shard CSTs replay with zero
-    /// build work). Three-way differential: cold vs plan hit vs tier-2 hit.
+    /// build work). With both tiers off the repeat hits nothing and keeps
+    /// nothing resident. Four-way differential: cold vs plan hit vs tier-2
+    /// hit vs uncached repeat.
     #[test]
     fn warm_serves_are_bit_identical_to_cold_for_every_planner(
         q in arb_query(),
@@ -77,9 +80,24 @@ proptest! {
     ) {
         let g = Arc::new(random_labelled_graph(45, 0.18, 2, graph_seed));
         // Tier 2 off: the warm serve replays the cached plan.
-        let (cold, plan_hit) = cold_then_hit(&g, &q, 0);
+        let (cold, plan_hit, _) = cold_then_hit(&g, &q, service_config(2, 1, 0));
         // Tier 2 on: the warm serve replays the cached artifact.
-        let (cold2, warm) = cold_then_hit(&g, &q, 64 << 20);
+        let (cold2, warm, _) = cold_then_hit(&g, &q, service_config(2, 1, 64 << 20));
+        // Both tiers off: the repeat pays the whole cold path again.
+        let (_, repeat, off) = cold_then_hit(
+            &g,
+            &q,
+            ServeConfig { cache_capacity: 0, ..service_config(2, 1, 0) },
+        );
+        prop_assert!(
+            !repeat.cache_hit && !repeat.cst_cache_hit,
+            "capacity 0 and budget 0 must never hit"
+        );
+        prop_assert_eq!(
+            (off.cache.hits, off.cst_cache.hits, off.cst_resident_bytes),
+            (0, 0, 0),
+            "disabled tiers must record no hit and hold no bytes"
+        );
         prop_assert!(!cold.cache_hit, "first run must miss");
         prop_assert!(
             plan_hit.cache_hit && !plan_hit.cst_cache_hit,
@@ -89,7 +107,12 @@ proptest! {
             warm.cst_cache_hit,
             "tier-2-on warm run must be an artifact hit"
         );
-        for (label, r) in [("plan-hit", &plan_hit), ("cold+capture", &cold2), ("tier-2", &warm)] {
+        for (label, r) in [
+            ("plan-hit", &plan_hit),
+            ("cold+capture", &cold2),
+            ("tier-2", &warm),
+            ("uncached", &repeat),
+        ] {
             prop_assert_eq!(
                 cold.embeddings, r.embeddings,
                 "changed the count on the {} serve", label
@@ -194,7 +217,8 @@ fn serve_agrees_with_run_fast() {
 
 /// Backpressure bound: with `max_in_flight = 2`, the service never admits
 /// more than two concurrent sessions even under a burst of blocking
-/// submitters.
+/// submitters — and every one of those thread-per-client sessions gets
+/// the VF2 oracle's count.
 #[test]
 fn in_flight_depth_is_bounded() {
     let g = random_labelled_graph(50, 0.25, 2, 99);
@@ -203,6 +227,7 @@ fn in_flight_depth_is_bounded() {
         &[(0, 1), (1, 2), (0, 2)],
     )
     .unwrap();
+    let want = matching::vf2_count(&q, &g);
     let mut config = service_config(2, 4, 64 << 20);
     config.max_in_flight = 2;
     let service = FastService::new(g, config);
@@ -212,13 +237,15 @@ fn in_flight_depth_is_bounded() {
             let q = q.clone();
             scope.spawn(move || {
                 for _ in 0..3 {
-                    service.submit(q.clone()).wait().expect("session");
+                    let report = service.submit(q.clone()).wait().expect("session");
+                    assert_eq!(report.embeddings, want, "a blocking client got a wrong count");
                 }
             });
         }
     });
     let report = service.shutdown();
     assert_eq!(report.completed, 12);
+    assert_eq!(report.failed, 0);
     assert!(
         report.max_in_flight <= 2,
         "admission exceeded the bound: {}",
