@@ -250,8 +250,9 @@ fn run_fast_with_tree(
         // independent `&mut dyn FnMut`; both book into the same scheduler,
         // so share it.
         let state = RefCell::new(OffloadState::new(config));
-        let mut steal =
-            |oversized: &Cst, workload: f64| state.borrow_mut().steal(oversized, workload);
+        let mut steal = |oversized: &Cst, workload: &dyn Fn() -> f64| {
+            state.borrow_mut().steal(oversized, workload)
+        };
         let phase = produce_partitions(
             q,
             g,
@@ -326,8 +327,13 @@ impl OffloadState {
     }
 
     /// The steal hook: takes an oversized CST whole when Algorithm 3 would
-    /// book it to the CPU anyway, saving its partitioning.
-    fn steal(&mut self, oversized: &Cst, workload: f64) -> bool {
+    /// book it to the CPU anyway, saving its partitioning. The workload is
+    /// estimated only while the CPU's share has room for any workload.
+    fn steal(&mut self, oversized: &Cst, workload: &dyn Fn() -> f64) -> bool {
+        if !self.scheduler.can_take_any() {
+            return false;
+        }
+        let workload = workload();
         if !self.scheduler.would_assign_cpu(workload) {
             return false;
         }
@@ -489,9 +495,10 @@ pub struct PreparePhase {
     pub prepared: Option<Arc<PreparedCsts>>,
 }
 
-/// [`produce_partitions`]' steal hook: offered an oversized CST and its
-/// workload estimate before the split, `true` takes it whole.
-type StealHook<'a> = &'a mut dyn FnMut(&Cst, f64) -> bool;
+/// [`produce_partitions`]' steal hook: offered an oversized CST before the
+/// split, with its workload estimate as a closure to call only when the
+/// estimate is needed; `true` takes the CST whole.
+type StealHook<'a> = &'a mut dyn FnMut(&Cst, &dyn Fn() -> f64) -> bool;
 
 /// The host's one partition producer (Fig. 2 steps 1–2 plus the `W_CST`
 /// estimate of Section V-C): builds the query's one CST, partitions it
@@ -503,11 +510,12 @@ type StealHook<'a> = &'a mut dyn FnMut(&Cst, f64) -> bool;
 /// `cst::PartitionConfig::root_fanout`: above 1 it is sized by the CST's
 /// `W_CST` ([`work_sized_fanout`]), the one estimate run before a split.
 ///
-/// `steal`, when given, is offered every oversized CST with its workload
-/// estimate before it is split; returning `true` consumes it (FAST-SHARE's
-/// "directly assign it to CPU, reducing the cost of partitioning"). Without
-/// one, only a CST whose root fans out is estimated before a split. With
-/// `capture` the CST and the emitted jobs are also kept as
+/// `steal`, when given, is offered every oversized CST with a closure that
+/// estimates its workload before it is split; returning `true` consumes it
+/// (FAST-SHARE's "directly assign it to CPU, reducing the cost of
+/// partitioning"). The hook runs the estimate only when it could take the
+/// CST; without one, only a CST whose root fans out is estimated before a
+/// split. With `capture` the CST and the emitted jobs are also kept as
 /// [`PreparePhase::prepared`] — only meaningful without a steal hook, since
 /// a stolen CST never reaches the stream.
 #[allow(clippy::too_many_arguments)]
@@ -542,7 +550,7 @@ fn produce_partitions(
             ..config.partition_config(q.vertex_count(), &cst)
         };
         let mut offer = |oversized: &Cst| match steal.as_mut() {
-            Some(steal) => steal(oversized, estimate_workload(oversized, tree).total),
+            Some(steal) => steal(oversized, &|| estimate_workload(oversized, tree).total),
             None => false,
         };
         let mut emit = |partition: Cst| {
@@ -1193,8 +1201,9 @@ mod tests {
         let plan = KernelPlan::new(q, order, tree).unwrap();
         let (lane, sent) = mpsc::channel::<Arc<Cst>>();
         let state = RefCell::new(OffloadState::new(config));
-        let mut steal =
-            |oversized: &Cst, workload: f64| state.borrow_mut().steal(oversized, workload);
+        let mut steal = |oversized: &Cst, workload: &dyn Fn() -> f64| {
+            state.borrow_mut().steal(oversized, workload)
+        };
         produce_partitions(
             q,
             g,

@@ -50,6 +50,17 @@ impl ShareScheduler {
         self.delta > 0.0 && self.w_cpu + w_cst < self.delta * total
     }
 
+    /// Whether any workload `W ≥ 0` could still go to the CPU. In exact
+    /// arithmetic that is `(1 − δ)·W_C < δ·W_F`, i.e. `W_C < δ·(W_C + W_F)`;
+    /// the relative margin of 8 ε covers the rounding of
+    /// [`would_assign_cpu`](Self::would_assign_cpu)'s three operations, so
+    /// `false` here proves it is `false` for every `W ≥ 0`, `inf` included.
+    /// Lets a caller skip estimating a workload that cannot be taken.
+    pub fn can_take_any(&self) -> bool {
+        self.delta > 0.0
+            && self.w_cpu < self.delta * (self.w_cpu + self.w_fpga) * (1.0 + 8.0 * f64::EPSILON)
+    }
+
     /// Books a partition to the CPU unconditionally.
     pub fn book_cpu(&mut self, w_cst: f64) {
         self.w_cpu += w_cst;
@@ -135,6 +146,56 @@ mod tests {
             // And it should not be vacuously zero for δ > 0.
             assert!(s.cpu_fraction() > delta / 2.0, "δ={delta}");
         }
+    }
+
+    #[test]
+    fn failed_bound_takes_no_workload() {
+        let workloads = [
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-9,
+            0.5,
+            1.0,
+            3.0,
+            1e6,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let check = |s: &ShareScheduler| {
+            let delta = s.delta();
+            let bound_fails = (1.0 - delta) * s.cpu_workload() >= delta * s.fpga_workload();
+            if bound_fails || !s.can_take_any() {
+                for w in workloads {
+                    assert!(
+                        !s.would_assign_cpu(w),
+                        "δ={delta} took W={w} past the bound"
+                    );
+                }
+            }
+            !s.can_take_any()
+        };
+        // Exactly at the bound: (1 − δ)·W_C = δ·W_F.
+        let mut s = ShareScheduler::new(0.5);
+        s.book_cpu(1.0);
+        assert_eq!(s.assign(1.0), Assignment::Fpga);
+        check(&s);
+        let mut failed = 0;
+        for delta in [0.0, 1e-3, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0] {
+            let mut s = ShareScheduler::new(delta);
+            // A mixed stream that crosses the bound both ways.
+            for i in 0..400u64 {
+                failed += usize::from(check(&s));
+                let w = match i % 7 {
+                    0 => 1000.0,
+                    1 => 0.0,
+                    _ => 1.0 + (i % 13) as f64 / 3.0,
+                };
+                s.assign(w);
+            }
+        }
+        assert!(failed > 0, "the bound never failed");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! `executor_loop` → `pickup` → `run_admit`/`build_session` → `run_exec` →
 //! `finalize` → `release` (and `panic_retire` for a task that unwound).
 
+use crate::mailbox::Sender;
 use crate::reporting::{finish, FinishOutcome};
 use crate::resilience::{execute_checked, fold_acc, fold_faults, FaultAcc};
 use crate::service::{
@@ -17,7 +18,7 @@ use fast::{prepare_partitions, CollectMode, KernelPlan, PartitionJob, QueryCtx};
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A unit of session work on an executor deque — and the only thing that
@@ -118,7 +119,7 @@ pub(crate) struct SessionSlot {
     query: QueryGraph,
     submitted: Instant,
     submitted_ns: u64,
-    tx: mpsc::Sender<SessionEvent>,
+    tx: Sender,
     mu: Mutex<SessionMut>,
 }
 
@@ -312,7 +313,7 @@ pub(crate) fn shed_for_shutdown(inner: &Inner, sub: Submission) {
             ("embeddings", obs::ArgValue::U64(0)),
         ],
     );
-    let _ = sub.tx.send(SessionEvent::Failed(ServeError::ShuttingDown));
+    sub.tx.send(SessionEvent::Failed(ServeError::ShuttingDown));
     notify_executors(inner);
 }
 
@@ -660,7 +661,7 @@ fn run_exec(inner: &Inner, sid: u64) {
         s.session_err.is_some() || s.jobs.is_empty()
     };
     if let Ok(update) = result {
-        let _ = slot.tx.send(SessionEvent::Partition(update));
+        slot.tx.send(SessionEvent::Partition(update));
     }
     if done {
         finalize_from_state(inner, &slot);
@@ -758,20 +759,18 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 ],
             );
             close_session(strack, slot, "completed", stats.embeddings);
-            let _ = slot.tx.send(SessionEvent::Done(report));
+            slot.tx.send(SessionEvent::Done(report));
         }
         SessionOutcome::Shed { at } => {
             finish(inner, tenant, FinishOutcome::DeadlineMiss);
             obs::event("deadline_shed", "fault", vec![("at", obs::ArgValue::Str(at))]);
             close_session(strack, slot, "shed", stats.embeddings);
-            let _ = slot
-                .tx
-                .send(SessionEvent::Failed(ServeError::DeadlineExceeded));
+            slot.tx.send(SessionEvent::Failed(ServeError::DeadlineExceeded));
         }
         SessionOutcome::Error(err) => {
             finish(inner, tenant, FinishOutcome::Failed);
             close_session(strack, slot, "failed", stats.embeddings);
-            let _ = slot.tx.send(SessionEvent::Failed(err));
+            slot.tx.send(SessionEvent::Failed(err));
         }
     }
     release(inner, slot.id);

@@ -114,6 +114,7 @@
 pub mod cache;
 pub mod devices;
 mod executor;
+mod mailbox;
 pub mod metrics;
 mod reporting;
 pub mod resilience;

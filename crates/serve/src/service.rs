@@ -55,6 +55,7 @@
 use crate::cache::{CstCache, PlanCache};
 use crate::devices::{DeviceKind, DevicePool};
 use crate::executor::{executor_loop, notify_executors, shed_for_shutdown, SessionSlot, Task};
+use crate::mailbox::{mailbox, Mailbox, Sender};
 use crate::metrics::ServeReport;
 use crate::reporting::{MetricsState, Totals, WindowState};
 pub use crate::resilience::FaultPolicy;
@@ -66,7 +67,7 @@ use graph_core::{Graph, QueryGraph, VertexId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{
-    mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -350,12 +351,13 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Caller-side handle of one submitted query.
+/// Caller-side handle of one submitted query. Dropping it discards the
+/// session's undelivered and later events; the session itself still runs.
 #[derive(Debug)]
 pub struct SessionHandle {
     id: u64,
     tenant: TenantId,
-    rx: mpsc::Receiver<SessionEvent>,
+    rx: Arc<Mailbox>,
 }
 
 impl SessionHandle {
@@ -372,19 +374,25 @@ impl SessionHandle {
     /// Blocks for the next event; `None` once the session is over (after
     /// `Done`/`Failed` was delivered) or the service shut down.
     pub fn next_event(&self) -> Option<SessionEvent> {
-        self.rx.recv().ok()
+        self.rx.recv()
     }
 
     /// Drains the session to completion, discarding partition updates.
     pub fn wait(self) -> Result<QueryReport, ServeError> {
         loop {
             match self.rx.recv() {
-                Ok(SessionEvent::Done(report)) => return Ok(report),
-                Ok(SessionEvent::Failed(err)) => return Err(err),
-                Ok(SessionEvent::Partition(_)) => continue,
-                Err(_) => return Err(ServeError::Disconnected),
+                Some(SessionEvent::Done(report)) => return Ok(report),
+                Some(SessionEvent::Failed(err)) => return Err(err),
+                Some(SessionEvent::Partition(_)) => continue,
+                None => return Err(ServeError::Disconnected),
             }
         }
+    }
+}
+
+impl Drop for SessionHandle {
+    fn drop(&mut self) {
+        self.rx.close(true);
     }
 }
 
@@ -417,7 +425,7 @@ pub(crate) struct Submission {
     /// Submit time on the obs trace clock, so the session and queue-wait
     /// spans start at the true submit instant (0 when tracing is off).
     pub(crate) submitted_ns: u64,
-    pub(crate) tx: mpsc::Sender<SessionEvent>,
+    pub(crate) tx: Sender,
 }
 
 #[derive(Default)]
@@ -771,7 +779,7 @@ impl FastService {
     fn enqueue(&self, tenant: Arc<TenantState>, query: QueryGraph) -> SessionHandle {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let tenant_id = tenant.id;
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mailbox();
         let now = Instant::now();
         {
             let mut m = self.inner.metrics.plock();

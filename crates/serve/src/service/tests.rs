@@ -3,6 +3,7 @@ use crate::reporting::assemble_report;
 use fast::{BackendOutput, ExecutionBackend, PartitionJob, QueryCtx, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::Label;
+use std::sync::mpsc;
 
 fn small_config() -> ServeConfig {
     ServeConfig {
@@ -382,7 +383,7 @@ fn shutdown_sheds_queued_sessions_with_typed_error() {
     let handles: Vec<_> = (0..24).map(|_| service.submit(triangle())).collect();
     // Shut down immediately: whatever was picked up completes,
     // whatever was still queued is shed with the typed error — no
-    // handle ever observes a disconnected channel.
+    // handle ever sees its mailbox close without a final event.
     let report = service.shutdown();
     let mut completed = 0usize;
     let mut shed = 0usize;
@@ -807,4 +808,129 @@ fn heterogeneous_pool_matches_fpga_only_counts() {
     assert_eq!(report.devices[0].class, BackendClass::Fpga);
     assert_eq!(report.devices[1].class, BackendClass::Cpu);
     assert!(report.is_finite());
+}
+
+/// A session's mailbox contract, end to end: every partition event in
+/// order, the final event last, then `None` for good.
+#[test]
+fn mailbox_delivers_in_order_and_ends_after_the_final_event() {
+    let g = random_labelled_graph(60, 0.25, 2, 58);
+    let service = FastService::new(g, small_config());
+    let handle = service.submit(triangle());
+    let mut events = Vec::new();
+    while let Some(event) = handle.next_event() {
+        events.push(event);
+    }
+    let Some((SessionEvent::Done(report), partitions)) = events.split_last() else {
+        panic!("the final event must be Done: {events:?}");
+    };
+    assert!(report.partitions >= 2, "need a multi-partition session");
+    assert_eq!(partitions.len(), report.partitions);
+    for (i, event) in partitions.iter().enumerate() {
+        assert!(
+            matches!(event, SessionEvent::Partition(u) if u.index == i),
+            "event {i} out of order: {event:?}"
+        );
+    }
+    assert!(handle.next_event().is_none());
+    service.shutdown();
+}
+
+/// A sender dropped without a final event — the slot of a session whose
+/// task panicked — makes `wait()` return `Disconnected`, after whatever
+/// was sent before.
+#[test]
+fn mailbox_of_a_panicked_session_waits_disconnected() {
+    let (tx, rx) = mailbox();
+    let handle = SessionHandle {
+        id: 0,
+        tenant: TenantId::DEFAULT,
+        rx,
+    };
+    let task = std::thread::spawn(move || {
+        tx.send(SessionEvent::Partition(PartitionUpdate {
+            index: 0,
+            device: 0,
+            backend: BackendClass::Fpga,
+            embeddings: 1,
+            kernel_cycles: 1,
+            modeled_sec: 0.0,
+            collected: Vec::new(),
+        }));
+        panic!("injected task panic");
+    });
+    assert!(task.join().is_err());
+    assert!(matches!(
+        handle.next_event(),
+        Some(SessionEvent::Partition(_))
+    ));
+    assert_eq!(handle.wait().unwrap_err(), ServeError::Disconnected);
+}
+
+/// A queued session shed at shutdown resolves with `ShuttingDown`.
+#[test]
+fn mailbox_of_a_shed_session_waits_shutting_down() {
+    let service = FastService::new(random_labelled_graph(60, 0.25, 2, 43), small_config());
+    let id = service.inner.next_id.fetch_add(1, Ordering::Relaxed);
+    let (tx, rx) = mailbox();
+    let handle = SessionHandle {
+        id,
+        tenant: TenantId::DEFAULT,
+        rx,
+    };
+    let sub = Submission {
+        id,
+        tenant: Arc::clone(&service.inner.default_tenant),
+        query: triangle(),
+        submitted: Instant::now(),
+        submitted_ns: 0,
+        tx,
+    };
+    shed_for_shutdown(&service.inner, sub);
+    assert_eq!(handle.wait().unwrap_err(), ServeError::ShuttingDown);
+    assert_eq!(service.shutdown().failed, 1);
+}
+
+/// Once its handle is dropped, a session's events are thrown away as they
+/// arrive: after the session retires, its mailbox holds no event storage
+/// and no sender.
+#[test]
+fn dropped_handle_retains_nothing() {
+    let service = FastService::new(random_labelled_graph(60, 0.25, 2, 58), small_config());
+    let handle = service.submit(triangle());
+    let mailbox = Arc::clone(&handle.rx);
+    drop(handle);
+    let report = service.shutdown();
+    assert_eq!(report.completed + report.failed, 1);
+    assert_eq!(Arc::strong_count(&mailbox), 1, "the sender is gone");
+    assert_eq!(mailbox.retained_bytes(), 0);
+}
+
+/// A session that completed but was not collected holds its own events
+/// only: a queue sized to them, not a fixed block of slots.
+#[test]
+fn uncollected_session_retains_only_its_own_events() {
+    let mut config = small_config();
+    config.workers = 1;
+    // A few root chunks, as the tiny benchmark sessions have: a handful of
+    // events, where a fixed 31-slot block would be mostly empty.
+    config.fast.pipeline_shards = Some(3);
+    let service = FastService::new(random_labelled_graph(60, 0.25, 2, 58), config);
+    let first = service.submit(triangle());
+    // One executor completes sessions in submission order: once the
+    // second is done, the first has sent every event it will send.
+    service.submit(triangle()).wait().unwrap();
+    let retained = first.rx.retained_bytes();
+    let mut events = 0usize;
+    while first.next_event().is_some() {
+        events += 1;
+    }
+    let slot = std::mem::size_of::<SessionEvent>();
+    assert!(events >= 3, "need a multi-partition session");
+    assert!(retained >= events * slot);
+    assert!(
+        retained <= events.next_power_of_two().max(4) * slot,
+        "{retained} bytes held for {events} events"
+    );
+    service.shutdown();
 }
