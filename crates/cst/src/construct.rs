@@ -279,6 +279,12 @@ impl BuildScratch {
             }
         }
 
+        // Refinement leaves each set its phase-1 capacity; the CST keeps
+        // exactly its candidates.
+        for cands in &mut candidates {
+            cands.shrink_to_fit();
+        }
+
         // --- Phase 3: adjacency for every directed query edge: one scan per
         //     undirected edge, from the endpoint with fewer candidates into
         //     the other; the opposite direction is the transpose. ---
@@ -330,6 +336,8 @@ fn forward_adjacency(g: &Graph, sources: &[VertexId], rank: &[u32]) -> CsrAdj {
         targets.extend(ranks.filter(|&j| j != NONE));
         offsets.push(targets.len() as u32);
     }
+    // `targets` grew by doubling; the CST holds exactly its entries.
+    targets.shrink_to_fit();
     CsrAdj { offsets, targets }
 }
 
@@ -660,5 +668,36 @@ mod tests {
         let (min, _) = build_cst_with_stats(&q, &g, &tree, CstOptions::minimal());
         assert!(full.total_candidates() <= min.total_candidates());
         assert!(full.size_bytes() <= min.size_bytes());
+    }
+
+    /// A built CST holds no slack: every candidate set and every CSR vector
+    /// has exactly the capacity of its length, with and without refinement
+    /// (which shrinks the sets after phase 1 sized them).
+    #[test]
+    fn built_vectors_have_exact_capacity() {
+        use graph_core::generators::random_labelled_graph;
+        let q = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+        )
+        .unwrap();
+        let g = random_labelled_graph(200, 0.02, 2, 11);
+        let tree = BfsTree::new(&q, qv(0));
+        for options in [CstOptions::default(), CstOptions::minimal()] {
+            let (cst, stats) = build_cst_with_stats(&q, &g, &tree, options);
+            assert!(cst.total_adjacency_entries() > 0, "{options:?}: empty CST");
+            if options.refine {
+                let removed: usize = stats.removed_by_refine.iter().sum();
+                assert!(removed > 0, "refinement removed nothing to shrink");
+            }
+            let (candidates, adjacency) = cst.parts();
+            for (u, c) in candidates.iter().enumerate() {
+                assert_eq!(c.capacity(), c.len(), "{options:?}: C(u{u})");
+            }
+            for (slot, adj) in adjacency.iter().enumerate() {
+                assert_eq!(adj.offsets.capacity(), adj.offsets.len(), "{options:?}: {slot}");
+                assert_eq!(adj.targets.capacity(), adj.targets.len(), "{options:?}: {slot}");
+            }
+        }
     }
 }

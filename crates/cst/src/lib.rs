@@ -34,7 +34,7 @@ pub use construct::{
 pub use filter::CandidateFilter;
 pub use intersect::{count_run, intersect_each, seek};
 pub use partition::{
-    fits, partition_cst, partition_cst_into, partition_cst_with_steal, shard_at_vertex,
+    fits, partition_cst, partition_cst_into, partition_cst_with_steal, shard_at_vertex, Oversized,
     PartitionConfig, PartitionStats,
 };
 pub use cache::{

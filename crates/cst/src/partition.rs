@@ -21,12 +21,18 @@
 //! that keep it — up to 64 per sweep, one bit each — and `Emitter` writes
 //! each child from those labels, reading only the kept sources' adjacency
 //! lists and measuring the child as it goes, so no node is scanned again to
-//! decide whether it fits or how to split it. Labels, selections and the
-//! scratch buffer are owned by the [`partition_cst_with_steal`] call and
-//! reused down the recursion; the root CST is borrowed.
+//! decide whether it fits or how to split it. A split reads only the
+//! backward direction of each query edge (from the later to the earlier
+//! vertex in the matching order), so a child that does not fit is kept as
+//! that half; a child that fits is emitted whole, its forward lists the
+//! transposes of its backward ones. Labels, selections and the scratch
+//! buffer are owned by the [`partition_cst_with_steal`] call and reused down
+//! the recursion; the root CST is borrowed.
 
 use crate::structure::{CsrAdj, Cst, CstMetrics};
-use graph_core::{MatchingOrder, QueryVertexId, VertexId};
+use crate::workload::{self, TreeLists, WorkloadEstimate};
+use graph_core::{BfsTree, MatchingOrder, QueryVertexId, VertexId};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Partition thresholds and policy.
@@ -116,13 +122,18 @@ pub fn partition_cst_into(
 
 /// Like [`partition_cst_into`], but consults `steal` before splitting an
 /// oversized CST; returning `true` consumes it (the caller processes it,
-/// e.g. on the CPU) and skips the split. This is FAST-SHARE's optimisation:
-/// "we may directly assign it to CPU, reducing the cost of partitioning".
+/// e.g. on the CPU, from [`Oversized::to_cst`]) and skips the split. This is
+/// FAST-SHARE's optimisation: "we may directly assign it to CPU, reducing
+/// the cost of partitioning".
+///
+/// `cst` must hold both directions of every query edge, mutually
+/// consistent ([`Cst::validate`]), as every built CST does: below the root
+/// the partitioner keeps one direction and derives the other.
 pub fn partition_cst_with_steal(
     cst: &Cst,
     order: &MatchingOrder,
     config: &PartitionConfig,
-    steal: &mut dyn FnMut(&Cst) -> bool,
+    steal: &mut dyn FnMut(&Oversized<'_>) -> bool,
     sink: &mut dyn FnMut(Cst),
 ) -> PartitionStats {
     let mut stats = PartitionStats::default();
@@ -137,17 +148,20 @@ pub fn partition_cst_with_steal(
         sink(cst.clone());
         return stats;
     }
+    let layout = Layout::new(cst, |v| order.position_of(v));
+    let root = Node::borrow(cst, &layout);
     let mut splitter = Splitter {
         order,
         config,
         steal,
         sink,
         stats,
-        earlier: earlier_neighbours(cst, order),
-        emitter: Emitter::new(cst),
+        earlier: layout.earlier_neighbours(order),
+        layout,
+        emitter: Emitter::default(),
         planes: Vec::new(),
     };
-    if splitter.visit(cst, metrics, 0, fanout) {
+    if splitter.visit(&root, metrics, 0, fanout) {
         (splitter.sink)(cst.clone());
     }
     splitter.stats
@@ -175,9 +189,181 @@ pub fn shard_at_vertex(cst: &Cst, vertex: QueryVertexId, range: Range<u32>) -> C
     plane[vertex.index()] = (0..cst.candidate_count(vertex) as u32)
         .map(|i| u64::from(range.contains(&i)))
         .collect();
-    let mut emitter = Emitter::new(cst);
-    emitter.scan(cst, &plane, 0);
-    emitter.build(cst)
+    // Any ranking picks one direction per edge; vertex ids will do.
+    let layout = Layout::new(cst, QueryVertexId::index);
+    let whole = Node::borrow(cst, &layout);
+    let mut emitter = Emitter::default();
+    emitter.scan(&whole, &layout, &plane, 0);
+    emitter.build(&whole, &layout)
+}
+
+/// A CST that does not fit, offered to [`partition_cst_with_steal`]'s steal
+/// hook before it is split. Below the root the partitioner holds such a CST
+/// as one direction per query edge, so the handle estimates its workload on
+/// that direction and builds the whole CST only for a hook that takes it.
+pub struct Oversized<'a> {
+    node: &'a Node<'a>,
+    layout: &'a Layout,
+}
+
+impl Oversized<'_> {
+    /// [`estimate_workload`](crate::estimate_workload) of the whole CST,
+    /// bit for bit, computed on the direction the partitioner holds: under
+    /// the path-based order (tree parents first) each tree edge child →
+    /// parent; under other connected orders (`run_fast_with_order`) some
+    /// parent → child.
+    pub fn estimate_workload(&self, tree: &BfsTree) -> WorkloadEstimate {
+        let node = self.node;
+        workload::estimate(
+            node.candidates.len(),
+            |u| node.candidate_count(u),
+            tree,
+            |u, child| {
+                let (edge, from_u) = self.layout.stored_between(u, child);
+                if from_u {
+                    TreeLists::Down(&node.stored[edge])
+                } else {
+                    TreeLists::Up(&node.stored[edge])
+                }
+            },
+        )
+    }
+
+    /// [`Cst::total_adjacency_entries`] of the whole CST: both directions of
+    /// every query edge.
+    pub fn total_adjacency_entries(&self) -> usize {
+        let stored: usize = self.node.stored.iter().map(|adj| adj.targets.len()).sum();
+        2 * stored
+    }
+
+    /// The whole CST, both directions of every query edge.
+    pub fn to_cst(&self) -> Cst {
+        self.node.to_cst(self.layout)
+    }
+}
+
+/// A query edge `(from, to)`.
+type Edge = (QueryVertexId, QueryVertexId);
+
+/// Which direction of each query edge a split reads and writes, and how a
+/// whole CST is assembled from those directions.
+#[derive(Debug)]
+struct Layout {
+    /// The directed query edges, in the slot order every emitted CST has.
+    directed: Vec<Edge>,
+    /// One direction per query edge, from the endpoint ranked later to the
+    /// one ranked earlier: under the matching order, the backward edges
+    /// `label` and [`Emitter::scan`] read.
+    stored: Vec<Edge>,
+    /// Per directed edge, the stored edge it runs along and whether it runs
+    /// against it.
+    slots: Vec<(usize, bool)>,
+}
+
+impl Layout {
+    fn new(cst: &Cst, rank: impl Fn(QueryVertexId) -> usize) -> Self {
+        let directed: Vec<Edge> = cst.directed_edges().collect();
+        let stored: Vec<Edge> = directed
+            .iter()
+            .copied()
+            .filter(|&(a, b)| rank(a) > rank(b))
+            .collect();
+        let mut layout = Layout {
+            directed,
+            stored,
+            slots: Vec::new(),
+        };
+        layout.slots = layout
+            .directed
+            .iter()
+            .map(|&(a, b)| layout.stored_between(a, b))
+            .map(|(edge, along)| (edge, !along))
+            .collect();
+        layout
+    }
+
+    /// The stored edge joining `u` and `w`, and whether it runs `u → w`.
+    fn stored_between(&self, u: QueryVertexId, w: QueryVertexId) -> (usize, bool) {
+        self.stored
+            .iter()
+            .position(|&edge| edge == (u, w) || edge == (w, u))
+            .map(|edge| (edge, self.stored[edge].0 == u))
+            .expect("a CST holds both directions of every query edge")
+    }
+
+    /// For each order position, the query neighbours placed before it, with
+    /// their positions and the stored edge to them. A split at position
+    /// `index` constrains a later vertex through those at `index` or after.
+    fn earlier_neighbours(&self, order: &MatchingOrder) -> Vec<Vec<(QueryVertexId, usize, usize)>> {
+        let mut earlier = vec![Vec::new(); order.len()];
+        for (edge, &(a, b)) in self.stored.iter().enumerate() {
+            earlier[order.position_of(a)].push((b, order.position_of(b), edge));
+        }
+        earlier
+    }
+
+    /// The whole CST of `candidates` and the [`stored`](Self::stored)
+    /// direction of each query edge: every other direction is the
+    /// counting-sort transpose of its stored one, which by CST symmetry is
+    /// exactly the list that remapping it from the parent would give.
+    fn assemble(&self, candidates: Vec<Vec<VertexId>>, mut stored: Vec<CsrAdj>) -> Cst {
+        let mut reverse: Vec<CsrAdj> = self
+            .stored
+            .iter()
+            .zip(&stored)
+            .map(|(&(_, to), adj)| adj.transpose(candidates[to.index()].len()))
+            .collect();
+        let pairs = self
+            .directed
+            .iter()
+            .zip(&self.slots)
+            .map(|(&edge, &(stored_edge, against))| {
+                let adj = if against {
+                    &mut reverse[stored_edge]
+                } else {
+                    &mut stored[stored_edge]
+                };
+                (edge, std::mem::take(adj))
+            })
+            .collect();
+        Cst::from_parts(candidates.len(), candidates, pairs)
+    }
+}
+
+/// A node of Algorithm 2's recursion as a split reads it: every candidate
+/// set and the [`Layout::stored`] direction of every query edge. The root
+/// borrows them from the whole CST; a node that does not fit is written as
+/// this half and owns it.
+#[derive(Debug)]
+struct Node<'a> {
+    candidates: Vec<Cow<'a, [VertexId]>>,
+    stored: Vec<Cow<'a, CsrAdj>>,
+}
+
+impl<'a> Node<'a> {
+    fn borrow(cst: &'a Cst, layout: &Layout) -> Self {
+        Node {
+            candidates: (0..cst.query_vertex_count())
+                .map(|v| Cow::Borrowed(cst.candidates(QueryVertexId::from_index(v))))
+                .collect(),
+            stored: layout
+                .stored
+                .iter()
+                .map(|&(a, b)| Cow::Borrowed(cst.adjacency(a, b)))
+                .collect(),
+        }
+    }
+
+    fn candidate_count(&self, v: QueryVertexId) -> usize {
+        self.candidates[v.index()].len()
+    }
+
+    fn to_cst(&self, layout: &Layout) -> Cst {
+        layout.assemble(
+            self.candidates.iter().map(|c| c.to_vec()).collect(),
+            self.stored.iter().map(|adj| CsrAdj::clone(adj)).collect(),
+        )
+    }
 }
 
 /// The labels of one split: `plane[v][i]` has bit `c` set iff child `c` of
@@ -189,30 +375,17 @@ type LabelPlane = Vec<Vec<u64>>;
 /// Children labelled per sweep: one bit of a label word each.
 const BATCH: usize = u64::BITS as usize;
 
-/// For each order position, the query neighbours placed before it, with
-/// their positions. A split at position `index` constrains a later vertex
-/// through those at `index` or after.
-fn earlier_neighbours(cst: &Cst, order: &MatchingOrder) -> Vec<Vec<(QueryVertexId, usize)>> {
-    let mut earlier = vec![Vec::new(); order.len()];
-    for (a, b) in cst.directed_edges() {
-        let (pa, pb) = (order.position_of(a), order.position_of(b));
-        if pb < pa {
-            earlier[pa].push((b, pb));
-        }
-    }
-    earlier
-}
-
 /// The state of one [`partition_cst_with_steal`] call: Algorithm 2's
 /// recursion, with everything a split allocates owned here and reused.
 struct Splitter<'a> {
     order: &'a MatchingOrder,
     config: &'a PartitionConfig,
-    steal: &'a mut dyn FnMut(&Cst) -> bool,
+    steal: &'a mut dyn FnMut(&Oversized<'_>) -> bool,
     sink: &'a mut dyn FnMut(Cst),
     stats: PartitionStats,
-    /// [`earlier_neighbours`] of the CST being partitioned.
-    earlier: Vec<Vec<(QueryVertexId, usize)>>,
+    layout: Layout,
+    /// [`Layout::earlier_neighbours`] under the matching order.
+    earlier: Vec<Vec<(QueryVertexId, usize, usize)>>,
     emitter: Emitter,
     /// Label planes not in use. A split holds its plane while its children's
     /// subtrees run (siblings are emitted after them), so the stack hands
@@ -221,18 +394,22 @@ struct Splitter<'a> {
 }
 
 impl Splitter<'_> {
-    /// Algorithm 2 for a non-empty `cst` that does not fit, from order
+    /// Algorithm 2 for a non-empty `node` that does not fit, from order
     /// position `index`: offers it to the steal hook, then splits it at the
     /// first position from `index` with more than one candidate, re-offering
     /// it at every position it passes. Returns `true` when no position is
-    /// left and the caller has to emit `cst` itself (counted as `forced`).
+    /// left and the caller has to emit `node` itself (counted as `forced`).
     /// `fanout` is the split's lower bound on `k`: the root fan-out for the
     /// whole CST's first split (whose root has that many candidates), 1
     /// below it.
-    fn visit(&mut self, cst: &Cst, metrics: CstMetrics, mut index: usize, fanout: usize) -> bool {
+    fn visit(&mut self, node: &Node, metrics: CstMetrics, mut index: usize, fanout: usize) -> bool {
         let (vertex, count) = loop {
             self.stats.max_index = self.stats.max_index.max(index);
-            if (self.steal)(cst) {
+            let offer = Oversized {
+                node,
+                layout: &self.layout,
+            };
+            if (self.steal)(&offer) {
                 self.stats.stolen += 1;
                 return false;
             }
@@ -242,7 +419,7 @@ impl Splitter<'_> {
                 return true;
             }
             let vertex = self.order.vertex_at(index);
-            let count = cst.candidate_count(vertex);
+            let count = node.candidate_count(vertex);
             if count > 1 {
                 break (vertex, count);
             }
@@ -270,52 +447,53 @@ impl Splitter<'_> {
         .clamp(2, count);
 
         let mut plane = self.planes.pop().unwrap_or_default();
-        self.split(cst, index, vertex, count, k, &mut plane);
+        self.split(node, index, vertex, k, &mut plane);
         self.planes.push(plane);
         false
     }
 
-    /// Splits `C(vertex)` of `cst` evenly into `k` chunks (Alg. 2 line 4)
+    /// Splits `C(vertex)` of `node` evenly into `k` chunks (Alg. 2 line 4)
     /// and handles the children in chunk order, [`BATCH`] of them per label
-    /// sweep.
+    /// sweep. A child that fits is emitted whole; one that does not is
+    /// written as a half [`Node`] and split in turn.
     fn split(
         &mut self,
-        cst: &Cst,
+        node: &Node,
         index: usize,
         vertex: QueryVertexId,
-        count: usize,
         k: usize,
         plane: &mut LabelPlane,
     ) {
+        let count = node.candidate_count(vertex);
         let (base, extra) = (count / k, count % k);
         // The first `extra` chunks are one candidate longer.
         let chunk_start = |chunk: usize| chunk * base + chunk.min(extra);
         for first in (0..k).step_by(BATCH) {
             let width = (k - first).min(BATCH);
             let bounds: Vec<usize> = (first..=first + width).map(chunk_start).collect();
-            let alive = label(cst, self.order, &self.earlier, index, &bounds, plane);
+            let alive = label(node, self.order, &self.earlier, index, &bounds, plane);
             for child in 0..width {
                 if alive >> child & 1 == 0 {
                     self.stats.skipped_empty += 1;
                     continue;
                 }
-                let metrics = self.emitter.scan(cst, plane, child as u32);
-                let sub = self.emitter.build(cst);
+                let metrics = self.emitter.scan(node, &self.layout, plane, child as u32);
                 if metrics_fit(&metrics, self.config) {
                     self.stats.partitions += 1;
-                    (self.sink)(sub);
+                    (self.sink)(self.emitter.build(node, &self.layout));
                     continue;
                 }
+                let sub = self.emitter.half(node);
                 let next = index + usize::from(sub.candidate_count(vertex) <= 1);
                 if self.visit(&sub, metrics, next, 1) {
-                    (self.sink)(sub);
+                    (self.sink)(sub.to_cst(&self.layout));
                 }
             }
         }
     }
 }
 
-/// Labels every candidate of `cst` with the children that keep it, for the
+/// Labels every candidate of `node` with the children that keep it, for the
 /// chunks `bounds[c]..bounds[c + 1]` of the candidates of the vertex at order
 /// position `index` (Alg. 2 lines 5-13 for all of them at once). Vertices
 /// before `index` are whole; the split vertex's candidates carry their
@@ -323,24 +501,25 @@ impl Splitter<'_> {
 /// neighbour `b` of `w` placed in `index..position(w)` has a candidate
 /// adjacent to `i` that `c` keeps:
 /// `label[w][i] = AND over b of (OR over t ∈ N(w, i, b) of label[b][t])`,
-/// one pass over each such adjacency, no branch per entry. Returns the
-/// children that keep at least one candidate of every vertex.
+/// one pass over each such (stored, backward) adjacency, no branch per
+/// entry. Returns the children that keep at least one candidate of every
+/// vertex.
 fn label(
-    cst: &Cst,
+    node: &Node,
     order: &MatchingOrder,
-    earlier: &[Vec<(QueryVertexId, usize)>],
+    earlier: &[Vec<(QueryVertexId, usize, usize)>],
     index: usize,
     bounds: &[usize],
     plane: &mut LabelPlane,
 ) -> u64 {
-    plane.resize_with(cst.query_vertex_count(), Vec::new);
+    plane.resize_with(node.candidates.len(), Vec::new);
     for position in 0..index {
         plane[order.vertex_at(position).index()].clear();
     }
     let vertex = order.vertex_at(index);
     let labels = &mut plane[vertex.index()];
     labels.clear();
-    labels.resize(cst.candidate_count(vertex), 0);
+    labels.resize(node.candidate_count(vertex), 0);
     for (child, chunk) in bounds.windows(2).enumerate() {
         labels[chunk[0]..chunk[1]].fill(1 << child);
     }
@@ -350,12 +529,12 @@ fn label(
         let w = order.vertex_at(position);
         let mut labels = std::mem::take(&mut plane[w.index()]);
         labels.clear();
-        let constraining = earlier.iter().filter(|&&(_, p)| p >= index);
-        for (n, &(b, _)) in constraining.enumerate() {
+        let constraining = earlier.iter().filter(|&&(_, p, _)| p >= index);
+        for (n, &(b, _, edge)) in constraining.enumerate() {
             if n == 0 {
-                labels.resize(cst.candidate_count(w), u64::MAX);
+                labels.resize(node.candidate_count(w), u64::MAX);
             }
-            let adj = cst.adjacency(w, b);
+            let adj = &node.stored[edge];
             let reach = &plane[b.index()];
             if reach.is_empty() {
                 // `b` is whole: any neighbour at all reaches every child.
@@ -430,7 +609,7 @@ impl Select {
     }
 }
 
-/// Where [`Emitter::scan`] left one edge's CSR in the scratch buffer.
+/// Where [`Emitter::scan`] left one stored edge's CSR in the scratch buffer.
 #[derive(Debug, Clone, Copy)]
 struct EdgeSpan {
     start: usize,
@@ -438,53 +617,49 @@ struct EdgeSpan {
     targets: usize,
 }
 
-/// Writes one child of a labelled CST. [`scan`](Self::scan) reads the kept
-/// sources' adjacency lists of the parent once, remaps them into one
-/// reused scratch buffer and measures the child on the way;
-/// [`build`](Self::build) copies the result into buffers of exactly its
-/// size. Between the two the caller knows whether the child fits — whether
-/// it is handed away for good or is about to be split again.
-#[derive(Debug)]
+/// Writes one child of a labelled node. [`scan`](Self::scan) reads the kept
+/// sources' stored lists of the parent once, remaps them into one reused
+/// scratch buffer and measures the whole child on the way;
+/// [`build`](Self::build) and [`half`](Self::half) copy the result into
+/// buffers of exactly its size. Between the two the caller knows whether
+/// the child fits — whether it is handed away whole for good or is about
+/// to be split again, for which its stored half is all that is read.
+#[derive(Debug, Default)]
 struct Emitter {
-    /// The directed query edges, in the slot order every emitted CST has.
-    edges: Vec<(QueryVertexId, QueryVertexId)>,
     /// Per query vertex, the selection of the child last scanned.
     select: Vec<Select>,
-    /// Per edge, its CSR of the child last scanned: `offsets` then `targets`.
+    /// Per stored edge, its CSR of the child last scanned: `offsets` then
+    /// `targets`.
     scratch: Vec<u32>,
     spans: Vec<EdgeSpan>,
+    /// Per kept target of one stored edge, its entries: the length of its
+    /// list in the reverse direction.
+    counts: Vec<u32>,
 }
 
 impl Emitter {
-    fn new(cst: &Cst) -> Self {
-        Emitter {
-            edges: cst.directed_edges().collect(),
-            select: Vec::new(),
-            scratch: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    /// Selects child `bit` of `plane` from `parent` and writes its adjacency
-    /// into the scratch buffer: per edge, only the kept sources' lists are
-    /// read, each target is stored unconditionally at the write cursor and
-    /// the cursor advances by whether the target is kept. Returns the
-    /// child's sizes.
-    fn scan(&mut self, parent: &Cst, plane: &LabelPlane, bit: u32) -> CstMetrics {
-        let n = parent.query_vertex_count();
-        self.select.resize_with(n, Select::default);
+    /// Selects child `bit` of `plane` from `parent` and writes the stored
+    /// direction of each query edge into the scratch buffer: only the kept
+    /// sources' lists are read, each target is stored unconditionally at
+    /// the write cursor and the cursor advances by whether the target is
+    /// kept. Returns the whole child's sizes: by CST symmetry each reverse
+    /// direction has as many entries as its stored one, and its scaffold
+    /// follows from the kept counts. The entries per kept target are the
+    /// reverse lists' lengths, so `D_CST` is the larger of the longest
+    /// stored list and the largest of those counts.
+    fn scan(&mut self, parent: &Node, layout: &Layout, plane: &LabelPlane, bit: u32) -> CstMetrics {
+        self.select
+            .resize_with(parent.candidates.len(), Select::default);
         let mut candidates = 0;
-        for (v, select) in self.select.iter_mut().enumerate() {
-            let count = parent.candidate_count(QueryVertexId::from_index(v));
-            select.derive(&plane[v], count, bit);
+        for ((select, labels), all) in self.select.iter_mut().zip(plane).zip(&parent.candidates) {
+            select.derive(labels, all.len(), bit);
             candidates += select.kept;
         }
 
         // A child's CSRs are no longer than its parent's.
-        let room: usize = self
-            .edges
+        let room: usize = parent
+            .stored
             .iter()
-            .map(|&(a, b)| parent.adjacency(a, b))
             .map(|adj| adj.offsets.len() + adj.targets.len())
             .sum();
         if self.scratch.len() < room {
@@ -493,24 +668,24 @@ impl Emitter {
 
         self.spans.clear();
         let (mut start, mut offsets, mut targets, mut max_degree) = (0, 0, 0, 0);
-        for &(a, b) in &self.edges {
+        for (&(a, b), adj) in layout.stored.iter().zip(&parent.stored) {
             let (source, target) = (&self.select[a.index()], &self.select[b.index()]);
             let (out_offsets, out_targets) = self.scratch[start..].split_at_mut(source.kept + 1);
-            let (len, longest) = remap_edge(
-                parent.adjacency(a, b),
-                source,
-                target,
-                out_offsets,
-                out_targets,
-            );
+            let (len, longest) = remap_edge(adj, source, target, out_offsets, out_targets);
+            self.counts.clear();
+            self.counts.resize(target.kept, 0);
+            for &t in &out_targets[..len] {
+                self.counts[t as usize] += 1;
+            }
+            max_degree = self.counts.iter().fold(max_degree, |max, &n| max.max(n));
             self.spans.push(EdgeSpan {
                 start,
                 offsets: source.kept + 1,
                 targets: len,
             });
             start += source.kept + 1 + len;
-            offsets += source.kept + 1;
-            targets += len;
+            offsets += source.kept + 1 + target.kept + 1;
+            targets += 2 * len;
             max_degree = max_degree.max(longest);
         }
         CstMetrics {
@@ -521,37 +696,53 @@ impl Emitter {
         }
     }
 
-    /// The child last scanned as a CST of its own, in vectors of exactly its
+    /// The child last scanned as a whole CST, in vectors of exactly its
     /// size.
-    fn build(&self, parent: &Cst) -> Cst {
-        let n = parent.query_vertex_count();
-        let candidates = (0..n)
-            .map(|v| {
-                let all = parent.candidates(QueryVertexId::from_index(v));
-                let select = &self.select[v];
+    fn build(&self, parent: &Node, layout: &Layout) -> Cst {
+        layout.assemble(self.candidates(parent), self.stored())
+    }
+
+    /// The child last scanned as a half node, in vectors of exactly its
+    /// size.
+    fn half(&self, parent: &Node) -> Node<'static> {
+        Node {
+            candidates: self
+                .candidates(parent)
+                .into_iter()
+                .map(Cow::Owned)
+                .collect(),
+            stored: self.stored().into_iter().map(Cow::Owned).collect(),
+        }
+    }
+
+    fn candidates(&self, parent: &Node) -> Vec<Vec<VertexId>> {
+        parent
+            .candidates
+            .iter()
+            .zip(&self.select)
+            .map(|(all, select)| {
                 if select.whole {
                     all.to_vec()
                 } else {
                     select.sources.iter().map(|&i| all[i as usize]).collect()
                 }
             })
-            .collect();
-        let adjacency = self
-            .edges
+            .collect()
+    }
+
+    fn stored(&self) -> Vec<CsrAdj> {
+        self.spans
             .iter()
-            .zip(&self.spans)
-            .map(|(&edge, span)| {
+            .map(|span| {
                 let (offsets, targets) = self.scratch[span.start..][..span.offsets + span.targets]
                     .split_at(span.offsets);
                 debug_assert_eq!(offsets[span.offsets - 1] as usize, targets.len());
-                let adj = CsrAdj {
+                CsrAdj {
                     offsets: offsets.to_vec(),
                     targets: targets.to_vec(),
-                };
-                (edge, adj)
+                }
             })
-            .collect();
-        Cst::from_parts(n, candidates, adjacency)
+            .collect()
     }
 }
 
@@ -607,7 +798,7 @@ fn remap_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construct::build_cst;
+    use crate::construct::{build_cst, build_cst_with_stats, CstOptions};
     use crate::testing::count_matches;
     use graph_core::generators::random_labelled_graph;
     use graph_core::{BfsTree, Label, QueryGraph, QueryVertexId};
@@ -984,5 +1175,153 @@ mod tests {
             }
         }
         assert!(fanned_out > 20, "too few fan-outs exercised: {fanned_out}");
+    }
+
+    /// `W_CST` by its definition: each sum gathered from the forward list
+    /// `N^u_{u_c}(v)` with `Iterator::sum`.
+    fn estimate_by_definition(cst: &Cst, tree: &BfsTree) -> WorkloadEstimate {
+        let mut c: Vec<Vec<f64>> = vec![Vec::new(); cst.query_vertex_count()];
+        for u in tree.bottom_up_order() {
+            let values = (0..cst.candidate_count(u))
+                .map(|i| {
+                    let mut product = 1.0f64;
+                    for &uc in tree.children(u) {
+                        let sum: f64 = cst
+                            .neighbors(u, i as u32, uc)
+                            .iter()
+                            .map(|&j| c[uc.index()][j as usize])
+                            .sum();
+                        product *= sum;
+                        if product == 0.0 {
+                            break;
+                        }
+                    }
+                    product
+                })
+                .collect();
+            c[u.index()] = values;
+        }
+        let per_root_candidate = std::mem::take(&mut c[tree.root().index()]);
+        WorkloadEstimate {
+            total: per_root_candidate.iter().sum(),
+            per_root_candidate,
+        }
+    }
+
+    /// `W_CST` of a node through the direction it stores, and
+    /// `estimate_workload` of its whole CST, against the definition: the
+    /// same bits, total and per root candidate. Returns how many per-root
+    /// values are `-0.0` (a candidate whose list to a tree child is empty),
+    /// where only the summation's starting zero decides the sign.
+    fn assert_same_estimate(offer: &Oversized, whole: &Cst, tree: &BfsTree, case: &str) -> usize {
+        let definition = estimate_by_definition(whole, tree);
+        let bits = |w: &WorkloadEstimate| {
+            let per_root = w.per_root_candidate.iter().map(|v| v.to_bits());
+            (w.total.to_bits(), per_root.collect::<Vec<_>>())
+        };
+        let stored = offer.estimate_workload(tree);
+        assert_eq!(bits(&stored), bits(&definition), "{case}: stored");
+        let forward = crate::estimate_workload(whole, tree);
+        assert_eq!(bits(&forward), bits(&definition), "{case}: whole");
+        assert_eq!(
+            offer.total_adjacency_entries(),
+            whole.total_adjacency_entries(),
+            "{case}"
+        );
+        definition
+            .per_root_candidate
+            .iter()
+            .filter(|v| **v == 0.0 && v.is_sign_negative())
+            .count()
+    }
+
+    /// The stored-direction estimate ([`Oversized::estimate_workload`]) and
+    /// `estimate_workload` are bit-identical to the definition on generated
+    /// CSTs with and without refinement (unrefined sets keep candidates
+    /// with empty lists), under every connected order from the tree's root
+    /// (some place a tree child before its parent, so that tree edge is
+    /// stored parent → child); on every node the partitioner offers; and on
+    /// every partition it emits.
+    #[test]
+    fn stored_direction_estimate_is_bit_identical() {
+        let queries = [
+            QueryGraph::new(
+                vec![l(0), l(1), l(0), l(1)],
+                &[(0, 1), (1, 2), (2, 3), (3, 0)],
+            )
+            .unwrap(),
+            QueryGraph::new(
+                vec![l(0), l(1), l(1), l(0), l(1)],
+                &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+            )
+            .unwrap(),
+            // A centre whose candidates often lack a leaf-label neighbour:
+            // from a leaf root, two tree children with empty lists.
+            QueryGraph::new(vec![l(0), l(1), l(3), l(3)], &[(0, 1), (1, 2), (1, 3)]).unwrap(),
+        ];
+        let (mut offers, mut negative_zeros, mut child_first) = (0, 0, 0);
+        for (qi, q) in queries.iter().enumerate() {
+            for seed in [31, 32] {
+                let labels = q.vertices().map(|v| q.label(v).raw() + 1).max().unwrap();
+                let g = random_labelled_graph(80, 0.12, labels, seed);
+                for root in q.vertices() {
+                    let tree = BfsTree::new(q, root);
+                    for order in graph_core::all_connected_orders(q, root) {
+                        let parent_first = q.vertices().all(|v| {
+                            tree.parent(v)
+                                .is_none_or(|p| order.position_of(p) < order.position_of(v))
+                        });
+                        child_first += usize::from(!parent_first);
+                        for options in [CstOptions::default(), CstOptions::minimal()] {
+                            let case = format!("q{qi} seed {seed} {order:?} {options:?}");
+                            let (cst, _) = build_cst_with_stats(q, &g, &tree, options);
+                            if cst.any_empty() {
+                                continue;
+                            }
+                            let check = |whole: &Cst, case: &str| {
+                                let layout = Layout::new(whole, |v| order.position_of(v));
+                                let node = Node::borrow(whole, &layout);
+                                let offer = Oversized {
+                                    node: &node,
+                                    layout: &layout,
+                                };
+                                assert_same_estimate(&offer, whole, &tree, case)
+                            };
+                            negative_zeros += check(&cst, &case);
+                            let config = PartitionConfig {
+                                delta_s: cst.payload_bytes().div_ceil(8).max(1),
+                                delta_d: u32::MAX,
+                                footprint_budget: None,
+                                fixed_k: None,
+                                root_fanout: 1,
+                            };
+                            let mut parts = Vec::new();
+                            partition_cst_with_steal(
+                                &cst,
+                                &order,
+                                &config,
+                                &mut |offer| {
+                                    offers += 1;
+                                    let whole = offer.to_cst();
+                                    negative_zeros +=
+                                        assert_same_estimate(offer, &whole, &tree, &case);
+                                    false
+                                },
+                                &mut |p| parts.push(p),
+                            );
+                            for (i, part) in parts.iter().enumerate() {
+                                negative_zeros += check(part, &format!("{case} partition {i}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(offers > 20, "too few offers exercised: {offers}");
+        assert!(negative_zeros > 0, "no -0.0 estimate exercised");
+        assert!(
+            child_first > 0,
+            "no order stores a tree edge parent → child"
+        );
     }
 }

@@ -265,6 +265,12 @@ impl Cst {
         }
     }
 
+    /// The candidate sets and the adjacency CSRs, in slot order.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&[Vec<VertexId>], &[CsrAdj]) {
+        (&self.candidates, &self.adjacency)
+    }
+
     /// Total number of candidates across all query vertices.
     pub fn total_candidates(&self) -> usize {
         self.candidates.iter().map(Vec::len).sum()

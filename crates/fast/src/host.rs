@@ -49,8 +49,8 @@ use crate::plan::{KernelPlan, PlanError};
 use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
-    build_cst_with_stats, estimate_workload, partition_cst_with_steal, Cst, PartitionConfig,
-    DEFAULT_SHARDS,
+    build_cst_with_stats, estimate_workload, partition_cst_with_steal, Cst, Oversized,
+    PartitionConfig, DEFAULT_SHARDS,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
@@ -250,7 +250,7 @@ fn run_fast_with_tree(
         // independent `&mut dyn FnMut`; both book into the same scheduler,
         // so share it.
         let state = RefCell::new(OffloadState::new(config));
-        let mut steal = |oversized: &Cst, workload: &dyn Fn() -> f64| {
+        let mut steal = |oversized: &Oversized, workload: &dyn Fn() -> f64| {
             state.borrow_mut().steal(oversized, workload)
         };
         let phase = produce_partitions(
@@ -328,8 +328,9 @@ impl OffloadState {
 
     /// The steal hook: takes an oversized CST whole when Algorithm 3 would
     /// book it to the CPU anyway, saving its partitioning. The workload is
-    /// estimated only while the CPU's share has room for any workload.
-    fn steal(&mut self, oversized: &Cst, workload: &dyn Fn() -> f64) -> bool {
+    /// estimated only while the CPU's share has room for any workload, and
+    /// the whole CST is built only once it is taken.
+    fn steal(&mut self, oversized: &Oversized, workload: &dyn Fn() -> f64) -> bool {
         if !self.scheduler.can_take_any() {
             return false;
         }
@@ -340,7 +341,7 @@ impl OffloadState {
         self.scheduler.book_cpu(workload);
         self.stolen += 1;
         self.stolen_entries += oversized.total_adjacency_entries();
-        self.cpu_queue.push(Arc::new(oversized.clone()));
+        self.cpu_queue.push(Arc::new(oversized.to_cst()));
         true
     }
 
@@ -430,7 +431,8 @@ pub struct PartitionJob {
 /// Everything [`prepare_partitions`] produces that is a pure function of
 /// `(q, g, tree, config)`: the refined CST *and* the partition stream.
 /// Captured on a build ([`FastConfig::capture_prepared`]); a serving
-/// layer's tier-2 result cache holds it under the same
+/// layer's tier-2 result cache holds its partition stream alone (with no
+/// `shard_csts`: a warm session replays only the partitions) under the same
 /// `(cst::PlanKey, graph epoch)` fingerprint as the plan cache and stages
 /// [`partitions`](Self::partitions) straight to dispatch, so a warm
 /// session does **no** build, partition or workload-estimation work.
@@ -441,7 +443,8 @@ pub struct PreparedCsts {
     /// check of [`matches_query`](Self::matches_query).
     pub query_vertices: usize,
     /// The one refined CST the build produced (empty candidate sets
-    /// included). A `Vec` because the benchmark iterates it.
+    /// included), or none in an artifact that keeps only the stream. A
+    /// `Vec` because the benchmark iterates it.
     pub shard_csts: Vec<Arc<Cst>>,
     /// The partition stream exactly as the build's sink received it.
     pub partitions: Vec<PartitionJob>,
@@ -498,7 +501,7 @@ pub struct PreparePhase {
 /// [`produce_partitions`]' steal hook: offered an oversized CST before the
 /// split, with its workload estimate as a closure to call only when the
 /// estimate is needed; `true` takes the CST whole.
-type StealHook<'a> = &'a mut dyn FnMut(&Cst, &dyn Fn() -> f64) -> bool;
+type StealHook<'a> = &'a mut dyn FnMut(&Oversized, &dyn Fn() -> f64) -> bool;
 
 /// The host's one partition producer (Fig. 2 steps 1–2 plus the `W_CST`
 /// estimate of Section V-C): builds the query's one CST, partitions it
@@ -549,8 +552,8 @@ fn produce_partitions(
             root_fanout: fanout,
             ..config.partition_config(q.vertex_count(), &cst)
         };
-        let mut offer = |oversized: &Cst| match steal.as_mut() {
-            Some(steal) => steal(oversized, &|| estimate_workload(oversized, tree).total),
+        let mut offer = |oversized: &Oversized| match steal.as_mut() {
+            Some(steal) => steal(oversized, &|| oversized.estimate_workload(tree).total),
             None => false,
         };
         let mut emit = |partition: Cst| {
@@ -1201,7 +1204,7 @@ mod tests {
         let plan = KernelPlan::new(q, order, tree).unwrap();
         let (lane, sent) = mpsc::channel::<Arc<Cst>>();
         let state = RefCell::new(OffloadState::new(config));
-        let mut steal = |oversized: &Cst, workload: &dyn Fn() -> f64| {
+        let mut steal = |oversized: &Oversized, workload: &dyn Fn() -> f64| {
             state.borrow_mut().steal(oversized, workload)
         };
         produce_partitions(

@@ -18,10 +18,11 @@ pub const THREAD_BASE: u64 = 0x1_0000;
 /// First per-session track; session `id` records on `SESSION_BASE + id`.
 pub const SESSION_BASE: u64 = 1 << 32;
 
-/// Track for a serving session.
+/// Track for a serving session. Ids past `u64::MAX - SESSION_BASE` share
+/// the last track rather than wrapping below `SESSION_BASE`.
 #[inline]
 pub fn session_track(session_id: u64) -> u64 {
-    SESSION_BASE + session_id
+    SESSION_BASE.saturating_add(session_id)
 }
 
 /// Track for a pool device.
@@ -183,5 +184,22 @@ impl Drop for SpanGuard {
                 args: std::mem::take(&mut self.args),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn session_tracks_stay_at_or_above_the_base_without_overflow() {
+        assert_eq!(session_track(0), SESSION_BASE);
+        assert_eq!(session_track(7), SESSION_BASE + 7);
+        // The largest id that still has a track of its own, and the first
+        // one past it.
+        let last_own = u64::MAX - SESSION_BASE;
+        assert_eq!(session_track(last_own), u64::MAX);
+        assert_eq!(session_track(last_own + 1), u64::MAX);
+        assert_eq!(session_track(u64::MAX), u64::MAX);
     }
 }

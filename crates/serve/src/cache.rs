@@ -10,8 +10,9 @@
 //! * [`PlanCache`] (tier 1): [`cst::PlanKey`] → [`Arc<ShardPlan>`] — the
 //!   root set as one range, bounded by an entry count.
 //! * [`CstCache`] (tier 2): [`cst::PlanKey`] → [`Arc<fast::PreparedCsts>`]
-//!   — the refined CST *and* its partition decomposition, weighed
-//!   by `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
+//!   — a build's partition stream (the whole CST is not kept: a hit
+//!   replays only the partitions), weighed by
+//!   `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
 //!   dispatch + kernel: no top-down, no refinement, no materialisation, no
 //!   partitioning.
 //!
@@ -253,7 +254,7 @@ impl PlanCache {
 }
 
 /// Tier 2: a byte-budgeted LRU map `PlanKey → Arc<fast::PreparedCsts>` —
-/// the refined CST plus its partition decomposition, weighed by
+/// a build's partition stream, weighed by
 /// `PreparedCsts::payload_bytes`. A hit skips *all* build work; resident
 /// bytes never exceed the budget (`tests/prop_cst_cache.rs` proves the
 /// invariant over randomized sequences).

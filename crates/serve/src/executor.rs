@@ -39,6 +39,10 @@ use std::time::{Duration, Instant};
 /// Every task re-checks the session's deadline before doing work, and
 /// `Exec` re-checks it again after its partition, so a session past its
 /// budget sheds at the next transition instead of executing doomed work.
+/// Every task also checks the session's handle before doing work: a
+/// session whose handle was dropped retires as failed at its next
+/// transition, releasing its permit and slab entry, and runs no further
+/// partition.
 #[derive(Clone, Copy)]
 pub(crate) enum Task {
     /// First entry after pickup: record the queue wait, derive the plan,
@@ -404,6 +408,20 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
                 return BuildOutcome::Shed("pickup");
             }
         }
+    } else if let Some(dl) = deadline {
+        // Deadline re-check on `Resume`: a session that waited out its
+        // budget parked on someone else's flight sheds instead of
+        // building doomed work.
+        if slot.submitted.elapsed() > dl {
+            return BuildOutcome::Shed("resume");
+        }
+    }
+    // Nobody reads a session whose handle was dropped: it retires before
+    // any planning or build.
+    if slot.tx.is_closed() {
+        return BuildOutcome::Failed(ServeError::Disconnected);
+    }
+    if !resumed {
         // Derive tree/order/kernel-plan once; the cache key reuses this
         // tree, and partition tasks share the result through an Arc.
         let root = select_root(q, g);
@@ -419,13 +437,6 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             kernel_plan,
             collect: inner.config.fast.collect,
         }));
-    } else if let Some(dl) = deadline {
-        // Deadline re-check on `Resume`: a session that waited out its
-        // budget parked on someone else's flight sheds instead of
-        // building doomed work.
-        if slot.submitted.elapsed() > dl {
-            return BuildOutcome::Shed("resume");
-        }
     }
     let plan = Arc::clone(
         slot.mu
@@ -557,9 +568,15 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         // making N identical concurrent cold sessions build exactly once.
         // (An artifact larger than the whole budget is rejected by the
         // cache, counted, and the working set stays untouched; its waiters
-        // then build in turn.)
+        // then build in turn.) A hit replays only the partition stream, so
+        // that is all the entry keeps: the whole CST is freed with `prep`.
         if let Some(artifact) = prep.prepared.as_ref() {
-            tenant.cst_cache.plock().insert(key, Arc::clone(artifact));
+            let stream = fast::PreparedCsts {
+                query_vertices: artifact.query_vertices,
+                shard_csts: Vec::new(),
+                partitions: artifact.partitions.clone(),
+            };
+            tenant.cst_cache.plock().insert(key, Arc::new(stream));
         }
         let prepare = PrepareCost {
             plan_time,
@@ -599,14 +616,19 @@ fn latch_deadline(slot: &SessionSlot, s: &mut SessionMut) {
 fn run_exec(inner: &Inner, sid: u64) {
     let Some(slot) = session(inner, sid) else { return };
     let _track = obs::set_track(obs::session_track(sid));
+    // Read before the session lock: the mailbox lock is a leaf too.
+    let disconnected = slot.tx.is_closed();
     let (job, plan) = {
         let mut s = slot.mu.plock();
         if s.finished {
             return;
         }
         // A session past its budget sheds instead of executing another
-        // partition.
+        // partition; one whose handle was dropped fails instead.
         latch_deadline(&slot, &mut s);
+        if disconnected && s.session_err.is_none() {
+            s.session_err = Some(ServeError::Disconnected);
+        }
         let job = if s.session_err.is_some() {
             None
         } else {

@@ -16,8 +16,8 @@
 //!   fingerprint × tenant graph epoch × build options), partitioned per
 //!   tenant and unified on one size-aware LRU ([`SizedCache`]): tier 1
 //!   caches the [`ShardPlan`](cst::ShardPlan) (the root set as one
-//!   range), tier 2 ([`CstCache`]) caches the refined CST *and* its
-//!   partition decomposition under a **byte budget**
+//!   range), tier 2 ([`CstCache`]) caches a build's partition stream
+//!   under a **byte budget**
 //!   (`Cst::payload_bytes`), so a warm serve is pure dispatch + kernel —
 //!   zero build work — and one tenant's entries can never collide with
 //!   another's;

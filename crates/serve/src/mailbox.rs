@@ -6,7 +6,8 @@
 //! A mailbox is closed once nothing more can arrive: its final event
 //! (`Done`/`Failed`) was sent, its sender was dropped (a session retired
 //! by a panic), or its handle was dropped. Sends to a closed mailbox are
-//! thrown away, so a dropped handle stops retaining events at once. The
+//! thrown away, so a dropped handle stops retaining events at once, and the
+//! executor retires a session whose mailbox its handle closed. The
 //! mailbox lock is a leaf lock: nothing else is taken while it is held.
 
 use crate::service::{pwait, MutexExt, SessionEvent};
@@ -44,6 +45,12 @@ impl Sender {
         events.push_back(event);
         drop(state);
         self.0.ready.notify_all();
+    }
+
+    /// Whether the mailbox is closed. Until the session's final event is
+    /// sent, only a dropped handle closes it.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.0.state.plock().1
     }
 }
 

@@ -134,8 +134,8 @@ pub struct ServeConfig {
     /// via [`TenantConfig::cache_capacity`].
     pub cache_capacity: usize,
     /// Byte budget of each tenant's **tier-2** shard-CST cache partition
-    /// ([`crate::CstCache`]): the refined CSTs and their partition
-    /// decompositions, evicted LRU by `Cst::payload_bytes`. A hit makes a
+    /// ([`crate::CstCache`]): each build's partition stream, evicted LRU
+    /// by `Cst::payload_bytes`. A hit makes a
     /// warm serve pure dispatch + kernel (zero build work). 0 disables
     /// tier 2. Override per tenant via [`TenantConfig::cst_cache_bytes`].
     pub cst_cache_bytes: usize,
@@ -352,7 +352,8 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Caller-side handle of one submitted query. Dropping it discards the
-/// session's undelivered and later events; the session itself still runs.
+/// session's undelivered and later events, and the session stops: at its
+/// next transition it retires as failed and runs no further partition.
 #[derive(Debug)]
 pub struct SessionHandle {
     id: u64,

@@ -891,6 +891,51 @@ fn mailbox_of_a_shed_session_waits_shutting_down() {
     assert_eq!(service.shutdown().failed, 1);
 }
 
+/// A session whose handle is dropped mid-session stops at its next
+/// transition: the partition in flight finishes, no later partition
+/// executes (or books a device), and the session retires as failed with
+/// its permit and slab entry released.
+#[test]
+fn dropped_handle_stops_its_session() {
+    let g = random_labelled_graph(60, 0.25, 2, 59);
+    let mut config = small_config();
+    config.workers = 1;
+    config.devices = 1;
+    let ungated = FastService::new(g.clone(), config.clone());
+    let partitions = ungated.submit(triangle()).wait().unwrap().partitions;
+    ungated.shutdown();
+    assert!(partitions >= 2, "need a multi-partition session: {partitions}");
+
+    let service = FastService::new(g, config.clone());
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let gated = GatedBackend {
+        inner: fast::FpgaBackend::from_config(&config.fast),
+        entered: entered_tx,
+        release: Mutex::new(release_rx),
+    };
+    *service.inner.devices.plock() = DevicePool::new(vec![Arc::new(gated)]).unwrap();
+
+    let handle = service.submit(triangle());
+    entered_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("first partition never started");
+    drop(handle);
+    drop(release_tx);
+
+    let inner = Arc::clone(&service.inner);
+    let report = service.shutdown();
+    assert!(
+        entered_rx.try_recv().is_err(),
+        "no partition may start after the handle is dropped"
+    );
+    assert_eq!(report.failed, 1);
+    assert_eq!(report.completed, 0);
+    let gate = inner.gate.plock();
+    assert_eq!((gate.in_flight, gate.admitted), (0, 0), "permits released");
+    assert!(inner.sessions.plock().is_empty(), "slab entry released");
+}
+
 /// Once its handle is dropped, a session's events are thrown away as they
 /// arrive: after the session retires, its mailbox holds no event storage
 /// and no sender.

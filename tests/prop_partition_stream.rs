@@ -281,6 +281,19 @@ type Partitioner = fn(
     &mut dyn FnMut(Cst),
 ) -> PartitionStats;
 
+/// `cst::partition_cst_with_steal` as a [`Partitioner`]: its hook is
+/// offered an [`Oversized`](cst::Oversized) handle, whose whole CST is what
+/// the oracle's hook is offered.
+fn partition_whole_offers(
+    cst: &Cst,
+    order: &MatchingOrder,
+    config: &PartitionConfig,
+    steal: &mut dyn FnMut(&Cst) -> bool,
+    sink: &mut dyn FnMut(Cst),
+) -> PartitionStats {
+    partition_cst_with_steal(cst, order, config, &mut |offer| steal(&offer.to_cst()), sink)
+}
+
 /// Runs `partitioner` with a steal hook that takes every `steal_every`-th
 /// offer (0 = never steals, but still records what it is offered).
 fn stream(
@@ -375,7 +388,7 @@ fn case(q: &QueryGraph, vertices: usize, density: f64, graph_seed: u64) -> Case 
 fn check(case: &Case, config: &PartitionConfig, steal_every: usize) -> Result<(), TestCaseError> {
     let what = format!("{config:?} steal_every {steal_every}");
     let new = stream(
-        partition_cst_with_steal,
+        partition_whole_offers,
         &case.cst,
         &case.order,
         config,
