@@ -81,11 +81,8 @@ pub fn build_cst(q: &QueryGraph, g: &Graph, tree: &BfsTree) -> Cst {
 }
 
 /// Computes the root candidate set (phase 1 for the root only): every data
-/// vertex passing the root's local filters, sorted by vertex id. Splitting
-/// the returned list into contiguous chunks and calling
-/// [`build_cst_from_roots`] per chunk yields CSTs whose search spaces are
-/// disjoint at the root.
-pub fn root_candidates(
+/// vertex passing the root's local filters, sorted by vertex id.
+pub(crate) fn root_candidates(
     q: &QueryGraph,
     g: &Graph,
     tree: &BfsTree,
@@ -121,12 +118,11 @@ pub fn build_cst_with_stats(
     build_cst_from_roots(q, g, tree, options, roots)
 }
 
-/// Builds the CST whose root candidate set is exactly `roots` (which must be
-/// sorted, deduplicated, and a subset of [`root_candidates`]). Phases 2-3 of
-/// Algorithm 1 run unchanged; only the root seeding differs. With the full
-/// root candidate list this is exactly [`build_cst_with_stats`]; with a
-/// chunk of it, the CST of that chunk's embeddings alone.
-pub fn build_cst_from_roots(
+/// Builds the CST whose root candidate set is exactly `roots` (sorted,
+/// deduplicated, and a subset of [`root_candidates`]): phases 1-3 of
+/// Algorithm 1 below the root. [`build_cst_with_stats`] passes the whole
+/// root candidate list.
+pub(crate) fn build_cst_from_roots(
     q: &QueryGraph,
     g: &Graph,
     tree: &BfsTree,

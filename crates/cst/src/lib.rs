@@ -17,8 +17,8 @@
 //!   and the CPU engine;
 //! * [`cache`] — cache-key derivation for a query's build ([`PlanKey`]):
 //!   every host flow builds one CST per query, a pure function of
-//!   `(q, g, tree, CstOptions)`, so a serving layer can key its caches on
-//!   the query/tree fingerprint, a graph epoch and the build options.
+//!   `(q, g, CstOptions)`, so a serving layer can key its cache on the
+//!   query's fingerprint, a graph epoch and the build options.
 
 pub mod cache;
 pub mod construct;
@@ -28,19 +28,14 @@ pub mod partition;
 pub mod structure;
 pub mod workload;
 
-pub use construct::{
-    build_cst, build_cst_from_roots, build_cst_with_stats, root_candidates, BuildStats, CstOptions,
-};
+pub use construct::{build_cst, build_cst_with_stats, BuildStats, CstOptions};
 pub use filter::CandidateFilter;
 pub use intersect::{count_run, intersect_each, seek};
 pub use partition::{
     fits, partition_cst, partition_cst_into, partition_cst_with_steal, shard_at_vertex, Oversized,
     PartitionConfig, PartitionStats,
 };
-pub use cache::{
-    plan_pipeline_shards, query_fingerprint, Fingerprint, PlanKey, ShardPlan, ShardPlanner,
-    DEFAULT_SHARDS,
-};
+pub use cache::{query_fingerprint, Fingerprint, PlanKey, ShardPlanner, DEFAULT_SHARDS};
 pub use structure::{CsrAdj, Cst};
 pub use workload::{estimate_workload, WorkloadEstimate};
 

@@ -33,7 +33,7 @@ pub struct FastConfig {
     pub shard_planner: ShardPlanner,
     /// Capture this build's [`crate::PreparedCsts`] on
     /// `prepare_partitions` (returned on `PreparePhase::prepared`) so a
-    /// serving layer can insert it into a tier-2 cache. Off by default:
+    /// serving layer can insert it into its cache. Off by default:
     /// capture clones partition `Arc`s and keeps payloads alive past the
     /// run.
     pub capture_prepared: bool,

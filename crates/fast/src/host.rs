@@ -420,7 +420,7 @@ pub struct PartitionJob {
     /// Position in the partition sequence (emission order).
     pub index: usize,
     /// The partition: a self-contained, independently matchable CST.
-    /// Shared, not owned, so a tier-2 result cache can hand the same
+    /// Shared, not owned, so a serving result cache can hand the same
     /// decomposition to every warm session without copying payloads.
     pub cst: Arc<Cst>,
     /// Estimated embeddings (`W_CST`, Section V-C) — the dispatch cost
@@ -431,11 +431,11 @@ pub struct PartitionJob {
 /// Everything [`prepare_partitions`] produces that is a pure function of
 /// `(q, g, tree, config)`: the refined CST *and* the partition stream.
 /// Captured on a build ([`FastConfig::capture_prepared`]); a serving
-/// layer's tier-2 result cache holds its partition stream alone (with no
-/// `shard_csts`: a warm session replays only the partitions) under the same
-/// `(cst::PlanKey, graph epoch)` fingerprint as the plan cache and stages
-/// [`partitions`](Self::partitions) straight to dispatch, so a warm
-/// session does **no** build, partition or workload-estimation work.
+/// layer's result cache holds its partition stream alone (with no
+/// `shard_csts`: a warm session replays only the partitions) under the
+/// query's [`cst::PlanKey`] (query fingerprint, graph epoch, build options)
+/// and stages [`partitions`](Self::partitions) straight to dispatch, so a
+/// warm session does **no** build, partition or workload-estimation work.
 /// [`payload_bytes`](Self::payload_bytes) is its eviction weight.
 #[derive(Debug, Clone)]
 pub struct PreparedCsts {
@@ -463,7 +463,7 @@ impl PreparedCsts {
 
     /// Whether the artifact's shape matches `q` — the sanity check a cache
     /// lookup applies before replaying. Replaying trusts the *caller's*
-    /// keying (PlanKey × epoch) for content; revalidating content would
+    /// keying (its `cst::PlanKey`) for content; revalidating content would
     /// mean rebuilding, which is exactly what the artifact exists to skip.
     pub fn matches_query(&self, q: &QueryGraph) -> bool {
         self.query_vertices == q.vertex_count()
@@ -494,7 +494,7 @@ pub struct PreparePhase {
     pub forced: usize,
     /// The artifact captured from this build when
     /// [`FastConfig::capture_prepared`] was set — what a serving layer
-    /// inserts into its tier-2 cache. `None` when capture was off.
+    /// inserts into its cache. `None` when capture was off.
     pub prepared: Option<Arc<PreparedCsts>>,
 }
 
@@ -1364,7 +1364,7 @@ mod tests {
         let mut config = FastConfig::test_small(Variant::Share);
         config.capture_prepared = true;
         // Captured against the 4-vertex query: no 3-vertex query may take it
-        // (the serving layer applies this check at its tier-2 lookup).
+        // (the serving layer applies this check at its cache lookup).
         let q4 = &qs[2];
         let root = select_root(q4, &g);
         let tree = BfsTree::new(q4, root);

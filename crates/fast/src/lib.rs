@@ -57,7 +57,7 @@ pub use backend::{
 };
 pub use config::FastConfig;
 pub use fault::{FaultCounters, FaultInjector, FaultPlan};
-pub use cst::{ShardPlan, ShardPlanner};
+pub use cst::ShardPlanner;
 pub use host::{
     prepare_partitions, run_fast, run_fast_with_order, FastError, FastReport, PartitionJob,
     PreparePhase, PreparedCsts,

@@ -89,7 +89,7 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 /// Streaming FNV-1a (64-bit): cheap, stable across platforms, and already
-/// the fingerprint primitive the plan cache uses.
+/// the fingerprint primitive the serving cache key uses.
 struct Fnv(u64);
 
 impl Fnv {

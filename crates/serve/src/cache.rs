@@ -1,31 +1,26 @@
-//! The serving layer's two cache tiers, unified on one size-aware LRU.
+//! The serving layer's one cache: a size-aware LRU of query builds.
 //!
-//! [`SizedCache`] is the shared machinery: a *weight*-budgeted LRU map —
-//! every entry carries a caller-supplied weight, eviction removes
-//! least-recently-used entries until the resident weight fits the budget,
-//! and an entry heavier than the whole budget is **rejected** without
-//! disturbing the working set. Entry-count capacity is the degenerate case
-//! (every weight 1), so both tiers share one implementation:
+//! [`CstCache`] is a *weight*-budgeted LRU map — every entry carries a
+//! caller-supplied weight, eviction removes least-recently-used entries
+//! until the resident weight fits the budget, and an entry heavier than
+//! the whole budget is **rejected** without disturbing the working set.
 //!
-//! * [`PlanCache`] (tier 1): [`cst::PlanKey`] → [`Arc<ShardPlan>`] — the
-//!   root set as one range, bounded by an entry count.
-//! * [`CstCache`] (tier 2): [`cst::PlanKey`] → [`Arc<fast::PreparedCsts>`]
-//!   — a build's partition stream (the whole CST is not kept: a hit
-//!   replays only the partitions), weighed by
-//!   `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
-//!   dispatch + kernel: no top-down, no refinement, no materialisation, no
-//!   partitioning.
+//! The service keys it by [`cst::PlanKey`] (query fingerprint × tenant
+//! graph epoch × build options). An entry holds what a build resolved: the
+//! session plan (matching order, kernel plan) next to the partition
+//! stream ([`fast::PreparedCsts`], without the whole CST),
+//! weighed by `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
+//! dispatch + kernel: no plan derivation, no top-down, no refinement, no
+//! materialisation, no partitioning.
 //!
-//! Both tiers are partitioned per tenant (`tenant::TenantState`), counted
-//! by [`CacheStats`], and disabled by a zero budget (every lookup misses,
+//! The cache is partitioned per tenant (`TenantState`), counted by
+//! [`CacheStats`], and disabled by a zero budget (every lookup misses,
 //! nothing is stored) — the "cold" arms of the serving benchmarks.
 
-use cst::{PlanKey, ShardPlan};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
-/// Hit/miss accounting of a cache tier.
+/// Hit/miss accounting of a cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -83,14 +78,16 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// A weight-budgeted LRU map: resident weight never exceeds `budget`.
+/// A weight-budgeted LRU map: resident weight never exceeds `budget`
+/// (`tests/prop_cst_cache.rs` proves the invariant against a reference
+/// model over randomized sequences).
 ///
-/// The caller supplies each entry's weight at insertion (bytes for the
-/// byte-budgeted tiers, 1 for entry-count capacity); a hit refreshes
-/// recency. Budget 0 disables the cache. Victim selection is an O(n) scan —
-/// serving caches hold tens of entries, not millions, so a linked-list LRU
-/// would be pure overhead.
-pub struct SizedCache<K, V> {
+/// The caller supplies each entry's weight at insertion (the service
+/// weighs a build by its payload bytes); a hit refreshes recency. Budget 0
+/// disables the cache. Victim selection is an O(n) scan — serving caches
+/// hold tens of entries, not millions, so a linked-list LRU would be pure
+/// overhead.
+pub struct CstCache<K, V> {
     budget: usize,
     used: usize,
     tick: u64,
@@ -98,11 +95,11 @@ pub struct SizedCache<K, V> {
     stats: CacheStats,
 }
 
-impl<K: Eq + Hash + Copy, V: Clone> SizedCache<K, V> {
+impl<K: Eq + Hash + Copy, V: Clone> CstCache<K, V> {
     /// Creates a cache whose resident weight is bounded by `budget`
     /// (0 = disabled).
     pub fn new(budget: usize) -> Self {
-        SizedCache {
+        CstCache {
             budget,
             used: 0,
             tick: 0,
@@ -168,8 +165,8 @@ impl<K: Eq + Hash + Copy, V: Clone> SizedCache<K, V> {
         self.stats.insertions += 1;
     }
 
-    /// Drops every entry (epoch invalidation) — not counted as eviction:
-    /// invalidation is correctness, not cache pressure.
+    /// Drops every entry — `bump_epoch`'s invalidation, not counted as
+    /// eviction: invalidation is correctness, not cache pressure.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.used = 0;
@@ -184,7 +181,7 @@ impl<K: Eq + Hash + Copy, V: Clone> SizedCache<K, V> {
         self.entries.is_empty()
     }
 
-    /// Resident weight (bytes for byte-budgeted tiers).
+    /// Resident weight (payload bytes in the service).
     pub fn used(&self) -> usize {
         self.used
     }
@@ -200,144 +197,16 @@ impl<K: Eq + Hash + Copy, V: Clone> SizedCache<K, V> {
     }
 }
 
-/// Tier 1: an entry-count LRU map `PlanKey → Arc<ShardPlan>`.
-pub struct PlanCache {
-    inner: SizedCache<PlanKey, Arc<ShardPlan>>,
-}
-
-impl PlanCache {
-    /// Creates a cache holding at most `capacity` plans (0 = disabled).
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            inner: SizedCache::new(capacity),
-        }
-    }
-
-    /// Looks `key` up, refreshing its recency on a hit. Counts the outcome.
-    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<ShardPlan>> {
-        self.inner.get(key)
-    }
-
-    /// Stores `plan` under `key`, evicting LRU entries if over capacity.
-    pub fn insert(&mut self, key: PlanKey, plan: Arc<ShardPlan>) {
-        self.inner.insert(key, plan, 1);
-    }
-
-    /// Drops every entry (epoch invalidation).
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Configured capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.inner.budget()
-    }
-
-    /// Resident entries.
-    pub fn used(&self) -> usize {
-        self.inner.used()
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-}
-
-/// Tier 2: a byte-budgeted LRU map `PlanKey → Arc<fast::PreparedCsts>` —
-/// a build's partition stream, weighed by
-/// `PreparedCsts::payload_bytes`. A hit skips *all* build work; resident
-/// bytes never exceed the budget (`tests/prop_cst_cache.rs` proves the
-/// invariant over randomized sequences).
-pub struct CstCache {
-    inner: SizedCache<PlanKey, Arc<fast::PreparedCsts>>,
-}
-
-impl CstCache {
-    /// Creates a cache bounded by `budget_bytes` resident payload bytes
-    /// (0 = tier 2 disabled).
-    pub fn new(budget_bytes: usize) -> Self {
-        CstCache {
-            inner: SizedCache::new(budget_bytes),
-        }
-    }
-
-    /// Looks `key` up, refreshing its recency on a hit. Counts the outcome.
-    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<fast::PreparedCsts>> {
-        self.inner.get(key)
-    }
-
-    /// Stores `artifact` under `key`, weighed by its payload bytes.
-    pub fn insert(&mut self, key: PlanKey, artifact: Arc<fast::PreparedCsts>) {
-        let weight = artifact.payload_bytes().max(1);
-        self.inner.insert(key, artifact, weight);
-    }
-
-    /// Drops every entry — `bump_epoch`'s tier-2 invalidation. (Tier 1
-    /// needs no clearing: the epoch is *inside* the `PlanKey`, so stale
-    /// plans age out; tier-2 payloads are megabytes, so stale artifacts
-    /// are dropped eagerly instead of squatting the byte budget.)
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.inner.budget()
-    }
-
-    /// Resident payload bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.used()
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn key(q: u64) -> PlanKey {
-        PlanKey {
-            query: q,
-            graph_epoch: crate::tenant::INITIAL_GRAPH_EPOCH,
-            options: 0,
-        }
-    }
-
-    fn plan(shards: usize) -> Arc<ShardPlan> {
-        Arc::new(ShardPlan::contiguous(shards * 4, shards))
-    }
-
     #[test]
     fn hit_after_insert_miss_before() {
-        let mut c = PlanCache::new(4);
-        assert!(c.get(&key(1)).is_none());
-        c.insert(key(1), plan(2));
-        let hit = c.get(&key(1)).expect("cached");
-        assert_eq!(hit.shard_count(), 2);
+        let mut c: CstCache<u64, u64> = CstCache::new(4);
+        assert!(c.get(&1).is_none());
+        c.insert(1, 20, 1);
+        assert_eq!(c.get(&1), Some(20));
         assert_eq!(
             c.stats(),
             CacheStats { hits: 1, misses: 1, insertions: 1, evictions: 0, rejected: 0 }
@@ -347,42 +216,42 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut c = PlanCache::new(2);
-        c.insert(key(1), plan(1));
-        c.insert(key(2), plan(2));
+        let mut c: CstCache<u64, u64> = CstCache::new(2);
+        c.insert(1, 10, 1);
+        c.insert(2, 20, 1);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(c.get(&key(1)).is_some());
-        c.insert(key(3), plan(3));
+        assert!(c.get(&1).is_some());
+        c.insert(3, 30, 1);
         assert_eq!(c.len(), 2);
-        assert!(c.get(&key(2)).is_none(), "LRU entry evicted");
-        assert!(c.get(&key(1)).is_some());
-        assert!(c.get(&key(3)).is_some());
+        assert!(c.get(&2).is_none(), "LRU entry evicted");
+        assert!(c.get(&1).is_some());
+        assert!(c.get(&3).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn reinsert_updates_without_evicting() {
-        let mut c = PlanCache::new(1);
-        c.insert(key(1), plan(1));
-        c.insert(key(1), plan(3));
+        let mut c: CstCache<u64, u64> = CstCache::new(1);
+        c.insert(1, 10, 1);
+        c.insert(1, 30, 1);
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().evictions, 0);
-        assert_eq!(c.get(&key(1)).unwrap().shard_count(), 3);
+        assert_eq!(c.get(&1), Some(30));
     }
 
     #[test]
     fn zero_capacity_disables() {
-        let mut c = PlanCache::new(0);
-        c.insert(key(1), plan(1));
+        let mut c: CstCache<u64, u64> = CstCache::new(0);
+        c.insert(1, 10, 1);
         assert!(c.is_empty());
-        assert!(c.get(&key(1)).is_none());
+        assert!(c.get(&1).is_none());
         assert_eq!(c.stats().insertions, 0);
         assert_eq!(c.stats().hit_rate(), 0.0);
     }
 
     #[test]
     fn oversized_entry_rejected_without_eviction() {
-        let mut c: SizedCache<u64, u64> = SizedCache::new(10);
+        let mut c: CstCache<u64, u64> = CstCache::new(10);
         c.insert(1, 10, 4);
         c.insert(2, 20, 4);
         c.insert(3, 30, 100);
@@ -396,7 +265,7 @@ mod tests {
 
     #[test]
     fn replacing_heavier_value_releases_old_weight_first() {
-        let mut c: SizedCache<u64, u64> = SizedCache::new(10);
+        let mut c: CstCache<u64, u64> = CstCache::new(10);
         c.insert(1, 10, 6);
         // Same key, heavier value: old 6 released, new 9 fits alone —
         // no other entry exists, so no eviction.
@@ -408,7 +277,7 @@ mod tests {
 
     #[test]
     fn clear_resets_residency_but_not_counters() {
-        let mut c: SizedCache<u64, u64> = SizedCache::new(10);
+        let mut c: CstCache<u64, u64> = CstCache::new(10);
         c.insert(1, 10, 4);
         assert!(c.get(&1).is_some());
         c.clear();

@@ -14,7 +14,7 @@ use crate::service::{
 };
 use crate::tenant::TenantId;
 use cst::PlanKey;
-use fast::{prepare_partitions, CollectMode, KernelPlan, PartitionJob, QueryCtx};
+use fast::{prepare_partitions, CollectMode, KernelPlan, PartitionJob, PreparedCsts, QueryCtx};
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -45,10 +45,10 @@ use std::time::{Duration, Instant};
 /// partition.
 #[derive(Clone, Copy)]
 pub(crate) enum Task {
-    /// First entry after pickup: record the queue wait, derive the plan,
-    /// resolve the cache tiers, build, stage partitions.
+    /// First entry after pickup: record the queue wait, look the query up
+    /// in the cache; on a miss derive the plan and build; stage partitions.
     Start(u64),
-    /// Re-entry after parking on another session's plan flight.
+    /// Re-entry after parking on another session's build flight.
     Resume(u64),
     /// Execute the session's next staged partition, then retire the
     /// session or push the next `Exec`.
@@ -66,13 +66,20 @@ impl Task {
 /// The session's derived execution plan, shared with partition tasks
 /// through an `Arc` so execution never holds the session lock.
 struct SessionPlan {
-    tree: BfsTree,
     order: MatchingOrder,
     kernel_plan: KernelPlan,
     collect: CollectMode,
 }
 
-/// What a session paid to get its partitions staged. A tier-2 hit paid
+/// A cache entry: everything a build of its key resolved — the session
+/// plan and the partition stream (no whole CST) — so a hit derives
+/// nothing and builds nothing.
+pub(crate) struct CachedBuild {
+    plan: Arc<SessionPlan>,
+    pub(crate) stream: PreparedCsts,
+}
+
+/// What a session paid to get its partitions staged. A cache hit paid
 /// nothing: every field is exactly zero.
 #[derive(Clone, Copy, Default)]
 struct PrepareCost {
@@ -94,7 +101,6 @@ struct SessionStats {
     queue_wait: Duration,
     build_start_ns: u64,
     prepare: PrepareCost,
-    plan_hit: bool,
     cst_cache_hit: bool,
 }
 
@@ -102,7 +108,8 @@ struct SessionStats {
 /// the **innermost** lock in the service: it is never held while taking
 /// any other.
 struct SessionMut {
-    /// Derived once at pickup.
+    /// Set once, with the staged partitions: derived on a miss, the
+    /// cache entry's on a hit.
     plan: Option<Arc<SessionPlan>>,
     /// Partitions awaiting execution, in deterministic prepare order.
     jobs: VecDeque<PartitionJob>,
@@ -157,7 +164,7 @@ struct FlightGuard<'a> {
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        let waiters = self.inner.pending_plans.plock().remove(&self.key);
+        let waiters = self.inner.pending_builds.plock().remove(&self.key);
         for sid in waiters.into_iter().flatten() {
             push_task(self.inner, Task::Resume(sid));
         }
@@ -329,8 +336,8 @@ fn run_task(inner: &Inner, task: Task) {
     }
 }
 
-/// Drives a session from pickup (or resume) through planning and build
-/// to its first staged partition — or straight to retirement.
+/// Drives a session from pickup (or resume) through lookup, planning and
+/// build to its first staged partition — or straight to retirement.
 fn run_admit(inner: &Inner, sid: u64, resumed: bool) {
     let Some(slot) = session(inner, sid) else { return };
     // Everything this task records — queue wait, plan, build and the
@@ -366,15 +373,9 @@ enum BuildOutcome {
     Ready,
 }
 
-/// The `plan` span's arguments: the shard count the plan cut the root set
-/// into.
-fn plan_span_args(plan: &cst::ShardPlan) -> obs::Args {
-    vec![("shards", obs::ArgValue::U64(plan.shard_count() as u64))]
-}
-
-/// The planning/build half of a session: queue-wait accounting, plan
-/// derivation, the two-tier cache resolution under the single-flight
-/// gate, and the partition-staging build.
+/// The planning/build half of a session: queue-wait accounting, the cache
+/// lookup under the single-flight gate, and on a miss the plan derivation
+/// and the partition-staging build.
 fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutcome {
     let strack = obs::session_track(slot.id);
     let q = &slot.query;
@@ -421,65 +422,31 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
     if slot.tx.is_closed() {
         return BuildOutcome::Failed(ServeError::Disconnected);
     }
-    if !resumed {
-        // Derive tree/order/kernel-plan once; the cache key reuses this
-        // tree, and partition tasks share the result through an Arc.
-        let root = select_root(q, g);
-        let tree = BfsTree::new(q, root);
-        let order = path_based_order(q, &tree, g);
-        let kernel_plan = match KernelPlan::new(q, &order, &tree) {
-            Ok(p) => p,
-            Err(e) => return BuildOutcome::Failed(ServeError::Failed(e.to_string())),
-        };
-        slot.mu.plock().plan = Some(Arc::new(SessionPlan {
-            tree,
-            order,
-            kernel_plan,
-            collect: inner.config.fast.collect,
-        }));
-    }
-    let plan = Arc::clone(
-        slot.mu
-            .plock()
-            .plan
-            .as_ref()
-            .expect("plan derived at pickup"),
-    );
-    let tree = &plan.tree;
 
-    // Two-tier lookup under one single-flight gate, keyed (tenant, key):
+    // One lookup under one single-flight gate, keyed (tenant, key). The key
+    // is the query's own fingerprint, so nothing is derived before it:
     //
-    // * **Tier-2 hit** — the artifact holds the partition stream of an
-    //   earlier identical build and its jobs are staged as they are: no
-    //   planning, no build, no partitioning — the session is pure dispatch
-    //   + kernel. No flight is claimed (there is nothing left to compute).
-    // * **Tier-2 miss, plan hit** — the session builds, skipping only
-    //   the plan. With tier 2 enabled the flight is **held through the
-    //   build** and the finished artifact is inserted before release, so
-    //   N identical concurrent cold sessions build the CST exactly once:
-    //   waiters wake straight into a tier-2 hit.
-    // * **Both miss** — the plan (`plan_pipeline_shards`: the whole root
-    //   set as one range) is computed *here* and published immediately.
-    //   With tier 2 disabled the flight is released at plan publication
-    //   (waiters need only the plan); with tier 2 enabled it is held
-    //   through the build as above.
+    // * **Hit** — the entry holds the session plan and the partition
+    //   stream of an earlier identical build, staged as they are: no
+    //   derivation, no build, no partitioning — the session is pure
+    //   dispatch + kernel. No flight is claimed.
+    // * **Miss** — the session derives its plan and builds. With the cache
+    //   enabled the flight is **held through the build** and the finished
+    //   entry is inserted before release, so N identical concurrent cold
+    //   sessions build the CST exactly once: waiters wake straight into a
+    //   hit. With the cache off there is no flight at all.
     //
-    // The key comes from the `CstOptions` `prepare_partitions` builds
-    // with. The build is one CST, and the partitioner fans its root out
-    // into at most `pipeline_shards` and at most `⌊W_CST / N_o⌋` chunks.
-    let mut config = inner.config.fast.clone();
+    // An entry of another shape under this key is not a hit: the session
+    // rebuilds and its insert replaces the entry.
     let epoch = tenant.epoch.load(Ordering::Relaxed);
-    let key = PlanKey::derive(q, tree, &config.cst_options, epoch);
+    let key = PlanKey::derive(q, &inner.config.fast.cst_options, epoch);
     let flight_key = (tenant.id, key);
-    let cache_enabled = tenant.cache.plock().capacity() > 0;
-    let cst_enabled = tenant.cst_cache.plock().budget_bytes() > 0;
-    let mut cached_plan = None;
-    let mut cached_artifact = None;
+    let cache_enabled = tenant.cst_cache.plock().budget() > 0;
     let mut flight = None;
-    if cache_enabled || cst_enabled {
-        let mut pending = inner.pending_plans.plock();
+    let cached = if cache_enabled {
+        let mut pending = inner.pending_builds.plock();
         if let Some(waiters) = pending.get_mut(&flight_key) {
-            // The key is being computed right now. Park: register as a
+            // The key is being built right now. Park: register as a
             // waiter (the owner's flight release re-enqueues a Resume
             // task) and take the session off its tenant's deficit board
             // — no executor thread blocks on it.
@@ -488,68 +455,54 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             inner.queue.plock().park(tenant.id);
             return BuildOutcome::Parked;
         }
-        // Tier 2 first: a hit needs neither the plan nor a flight. (The
-        // plan cache deliberately sees no lookup — its counters then
-        // measure only the sessions that actually needed a plan.)
-        // An artifact of another shape under this key is not a hit: the
-        // session rebuilds and its insert replaces the entry.
-        if cst_enabled {
-            cached_artifact = tenant
-                .cst_cache
-                .plock()
-                .get(&key)
-                .filter(|artifact| artifact.matches_query(q));
+        let cached = tenant
+            .cst_cache
+            .plock()
+            .get(&key)
+            .filter(|entry| entry.stream.matches_query(q));
+        if cached.is_none() {
+            pending.insert(flight_key, Vec::new());
+            flight = Some(FlightGuard {
+                inner,
+                key: flight_key,
+            });
         }
-        if cached_artifact.is_none() {
-            if cache_enabled {
-                cached_plan = tenant.cache.plock().get(&key);
-            }
-            if cached_plan.is_none() || cst_enabled {
-                pending.insert(flight_key, Vec::new());
-                flight = Some(FlightGuard {
-                    inner,
-                    key: flight_key,
-                });
-            }
-        }
+        cached
     } else {
-        // Both tiers disabled ("cold" serving): every lookup misses, and
-        // both tiers' counters record it.
-        cached_artifact = tenant.cst_cache.plock().get(&key);
-        cached_plan = tenant.cache.plock().get(&key);
-    }
-    let cst_cache_hit = cached_artifact.is_some();
-    let plan_hit = cached_plan.is_some();
+        // Cache off ("cold" serving): the lookup misses, and the counters
+        // record it.
+        tenant.cst_cache.plock().get(&key)
+    };
+    let cst_cache_hit = cached.is_some();
     // The "build" span (recorded at retirement, completed sessions only)
     // starts once the plan is settled and ends after the last partition
     // executes, so every backend `execute` span nests inside it —
-    // including on a tier-2 hit, where the `tier2_hit` arg marks that
+    // including on a hit, where the `cst_cache_hit` arg marks that
     // nothing was built.
-    let (jobs, build_start_ns, prepare) = if let Some(artifact) = cached_artifact {
-        let jobs: VecDeque<PartitionJob> = artifact.partitions.iter().cloned().collect();
-        (jobs, obs::now_ns(), PrepareCost::default())
+    let (plan, jobs, build_start_ns, prepare) = if let Some(entry) = cached {
+        let jobs: VecDeque<PartitionJob> = entry.stream.partitions.iter().cloned().collect();
+        let plan = Arc::clone(&entry.plan);
+        (plan, jobs, obs::now_ns(), PrepareCost::default())
     } else {
-        let mut plan_time = Duration::ZERO;
-        if !plan_hit {
-            let t0 = Instant::now();
-            let t0_ns = obs::now_ns();
-            let roots = cst::root_candidates(q, g, tree, config.cst_options);
-            let shard_plan = Arc::new(cst::plan_pipeline_shards(&roots));
-            plan_time = t0.elapsed();
-            let (end_ns, args) = (obs::now_ns(), plan_span_args(&shard_plan));
-            obs::record_span(strack, "plan", "serve", t0_ns, end_ns, args);
-            if cache_enabled {
-                tenant.cache.plock().insert(key, shard_plan);
-            }
-        }
-        config.capture_prepared = cst_enabled;
-        if !cst_enabled {
-            // The plan is published; waiters wake straight into a plan
-            // hit while this session goes on to build and execute. (With
-            // tier 2 enabled the flight instead outlives the build — see
-            // the artifact insert after `prepare_partitions`.)
-            drop(flight.take());
-        }
+        let t0 = Instant::now();
+        let t0_ns = obs::now_ns();
+        let tree = BfsTree::new(q, select_root(q, g));
+        let order = path_based_order(q, &tree, g);
+        let kernel_plan = match KernelPlan::new(q, &order, &tree) {
+            Ok(p) => p,
+            Err(e) => return BuildOutcome::Failed(ServeError::Failed(e.to_string())),
+        };
+        let plan = Arc::new(SessionPlan {
+            order,
+            kernel_plan,
+            collect: inner.config.fast.collect,
+        });
+        let plan_time = t0.elapsed();
+        obs::record_span(strack, "plan", "serve", t0_ns, obs::now_ns(), Vec::new());
+        // The build is one CST, and the partitioner fans its root out into
+        // at most `pipeline_shards` and at most `⌊W_CST / N_o⌋` chunks.
+        let mut config = inner.config.fast.clone();
+        config.capture_prepared = cache_enabled;
         let build_start_ns = obs::now_ns();
         // The sink only *stages* partitions — execution happens in `Exec`
         // tasks — so the sink wall nets staging (not kernels) out of
@@ -557,26 +510,34 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         // the threaded layer.
         let mut jobs = VecDeque::new();
         let mut sink_exec = Duration::ZERO;
-        let prep = prepare_partitions(q, g, &config, tree, &plan.order, &mut |job| {
+        let prep = prepare_partitions(q, g, &config, &tree, &plan.order, &mut |job| {
             let sink_start = Instant::now();
             jobs.push_back(job);
             sink_exec += sink_start.elapsed();
         });
-        // Tier-2 insert: capture is part of the build, so the artifact is
+        // Insert: capture is part of the build, so the artifact is
         // complete when `prepare_partitions` returns. Insert *before*
-        // dropping the flight — waiters wake straight into a tier-2 hit,
-        // making N identical concurrent cold sessions build exactly once.
-        // (An artifact larger than the whole budget is rejected by the
-        // cache, counted, and the working set stays untouched; its waiters
-        // then build in turn.) A hit replays only the partition stream, so
-        // that is all the entry keeps: the whole CST is freed with `prep`.
+        // dropping the flight — waiters wake straight into a hit, making
+        // N identical concurrent cold sessions build exactly once. (An
+        // entry larger than the whole budget is rejected by the cache,
+        // counted, and the working set stays untouched; its waiters then
+        // build in turn.) A hit replays only the partition stream, so that
+        // is all the entry keeps of the build: the whole CST is freed with
+        // `prep`.
         if let Some(artifact) = prep.prepared.as_ref() {
-            let stream = fast::PreparedCsts {
-                query_vertices: artifact.query_vertices,
-                shard_csts: Vec::new(),
-                partitions: artifact.partitions.clone(),
+            let entry = CachedBuild {
+                plan: Arc::clone(&plan),
+                stream: PreparedCsts {
+                    query_vertices: artifact.query_vertices,
+                    shard_csts: Vec::new(),
+                    partitions: artifact.partitions.clone(),
+                },
             };
-            tenant.cst_cache.plock().insert(key, Arc::new(stream));
+            let weight = entry.stream.payload_bytes().max(1);
+            tenant
+                .cst_cache
+                .plock()
+                .insert(key, Arc::new(entry), weight);
         }
         let prepare = PrepareCost {
             plan_time,
@@ -584,14 +545,14 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
             build_time: prep.build_wall + prep.partition_time.saturating_sub(sink_exec),
             topdown_entries: prep.build_topdown_entries,
         };
-        (jobs, build_start_ns, prepare)
+        (plan, jobs, build_start_ns, prepare)
     };
     drop(flight);
     {
         let mut s = slot.mu.plock();
+        s.plan = Some(plan);
         s.stats.build_start_ns = build_start_ns;
         s.stats.prepare = prepare;
-        s.stats.plan_hit = plan_hit;
         s.stats.cst_cache_hit = cst_cache_hit;
         s.jobs = jobs;
     }
@@ -746,7 +707,6 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 completion_seq: inner.next_seq.fetch_add(1, Ordering::Relaxed),
                 embeddings: stats.embeddings,
                 partitions: stats.partitions,
-                cache_hit: stats.plan_hit || stats.cst_cache_hit,
                 cst_cache_hit: stats.cst_cache_hit,
                 plan_time: stats.prepare.plan_time,
                 build_time: stats.prepare.build_time,
@@ -775,10 +735,10 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 "serve",
                 stats.build_start_ns,
                 obs::now_ns(),
-                vec![
-                    ("tier2_hit", obs::ArgValue::U64(stats.cst_cache_hit as u64)),
-                    ("plan_hit", obs::ArgValue::U64(stats.plan_hit as u64)),
-                ],
+                vec![(
+                    "cst_cache_hit",
+                    obs::ArgValue::U64(stats.cst_cache_hit as u64),
+                )],
             );
             close_session(strack, slot, "completed", stats.embeddings);
             slot.tx.send(SessionEvent::Done(report));
@@ -844,31 +804,4 @@ fn panic_retire(inner: &Inner, sid: u64) {
     }
     finish(inner, &slot.tenant, FinishOutcome::Failed);
     release(inner, sid);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cst::{plan_pipeline_shards, root_candidates, CstOptions};
-    use graph_core::generators::random_power_law_graph;
-    use graph_core::Label;
-
-    #[test]
-    fn plan_span_args_explain_the_plan() {
-        let g = random_power_law_graph(400, 3, 2, 7);
-        let q = QueryGraph::new(
-            vec![Label::new(0), Label::new(1), Label::new(1)],
-            &[(0, 1), (1, 2), (0, 2)],
-        )
-        .unwrap();
-        let tree = BfsTree::new(&q, select_root(&q, &g));
-        let roots = root_candidates(&q, &g, &tree, CstOptions::default());
-        let plan = plan_pipeline_shards(&roots);
-        assert_eq!(plan.shard_count(), 1);
-
-        let args = plan_span_args(&plan);
-        let names: Vec<_> = args.iter().map(|(name, _)| *name).collect();
-        assert_eq!(names, ["shards"]);
-        assert!(matches!(args[0].1, obs::ArgValue::U64(n) if n == plan.shard_count() as u64));
-    }
 }

@@ -3,7 +3,7 @@
 //! Everything below `serve` executes exactly one query per call. This crate
 //! is the layer the ROADMAP's north star asks for: a [`FastService`] owns a
 //! registry of **tenants** — each a loaded data graph with its own epoch,
-//! fair-share quota, and plan-cache partition — plus a heterogeneous pool
+//! fair-share quota, and cache partition — plus a heterogeneous pool
 //! of execution backends (emulated FPGA cards and CPU fallback shares) and
 //! serves a *stream* of concurrent query submissions, amortising
 //! preparation across repeats and keeping the devices saturated:
@@ -12,15 +12,13 @@
 //!   round-robin session table: under saturation each backlogged tenant is
 //!   served in proportion to its quota (deficit round-robin), replacing the
 //!   old global blocking semaphore as the cross-tenant scheduling point;
-//! * [`cache`] — **two cache tiers** keyed on [`cst::PlanKey`] (query
-//!   fingerprint × tenant graph epoch × build options), partitioned per
-//!   tenant and unified on one size-aware LRU ([`SizedCache`]): tier 1
-//!   caches the [`ShardPlan`](cst::ShardPlan) (the root set as one
-//!   range), tier 2 ([`CstCache`]) caches a build's partition stream
-//!   under a **byte budget**
+//! * [`cache`] — **one cache**, keyed on [`cst::PlanKey`] (query
+//!   fingerprint × tenant graph epoch × build options) and partitioned
+//!   per tenant: a size-aware LRU ([`CstCache`]) holding each build's
+//!   session plan and partition stream under a **byte budget**
 //!   (`Cst::payload_bytes`), so a warm serve is pure dispatch + kernel —
-//!   zero build work — and one tenant's entries can never collide with
-//!   another's;
+//!   zero derivation, zero build work — and one tenant's entries can never
+//!   collide with another's;
 //! * [`devices`] — a [`DevicePool`] multiplexing CST partitions across
 //!   heterogeneous backends by **shortest expected completion in modelled
 //!   seconds**: each backend (FPGA card under the cycle model, CPU share
@@ -81,8 +79,8 @@
 //! Every per-query *result* (embedding count, partition sequence,
 //! per-partition counts) is a pure function of `(q, g, FastConfig)` —
 //! independent of executor count, fleet composition (CPU-only, FPGA-only,
-//! mixed), admission interleaving, and cache hits (a cached plan is
-//! bit-identical to the plan a cold run would compute). Only *placement
+//! mixed), admission interleaving, and cache hits (a cached entry is
+//! bit-identical to what a cold run would compute). Only *placement
 //! and timing* vary with concurrency. The property tests in
 //! `tests/prop_serve.rs`, `tests/prop_sessions.rs`, and
 //! `tests/prop_backend.rs` enforce this.
@@ -101,7 +99,7 @@
 //!     .add_tenant(g2, TenantConfig { quota: 3, ..TenantConfig::default() })
 //!     .unwrap();
 //! let a = service.submit(benchmark_query(0)); // default tenant
-//! let b = service.submit(benchmark_query(0)); // plan served from cache
+//! let b = service.submit(benchmark_query(0)); // may be served from cache
 //! let c = service.submit_for(t2, benchmark_query(0)).unwrap();
 //! let (ra, rb) = (a.wait().unwrap(), b.wait().unwrap());
 //! assert_eq!(ra.embeddings, rb.embeddings);
@@ -121,7 +119,7 @@ pub mod resilience;
 pub mod service;
 pub mod tenant;
 
-pub use cache::{CacheStats, CstCache, PlanCache, SizedCache};
+pub use cache::{CacheStats, CstCache};
 pub use devices::{
     DeviceKind, DevicePool, DeviceStats, HealthState, QUARANTINE_BASE_TICKS, QUARANTINE_THRESHOLD,
 };

@@ -94,11 +94,15 @@ pub struct ServeReport {
     pub degraded_sec: f64,
     /// Total embeddings across completed sessions.
     pub total_embeddings: u64,
-    /// Tier-1 plan-cache counters (hit rate, evictions).
+    /// Inert: serving has one cache, counted by
+    /// [`cst_cache`](Self::cst_cache), so this is always
+    /// `CacheStats::default()`. It stays only because the benchmark reads
+    /// it.
     pub cache: CacheStats,
-    /// Tier-2 shard-CST cache counters (hit rate, evictions, rejections).
+    /// Cache counters (hit rate, evictions, rejections) across every
+    /// tenant's partition.
     pub cst_cache: CacheStats,
-    /// Resident payload bytes across every tenant's tier-2 partition at
+    /// Resident payload bytes across every tenant's cache partition at
     /// report time — always ≤ the sum of configured byte budgets.
     pub cst_resident_bytes: usize,
     /// Sustained throughput: completed sessions per second of serving wall
@@ -136,12 +140,8 @@ pub struct ServeReport {
     pub device_queue_p50: f64,
     pub device_queue_p99: f64,
     pub device_queue_mean: f64,
-    /// Mean shard-planning wall per session, split by cache outcome. A
-    /// working cache shows `plan_hit_mean_sec` ≈ 0.
-    pub plan_hit_mean_sec: f64,
-    pub plan_miss_mean_sec: f64,
     /// Mean CST build wall per session (refinement + materialisation +
-    /// partitioning), split by tier-2 outcome: a warm serve builds nothing,
+    /// partitioning), split by cache outcome: a warm serve builds nothing,
     /// so `build_hit_mean_sec` is exactly 0 — the timing claim
     /// `tests/prop_backend.rs` asserts.
     pub build_hit_mean_sec: f64,
@@ -171,7 +171,7 @@ pub struct TenantSummary {
     pub tenant: TenantId,
     /// Fair-share weight of the admission round-robin.
     pub quota: u32,
-    /// Current graph epoch (bumps invalidate the tenant's cached plans).
+    /// Current graph epoch (bumps invalidate the tenant's cache entries).
     pub epoch: u64,
     /// Sessions this tenant submitted.
     pub submitted: u64,
@@ -198,11 +198,9 @@ pub struct TenantSummary {
     /// service-wide ones (histogram nearest-rank, no per-report sort).
     pub latency_p50: f64,
     pub latency_p99: f64,
-    /// Hit rate of the tenant's plan-cache partition.
-    pub hit_rate: f64,
-    /// Hit rate of the tenant's tier-2 shard-CST cache partition.
+    /// Hit rate of the tenant's cache partition.
     pub cst_hit_rate: f64,
-    /// Resident payload bytes of the tenant's tier-2 partition.
+    /// Resident payload bytes of the tenant's cache partition.
     pub cst_resident_bytes: usize,
 }
 
@@ -211,14 +209,11 @@ impl ServeReport {
     /// histograms. All inputs are per-session seconds; the three
     /// latency-shaped histograms are kept on the report so window
     /// deltas and exports can reuse the exact bucket counts.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn aggregate(
         &mut self,
         latencies: &Histogram,
         queue_waits: &Histogram,
         device_queues: &Histogram,
-        plan_hits: &Histogram,
-        plan_misses: &Histogram,
         build_hits: &Histogram,
         build_misses: &Histogram,
     ) {
@@ -230,8 +225,6 @@ impl ServeReport {
         self.device_queue_p50 = device_queues.quantile(0.50);
         self.device_queue_p99 = device_queues.quantile(0.99);
         self.device_queue_mean = device_queues.mean();
-        self.plan_hit_mean_sec = plan_hits.mean();
-        self.plan_miss_mean_sec = plan_misses.mean();
         self.build_hit_mean_sec = build_hits.mean();
         self.build_miss_mean_sec = build_misses.mean();
         self.latency_hist = latencies.clone();
@@ -254,15 +247,12 @@ impl ServeReport {
             self.device_queue_p50,
             self.device_queue_p99,
             self.device_queue_mean,
-            self.plan_hit_mean_sec,
-            self.plan_miss_mean_sec,
             self.build_hit_mean_sec,
             self.build_miss_mean_sec,
             self.device_makespan_sec,
             self.device_busy_sec,
             self.device_imbalance,
             self.degraded_sec,
-            self.cache.hit_rate(),
             self.cst_cache.hit_rate(),
             self.latency_hist.mean(),
             self.latency_hist.sum(),
@@ -317,22 +307,8 @@ impl ServeReport {
             "Embeddings across completed sessions",
             self.total_embeddings,
         );
-        c("serve_plan_cache_hits_total", "Tier-1 plan cache hits", self.cache.hits);
-        c(
-            "serve_plan_cache_misses_total",
-            "Tier-1 plan cache misses",
-            self.cache.misses,
-        );
-        c(
-            "serve_cst_cache_hits_total",
-            "Tier-2 shard-CST cache hits",
-            self.cst_cache.hits,
-        );
-        c(
-            "serve_cst_cache_misses_total",
-            "Tier-2 shard-CST cache misses",
-            self.cst_cache.misses,
-        );
+        c("serve_cst_cache_hits_total", "Cache hits", self.cst_cache.hits);
+        c("serve_cst_cache_misses_total", "Cache misses", self.cst_cache.misses);
         let mut g = |name: &str, help: &str, v: f64| {
             let v = if v.is_finite() { v } else { 0.0 };
             out.push_str(&format!(
@@ -347,7 +323,7 @@ impl ServeReport {
         );
         g(
             "serve_cst_resident_bytes",
-            "Resident tier-2 payload bytes",
+            "Resident cache payload bytes",
             self.cst_resident_bytes as f64,
         );
         g(
@@ -410,8 +386,6 @@ mod tests {
             &hist_of(&[1.0, 2.0, 3.0]),
             &hist_of(&[0.5]),
             &hist_of(&[0.1, 0.3]),
-            &hist_of(&[0.0, 0.0]),
-            &hist_of(&[1.0]),
             &hist_of(&[0.0]),
             &hist_of(&[2.0, 4.0]),
         );
@@ -423,8 +397,6 @@ mod tests {
         assert!(close(r.queue_wait_p99, 0.5), "qw p99 {}", r.queue_wait_p99);
         assert!(close(r.device_queue_p99, 0.3), "dq p99 {}", r.device_queue_p99);
         assert!((r.device_queue_mean - 0.2).abs() < 1e-12);
-        assert_eq!(r.plan_hit_mean_sec, 0.0);
-        assert_eq!(r.plan_miss_mean_sec, 1.0);
         assert_eq!(r.build_hit_mean_sec, 0.0);
         assert_eq!(r.build_miss_mean_sec, 3.0);
         assert_eq!(r.latency_hist.count(), 3);
@@ -435,7 +407,7 @@ mod tests {
     fn empty_aggregate_is_finite() {
         let mut r = ServeReport::default();
         let e = Histogram::new();
-        r.aggregate(&e, &e, &e, &e, &e, &e, &e);
+        r.aggregate(&e, &e, &e, &e, &e);
         assert!(r.is_finite());
         assert_eq!(r.latency_p99, 0.0);
         assert_eq!(r.device_queue_p50, 0.0);
@@ -452,7 +424,7 @@ mod tests {
             ..ServeReport::default()
         };
         let h = hist_of(&[0.001, 0.002, 0.004]);
-        r.aggregate(&h, &h, &h, &h, &h, &h, &h);
+        r.aggregate(&h, &h, &h, &h, &h);
         let text = r.prometheus_text();
         assert!(text.contains("serve_sessions_submitted_total 5"));
         assert!(text.contains("# TYPE serve_latency_seconds histogram"));

@@ -33,8 +33,6 @@ pub(crate) struct MetricsState {
     pub(crate) latencies: obs::Histogram,
     pub(crate) queue_waits: obs::Histogram,
     pub(crate) device_queues: obs::Histogram,
-    pub(crate) plan_hits: obs::Histogram,
-    pub(crate) plan_misses: obs::Histogram,
     pub(crate) build_hits: obs::Histogram,
     pub(crate) build_misses: obs::Histogram,
     pub(crate) first_submit: Option<Instant>,
@@ -62,8 +60,6 @@ impl MetricsState {
             latencies: self.latencies.delta(&base.latencies),
             queue_waits: self.queue_waits.delta(&base.queue_waits),
             device_queues: self.device_queues.delta(&base.device_queues),
-            plan_hits: self.plan_hits.delta(&base.plan_hits),
-            plan_misses: self.plan_misses.delta(&base.plan_misses),
             build_hits: self.build_hits.delta(&base.build_hits),
             build_misses: self.build_misses.delta(&base.build_misses),
             first_submit: self.first_submit,
@@ -87,7 +83,6 @@ pub(crate) struct WindowState {
 #[derive(Default)]
 pub(crate) struct Totals {
     pub(crate) metrics: MetricsState,
-    pub(crate) cache: CacheStats,
     pub(crate) cst_cache: CacheStats,
     pub(crate) cst_resident_bytes: usize,
     pub(crate) devices: Vec<DeviceStats>,
@@ -101,18 +96,15 @@ impl Totals {
     fn capture(inner: &Inner) -> (Totals, Vec<Arc<TenantState>>) {
         let metrics = inner.metrics.plock().clone();
         let tenants: Vec<Arc<TenantState>> = inner.tenants.pread().values().cloned().collect();
-        let mut cache = CacheStats::default();
         let mut cst_cache = CacheStats::default();
         let mut cst_resident_bytes = 0usize;
         for t in &tenants {
-            cache.absorb(&t.cache.plock().stats());
             let cc = t.cst_cache.plock();
             cst_cache.absorb(&cc.stats());
-            cst_resident_bytes += cc.resident_bytes();
+            cst_resident_bytes += cc.used();
         }
         let totals = Totals {
             metrics,
-            cache,
             cst_cache,
             cst_resident_bytes,
             devices: inner.devices.plock().snapshot(),
@@ -127,7 +119,6 @@ impl Totals {
     fn delta(&self, base: &Totals) -> Totals {
         Totals {
             metrics: self.metrics.delta(&base.metrics),
-            cache: self.cache.delta(&base.cache),
             cst_cache: self.cst_cache.delta(&base.cst_cache),
             cst_resident_bytes: self.cst_resident_bytes,
             devices: self
@@ -199,10 +190,9 @@ impl FastService {
 
 fn tenant_summary(t: &TenantState) -> TenantSummary {
     let m = t.metrics.plock().clone();
-    let cache = t.cache.plock().stats();
     let (cst_stats, cst_resident_bytes) = {
         let cc = t.cst_cache.plock();
-        (cc.stats(), cc.resident_bytes())
+        (cc.stats(), cc.used())
     };
     let wall_sec = match (m.first_submit, m.last_done) {
         (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
@@ -231,7 +221,6 @@ fn tenant_summary(t: &TenantState) -> TenantSummary {
         // twice per summary).
         latency_p50: m.latencies.quantile(0.50),
         latency_p99: m.latencies.quantile(0.99),
-        hit_rate: cache.hit_rate(),
         cst_hit_rate: cst_stats.hit_rate(),
         cst_resident_bytes,
     }
@@ -262,7 +251,6 @@ pub(crate) fn assemble_report(totals: Totals, tenants: Vec<TenantSummary>) -> Se
         corruption_catches: m.corruption_catches,
         degraded_sec: m.degraded_sec,
         total_embeddings: m.total_embeddings,
-        cache: totals.cache,
         cst_cache: totals.cst_cache,
         cst_resident_bytes: totals.cst_resident_bytes,
         // Degenerate walls must never surface NaN/inf: a report taken
@@ -293,8 +281,6 @@ pub(crate) fn assemble_report(totals: Totals, tenants: Vec<TenantSummary>) -> Se
         &m.latencies,
         &m.queue_waits,
         &m.device_queues,
-        &m.plan_hits,
-        &m.plan_misses,
         &m.build_hits,
         &m.build_misses,
     );
@@ -320,12 +306,6 @@ pub(crate) fn finish(inner: &Inner, tenant: &TenantState, outcome: FinishOutcome
             m.latencies.record(report.latency.as_secs_f64());
             m.queue_waits.record(report.queue_wait.as_secs_f64());
             m.device_queues.record(report.device_queue_sec);
-            let plan_sec = report.plan_time.as_secs_f64();
-            if report.cache_hit {
-                m.plan_hits.record(plan_sec);
-            } else {
-                m.plan_misses.record(plan_sec);
-            }
             let build_sec = report.build_time.as_secs_f64();
             if report.cst_cache_hit {
                 m.build_hits.record(build_sec);

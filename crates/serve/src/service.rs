@@ -23,19 +23,17 @@
 //!    every transition), so ten thousand in-flight sessions cost table
 //!    entries, not stacks. The per-session deadline is re-checked by
 //!    every task.
-//! 3. Pickup derives the BFS tree / matching order / kernel plan
-//!    **once**, then resolves the two cache tiers — both keyed by the
-//!    same [`cst::PlanKey`] × the *tenant's* graph epoch — under a
-//!    single-flight gate: a **tier-2** hit stages the partition jobs its
-//!    artifact ([`fast::PreparedCsts`]) holds, as they are (zero
-//!    planning, zero build, zero partitioning); a plan-only hit skips
-//!    planning and builds with [`fast::prepare_partitions`]; a full miss
-//!    computes and publishes the plan ([`cst::ShardPlan`], the whole root
-//!    set as one range), builds, and inserts the captured artifact into
-//!    tier 2. A
-//!    session whose key is already being computed **parks** (its lane's
-//!    deficit round is told via `WrrQueue::park`; no executor thread
-//!    blocks) and is re-enqueued by the owner's flight release.
+//! 3. Pickup keys the query ([`cst::PlanKey`]: its own fingerprint × the
+//!    *tenant's* graph epoch × the build options) and looks it up in the
+//!    tenant's cache under a single-flight gate: a hit stages the session
+//!    plan and the partition jobs its entry holds, as they are (zero
+//!    derivation, zero build, zero partitioning); a miss derives the BFS
+//!    tree / matching order / kernel plan, builds with
+//!    [`fast::prepare_partitions`], and inserts the plan and the captured
+//!    partition stream ([`fast::PreparedCsts`]). A session whose key is
+//!    already being built **parks** (its lane's deficit round is told via
+//!    `WrrQueue::park`; no executor thread blocks) and is re-enqueued by
+//!    the owner's flight release.
 //! 4. The build stages the partition jobs on the session; `Exec` tasks
 //!    then execute them one at a time — each is booked onto the pool
 //!    device with the shortest expected completion ([`DevicePool`] —
@@ -52,9 +50,11 @@
 //! single-run CPU-share scheduler (FAST-SHARE's δ) is not booked here —
 //! `run_fast` remains the one-shot path.
 
-use crate::cache::{CstCache, PlanCache};
+use crate::cache::CstCache;
 use crate::devices::{DeviceKind, DevicePool};
-use crate::executor::{executor_loop, notify_executors, shed_for_shutdown, SessionSlot, Task};
+use crate::executor::{
+    executor_loop, notify_executors, shed_for_shutdown, CachedBuild, SessionSlot, Task,
+};
 use crate::mailbox::{mailbox, Mailbox, Sender};
 use crate::metrics::ServeReport;
 use crate::reporting::{MetricsState, Totals, WindowState};
@@ -129,15 +129,16 @@ pub struct ServeConfig {
     /// sessions, one task at a time — in-flight depth is bounded
     /// by [`max_in_flight`](Self::max_in_flight), not by this.
     pub workers: usize,
-    /// Default plan-cache capacity of each tenant's cache partition
-    /// (plans); 0 disables caching ("cold" serving). Override per tenant
-    /// via [`TenantConfig::cache_capacity`].
+    /// Inert: serving has one cache, sized by
+    /// [`cst_cache_bytes`](Self::cst_cache_bytes), so this field configures
+    /// nothing. It stays only because the benchmark assigns it.
     pub cache_capacity: usize,
-    /// Byte budget of each tenant's **tier-2** shard-CST cache partition
-    /// ([`crate::CstCache`]): each build's partition stream, evicted LRU
-    /// by `Cst::payload_bytes`. A hit makes a
-    /// warm serve pure dispatch + kernel (zero build work). 0 disables
-    /// tier 2. Override per tenant via [`TenantConfig::cst_cache_bytes`].
+    /// Byte budget of each tenant's cache partition ([`crate::CstCache`]):
+    /// each build's session plan and partition stream, evicted LRU by
+    /// `Cst::payload_bytes`. A hit makes a warm serve pure dispatch +
+    /// kernel (zero derivation, zero build work). 0 disables the cache
+    /// ("cold" serving). Override per tenant via
+    /// [`TenantConfig::cst_cache_bytes`].
     pub cst_cache_bytes: usize,
     /// Bounded in-flight depth across all tenants. Execution permits:
     /// executors pick up queued submissions only while fewer than this
@@ -164,9 +165,9 @@ impl Default for ServeConfig {
             devices: 2,
             extra_devices: Vec::new(),
             workers: 2,
-            cache_capacity: 64,
-            // Tier 2 defaults on with a deliberately modest budget: warm
-            // repeats skip the whole build, and the byte-budgeted LRU
+            cache_capacity: 0,
+            // The cache defaults on with a deliberately modest budget:
+            // warm repeats skip the whole build, and the byte-budgeted LRU
             // bounds residency regardless of query mix.
             cst_cache_bytes: 64 << 20,
             max_in_flight: 64,
@@ -210,30 +211,27 @@ pub struct QueryReport {
     pub embeddings: u64,
     /// Partitions executed.
     pub partitions: usize,
-    /// Whether *either* cache tier hit: the shard plan came from the
-    /// tenant's plan cache, or the whole prepared CST set came from its
-    /// tier-2 partition.
-    pub cache_hit: bool,
-    /// Whether the session replayed a tier-2 shard-CST artifact — the
-    /// fully warm path: no planning, no build, no partitioning; the
-    /// session was pure dispatch + kernel.
+    /// Whether the session replayed a cache entry — the fully warm path:
+    /// no plan derivation, no build, no partitioning; the session was pure
+    /// dispatch + kernel.
     pub cst_cache_hit: bool,
-    /// Planning wall time: the root candidate set and its one-range plan
-    /// (0 on a hit).
+    /// Plan derivation wall: root selection, BFS tree, matching order and
+    /// kernel plan. **Exactly zero** on a cache hit, which derives
+    /// nothing.
     pub plan_time: Duration,
     /// CST build wall: refinement + materialisation + partitioning,
-    /// excluding inline backend execution. **Exactly zero** on a tier-2
+    /// excluding inline backend execution. **Exactly zero** on a cache
     /// hit — the claim `tests/prop_serve.rs` and `tests/prop_backend.rs`
     /// assert.
     pub build_time: Duration,
     /// Phase-1 top-down scan work of the session's build; 0 when the
-    /// partitions were replayed from tier 2.
+    /// partitions were replayed from the cache.
     pub topdown_entries: usize,
-    /// Always 1: every session builds one CST. Kept because the benchmark
-    /// reads it.
+    /// Inert: every session builds one CST, so this is always 1. It stays
+    /// only because the benchmark reads it.
     pub pipeline_shards: usize,
-    /// Always 0: every shard is built by a top-down scan. Kept because the
-    /// benchmark reads it.
+    /// Inert: every CST is built by a top-down scan, so this is always 0.
+    /// It stays only because the benchmark reads it.
     pub seeded_shards: usize,
     /// Wall time from worker pickup to completion (build + partition +
     /// inline emulated backends).
@@ -398,8 +396,7 @@ impl Drop for SessionHandle {
 }
 
 /// Everything the service keys by tenant: the loaded graph, its epoch,
-/// the fair-share quota, private cache partitions (both tiers), and
-/// metrics.
+/// the fair-share quota, a private cache partition, and metrics.
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
     pub(crate) graph: Arc<Graph>,
@@ -407,14 +404,11 @@ pub(crate) struct TenantState {
     /// Resolved per-session deadline: the tenant's own override or the
     /// service default.
     pub(crate) deadline: Option<Duration>,
-    /// Graph epoch folded into this tenant's cache keys (both tiers);
-    /// bump on any graph change so stale entries can never hit.
+    /// Graph epoch folded into this tenant's cache keys; bump on any
+    /// graph change so stale entries can never hit.
     pub(crate) epoch: AtomicU64,
-    /// Tier 1: shard plans.
-    pub(crate) cache: Mutex<PlanCache>,
-    /// Tier 2: refined shard CSTs + partition decompositions,
-    /// byte-budgeted.
-    pub(crate) cst_cache: Mutex<CstCache>,
+    /// Session plans + partition streams by query, byte-budgeted.
+    pub(crate) cst_cache: Mutex<CstCache<PlanKey, Arc<CachedBuild>>>,
     pub(crate) metrics: Mutex<MetricsState>,
 }
 
@@ -492,14 +486,14 @@ pub(crate) struct Inner {
     /// The compatibility tenant `submit` addresses, outside the registry
     /// lock (the single-tenant hot path).
     pub(crate) default_tenant: Arc<TenantState>,
-    /// Keys being computed right now (single-flight, scoped per tenant),
+    /// Keys being built right now (single-flight, scoped per tenant),
     /// each mapped to the sessions **parked** on it: a concurrent
     /// identical cold query parks as a slab entry — no executor thread
-    /// blocks — and the owner's flight release re-enqueues it. With
-    /// tier 2 enabled the owner holds its claim through the whole build
-    /// (waiters wake into a tier-2 hit — shard CSTs are built exactly
-    /// once); with tier 2 disabled the claim covers only planning.
-    pub(crate) pending_plans: Mutex<HashMap<(TenantId, PlanKey), Vec<u64>>>,
+    /// blocks — and the owner's flight release re-enqueues it. The owner
+    /// holds its claim through the whole build, so waiters wake into a
+    /// hit and each CST is built exactly once. A tenant whose cache is
+    /// disabled claims no flight.
+    pub(crate) pending_builds: Mutex<HashMap<(TenantId, PlanKey), Vec<u64>>>,
     pub(crate) devices: Mutex<DevicePool>,
     /// The emergency CPU share of degraded mode: partitions run here when
     /// every pool device is quarantined or evicted (and
@@ -596,7 +590,6 @@ impl FastService {
             quota: 1,
             deadline: config.deadline,
             epoch: AtomicU64::new(TenantConfig::default().epoch),
-            cache: Mutex::new(PlanCache::new(config.cache_capacity)),
             cst_cache: Mutex::new(CstCache::new(config.cst_cache_bytes)),
             metrics: Mutex::new(MetricsState::default()),
         });
@@ -610,7 +603,7 @@ impl FastService {
             next_tenant: AtomicU32::new(1),
             tenants: RwLock::new(tenants),
             default_tenant,
-            pending_plans: Mutex::new(HashMap::new()),
+            pending_builds: Mutex::new(HashMap::new()),
             devices: Mutex::new(pool),
             fallback: config
                 .fault
@@ -644,7 +637,7 @@ impl FastService {
     }
 
     /// Registers a tenant: its own graph, epoch, fair-share quota, and
-    /// plan-cache partition. Zero quotas are rejected
+    /// cache partition. Zero quotas are rejected
     /// ([`ServeError::ZeroQuota`]) — such a tenant could never be
     /// scheduled.
     pub fn add_tenant(
@@ -665,11 +658,6 @@ impl FastService {
             quota: config.quota,
             deadline: config.deadline.or(self.inner.config.deadline),
             epoch: AtomicU64::new(config.epoch),
-            cache: Mutex::new(PlanCache::new(
-                config
-                    .cache_capacity
-                    .unwrap_or(self.inner.config.cache_capacity),
-            )),
             cst_cache: Mutex::new(CstCache::new(cst_budget)),
             metrics: Mutex::new(MetricsState::default()),
         });
@@ -714,16 +702,14 @@ impl FastService {
     }
 
     /// Bumps a tenant's graph epoch (after mutating/replacing its graph),
-    /// invalidating every cached plan and tier-2 artifact for it — other
-    /// tenants' residency and hit rates are untouched. Returns the new
-    /// epoch.
+    /// invalidating every cache entry for it — other tenants' residency
+    /// and hit rates are untouched. Returns the new epoch.
     pub fn bump_epoch(&self, tenant: TenantId) -> Result<u64, ServeError> {
         let state = self.inner.tenant(tenant)?;
         let epoch = state.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        // Tier 1 needs no clearing: the epoch is inside the PlanKey, so
-        // stale plans can never hit and age out by LRU. Tier-2 payloads
-        // are megabytes — drop them eagerly instead of letting stale
-        // artifacts squat the byte budget until eviction.
+        // The epoch is inside the PlanKey, so stale entries could never
+        // hit; their payloads are megabytes, so drop them eagerly instead
+        // of letting them squat the byte budget until eviction.
         state
             .cst_cache
             .plock()

@@ -11,7 +11,6 @@ fn small_config() -> ServeConfig {
         devices: 2,
         extra_devices: Vec::new(),
         workers: 2,
-        cache_capacity: 8,
         cst_cache_bytes: 16 << 20,
         max_in_flight: 4,
         ..ServeConfig::default()
@@ -41,16 +40,8 @@ fn serves_repeats_with_cache_hits_and_identical_counts() {
     assert_eq!(final_report.completed, 6);
     assert_eq!(final_report.failed, 0);
     // Six submissions of one query: at least the non-concurrent
-    // repeats hit (the first few may race the first insertion). With
-    // tier 2 on, warm repeats are absorbed by the CST cache before
-    // the plan cache is consulted, so the hits land there.
-    let warm_hits = final_report.cache.hits + final_report.cst_cache.hits;
-    assert!(
-        warm_hits >= 1,
-        "{:?} / {:?}",
-        final_report.cache,
-        final_report.cst_cache
-    );
+    // repeats hit (the first few may race the first insertion).
+    assert!(final_report.cst_cache.hits >= 1, "{:?}", final_report.cst_cache);
     assert!(final_report.cst_resident_bytes > 0, "artifact resident");
     assert_eq!(final_report.total_embeddings, 6 * first);
     assert!(final_report.qps > 0.0);
@@ -195,20 +186,57 @@ fn epoch_bump_invalidates_cached_plans() {
     let service = FastService::new(g, small_config());
     service.submit(triangle()).wait().unwrap();
     let warm = service.submit(triangle()).wait().unwrap();
-    assert!(warm.cache_hit, "repeat should hit some tier");
-    assert!(warm.cst_cache_hit, "sequential repeat should hit tier 2");
-    assert_eq!(warm.build_time, Duration::ZERO, "tier-2 hits build nothing");
+    assert!(warm.cst_cache_hit, "sequential repeat should hit");
+    assert_eq!(warm.build_time, Duration::ZERO, "hits build nothing");
     assert_eq!(warm.topdown_entries, 0);
     assert_eq!(service.bump_epoch(TenantId::DEFAULT).unwrap(), 1);
     let r = service.submit(triangle()).wait().unwrap();
-    assert!(!r.cache_hit, "epoch bump must invalidate both cache tiers");
-    assert!(!r.cst_cache_hit);
+    assert!(!r.cst_cache_hit, "epoch bump must invalidate the cache");
     service.shutdown();
 }
 
 #[test]
+fn a_hit_derives_nothing_and_builds_nothing() {
+    let g = random_labelled_graph(60, 0.2, 2, 47);
+    let service = FastService::new(g, small_config());
+    let cold = service.submit(triangle()).wait().unwrap();
+    assert!(!cold.cst_cache_hit);
+    assert!(cold.plan_time > Duration::ZERO, "the miss derived its plan");
+    assert!(cold.build_time > Duration::ZERO, "the miss built");
+    let warm = service.submit(triangle()).wait().unwrap();
+    assert!(warm.cst_cache_hit);
+    assert_eq!(warm.plan_time, Duration::ZERO, "a hit derives nothing");
+    assert_eq!(warm.build_time, Duration::ZERO, "a hit builds nothing");
+    assert_eq!(warm.topdown_entries, 0);
+    assert_eq!(
+        (warm.embeddings, warm.partitions, warm.kernel_cycles),
+        (cold.embeddings, cold.partitions, cold.kernel_cycles)
+    );
+    service.shutdown();
+}
+
+#[test]
+fn the_same_edges_listed_in_another_order_hit() {
+    let g = random_labelled_graph(60, 0.2, 2, 49);
+    let service = FastService::new(g, small_config());
+    let cold = service.submit(triangle()).wait().unwrap();
+    // The triangle's labels and edges, each edge listed in another order
+    // and orientation.
+    let relisted = QueryGraph::new(
+        vec![Label::new(0), Label::new(1), Label::new(1)],
+        &[(2, 0), (2, 1), (1, 0)],
+    )
+    .unwrap();
+    let warm = service.submit(relisted).wait().unwrap();
+    assert!(!cold.cst_cache_hit);
+    assert!(warm.cst_cache_hit, "the same labelled edge set hits");
+    assert_eq!(warm.embeddings, cold.embeddings);
+    let report = service.shutdown();
+    assert_eq!(report.cst_cache.insertions, 1);
+}
+
+#[test]
 fn foreign_shaped_artifact_under_the_same_key_is_ignored() {
-    use graph_core::{BfsTree, Label};
     let g = random_labelled_graph(60, 0.2, 2, 48);
     let square = QueryGraph::new(
         vec![Label::new(0), Label::new(1), Label::new(0), Label::new(1)],
@@ -222,24 +250,25 @@ fn foreign_shaped_artifact_under_the_same_key_is_ignored() {
     let service = FastService::new(g.clone(), small_config());
     let tenant = Arc::clone(&service.inner.default_tenant);
     let key_of = |q: &QueryGraph| {
-        let tree = BfsTree::new(q, graph_core::select_root(q, &g));
         let options = service.inner.config.fast.cst_options;
-        PlanKey::derive(q, &tree, &options, tenant.epoch.load(Ordering::Relaxed))
+        PlanKey::derive(q, &options, tenant.epoch.load(Ordering::Relaxed))
     };
-    // Serve the 4-vertex query, then plant its artifact under the
+    // Serve the 4-vertex query, then plant its entry under the
     // triangle's key — what a key collision would look like.
     service.submit(square.clone()).wait().unwrap();
     let foreign = tenant.cst_cache.plock().get(&key_of(&square)).expect("captured");
-    assert!(!foreign.matches_query(&triangle()));
+    assert!(!foreign.stream.matches_query(&triangle()));
     let key = key_of(&triangle());
-    tenant.cst_cache.plock().insert(key, foreign);
+    let weight = foreign.stream.payload_bytes();
+    tenant.cst_cache.plock().insert(key, foreign, weight);
 
     let rebuilt = service.submit(triangle()).wait().unwrap();
     assert!(!rebuilt.cst_cache_hit, "a foreign shape is not a hit");
     assert_eq!(rebuilt.embeddings, expected);
     assert!(rebuilt.build_time > Duration::ZERO, "the session rebuilt");
     // The rebuild's insert replaced the entry: the next serve is warm.
-    assert!(tenant.cst_cache.plock().get(&key).expect("replaced").matches_query(&triangle()));
+    let replaced = tenant.cst_cache.plock().get(&key).expect("replaced");
+    assert!(replaced.stream.matches_query(&triangle()));
     let warm = service.submit(triangle()).wait().unwrap();
     assert!(warm.cst_cache_hit);
     assert_eq!(warm.embeddings, expected);
@@ -291,7 +320,7 @@ fn degenerate_reports_are_finite() {
     m.latencies.record(0.0);
     m.queue_waits.record(0.0);
     m.device_queues.record(0.0);
-    m.plan_misses.record(0.0);
+    m.build_misses.record(0.0);
     let pool = DevicePool::build(&small_config().fast, 1, &[]).unwrap();
     let totals = Totals {
         metrics: m,
@@ -342,10 +371,7 @@ fn window_deltas_reconcile_with_lifetime_report() {
         life.latency_hist.cumulative(),
         "window histograms must merge back to the lifetime buckets"
     );
-    assert_eq!(
-        w0.cache.hits + w1.cache.hits + w0.cst_cache.hits + w1.cst_cache.hits,
-        life.cache.hits + life.cst_cache.hits
-    );
+    assert_eq!(w0.cst_cache.hits + w1.cst_cache.hits, life.cst_cache.hits);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! round-robin session table.
 //!
 //! A multi-tenant [`FastService`](crate::FastService) keys everything that
-//! used to be service-global — graph, epoch, plan cache, metrics — by
+//! used to be service-global — graph, epoch, cache, metrics — by
 //! [`TenantId`]. Admission across tenants is **weighted fair**: submissions
 //! land in a per-tenant lane of a `WrrQueue` and workers pop lanes in
 //! deficit-round-robin order, so under saturation each backlogged tenant is
@@ -15,10 +15,8 @@
 use std::collections::VecDeque;
 
 /// The single source of truth for a fresh tenant's graph epoch. The epoch
-/// is folded into every plan-cache key ([`cst::PlanKey`]) and bumped on
-/// graph mutation so stale plans can never hit; before multi-tenancy the
-/// default lived (and could drift) in two places — `serve::cache` tests
-/// and `ServeConfig` — both now derive from this constant.
+/// is folded into every cache key ([`cst::PlanKey`]) and bumped on
+/// graph mutation so stale entries can never hit.
 pub const INITIAL_GRAPH_EPOCH: u64 = 0;
 
 /// Identity of one tenant (one loaded graph + epoch + quota + cache
@@ -54,15 +52,12 @@ pub struct TenantConfig {
     /// zero-quota tenant could never be scheduled and is rejected as
     /// [`ServeError::ZeroQuota`](crate::ServeError::ZeroQuota).
     pub quota: u32,
-    /// Initial graph epoch (folded into the tenant's plan-cache keys).
+    /// Initial graph epoch (folded into the tenant's cache keys).
     pub epoch: u64,
-    /// Plan-cache capacity for this tenant's cache partition; `None`
-    /// inherits [`ServeConfig::cache_capacity`](crate::ServeConfig::cache_capacity).
-    pub cache_capacity: Option<usize>,
-    /// Byte budget of this tenant's tier-2 shard-CST cache partition
+    /// Byte budget of this tenant's cache partition
     /// (`serve::cache::CstCache`); `None` inherits
     /// [`ServeConfig::cst_cache_bytes`](crate::ServeConfig::cst_cache_bytes),
-    /// `Some(0)` disables tier 2 for this tenant alone.
+    /// `Some(0)` disables the cache for this tenant alone.
     pub cst_cache_bytes: Option<usize>,
     /// Per-session deadline for this tenant, measured from submission: a
     /// session still queued or executing past it is shed with
@@ -76,7 +71,6 @@ impl Default for TenantConfig {
         TenantConfig {
             quota: 1,
             epoch: INITIAL_GRAPH_EPOCH,
-            cache_capacity: None,
             cst_cache_bytes: None,
             deadline: None,
         }
@@ -90,7 +84,7 @@ struct Lane<T> {
     credit: u32,
     queue: VecDeque<T>,
     /// Sessions of this tenant popped from the lane but currently parked —
-    /// waiting on a device completion or a plan flight — rather than
+    /// waiting on a device completion or a build flight — rather than
     /// runnable. Bookkeeping only: parked sessions are *invisible* to the
     /// deficit round (they neither consume nor bank credit), which is what
     /// makes the scheduler readiness-aware — a tenant whose sessions are
@@ -195,7 +189,7 @@ impl<T> WrrQueue<T> {
     }
 
     /// Records that one of `tenant`'s sessions left the runnable set —
-    /// parked on a device completion or a plan flight. Parked sessions are
+    /// parked on a device completion or a build flight. Parked sessions are
     /// not lane entries, so the deficit round never waits on them; this
     /// counter only keeps the readiness picture observable.
     pub(crate) fn park(&mut self, tenant: TenantId) {

@@ -1,5 +1,5 @@
 //! Multi-tenant serving quickstart: one [`serve::FastService`] hosting two
-//! tenants — each with its own graph, fair-share quota, and plan-cache
+//! tenants — each with its own graph, fair-share quota, and cache
 //! partition — over a heterogeneous device pool (emulated FPGA cards plus
 //! a CPU fallback share), with one tenant restored from a binary CSR
 //! snapshot instead of rebuilding its graph.
@@ -35,7 +35,6 @@ fn main() {
             // partitions wherever expected completion is shortest.
             extra_devices: vec![DeviceKind::Cpu { threads: 4 }],
             workers: 4,
-            cache_capacity: 32,
             cst_cache_bytes: ServeConfig::default().cst_cache_bytes,
             max_in_flight: 16,
             ..ServeConfig::default()
@@ -83,7 +82,7 @@ fn main() {
             r.id,
             r.embeddings,
             r.partitions,
-            if r.cache_hit { "hit" } else { "miss" },
+            if r.cst_cache_hit { "hit" } else { "miss" },
         );
     }
 
@@ -97,7 +96,7 @@ fn main() {
     );
     for t in &report.tenants {
         println!(
-            "  {}: quota {} | {} completed | {:>9} embeddings | tier-2 hit rate {:.0}% ({} resident bytes)",
+            "  {}: quota {} | {} completed | {:>9} embeddings | cache hit rate {:.0}% ({} resident bytes)",
             t.tenant,
             t.quota,
             t.completed,
@@ -115,6 +114,6 @@ fn main() {
     assert_eq!(report.tenants.len(), 2);
     assert!(
         report.cst_cache.hits > 0,
-        "repeats must hit the tier-2 shard-CST caches"
+        "repeats must hit the tenant caches"
     );
 }

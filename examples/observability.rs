@@ -26,7 +26,6 @@ fn main() {
             fast,
             devices: 4,
             workers: 4,
-            cache_capacity: 32,
             max_in_flight: 8,
             ..ServeConfig::default()
         },
@@ -45,7 +44,7 @@ fn main() {
         .expect("second tenant");
 
     // A mixed closed-loop burst: both tenants, repeated queries (warm
-    // tier-2 replays), with a rolling window pulled between waves.
+    // cache replays), with a rolling window pulled between waves.
     let mix = [0usize, 1, 2, 1, 0, 2, 1, 1];
     for wave in 0..3 {
         let handles: Vec<_> = mix
@@ -68,7 +67,7 @@ fn main() {
         let info = w.window.expect("window stamp");
         println!(
             "window {}: {:>2} sessions in {:.3}s ({:.1} QPS) | p99 {:.1}ms | \
-             tier-2 {} hits / {} misses | retries {}",
+             cache {} hits / {} misses | retries {}",
             info.seq,
             w.completed,
             info.wall_sec,
@@ -93,7 +92,7 @@ fn main() {
     obs::disable();
     println!(
         "\nserved {} sessions at {:.1} QPS | latency p50 {:.1}ms p99 {:.1}ms | \
-         tier-2 hit rate {:.0}%",
+         cache hit rate {:.0}%",
         report.completed,
         report.qps,
         report.latency_p50 * 1e3,

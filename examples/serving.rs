@@ -28,7 +28,6 @@ fn main() {
             devices: 4,
             extra_devices: Vec::new(),
             workers: 4,
-            cache_capacity: 32,
             cst_cache_bytes: ServeConfig::default().cst_cache_bytes,
             max_in_flight: 8,
             ..ServeConfig::default()
@@ -56,7 +55,7 @@ fn main() {
                     r.embeddings,
                     r.partitions,
                     r.plan_time,
-                    if r.cache_hit { "cache hit" } else { "cold plan" },
+                    if r.cst_cache_hit { "cache hit" } else { "cold build" },
                 );
                 break;
             }
@@ -64,8 +63,8 @@ fn main() {
         }
     }
 
-    // A burst of repeated queries: plans come from the cache, partitions
-    // are multiplexed across all four devices.
+    // A burst of repeated queries: repeats replay the cached plan and
+    // partitions, which are multiplexed across all four devices.
     let mix = [0usize, 1, 2, 1, 0, 1, 2, 1, 1, 2, 0, 1];
     let handles: Vec<_> = mix.iter().map(|&qi| service.submit(benchmark_query(qi))).collect();
     for (qi, h) in mix.iter().zip(handles) {
@@ -76,13 +75,13 @@ fn main() {
             r.latency,
             r.queue_wait,
             r.plan_time,
-            if r.cache_hit { "hit" } else { "miss" },
+            if r.cst_cache_hit { "hit" } else { "miss" },
         );
     }
 
     let report = service.shutdown();
     println!(
-        "\nserved {} sessions at {:.1} QPS | latency p50 {:.1}ms p99 {:.1}ms | tier-2 hit rate {:.0}% ({} resident bytes) | {} devices, imbalance {:.2}x",
+        "\nserved {} sessions at {:.1} QPS | latency p50 {:.1}ms p99 {:.1}ms | cache hit rate {:.0}% ({} resident bytes) | {} devices, imbalance {:.2}x",
         report.completed,
         report.qps,
         report.latency_p50 * 1e3,
@@ -100,6 +99,6 @@ fn main() {
     }
     assert!(
         report.cst_cache.hits > 0,
-        "repeats must hit the tier-2 shard-CST cache"
+        "repeats must hit the cache"
     );
 }

@@ -6,7 +6,6 @@ pub use cst;
 pub use fast;
 pub use fpga_sim;
 pub use graph_core;
-pub use join_baselines;
 pub use matching;
 pub use obs;
 pub use serve;

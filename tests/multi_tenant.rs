@@ -14,7 +14,6 @@ fn config(workers: usize, max_in_flight: usize) -> ServeConfig {
         devices: 1,
         extra_devices: Vec::new(),
         workers,
-        cache_capacity: 16,
         cst_cache_bytes: 16 << 20,
         max_in_flight,
         ..ServeConfig::default()
@@ -91,7 +90,7 @@ fn saturated_tenants_complete_in_quota_proportion() {
     );
     assert!(
         slice_b.cst_hit_rate > 0.0,
-        "repeats hit B's tier-2 cache partition"
+        "repeats hit B's cache partition"
     );
     assert!(
         slice_b.cst_resident_bytes > 0,
@@ -158,7 +157,7 @@ fn bad_snapshots_are_typed_errors() {
 }
 
 /// Epochs are per tenant: bumping one tenant's epoch invalidates its
-/// cached plans without touching another tenant's warm cache.
+/// cache entries without touching another tenant's warm cache.
 #[test]
 fn epoch_bumps_are_tenant_scoped() {
     let g = Arc::new(random_labelled_graph(60, 0.2, 2, 11));
@@ -176,8 +175,8 @@ fn epoch_bumps_are_tenant_scoped() {
 
     let a_after = service.submit(triangle()).wait().unwrap();
     let b_after = service.submit_for(b, triangle()).unwrap().wait().unwrap();
-    assert!(!a_after.cache_hit, "bumped tenant must miss");
-    assert!(b_after.cache_hit, "other tenant's plans stay warm");
+    assert!(!a_after.cst_cache_hit, "bumped tenant must miss");
+    assert!(b_after.cst_cache_hit, "other tenant's entries stay warm");
     assert_eq!(a_after.embeddings, b_after.embeddings);
 
     let report = service.shutdown();

@@ -19,7 +19,6 @@ fn config(devices: usize, extra: Vec<DeviceKind>) -> ServeConfig {
         devices,
         extra_devices: extra,
         workers: 2,
-        cache_capacity: 16,
         cst_cache_bytes: 16 << 20,
         max_in_flight: 8,
         ..ServeConfig::default()
@@ -75,7 +74,7 @@ fn all_fleets_agree_with_run_fast_for_every_planner() {
 }
 
 /// Double-submit on every fleet, for two tenants: the second serve of
-/// each query is a tier-2 hit (zero build work) and still bit-identical to
+/// each query is a cache hit (zero build work) and still bit-identical to
 /// the first — the cached shard CSTs replay the same answer whether the
 /// kernels run on emulated FPGA cards, CPU fallback shares, or a mix.
 /// Tenant B (quota 3) serves an edge-sampled copy of the graph, so a
@@ -124,21 +123,21 @@ fn warm_tier2_serves_agree_across_fleets() {
             assert!(!cold.cst_cache_hit, "fleet {fleet_idx}: first serve must miss");
             assert!(
                 warm.cst_cache_hit,
-                "fleet {fleet_idx}: second serve must hit tier 2"
+                "fleet {fleet_idx}: second serve must hit the cache"
             );
             assert_eq!(
                 warm.build_time,
                 std::time::Duration::ZERO,
-                "fleet {fleet_idx}: tier-2 hit must build nothing"
+                "fleet {fleet_idx}: cache hit must build nothing"
             );
             assert_eq!(warm.topdown_entries, 0, "fleet {fleet_idx}: no top-down scan");
             assert_eq!(
                 cold.embeddings, warm.embeddings,
-                "fleet {fleet_idx}: tier-2 replay changed the count"
+                "fleet {fleet_idx}: cache replay changed the count"
             );
             assert_eq!(
                 cold.kernel_cycles, warm.kernel_cycles,
-                "fleet {fleet_idx}: tier-2 replay changed the modelled kernel work"
+                "fleet {fleet_idx}: cache replay changed the modelled kernel work"
             );
             warm_counts.push(warm.embeddings);
         }
@@ -148,7 +147,7 @@ fn warm_tier2_serves_agree_across_fleets() {
         assert!(report.cst_cache.hits >= 2 * queries.len() as u64);
         assert_eq!(
             report.build_hit_mean_sec, 0.0,
-            "fleet {fleet_idx}: tier-2 hits build nothing"
+            "fleet {fleet_idx}: cache hits build nothing"
         );
         assert!(
             report.build_miss_mean_sec > 0.0,

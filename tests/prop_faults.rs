@@ -106,7 +106,6 @@ fn chaos_config(extra: Vec<DeviceKind>) -> ServeConfig {
         devices: 0,
         extra_devices: extra,
         workers: 2,
-        cache_capacity: 16,
         cst_cache_bytes: 16 << 20,
         max_in_flight: 8,
         fault: FaultPolicy {

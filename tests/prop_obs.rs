@@ -80,7 +80,6 @@ fn obs_config(extra: Vec<DeviceKind>) -> ServeConfig {
         devices: 0,
         extra_devices: extra,
         workers: 2,
-        cache_capacity: 16,
         cst_cache_bytes: 16 << 20,
         max_in_flight: 8,
         fault: FaultPolicy {
@@ -126,7 +125,7 @@ proptest! {
     /// back to the lifetime report. The Chrome export self-validates,
     /// spans nest `session ⊇ build ⊇ execute`, the span-derived queue-wait
     /// p99 agrees with the report's histogram, and both waves (cold, then
-    /// tier-2 warm) count exactly what an untraced service counts.
+    /// cache-warm) count exactly what an untraced service counts.
     #[test]
     fn spans_and_counters_reconcile_exactly_once(
         p0 in arb_plan(true),
@@ -239,10 +238,7 @@ proptest! {
             w0.total_embeddings + w1.total_embeddings,
             life.total_embeddings
         );
-        prop_assert_eq!(
-            w0.cache.hits + w1.cache.hits + w0.cst_cache.hits + w1.cst_cache.hits,
-            life.cache.hits + life.cst_cache.hits
-        );
+        prop_assert_eq!(w0.cst_cache.hits + w1.cst_cache.hits, life.cst_cache.hits);
         prop_assert_eq!(
             w0.latency_hist.count() + w1.latency_hist.count(),
             life.latency_hist.count()

@@ -1,10 +1,9 @@
 //! Property-based tests of CST construction against its definition: every
-//! CST `cst::build_cst_from_roots` builds — over the whole root candidate
-//! set or over any root chunk of it — is
-//! Algorithm 1 read literally (`assert_is_the_definition`), list by list,
-//! at every pruning strength.
+//! CST `cst::build_cst_with_stats` builds is Algorithm 1 read literally
+//! (`assert_is_the_definition`), list by list, root set included, at every
+//! pruning strength.
 
-use cst::{build_cst_from_roots, root_candidates, BuildStats, CandidateFilter, Cst, CstOptions};
+use cst::{build_cst_with_stats, BuildStats, CandidateFilter, Cst, CstOptions};
 use graph_core::generators::{random_labelled_graph, random_power_law_graph};
 use graph_core::{BfsTree, Graph, Label, QueryGraph, QueryVertexId, VertexId};
 use proptest::prelude::*;
@@ -51,7 +50,6 @@ fn assert_is_the_definition(
     g: &Graph,
     tree: &BfsTree,
     options: CstOptions,
-    roots: &[VertexId],
 ) {
     cst.validate(q).expect("structurally valid");
     let passes = |u: QueryVertexId, w: VertexId| {
@@ -63,7 +61,8 @@ fn assert_is_the_definition(
         }
     };
     let mut c: Vec<Vec<VertexId>> = vec![Vec::new(); q.vertex_count()];
-    c[tree.root().index()] = roots.to_vec();
+    let root = tree.root();
+    c[root.index()] = g.vertices().filter(|&w| passes(root, w)).collect();
     for &u in &tree.bfs_order()[1..] {
         let parent = tree.parent(u).expect("non-root");
         c[u.index()] = g
@@ -129,18 +128,12 @@ const STRENGTHS: [CstOptions; 3] = [
     },
 ];
 
-/// The whole-root-set build and the build of every root chunk (down to one
-/// root per shard when `shards` is large) against the definition.
-fn assert_builds_are_the_definition(q: &QueryGraph, g: &Graph, shards: usize) {
+/// The build at every strength against the definition.
+fn assert_builds_are_the_definition(q: &QueryGraph, g: &Graph) {
     let tree = BfsTree::new(q, QueryVertexId::new(0));
     for options in STRENGTHS {
-        let roots = root_candidates(q, g, &tree, options);
-        let whole = build_cst_from_roots(q, g, &tree, options, roots.clone());
-        assert_is_the_definition(&whole, q, g, &tree, options, &roots);
-        for chunk in roots.chunks(roots.len().div_ceil(shards).max(1)) {
-            let shard = build_cst_from_roots(q, g, &tree, options, chunk.to_vec());
-            assert_is_the_definition(&shard, q, g, &tree, options, chunk);
-        }
+        let built = build_cst_with_stats(q, g, &tree, options);
+        assert_is_the_definition(&built, q, g, &tree, options);
     }
 }
 
@@ -178,10 +171,7 @@ fn construct_shapes_match_the_definition() {
         b.build()
     };
     for q in shapes {
-        // 1 shard, a few, and one root per shard.
-        for shards in [1, 3, usize::MAX] {
-            assert_builds_are_the_definition(&q, &g, shards);
-        }
+        assert_builds_are_the_definition(&q, &g);
     }
 }
 
@@ -189,14 +179,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Generated queries × both random graph families: the built CST is
-    /// the definition's, whole and per root chunk, at every strength.
+    /// the definition's at every strength.
     #[test]
-    fn built_csts_match_the_definition(
-        q in arb_query(),
-        graph_seed in 0u64..200,
-        shards in 1usize..6,
-    ) {
-        assert_builds_are_the_definition(&q, &random_labelled_graph(45, 0.15, 2, graph_seed), shards);
-        assert_builds_are_the_definition(&q, &random_power_law_graph(60, 3, 3, graph_seed), shards);
+    fn built_csts_match_the_definition(q in arb_query(), graph_seed in 0u64..200) {
+        assert_builds_are_the_definition(&q, &random_labelled_graph(45, 0.15, 2, graph_seed));
+        assert_builds_are_the_definition(&q, &random_power_law_graph(60, 3, 3, graph_seed));
     }
 }

@@ -41,76 +41,57 @@ fn service_config(devices: usize, workers: usize, cst_bytes: usize) -> ServeConf
         devices,
         extra_devices: Vec::new(),
         workers,
-        cache_capacity: 16,
         cst_cache_bytes: cst_bytes,
         max_in_flight: 8,
         ..ServeConfig::default()
     }
 }
 
-/// Serves `q` twice on a fresh service (cold, then warm) and returns the
+/// Serves `q` twice on a fresh service (cold, then repeat) and returns the
 /// two reports plus the service's final report.
-fn cold_then_hit(
+fn serve_twice(
     g: &Arc<Graph>,
     q: &QueryGraph,
     config: ServeConfig,
 ) -> (serve::QueryReport, serve::QueryReport, ServeReport) {
     let service = FastService::new(Arc::clone(g), config);
     let cold = service.submit(q.clone()).wait().expect("cold run");
-    let hit = service.submit(q.clone()).wait().expect("warm run");
+    let repeat = service.submit(q.clone()).wait().expect("repeat run");
     let report = service.shutdown();
     assert_eq!(report.completed, 2);
     assert_eq!(report.failed, 0);
-    (cold, hit, report)
+    (cold, repeat, report)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A warm serve is bit-identical to the cold run on **both** warm
-    /// paths: tier 2 disabled (the stored plan is replayed for the
-    /// rebuild) and tier 2 enabled (the cached shard CSTs replay with zero
-    /// build work). With both tiers off the repeat hits nothing and keeps
-    /// nothing resident. Four-way differential: cold vs plan hit vs tier-2
-    /// hit vs uncached repeat.
+    /// A warm serve is bit-identical to the cold run: with the cache
+    /// enabled the repeat replays the cached entry with zero derivation
+    /// and zero build work; with the cache off it hits nothing, keeps
+    /// nothing resident and pays the whole cold path again. Three-way
+    /// differential: cold vs cache hit vs uncached repeat.
     #[test]
     fn warm_serves_are_bit_identical_to_cold_for_every_planner(
         q in arb_query(),
         graph_seed in 0u64..200,
     ) {
         let g = Arc::new(random_labelled_graph(45, 0.18, 2, graph_seed));
-        // Tier 2 off: the warm serve replays the cached plan.
-        let (cold, plan_hit, _) = cold_then_hit(&g, &q, service_config(2, 1, 0));
-        // Tier 2 on: the warm serve replays the cached artifact.
-        let (cold2, warm, _) = cold_then_hit(&g, &q, service_config(2, 1, 64 << 20));
-        // Both tiers off: the repeat pays the whole cold path again.
-        let (_, repeat, off) = cold_then_hit(
-            &g,
-            &q,
-            ServeConfig { cache_capacity: 0, ..service_config(2, 1, 0) },
-        );
-        prop_assert!(
-            !repeat.cache_hit && !repeat.cst_cache_hit,
-            "capacity 0 and budget 0 must never hit"
-        );
+        // Cache off: the repeat pays the whole cold path again.
+        let (cold, repeat, off) = serve_twice(&g, &q, service_config(2, 1, 0));
+        // Cache on: the repeat replays the cached entry.
+        let (cold2, warm, _) = serve_twice(&g, &q, service_config(2, 1, 64 << 20));
+        prop_assert!(!repeat.cst_cache_hit, "budget 0 must never hit");
         prop_assert_eq!(
-            (off.cache.hits, off.cst_cache.hits, off.cst_resident_bytes),
-            (0, 0, 0),
-            "disabled tiers must record no hit and hold no bytes"
+            (off.cst_cache.hits, off.cst_resident_bytes),
+            (0, 0),
+            "a disabled cache must record no hit and hold no bytes"
         );
-        prop_assert!(!cold.cache_hit, "first run must miss");
-        prop_assert!(
-            plan_hit.cache_hit && !plan_hit.cst_cache_hit,
-            "tier-2-off warm run must be a plan hit"
-        );
-        prop_assert!(
-            warm.cst_cache_hit,
-            "tier-2-on warm run must be an artifact hit"
-        );
+        prop_assert!(!cold.cst_cache_hit && !cold2.cst_cache_hit, "first run must miss");
+        prop_assert!(warm.cst_cache_hit, "cache-on repeat must be a hit");
         for (label, r) in [
-            ("plan-hit", &plan_hit),
             ("cold+capture", &cold2),
-            ("tier-2", &warm),
+            ("cache-hit", &warm),
             ("uncached", &repeat),
         ] {
             prop_assert_eq!(
@@ -130,19 +111,23 @@ proptest! {
                 "changed the modelled kernel work on the {} serve", label
             );
         }
-        // A tier-2 hit is pure dispatch + kernel: no top-down scan, no
-        // seeding, and exactly zero build/partition wall.
+        // A hit is pure dispatch + kernel: no plan derivation, no
+        // top-down scan, no seeding, and exactly zero build/partition wall.
+        prop_assert_eq!(
+            warm.plan_time, std::time::Duration::ZERO,
+            "a hit must derive nothing"
+        );
         prop_assert_eq!(
             warm.build_time, std::time::Duration::ZERO,
-            "tier-2 hit must build nothing"
+            "a hit must build nothing"
         );
         prop_assert_eq!(
             warm.topdown_entries, 0usize,
-            "tier-2 hit must not scan the graph top-down"
+            "a hit must not scan the graph top-down"
         );
         prop_assert_eq!(
             warm.seeded_shards, 0usize,
-            "tier-2 hit must not seed a rebuild"
+            "a hit must not seed a rebuild"
         );
     }
 

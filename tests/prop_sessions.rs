@@ -83,7 +83,6 @@ fn session_config(workers: usize, max_in_flight: usize, fault_seed: u64) -> Serv
         devices: 0,
         extra_devices: vec![flaky, healthy],
         workers,
-        cache_capacity: 16,
         cst_cache_bytes: 16 << 20,
         max_in_flight,
         deadline: Some(Duration::from_secs(3600)),
@@ -92,6 +91,7 @@ fn session_config(workers: usize, max_in_flight: usize, fault_seed: u64) -> Serv
             cross_check: false,
             cpu_fallback: true,
         },
+        ..ServeConfig::default()
     }
 }
 
@@ -106,7 +106,7 @@ enum Op {
     /// oracle.
     WaitOldest,
     /// Bump the default tenant's snapshot epoch mid-stream, invalidating
-    /// both cache tiers under the in-flight sessions.
+    /// the cache under the in-flight sessions.
     Bump,
 }
 
