@@ -656,8 +656,11 @@ mod tests {
     #[test]
     fn stronger_pruning_never_grows_the_cst() {
         use graph_core::generators::random_labelled_graph;
-        let q = QueryGraph::new(vec![l(0), l(1), l(0), l(1)], &[(0, 1), (1, 2), (2, 3), (3, 0)])
-            .unwrap();
+        let q = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        .unwrap();
         let g = random_labelled_graph(60, 0.15, 2, 3);
         let tree = BfsTree::new(&q, qv(0));
         let (full, _) = build_cst_with_stats(&q, &g, &tree, CstOptions::default());
@@ -691,8 +694,16 @@ mod tests {
                 assert_eq!(c.capacity(), c.len(), "{options:?}: C(u{u})");
             }
             for (slot, adj) in adjacency.iter().enumerate() {
-                assert_eq!(adj.offsets.capacity(), adj.offsets.len(), "{options:?}: {slot}");
-                assert_eq!(adj.targets.capacity(), adj.targets.len(), "{options:?}: {slot}");
+                assert_eq!(
+                    adj.offsets.capacity(),
+                    adj.offsets.len(),
+                    "{options:?}: {slot}"
+                );
+                assert_eq!(
+                    adj.targets.capacity(),
+                    adj.targets.len(),
+                    "{options:?}: {slot}"
+                );
             }
         }
     }

@@ -28,6 +28,7 @@ pub mod partition;
 pub mod structure;
 pub mod workload;
 
+pub use cache::{query_fingerprint, Fingerprint, PlanKey, ShardPlanner, DEFAULT_SHARDS};
 pub use construct::{build_cst, build_cst_with_stats, BuildStats, CstOptions};
 pub use filter::CandidateFilter;
 pub use intersect::{count_run, intersect_each, seek};
@@ -35,7 +36,6 @@ pub use partition::{
     fits, partition_cst, partition_cst_into, partition_cst_with_steal, shard_at_vertex, Oversized,
     PartitionConfig, PartitionStats,
 };
-pub use cache::{query_fingerprint, Fingerprint, PlanKey, ShardPlanner, DEFAULT_SHARDS};
 pub use structure::{CsrAdj, Cst};
 pub use workload::{estimate_workload, WorkloadEstimate};
 
@@ -71,7 +71,11 @@ mod testing {
         for j in expansions {
             let v = cst.candidate(u, j);
             let visited = (0..depth).any(|d| cst.candidate(order.vertex_at(d), mapping[d]) == v);
-            if visited || !backward.iter().all(|&(b, i)| cst.has_candidate_edge(b, i, u, j)) {
+            if visited
+                || !backward
+                    .iter()
+                    .all(|&(b, i)| cst.has_candidate_edge(b, i, u, j))
+            {
                 continue;
             }
             mapping.push(j);

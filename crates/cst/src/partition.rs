@@ -942,7 +942,12 @@ mod tests {
         };
         let (greedy, _) = partition_cst(&cst, &order, &mk(None));
         let (k2, _) = partition_cst(&cst, &order, &mk(Some(2)));
-        assert!(greedy.len() <= k2.len() + 1, "{} vs {}", greedy.len(), k2.len());
+        assert!(
+            greedy.len() <= k2.len() + 1,
+            "{} vs {}",
+            greedy.len(),
+            k2.len()
+        );
     }
 
     #[test]
@@ -1122,8 +1127,7 @@ mod tests {
                         };
                         for config in [&loose, &tight] {
                             let (parts, _) = collect(&cst, &order, &with(config, fanout));
-                            let sum: u64 =
-                                parts.iter().map(|p| count_matches(p, q, &order)).sum();
+                            let sum: u64 = parts.iter().map(|p| count_matches(p, q, &order)).sum();
                             assert_eq!(sum, whole, "{case}");
                         }
                         if fanout == 1 {

@@ -251,7 +251,11 @@ impl Cst {
     /// `D_CST`: the maximum candidate adjacency-list length, bounded by the
     /// FPGA's `Port_max` via the δ_D partition threshold (Section VI-A).
     pub fn max_candidate_degree(&self) -> u32 {
-        self.adjacency.iter().map(CsrAdj::max_degree).max().unwrap_or(0)
+        self.adjacency
+            .iter()
+            .map(CsrAdj::max_degree)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Payload, scaffold and `D_CST` together. `D_CST` scans every
@@ -290,14 +294,9 @@ impl Cst {
     pub fn directed_edges(&self) -> impl Iterator<Item = (QueryVertexId, QueryVertexId)> + '_ {
         let n = self.query_vertex_count();
         (0..n).flat_map(move |a| {
-            (0..n).filter(move |&b| self.edge_slot[a][b] != NO_EDGE).map(
-                move |b| {
-                    (
-                        QueryVertexId::from_index(a),
-                        QueryVertexId::from_index(b),
-                    )
-                },
-            )
+            (0..n)
+                .filter(move |&b| self.edge_slot[a][b] != NO_EDGE)
+                .map(move |b| (QueryVertexId::from_index(a), QueryVertexId::from_index(b)))
         })
     }
 

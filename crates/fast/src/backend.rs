@@ -364,8 +364,11 @@ impl ExecutionBackend for CpuBackend {
 mod tests {
     use super::*;
     use crate::prepare_partitions;
+    use graph_core::{
+        generators::random_labelled_graph, path_based_order, select_root, BfsTree, Label,
+        QueryGraph,
+    };
     use matching::AnchorPolicy;
-    use graph_core::{generators::random_labelled_graph, path_based_order, select_root, BfsTree, Label, QueryGraph};
 
     fn triangle() -> QueryGraph {
         QueryGraph::new(
@@ -440,7 +443,10 @@ mod tests {
             assert!(out.collected.len() <= 1);
             embeddings += out.embeddings;
         });
-        assert_eq!(embeddings, counted, "capping collection must not cap counting");
+        assert_eq!(
+            embeddings, counted,
+            "capping collection must not cap counting"
+        );
     }
 
     /// One engine, one price: on every partition of a few benchmark

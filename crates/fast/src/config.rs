@@ -174,7 +174,10 @@ mod tests {
         let c = FastConfig::default();
         let p6 = c.partition_config(6, &cst);
         let p2 = c.partition_config(2, &cst);
-        assert!(p6.delta_s < p2.delta_s, "bigger queries reserve more buffer");
+        assert!(
+            p6.delta_s < p2.delta_s,
+            "bigger queries reserve more buffer"
+        );
         assert_eq!(p6.delta_d, c.spec.port_max);
         // The grant never exceeds the raw budget (scaffold share is reserved)
         // and never hits zero for a non-degenerate CST.

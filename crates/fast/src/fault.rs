@@ -355,7 +355,11 @@ mod tests {
             Arc::new(CpuBackend::new(2)) as Arc<dyn ExecutionBackend>,
             FaultPlan { seed: 8, ..plan },
         );
-        assert_ne!(drive(&a, 3), drive(&c, 3), "different seed, different schedule");
+        assert_ne!(
+            drive(&a, 3),
+            drive(&c, 3),
+            "different seed, different schedule"
+        );
     }
 
     #[test]
@@ -418,7 +422,10 @@ mod tests {
             },
         );
         assert_eq!(slow.spec().class, BackendClass::Fpga);
-        assert_eq!(slow.prior_sec_per_workload(), inner.prior_sec_per_workload());
+        assert_eq!(
+            slow.prior_sec_per_workload(),
+            inner.prior_sec_per_workload()
+        );
         let q = triangle();
         let g = random_labelled_graph(60, 0.25, 2, 97);
         let config = FastConfig::test_small(Variant::Sep);
@@ -445,14 +452,8 @@ mod tests {
     #[test]
     fn error_display_names_the_failure_mode() {
         let cases = [
-            (
-                BackendError::Transient("x".into()).to_string(),
-                "transient",
-            ),
-            (
-                BackendError::Permanent("x".into()).to_string(),
-                "permanent",
-            ),
+            (BackendError::Transient("x".into()).to_string(), "transient"),
+            (BackendError::Permanent("x".into()).to_string(), "permanent"),
             (BackendError::Corrupted("x".into()).to_string(), "corrupted"),
             (
                 BackendError::Stalled { watchdog_sec: 1.5 }.to_string(),

@@ -53,7 +53,9 @@ use cst::{
     PartitionConfig, DEFAULT_SHARDS,
 };
 use fpga_sim::WorkloadCounts;
-use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
+use graph_core::{
+    path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId,
+};
 use matching::{
     run_backtrack_with_sink, AnchorPolicy, CpuCostModel, EngineStats, ExtensionMethod, RunLimits,
 };
@@ -568,8 +570,7 @@ fn produce_partitions(
             }
             sink(job);
         };
-        let stats =
-            partition_cst_with_steal(&cst, order, &partition_config, &mut offer, &mut emit);
+        let stats = partition_cst_with_steal(&cst, order, &partition_config, &mut offer, &mut emit);
         forced = stats.forced;
         partition_time = t0.elapsed();
     }
@@ -701,7 +702,10 @@ fn finish_report(
         .map(|_| config.spec.pcie.latency_sec)
         .sum::<f64>()
         + config.spec.pcie.transfer_time_sec(state.offloaded_bytes)
-        + config.spec.pcie.transfer_time_sec(result_bytes.min(state.offloaded_bytes.max(1 << 20)));
+        + config
+            .spec
+            .pcie
+            .transfer_time_sec(result_bytes.min(state.offloaded_bytes.max(1 << 20)));
 
     let modeled_build_sec = cpu_cost.index_time_sec(phase.build_entries);
 
@@ -709,7 +713,11 @@ fn finish_report(
     // plus roughly the same again across recursion levels. Stolen CSTs were
     // consumed before splitting — that is exactly the partition cost
     // FAST-SHARE saves (Section VII-B).
-    let cpu_entries: usize = state.cpu_queue.iter().map(|c| c.total_adjacency_entries()).sum();
+    let cpu_entries: usize = state
+        .cpu_queue
+        .iter()
+        .map(|c| c.total_adjacency_entries())
+        .sum();
     let partition_entries =
         state.offloaded_bytes / 4 + cpu_entries.saturating_sub(state.stolen_entries);
     let modeled_partition_sec = cpu_cost.partition_time_sec(2 * partition_entries);
@@ -761,7 +769,9 @@ mod tests {
     /// Embeddings of `cst`, counted as the CPU share counts them.
     fn engine_count(q: &QueryGraph, g: &Graph, cst: &Cst, order: &MatchingOrder) -> u64 {
         let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
-        run_backtrack(q, g, cst, order, method, &RunLimits::unlimited()).1.embeddings
+        run_backtrack(q, g, cst, order, method, &RunLimits::unlimited())
+            .1
+            .embeddings
     }
 
     fn queries() -> Vec<QueryGraph> {
@@ -858,7 +868,10 @@ mod tests {
         for delta in [0.0, 1.0] {
             let mut config = FastConfig::test_small(Variant::Share);
             config.delta = delta;
-            assert_eq!(run_fast(q, &g, &config).unwrap().embeddings, vf2_count(q, &g));
+            assert_eq!(
+                run_fast(q, &g, &config).unwrap().embeddings,
+                vf2_count(q, &g)
+            );
         }
     }
 
@@ -971,7 +984,10 @@ mod tests {
         let g = random_labelled_graph(50, 0.2, 3, 503);
         let report = run_fast(&q, &g, &FastConfig::default()).unwrap();
         // Modelled total uses the *modelled* (paper-Xeon) host times.
-        assert_eq!(report.modeled_total_sec().to_bits(), paper_model(&report).to_bits());
+        assert_eq!(
+            report.modeled_total_sec().to_bits(),
+            paper_model(&report).to_bits()
+        );
         assert!(report.modeled_total_sec() >= report.modeled_build_sec);
         assert!(report.measured_total_sec() >= report.build_time.as_secs_f64());
         assert!(report.kernel_time_sec >= 0.0);
@@ -995,7 +1011,10 @@ mod tests {
                 + r.modeled_cpu_match_sec
                 + r.transfer_time_sec
                 + r.kernel_time_sec;
-            assert!(total <= serial_sum + 1e-12, "{variant}: {total} > {serial_sum}");
+            assert!(
+                total <= serial_sum + 1e-12,
+                "{variant}: {total} > {serial_sum}"
+            );
             for after_build in [r.modeled_partition_sec, r.kernel_time_sec] {
                 let floor = r.modeled_build_sec + after_build;
                 assert!(total >= floor - 1e-12, "{variant}: {total} < {floor}");
@@ -1011,8 +1030,7 @@ mod tests {
         let root = select_root(&q, &g);
         let tree = BfsTree::new(&q, root);
         let order = graph_core::ceci_style_order(&q, &tree);
-        let injected =
-            run_fast_with_order(&q, &g, &FastConfig::default(), &order).unwrap();
+        let injected = run_fast_with_order(&q, &g, &FastConfig::default(), &order).unwrap();
         assert_eq!(default.embeddings, injected.embeddings);
     }
 
@@ -1043,7 +1061,10 @@ mod tests {
                 assert_eq!(held.index, i, "q{qi}");
                 assert_eq!(held.index, sent.index, "q{qi}");
                 assert_eq!(held.workload.to_bits(), sent.workload.to_bits(), "q{qi}");
-                assert!(Arc::ptr_eq(&held.cst, &sent.cst), "q{qi}: partition {i} copied");
+                assert!(
+                    Arc::ptr_eq(&held.cst, &sent.cst),
+                    "q{qi}: partition {i} copied"
+                );
             }
 
             // Capture changes nothing about the stream itself.
@@ -1127,7 +1148,13 @@ mod tests {
             ] {
                 config.spec.no = n_o;
                 config.pipeline_shards = Some(4);
-                cases.push((format!("{name} S=4"), q.clone(), g.clone(), expected, config));
+                cases.push((
+                    format!("{name} S=4"),
+                    q.clone(),
+                    g.clone(),
+                    expected,
+                    config,
+                ));
             }
         }
         let (mut whole, mut capped, mut full) = (0, 0, 0);
@@ -1143,12 +1170,18 @@ mod tests {
                     streamed.push(Arc::unwrap_or_clone(job.cst));
                 });
                 let shard = &phase.prepared.expect("capture requested").shard_csts[0];
-                let sum: u64 = streamed.iter().map(|p| engine_count(&q, &g, p, &order)).sum();
+                let sum: u64 = streamed
+                    .iter()
+                    .map(|p| engine_count(&q, &g, p, &order))
+                    .sum();
                 assert_eq!(sum, expected, "{case}");
                 if shard.any_empty() {
                     continue;
                 }
-                assert!(phase.build_topdown_entries > 0, "{case}: the build scans top-down");
+                assert!(
+                    phase.build_topdown_entries > 0,
+                    "{case}: the build scans top-down"
+                );
 
                 let thresholds = config.partition_config(q.vertex_count(), shard);
                 let stream = |root_fanout| {

@@ -56,8 +56,8 @@ pub use backend::{
     FpgaBackend, QueryCtx,
 };
 pub use config::FastConfig;
-pub use fault::{FaultCounters, FaultInjector, FaultPlan};
 pub use cst::ShardPlanner;
+pub use fault::{FaultCounters, FaultInjector, FaultPlan};
 pub use host::{
     prepare_partitions, run_fast, run_fast_with_order, FastError, FastReport, PartitionJob,
     PreparePhase, PreparedCsts,

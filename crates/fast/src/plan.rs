@@ -44,7 +44,10 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::QueryTooLarge(n) => {
-                write!(f, "query has {n} vertices; kernel supports {MAX_KERNEL_QUERY}")
+                write!(
+                    f,
+                    "query has {n} vertices; kernel supports {MAX_KERNEL_QUERY}"
+                )
             }
         }
     }
@@ -57,11 +60,7 @@ impl KernelPlan {
     /// it precedes the vertex in the order (always true for tree-respecting
     /// orders like the paper's path-based order), otherwise the earliest
     /// backward neighbour.
-    pub fn new(
-        q: &QueryGraph,
-        order: &MatchingOrder,
-        tree: &BfsTree,
-    ) -> Result<Self, PlanError> {
+    pub fn new(q: &QueryGraph, order: &MatchingOrder, tree: &BfsTree) -> Result<Self, PlanError> {
         let n = q.vertex_count();
         if n > MAX_KERNEL_QUERY {
             return Err(PlanError::QueryTooLarge(n));
@@ -82,7 +81,10 @@ impl KernelPlan {
                     .map(|p| order.position_of(p))
                     .filter(|&pd| pd < d);
                 parent_depth.unwrap_or_else(|| {
-                    *backward.iter().min().expect("connected order has an anchor")
+                    *backward
+                        .iter()
+                        .min()
+                        .expect("connected order has an anchor")
                 })
             };
             let validate_depths = backward

@@ -78,7 +78,10 @@ mod tests {
     #[test]
     fn variant_ladder_is_monotone() {
         let m = model();
-        let counts = WorkloadCounts { n: 50_000, m: 40_000 };
+        let counts = WorkloadCounts {
+            n: 50_000,
+            m: 40_000,
+        };
         let cycles: Vec<u64> = Variant::ALL
             .iter()
             .map(|v| v.kernel_cycles(&m, counts))
