@@ -306,12 +306,30 @@ impl Layout {
     /// direction of each query edge: every other direction is the
     /// counting-sort transpose of its stored one, which by CST symmetry is
     /// exactly the list that remapping it from the parent would give.
-    fn assemble(&self, candidates: Vec<Vec<VertexId>>, mut stored: Vec<CsrAdj>) -> Cst {
+    /// `counts`, when given, holds each stored edge's entries per target in
+    /// turn (the reverse lists' lengths, as [`Emitter::scan`] counts them),
+    /// so the transposes do not count them again.
+    fn assemble(
+        &self,
+        candidates: Vec<Vec<VertexId>>,
+        mut stored: Vec<CsrAdj>,
+        counts: Option<&[u32]>,
+    ) -> Cst {
+        let mut counted = 0;
         let mut reverse: Vec<CsrAdj> = self
             .stored
             .iter()
             .zip(&stored)
-            .map(|(&(_, to), adj)| adj.transpose(candidates[to.index()].len()))
+            .map(|(&(_, to), adj)| {
+                let target_count = candidates[to.index()].len();
+                match counts {
+                    Some(counts) => {
+                        counted += target_count;
+                        adj.transpose_counted(&counts[counted - target_count..counted])
+                    }
+                    None => adj.transpose(target_count),
+                }
+            })
             .collect();
         let pairs = self
             .directed
@@ -362,6 +380,7 @@ impl<'a> Node<'a> {
         layout.assemble(
             self.candidates.iter().map(|c| c.to_vec()).collect(),
             self.stored.iter().map(|adj| CsrAdj::clone(adj)).collect(),
+            None,
         )
     }
 }
@@ -632,8 +651,8 @@ struct Emitter {
     /// `targets`.
     scratch: Vec<u32>,
     spans: Vec<EdgeSpan>,
-    /// Per kept target of one stored edge, its entries: the length of its
-    /// list in the reverse direction.
+    /// Per stored edge in turn, per kept target, its entries: the length of
+    /// its list in the reverse direction.
     counts: Vec<u32>,
 }
 
@@ -667,17 +686,19 @@ impl Emitter {
         }
 
         self.spans.clear();
+        self.counts.clear();
         let (mut start, mut offsets, mut targets, mut max_degree) = (0, 0, 0, 0);
         for (&(a, b), adj) in layout.stored.iter().zip(&parent.stored) {
             let (source, target) = (&self.select[a.index()], &self.select[b.index()]);
             let (out_offsets, out_targets) = self.scratch[start..].split_at_mut(source.kept + 1);
             let (len, longest) = remap_edge(adj, source, target, out_offsets, out_targets);
-            self.counts.clear();
-            self.counts.resize(target.kept, 0);
+            let counted = self.counts.len();
+            self.counts.resize(counted + target.kept, 0);
+            let counts = &mut self.counts[counted..];
             for &t in &out_targets[..len] {
-                self.counts[t as usize] += 1;
+                counts[t as usize] += 1;
             }
-            max_degree = self.counts.iter().fold(max_degree, |max, &n| max.max(n));
+            max_degree = counts.iter().fold(max_degree, |max, &n| max.max(n));
             self.spans.push(EdgeSpan {
                 start,
                 offsets: source.kept + 1,
@@ -699,7 +720,7 @@ impl Emitter {
     /// The child last scanned as a whole CST, in vectors of exactly its
     /// size.
     fn build(&self, parent: &Node, layout: &Layout) -> Cst {
-        layout.assemble(self.candidates(parent), self.stored())
+        layout.assemble(self.candidates(parent), self.stored(), Some(&self.counts))
     }
 
     /// The child last scanned as a half node, in vectors of exactly its

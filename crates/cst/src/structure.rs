@@ -69,6 +69,23 @@ impl CsrAdj {
         for j in 0..target_count {
             offsets[j + 1] += offsets[j];
         }
+        self.scatter(offsets)
+    }
+
+    /// [`transpose`](Self::transpose) given the entries per target,
+    /// `counts[j]` being the length of target `j`'s reverse list (one slot
+    /// per target): the counting sort without its counting pass.
+    pub(crate) fn transpose_counted(&self, counts: &[u32]) -> CsrAdj {
+        let mut offsets = vec![0u32; counts.len() + 1];
+        for (j, &n) in counts.iter().enumerate() {
+            offsets[j + 1] = offsets[j] + n;
+        }
+        self.scatter(offsets)
+    }
+
+    /// The counting sort's placement pass: each source, ascending, into its
+    /// targets' reverse lists, whose bounds are `offsets`.
+    fn scatter(&self, offsets: Vec<u32>) -> CsrAdj {
         let mut next = offsets.clone();
         let mut targets = vec![0u32; self.targets.len()];
         for i in 0..self.source_count() {
@@ -538,6 +555,10 @@ mod tests {
             assert_eq!(reverse, reverse_by_definition(&forward, target_count));
             assert_eq!(reverse.source_count(), target_count);
             assert_eq!(reverse.transpose(forward.source_count()), forward);
+            // The partitioner's path: the entries per target given, as the
+            // reverse lists' lengths.
+            let counts: Vec<u32> = (0..target_count).map(|j| reverse.degree(j)).collect();
+            assert_eq!(forward.transpose_counted(&counts), reverse);
         }
     }
 

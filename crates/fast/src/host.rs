@@ -7,10 +7,11 @@
 //!    at most `⌊W_CST / N_o⌋` chunks — and estimate every partition's
 //!    `W_CST`;
 //! 3. offload partitions over the modelled PCIe link and run the emulated
-//!    kernel on each (Section VI) — in [`run_fast`] on the card's own lane,
-//!    while the host keeps partitioning — while FAST-SHARE books a bounded
-//!    share of partitions to the CPU (Algorithm 3) and steals oversized CSTs
-//!    to skip partitioning work;
+//!    kernel on each (Section VI), while FAST-SHARE books a bounded share of
+//!    partitions to the CPU (Algorithm 3) and steals oversized CSTs to skip
+//!    partitioning work — in [`run_fast`] every booked partition goes on one
+//!    ready queue that the card's own lane drains while the host keeps
+//!    partitioning;
 //! 4. aggregate embeddings and derive elapsed time.
 //!
 //! Steps 1–2 are written once, in `produce_partitions`; who a partition is
@@ -28,10 +29,14 @@
 //! hardware-consistent with the modelled 300 MHz kernel (see cost_model
 //! docs). The paper overlaps partitioning with kernel execution (partitions
 //! stream to the card as they are produced), and so does [`run_fast`]: the
-//! emulated card runs on its own lane, a thread that executes FPGA-bound
-//! partitions in stream order while the host keeps partitioning and then
-//! runs the CPU share, so the overlap the model prices is real on this
-//! machine too. The elapsed model is the paper's
+//! host books every partition in stream order and puts it on one ready
+//! queue, which the emulated card's lane drains while the host keeps
+//! partitioning — the kernel on FPGA-booked partitions, the CPU engine on
+//! CPU-booked ones — and the host drains with it once partitioning ends.
+//! Neither of this machine's threads waits on the other's schedule, so the
+//! overlap the model prices is real here too. Bookings are all made before
+//! any execution, so the modelled seconds do not depend on who ran what.
+//! The elapsed model is the paper's
 //!
 //! ```text
 //! elapsed = max(build + partition + cpu_share, build + transfer + kernel)
@@ -60,7 +65,7 @@ use matching::{
     run_backtrack_with_sink, AnchorPolicy, CpuCostModel, EngineStats, ExtensionMethod, RunLimits,
 };
 use std::cell::RefCell;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Errors from a FAST run.
@@ -131,18 +136,20 @@ pub struct FastReport {
     /// Measured wall time of the CST build.
     pub build_time: Duration,
     /// Measured host time: partitioning (including workload estimation).
-    /// A plain wall of the host thread: the emulated kernel runs on its own
-    /// lane, so none of its time is in here.
+    /// A plain wall of the host thread: partitions only wait on the ready
+    /// queue meanwhile, so no kernel or CPU-share time is in here.
     pub partition_time: Duration,
-    /// Measured host time: CPU-share matching.
+    /// Measured time of CPU-share matching: the summed engine walls of the
+    /// CPU-booked partitions, whichever thread ran them (the lane or the
+    /// host), so it overlaps partitioning and kernel time.
     pub cpu_match_time: Duration,
     /// Measured wall time of the whole host preparation (build overlapped
-    /// with partition/offload) on the host thread, which only hands
-    /// FPGA-bound partitions to the kernel's own lane.
+    /// with partition/offload) on the host thread, which only books each
+    /// partition onto the ready queue.
     pub host_prepare_wall: Duration,
-    /// Measured host wall time until the first partition was sent to the
-    /// kernel's lane (the device's idle prefix; falls back to the build
-    /// wall when every partition landed on the CPU).
+    /// Measured host wall time until the first FPGA-booked partition was
+    /// put on the ready queue (the device's idle prefix; falls back to the
+    /// build wall when every partition landed on the CPU).
     pub first_offload_wall: Duration,
     /// Host times normalised to the paper's Xeon (see `CpuCostModel`).
     pub modeled_build_sec: f64,
@@ -163,8 +170,8 @@ pub struct FastReport {
     /// Total size of all offloaded partitions (S_CST of Fig. 9).
     pub cst_bytes_total: usize,
     /// Wall-clock time of the whole emulated run (host measurement): the
-    /// host's build, partitioning and CPU share, overlapped with the
-    /// kernel's own lane, until that lane has drained.
+    /// host's build and partitioning, overlapped with the lane's draining of
+    /// the ready queue, until both threads have drained it.
     pub wall_time: Duration,
 }
 
@@ -178,27 +185,18 @@ impl FastReport {
         let device = self.modeled_build_sec + self.transfer_time_sec + self.kernel_time_sec;
         host.max(device)
     }
-
-    /// Like [`FastReport::modeled_total_sec`] but with host work *measured*
-    /// on this machine instead of normalised: the measured overlapped
-    /// preparation wall plus the CPU share, against the device side gated
-    /// by the measured time-to-first-offload.
-    pub fn measured_total_sec(&self) -> f64 {
-        let host = self.host_prepare_wall.as_secs_f64() + self.cpu_match_time.as_secs_f64();
-        let device =
-            self.first_offload_wall.as_secs_f64() + self.transfer_time_sec + self.kernel_time_sec;
-        host.max(device)
-    }
 }
 
 /// Runs the co-designed framework on `(q, g)`.
 ///
-/// Each call spawns one scoped thread, the emulated card's lane, which runs
-/// the FPGA-bound partitions in stream order while this thread partitions
-/// and runs the CPU share. Counts, counters and modelled seconds do not
-/// depend on how the two interleave. A kernel panic on the lane resurfaces
-/// from `run_fast` as a panic when the lane is joined, never as a hang or a
-/// silent zero.
+/// Each call spawns one scoped thread, the emulated card's lane. Every
+/// partition is booked on this thread, in stream order, and put on one
+/// ready queue; the lane drains it while this thread partitions, running
+/// the kernel on FPGA-booked partitions and the CPU engine on CPU-booked
+/// ones, and this thread drains what is left once partitioning ends.
+/// Counts, counters, collected rows and modelled seconds do not depend on
+/// which thread ran what. A panic on either thread resurfaces from
+/// `run_fast` as a panic, never as a hang or a silent zero.
 pub fn run_fast(q: &QueryGraph, g: &Graph, config: &FastConfig) -> Result<FastReport, FastError> {
     let root = select_root(q, g);
     let tree = BfsTree::new(q, root);
@@ -221,8 +219,8 @@ pub fn run_fast_with_order(
 }
 
 /// The one-shot flow: [`produce_partitions`] with Algorithm 3 as steal hook
-/// and sink, the FPGA-bound partitions running on the card's own lane, then
-/// the CPU share while the lane drains, and the report.
+/// and sink, which books every partition onto the ready queue that the
+/// card's lane and then this thread drain, and the report.
 fn run_fast_with_tree(
     q: &QueryGraph,
     g: &Graph,
@@ -237,71 +235,125 @@ fn run_fast_with_tree(
     // cycle pricing. Serving pools run the same backend (`fast::backend`),
     // so the one-shot and served paths cannot drift.
     let backend = FpgaBackend::from_config(config);
-    let report = std::thread::scope(|scope| {
-        // The sender is owned inside the scope, so a panic on this thread
-        // drops it while unwinding and the lane's loop ends: the scope's
-        // join cannot hang.
-        let (lane, kernel_queue) = mpsc::channel::<Arc<Cst>>();
-        let device = scope.spawn(|| {
-            kernel_queue
-                .into_iter()
-                .map(|cst| backend.run(&cst, &plan, config.collect))
-                .collect::<Vec<KernelOutput>>()
-        });
-        // The partitioner takes the steal hook and the sink as two
-        // independent `&mut dyn FnMut`; both book into the same scheduler,
-        // so share it.
-        let state = RefCell::new(OffloadState::new(config));
-        let mut steal = |oversized: &Oversized, workload: &dyn Fn() -> f64| {
-            state.borrow_mut().steal(oversized, workload)
-        };
-        let phase = produce_partitions(
-            q,
-            g,
-            config,
-            tree,
-            order,
-            1,
-            false,
-            config
-                .variant
-                .shares_with_cpu()
-                .then_some(&mut steal as StealHook<'_>),
-            &mut |job| state.borrow_mut().offload(job, &lane),
-        );
-        let state = state.into_inner();
-        let host_prepare_wall = state.prepare_start.elapsed();
-        drop(lane);
-        let cpu_share = run_cpu_share(q, g, order, &state.cpu_queue, config.collect);
-        // A kernel panic resurfaces here with its own payload.
-        let fpga_outputs = device
+    let cap = collect_cap(config.collect);
+    let execute = |work: Work| match work {
+        Work::Fpga(seq, cst) => Done::Fpga(seq, backend.run(&cst, &plan, config.collect)),
+        Work::Cpu(seq, cst) => Done::Cpu(seq, run_cpu_partition(q, g, order, &cst, cap)),
+    };
+    let ((state, host_prepare_wall, phase), done) = drain_on_two_threads(
+        |ready| {
+            // The partitioner takes the steal hook and the sink as two
+            // independent `&mut dyn FnMut`; both book into the same
+            // scheduler, so share it.
+            let state = RefCell::new(OffloadState::new(config));
+            let mut steal = |oversized: &Oversized, workload: &dyn Fn() -> f64| {
+                state.borrow_mut().steal(oversized, workload, ready)
+            };
+            let phase = produce_partitions(
+                q,
+                g,
+                config,
+                tree,
+                order,
+                1,
+                false,
+                config
+                    .variant
+                    .shares_with_cpu()
+                    .then_some(&mut steal as StealHook<'_>),
+                &mut |job| state.borrow_mut().offload(job, ready),
+            );
+            let state = state.into_inner();
+            let host_prepare_wall = state.prepare_start.elapsed();
+            (state, host_prepare_wall, phase)
+        },
+        execute,
+    );
+    Ok(finish_report(
+        q,
+        config,
+        &backend,
+        state,
+        host_prepare_wall,
+        done,
+        &phase,
+        wall_start,
+    ))
+}
+
+/// Drains one ready queue on two threads: a scoped lane drains it while
+/// `produce` puts work on it on this thread; once `produce` returns, its
+/// sender is dropped and this thread drains what is left, then joins the
+/// lane. Returns `produce`'s result and every item's output, the lane's
+/// first, each drainer's in the order it took them.
+///
+/// The sender is dropped while this thread unwinds, so a panic here ends
+/// the lane's loop and the scope's join cannot hang. A panic in `run` on
+/// the lane resurfaces here with its own payload once this thread has
+/// drained the queue: the queue outlives the lane, so sends never fail.
+fn drain_on_two_threads<W: Send, D: Send, P>(
+    produce: impl FnOnce(&mpsc::Sender<W>) -> P,
+    run: impl Fn(W) -> D + Sync,
+) -> (P, Vec<D>) {
+    let (ready, queue) = mpsc::channel();
+    let queue = Mutex::new(queue);
+    std::thread::scope(|scope| {
+        let lane = scope.spawn(|| drain(&queue, &run));
+        let produced = produce(&ready);
+        drop(ready);
+        let host = drain(&queue, &run);
+        let mut done = lane
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        finish_report(
-            q,
-            config,
-            &backend,
-            state,
-            host_prepare_wall,
-            &fpga_outputs,
-            cpu_share,
-            &phase,
-            wall_start,
-        )
-    });
-    Ok(report)
+        done.extend(host);
+        (produced, done)
+    })
+}
+
+/// The worker loop both drainers run: takes one item at a time, holding
+/// the lock only while taking it, and runs it, until the queue is empty
+/// and its sender gone.
+fn drain<W, D>(queue: &Mutex<mpsc::Receiver<W>>, run: impl Fn(W) -> D) -> Vec<D> {
+    std::iter::from_fn(|| {
+        queue
+            .lock()
+            .expect("no drainer panics while taking an item")
+            .recv()
+            .ok()
+    })
+    .map(run)
+    .collect()
+}
+
+/// A booked partition on the ready queue, numbered in booking order.
+enum Work {
+    Fpga(usize, Arc<Cst>),
+    Cpu(usize, Arc<Cst>),
+}
+
+/// What a drainer made of one [`Work`] item, under the item's number.
+enum Done {
+    Fpga(usize, KernelOutput),
+    Cpu(usize, CpuRun),
 }
 
 /// Algorithm 3 over the partition stream (Fig. 2 steps 3/5): books each
-/// partition to a side and sends FPGA-bound ones to the emulated card,
-/// which runs on its own lane while the host keeps partitioning.
-/// Partitions booked to the CPU wait until the stream ends (Section V-C:
-/// "CST is temporarily cached and will be processed when all partition
-/// procedure finishes").
+/// partition to a side, in stream order, and puts it on the ready queue at
+/// once, stolen CSTs included. Section V-C caches CPU-booked CSTs "and
+/// will be processed when all partition procedure finishes"; here either
+/// drainer may run one as soon as it is booked. Bookings are still all
+/// made on this thread, before any execution, so the FAST-SHARE counters
+/// and `modelled_total_s` are what the serial flow gives, and
+/// `CpuCostModel::parallel_search_time_sec(.., 8)` already prices the
+/// share as running on all cores.
 struct OffloadState {
     prepare_start: Instant,
     scheduler: ShareScheduler,
-    cpu_queue: Vec<Arc<Cst>>,
+    /// Partitions put on the ready queue so far: the next one's number.
+    booked: usize,
+    cpu_partitions: usize,
+    /// Adjacency entries of every CPU-booked CST, stolen ones whole.
+    cpu_entries: usize,
     /// Bytes of every offloaded partition (what crosses PCIe).
     offloaded_bytes: usize,
     stolen: usize,
@@ -320,7 +372,9 @@ impl OffloadState {
         OffloadState {
             prepare_start: Instant::now(),
             scheduler: ShareScheduler::new(delta),
-            cpu_queue: Vec::new(),
+            booked: 0,
+            cpu_partitions: 0,
+            cpu_entries: 0,
             offloaded_bytes: 0,
             stolen: 0,
             stolen_entries: 0,
@@ -332,7 +386,12 @@ impl OffloadState {
     /// book it to the CPU anyway, saving its partitioning. The workload is
     /// estimated only while the CPU's share has room for any workload, and
     /// the whole CST is built only once it is taken.
-    fn steal(&mut self, oversized: &Oversized, workload: &dyn Fn() -> f64) -> bool {
+    fn steal(
+        &mut self,
+        oversized: &Oversized,
+        workload: &dyn Fn() -> f64,
+        ready: &mpsc::Sender<Work>,
+    ) -> bool {
         if !self.scheduler.can_take_any() {
             return false;
         }
@@ -343,68 +402,127 @@ impl OffloadState {
         self.scheduler.book_cpu(workload);
         self.stolen += 1;
         self.stolen_entries += oversized.total_adjacency_entries();
-        self.cpu_queue.push(Arc::new(oversized.to_cst()));
+        self.send_cpu(Arc::new(oversized.to_cst()), ready);
         true
     }
 
-    /// The sink: books the partition and, on the FPGA side, sends it to the
-    /// card's lane. A send fails only once the lane has panicked; that
-    /// panic resurfaces when the lane is joined.
-    fn offload(&mut self, job: PartitionJob, lane: &mpsc::Sender<Arc<Cst>>) {
+    /// The sink: books the partition and puts it on the ready queue.
+    fn offload(&mut self, job: PartitionJob, ready: &mpsc::Sender<Work>) {
         match self.scheduler.assign(job.workload) {
-            Assignment::Cpu => self.cpu_queue.push(job.cst),
+            Assignment::Cpu => self.send_cpu(job.cst, ready),
             Assignment::Fpga => {
                 self.offloaded_bytes += job.cst.size_bytes();
                 self.first_offload
                     .get_or_insert_with(|| self.prepare_start.elapsed());
-                let _ = lane.send(job.cst);
+                self.send(Work::Fpga, job.cst, ready);
             }
         }
     }
+
+    fn send_cpu(&mut self, cst: Arc<Cst>, ready: &mpsc::Sender<Work>) {
+        self.cpu_partitions += 1;
+        self.cpu_entries += cst.total_adjacency_entries();
+        self.send(Work::Cpu, cst, ready);
+    }
+
+    fn send(
+        &mut self,
+        side: fn(usize, Arc<Cst>) -> Work,
+        cst: Arc<Cst>,
+        ready: &mpsc::Sender<Work>,
+    ) {
+        ready
+            .send(side(self.booked, cst))
+            .expect("the ready queue outlives its producer");
+        self.booked += 1;
+    }
 }
 
-/// The FAST-SHARE CPU share (Fig. 2 step 5), run on the host thread while
-/// the card's lane drains: the engine over each queued CST alone
-/// (Theorem 1).
-struct CpuShare {
-    embeddings: u64,
-    /// Up to the collect cap, in queue order.
-    collected: Vec<Vec<VertexId>>,
+/// One FAST-SHARE CPU-share partition (Fig. 2 step 5) run by the engine
+/// alone (Theorem 1).
+struct CpuRun {
     stats: EngineStats,
+    /// Up to the collect cap.
+    collected: Vec<Vec<VertexId>>,
     time: Duration,
 }
 
-/// Runs the CPU share over `cpu_queue`. The search reports every
+/// Runs the engine over one CPU-booked partition. The search reports every
 /// embedding; collection alone is capped.
-fn run_cpu_share(
+fn run_cpu_partition(
     q: &QueryGraph,
     g: &Graph,
     order: &MatchingOrder,
-    cpu_queue: &[Arc<Cst>],
-    collect: CollectMode,
-) -> CpuShare {
+    partition: &Cst,
+    cap: usize,
+) -> CpuRun {
     let start = Instant::now();
-    let cap = collect_cap(collect);
     let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
+    let mut collected = Vec::new();
+    let mut sink = |embedding: &[VertexId]| {
+        if collected.len() < cap {
+            collected.push(embedding.to_vec());
+        }
+    };
     let limits = RunLimits::unlimited();
-    let (mut embeddings, mut collected, mut stats) = (0, Vec::new(), EngineStats::default());
-    for partition in cpu_queue {
-        let mut sink = |embedding: &[VertexId]| {
-            if collected.len() < cap {
-                collected.push(embedding.to_vec());
-            }
-        };
-        let (_, run) = run_backtrack_with_sink(q, g, partition, order, method, &limits, &mut sink);
-        embeddings += run.embeddings;
-        stats.partials_generated += run.partials_generated;
-        stats.edge_verifications += run.edge_verifications;
-    }
-    CpuShare {
-        embeddings,
-        collected,
+    let (_, stats) = run_backtrack_with_sink(q, g, partition, order, method, &limits, &mut sink);
+    CpuRun {
         stats,
+        collected,
         time: start.elapsed(),
     }
+}
+
+/// Both drainers' outputs folded by `(side, number)`, whichever thread ran
+/// an item and whenever it finished: kernel outputs in stream order, then
+/// CPU runs in queue order, rows cut at the cap.
+#[derive(Debug, Default, PartialEq)]
+struct Folded {
+    embeddings: u64,
+    collected: Vec<Vec<VertexId>>,
+    counts: WorkloadCounts,
+    fpga_partitions: usize,
+    kernel_cycles: u64,
+    rounds: u64,
+    cst_reads: u64,
+    buffer_writes: u64,
+    /// The CPU share's search counters (partials and edge verifications)
+    /// and its summed engine wall.
+    cpu_stats: EngineStats,
+    cpu_time: Duration,
+}
+
+fn fold(mut done: Vec<Done>, cap: usize, backend: &FpgaBackend) -> Folded {
+    done.sort_unstable_by_key(|item| match item {
+        Done::Fpga(seq, _) => (false, *seq),
+        Done::Cpu(seq, _) => (true, *seq),
+    });
+    let mut folded = Folded::default();
+    for item in done {
+        let rows = match item {
+            Done::Fpga(_, out) => {
+                folded.fpga_partitions += 1;
+                folded.embeddings += out.embeddings;
+                folded.counts.n += out.counts.n;
+                folded.counts.m += out.counts.m;
+                folded.kernel_cycles += backend.price_cycles(out.counts);
+                folded.rounds += out.rounds;
+                folded.cst_reads += out.cst_reads;
+                folded.buffer_writes += out.buffer_writes;
+                out.collected
+            }
+            Done::Cpu(_, run) => {
+                folded.embeddings += run.stats.embeddings;
+                folded.cpu_stats.partials_generated += run.stats.partials_generated;
+                folded.cpu_stats.edge_verifications += run.stats.edge_verifications;
+                folded.cpu_time += run.time;
+                run.collected
+            }
+        };
+        let room = cap.saturating_sub(folded.collected.len());
+        folded.collected.extend(rows.into_iter().take(room));
+    }
+    folded
 }
 
 /// Rows a report collects at most.
@@ -645,9 +763,8 @@ pub fn prepare_partitions(
     )
 }
 
-/// Aggregates the lane's kernel outputs (in stream order) and the CPU
-/// share, derives the modelled times from `phase`, and assembles the
-/// report.
+/// Folds the drainers' outputs, derives the modelled times from `phase`,
+/// and assembles the report.
 #[allow(clippy::too_many_arguments)]
 fn finish_report(
     q: &QueryGraph,
@@ -655,50 +772,23 @@ fn finish_report(
     backend: &FpgaBackend,
     state: OffloadState,
     host_prepare_wall: Duration,
-    fpga_outputs: &[KernelOutput],
-    cpu_share: CpuShare,
+    done: Vec<Done>,
     phase: &PreparePhase,
     wall_start: Instant,
 ) -> FastReport {
     let cpu_cost = CpuCostModel::default();
-
-    // --- Aggregate kernel outputs and model device time. ---
-    let cap = collect_cap(config.collect);
-    let mut counts = WorkloadCounts::default();
-    let mut embeddings = 0u64;
-    let mut collected = Vec::new();
-    let mut rounds = 0u64;
-    let mut cst_reads = 0u64;
-    let mut buffer_writes = 0u64;
-    let mut kernel_cycles = 0u64;
-    for out in fpga_outputs {
-        counts.n += out.counts.n;
-        counts.m += out.counts.m;
-        embeddings += out.embeddings;
-        rounds += out.rounds;
-        cst_reads += out.cst_reads;
-        buffer_writes += out.buffer_writes;
-        kernel_cycles += backend.price_cycles(out.counts);
-        let room = cap.saturating_sub(collected.len());
-        collected.extend(out.collected.iter().take(room).cloned());
-    }
-    let kernel_time_sec = config.spec.cycles_to_sec(kernel_cycles);
-
-    // --- Host: the CPU share's rows follow the FPGA rows, up to the cap.
-    embeddings += cpu_share.embeddings;
-    let room = cap.saturating_sub(collected.len());
-    collected.extend(cpu_share.collected.into_iter().take(room));
+    let folded = fold(done, collect_cap(config.collect), backend);
+    let kernel_time_sec = config.spec.cycles_to_sec(folded.kernel_cycles);
     // The host's matching share runs on all cores (the paper's 8-core Xeon
     // is idle once partitioning finishes); apply the contention-aware
     // parallel model — the memory-bound search steps serialise on the
     // single socket, which is what makes the CPU the bottleneck past the
     // paper's δ ≈ 0.15 (Fig. 13).
-    let modeled_cpu_match_sec = cpu_cost.parallel_search_time_sec(&cpu_share.stats, 8);
+    let modeled_cpu_match_sec = cpu_cost.parallel_search_time_sec(&folded.cpu_stats, 8);
 
     // PCIe: one transfer per FPGA partition plus the result fetch.
-    let result_bytes = (embeddings as usize).saturating_mul(q.vertex_count() * 4);
-    let transfer_time_sec = fpga_outputs
-        .iter()
+    let result_bytes = (folded.embeddings as usize).saturating_mul(q.vertex_count() * 4);
+    let transfer_time_sec = (0..folded.fpga_partitions)
         .map(|_| config.spec.pcie.latency_sec)
         .sum::<f64>()
         + config.spec.pcie.transfer_time_sec(state.offloaded_bytes)
@@ -713,22 +803,17 @@ fn finish_report(
     // plus roughly the same again across recursion levels. Stolen CSTs were
     // consumed before splitting — that is exactly the partition cost
     // FAST-SHARE saves (Section VII-B).
-    let cpu_entries: usize = state
-        .cpu_queue
-        .iter()
-        .map(|c| c.total_adjacency_entries())
-        .sum();
     let partition_entries =
-        state.offloaded_bytes / 4 + cpu_entries.saturating_sub(state.stolen_entries);
+        state.offloaded_bytes / 4 + state.cpu_entries.saturating_sub(state.stolen_entries);
     let modeled_partition_sec = cpu_cost.partition_time_sec(2 * partition_entries);
 
     FastReport {
         variant: config.variant,
-        embeddings,
-        collected,
-        counts,
-        fpga_partitions: fpga_outputs.len(),
-        cpu_partitions: state.cpu_queue.len(),
+        embeddings: folded.embeddings,
+        collected: folded.collected,
+        counts: folded.counts,
+        fpga_partitions: folded.fpga_partitions,
+        cpu_partitions: state.cpu_partitions,
         stolen: state.stolen,
         forced: phase.forced,
         workload_cpu: state.scheduler.cpu_workload(),
@@ -736,19 +821,19 @@ fn finish_report(
         build_topdown_entries: phase.build_topdown_entries,
         build_time: phase.build_wall,
         partition_time: phase.partition_time,
-        cpu_match_time: cpu_share.time,
+        cpu_match_time: folded.cpu_time,
         host_prepare_wall,
         first_offload_wall: state.first_offload.unwrap_or(phase.build_wall),
         modeled_build_sec,
         modeled_partition_sec,
         modeled_cpu_match_sec,
-        kernel_cycles,
+        kernel_cycles: folded.kernel_cycles,
         kernel_time_sec,
         transfer_time_sec,
         transfer_bytes: state.offloaded_bytes,
-        rounds,
-        cst_reads,
-        buffer_writes,
+        rounds: folded.rounds,
+        cst_reads: folded.cst_reads,
+        buffer_writes: folded.buffer_writes,
         cst_bytes_total: state.offloaded_bytes,
         wall_time: wall_start.elapsed(),
     }
@@ -979,7 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn modeled_and_measured_totals_include_their_build() {
+    fn modeled_total_includes_its_build() {
         let q = queries().remove(0);
         let g = random_labelled_graph(50, 0.2, 3, 503);
         let report = run_fast(&q, &g, &FastConfig::default()).unwrap();
@@ -989,7 +1074,6 @@ mod tests {
             paper_model(&report).to_bits()
         );
         assert!(report.modeled_total_sec() >= report.modeled_build_sec);
-        assert!(report.measured_total_sec() >= report.build_time.as_secs_f64());
         assert!(report.kernel_time_sec >= 0.0);
         assert!(report.transfer_time_sec > 0.0);
         assert!(report.modeled_build_sec > 0.0);
@@ -1225,8 +1309,9 @@ mod tests {
     }
 
     /// `run_fast`'s collected rows without the lane: every booking through
-    /// `OffloadState`, the kernel over the sent partitions in stream order
-    /// once the stream ends, then the CPU share, cut to the cap.
+    /// `OffloadState`, then, once the stream ends, the kernel over the
+    /// FPGA-booked partitions in stream order, then the engine over the
+    /// CPU-booked ones in queue order, cut to the cap.
     fn serial_rows(
         q: &QueryGraph,
         g: &Graph,
@@ -1235,10 +1320,10 @@ mod tests {
         order: &MatchingOrder,
     ) -> Vec<Vec<VertexId>> {
         let plan = KernelPlan::new(q, order, tree).unwrap();
-        let (lane, sent) = mpsc::channel::<Arc<Cst>>();
+        let (ready, queue) = mpsc::channel::<Work>();
         let state = RefCell::new(OffloadState::new(config));
         let mut steal = |oversized: &Oversized, workload: &dyn Fn() -> f64| {
-            state.borrow_mut().steal(oversized, workload)
+            state.borrow_mut().steal(oversized, workload, &ready)
         };
         produce_partitions(
             q,
@@ -1252,16 +1337,23 @@ mod tests {
                 .variant
                 .shares_with_cpu()
                 .then_some(&mut steal as StealHook<'_>),
-            &mut |job| state.borrow_mut().offload(job, &lane),
+            &mut |job| state.borrow_mut().offload(job, &ready),
         );
-        drop(lane);
-        let mut rows: Vec<Vec<VertexId>> = sent
-            .iter()
-            .flat_map(|cst| run_kernel(&cst, &plan, config.spec.no, config.collect).collected)
-            .collect();
-        let cpu_queue = state.into_inner().cpu_queue;
-        rows.extend(run_cpu_share(q, g, order, &cpu_queue, config.collect).collected);
-        rows.truncate(collect_cap(config.collect));
+        drop(ready);
+        let cap = collect_cap(config.collect);
+        let (mut rows, mut cpu_rows) = (Vec::new(), Vec::new());
+        for work in queue {
+            match work {
+                Work::Fpga(_, cst) => {
+                    rows.extend(run_kernel(&cst, &plan, config.spec.no, config.collect).collected)
+                }
+                Work::Cpu(_, cst) => {
+                    cpu_rows.extend(run_cpu_partition(q, g, order, &cst, cap).collected)
+                }
+            }
+        }
+        rows.extend(cpu_rows);
+        rows.truncate(cap);
         rows
     }
 
@@ -1388,6 +1480,189 @@ mod tests {
         assert_eq!(report.embeddings, vf2_count(&cycle, &g));
         assert_eq!(report.fpga_partitions, 1, "{report:?}");
         assert!(report.cpu_partitions > 1 && report.stolen > 0, "{report:?}");
+    }
+
+    /// Runs `case` on its own thread under a watchdog and returns the
+    /// payload of the panic it ended in, or `None` if it returned. A hang
+    /// fails the test instead of hanging it.
+    fn panic_payload(case: impl FnOnce() + Send + 'static) -> Option<String> {
+        let (finished, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case)).err();
+            let _ =
+                finished.send(payload.map(|p| *p.downcast::<String>().expect("a formatted panic")));
+        });
+        outcome
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a panicking item hung the ready queue")
+    }
+
+    /// A panic in one item resurfaces from the ready queue's two drainers as
+    /// a panic with its own payload, never a hang: item `k` of four panics
+    /// on the lane, and separately on this thread. The lane takes every item
+    /// the producer sends, because the producer waits until it has taken
+    /// each. This thread takes items `1..` because the lane is held in item
+    /// 0 until the panicking item lets it go.
+    #[test]
+    fn a_panic_on_either_drainer_resurfaces() {
+        const ITEMS: usize = 4;
+        for k in 0..ITEMS {
+            let payload = panic_payload(move || {
+                let host = std::thread::current().id();
+                let (took, taken) = mpsc::channel::<usize>();
+                let run = |item: usize| {
+                    if std::thread::current().id() != host {
+                        took.send(item).unwrap();
+                        assert_ne!(item, k, "item {k} on the lane");
+                    }
+                };
+                drain_on_two_threads(
+                    |ready| {
+                        for item in 0..ITEMS {
+                            ready.send(item).unwrap();
+                            if item <= k {
+                                assert_eq!(taken.recv_timeout(Duration::from_secs(30)), Ok(item));
+                            }
+                        }
+                    },
+                    run,
+                );
+            });
+            let payload = payload.expect("the lane's panic was swallowed");
+            assert!(
+                payload.contains(&format!("item {k} on the lane")),
+                "{payload}"
+            );
+        }
+        for k in 1..ITEMS {
+            let payload = panic_payload(move || {
+                let host = std::thread::current().id();
+                let (took, taken) = mpsc::channel::<usize>();
+                let (release, hold) = mpsc::channel::<()>();
+                let (release, hold) = (Mutex::new(Some(release)), Mutex::new(hold));
+                let run = |item: usize| {
+                    if std::thread::current().id() != host {
+                        took.send(item).unwrap();
+                        if item == 0 {
+                            // Returns once the host's panicking item drops
+                            // the sender.
+                            let _ = hold.lock().unwrap().recv();
+                        }
+                    } else if item == k {
+                        drop(release.lock().unwrap().take());
+                        panic!("item {k} on the host");
+                    }
+                };
+                drain_on_two_threads(
+                    |ready| {
+                        ready.send(0).unwrap();
+                        assert_eq!(taken.recv_timeout(Duration::from_secs(30)), Ok(0));
+                        (1..ITEMS).for_each(|item| ready.send(item).unwrap());
+                    },
+                    run,
+                );
+            });
+            assert_eq!(
+                payload.as_deref(),
+                Some(format!("item {k} on the host").as_str())
+            );
+        }
+    }
+
+    /// The fold's order is fixed by the items' numbers, not by who ran them
+    /// or when. A stream of eight items, FPGA and CPU mixed, is split
+    /// between the two drainers in every one of its 2^8 ways, each side's
+    /// outputs in the order it took them, the lane's first. At cap 0, 5 and
+    /// unbounded, every split folds to the kernel rows in stream order, then
+    /// the CPU rows in queue order, cut at the cap, with the same counts.
+    ///
+    /// Mutations it catches: folding in completion order (any split where
+    /// this thread ran an item booked before one of the lane's), and CPU
+    /// rows before kernel rows.
+    #[test]
+    fn the_fold_ignores_which_drainer_ran_an_item() {
+        const SIDES: [bool; 8] = [false, true, false, false, true, false, true, true];
+        let backend = FpgaBackend::from_config(&FastConfig::default());
+        let rows = |i: usize| -> Vec<Vec<VertexId>> {
+            (0..=i % 3)
+                .map(|j| vec![VertexId::new(i as u32), VertexId::new(j as u32)])
+                .collect()
+        };
+        let item = |i: usize| {
+            let k = i as u64;
+            if SIDES[i] {
+                let stats = EngineStats {
+                    embeddings: rows(i).len() as u64,
+                    partials_generated: k + 1,
+                    edge_verifications: 3 * k,
+                    ..EngineStats::default()
+                };
+                let time = Duration::from_micros(k);
+                let collected = rows(i);
+                Done::Cpu(
+                    i,
+                    CpuRun {
+                        stats,
+                        collected,
+                        time,
+                    },
+                )
+            } else {
+                Done::Fpga(
+                    i,
+                    KernelOutput {
+                        embeddings: rows(i).len() as u64,
+                        collected: rows(i),
+                        counts: WorkloadCounts {
+                            n: k + 1,
+                            m: 2 * k + 1,
+                        },
+                        rounds: k,
+                        cst_reads: 5 * k,
+                        buffer_writes: 7 * k,
+                        ..KernelOutput::default()
+                    },
+                )
+            }
+        };
+        for cap in [0, 5, usize::MAX] {
+            let kernel = (0..8).filter(|&i| !SIDES[i]);
+            let cpu = (0..8).filter(|&i| SIDES[i]);
+            let mut expected = Folded::default();
+            for i in kernel.clone().chain(cpu.clone()) {
+                expected.collected.extend(rows(i));
+                expected.embeddings += rows(i).len() as u64;
+            }
+            expected.collected.truncate(cap);
+            for i in kernel {
+                let counts = WorkloadCounts {
+                    n: i as u64 + 1,
+                    m: 2 * i as u64 + 1,
+                };
+                expected.fpga_partitions += 1;
+                expected.counts.n += counts.n;
+                expected.counts.m += counts.m;
+                expected.kernel_cycles += backend.price_cycles(counts);
+                expected.rounds += i as u64;
+                expected.cst_reads += 5 * i as u64;
+                expected.buffer_writes += 7 * i as u64;
+            }
+            for i in cpu {
+                expected.cpu_stats.partials_generated += i as u64 + 1;
+                expected.cpu_stats.edge_verifications += 3 * i as u64;
+                expected.cpu_time += Duration::from_micros(i as u64);
+            }
+            for lane in 0u32..1 << 8 {
+                let (on_lane, on_host): (Vec<usize>, Vec<usize>) =
+                    (0..8).partition(|&i| lane & (1 << i) != 0);
+                let done = on_lane.into_iter().chain(on_host).map(item).collect();
+                assert_eq!(
+                    fold(done, cap, &backend),
+                    expected,
+                    "cap {cap}, lane mask {lane:#010b}"
+                );
+            }
+        }
     }
 
     #[test]
