@@ -10,7 +10,9 @@
 //! parents sort before their children, so nesting survives the nudge.
 
 use crate::json::{self, Json};
-use crate::trace::{ArgValue, EventRecord, SpanRecord, DEVICE_BASE, SESSION_BASE, THREAD_BASE, TRACK_HOST};
+use crate::trace::{
+    ArgValue, EventRecord, SpanRecord, DEVICE_BASE, SESSION_BASE, THREAD_BASE, TRACK_HOST,
+};
 
 /// The single `pid` every record carries (one process).
 const PID: u64 = 1;

@@ -136,8 +136,7 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64)
-            .clamp(1, self.count);
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (idx, &c) in self.buckets.iter().enumerate() {
             seen += c;

@@ -90,9 +90,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
 
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
@@ -124,9 +122,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                             16,
@@ -215,7 +211,9 @@ mod tests {
                {"name":"q","ph":"i","ts":3,"pid":1,"tid":42,"s":"t"}]"#,
         )
         .unwrap();
-        let Json::Arr(items) = &v else { panic!("not an array") };
+        let Json::Arr(items) = &v else {
+            panic!("not an array")
+        };
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].get("ts").unwrap().as_f64(), Some(1.5));
         assert_eq!(items[0].get("name").unwrap().as_str(), Some("session"));

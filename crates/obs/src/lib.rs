@@ -33,7 +33,7 @@ pub mod trace;
 pub use hist::Histogram;
 pub use registry::{Counter, Gauge, Registry};
 pub use trace::{
-    session_track, device_track, ArgValue, Args, EventRecord, SpanGuard, SpanRecord, Tracer,
+    device_track, session_track, ArgValue, Args, EventRecord, SpanGuard, SpanRecord, Tracer,
     DEVICE_BASE, SESSION_BASE, THREAD_BASE, TRACK_HOST,
 };
 

@@ -82,16 +82,19 @@ impl Registry {
     /// Returns the counter registered under `name`, creating it (with
     /// `help` text) on first use. Panics if `name` is already a gauge.
     pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
-        if let Some(Metric::Counter { c, .. }) =
-            self.metrics.read().unwrap_or_else(|e| e.into_inner()).get(name)
+        if let Some(Metric::Counter { c, .. }) = self
+            .metrics
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(name)
         {
             return Arc::clone(c);
         }
         let mut w = self.metrics.write().unwrap_or_else(|e| e.into_inner());
-        match w
-            .entry(name)
-            .or_insert_with(|| Metric::Counter { help, c: Arc::default() })
-        {
+        match w.entry(name).or_insert_with(|| Metric::Counter {
+            help,
+            c: Arc::default(),
+        }) {
             Metric::Counter { c, .. } => Arc::clone(c),
             Metric::Gauge { .. } => panic!("metric {name} already registered as a gauge"),
         }
@@ -100,16 +103,19 @@ impl Registry {
     /// Returns the gauge registered under `name`, creating it on first
     /// use. Panics if `name` is already a counter.
     pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
-        if let Some(Metric::Gauge { g, .. }) =
-            self.metrics.read().unwrap_or_else(|e| e.into_inner()).get(name)
+        if let Some(Metric::Gauge { g, .. }) = self
+            .metrics
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(name)
         {
             return Arc::clone(g);
         }
         let mut w = self.metrics.write().unwrap_or_else(|e| e.into_inner());
-        match w
-            .entry(name)
-            .or_insert_with(|| Metric::Gauge { help, g: Arc::default() })
-        {
+        match w.entry(name).or_insert_with(|| Metric::Gauge {
+            help,
+            g: Arc::default(),
+        }) {
             Metric::Gauge { g, .. } => Arc::clone(g),
             Metric::Counter { .. } => panic!("metric {name} already registered as a counter"),
         }
@@ -117,7 +123,12 @@ impl Registry {
 
     /// Zeroes every registered metric in place; handles stay valid.
     pub fn reset(&self) {
-        for m in self.metrics.read().unwrap_or_else(|e| e.into_inner()).values() {
+        for m in self
+            .metrics
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+        {
             match m {
                 Metric::Counter { c, .. } => c.reset(),
                 Metric::Gauge { g, .. } => g.reset(),
@@ -129,7 +140,12 @@ impl Registry {
     /// metric, sorted by name.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        for (name, m) in self.metrics.read().unwrap_or_else(|e| e.into_inner()).iter() {
+        for (name, m) in self
+            .metrics
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+        {
             match m {
                 Metric::Counter { help, c } => {
                     out.push_str(&format!(

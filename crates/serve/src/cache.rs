@@ -209,7 +209,13 @@ mod tests {
         assert_eq!(c.get(&1), Some(20));
         assert_eq!(
             c.stats(),
-            CacheStats { hits: 1, misses: 1, insertions: 1, evictions: 0, rejected: 0 }
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                insertions: 1,
+                evictions: 0,
+                rejected: 0
+            }
         );
         assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
     }

@@ -43,7 +43,9 @@
 //! layer falls back to an emergency CPU share (or sheds the session).
 
 use crate::service::ServeError;
-use fast::{BackendClass, CpuBackend, ExecutionBackend, FastConfig, FaultInjector, FaultPlan, FpgaBackend};
+use fast::{
+    BackendClass, CpuBackend, ExecutionBackend, FastConfig, FaultInjector, FaultPlan, FpgaBackend,
+};
 use fpga_sim::FpgaSpec;
 use std::sync::Arc;
 
@@ -545,7 +547,10 @@ mod tests {
         let (_, queued, _) = admit(&mut pool, 2.0);
         assert_eq!(queued, 0.0, "idle device: nothing queued ahead");
         let (_, queued, _) = admit(&mut pool, 1.0);
-        assert!((queued - 1.0).abs() < 1e-12, "2.0 workload ahead at 0.5 s/unit: {queued}");
+        assert!(
+            (queued - 1.0).abs() < 1e-12,
+            "2.0 workload ahead at 0.5 s/unit: {queued}"
+        );
         let (_, queued, _) = admit(&mut pool, 1.0);
         assert!((queued - 1.5).abs() < 1e-12, "{queued}");
     }
@@ -592,7 +597,11 @@ mod tests {
         assert_eq!(snap[d].failures, 1);
         assert_eq!(snap[d].partitions, 0, "a failure is not a completion");
         assert_eq!(snap[d].busy_sec, rate_before, "no cost recorded");
-        assert_eq!(snap[d].health, HealthState::Healthy, "one strike is not out");
+        assert_eq!(
+            snap[d].health,
+            HealthState::Healthy,
+            "one strike is not out"
+        );
         // A success resets the streak: 2 failures + success + 2 failures
         // never reaches the threshold of 3 consecutive.
         pool.fail(d, 0.0, false);
@@ -706,7 +715,10 @@ mod tests {
         let pool = DevicePool::build(
             &fast,
             1,
-            &[DeviceKind::Fpga(small_spec.clone()), DeviceKind::Cpu { threads: 8 }],
+            &[
+                DeviceKind::Fpga(small_spec.clone()),
+                DeviceKind::Cpu { threads: 8 },
+            ],
         )
         .unwrap();
         assert_eq!(pool.len(), 3);

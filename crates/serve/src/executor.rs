@@ -339,7 +339,9 @@ fn run_task(inner: &Inner, task: Task) {
 /// Drives a session from pickup (or resume) through lookup, planning and
 /// build to its first staged partition — or straight to retirement.
 fn run_admit(inner: &Inner, sid: u64, resumed: bool) {
-    let Some(slot) = session(inner, sid) else { return };
+    let Some(slot) = session(inner, sid) else {
+        return;
+    };
     // Everything this task records — queue wait, plan, build and the
     // backend execute spans down the call stack — lands on the
     // session's own track, re-entered per task.
@@ -575,7 +577,9 @@ fn latch_deadline(slot: &SessionSlot, s: &mut SessionMut) {
 /// the full fault-tolerant execution *without* the lock, folds the
 /// result back, and either retires the session or pushes its next `Exec`.
 fn run_exec(inner: &Inner, sid: u64) {
-    let Some(slot) = session(inner, sid) else { return };
+    let Some(slot) = session(inner, sid) else {
+        return;
+    };
     let _track = obs::set_track(obs::session_track(sid));
     // Read before the session lock: the mailbox lock is a leaf too.
     let disconnected = slot.tx.is_closed();
@@ -657,7 +661,9 @@ fn run_exec(inner: &Inner, sid: u64) {
 enum SessionOutcome {
     Completed,
     /// Shed past its deadline; `at` names the transition that caught it.
-    Shed { at: &'static str },
+    Shed {
+        at: &'static str,
+    },
     Error(ServeError),
 }
 
@@ -745,9 +751,14 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
         }
         SessionOutcome::Shed { at } => {
             finish(inner, tenant, FinishOutcome::DeadlineMiss);
-            obs::event("deadline_shed", "fault", vec![("at", obs::ArgValue::Str(at))]);
+            obs::event(
+                "deadline_shed",
+                "fault",
+                vec![("at", obs::ArgValue::Str(at))],
+            );
             close_session(strack, slot, "shed", stats.embeddings);
-            slot.tx.send(SessionEvent::Failed(ServeError::DeadlineExceeded));
+            slot.tx
+                .send(SessionEvent::Failed(ServeError::DeadlineExceeded));
         }
         SessionOutcome::Error(err) => {
             finish(inner, tenant, FinishOutcome::Failed);
@@ -794,7 +805,9 @@ fn release(inner: &Inner, sid: u64) {
 /// already unwound past the normal retirement), permit and slab entry
 /// released, handle left to observe `Disconnected` as the sender drops.
 fn panic_retire(inner: &Inner, sid: u64) {
-    let Some(slot) = session(inner, sid) else { return };
+    let Some(slot) = session(inner, sid) else {
+        return;
+    };
     {
         let mut s = slot.mu.plock();
         if s.finished {

@@ -19,8 +19,7 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
-        .clamp(1, sorted.len());
+    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
 
@@ -278,15 +277,31 @@ impl ServeReport {
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
             ));
         };
-        c("serve_sessions_submitted_total", "Sessions admitted", self.submitted);
-        c("serve_sessions_completed_total", "Sessions completed", self.completed);
-        c("serve_sessions_failed_total", "Sessions failed", self.failed);
+        c(
+            "serve_sessions_submitted_total",
+            "Sessions admitted",
+            self.submitted,
+        );
+        c(
+            "serve_sessions_completed_total",
+            "Sessions completed",
+            self.completed,
+        );
+        c(
+            "serve_sessions_failed_total",
+            "Sessions failed",
+            self.failed,
+        );
         c(
             "serve_deadline_misses_total",
             "Sessions shed past their deadline",
             self.deadline_misses,
         );
-        c("serve_retries_total", "Failed attempts retried", self.retries);
+        c(
+            "serve_retries_total",
+            "Failed attempts retried",
+            self.retries,
+        );
         c(
             "serve_failovers_total",
             "Retries rerouted to a different device",
@@ -307,15 +322,27 @@ impl ServeReport {
             "Embeddings across completed sessions",
             self.total_embeddings,
         );
-        c("serve_cst_cache_hits_total", "Cache hits", self.cst_cache.hits);
-        c("serve_cst_cache_misses_total", "Cache misses", self.cst_cache.misses);
+        c(
+            "serve_cst_cache_hits_total",
+            "Cache hits",
+            self.cst_cache.hits,
+        );
+        c(
+            "serve_cst_cache_misses_total",
+            "Cache misses",
+            self.cst_cache.misses,
+        );
         let mut g = |name: &str, help: &str, v: f64| {
             let v = if v.is_finite() { v } else { 0.0 };
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
             ));
         };
-        g("serve_qps", "Completed sessions per second of serving wall", self.qps);
+        g(
+            "serve_qps",
+            "Completed sessions per second of serving wall",
+            self.qps,
+        );
         g(
             "serve_degraded_seconds",
             "Wall seconds on the CPU fallback",
@@ -395,7 +422,11 @@ mod tests {
         assert!(close(r.latency_p50, 2.0), "p50 {}", r.latency_p50);
         assert!((r.latency_mean - 2.0).abs() < 1e-12);
         assert!(close(r.queue_wait_p99, 0.5), "qw p99 {}", r.queue_wait_p99);
-        assert!(close(r.device_queue_p99, 0.3), "dq p99 {}", r.device_queue_p99);
+        assert!(
+            close(r.device_queue_p99, 0.3),
+            "dq p99 {}",
+            r.device_queue_p99
+        );
         assert!((r.device_queue_mean - 0.2).abs() < 1e-12);
         assert_eq!(r.build_hit_mean_sec, 0.0);
         assert_eq!(r.build_miss_mean_sec, 3.0);
@@ -411,7 +442,10 @@ mod tests {
         assert!(r.is_finite());
         assert_eq!(r.latency_p99, 0.0);
         assert_eq!(r.device_queue_p50, 0.0);
-        r.window = Some(WindowInfo { seq: 3, wall_sec: 0.0 });
+        r.window = Some(WindowInfo {
+            seq: 3,
+            wall_sec: 0.0,
+        });
         assert!(r.is_finite());
     }
 

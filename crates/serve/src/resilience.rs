@@ -146,10 +146,12 @@ fn execute_resilient(
         };
         match result {
             Ok(out) => {
-                inner
-                    .devices
-                    .plock()
-                    .complete(device, job.workload, out.modeled_sec, out.kernel_cycles);
+                inner.devices.plock().complete(
+                    device,
+                    job.workload,
+                    out.modeled_sec,
+                    out.kernel_cycles,
+                );
                 return Ok((device, backend.spec().class, out));
             }
             Err(e) => {
@@ -218,11 +220,9 @@ pub(crate) fn execute_checked(
             }
             return Ok(vote);
         }
-        let agreed = votes
-            .iter()
-            .position(|(_, _, o)| {
-                o.embeddings == vote.2.embeddings && o.collected == vote.2.collected
-            });
+        let agreed = votes.iter().position(|(_, _, o)| {
+            o.embeddings == vote.2.embeddings && o.collected == vote.2.collected
+        });
         if let Some(winner) = agreed {
             // Two independent executions agree; corrupted outputs cannot
             // collide (the injected XOR mask is nonzero and per-call), so
@@ -249,9 +249,9 @@ pub(crate) fn execute_checked(
                     votes.len()
                 )));
             };
-            let truth = fallback.execute(job, ctx).map_err(|e| {
-                ServeError::Failed(format!("cross-check arbitration failed: {e}"))
-            })?;
+            let truth = fallback
+                .execute(job, ctx)
+                .map_err(|e| ServeError::Failed(format!("cross-check arbitration failed: {e}")))?;
             for (d, _, o) in &votes {
                 if o.embeddings != truth.embeddings || o.collected != truth.collected {
                     inner.devices.plock().mark_suspect(*d);

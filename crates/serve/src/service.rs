@@ -663,14 +663,8 @@ impl FastService {
         });
         // Lane before registry: a submission can only name the tenant
         // after `add_tenant` returns, and by then both exist.
-        self.inner
-            .queue
-            .plock()
-            .add_lane(id, config.quota);
-        self.inner
-            .tenants
-            .pwrite()
-            .insert(id, state);
+        self.inner.queue.plock().add_lane(id, config.quota);
+        self.inner.tenants.pwrite().insert(id, state);
         Ok(id)
     }
 
@@ -710,10 +704,7 @@ impl FastService {
         // The epoch is inside the PlanKey, so stale entries could never
         // hit; their payloads are megabytes, so drop them eagerly instead
         // of letting them squat the byte budget until eviction.
-        state
-            .cst_cache
-            .plock()
-            .clear();
+        state.cst_cache.plock().clear();
         Ok(epoch)
     }
 
@@ -787,11 +778,7 @@ impl FastService {
             submitted_ns: obs::now_ns(),
             tx,
         };
-        let pushed = self
-            .inner
-            .queue
-            .plock()
-            .push(tenant_id, submission);
+        let pushed = self.inner.queue.plock().push(tenant_id, submission);
         debug_assert!(pushed, "validated tenant must have a lane");
         notify_executors(&self.inner);
         SessionHandle {

@@ -29,10 +29,8 @@ fn triangle() -> QueryGraph {
 fn serves_repeats_with_cache_hits_and_identical_counts() {
     let g = random_labelled_graph(60, 0.2, 2, 42);
     let service = FastService::new(g, small_config());
-    let handles: Vec<SessionHandle> =
-        (0..6).map(|_| service.submit(triangle())).collect();
-    let reports: Vec<QueryReport> =
-        handles.into_iter().map(|h| h.wait().unwrap()).collect();
+    let handles: Vec<SessionHandle> = (0..6).map(|_| service.submit(triangle())).collect();
+    let reports: Vec<QueryReport> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
     let first = reports[0].embeddings;
     assert!(reports.iter().all(|r| r.embeddings == first));
     assert!(reports.iter().all(|r| r.tenant == TenantId::DEFAULT));
@@ -41,7 +39,11 @@ fn serves_repeats_with_cache_hits_and_identical_counts() {
     assert_eq!(final_report.failed, 0);
     // Six submissions of one query: at least the non-concurrent
     // repeats hit (the first few may race the first insertion).
-    assert!(final_report.cst_cache.hits >= 1, "{:?}", final_report.cst_cache);
+    assert!(
+        final_report.cst_cache.hits >= 1,
+        "{:?}",
+        final_report.cst_cache
+    );
     assert!(final_report.cst_resident_bytes > 0, "artifact resident");
     assert_eq!(final_report.total_embeddings, 6 * first);
     assert!(final_report.qps > 0.0);
@@ -165,7 +167,13 @@ fn second_tenant_serves_its_own_graph() {
     let gb = random_labelled_graph(40, 0.25, 1, 46); // single label: no (0,1,1) match
     let service = FastService::new(ga, small_config());
     let b = service
-        .add_tenant(gb, TenantConfig { quota: 3, ..TenantConfig::default() })
+        .add_tenant(
+            gb,
+            TenantConfig {
+                quota: 3,
+                ..TenantConfig::default()
+            },
+        )
         .unwrap();
     let ra = service.submit(triangle()).wait().unwrap();
     let rb = service.submit_for(b, triangle()).unwrap().wait().unwrap();
@@ -256,7 +264,11 @@ fn foreign_shaped_artifact_under_the_same_key_is_ignored() {
     // Serve the 4-vertex query, then plant its entry under the
     // triangle's key — what a key collision would look like.
     service.submit(square.clone()).wait().unwrap();
-    let foreign = tenant.cst_cache.plock().get(&key_of(&square)).expect("captured");
+    let foreign = tenant
+        .cst_cache
+        .plock()
+        .get(&key_of(&square))
+        .expect("captured");
     assert!(!foreign.stream.matches_query(&triangle()));
     let key = key_of(&triangle());
     let weight = foreign.stream.payload_bytes();
@@ -332,14 +344,20 @@ fn degenerate_reports_are_finite() {
     assert!(r.is_finite(), "zero-wall report must stay finite: {r:?}");
     assert_eq!(r.qps, 0.0, "zero wall yields zero QPS, not inf/NaN");
     assert_eq!(r.wall_sec, 0.0);
-    assert_eq!(r.device_imbalance, 1.0, "idle pool is balanced by definition");
+    assert_eq!(
+        r.device_imbalance, 1.0,
+        "idle pool is balanced by definition"
+    );
 }
 
 #[test]
 fn window_deltas_reconcile_with_lifetime_report() {
     let g = random_labelled_graph(60, 0.2, 2, 47);
     let service = FastService::new(g, small_config());
-    for h in (0..3).map(|_| service.submit(triangle())).collect::<Vec<_>>() {
+    for h in (0..3)
+        .map(|_| service.submit(triangle()))
+        .collect::<Vec<_>>()
+    {
         h.wait().unwrap();
     }
     // `finish` folds metrics before the Done event is sent, so a
@@ -347,7 +365,10 @@ fn window_deltas_reconcile_with_lifetime_report() {
     let w0 = service.report_window();
     assert_eq!(w0.window.unwrap().seq, 0);
     assert!(w0.tenants.is_empty(), "windows slice time, not tenants");
-    for h in (0..3).map(|_| service.submit(triangle())).collect::<Vec<_>>() {
+    for h in (0..3)
+        .map(|_| service.submit(triangle()))
+        .collect::<Vec<_>>()
+    {
         h.wait().unwrap();
     }
     let w1 = service.report_window();
@@ -493,11 +514,21 @@ fn tenant_deadline_overrides_service_default() {
     // Default tenant: no deadline, completes.
     assert!(service.submit(triangle()).wait().is_ok());
     // Strict tenant: shed.
-    let err = service.submit_for(strict, triangle()).unwrap().wait().unwrap_err();
+    let err = service
+        .submit_for(strict, triangle())
+        .unwrap()
+        .wait()
+        .unwrap_err();
     assert_eq!(err, ServeError::DeadlineExceeded);
     let slice = service.tenant_report(strict).unwrap();
     assert_eq!(slice.deadline_misses, 1);
-    assert_eq!(service.tenant_report(TenantId::DEFAULT).unwrap().deadline_misses, 0);
+    assert_eq!(
+        service
+            .tenant_report(TenantId::DEFAULT)
+            .unwrap()
+            .deadline_misses,
+        0
+    );
     service.shutdown();
 }
 
@@ -526,7 +557,10 @@ fn always_failing_device_reroutes_with_exact_retry_accounting() {
     let reports: Vec<QueryReport> = (0..6)
         .map(|_| service.submit(triangle()).wait().unwrap())
         .collect();
-    assert!(reports.iter().all(|r| r.embeddings == want), "bit-identical");
+    assert!(
+        reports.iter().all(|r| r.embeddings == want),
+        "bit-identical"
+    );
     assert!(reports.iter().any(|r| r.retries > 0));
     assert!(reports.iter().any(|r| r.failovers > 0));
     let report = service.shutdown();
@@ -537,8 +571,14 @@ fn always_failing_device_reroutes_with_exact_retry_accounting() {
         report.retries, device_failures,
         "every device failure is retried exactly once"
     );
-    assert!(report.quarantines >= 1, "an always-failing device quarantines");
-    assert_eq!(report.devices[1].failures, 0, "the clean device never fails");
+    assert!(
+        report.quarantines >= 1,
+        "an always-failing device quarantines"
+    );
+    assert_eq!(
+        report.devices[1].failures, 0,
+        "the clean device never fails"
+    );
     assert!(report.is_finite());
 }
 
@@ -569,7 +609,10 @@ fn dead_fleet_degrades_to_cpu_fallback() {
     assert_eq!(report.completed, 3);
     assert_eq!(report.failed, 0);
     assert!(report.degraded_sec > 0.0, "degraded-mode wall is accounted");
-    assert_eq!(report.devices[0].health, crate::devices::HealthState::Evicted);
+    assert_eq!(
+        report.devices[0].health,
+        crate::devices::HealthState::Evicted
+    );
     assert_eq!(
         report.retries,
         report.devices.iter().map(|d| d.failures).sum::<u64>()
@@ -667,8 +710,7 @@ fn injected_panic_fails_its_own_session_only() {
         },
     }];
     let service = FastService::new(g, config);
-    let handles: Vec<SessionHandle> =
-        (0..8).map(|_| service.submit(triangle())).collect();
+    let handles: Vec<SessionHandle> = (0..8).map(|_| service.submit(triangle())).collect();
     let mut ok = 0u64;
     let mut dead = 0u64;
     for h in handles {
@@ -721,12 +763,14 @@ fn single_executor_completes_in_submission_order() {
     let mut config = small_config();
     config.workers = 1;
     let service = FastService::new(g, config);
-    let handles: Vec<SessionHandle> =
-        (0..8).map(|_| service.submit(triangle())).collect();
+    let handles: Vec<SessionHandle> = (0..8).map(|_| service.submit(triangle())).collect();
     for h in handles {
         let r = h.wait().unwrap();
         assert!(r.partitions >= 2, "need a multi-partition session: {r:?}");
-        assert_eq!(r.completion_seq, r.id, "completion order is submission order");
+        assert_eq!(
+            r.completion_seq, r.id,
+            "completion order is submission order"
+        );
     }
     service.shutdown();
 }
@@ -930,7 +974,10 @@ fn dropped_handle_stops_its_session() {
     let ungated = FastService::new(g.clone(), config.clone());
     let partitions = ungated.submit(triangle()).wait().unwrap().partitions;
     ungated.shutdown();
-    assert!(partitions >= 2, "need a multi-partition session: {partitions}");
+    assert!(
+        partitions >= 2,
+        "need a multi-partition session: {partitions}"
+    );
 
     let service = FastService::new(g, config.clone());
     let (entered_tx, entered_rx) = mpsc::channel();

@@ -178,7 +178,11 @@ impl<T> WrrQueue<T> {
             // Round over: replenish backlogged lanes only (idle lanes do
             // not bank credit) and start the next round.
             for lane in &mut self.lanes {
-                lane.credit = if lane.queue.is_empty() { 0 } else { lane.weight };
+                lane.credit = if lane.queue.is_empty() {
+                    0
+                } else {
+                    lane.weight
+                };
             }
         }
     }
@@ -259,7 +263,11 @@ mod tests {
             q.push(TenantId::new(1), ('b', i));
         }
         let first_round: Vec<char> = (0..5).map(|_| q.pop().unwrap().0).collect();
-        assert_eq!(first_round.iter().filter(|&&c| c == 'a').count(), 4, "{first_round:?}");
+        assert_eq!(
+            first_round.iter().filter(|&&c| c == 'a').count(),
+            4,
+            "{first_round:?}"
+        );
     }
 
     #[test]
