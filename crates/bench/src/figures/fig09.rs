@@ -44,7 +44,7 @@ pub fn run(cache: &mut DatasetCache, datasets: &[DatasetId]) -> Vec<Row> {
                 query: qi,
                 dataset: d,
                 partitions: report.fpga_partitions + report.cpu_partitions,
-                cst_bytes: report.cst_bytes_total,
+                cst_bytes: report.transfer_bytes,
                 graph_bytes,
             });
         }

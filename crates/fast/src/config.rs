@@ -32,10 +32,10 @@ pub struct FastConfig {
     /// stays only because the benchmark assigns it.
     pub shard_planner: ShardPlanner,
     /// Capture this build's [`crate::PreparedCsts`] on
-    /// `prepare_partitions` (returned on `PreparePhase::prepared`) so a
-    /// serving layer can insert it into its cache. Off by default:
-    /// capture clones partition `Arc`s and keeps payloads alive past the
-    /// run.
+    /// `prepare_partitions` (returned on `PreparePhase::prepared`). Only
+    /// the benchmark's probe sets it, to read the root CST's size; serving
+    /// caches the jobs it staged instead. Off by default: capture clones
+    /// partition `Arc`s and keeps the whole CST alive past partitioning.
     pub capture_prepared: bool,
 }
 

@@ -147,10 +147,6 @@ pub struct FastReport {
     /// with partition/offload) on the host thread, which only books each
     /// partition onto the ready queue.
     pub host_prepare_wall: Duration,
-    /// Measured host wall time until the first FPGA-booked partition was
-    /// put on the ready queue (the device's idle prefix; falls back to the
-    /// build wall when every partition landed on the CPU).
-    pub first_offload_wall: Duration,
     /// Host times normalised to the paper's Xeon (see `CpuCostModel`).
     pub modeled_build_sec: f64,
     pub modeled_partition_sec: f64,
@@ -161,18 +157,13 @@ pub struct FastReport {
     pub kernel_time_sec: f64,
     /// Modelled PCIe transfer seconds (CST offload + result fetch).
     pub transfer_time_sec: f64,
-    /// Bytes moved over PCIe.
+    /// Bytes of the offloaded partitions moved over PCIe (S_CST of
+    /// Fig. 9).
     pub transfer_bytes: usize,
     /// Kernel execution detail (rounds, memory traffic), aggregated.
     pub rounds: u64,
     pub cst_reads: u64,
     pub buffer_writes: u64,
-    /// Total size of all offloaded partitions (S_CST of Fig. 9).
-    pub cst_bytes_total: usize,
-    /// Wall-clock time of the whole emulated run (host measurement): the
-    /// host's build and partitioning, overlapped with the lane's draining of
-    /// the ready queue, until both threads have drained it.
-    pub wall_time: Duration,
 }
 
 impl FastReport {
@@ -229,7 +220,6 @@ fn run_fast_with_tree(
     order: &MatchingOrder,
 ) -> Result<FastReport, FastError> {
     config.validate()?;
-    let wall_start = Instant::now();
     let plan = KernelPlan::new(q, order, tree)?;
     // The FPGA execution backend: the emulated kernel plus this variant's
     // cycle pricing. Serving pools run the same backend (`fast::backend`),
@@ -277,7 +267,6 @@ fn run_fast_with_tree(
         host_prepare_wall,
         done,
         &phase,
-        wall_start,
     ))
 }
 
@@ -358,8 +347,6 @@ struct OffloadState {
     offloaded_bytes: usize,
     stolen: usize,
     stolen_entries: usize,
-    /// Host wall timestamp of the first FPGA offload.
-    first_offload: Option<Duration>,
 }
 
 impl OffloadState {
@@ -378,7 +365,6 @@ impl OffloadState {
             offloaded_bytes: 0,
             stolen: 0,
             stolen_entries: 0,
-            first_offload: None,
         }
     }
 
@@ -412,8 +398,6 @@ impl OffloadState {
             Assignment::Cpu => self.send_cpu(job.cst, ready),
             Assignment::Fpga => {
                 self.offloaded_bytes += job.cst.size_bytes();
-                self.first_offload
-                    .get_or_insert_with(|| self.prepare_start.elapsed());
                 self.send(Work::Fpga, job.cst, ready);
             }
         }
@@ -550,8 +534,8 @@ pub struct PartitionJob {
 
 /// Everything [`prepare_partitions`] produces that is a pure function of
 /// `(q, g, tree, config)`: the refined CST *and* the partition stream.
-/// Captured on a build ([`FastConfig::capture_prepared`]); a serving
-/// layer's result cache holds its partition stream alone (with no
+/// Captured on a build ([`FastConfig::capture_prepared`]). A serving
+/// layer's result cache holds the partition stream it staged (with no
 /// `shard_csts`: a warm session replays only the partitions) under the
 /// query's [`cst::PlanKey`] (query fingerprint, graph epoch, build options)
 /// and stages [`partitions`](Self::partitions) straight to dispatch, so a
@@ -613,8 +597,8 @@ pub struct PreparePhase {
     /// Partitions emitted despite violating thresholds (should be 0).
     pub forced: usize,
     /// The artifact captured from this build when
-    /// [`FastConfig::capture_prepared`] was set — what a serving layer
-    /// inserts into its cache. `None` when capture was off.
+    /// [`FastConfig::capture_prepared`] was set. `None` when capture was
+    /// off.
     pub prepared: Option<Arc<PreparedCsts>>,
 }
 
@@ -765,7 +749,6 @@ pub fn prepare_partitions(
 
 /// Folds the drainers' outputs, derives the modelled times from `phase`,
 /// and assembles the report.
-#[allow(clippy::too_many_arguments)]
 fn finish_report(
     q: &QueryGraph,
     config: &FastConfig,
@@ -774,7 +757,6 @@ fn finish_report(
     host_prepare_wall: Duration,
     done: Vec<Done>,
     phase: &PreparePhase,
-    wall_start: Instant,
 ) -> FastReport {
     let cpu_cost = CpuCostModel::default();
     let folded = fold(done, collect_cap(config.collect), backend);
@@ -823,7 +805,6 @@ fn finish_report(
         partition_time: phase.partition_time,
         cpu_match_time: folded.cpu_time,
         host_prepare_wall,
-        first_offload_wall: state.first_offload.unwrap_or(phase.build_wall),
         modeled_build_sec,
         modeled_partition_sec,
         modeled_cpu_match_sec,
@@ -834,8 +815,6 @@ fn finish_report(
         rounds: folded.rounds,
         cst_reads: folded.cst_reads,
         buffer_writes: folded.buffer_writes,
-        cst_bytes_total: state.offloaded_bytes,
-        wall_time: wall_start.elapsed(),
     }
 }
 

@@ -18,9 +18,7 @@
 //! Cost model: tracing is **off by default** — every recording entry
 //! point first reads one relaxed atomic ([`enabled`]); when disabled, a
 //! [`SpanGuard`] is inert (no clock read, no allocation). Counters and
-//! gauges are single relaxed atomic ops. Building the crate with
-//! `--no-default-features` removes the `trace` feature and folds every
-//! recording body to a compile-time no-op.
+//! gauges are single relaxed atomic ops.
 
 #![forbid(unsafe_code)]
 
@@ -41,11 +39,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Whether recording code paths exist in this build at all. `false`
-/// when compiled with `--no-default-features`; tests that assert on
-/// trace contents should early-return when this is `false`.
-pub const COMPILED: bool = cfg!(feature = "trace");
 
 /// The process-wide observability state.
 pub struct Obs {
@@ -82,7 +75,7 @@ pub fn disable() {
 /// this is the hot-path gate.
 #[inline]
 pub fn enabled() -> bool {
-    COMPILED && obs().enabled.load(Ordering::Relaxed)
+    obs().enabled.load(Ordering::Relaxed)
 }
 
 /// Clears trace buffers and zeroes every registered metric (handles
@@ -277,9 +270,6 @@ mod tests {
     /// enable tracing).
     #[test]
     fn end_to_end_record_export_reset() {
-        if !COMPILED {
-            return;
-        }
         reset();
         // Disabled: spans are inert.
         {

@@ -3,8 +3,7 @@
 //!
 //! Handles are `Arc`s cached by the instrumented code, so the hot path
 //! is a single relaxed atomic op — the registry lock is only taken at
-//! registration and render time. With the `trace` cargo feature off the
-//! mutation bodies fold to no-ops at compile time.
+//! registration and render time.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,9 +23,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if cfg!(feature = "trace") {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -49,9 +46,7 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if cfg!(feature = "trace") {
-            self.0.store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.

@@ -283,7 +283,6 @@ fn pickup(inner: &Inner) -> bool {
         } else {
             gate.in_flight += 1;
             gate.max_seen = gate.max_seen.max(gate.in_flight);
-            inner.hooks.in_flight.set(gate.in_flight as f64);
             (sub, false)
         }
     };
@@ -311,7 +310,7 @@ pub(crate) fn shed_for_shutdown(inner: &Inner, sub: Submission) {
         obs::now_ns(),
         Vec::new(),
     );
-    finish(inner, &sub.tenant, FinishOutcome::Failed);
+    finish(&sub.tenant, FinishOutcome::Failed);
     obs::record_span(
         strack,
         "session",
@@ -503,8 +502,6 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         obs::record_span(strack, "plan", "serve", t0_ns, obs::now_ns(), Vec::new());
         // The build is one CST, and the partitioner fans its root out into
         // at most `pipeline_shards` and at most `⌊W_CST / N_o⌋` chunks.
-        let mut config = inner.config.fast.clone();
-        config.capture_prepared = cache_enabled;
         let build_start_ns = obs::now_ns();
         // The sink only *stages* partitions — execution happens in `Exec`
         // tasks — so the sink wall nets staging (not kernels) out of
@@ -512,27 +509,26 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
         // the threaded layer.
         let mut jobs = VecDeque::new();
         let mut sink_exec = Duration::ZERO;
-        let prep = prepare_partitions(q, g, &config, &tree, &plan.order, &mut |job| {
+        let prep = prepare_partitions(q, g, &inner.config.fast, &tree, &plan.order, &mut |job| {
             let sink_start = Instant::now();
             jobs.push_back(job);
             sink_exec += sink_start.elapsed();
         });
-        // Insert: capture is part of the build, so the artifact is
-        // complete when `prepare_partitions` returns. Insert *before*
-        // dropping the flight — waiters wake straight into a hit, making
-        // N identical concurrent cold sessions build exactly once. (An
-        // entry larger than the whole budget is rejected by the cache,
-        // counted, and the working set stays untouched; its waiters then
-        // build in turn.) A hit replays only the partition stream, so that
-        // is all the entry keeps of the build: the whole CST is freed with
-        // `prep`.
-        if let Some(artifact) = prep.prepared.as_ref() {
+        // Insert the jobs just staged, sharing their `Arc<Cst>`s: a hit
+        // replays only the partition stream, so that is all the entry
+        // keeps of the build, and the whole CST was freed when
+        // partitioning ended. Insert *before* dropping the flight —
+        // waiters wake straight into a hit, making N identical concurrent
+        // cold sessions build exactly once. (An entry larger than the
+        // whole budget is rejected by the cache, counted, and the working
+        // set stays untouched; its waiters then build in turn.)
+        if cache_enabled {
             let entry = CachedBuild {
                 plan: Arc::clone(&plan),
                 stream: PreparedCsts {
-                    query_vertices: artifact.query_vertices,
+                    query_vertices: q.vertex_count(),
                     shard_csts: Vec::new(),
-                    partitions: artifact.partitions.clone(),
+                    partitions: jobs.iter().cloned().collect(),
                 },
             };
             let weight = entry.stream.payload_bytes().max(1);
@@ -682,7 +678,7 @@ fn finalize_from_state(inner: &Inner, slot: &SessionSlot) {
 }
 
 /// Retires a session exactly once: folds its fault accounting and
-/// outcome into service + tenant metrics, records the closing spans,
+/// outcome into its tenant's ledger, records the closing spans,
 /// notifies the handle, and releases its execution permit and slab
 /// entry. The `finished` flag flips first, under the session lock —
 /// every racing caller (a stale task, a panic handler) sees it and
@@ -702,11 +698,11 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
     // five times and then missed its deadline still did the retries, and
     // the chaos accounting reconciles service counters against
     // per-device failure counters.
-    fold_faults(inner, tenant, &stats.acc);
+    fold_faults(tenant, &stats.acc);
     match outcome {
         SessionOutcome::Completed => {
             let now = Instant::now();
-            let picked = stats.picked.unwrap_or(now);
+            let service_time = now.duration_since(stats.picked.unwrap_or(now));
             let report = QueryReport {
                 id: slot.id,
                 tenant: tenant.id,
@@ -719,11 +715,10 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 topdown_entries: stats.prepare.topdown_entries,
                 pipeline_shards: 1,
                 seeded_shards: 0,
-                service_time: now.duration_since(picked),
+                service_time,
                 queue_wait: stats.queue_wait,
                 device_queue_sec: stats.acc.device_queue_sec,
-                latency: now.duration_since(slot.submitted)
-                    + Duration::from_secs_f64(stats.acc.device_queue_sec),
+                latency: stats.queue_wait + service_time,
                 kernel_cycles: stats.kernel_cycles,
                 device_sec: stats.device_sec,
                 retries: stats.acc.retries,
@@ -731,7 +726,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 corruption_catches: stats.acc.corruption_catches,
                 degraded_sec: stats.acc.degraded_sec,
             };
-            finish(inner, tenant, FinishOutcome::Completed(report.clone()));
+            finish(tenant, FinishOutcome::Completed(&report));
             // One "build" span per *completed* session, covering build
             // through last execution — the span the nesting check and
             // the per-completion span counts pin.
@@ -750,7 +745,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
             slot.tx.send(SessionEvent::Done(report));
         }
         SessionOutcome::Shed { at } => {
-            finish(inner, tenant, FinishOutcome::DeadlineMiss);
+            finish(tenant, FinishOutcome::DeadlineMiss);
             obs::event(
                 "deadline_shed",
                 "fault",
@@ -761,7 +756,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 .send(SessionEvent::Failed(ServeError::DeadlineExceeded));
         }
         SessionOutcome::Error(err) => {
-            finish(inner, tenant, FinishOutcome::Failed);
+            finish(tenant, FinishOutcome::Failed);
             close_session(strack, slot, "failed", stats.embeddings);
             slot.tx.send(SessionEvent::Failed(err));
         }
@@ -795,7 +790,6 @@ fn release(inner: &Inner, sid: u64) {
         let mut gate = inner.gate.plock();
         gate.in_flight = gate.in_flight.saturating_sub(1);
         gate.admitted = gate.admitted.saturating_sub(1);
-        inner.hooks.in_flight.set(gate.in_flight as f64);
     }
     inner.sessions.plock().remove(&sid);
     notify_executors(inner);
@@ -815,6 +809,6 @@ fn panic_retire(inner: &Inner, sid: u64) {
         }
         s.finished = true;
     }
-    finish(inner, &slot.tenant, FinishOutcome::Failed);
+    finish(&slot.tenant, FinishOutcome::Failed);
     release(inner, sid);
 }

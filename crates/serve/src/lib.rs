@@ -56,12 +56,15 @@
 //!   [`TenantConfig::deadline`]) are shed with a typed error, and a fully
 //!   quarantined fleet degrades to an emergency CPU share;
 //! * [`metrics`] — per-query, per-tenant, and service-level metrics
-//!   ([`ServeReport`], [`TenantSummary`]): sustained QPS, queue wait,
-//!   p50/p99 latency, cache hit rate, per-device utilisation. Latency
-//!   distributions are streaming [`obs::Histogram`]s, so
-//!   [`FastService::report_window`] serves rolling-window deltas whose
-//!   integer counters reconcile bit-exactly against the lifetime report,
-//!   and [`FastService::prometheus_text`] renders a text exposition.
+//!   ([`ServeReport`], [`TenantSummary`]): sustained QPS, the measured
+//!   latency and queue-wait distributions, the modelled device queue
+//!   beside them, cache hit rate, per-device utilisation. Each tenant
+//!   keeps the one ledger its sessions fold into, and the service totals
+//!   merge the tenants' ledgers. Distributions are streaming
+//!   [`obs::Histogram`]s, so [`FastService::report_window`] serves
+//!   rolling-window deltas whose integer counters reconcile bit-exactly
+//!   against the lifetime report, and [`FastService::prometheus_text`]
+//!   renders a text exposition.
 //!
 //! # Observability
 //!
@@ -69,10 +72,12 @@
 //! trace spans (`session ⊇ build ⊇ execute`, plus `queue_wait`/`plan`),
 //! instant events for faults (`retry`, `failover`, `deadline_shed`,
 //! `degraded`) and device health transitions (`quarantine`, `probation`,
-//! `recovered`, `evicted`, `corruption_strike`), and registry counters
-//! mirroring the report fields. Tracing is off unless [`obs::enable`] is
-//! called; when off, every hook is a single relaxed atomic load. See
-//! DESIGN.md §10 and `examples/observability.rs`.
+//! `recovered`, `evicted`, `corruption_strike`), and registry counters for
+//! the devices and backends (quarantines, evictions, partitions per
+//! backend class); the session counts are rendered from the report as
+//! `serve_*` by [`FastService::prometheus_text`]. Tracing is off unless
+//! [`obs::enable`] is called; when off, every hook is a single relaxed
+//! atomic load. See DESIGN.md §10 and `examples/observability.rs`.
 //!
 //! # Determinism
 //!

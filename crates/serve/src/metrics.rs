@@ -110,35 +110,19 @@ pub struct ServeReport {
     pub qps: f64,
     /// Serving wall time the QPS is normalised by.
     pub wall_sec: f64,
-    /// Session latency distribution (seconds): measured submit→done wall
-    /// **plus** each session's modelled device queueing delay
-    /// (`QueryReport::device_queue_sec`) — device-faithful at high
-    /// concurrency, where the inline emulated kernels hide the contention
-    /// on the modelled cards. Bucket counts are exact and mergeable;
-    /// quantiles below read from it (bucket-midpoint representatives,
-    /// ≤ ~6% relative error by construction).
+    /// Session latency distribution (seconds): the measured submit→done
+    /// wall (`QueryReport::latency`). Bucket counts are exact and
+    /// mergeable; quantiles read from it are bucket-midpoint
+    /// representatives, ≤ ~6% relative error by construction.
     pub latency_hist: Histogram,
     /// Admission-queue wait distribution (seconds): submit → worker pickup.
     pub queue_wait_hist: Histogram,
     /// Modelled device queueing delay distribution (seconds): per session,
     /// the worst outstanding booked work its partitions joined behind at
-    /// admission (`DevicePool::admit`). The component of the latency
-    /// distribution above that the host wall cannot see.
+    /// admission (`DevicePool::admit`): the contention on the modelled
+    /// cards that the measured latency above cannot see, kept apart from
+    /// it.
     pub device_queue_hist: Histogram,
-    /// Session latency quantiles/mean (seconds), read from
-    /// [`latency_hist`](Self::latency_hist).
-    pub latency_p50: f64,
-    pub latency_p99: f64,
-    pub latency_mean: f64,
-    /// Admission-queue wait quantiles (seconds), read from
-    /// [`queue_wait_hist`](Self::queue_wait_hist).
-    pub queue_wait_p50: f64,
-    pub queue_wait_p99: f64,
-    /// Device queueing delay quantiles/mean (seconds), read from
-    /// [`device_queue_hist`](Self::device_queue_hist).
-    pub device_queue_p50: f64,
-    pub device_queue_p99: f64,
-    pub device_queue_mean: f64,
     /// Mean CST build wall per session (refinement + materialisation +
     /// partitioning), split by cache outcome: a warm serve builds nothing,
     /// so `build_hit_mean_sec` is exactly 0 — the timing claim
@@ -204,33 +188,6 @@ pub struct TenantSummary {
 }
 
 impl ServeReport {
-    /// Builds the latency/queue aggregates from the streaming
-    /// histograms. All inputs are per-session seconds; the three
-    /// latency-shaped histograms are kept on the report so window
-    /// deltas and exports can reuse the exact bucket counts.
-    pub(crate) fn aggregate(
-        &mut self,
-        latencies: &Histogram,
-        queue_waits: &Histogram,
-        device_queues: &Histogram,
-        build_hits: &Histogram,
-        build_misses: &Histogram,
-    ) {
-        self.latency_p50 = latencies.quantile(0.50);
-        self.latency_p99 = latencies.quantile(0.99);
-        self.latency_mean = latencies.mean();
-        self.queue_wait_p50 = queue_waits.quantile(0.50);
-        self.queue_wait_p99 = queue_waits.quantile(0.99);
-        self.device_queue_p50 = device_queues.quantile(0.50);
-        self.device_queue_p99 = device_queues.quantile(0.99);
-        self.device_queue_mean = device_queues.mean();
-        self.build_hit_mean_sec = build_hits.mean();
-        self.build_miss_mean_sec = build_misses.mean();
-        self.latency_hist = latencies.clone();
-        self.queue_wait_hist = queue_waits.clone();
-        self.device_queue_hist = device_queues.clone();
-    }
-
     /// Whether every derived rate/percentile field is finite — the
     /// degenerate-report guard (zero wall, empty sample sets, idle
     /// devices must all surface zeros, never NaN/inf).
@@ -238,14 +195,6 @@ impl ServeReport {
         [
             self.qps,
             self.wall_sec,
-            self.latency_p50,
-            self.latency_p99,
-            self.latency_mean,
-            self.queue_wait_p50,
-            self.queue_wait_p99,
-            self.device_queue_p50,
-            self.device_queue_p99,
-            self.device_queue_mean,
             self.build_hit_mean_sec,
             self.build_miss_mean_sec,
             self.device_makespan_sec,
@@ -361,7 +310,7 @@ impl ServeReport {
         // Cumulative Prometheus histogram of session latency.
         let name = "serve_latency_seconds";
         out.push_str(&format!(
-            "# HELP {name} Session latency (submit to done plus modelled device queueing)\n\
+            "# HELP {name} Measured session latency (submit to done)\n\
              # TYPE {name} histogram\n"
         ));
         for (le, cum) in self.latency_hist.cumulative() {
@@ -383,6 +332,7 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reporting::{assemble_report, MetricsState, Totals};
 
     #[test]
     fn percentile_nearest_rank() {
@@ -406,28 +356,40 @@ mod tests {
         h
     }
 
+    /// The report a ledger with these latency, queue-wait, device-queue,
+    /// build-hit and build-miss samples assembles into.
+    fn assembled(lat: &[f64], qw: &[f64], dq: &[f64], hits: &[f64], misses: &[f64]) -> ServeReport {
+        let metrics = MetricsState {
+            latencies: hist_of(lat),
+            queue_waits: hist_of(qw),
+            device_queues: hist_of(dq),
+            build_hits: hist_of(hits),
+            build_misses: hist_of(misses),
+            ..MetricsState::default()
+        };
+        assemble_report(
+            Totals {
+                metrics,
+                ..Totals::default()
+            },
+            Vec::new(),
+        )
+    }
+
     #[test]
-    fn aggregate_fills_fields() {
-        let mut r = ServeReport::default();
-        r.aggregate(
-            &hist_of(&[1.0, 2.0, 3.0]),
-            &hist_of(&[0.5]),
-            &hist_of(&[0.1, 0.3]),
-            &hist_of(&[0.0]),
-            &hist_of(&[2.0, 4.0]),
-        );
+    fn assembled_report_fills_fields() {
+        let r = assembled(&[1.0, 2.0, 3.0], &[0.5], &[0.1, 0.3], &[0.0], &[2.0, 4.0]);
         // Histogram quantiles are bucket-midpoint representatives:
         // assert within the documented ~6% relative error.
         let close = |got: f64, want: f64| (got - want).abs() <= 0.07 * want.max(1e-9);
-        assert!(close(r.latency_p50, 2.0), "p50 {}", r.latency_p50);
-        assert!((r.latency_mean - 2.0).abs() < 1e-12);
-        assert!(close(r.queue_wait_p99, 0.5), "qw p99 {}", r.queue_wait_p99);
-        assert!(
-            close(r.device_queue_p99, 0.3),
-            "dq p99 {}",
-            r.device_queue_p99
-        );
-        assert!((r.device_queue_mean - 0.2).abs() < 1e-12);
+        let p50 = r.latency_hist.quantile(0.50);
+        assert!(close(p50, 2.0), "p50 {p50}");
+        assert!((r.latency_hist.mean() - 2.0).abs() < 1e-12);
+        let qw_p99 = r.queue_wait_hist.quantile(0.99);
+        assert!(close(qw_p99, 0.5), "qw p99 {qw_p99}");
+        let dq_p99 = r.device_queue_hist.quantile(0.99);
+        assert!(close(dq_p99, 0.3), "dq p99 {dq_p99}");
+        assert!((r.device_queue_hist.mean() - 0.2).abs() < 1e-12);
         assert_eq!(r.build_hit_mean_sec, 0.0);
         assert_eq!(r.build_miss_mean_sec, 3.0);
         assert_eq!(r.latency_hist.count(), 3);
@@ -436,12 +398,10 @@ mod tests {
 
     #[test]
     fn empty_aggregate_is_finite() {
-        let mut r = ServeReport::default();
-        let e = Histogram::new();
-        r.aggregate(&e, &e, &e, &e, &e);
+        let mut r = assembled(&[], &[], &[], &[], &[]);
         assert!(r.is_finite());
-        assert_eq!(r.latency_p99, 0.0);
-        assert_eq!(r.device_queue_p50, 0.0);
+        assert_eq!(r.latency_hist.quantile(0.99), 0.0);
+        assert_eq!(r.device_queue_hist.quantile(0.50), 0.0);
         r.window = Some(WindowInfo {
             seq: 3,
             wall_sec: 0.0,
@@ -451,14 +411,13 @@ mod tests {
 
     #[test]
     fn prometheus_text_renders_counters_and_histogram() {
-        let mut r = ServeReport {
+        let h = [0.001, 0.002, 0.004];
+        let r = ServeReport {
             submitted: 5,
             completed: 4,
             qps: 12.5,
-            ..ServeReport::default()
+            ..assembled(&h, &h, &h, &h, &h)
         };
-        let h = hist_of(&[0.001, 0.002, 0.004]);
-        r.aggregate(&h, &h, &h, &h, &h);
         let text = r.prometheus_text();
         assert!(text.contains("serve_sessions_submitted_total 5"));
         assert!(text.contains("# TYPE serve_latency_seconds histogram"));

@@ -1,10 +1,10 @@
-//! Metrics state and report assembly: the cumulative counters and
-//! histograms every retirement folds into, the rolling-window baseline, and
-//! the [`FastService`] report methods that snapshot and aggregate them.
+//! Metrics state and report assembly: each tenant's ledger of cumulative
+//! counters and histograms, the rolling-window baseline, and the
+//! [`FastService`] report methods that read the ledgers and merge them.
 
 use crate::cache::CacheStats;
 use crate::devices::DeviceStats;
-use crate::metrics::{ServeReport, TenantSummary};
+use crate::metrics::{ServeReport, TenantSummary, WindowInfo};
 use crate::service::{
     FastService, Inner, MutexExt, QueryReport, RwLockExt, ServeError, TenantState,
 };
@@ -13,12 +13,18 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// A tenant's ledger, and the only one in the service: `enqueue`,
+/// [`finish`] and `resilience::fold_faults` fold each session event into
+/// its tenant's copy once, and the service totals are the merge of every
+/// tenant's copy ([`absorb`](Self::absorb)). Every session belongs to one
+/// tenant and no tenant is ever removed, so the merge counts each event
+/// exactly once.
+///
 /// Sample distributions are streaming log-bucketed [`obs::Histogram`]s:
-/// constant memory on a service that runs forever (the predecessor was a
-/// strided sample reservoir that still held 2¹⁶ floats per set), exact
-/// mergeable bucket counts (so [`FastService::report_window`] deltas
-/// reconcile bit-exactly against the lifetime report on every integer
-/// counter), and quantiles read without any per-report sort.
+/// constant memory on a service that runs forever, exact mergeable bucket
+/// counts (so [`FastService::report_window`] deltas reconcile bit-exactly
+/// against the lifetime report on every integer counter), and quantiles
+/// read without any per-report sort.
 #[derive(Default, Clone)]
 pub(crate) struct MetricsState {
     pub(crate) submitted: u64,
@@ -40,6 +46,33 @@ pub(crate) struct MetricsState {
 }
 
 impl MetricsState {
+    /// Adds `other`'s counters and samples into `self`, keeping the earliest
+    /// `first_submit` and the latest `last_done`: how the service totals are
+    /// merged from the tenants' ledgers. Integer counters and histogram
+    /// bucket counts add exactly; only the f64 sums (`degraded_sec`,
+    /// histogram sums) depend on the order of the merge.
+    fn absorb(&mut self, other: &MetricsState) {
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.failed += other.failed;
+        self.total_embeddings += other.total_embeddings;
+        self.retries += other.retries;
+        self.failovers += other.failovers;
+        self.corruption_catches += other.corruption_catches;
+        self.deadline_misses += other.deadline_misses;
+        self.degraded_sec += other.degraded_sec;
+        self.latencies.merge(&other.latencies);
+        self.queue_waits.merge(&other.queue_waits);
+        self.device_queues.merge(&other.device_queues);
+        self.build_hits.merge(&other.build_hits);
+        self.build_misses.merge(&other.build_misses);
+        self.first_submit = match (self.first_submit, other.first_submit) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.last_done = self.last_done.max(other.last_done);
+    }
+
     /// Counters accumulated since `base` was captured — the rolling-window
     /// delta. Integer counters and histogram bucket counts subtract
     /// exactly; the f64 sums (`degraded_sec`, histogram sums) subtract in
@@ -66,6 +99,24 @@ impl MetricsState {
             last_done: self.last_done,
         }
     }
+
+    /// Completed sessions per second of serving wall (first submission →
+    /// last completion). Degenerate walls must never surface NaN/inf: a
+    /// ledger with no completion has no wall at all, and a single session
+    /// can complete within one clock tick (a zero wall with
+    /// `completed > 0`). Both collapse to QPS 0 rather than dividing.
+    fn qps_and_wall(&self) -> (f64, f64) {
+        let wall_sec = match (self.first_submit, self.last_done) {
+            (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
+            _ => 0.0,
+        };
+        let qps = if wall_sec > 0.0 {
+            self.completed as f64 / wall_sec
+        } else {
+            0.0
+        };
+        (qps, wall_sec)
+    }
 }
 
 /// Baseline captured at the previous [`FastService::report_window`] call:
@@ -91,26 +142,23 @@ pub(crate) struct Totals {
 
 impl Totals {
     /// One pass over the service — each lock taken briefly in turn —
-    /// shared by the lifetime report and the window delta. Also returns
-    /// the tenants it walked, for the per-tenant slices.
-    fn capture(inner: &Inner) -> (Totals, Vec<Arc<TenantState>>) {
-        let metrics = inner.metrics.plock().clone();
+    /// shared by the lifetime report and the window delta. Each tenant's
+    /// ledger and cache counters are read once; the same copies are merged
+    /// into the totals and sliced into the returned tenant summaries.
+    fn capture(inner: &Inner) -> (Totals, Vec<TenantSummary>) {
         let tenants: Vec<Arc<TenantState>> = inner.tenants.pread().values().cloned().collect();
-        let mut cst_cache = CacheStats::default();
-        let mut cst_resident_bytes = 0usize;
+        let mut totals = Totals::default();
+        let mut summaries = Vec::with_capacity(tenants.len());
         for t in &tenants {
-            let cc = t.cst_cache.plock();
-            cst_cache.absorb(&cc.stats());
-            cst_resident_bytes += cc.used();
+            let (metrics, cache, resident) = read_tenant(t);
+            totals.metrics.absorb(&metrics);
+            totals.cst_cache.absorb(&cache);
+            totals.cst_resident_bytes += resident;
+            summaries.push(tenant_summary(t, &metrics, &cache, resident));
         }
-        let totals = Totals {
-            metrics,
-            cst_cache,
-            cst_resident_bytes,
-            devices: inner.devices.plock().snapshot(),
-            max_in_flight: inner.gate.plock().max_seen,
-        };
-        (totals, tenants)
+        totals.devices = inner.devices.plock().snapshot();
+        totals.max_in_flight = inner.gate.plock().max_seen;
+        (totals, summaries)
     }
 
     /// Everything accumulated since `base`; point-in-time fields
@@ -139,13 +187,14 @@ impl FastService {
     /// admission or dispatch.
     pub fn report(&self) -> ServeReport {
         let (totals, tenants) = Totals::capture(&self.inner);
-        assemble_report(totals, tenants.iter().map(|t| tenant_summary(t)).collect())
+        assemble_report(totals, tenants)
     }
 
     /// A single tenant's report slice.
     pub fn tenant_report(&self, tenant: TenantId) -> Result<TenantSummary, ServeError> {
         let state = self.inner.tenant(tenant)?;
-        Ok(tenant_summary(&state))
+        let (metrics, cache, resident) = read_tenant(&state);
+        Ok(tenant_summary(&state, &metrics, &cache, resident))
     }
 
     /// A rolling-window report: everything since the previous
@@ -157,9 +206,13 @@ impl FastService {
     /// outstanding workload, `max_in_flight`) are current values, and the
     /// per-tenant slices are empty — windows slice time, not tenants.
     pub fn report_window(&self) -> ServeReport {
+        // Capture under the window lock: a caller that captured before
+        // locking could, after a later caller advanced the baseline, set
+        // it back to its older totals, and the next window would count
+        // the interval between the two captures twice.
+        let mut window = self.inner.window.plock();
         let now = Instant::now();
         let (totals, _) = Totals::capture(&self.inner);
-        let mut window = self.inner.window.plock();
         let wall_sec = now.duration_since(window.taken_at).as_secs_f64();
         let mut delta = totals.delta(&window.base);
         // The window wall is baseline→now, not first-submit→last-done.
@@ -173,14 +226,14 @@ impl FastService {
         drop(window);
 
         let mut report = assemble_report(delta, Vec::new());
-        report.window = Some(crate::metrics::WindowInfo { seq, wall_sec });
+        report.window = Some(WindowInfo { seq, wall_sec });
         debug_assert!(report.is_finite());
         report
     }
 
-    /// Prometheus text exposition: the global `obs` registry (hot-path
-    /// counters, health gauges) followed by the report-derived `serve_*`
-    /// metrics and the cumulative latency histogram.
+    /// Prometheus text exposition: the global `obs` registry (device and
+    /// backend counters) followed by the report-derived `serve_*` metrics
+    /// and the cumulative latency histogram.
     pub fn prometheus_text(&self) -> String {
         let mut out = obs::registry().prometheus_text();
         out.push_str(&self.report().prometheus_text());
@@ -188,16 +241,19 @@ impl FastService {
     }
 }
 
-fn tenant_summary(t: &TenantState) -> TenantSummary {
-    let m = t.metrics.plock().clone();
-    let (cst_stats, cst_resident_bytes) = {
-        let cc = t.cst_cache.plock();
-        (cc.stats(), cc.used())
-    };
-    let wall_sec = match (m.first_submit, m.last_done) {
-        (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
-        _ => 0.0,
-    };
+/// One tenant's ledger and cache counters, each read under its lock once.
+fn read_tenant(t: &TenantState) -> (MetricsState, CacheStats, usize) {
+    let metrics = t.metrics.plock().clone();
+    let cc = t.cst_cache.plock();
+    (metrics, cc.stats(), cc.used())
+}
+
+fn tenant_summary(
+    t: &TenantState,
+    m: &MetricsState,
+    cache: &CacheStats,
+    cst_resident_bytes: usize,
+) -> TenantSummary {
     TenantSummary {
         tenant: t.id,
         quota: t.quota,
@@ -211,17 +267,12 @@ fn tenant_summary(t: &TenantState) -> TenantSummary {
         corruption_catches: m.corruption_catches,
         degraded_sec: m.degraded_sec,
         total_embeddings: m.total_embeddings,
-        qps: if wall_sec > 0.0 {
-            m.completed as f64 / wall_sec
-        } else {
-            0.0
-        },
+        qps: m.qps_and_wall().0,
         // Histogram nearest-rank quantiles: one bucket scan each, no
-        // per-report sort (the predecessor sorted the full sample vector
-        // twice per summary).
+        // per-report sort.
         latency_p50: m.latencies.quantile(0.50),
         latency_p99: m.latencies.quantile(0.99),
-        cst_hit_rate: cst_stats.hit_rate(),
+        cst_hit_rate: cache.hit_rate(),
         cst_resident_bytes,
     }
 }
@@ -230,15 +281,17 @@ fn tenant_summary(t: &TenantState) -> TenantSummary {
 /// fleet aggregates then describe the window's own activity) — into a
 /// report.
 pub(crate) fn assemble_report(totals: Totals, tenants: Vec<TenantSummary>) -> ServeReport {
-    let m = &totals.metrics;
-    let wall_sec = match (m.first_submit, m.last_done) {
-        (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
-        _ => 0.0,
-    };
-    let devices = totals.devices;
+    let Totals {
+        metrics: m,
+        cst_cache,
+        cst_resident_bytes,
+        devices,
+        max_in_flight,
+    } = totals;
+    let (qps, wall_sec) = m.qps_and_wall();
     let booked = |d: &DeviceStats| d.total_workload;
     let mean_booked = devices.iter().map(booked).sum::<f64>() / devices.len().max(1) as f64;
-    let mut report = ServeReport {
+    let report = ServeReport {
         submitted: m.submitted,
         completed: m.completed,
         failed: m.failed,
@@ -251,18 +304,15 @@ pub(crate) fn assemble_report(totals: Totals, tenants: Vec<TenantSummary>) -> Se
         corruption_catches: m.corruption_catches,
         degraded_sec: m.degraded_sec,
         total_embeddings: m.total_embeddings,
-        cst_cache: totals.cst_cache,
-        cst_resident_bytes: totals.cst_resident_bytes,
-        // Degenerate walls must never surface NaN/inf: a report taken
-        // before any completion has no wall at all, and a single session
-        // can complete within one clock tick (`wall_sec == 0.0` with
-        // `completed > 0`). Both collapse to QPS 0 rather than dividing.
-        qps: if wall_sec > 0.0 {
-            m.completed as f64 / wall_sec
-        } else {
-            0.0
-        },
+        cst_cache,
+        cst_resident_bytes,
+        qps,
         wall_sec,
+        build_hit_mean_sec: m.build_hits.mean(),
+        build_miss_mean_sec: m.build_misses.mean(),
+        latency_hist: m.latencies,
+        queue_wait_hist: m.queue_waits,
+        device_queue_hist: m.device_queues,
         // The busiest device's modelled seconds: the fleet's makespan.
         device_makespan_sec: devices.iter().map(|d| d.busy_sec).fold(0.0, f64::max),
         device_busy_sec: devices.iter().map(|d| d.busy_sec).sum(),
@@ -273,33 +323,26 @@ pub(crate) fn assemble_report(totals: Totals, tenants: Vec<TenantSummary>) -> Se
             devices.iter().map(booked).fold(0.0, f64::max) / mean_booked
         },
         devices,
-        max_in_flight: totals.max_in_flight,
+        max_in_flight,
         tenants,
         ..ServeReport::default()
     };
-    report.aggregate(
-        &m.latencies,
-        &m.queue_waits,
-        &m.device_queues,
-        &m.build_hits,
-        &m.build_misses,
-    );
     debug_assert!(report.is_finite(), "report must never surface NaN/inf");
     report
 }
 
-pub(crate) enum FinishOutcome {
-    Completed(QueryReport),
+pub(crate) enum FinishOutcome<'a> {
+    Completed(&'a QueryReport),
     Failed,
     DeadlineMiss,
 }
 
-/// Folds a session's outcome into the service-wide and tenant metrics.
-/// The execution permit is released by the session's retirement in
-/// `release`, not here.
-pub(crate) fn finish(inner: &Inner, tenant: &TenantState, outcome: FinishOutcome) {
+/// Folds a session's outcome into its tenant's ledger. The execution
+/// permit is released by the session's retirement in `release`, not here.
+pub(crate) fn finish(tenant: &TenantState, outcome: FinishOutcome<'_>) {
     let now = Instant::now();
-    let fold = |m: &mut MetricsState| match &outcome {
+    let mut m = tenant.metrics.plock();
+    match outcome {
         FinishOutcome::Completed(report) => {
             m.completed += 1;
             m.total_embeddings += report.embeddings;
@@ -312,25 +355,12 @@ pub(crate) fn finish(inner: &Inner, tenant: &TenantState, outcome: FinishOutcome
             } else {
                 m.build_misses.record(build_sec);
             }
-            m.last_done = Some(now);
         }
-        FinishOutcome::Failed => {
-            m.failed += 1;
-            m.last_done = Some(now);
-        }
+        FinishOutcome::Failed => m.failed += 1,
         // A shed session is not a failure: it was dropped by policy, and
         // the chaos accounting (`failed == 0` under recoverable schedules)
         // must not conflate the two.
-        FinishOutcome::DeadlineMiss => {
-            m.deadline_misses += 1;
-            m.last_done = Some(now);
-        }
-    };
-    fold(&mut inner.metrics.plock());
-    fold(&mut tenant.metrics.plock());
-    match &outcome {
-        FinishOutcome::Completed(_) => inner.hooks.completed.inc(),
-        FinishOutcome::Failed => inner.hooks.failed.inc(),
-        FinishOutcome::DeadlineMiss => inner.hooks.deadline_misses.inc(),
+        FinishOutcome::DeadlineMiss => m.deadline_misses += 1,
     }
+    m.last_done = Some(now);
 }

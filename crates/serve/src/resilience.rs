@@ -3,7 +3,6 @@
 //! the per-session fault accounting they feed.
 
 use crate::devices::DevicePool;
-use crate::reporting::MetricsState;
 use crate::service::{Inner, MutexExt, ServeError, TenantState};
 use fast::{BackendClass, BackendOutput, ExecutionBackend, PartitionJob, QueryCtx};
 use std::sync::Mutex;
@@ -45,7 +44,7 @@ impl Default for FaultPolicy {
 }
 
 /// Per-session fault accounting, accumulated across every partition's
-/// attempts and folded into service + tenant metrics whatever the
+/// attempts and folded into the tenant's ledger whatever the
 /// session's outcome.
 #[derive(Default, Clone, Copy)]
 pub(crate) struct FaultAcc {
@@ -273,20 +272,14 @@ pub(crate) fn fold_acc(total: &mut FaultAcc, part: &FaultAcc) {
     total.device_queue_sec = total.device_queue_sec.max(part.device_queue_sec);
 }
 
-/// Folds a session's fault accounting into service + tenant metrics.
-pub(crate) fn fold_faults(inner: &Inner, tenant: &TenantState, acc: &FaultAcc) {
+/// Folds a session's fault accounting into its tenant's ledger.
+pub(crate) fn fold_faults(tenant: &TenantState, acc: &FaultAcc) {
     if acc.retries == 0 && acc.corruption_catches == 0 && acc.degraded_sec == 0.0 {
         return;
     }
-    let fold = |m: &mut MetricsState| {
-        m.retries += acc.retries;
-        m.failovers += acc.failovers;
-        m.corruption_catches += acc.corruption_catches;
-        m.degraded_sec += acc.degraded_sec;
-    };
-    fold(&mut inner.metrics.plock());
-    fold(&mut tenant.metrics.plock());
-    inner.hooks.retries.add(acc.retries);
-    inner.hooks.failovers.add(acc.failovers);
-    inner.hooks.corruption_catches.add(acc.corruption_catches);
+    let mut m = tenant.metrics.plock();
+    m.retries += acc.retries;
+    m.failovers += acc.failovers;
+    m.corruption_catches += acc.corruption_catches;
+    m.degraded_sec += acc.degraded_sec;
 }

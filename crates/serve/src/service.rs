@@ -42,8 +42,8 @@
 //!    [`fast::ExecutionBackend::execute`] call; its result is streamed
 //!    to the session handle, and the same task retires the session or
 //!    pushes its next `Exec`.
-//! 5. The final [`QueryReport`] closes the session, service and tenant
-//!    metrics are folded in, and the execution permit is released.
+//! 5. The final [`QueryReport`] closes the session, its outcome is folded
+//!    into the tenant's ledger, and the execution permit is released.
 //!
 //! Serving executes every partition on the device pool (the multi-FPGA
 //! regime of Section VII-E, generalised to heterogeneous backends); the
@@ -60,7 +60,7 @@ use crate::metrics::ServeReport;
 use crate::reporting::{MetricsState, Totals, WindowState};
 pub use crate::resilience::FaultPolicy;
 use crate::resilience::FALLBACK_THREADS;
-use crate::tenant::{TenantConfig, TenantId, WrrQueue};
+use crate::tenant::{TenantConfig, TenantId, WrrQueue, INITIAL_GRAPH_EPOCH};
 use cst::PlanKey;
 use fast::{BackendClass, CpuBackend, FastConfig};
 use graph_core::{Graph, QueryGraph, VertexId};
@@ -240,13 +240,13 @@ pub struct QueryReport {
     pub queue_wait: Duration,
     /// Modelled device queueing delay: the worst queue this session's
     /// partitions joined behind (outstanding booked work on the assigned
-    /// device at its modelled rate, in seconds). The host wall alone hides
-    /// this contention — the emulated backends run inline — so it is
-    /// folded into [`latency`](Self::latency).
+    /// device at its modelled rate, in seconds). The host wall hides this
+    /// contention — the emulated backends run inline — so it is reported
+    /// here and in `ServeReport::device_queue_hist`, and kept out of the
+    /// measured [`latency`](Self::latency).
     pub device_queue_sec: f64,
-    /// Wall time from submission to completion **plus** the modelled
-    /// device queueing delay ([`device_queue_sec`](Self::device_queue_sec))
-    /// — the device-faithful latency the service percentiles aggregate.
+    /// Measured wall time from submission to completion: exactly
+    /// [`queue_wait`](Self::queue_wait) + [`service_time`](Self::service_time).
     pub latency: Duration,
     /// Modelled kernel cycles across the session's FPGA-executed
     /// partitions (CPU-executed partitions have no cycle notion).
@@ -396,7 +396,8 @@ impl Drop for SessionHandle {
 }
 
 /// Everything the service keys by tenant: the loaded graph, its epoch,
-/// the fair-share quota, a private cache partition, and metrics.
+/// the fair-share quota, a private cache partition, and its ledger — the
+/// only metrics state in the service (the totals merge every tenant's).
 pub(crate) struct TenantState {
     pub(crate) id: TenantId,
     pub(crate) graph: Arc<Graph>,
@@ -432,48 +433,6 @@ pub(crate) struct Gate {
     pub(crate) admitted: usize,
     /// High-water mark of `in_flight` (permit holders only).
     pub(crate) max_seen: usize,
-}
-
-/// Registry handles for the hot-path serving counters, resolved once at
-/// service construction (the registry lock is never taken per session).
-/// The counters mirror the `MetricsState` fields one-for-one — the
-/// `prop_obs` suite reconciles the two exactly.
-pub(crate) struct ObsHooks {
-    pub(crate) submitted: Arc<obs::Counter>,
-    pub(crate) completed: Arc<obs::Counter>,
-    pub(crate) failed: Arc<obs::Counter>,
-    pub(crate) deadline_misses: Arc<obs::Counter>,
-    pub(crate) retries: Arc<obs::Counter>,
-    pub(crate) failovers: Arc<obs::Counter>,
-    pub(crate) corruption_catches: Arc<obs::Counter>,
-    pub(crate) in_flight: Arc<obs::Gauge>,
-}
-
-impl ObsHooks {
-    fn new() -> Self {
-        // `obs_` prefix: these are the *live* registry counters; the
-        // report-derived exposition renders the same quantities under
-        // `serve_*`, and one exposition must not repeat a metric name.
-        ObsHooks {
-            submitted: obs::counter("obs_sessions_submitted_total", "Sessions admitted"),
-            completed: obs::counter("obs_sessions_completed_total", "Sessions completed"),
-            failed: obs::counter("obs_sessions_failed_total", "Sessions failed"),
-            deadline_misses: obs::counter(
-                "obs_deadline_misses_total",
-                "Sessions shed past their deadline",
-            ),
-            retries: obs::counter("obs_retries_total", "Failed attempts retried"),
-            failovers: obs::counter(
-                "obs_failovers_total",
-                "Retries rerouted to a different device",
-            ),
-            corruption_catches: obs::counter(
-                "obs_corruption_catches_total",
-                "Corrupted outputs outvoted by the cross-check",
-            ),
-            in_flight: obs::gauge("obs_in_flight", "Currently admitted sessions"),
-        }
-    }
 }
 
 pub(crate) struct Inner {
@@ -519,12 +478,8 @@ pub(crate) struct Inner {
     pub(crate) wake_cond: Condvar,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) gate: Mutex<Gate>,
-    /// Service-wide metrics (per-tenant slices live in `TenantState`).
-    pub(crate) metrics: Mutex<MetricsState>,
     /// Baseline for the next [`FastService::report_window`] delta.
     pub(crate) window: Mutex<WindowState>,
-    /// Cached obs registry counter handles for the serving hot path.
-    pub(crate) hooks: ObsHooks,
 }
 
 impl Inner {
@@ -589,7 +544,7 @@ impl FastService {
             graph: graph.into(),
             quota: 1,
             deadline: config.deadline,
-            epoch: AtomicU64::new(TenantConfig::default().epoch),
+            epoch: AtomicU64::new(INITIAL_GRAPH_EPOCH),
             cst_cache: Mutex::new(CstCache::new(config.cst_cache_bytes)),
             metrics: Mutex::new(MetricsState::default()),
         });
@@ -618,13 +573,11 @@ impl FastService {
             wake_cond: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             gate: Mutex::new(Gate::default()),
-            metrics: Mutex::new(MetricsState::default()),
             window: Mutex::new(WindowState {
                 seq: 0,
                 taken_at: Instant::now(),
                 base: Totals::default(),
             }),
-            hooks: ObsHooks::new(),
             config,
         });
         let workers = (0..inner.config.workers)
@@ -657,7 +610,7 @@ impl FastService {
             graph: graph.into(),
             quota: config.quota,
             deadline: config.deadline.or(self.inner.config.deadline),
-            epoch: AtomicU64::new(config.epoch),
+            epoch: AtomicU64::new(INITIAL_GRAPH_EPOCH),
             cst_cache: Mutex::new(CstCache::new(cst_budget)),
             metrics: Mutex::new(MetricsState::default()),
         });
@@ -760,16 +713,10 @@ impl FastService {
         let (tx, rx) = mailbox();
         let now = Instant::now();
         {
-            let mut m = self.inner.metrics.plock();
-            m.submitted += 1;
-            m.first_submit.get_or_insert(now);
-        }
-        {
             let mut m = tenant.metrics.plock();
             m.submitted += 1;
             m.first_submit.get_or_insert(now);
         }
-        self.inner.hooks.submitted.inc();
         let submission = Submission {
             id,
             tenant,

@@ -395,6 +395,132 @@ fn window_deltas_reconcile_with_lifetime_report() {
     assert_eq!(w0.cst_cache.hits + w1.cst_cache.hits, life.cst_cache.hits);
 }
 
+/// A running sum of window reports: every integer counter, in a fixed
+/// order, and the three histograms merged.
+#[derive(Default)]
+struct WindowSum {
+    counters: Vec<u64>,
+    latency: obs::Histogram,
+    queue_wait: obs::Histogram,
+    device_queue: obs::Histogram,
+}
+
+impl WindowSum {
+    fn counters(r: &ServeReport) -> Vec<u64> {
+        let c = &r.cst_cache;
+        let mut v = vec![
+            r.submitted,
+            r.completed,
+            r.failed,
+            r.deadline_misses,
+            r.retries,
+            r.failovers,
+            r.quarantines,
+            r.corruption_catches,
+            r.total_embeddings,
+            c.hits,
+            c.misses,
+            c.insertions,
+            c.evictions,
+            c.rejected,
+        ];
+        for d in &r.devices {
+            v.extend([
+                d.partitions,
+                d.cycles,
+                d.failures,
+                d.corruptions,
+                d.quarantines,
+            ]);
+        }
+        v
+    }
+
+    fn of(r: &ServeReport) -> Self {
+        WindowSum {
+            counters: Self::counters(r),
+            latency: r.latency_hist.clone(),
+            queue_wait: r.queue_wait_hist.clone(),
+            device_queue: r.device_queue_hist.clone(),
+        }
+    }
+
+    fn merge(&mut self, other: &WindowSum) {
+        let len = self.counters.len().max(other.counters.len());
+        self.counters.resize(len, 0);
+        for (sum, x) in self.counters.iter_mut().zip(&other.counters) {
+            *sum += x;
+        }
+        self.latency.merge(&other.latency);
+        self.queue_wait.merge(&other.queue_wait);
+        self.device_queue.merge(&other.device_queue);
+    }
+
+    /// Asserts the sum equals `life` on every integer counter and every
+    /// bucket count.
+    fn assert_matches(&self, life: &ServeReport) {
+        assert_eq!(self.counters, Self::counters(life), "integer counters");
+        assert_eq!(self.latency.cumulative(), life.latency_hist.cumulative());
+        assert_eq!(
+            self.queue_wait.cumulative(),
+            life.queue_wait_hist.cumulative()
+        );
+        assert_eq!(
+            self.device_queue.cumulative(),
+            life.device_queue_hist.cumulative()
+        );
+    }
+}
+
+/// Windows pulled by four threads at once while sessions run still
+/// partition the lifetime: summed over every window they equal the
+/// lifetime report on every integer counter and every bucket count, and
+/// their sequence numbers are each taken once.
+#[test]
+fn concurrent_windows_reconcile_with_lifetime_report() {
+    let g = random_labelled_graph(60, 0.2, 2, 47);
+    let service = FastService::new(g, small_config());
+    let running = AtomicBool::new(true);
+    let pulled: Vec<(WindowSum, Vec<u64>)> = std::thread::scope(|scope| {
+        let pollers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let (mut sum, mut seqs) = (WindowSum::default(), Vec::new());
+                    while running.load(Ordering::Acquire) {
+                        let w = service.report_window();
+                        seqs.push(w.window.expect("a window report").seq);
+                        sum.merge(&WindowSum::of(&w));
+                    }
+                    (sum, seqs)
+                })
+            })
+            .collect();
+        for _ in 0..8 {
+            let handles: Vec<_> = (0..8).map(|_| service.submit(triangle())).collect();
+            for h in handles {
+                h.wait().unwrap();
+            }
+        }
+        running.store(false, Ordering::Release);
+        pollers.into_iter().map(|p| p.join().unwrap()).collect()
+    });
+    let last = service.report_window();
+    let life = service.shutdown();
+    assert_eq!(life.completed, 64);
+    let mut total = WindowSum::of(&last);
+    let mut seqs = vec![last.window.unwrap().seq];
+    for (sum, mine) in &pulled {
+        total.merge(sum);
+        seqs.extend(mine);
+    }
+    seqs.sort_unstable();
+    assert!(
+        seqs.iter().copied().eq(0..seqs.len() as u64),
+        "each seq once"
+    );
+    total.assert_matches(&life);
+}
+
 #[test]
 fn try_submit_applies_backpressure_eventually_admits() {
     let g = random_labelled_graph(40, 0.2, 2, 45);
@@ -853,6 +979,50 @@ fn deadline_passing_mid_session_sheds_between_partitions() {
     assert_eq!(report.completed, 0);
     let gate = inner.gate.plock();
     assert_eq!((gate.in_flight, gate.admitted), (0, 0), "permits released");
+}
+
+/// A session that queues behind another's partition on the modelled card
+/// still reports its measured wall as its latency: exactly queue wait plus
+/// service time, with the modelled queue reported beside it.
+#[test]
+fn latency_is_the_measured_wall_while_the_device_queues() {
+    let g = random_labelled_graph(60, 0.25, 2, 59);
+    let mut config = small_config();
+    config.workers = 2;
+    config.devices = 1;
+    let service = FastService::new(g, config.clone());
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let gated = GatedBackend {
+        inner: fast::FpgaBackend::from_config(&config.fast),
+        entered: entered_tx,
+        release: Mutex::new(release_rx),
+    };
+    *service.inner.devices.plock() = DevicePool::new(vec![Arc::new(gated)]).unwrap();
+
+    // Session A's first partition holds its booking on the one card, so
+    // session B's first partition is admitted behind it.
+    let a = service.submit(triangle());
+    entered_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("session A's first partition never started");
+    let b = service.submit(triangle());
+    entered_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("session B's first partition never started");
+    drop(release_tx);
+
+    let reports = [a.wait().unwrap(), b.wait().unwrap()];
+    assert!(
+        reports[1].device_queue_sec > 0.0,
+        "B joined behind A's booking"
+    );
+    for r in &reports {
+        assert_eq!(r.latency, r.queue_wait + r.service_time, "{r:?}");
+    }
+    let life = service.shutdown();
+    assert_eq!(life.latency_hist.count(), 2);
+    assert!(life.device_queue_hist.sum() >= reports[1].device_queue_sec);
 }
 
 #[test]

@@ -52,8 +52,6 @@ pub struct TenantConfig {
     /// zero-quota tenant could never be scheduled and is rejected as
     /// [`ServeError::ZeroQuota`](crate::ServeError::ZeroQuota).
     pub quota: u32,
-    /// Initial graph epoch (folded into the tenant's cache keys).
-    pub epoch: u64,
     /// Byte budget of this tenant's cache partition
     /// (`serve::cache::CstCache`); `None` inherits
     /// [`ServeConfig::cst_cache_bytes`](crate::ServeConfig::cst_cache_bytes),
@@ -70,7 +68,6 @@ impl Default for TenantConfig {
     fn default() -> Self {
         TenantConfig {
             quota: 1,
-            epoch: INITIAL_GRAPH_EPOCH,
             cst_cache_bytes: None,
             deadline: None,
         }

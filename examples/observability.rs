@@ -72,7 +72,7 @@ fn main() {
             w.completed,
             info.wall_sec,
             w.qps,
-            w.latency_p99 * 1e3,
+            w.latency_hist.quantile(0.99) * 1e3,
             w.cst_cache.hits,
             w.cst_cache.misses,
             w.retries,
@@ -80,8 +80,8 @@ fn main() {
         let _ = wave;
     }
 
-    // Prometheus text exposition: live obs_* registry counters plus the
-    // serve_* report-derived families.
+    // Prometheus text exposition: the live device and backend registry
+    // counters plus the serve_* families derived from the report.
     let prom = service.prometheus_text();
     println!("\nprometheus snapshot ({} lines), head:", prom.lines().count());
     for line in prom.lines().take(8) {
@@ -95,8 +95,8 @@ fn main() {
          cache hit rate {:.0}%",
         report.completed,
         report.qps,
-        report.latency_p50 * 1e3,
-        report.latency_p99 * 1e3,
+        report.latency_hist.quantile(0.50) * 1e3,
+        report.latency_hist.quantile(0.99) * 1e3,
         report.cst_cache.hit_rate() * 100.0,
     );
 

@@ -81,11 +81,12 @@ fn main() {
 
     let report = service.shutdown();
     println!(
-        "\nserved {} sessions at {:.1} QPS | latency p50 {:.1}ms p99 {:.1}ms | cache hit rate {:.0}% ({} resident bytes) | {} devices, imbalance {:.2}x",
+        "\nserved {} sessions at {:.1} QPS | measured latency p50 {:.1}ms p99 {:.1}ms | modelled device queue p99 {:.1}ms | cache hit rate {:.0}% ({} resident bytes) | {} devices, imbalance {:.2}x",
         report.completed,
         report.qps,
-        report.latency_p50 * 1e3,
-        report.latency_p99 * 1e3,
+        report.latency_hist.quantile(0.50) * 1e3,
+        report.latency_hist.quantile(0.99) * 1e3,
+        report.device_queue_hist.quantile(0.99) * 1e3,
         report.cst_cache.hit_rate() * 100.0,
         report.cst_resident_bytes,
         report.devices.len(),

@@ -4,7 +4,7 @@
 use fast::{FastConfig, Variant};
 use graph_core::generators::random_labelled_graph;
 use graph_core::{graph_fingerprint, save_snapshot, Label, QueryGraph};
-use serve::{FastService, QueryReport, ServeConfig, TenantConfig, TenantId};
+use serve::{FastService, QueryReport, ServeConfig, TenantConfig, TenantId, TenantSummary};
 use std::sync::Arc;
 
 fn config(workers: usize, max_in_flight: usize) -> ServeConfig {
@@ -84,9 +84,38 @@ fn saturated_tenants_complete_in_quota_proportion() {
     assert_eq!((slice_a.quota, slice_b.quota), (1, 3));
     assert_eq!(slice_a.completed, 40);
     assert_eq!(slice_b.completed, 40);
+    // The service totals are the sum of the slices on every integer
+    // counter.
+    let counters = |t: &TenantSummary| {
+        [
+            t.submitted,
+            t.completed,
+            t.failed,
+            t.deadline_misses,
+            t.retries,
+            t.failovers,
+            t.corruption_catches,
+            t.total_embeddings,
+            t.cst_resident_bytes as u64,
+        ]
+    };
+    let summed = report.tenants.iter().map(counters).fold([0; 9], |mut sum, c| {
+        sum.iter_mut().zip(c).for_each(|(s, x)| *s += x);
+        sum
+    });
     assert_eq!(
-        slice_a.total_embeddings + slice_b.total_embeddings,
-        report.total_embeddings
+        summed,
+        [
+            report.submitted,
+            report.completed,
+            report.failed,
+            report.deadline_misses,
+            report.retries,
+            report.failovers,
+            report.corruption_catches,
+            report.total_embeddings,
+            report.cst_resident_bytes as u64,
+        ]
     );
     assert!(
         slice_b.cst_hit_rate > 0.0,
