@@ -61,8 +61,7 @@ impl BfsTree {
         // Non-tree neighbours: adjacent in q but not parent/child in t_q.
         let mut non_tree_neighbors = vec![Vec::new(); n];
         for &(a, b) in q.edges() {
-            let tree_edge =
-                parent[a.index()] == Some(b) || parent[b.index()] == Some(a);
+            let tree_edge = parent[a.index()] == Some(b) || parent[b.index()] == Some(a);
             if !tree_edge {
                 non_tree_neighbors[a.index()].push(b);
                 non_tree_neighbors[b.index()].push(a);
@@ -259,11 +258,7 @@ mod tests {
     #[test]
     fn cycle_has_expected_non_tree_edges() {
         // 5-cycle: BFS tree from 0 leaves exactly one non-tree edge.
-        let q = QueryGraph::new(
-            vec![l(0); 5],
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
-        )
-        .unwrap();
+        let q = QueryGraph::new(vec![l(0); 5], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
         let t = BfsTree::new(&q, u(0));
         assert_eq!(t.non_tree_edge_count(), 1);
     }

@@ -138,7 +138,9 @@ impl LdbcParams {
     }
 
     fn persons(&self) -> usize {
-        ((self.persons_base as f64) * self.scale_factor).round().max(2.0) as usize
+        ((self.persons_base as f64) * self.scale_factor)
+            .round()
+            .max(2.0) as usize
     }
 }
 
@@ -175,7 +177,9 @@ pub fn generate_ldbc(params: &LdbcParams, seed: u64) -> Graph {
     let persons = params.persons();
     let posts = ((persons as f64) * params.posts_per_person).round() as usize;
     let comments = ((persons as f64) * params.comments_per_person).round() as usize;
-    let forums = ((persons as f64) * params.forums_per_person).round().max(1.0) as usize;
+    let forums = ((persons as f64) * params.forums_per_person)
+        .round()
+        .max(1.0) as usize;
 
     let approx_edges = (persons as f64 * params.avg_knows_degree / 2.0) as usize
         + persons * 3
@@ -234,7 +238,8 @@ pub fn generate_ldbc(params: &LdbcParams, seed: u64) -> Graph {
 
     // --- Universities / companies attach to places. ---
     for u in 0..params.universities {
-        b.add_edge(vid(univ0, u), vid(city0, u % params.cities)).unwrap();
+        b.add_edge(vid(univ0, u), vid(city0, u % params.cities))
+            .unwrap();
     }
     for c in 0..params.companies {
         b.add_edge(vid(company0, c), vid(country0, c % params.countries))
@@ -338,7 +343,8 @@ pub fn generate_ldbc(params: &LdbcParams, seed: u64) -> Graph {
     let post_zipf = ZipfSampler::new(posts.max(1), params.zipf_exponent);
     for co in 0..comments {
         let creator = person_zipf.sample(&mut rng);
-        b.add_edge(vid(comment0, co), vid(person0, creator)).unwrap();
+        b.add_edge(vid(comment0, co), vid(person0, creator))
+            .unwrap();
         // 70% reply to a post, 30% to an earlier comment (thread depth).
         if co == 0 || rng.gen_bool(0.7) {
             if posts > 0 {
@@ -347,7 +353,8 @@ pub fn generate_ldbc(params: &LdbcParams, seed: u64) -> Graph {
             }
         } else {
             let parent = rng.gen_range(0..co);
-            b.add_edge(vid(comment0, co), vid(comment0, parent)).unwrap();
+            b.add_edge(vid(comment0, co), vid(comment0, parent))
+                .unwrap();
         }
         if rng.gen_bool(params.comment_tag_prob) {
             let t = tag_zipf.sample(&mut rng);

@@ -58,7 +58,8 @@ pub fn random_power_law_graph(n: usize, m: usize, num_labels: u16, seed: u64) ->
                 endpoints[rng.gen_range(0..endpoints.len())]
             };
             if t as usize != i {
-                b.add_edge(VertexId::from_index(i), VertexId::new(t)).unwrap();
+                b.add_edge(VertexId::from_index(i), VertexId::new(t))
+                    .unwrap();
                 endpoints.push(i as u32);
                 endpoints.push(t);
                 added += 1;

@@ -15,7 +15,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
-use crate::query::{QueryGraph, QueryError};
+use crate::query::{QueryError, QueryGraph};
 use crate::types::{Label, VertexId};
 use std::cmp::Ordering;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -111,9 +111,7 @@ fn read_raw<R: Read>(reader: R) -> Result<RawGraph, IoError> {
                 let b: u32 = field(&mut parts, lineno, "edge endpoint")?;
                 edges.push((a as usize, b as usize));
             }
-            Some(other) => {
-                return Err(parse_err(lineno, format!("unknown record type '{other}'")))
-            }
+            Some(other) => return Err(parse_err(lineno, format!("unknown record type '{other}'"))),
             None => {}
         }
     }

@@ -210,8 +210,9 @@ pub fn cfl_style_order(q: &QueryGraph, tree: &BfsTree) -> MatchingOrder {
         Ok(o) => o,
         // Degenerate queries (e.g. core not containing the BFS root) can
         // break connectivity; fall back to plain BFS order, as CFL does.
-        Err(_) => MatchingOrder::new(q, tree.bfs_order().to_vec())
-            .expect("BFS order is always connected"),
+        Err(_) => {
+            MatchingOrder::new(q, tree.bfs_order().to_vec()).expect("BFS order is always connected")
+        }
     }
 }
 

@@ -274,10 +274,7 @@ mod tests {
     #[test]
     fn neighbor_label_counts() {
         let q = QueryGraph::new(vec![l(5), l(1), l(1), l(2)], &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        assert_eq!(
-            q.neighbor_label_counts(u(0)),
-            vec![(l(1), 2), (l(2), 1)]
-        );
+        assert_eq!(q.neighbor_label_counts(u(0)), vec![(l(1), 2), (l(2), 1)]);
     }
 
     #[test]

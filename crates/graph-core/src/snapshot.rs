@@ -169,7 +169,9 @@ pub fn read_snapshot(r: &mut dyn Read) -> Result<Graph, SnapshotError> {
     let mut magic = [0u8; 8];
     read_exact_or(r, &mut magic, "magic")?;
     if magic != MAGIC {
-        return Err(SnapshotError::Format("magic mismatch (not a FAST CSR snapshot)".into()));
+        return Err(SnapshotError::Format(
+            "magic mismatch (not a FAST CSR snapshot)".into(),
+        ));
     }
     let mut v4 = [0u8; 4];
     read_exact_or(r, &mut v4, "version")?;
@@ -228,7 +230,9 @@ pub fn read_snapshot(r: &mut dyn Read) -> Result<Graph, SnapshotError> {
     // CSR invariants: monotone offsets spanning exactly the neighbour
     // array, then the neighbour pass.
     if offsets.first() != Some(&0) || offsets.last() != Some(&nbr_len) {
-        return Err(SnapshotError::Format("offsets do not span the neighbors section".into()));
+        return Err(SnapshotError::Format(
+            "offsets do not span the neighbors section".into(),
+        ));
     }
     if offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Format("offsets are not monotone".into()));
@@ -591,17 +595,26 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
         let err = read_snapshot(&mut flipped.as_slice()).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")),
+            "{err}"
+        );
 
         // Truncate: typed error, not a panic.
         let err = read_snapshot(&mut buf[..buf.len() / 2].to_vec().as_slice()).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("truncated")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("truncated")),
+            "{err}"
+        );
 
         // Wrong magic.
         let mut bad = buf.clone();
         bad[0] = b'X';
         let err = read_snapshot(&mut bad.as_slice()).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("magic")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("magic")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -643,14 +656,18 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         let err = load_snapshot(&path).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("truncated")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("truncated")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mapped_load_is_zero_copy_and_fingerprint_identical() {
         let g = random_labelled_graph(80, 0.15, 4, 7);
-        let path = std::env::temp_dir().join(format!("fast-snap-mapped-{}.bin", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("fast-snap-mapped-{}.bin", std::process::id()));
         save_snapshot(&g, &path).unwrap();
 
         let snap = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap();
@@ -670,7 +687,11 @@ mod tests {
         assert!(g.owned_csr_bytes() > 0);
         #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
         {
-            assert_eq!(back.owned_csr_bytes(), 0, "mapped load must not copy CSR sections");
+            assert_eq!(
+                back.owned_csr_bytes(),
+                0,
+                "mapped load must not copy CSR sections"
+            );
             assert_eq!(back.clone().owned_csr_bytes(), 0);
         }
 
@@ -683,7 +704,8 @@ mod tests {
     #[test]
     fn mapped_empty_graph_roundtrips() {
         let g = Graph::from_csr_parts(Vec::new(), vec![0], Vec::new(), 0);
-        let path = std::env::temp_dir().join(format!("fast-snap-mapped-empty-{}.bin", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("fast-snap-mapped-empty-{}.bin", std::process::id()));
         save_snapshot(&g, &path).unwrap();
         let snap = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap();
         assert_eq!(snap.graph().vertex_count(), 0);
@@ -695,17 +717,24 @@ mod tests {
         let g = random_labelled_graph(40, 0.2, 2, 3);
         let mut buf = Vec::new();
         write_snapshot(&g, &mut buf).unwrap();
-        let path = std::env::temp_dir().join(format!("fast-snap-mapped-bad-{}.bin", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("fast-snap-mapped-bad-{}.bin", std::process::id()));
 
         std::fs::write(&path, &buf[..buf.len() / 2]).unwrap();
         let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("truncated")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("truncated")),
+            "{err}"
+        );
 
         let mut bad = buf.clone();
         bad[0] = b'X';
         std::fs::write(&path, &bad).unwrap();
         let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("magic")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("magic")),
+            "{err}"
+        );
 
         // Flip a *label* byte: structurally valid (any u16 is a label), so
         // only the checksum can catch it.
@@ -713,7 +742,10 @@ mod tests {
         bad[HEADER_LEN] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
         let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")),
+            "{err}"
+        );
 
         std::fs::remove_file(&path).ok();
         let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
@@ -736,10 +768,16 @@ mod tests {
         let mut fnv = Fnv::new();
         fnv.update(&buf[HEADER_LEN..]);
         buf[40..48].copy_from_slice(&fnv.0.to_le_bytes());
-        let path = std::env::temp_dir().join(format!("fast-snap-mapped-struct-{}.bin", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "fast-snap-mapped-struct-{}.bin",
+            std::process::id()
+        ));
         std::fs::write(&path, &buf).unwrap();
         let err = load_snapshot_mapped(&path, SnapshotVerify::Eager).unwrap_err();
-        assert!(matches!(err, SnapshotError::Format(ref m) if m.contains("offsets")), "{err}");
+        assert!(
+            matches!(err, SnapshotError::Format(ref m) if m.contains("offsets")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -782,10 +820,7 @@ mod tests {
     #[test]
     fn save_and_load_files() {
         let g = random_labelled_graph(60, 0.2, 3, 4);
-        let path = std::env::temp_dir().join(format!(
-            "fast-snap-test-{}.bin",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("fast-snap-test-{}.bin", std::process::id()));
         save_snapshot(&g, &path).unwrap();
         let back = load_snapshot(&path).unwrap();
         assert_eq!(graph_fingerprint(&back), graph_fingerprint(&g));

@@ -18,7 +18,10 @@ impl GraphStats {
     pub fn compute(name: impl Into<String>, g: &Graph) -> Self {
         // Count only labels that actually occur.
         let labels = (0..g.label_count())
-            .filter(|&l| !g.vertices_with_label(crate::types::Label::new(l as u16)).is_empty())
+            .filter(|&l| {
+                !g.vertices_with_label(crate::types::Label::new(l as u16))
+                    .is_empty()
+            })
             .count();
         GraphStats {
             name: name.into(),
