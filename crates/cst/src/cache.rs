@@ -13,39 +13,11 @@
 use crate::construct::CstOptions;
 use graph_core::QueryGraph;
 
-/// FNV-1a offset basis / prime (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a over `u64` words — deterministic across processes
-/// (unlike `std`'s `DefaultHasher`, whose seeds are unspecified), which a
-/// persistent or cross-session cache needs.
-#[derive(Debug, Clone, Copy)]
-pub struct Fingerprint(u64);
-
-impl Fingerprint {
-    pub fn new() -> Self {
-        Fingerprint(FNV_OFFSET)
-    }
-
-    /// Folds one word into the fingerprint.
-    pub fn mix(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Incremental FNV-1a over `u64` words ([`Fingerprint::mix`]) —
+/// deterministic across processes (unlike `std`'s `DefaultHasher`, whose
+/// seeds are unspecified), which a persistent or cross-session cache needs.
+/// The one FNV implementation, shared with the snapshot format.
+pub use graph_core::snapshot::Fnv as Fingerprint;
 
 /// Structural fingerprint of `q`: labels in vertex order and the sorted
 /// edge list (`QueryGraph::edges` holds each edge once as a sorted
@@ -118,6 +90,18 @@ mod tests {
             &[(0, 1), (1, 2)],
         )
         .unwrap()
+    }
+
+    /// A key recorded before `Fingerprint` became graph-core's `Fnv`.
+    #[test]
+    fn key_is_pinned() {
+        let key = PlanKey::derive(&q1(), &CstOptions::default(), 7);
+        let pinned = PlanKey {
+            query: 0x998a_672d_5506_3ed5,
+            graph_epoch: 7,
+            options: 0x581c_d0fa_58d9_9645,
+        };
+        assert_eq!(key, pinned);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! the *restart* format. A serving process hosting many tenant graphs pays
 //! a cold-start tax re-reading and re-validating text on every boot — the
 //! snapshot stores the already-validated CSR arrays as flat little-endian
-//! sections behind a checksummed header, so a load is three bulk reads
-//! plus an integrity check (no tokenising, no sorting, no deduplication).
+//! sections behind a checksummed header, so a load is one bulk read plus
+//! an integrity check (no tokenising, no sorting, no deduplication).
 //!
 //! # Layout (version 1)
 //!
@@ -24,32 +24,42 @@
 //! ```
 //!
 //! Every section starts 8-byte aligned, so a mapped reader can view the
-//! sections in place. Two load paths share the same validation:
+//! sections in place.
 //!
-//! * [`load_snapshot`] — portable copying reader through a buffered
-//!   stream (works everywhere, always verifies the checksum);
+//! # One decoder, two byte sources
+//!
+//! The format is decoded once, by a private decoder over a byte slice: it
+//! checks the magic and version, that `neighbors length == 2m`, computes
+//! the section extents with overflow-checked arithmetic and holds them
+//! against the slice length before anything is allocated, and verifies
+//! the checksum. A private CSR check then requires offsets starting at 0,
+//! monotone and ending at `2m`, and every adjacency list strictly
+//! ascending, with neighbour ids `< n` and no self loop. The two loaders
+//! differ only in where the bytes come from and whether the sections are
+//! copied:
+//!
+//! * [`load_snapshot`] — reads the file into memory and copies the
+//!   sections into owned arrays; portable, so it is also what
+//!   [`load_snapshot_mapped`] falls back to on targets without the mapping
+//!   fast path (non-unix, big-endian, 32-bit);
 //! * [`load_snapshot_mapped`] — zero-copy: the file is `mmap`ed privately
 //!   read-only and the [`Graph`] borrows its label/offset/neighbour
 //!   sections straight from the page cache
 //!   ([`Graph::owned_csr_bytes`]` == 0`), so tenant restore cost is
-//!   page-cache-bound instead of proportional to array bytes. The
-//!   checksum pass is a read-only scan (no copy); structural CSR
-//!   invariants are validated at load too, so a corrupt snapshot can never
-//!   index out of bounds. On targets without
-//!   the mapping fast path (non-unix, big-endian, 32-bit) it degrades to
-//!   the copying reader.
+//!   page-cache-bound instead of proportional to array bytes: one
+//!   checksum pass and one structural pass over the mapping, no copy.
 //!
-//! Validation on load: magic/version, checksum, monotone offsets
-//! terminating at `2m`, and every adjacency list strictly ascending, with
-//! neighbour ids `< n` and no self loop — a truncated or bit-flipped
-//! snapshot, or a checksum-valid one whose lists are unsorted, repeat a
-//! neighbour or hold their own vertex, is a typed [`SnapshotError`], never a
-//! malformed [`Graph`]. Symmetry of the adjacency is not checked.
+//! A truncated, bit-flipped or hostile header, or a checksum-valid
+//! snapshot whose lists are unsorted, repeat a neighbour or hold their own
+//! vertex, is a typed [`SnapshotError`] from either loader — never a panic,
+//! an allocation failure or a malformed [`Graph`]. Symmetry of the
+//! adjacency is not checked. Truncating a file while it is mapped is out of
+//! reach: the kernel raises `SIGBUS` on access.
 
 use crate::csr::Graph;
 use crate::types::{Label, VertexId};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Magic prefix: format name + layout version byte.
@@ -88,20 +98,59 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Streaming FNV-1a (64-bit): cheap, stable across platforms, and already
-/// the fingerprint primitive the serving cache key uses.
-struct Fnv(u64);
+/// Streaming FNV-1a (64-bit): cheap and deterministic across processes
+/// and platforms (unlike `std`'s `DefaultHasher`, whose seeds are
+/// unspecified). [`Fnv::new`] is the serving cache key's hash
+/// (`cst::Fingerprint`); the snapshot checksum and [`graph_fingerprint`]
+/// run the same loop with the version-1 checksum's multiplier.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv {
+    hash: u64,
+    prime: u64,
+}
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+    /// FNV-1a with FNV's 64-bit prime, `0x100_0000_01b3`.
+    pub fn new() -> Self {
+        Self::with_prime(0x0000_0100_0000_01b3)
     }
 
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+    /// The version-1 snapshot checksum: FNV-1a multiplying by
+    /// `0x1000_0000_01b3`, FNV's prime with one hex digit more. Every
+    /// version-1 file carries checksums made with it, so it stays while the
+    /// format is version 1.
+    fn checksum() -> Self {
+        Self::with_prime(0x1000_0000_01b3)
+    }
+
+    fn with_prime(prime: u64) -> Self {
+        Fnv {
+            hash: 0xcbf2_9ce4_8422_2325,
+            prime,
         }
+    }
+
+    /// Folds `bytes` in order.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(self.prime);
+        }
+    }
+
+    /// Folds one word, as its little-endian bytes.
+    pub fn mix(&mut self, word: u64) {
+        self.update(&word.to_le_bytes());
+    }
+
+    pub fn finish(self) -> u64 {
+        self.hash
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -131,9 +180,9 @@ fn encode_sections(g: &Graph) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
 }
 
 /// Writes `g` as a version-1 snapshot to `w`.
-pub fn write_snapshot(g: &Graph, w: &mut dyn Write) -> Result<(), SnapshotError> {
+fn write_snapshot(g: &Graph, w: &mut dyn Write) -> Result<(), SnapshotError> {
     let (lab, off, nbr) = encode_sections(g);
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv::checksum();
     fnv.update(&lab);
     fnv.update(&off);
     fnv.update(&nbr);
@@ -145,91 +194,104 @@ pub fn write_snapshot(g: &Graph, w: &mut dyn Write) -> Result<(), SnapshotError>
     w.write_all(&(g.edge_count() as u64).to_le_bytes())?;
     let (_, _, neighbors) = g.csr_parts();
     w.write_all(&(neighbors.len() as u64).to_le_bytes())?;
-    w.write_all(&fnv.0.to_le_bytes())?;
+    w.write_all(&fnv.finish().to_le_bytes())?;
     w.write_all(&lab)?;
     w.write_all(&off)?;
     w.write_all(&nbr)?;
     Ok(())
 }
 
-fn read_exact_or(r: &mut dyn Read, buf: &mut [u8], what: &str) -> Result<(), SnapshotError> {
-    r.read_exact(buf)
-        .map_err(|_| SnapshotError::Format(format!("truncated reading {what}")))
+/// The payload of a decoded snapshot: its three sections as unpadded
+/// little-endian byte slices of the decoded buffer, and the edge count.
+struct Sections<'a> {
+    /// `n × u16`.
+    labels: &'a [u8],
+    /// `(n + 1) × u64`.
+    offsets: &'a [u8],
+    /// `2m × u32`.
+    neighbors: &'a [u8],
+    edges: usize,
 }
 
-fn read_u64(r: &mut dyn Read, what: &str) -> Result<u64, SnapshotError> {
-    let mut b = [0u8; 8];
-    read_exact_or(r, &mut b, what)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a snapshot from `r`, validating header, checksum, and CSR
-/// invariants before assembling the [`Graph`].
-pub fn read_snapshot(r: &mut dyn Read) -> Result<Graph, SnapshotError> {
-    let mut magic = [0u8; 8];
-    read_exact_or(r, &mut magic, "magic")?;
-    if magic != MAGIC {
-        return Err(SnapshotError::Format(
-            "magic mismatch (not a FAST CSR snapshot)".into(),
+/// The format's one decoder: magic, version, `neighbors length == 2m`, the
+/// section extents (overflow-checked, and within `bytes` before anything
+/// is allocated), then the checksum over the payload. The CSR structure is
+/// left to [`check_csr`] over the loader's typed view of the sections.
+fn decode(bytes: &[u8]) -> Result<Sections<'_>, SnapshotError> {
+    let fail = |msg: String| Err(SnapshotError::Format(msg));
+    let truncated = |what: &str| fail(format!("truncated reading {what}"));
+    let Some(header) = bytes.get(..HEADER_LEN) else {
+        return truncated("header");
+    };
+    if header[..8] != MAGIC {
+        return fail("magic mismatch (not a FAST CSR snapshot)".into());
+    }
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4-byte field"));
+    if version != VERSION {
+        return fail(format!(
+            "unsupported snapshot version {version} (expected {VERSION})"
         ));
     }
-    let mut v4 = [0u8; 4];
-    read_exact_or(r, &mut v4, "version")?;
-    let version = u32::from_le_bytes(v4);
-    if version != VERSION {
-        return Err(SnapshotError::Format(format!(
-            "unsupported snapshot version {version} (expected {VERSION})"
-        )));
-    }
-    read_exact_or(r, &mut v4, "reserved")?;
-    let n = read_u64(r, "vertex count")? as usize;
-    let m = read_u64(r, "edge count")? as usize;
-    let nbr_len = read_u64(r, "neighbors length")? as usize;
-    let checksum = read_u64(r, "checksum")?;
-    if nbr_len != 2 * m {
-        return Err(SnapshotError::Format(format!(
-            "neighbors length {nbr_len} does not match 2·edges {}",
-            2 * m
-        )));
+    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8-byte field"));
+    let (Ok(n), Ok(m), Ok(nbr_len)) = (
+        usize::try_from(word(16)),
+        usize::try_from(word(24)),
+        usize::try_from(word(32)),
+    ) else {
+        return fail("counts exceed the address space".into());
+    };
+    let stored = word(40);
+    if m.checked_mul(2) != Some(nbr_len) {
+        return fail(format!(
+            "neighbors length {nbr_len} does not match 2 × {m} edges"
+        ));
     }
 
-    let lab_bytes = n * 2 + pad_len(n * 2);
-    let off_bytes = (n + 1) * 8;
-    let nbr_bytes = nbr_len * 4 + pad_len(nbr_len * 4);
-    let mut lab = vec![0u8; lab_bytes];
-    let mut off = vec![0u8; off_bytes];
-    let mut nbr = vec![0u8; nbr_bytes];
-    read_exact_or(r, &mut lab, "labels section")?;
-    read_exact_or(r, &mut off, "offsets section")?;
-    read_exact_or(r, &mut nbr, "neighbors section")?;
+    // Section extents, overflow-checked: a bogus header must become a typed
+    // error, not a wrapped offset or an allocation the file cannot back.
+    let extents = (|| {
+        let lab = n.checked_mul(2)?;
+        let lab = lab.checked_add(pad_len(lab))?;
+        let off = n.checked_add(1)?.checked_mul(8)?;
+        let nbr = nbr_len.checked_mul(4)?;
+        let nbr = nbr.checked_add(pad_len(nbr))?;
+        let end = HEADER_LEN
+            .checked_add(lab)?
+            .checked_add(off)?
+            .checked_add(nbr)?;
+        Some((lab, off, end))
+    })();
+    let Some((lab_bytes, off_bytes, end)) = extents else {
+        return fail("section sizes overflow".into());
+    };
+    let Some(payload) = bytes.get(HEADER_LEN..end) else {
+        return truncated("payload sections");
+    };
 
-    let mut fnv = Fnv::new();
-    fnv.update(&lab);
-    fnv.update(&off);
-    fnv.update(&nbr);
-    if fnv.0 != checksum {
-        return Err(SnapshotError::Format(format!(
-            "checksum mismatch (stored {checksum:#018x}, computed {:#018x})",
-            fnv.0
-        )));
+    let mut fnv = Fnv::checksum();
+    fnv.update(payload);
+    let computed = fnv.finish();
+    if computed != stored {
+        return fail(format!(
+            "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+        ));
     }
+    let (labels, rest) = payload.split_at(lab_bytes);
+    let (offsets, neighbors) = rest.split_at(off_bytes);
+    Ok(Sections {
+        labels: &labels[..n * 2],
+        offsets,
+        neighbors: &neighbors[..nbr_len * 4],
+        edges: m,
+    })
+}
 
-    let labels: Vec<Label> = lab[..n * 2]
-        .chunks_exact(2)
-        .map(|c| Label::new(u16::from_le_bytes([c[0], c[1]])))
-        .collect();
-    let offsets: Vec<usize> = off
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")) as usize)
-        .collect();
-    let neighbors: Vec<VertexId> = nbr[..nbr_len * 4]
-        .chunks_exact(4)
-        .map(|c| VertexId::new(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
-        .collect();
-
-    // CSR invariants: monotone offsets spanning exactly the neighbour
-    // array, then the neighbour pass.
-    if offsets.first() != Some(&0) || offsets.last() != Some(&nbr_len) {
+/// The structural check of both loaders: offsets start at 0, are monotone
+/// and end at the neighbour count, then [`check_neighbors`]. The graph
+/// indexes through these arrays, so this runs even under a matching
+/// checksum.
+fn check_csr(offsets: &[usize], neighbors: &[VertexId]) -> Result<(), SnapshotError> {
+    if offsets.first() != Some(&0) || offsets.last() != Some(&neighbors.len()) {
         return Err(SnapshotError::Format(
             "offsets do not span the neighbors section".into(),
         ));
@@ -237,11 +299,10 @@ pub fn read_snapshot(r: &mut dyn Read) -> Result<Graph, SnapshotError> {
     if offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Format("offsets are not monotone".into()));
     }
-    check_neighbors(&offsets, &neighbors)?;
-    Ok(Graph::from_csr_parts(labels, offsets, neighbors, m))
+    check_neighbors(offsets, neighbors)
 }
 
-/// The neighbour pass of both loaders, over offsets already checked to be
+/// The neighbour pass of [`check_csr`], over offsets already checked to be
 /// monotone and to span `neighbors`: every vertex's list strictly ascending
 /// (no repeated neighbour), below the vertex count and without the vertex
 /// itself — the sorted simple adjacency [`Graph::from_csr_parts`] presumes
@@ -264,6 +325,32 @@ fn check_neighbors(offsets: &[usize], neighbors: &[VertexId]) -> Result<(), Snap
         return Err(SnapshotError::Format(format!("vertex {v}: {fault}")));
     }
     Ok(())
+}
+
+/// Decodes `bytes` and copies the validated sections into an owned
+/// [`Graph`].
+fn copy_graph(bytes: &[u8]) -> Result<Graph, SnapshotError> {
+    let s = decode(bytes)?;
+    let labels: Vec<Label> = s
+        .labels
+        .chunks_exact(2)
+        .map(|c| Label::new(u16::from_le_bytes([c[0], c[1]])))
+        .collect();
+    // An offset past the address space saturates, which `check_csr` then
+    // rejects (it cannot equal the neighbour count and stay monotone).
+    let offsets: Vec<usize> = s
+        .offsets
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .map(|o| usize::try_from(o).unwrap_or(usize::MAX))
+        .collect();
+    let neighbors: Vec<VertexId> = s
+        .neighbors
+        .chunks_exact(4)
+        .map(|c| VertexId::new(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
+        .collect();
+    check_csr(&offsets, &neighbors)?;
+    Ok(Graph::from_csr_parts(labels, offsets, neighbors, s.edges))
 }
 
 /// Saves `g` to `path` **atomically**: the snapshot is written to a
@@ -295,11 +382,11 @@ pub fn save_snapshot(g: &Graph, path: impl AsRef<Path>) -> Result<(), SnapshotEr
     write
 }
 
-/// Loads a graph previously written by [`save_snapshot`].
+/// Loads a graph previously written by [`save_snapshot`], copying its
+/// sections into owned arrays.
 pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
-    read_snapshot(&mut BufReader::new(File::open(path)?))
+    copy_graph(&std::fs::read(path)?)
 }
-
 /// When [`load_snapshot_mapped`] verifies the payload checksum: during
 /// load, always.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,9 +457,13 @@ mod mapping {
     unsafe impl Sync for Mapping {}
 
     impl Mapping {
-        /// Maps the first `len` (> 0) bytes of `file`.
+        /// Maps the first `len` bytes of `file`. Zero bytes map nothing
+        /// (`mmap` rejects a zero length) and view as an empty slice.
         pub(super) fn of_file(file: &File, len: usize) -> std::io::Result<Mapping> {
-            debug_assert!(len > 0, "mmap of zero bytes is invalid");
+            if len == 0 {
+                let ptr = std::ptr::NonNull::<u64>::dangling().as_ptr().cast();
+                return Ok(Mapping { ptr, len });
+            }
             // Safety: mapping `len` bytes of an open fd, read-only and
             // private; the result is checked against MAP_FAILED below.
             let ptr = unsafe {
@@ -393,16 +484,19 @@ mod mapping {
 
         /// The mapped bytes.
         pub(super) fn bytes(&self) -> &[u8] {
-            // Safety: `ptr` is valid for `len` read-only bytes until drop.
+            // Safety: `ptr` is valid for `len` read-only bytes until drop
+            // (non-null and aligned when `len` is 0).
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
     }
 
     impl Drop for Mapping {
         fn drop(&mut self) {
-            // Safety: exactly the pointer/length pair `mmap` returned.
-            unsafe {
-                munmap(self.ptr, self.len);
+            if self.len > 0 {
+                // Safety: exactly the pointer/length pair `mmap` returned.
+                unsafe {
+                    munmap(self.ptr, self.len);
+                }
             }
         }
     }
@@ -421,106 +515,39 @@ pub fn load_snapshot_mapped(
     use std::any::Any;
     use std::sync::Arc;
 
-    let truncated = |what: &str| SnapshotError::Format(format!("truncated reading {what}"));
     let file = File::open(path)?;
-    let file_len = usize::try_from(file.metadata()?.len())
-        .map_err(|_| SnapshotError::Format("snapshot exceeds the address space".into()))?;
-    if file_len < HEADER_LEN {
-        return Err(truncated("header"));
-    }
-    let map = Arc::new(mapping::Mapping::of_file(&file, file_len)?);
-    let bytes = map.bytes();
-
-    if bytes[..8] != MAGIC {
-        return Err(SnapshotError::Format(
-            "magic mismatch (not a FAST CSR snapshot)".into(),
-        ));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte field"));
-    if version != VERSION {
-        return Err(SnapshotError::Format(format!(
-            "unsupported snapshot version {version} (expected {VERSION})"
-        )));
-    }
-    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"));
-    let n = field(16) as usize;
-    let m = field(24) as usize;
-    let nbr_len = field(32) as usize;
-    let stored = field(40);
-    if m.checked_mul(2) != Some(nbr_len) {
-        return Err(SnapshotError::Format(format!(
-            "neighbors length {nbr_len} does not match 2·edges {}",
-            2 * m as u64
-        )));
-    }
-
-    // Section extents, overflow-checked: a bogus header must become a typed
-    // error, not a wrapped offset.
-    let sizes = (|| {
-        let lab = n.checked_mul(2)?;
-        let lab = lab.checked_add(pad_len(lab))?;
-        let off = n.checked_add(1)?.checked_mul(8)?;
-        let nbr = nbr_len.checked_mul(4)?;
-        let nbr = nbr.checked_add(pad_len(nbr))?;
-        let payload = lab.checked_add(off)?.checked_add(nbr)?;
-        HEADER_LEN.checked_add(payload).map(|end| (lab, off, end))
-    })();
-    let Some((lab_bytes, off_bytes, payload_end)) = sizes else {
-        return Err(SnapshotError::Format("section sizes overflow".into()));
-    };
-    if payload_end > file_len {
-        return Err(truncated("payload sections"));
-    }
-
-    let lab_start = HEADER_LEN;
-    let off_start = lab_start + lab_bytes;
-    let nbr_start = off_start + off_bytes;
-    // Safety: every range is inside the mapping (bounds-checked above) and
-    // 8-aligned — the mapping base is page-aligned, the header is 48 bytes,
-    // and every section length is a multiple of ALIGN. `Label`/`VertexId`
-    // are `repr(transparent)` over `u16`/`u32`, and on this cfg (64-bit
+    // On this cfg a file length always fits `usize`.
+    let map = Arc::new(mapping::Mapping::of_file(
+        &file,
+        file.metadata()?.len() as usize,
+    )?);
+    let s = decode(map.bytes())?;
+    let (n, nbr_len) = (s.labels.len() / 2, s.neighbors.len() / 4);
+    // Safety: the decoded sections lie inside the mapping and are 8-aligned
+    // — the mapping base is page-aligned, the header is 48 bytes, and every
+    // padded section length is a multiple of ALIGN. `Label`/`VertexId` are
+    // `repr(transparent)` over `u16`/`u32`, and on this cfg (64-bit
     // little-endian) `usize` has the layout of the on-disk `u64`.
-    let base = bytes.as_ptr();
-    let labels_ptr = unsafe { base.add(lab_start) } as *const Label;
-    let offsets_ptr = unsafe { base.add(off_start) } as *const usize;
-    let neighbors_ptr = unsafe { base.add(nbr_start) } as *const VertexId;
+    let labels_ptr = s.labels.as_ptr() as *const Label;
+    let offsets_ptr = s.offsets.as_ptr() as *const usize;
+    let neighbors_ptr = s.neighbors.as_ptr() as *const VertexId;
     debug_assert_eq!(offsets_ptr.align_offset(ALIGN), 0);
     let offsets_view: &[usize] = unsafe { std::slice::from_raw_parts(offsets_ptr, n + 1) };
     let neighbors_view: &[VertexId] = unsafe { std::slice::from_raw_parts(neighbors_ptr, nbr_len) };
-
-    let mut fnv = Fnv::new();
-    fnv.update(&bytes[HEADER_LEN..payload_end]);
-    if fnv.0 != stored {
-        return Err(SnapshotError::Format(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {:#018x})",
-            fnv.0
-        )));
-    }
-
-    // Structural invariants are checked even under a matching checksum:
-    // the graph indexes through these arrays.
-    if offsets_view.first() != Some(&0) || offsets_view.last() != Some(&nbr_len) {
-        return Err(SnapshotError::Format(
-            "offsets do not span the neighbors section".into(),
-        ));
-    }
-    if offsets_view.windows(2).any(|w| w[0] > w[1]) {
-        return Err(SnapshotError::Format("offsets are not monotone".into()));
-    }
-    check_neighbors(offsets_view, neighbors_view)?;
+    check_csr(offsets_view, neighbors_view)?;
 
     let keep: Arc<dyn Any + Send + Sync> = Arc::clone(&map) as Arc<dyn Any + Send + Sync>;
     let graph = Graph::from_csr_sections(
         Section::mapped(Arc::clone(&keep), labels_ptr, n),
         Section::mapped(Arc::clone(&keep), offsets_ptr, n + 1),
         Section::mapped(keep, neighbors_ptr, nbr_len),
-        m,
+        s.edges,
     );
     Ok(MappedSnapshot { graph })
 }
 
-/// Portable fallback for targets without the mapping fast path: loads via
-/// the copying reader (which always verifies the checksum up front).
+/// Portable fallback for targets without the mapping fast path: the
+/// copying [`load_snapshot`].
 #[cfg(not(all(unix, target_endian = "little", target_pointer_width = "64")))]
 pub fn load_snapshot_mapped(
     path: impl AsRef<Path>,
@@ -536,11 +563,11 @@ pub fn load_snapshot_mapped(
 /// identical — the round-trip witness the CI snapshot step checks.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
     let (lab, off, nbr) = encode_sections(g);
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv::checksum();
     fnv.update(&lab);
     fnv.update(&off);
     fnv.update(&nbr);
-    fnv.0
+    fnv.finish()
 }
 
 #[cfg(test)]
@@ -551,7 +578,7 @@ mod tests {
     fn roundtrip(g: &Graph) -> Graph {
         let mut buf = Vec::new();
         write_snapshot(g, &mut buf).unwrap();
-        read_snapshot(&mut buf.as_slice()).unwrap()
+        copy_graph(&buf).unwrap()
     }
 
     #[test]
@@ -594,14 +621,14 @@ mod tests {
         let mut flipped = buf.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
-        let err = read_snapshot(&mut flipped.as_slice()).unwrap_err();
+        let err = copy_graph(&flipped).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Format(ref m) if m.contains("checksum")),
             "{err}"
         );
 
         // Truncate: typed error, not a panic.
-        let err = read_snapshot(&mut buf[..buf.len() / 2].to_vec().as_slice()).unwrap_err();
+        let err = copy_graph(&buf[..buf.len() / 2]).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Format(ref m) if m.contains("truncated")),
             "{err}"
@@ -610,7 +637,7 @@ mod tests {
         // Wrong magic.
         let mut bad = buf.clone();
         bad[0] = b'X';
-        let err = read_snapshot(&mut bad.as_slice()).unwrap_err();
+        let err = copy_graph(&bad).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Format(ref m) if m.contains("magic")),
             "{err}"
@@ -765,9 +792,9 @@ mod tests {
         // offsets[0] must be 0; make it 1 and re-seal the checksum so only
         // the structural check can object.
         buf[off_start] = 1;
-        let mut fnv = Fnv::new();
+        let mut fnv = Fnv::checksum();
         fnv.update(&buf[HEADER_LEN..]);
-        buf[40..48].copy_from_slice(&fnv.0.to_le_bytes());
+        buf[40..48].copy_from_slice(&fnv.finish().to_le_bytes());
         let path = std::env::temp_dir().join(format!(
             "fast-snap-mapped-struct-{}.bin",
             std::process::id()
@@ -808,7 +835,7 @@ mod tests {
                     "{list:?}: {msg}"
                 );
             };
-            expect(read_snapshot(&mut buf.as_slice()).unwrap_err());
+            expect(copy_graph(&buf).unwrap_err());
             let path =
                 std::env::temp_dir().join(format!("fast-snap-lists-{}.bin", std::process::id()));
             std::fs::write(&path, &buf).unwrap();
@@ -827,5 +854,125 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let err = load_snapshot(&path).unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)), "{err}");
+    }
+
+    /// The checksum and fingerprint of a fixed graph, recorded before the
+    /// snapshot checksum and `cst::Fingerprint` became one FNV type: the
+    /// format's bytes did not move.
+    #[test]
+    fn checksum_is_pinned() {
+        let g = random_labelled_graph(40, 0.2, 2, 3);
+        let mut buf = Vec::new();
+        write_snapshot(&g, &mut buf).unwrap();
+        assert_eq!(buf.len(), 1768);
+        let stored = u64::from_le_bytes(buf[40..48].try_into().unwrap());
+        assert_eq!(stored, 0xe6ad_aa14_93f4_203e);
+        assert_eq!(graph_fingerprint(&g), stored);
+    }
+
+    /// Loads `bytes` through both loaders. Either both succeed with the
+    /// same graph, or both fail with the same `Format` error, which is
+    /// returned.
+    fn load_both(bytes: &[u8], tag: &str) -> Result<Graph, String> {
+        let path = std::env::temp_dir().join(format!(
+            "fast-snap-hostile-{tag}-{}.bin",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let copied = load_snapshot(&path);
+        let mapped = load_snapshot_mapped(&path, SnapshotVerify::Eager);
+        std::fs::remove_file(&path).ok();
+        match (copied, mapped) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(graph_fingerprint(&a), graph_fingerprint(b.graph()));
+                Ok(a)
+            }
+            (Err(SnapshotError::Format(a)), Err(SnapshotError::Format(b))) => {
+                assert_eq!(a, b, "both loaders run one decoder");
+                Err(a)
+            }
+            (a, b) => panic!("loaders disagree: {a:?} vs {:?}", b.map(|s| s.into_graph())),
+        }
+    }
+
+    /// A 48-byte file with a valid magic and version and the given header
+    /// words, checksum 0 and no payload.
+    fn bare_header(n: u64, m: u64, nbr_len: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        for word in [n, m, nbr_len, 0] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf
+    }
+
+    /// Its sections would need 2^43 bytes: an extent the file cannot back
+    /// is rejected before anything is allocated.
+    #[test]
+    fn header_with_two_to_the_forty_vertices_is_a_typed_error() {
+        let err = load_both(&bare_header(1 << 40, 0, 0), "n40").unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn header_with_two_to_the_sixty_three_vertices_is_a_typed_error() {
+        let err = load_both(&bare_header(1 << 63, 0, 0), "n63").unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn header_with_two_to_the_sixty_three_edges_is_a_typed_error() {
+        let err = load_both(&bare_header(0, 1 << 63, 0), "m63").unwrap_err();
+        assert!(err.contains("neighbors length"), "{err}");
+    }
+
+    /// A seeded mutator over a valid snapshot's header, first offsets and
+    /// length: every case loads as the same graph from both loaders or is
+    /// the same typed error from both — never a panic or an abort.
+    #[test]
+    fn mutated_headers_and_truncations_are_ok_or_typed_errors() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let g = random_labelled_graph(30, 0.2, 3, 11);
+        let mut valid = Vec::new();
+        write_snapshot(&g, &mut valid).unwrap();
+        let n = g.vertex_count();
+        let first_offsets_end = HEADER_LEN + n * 2 + pad_len(n * 2) + 4 * 8;
+        let boundary = [0, 1, 1 << 32, 1 << 40, 1 << 63, u64::MAX];
+        let mut rng = SmallRng::seed_from_u64(0x5eed_0044);
+        let (mut ok, mut errors) = (0, 0);
+        for case in 0..300 {
+            let mut buf = valid.clone();
+            match rng.gen_range(0..3) {
+                0 => {
+                    // n, m, nbr_len or checksum: a boundary or a random word.
+                    let at = 16 + 8 * rng.gen_range(0..4usize);
+                    let i = rng.gen_range(0..=boundary.len());
+                    let word = boundary.get(i).copied().unwrap_or_else(|| rng.gen());
+                    buf[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                }
+                1 => {
+                    for _ in 0..rng.gen_range(1..=4) {
+                        let at = rng.gen_range(0..first_offsets_end);
+                        buf[at] ^= rng.gen_range(1..=255u8);
+                    }
+                }
+                _ => buf.truncate(rng.gen_range(0..valid.len())),
+            }
+            match load_both(&buf, &format!("case{case}")) {
+                Ok(back) => {
+                    assert_eq!(graph_fingerprint(&back), graph_fingerprint(&g));
+                    ok += 1;
+                }
+                Err(_) => errors += 1,
+            }
+        }
+        // Most mutations break the file; a few rewrite a word to its own value.
+        assert!(
+            errors > 250 && ok + errors == 300,
+            "{ok} ok, {errors} errors"
+        );
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Three pieces, one process-wide state:
 //!
-//! - **Metrics** ([`mod@registry`]): named atomic [`Counter`]s and
-//!   [`Gauge`]s plus log-bucketed [`Histogram`]s (the histograms are
+//! - **Metrics** ([`mod@registry`]): named atomic [`Counter`]s plus
+//!   log-bucketed [`Histogram`]s (the histograms are
 //!   plain values owned by their call sites — `serve` keeps them inside
 //!   its own metrics state so window deltas and lifetime reports come
 //!   from one source of truth).
@@ -17,8 +17,8 @@
 //!
 //! Cost model: tracing is **off by default** — every recording entry
 //! point first reads one relaxed atomic ([`enabled`]); when disabled, a
-//! [`SpanGuard`] is inert (no clock read, no allocation). Counters and
-//! gauges are single relaxed atomic ops.
+//! [`SpanGuard`] is inert (no clock read, no allocation). Counters are
+//! single relaxed atomic ops.
 
 #![forbid(unsafe_code)]
 
@@ -29,7 +29,7 @@ pub mod registry;
 pub mod trace;
 
 pub use hist::Histogram;
-pub use registry::{Counter, Gauge, Registry};
+pub use registry::{Counter, Registry};
 pub use trace::{
     device_track, session_track, ArgValue, Args, EventRecord, SpanGuard, SpanRecord, Tracer,
     DEVICE_BASE, SESSION_BASE, THREAD_BASE, TRACK_HOST,
@@ -253,11 +253,6 @@ pub fn registry() -> &'static Registry {
 /// Shorthand for [`Registry::counter`] on the global registry.
 pub fn counter(name: &'static str, help: &'static str) -> std::sync::Arc<Counter> {
     registry().counter(name, help)
-}
-
-/// Shorthand for [`Registry::gauge`] on the global registry.
-pub fn gauge(name: &'static str, help: &'static str) -> std::sync::Arc<Gauge> {
-    registry().gauge(name, help)
 }
 
 #[cfg(test)]

@@ -95,7 +95,6 @@ struct SessionStats {
     embeddings: u64,
     partitions: usize,
     kernel_cycles: u64,
-    device_sec: f64,
     acc: FaultAcc,
     picked: Option<Instant>,
     queue_wait: Duration,
@@ -632,7 +631,6 @@ fn run_exec(inner: &Inner, sid: u64) {
                 s.stats.embeddings += u.embeddings;
                 s.stats.partitions += 1;
                 s.stats.kernel_cycles += u.kernel_cycles;
-                s.stats.device_sec += u.modeled_sec;
             }
             Err(e) => s.session_err = Some(e.clone()),
         }
@@ -720,7 +718,6 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 device_queue_sec: stats.acc.device_queue_sec,
                 latency: stats.queue_wait + service_time,
                 kernel_cycles: stats.kernel_cycles,
-                device_sec: stats.device_sec,
                 retries: stats.acc.retries,
                 failovers: stats.acc.failovers,
                 corruption_catches: stats.acc.corruption_catches,

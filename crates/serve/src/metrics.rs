@@ -133,8 +133,6 @@ pub struct ServeReport {
     /// In a window report the monotone counters are deltas over the
     /// window; `outstanding_workload` and `health` are point-in-time.
     pub devices: Vec<DeviceStats>,
-    /// The busiest device's modelled execution seconds.
-    pub device_makespan_sec: f64,
     /// Total modelled device-seconds across the pool.
     pub device_busy_sec: f64,
     /// Max/mean booked workload across devices (1.0 = perfectly balanced).
@@ -177,10 +175,6 @@ pub struct TenantSummary {
     /// Completed sessions per second of the tenant's serving wall (its own
     /// first submission → its own last completion).
     pub qps: f64,
-    /// Tenant latency quantiles (seconds), same definition as the
-    /// service-wide ones (histogram nearest-rank, no per-report sort).
-    pub latency_p50: f64,
-    pub latency_p99: f64,
     /// Hit rate of the tenant's cache partition.
     pub cst_hit_rate: f64,
     /// Resident payload bytes of the tenant's cache partition.
@@ -197,7 +191,6 @@ impl ServeReport {
             self.wall_sec,
             self.build_hit_mean_sec,
             self.build_miss_mean_sec,
-            self.device_makespan_sec,
             self.device_busy_sec,
             self.device_imbalance,
             self.degraded_sec,

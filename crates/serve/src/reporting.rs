@@ -268,10 +268,6 @@ fn tenant_summary(
         degraded_sec: m.degraded_sec,
         total_embeddings: m.total_embeddings,
         qps: m.qps_and_wall().0,
-        // Histogram nearest-rank quantiles: one bucket scan each, no
-        // per-report sort.
-        latency_p50: m.latencies.quantile(0.50),
-        latency_p99: m.latencies.quantile(0.99),
         cst_hit_rate: cache.hit_rate(),
         cst_resident_bytes,
     }
@@ -313,8 +309,6 @@ pub(crate) fn assemble_report(totals: Totals, tenants: Vec<TenantSummary>) -> Se
         latency_hist: m.latencies,
         queue_wait_hist: m.queue_waits,
         device_queue_hist: m.device_queues,
-        // The busiest device's modelled seconds: the fleet's makespan.
-        device_makespan_sec: devices.iter().map(|d| d.busy_sec).fold(0.0, f64::max),
         device_busy_sec: devices.iter().map(|d| d.busy_sec).sum(),
         // Max/mean booked workload; an idle fleet is balanced by definition.
         device_imbalance: if mean_booked == 0.0 {

@@ -251,9 +251,6 @@ pub struct QueryReport {
     /// Modelled kernel cycles across the session's FPGA-executed
     /// partitions (CPU-executed partitions have no cycle notion).
     pub kernel_cycles: u64,
-    /// Modelled execution seconds across all partitions, each under its
-    /// executing backend's own cost model.
-    pub device_sec: f64,
     /// Failed execution attempts this session retried (each one released
     /// its booking and rerouted).
     pub retries: u64,
