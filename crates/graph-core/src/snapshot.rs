@@ -24,37 +24,24 @@
 //! ```
 //!
 //! Every section starts 8-byte aligned, so a mapped reader can view the
-//! sections in place.
+//! sections in place. The format is decoded once, over a byte slice (magic,
+//! version, overflow-checked extents held against the slice before anything
+//! is allocated, checksum; then monotone offsets ending at `2m` and every
+//! list strictly ascending, below `n`, without a self loop). The two
+//! loaders are two byte sources for that decoder:
 //!
-//! # One decoder, two byte sources
-//!
-//! The format is decoded once, by a private decoder over a byte slice: it
-//! checks the magic and version, that `neighbors length == 2m`, computes
-//! the section extents with overflow-checked arithmetic and holds them
-//! against the slice length before anything is allocated, and verifies
-//! the checksum. A private CSR check then requires offsets starting at 0,
-//! monotone and ending at `2m`, and every adjacency list strictly
-//! ascending, with neighbour ids `< n` and no self loop. The two loaders
-//! differ only in where the bytes come from and whether the sections are
-//! copied:
-//!
-//! * [`load_snapshot`] — reads the file into memory and copies the
-//!   sections into owned arrays; portable, so it is also what
-//!   [`load_snapshot_mapped`] falls back to on targets without the mapping
-//!   fast path (non-unix, big-endian, 32-bit);
+//! * [`load_snapshot`] — reads the file and copies the sections into owned
+//!   arrays; portable, so [`load_snapshot_mapped`] falls back to it on
+//!   targets without the mapping fast path (non-unix, big-endian, 32-bit);
 //! * [`load_snapshot_mapped`] — zero-copy: the file is `mmap`ed privately
-//!   read-only and the [`Graph`] borrows its label/offset/neighbour
-//!   sections straight from the page cache
-//!   ([`Graph::owned_csr_bytes`]` == 0`), so tenant restore cost is
-//!   page-cache-bound instead of proportional to array bytes: one
-//!   checksum pass and one structural pass over the mapping, no copy.
+//!   read-only and the [`Graph`] borrows its sections straight from the
+//!   page cache ([`Graph::owned_csr_bytes`]` == 0`), so tenant restore is
+//!   one checksum pass and one structural pass over the mapping.
 //!
-//! A truncated, bit-flipped or hostile header, or a checksum-valid
-//! snapshot whose lists are unsorted, repeat a neighbour or hold their own
-//! vertex, is a typed [`SnapshotError`] from either loader — never a panic,
-//! an allocation failure or a malformed [`Graph`]. Symmetry of the
-//! adjacency is not checked. Truncating a file while it is mapped is out of
-//! reach: the kernel raises `SIGBUS` on access.
+//! A truncated, bit-flipped or hostile file is a typed [`SnapshotError`]
+//! from either loader — never a panic, an allocation failure or a
+//! malformed [`Graph`]. Symmetry of the adjacency is not checked, and a
+//! file truncated while mapped raises `SIGBUS` on access.
 
 use crate::csr::Graph;
 use crate::types::{Label, VertexId};
@@ -112,7 +99,10 @@ pub struct Fnv {
 impl Fnv {
     /// FNV-1a with FNV's 64-bit prime, `0x100_0000_01b3`.
     pub fn new() -> Self {
-        Self::with_prime(0x0000_0100_0000_01b3)
+        Fnv {
+            hash: 0xcbf2_9ce4_8422_2325,
+            prime: 0x0000_0100_0000_01b3,
+        }
     }
 
     /// The version-1 snapshot checksum: FNV-1a multiplying by
@@ -120,18 +110,14 @@ impl Fnv {
     /// version-1 file carries checksums made with it, so it stays while the
     /// format is version 1.
     fn checksum() -> Self {
-        Self::with_prime(0x1000_0000_01b3)
-    }
-
-    fn with_prime(prime: u64) -> Self {
         Fnv {
-            hash: 0xcbf2_9ce4_8422_2325,
-            prime,
+            prime: 0x1000_0000_01b3,
+            ..Fnv::new()
         }
     }
 
     /// Folds `bytes` in order.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.hash ^= u64::from(b);
             self.hash = self.hash.wrapping_mul(self.prime);
@@ -942,7 +928,7 @@ mod tests {
         let first_offsets_end = HEADER_LEN + n * 2 + pad_len(n * 2) + 4 * 8;
         let boundary = [0, 1, 1 << 32, 1 << 40, 1 << 63, u64::MAX];
         let mut rng = SmallRng::seed_from_u64(0x5eed_0044);
-        let (mut ok, mut errors) = (0, 0);
+        let mut rejected = 0;
         for case in 0..300 {
             let mut buf = valid.clone();
             match rng.gen_range(0..3) {
@@ -962,17 +948,11 @@ mod tests {
                 _ => buf.truncate(rng.gen_range(0..valid.len())),
             }
             match load_both(&buf, &format!("case{case}")) {
-                Ok(back) => {
-                    assert_eq!(graph_fingerprint(&back), graph_fingerprint(&g));
-                    ok += 1;
-                }
-                Err(_) => errors += 1,
+                Ok(back) => assert_eq!(graph_fingerprint(&back), graph_fingerprint(&g)),
+                Err(_) => rejected += 1,
             }
         }
         // Most mutations break the file; a few rewrite a word to its own value.
-        assert!(
-            errors > 250 && ok + errors == 300,
-            "{ok} ok, {errors} errors"
-        );
+        assert!(rejected > 250, "{rejected} of 300 mutations rejected");
     }
 }
