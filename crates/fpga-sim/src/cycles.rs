@@ -83,7 +83,12 @@ pub struct CycleModel {
 
 impl CycleModel {
     /// Builds a model from a device spec.
-    pub fn new(latencies: StageLatencies, no: u32, bram_read_latency: u32, dram_read_latency: u32) -> Self {
+    pub fn new(
+        latencies: StageLatencies,
+        no: u32,
+        bram_read_latency: u32,
+        dram_read_latency: u32,
+    ) -> Self {
         assert!(no > 0, "N_o must be positive");
         CycleModel {
             latencies,

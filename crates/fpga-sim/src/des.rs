@@ -90,11 +90,7 @@ impl PipelineBuilder {
 
     /// Finalises the pipeline.
     pub fn build(self) -> Pipeline {
-        let fifos = self
-            .fifo_capacities
-            .iter()
-            .map(|&c| Fifo::new(c))
-            .collect();
+        let fifos = self.fifo_capacities.iter().map(|&c| Fifo::new(c)).collect();
         Pipeline {
             stages: self.stages,
             fifos,

@@ -74,8 +74,8 @@ pub fn run_join_baseline(
     let build_start = Instant::now();
     let root = graph_core::select_root(q, g);
     let tree = BfsTree::new(q, root);
-    let order = MatchingOrder::new(q, tree.bfs_order().to_vec())
-        .expect("BFS order is always connected");
+    let order =
+        MatchingOrder::new(q, tree.bfs_order().to_vec()).expect("BFS order is always connected");
     // The data graph resides in device memory for both systems.
     let graph_bytes = g.memory_bytes();
     let build_time = build_start.elapsed();
@@ -260,13 +260,8 @@ mod tests {
             let g = random_labelled_graph(40, 0.2, 3, 200 + qi as u64);
             let expected = vf2_count(&q, &g);
             for b in JoinBaseline::ALL {
-                let r = run_join_baseline(
-                    b,
-                    &q,
-                    &g,
-                    &DeviceSpec::default(),
-                    &RunLimits::unlimited(),
-                );
+                let r =
+                    run_join_baseline(b, &q, &g, &DeviceSpec::default(), &RunLimits::unlimited());
                 assert_eq!(r.outcome, Outcome::Completed, "{b:?} q{qi}");
                 assert_eq!(r.embeddings, expected, "{} q{qi}", b.name());
             }

@@ -16,8 +16,8 @@ use crate::engine::{run_backtrack, AnchorPolicy, ExtensionMethod};
 use crate::limits::{MatchResult, Outcome, RunLimits};
 use cst::{build_cst_with_stats, CstOptions};
 use graph_core::{
-    cfl_style_order, ceci_style_order, daf_style_order, select_root, BfsTree, Graph,
-    MatchingOrder, QueryGraph,
+    ceci_style_order, cfl_style_order, daf_style_order, select_root, BfsTree, Graph, MatchingOrder,
+    QueryGraph,
 };
 use std::time::Instant;
 
@@ -78,7 +78,12 @@ pub fn baseline_extension(baseline: Baseline) -> ExtensionMethod {
 }
 
 /// The matching order each baseline uses.
-pub fn baseline_order(baseline: Baseline, q: &QueryGraph, g: &Graph, tree: &BfsTree) -> MatchingOrder {
+pub fn baseline_order(
+    baseline: Baseline,
+    q: &QueryGraph,
+    g: &Graph,
+    tree: &BfsTree,
+) -> MatchingOrder {
     match baseline {
         Baseline::Cfl => cfl_style_order(q, tree),
         Baseline::Daf => daf_style_order(q, g, tree.root()),

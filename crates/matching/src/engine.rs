@@ -638,7 +638,9 @@ mod tests {
         assert!(stats.embeddings > 0, "degenerate instance");
         assert_eq!(stats.embeddings, vf2_count(&q, &g));
         let adj = cst.adjacency(qv(0), qv(1));
-        let depth1: usize = (0..adj.source_count()).map(|i| adj.neighbors(i).len()).sum();
+        let depth1: usize = (0..adj.source_count())
+            .map(|i| adj.neighbors(i).len())
+            .sum();
         let depth2 = stats.edge_verifications + stats.visited_rejections;
         let partials = cst.candidate_count(qv(0)) + depth1 + depth2 as usize;
         assert_eq!(stats.partials_generated, partials as u64);

@@ -40,8 +40,8 @@ pub fn run_baseline_parallel(
     // per-thread state on top of the CS. Model per-thread duplication of the
     // mutable search state as a fraction of the index.
     let per_thread_overhead = index.size_bytes() / 4;
-    let peak_memory = modelled_memory_bytes(baseline, g, index.size_bytes())
-        + per_thread_overhead * threads;
+    let peak_memory =
+        modelled_memory_bytes(baseline, g, index.size_bytes()) + per_thread_overhead * threads;
     if let Some(cap) = limits.memory_cap {
         if peak_memory > cap {
             return MatchResult {

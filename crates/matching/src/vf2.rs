@@ -58,10 +58,7 @@ pub fn vf2_count(q: &QueryGraph, g: &Graph) -> u64 {
             if mapped[..depth].contains(&v) {
                 continue;
             }
-            if backward[depth]
-                .iter()
-                .all(|&bd| g.has_edge(mapped[bd], v))
-            {
+            if backward[depth].iter().all(|&bd| g.has_edge(mapped[bd], v)) {
                 mapped[depth] = v;
                 descend(q, g, order, backward, depth + 1, mapped, count);
             }
