@@ -340,10 +340,12 @@ fn copy_graph(bytes: &[u8]) -> Result<Graph, SnapshotError> {
 }
 
 /// Saves `g` to `path` **atomically**: the snapshot is written to a
-/// sibling temp file, flushed and fsynced, then renamed over `path`. A
-/// crash (or error) mid-write leaves either the old snapshot or nothing —
-/// never a torn file — and the failed temp file is cleaned up. Readers
-/// concurrently loading `path` see the old or the new snapshot, whole.
+/// sibling temp file, flushed and fsynced, then renamed over `path`, and
+/// (on unix) the parent directory is fsynced so the rename itself survives
+/// a crash once this returns `Ok`. A crash (or error) mid-write leaves
+/// either the old snapshot or nothing — never a torn file — and the failed
+/// temp file is cleaned up. Readers concurrently loading `path` see the old
+/// or the new snapshot, whole.
 pub fn save_snapshot(g: &Graph, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
     let path = path.as_ref();
     // Unique per process so two writers never stomp each other's temp; the
@@ -360,6 +362,13 @@ pub fn save_snapshot(g: &Graph, path: impl AsRef<Path>) -> Result<(), SnapshotEr
         // the rename can expose them under the real name.
         w.get_ref().sync_all()?;
         std::fs::rename(&tmp, path)?;
+        // The rename lives in the directory: it is durable once the
+        // directory is. A bare file name's parent is the empty path.
+        #[cfg(unix)]
+        {
+            let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+            File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         Ok(())
     })();
     if write.is_err() {
@@ -674,6 +683,29 @@ mod tests {
             "{err}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A bare relative file name (whose parent is the empty path, synced as
+    /// the working directory) and a file in a nested directory both save
+    /// and load back.
+    #[test]
+    fn save_syncs_the_parent_of_relative_and_nested_paths() {
+        let g = random_labelled_graph(40, 0.2, 3, 9);
+        let bare = std::path::PathBuf::from(format!("fast-snap-bare-{}.bin", std::process::id()));
+        assert_eq!(bare.parent(), Some(Path::new("")));
+        let saved = save_snapshot(&g, &bare);
+        let back = load_snapshot(&bare);
+        std::fs::remove_file(&bare).ok();
+        saved.unwrap();
+        assert_eq!(graph_fingerprint(&back.unwrap()), graph_fingerprint(&g));
+
+        let root = std::env::temp_dir().join(format!("fast-snap-nested-{}", std::process::id()));
+        let nested = root.join("a").join("b").join("g.bin");
+        std::fs::create_dir_all(nested.parent().unwrap()).unwrap();
+        save_snapshot(&g, &nested).unwrap();
+        let back = load_snapshot(&nested).unwrap();
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(graph_fingerprint(&back), graph_fingerprint(&g));
     }
 
     #[test]
