@@ -33,8 +33,8 @@ pub use construct::{build_cst, build_cst_with_stats, BuildStats, CstOptions};
 pub use filter::CandidateFilter;
 pub use intersect::{count_run, intersect_each, seek};
 pub use partition::{
-    fits, partition_cst, partition_cst_into, partition_cst_with_steal, shard_at_vertex, Oversized,
-    PartitionConfig, PartitionStats,
+    fits, partition_cst, partition_cst_into, partition_cst_owned, partition_cst_with_steal,
+    shard_at_vertex, Oversized, PartitionConfig, PartitionStats,
 };
 pub use structure::{CsrAdj, Cst};
 pub use workload::{estimate_workload, WorkloadEstimate};

@@ -25,9 +25,16 @@
 //! backward direction of each query edge (from the later to the earlier
 //! vertex in the matching order), so a child that does not fit is kept as
 //! that half; a child that fits is emitted whole, its forward lists the
-//! transposes of its backward ones. Labels, selections and the scratch
-//! buffer are owned by the [`partition_cst_with_steal`] call and reused down
-//! the recursion; the root CST is borrowed.
+//! transposes of its backward ones.
+//!
+//! A split writes every child before it descends into any, then drops the
+//! parent: the recursion holds each level's pending siblings, never an
+//! ancestor, and one label plane, one set of selections and one scratch
+//! buffer serve the whole call. The sink still receives the partitions in
+//! Algorithm 2's depth-first order: a fitting child waits only behind an
+//! earlier sibling that is still to be split. [`partition_cst_owned`] takes
+//! the root by value, keeps only its backward half and frees that after the
+//! first split; the borrowing entry points leave the caller's CST whole.
 
 use crate::structure::{CsrAdj, Cst, CstMetrics};
 use crate::workload::{self, TreeLists, WorkloadEstimate};
@@ -136,6 +143,30 @@ pub fn partition_cst_with_steal(
     steal: &mut dyn FnMut(&Oversized<'_>) -> bool,
     sink: &mut dyn FnMut(Cst),
 ) -> PartitionStats {
+    partition(Cow::Borrowed(cst), order, config, steal, sink)
+}
+
+/// [`partition_cst_with_steal`] on a root the caller gives up: one that
+/// fits is handed to `sink` as is, and one that does not is held as one
+/// direction per query edge and freed once its first split has written
+/// every child. The same stream, statistics and steal offers.
+pub fn partition_cst_owned(
+    cst: Cst,
+    order: &MatchingOrder,
+    config: &PartitionConfig,
+    steal: &mut dyn FnMut(&Oversized<'_>) -> bool,
+    sink: &mut dyn FnMut(Cst),
+) -> PartitionStats {
+    partition(Cow::Owned(cst), order, config, steal, sink)
+}
+
+fn partition(
+    cst: Cow<'_, Cst>,
+    order: &MatchingOrder,
+    config: &PartitionConfig,
+    steal: &mut dyn FnMut(&Oversized<'_>) -> bool,
+    sink: &mut dyn FnMut(Cst),
+) -> PartitionStats {
     let mut stats = PartitionStats::default();
     if cst.any_empty() {
         stats.skipped_empty = 1;
@@ -145,11 +176,11 @@ pub fn partition_cst_with_steal(
     let fanout = config.root_fanout.min(cst.candidate_count(order.first()));
     if fanout <= 1 && metrics_fit(&metrics, config) {
         stats.partitions = 1;
-        sink(cst.clone());
+        sink(cst.into_owned());
         return stats;
     }
-    let layout = Layout::new(cst, |v| order.position_of(v));
-    let root = Node::borrow(cst, &layout);
+    let layout = Layout::new(&cst, |v| order.position_of(v));
+    let root = Node::new(cst, &layout);
     let mut splitter = Splitter {
         order,
         config,
@@ -159,11 +190,9 @@ pub fn partition_cst_with_steal(
         earlier: layout.earlier_neighbours(order),
         layout,
         emitter: Emitter::default(),
-        planes: Vec::new(),
+        plane: LabelPlane::new(),
     };
-    if splitter.visit(&root, metrics, 0, fanout) {
-        (splitter.sink)(cst.clone());
-    }
+    splitter.visit(root, metrics, 0, fanout);
     splitter.stats
 }
 
@@ -349,9 +378,9 @@ impl Layout {
 }
 
 /// A node of Algorithm 2's recursion as a split reads it: every candidate
-/// set and the [`Layout::stored`] direction of every query edge. The root
-/// borrows them from the whole CST; a node that does not fit is written as
-/// this half and owns it.
+/// set and the [`Layout::stored`] direction of every query edge. A borrowed
+/// root borrows them from the whole CST; an owned root and every node below
+/// it that does not fit own them.
 #[derive(Debug)]
 struct Node<'a> {
     candidates: Vec<Cow<'a, [VertexId]>>,
@@ -359,6 +388,21 @@ struct Node<'a> {
 }
 
 impl<'a> Node<'a> {
+    /// The root node of `cst`: borrowed from a borrowed CST, taken out of
+    /// an owned one (whose other directions are dropped here).
+    fn new(cst: Cow<'a, Cst>, layout: &Layout) -> Self {
+        match cst {
+            Cow::Borrowed(cst) => Node::borrow(cst, layout),
+            Cow::Owned(cst) => {
+                let (candidates, stored) = cst.into_parts(&layout.stored);
+                Node {
+                    candidates: candidates.into_iter().map(Cow::Owned).collect(),
+                    stored: stored.into_iter().map(Cow::Owned).collect(),
+                }
+            }
+        }
+    }
+
     fn borrow(cst: &'a Cst, layout: &Layout) -> Self {
         Node {
             candidates: (0..cst.query_vertex_count())
@@ -394,8 +438,16 @@ type LabelPlane = Vec<Vec<u64>>;
 /// Children labelled per sweep: one bit of a label word each.
 const BATCH: usize = u64::BITS as usize;
 
-/// The state of one [`partition_cst_with_steal`] call: Algorithm 2's
-/// recursion, with everything a split allocates owned here and reused.
+/// A child written by a split and not yet handed on: a whole CST that fits,
+/// or a half [`Node`] to offer to the steal hook and split, with its sizes
+/// and the order position its split starts from.
+enum Pending {
+    Fits(Cst),
+    Split(Node<'static>, CstMetrics, usize),
+}
+
+/// The state of one partitioning call: Algorithm 2's recursion, with
+/// everything a split allocates owned here and reused.
 struct Splitter<'a> {
     order: &'a MatchingOrder,
     config: &'a PartitionConfig,
@@ -406,36 +458,35 @@ struct Splitter<'a> {
     /// [`Layout::earlier_neighbours`] under the matching order.
     earlier: Vec<Vec<(QueryVertexId, usize, usize)>>,
     emitter: Emitter,
-    /// Label planes not in use. A split holds its plane while its children's
-    /// subtrees run (siblings are emitted after them), so the stack hands
-    /// each recursion depth the plane that depth used last.
-    planes: Vec<LabelPlane>,
+    /// The labels of the split in progress. A split is done with its plane
+    /// before it descends, so one serves the whole call.
+    plane: LabelPlane,
 }
 
 impl Splitter<'_> {
     /// Algorithm 2 for a non-empty `node` that does not fit, from order
     /// position `index`: offers it to the steal hook, then splits it at the
     /// first position from `index` with more than one candidate, re-offering
-    /// it at every position it passes. Returns `true` when no position is
-    /// left and the caller has to emit `node` itself (counted as `forced`).
-    /// `fanout` is the split's lower bound on `k`: the root fan-out for the
-    /// whole CST's first split (whose root has that many candidates), 1
-    /// below it.
-    fn visit(&mut self, node: &Node, metrics: CstMetrics, mut index: usize, fanout: usize) -> bool {
+    /// it at every position it passes. A node with no position left is
+    /// emitted as it is (counted as `forced`). `fanout` is the split's lower
+    /// bound on `k`: the root fan-out for the whole CST's first split (whose
+    /// root has that many candidates), 1 below it.
+    fn visit(&mut self, node: Node<'_>, metrics: CstMetrics, mut index: usize, fanout: usize) {
         let (vertex, count) = loop {
             self.stats.max_index = self.stats.max_index.max(index);
             let offer = Oversized {
-                node,
+                node: &node,
                 layout: &self.layout,
             };
             if (self.steal)(&offer) {
                 self.stats.stolen += 1;
-                return false;
+                return;
             }
             if index >= self.order.len() {
                 self.stats.partitions += 1;
                 self.stats.forced += 1;
-                return true;
+                (self.sink)(node.to_cst(&self.layout));
+                return;
             }
             let vertex = self.order.vertex_at(index);
             let count = node.candidate_count(vertex);
@@ -465,48 +516,60 @@ impl Splitter<'_> {
         .max(fanout)
         .clamp(2, count);
 
-        let mut plane = self.planes.pop().unwrap_or_default();
-        self.split(node, index, vertex, k, &mut plane);
-        self.planes.push(plane);
-        false
+        self.split(node, index, vertex, k);
     }
 
-    /// Splits `C(vertex)` of `node` evenly into `k` chunks (Alg. 2 line 4)
-    /// and handles the children in chunk order, [`BATCH`] of them per label
-    /// sweep. A child that fits is emitted whole; one that does not is
-    /// written as a half [`Node`] and split in turn.
-    fn split(
-        &mut self,
-        node: &Node,
-        index: usize,
-        vertex: QueryVertexId,
-        k: usize,
-        plane: &mut LabelPlane,
-    ) {
+    /// Splits `C(vertex)` of `node` evenly into `k` chunks (Alg. 2 line 4),
+    /// [`BATCH`] children per label sweep, and writes every child before
+    /// descending into any: one that fits whole, one that does not as a
+    /// half [`Node`]. Then `node` is dropped and the children are handed on
+    /// in chunk order: a fitting one to the sink (at once while no earlier
+    /// sibling is pending), a half to [`visit`](Self::visit).
+    fn split(&mut self, node: Node<'_>, index: usize, vertex: QueryVertexId, k: usize) {
         let count = node.candidate_count(vertex);
         let (base, extra) = (count / k, count % k);
         // The first `extra` chunks are one candidate longer.
         let chunk_start = |chunk: usize| chunk * base + chunk.min(extra);
+        let mut pending = Vec::new();
         for first in (0..k).step_by(BATCH) {
             let width = (k - first).min(BATCH);
             let bounds: Vec<usize> = (first..=first + width).map(chunk_start).collect();
-            let alive = label(node, self.order, &self.earlier, index, &bounds, plane);
+            let alive = label(
+                &node,
+                self.order,
+                &self.earlier,
+                index,
+                &bounds,
+                &mut self.plane,
+            );
             for child in 0..width {
                 if alive >> child & 1 == 0 {
                     self.stats.skipped_empty += 1;
                     continue;
                 }
-                let metrics = self.emitter.scan(node, &self.layout, plane, child as u32);
+                let metrics = self
+                    .emitter
+                    .scan(&node, &self.layout, &self.plane, child as u32);
                 if metrics_fit(&metrics, self.config) {
                     self.stats.partitions += 1;
-                    (self.sink)(self.emitter.build(node, &self.layout));
+                    let whole = self.emitter.build(&node, &self.layout);
+                    if pending.is_empty() {
+                        (self.sink)(whole);
+                    } else {
+                        pending.push(Pending::Fits(whole));
+                    }
                     continue;
                 }
-                let sub = self.emitter.half(node);
+                let sub = self.emitter.half(&node);
                 let next = index + usize::from(sub.candidate_count(vertex) <= 1);
-                if self.visit(&sub, metrics, next, 1) {
-                    (self.sink)(sub.to_cst(&self.layout));
-                }
+                pending.push(Pending::Split(sub, metrics, next));
+            }
+        }
+        drop(node);
+        for child in pending {
+            match child {
+                Pending::Fits(whole) => (self.sink)(whole),
+                Pending::Split(sub, metrics, next) => self.visit(sub, metrics, next, 1),
             }
         }
     }
@@ -1347,6 +1410,70 @@ mod tests {
         assert!(
             child_first > 0,
             "no order stores a tree edge parent → child"
+        );
+    }
+
+    /// `partition_cst_owned` and `partition_cst_with_steal` give the same
+    /// stream, statistics and steal offers (each offer's whole CST), with a
+    /// hook that takes every third offer or none, under greedy, fixed-`k`,
+    /// fanned-out and fitting configurations, from every root. The owned
+    /// root is the only one halved and freed after its first split, so
+    /// nothing else compares the two.
+    #[test]
+    fn owned_root_partitions_as_the_borrowed_one() {
+        let q = QueryGraph::new(
+            vec![l(0), l(1), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+        )
+        .unwrap();
+        let g = random_labelled_graph(120, 0.1, 2, 33);
+        let (mut offered, mut split) = (0, 0);
+        for root in q.vertices() {
+            let tree = BfsTree::new(&q, root);
+            let order = MatchingOrder::new(&q, tree.bfs_order().to_vec()).unwrap();
+            let cst = build_cst(&q, &g, &tree);
+            let tight = cst.payload_bytes().div_ceil(16).max(1);
+            let configs = [
+                (tight, None, 1),
+                (tight, Some(3), 1),
+                (tight, None, 4),
+                (usize::MAX, None, 1),
+                (usize::MAX, None, 5),
+            ];
+            for (delta_s, fixed_k, root_fanout) in configs {
+                let config = PartitionConfig {
+                    delta_s,
+                    delta_d: u32::MAX,
+                    footprint_budget: None,
+                    fixed_k,
+                    root_fanout,
+                };
+                for take_every in [0, 3] {
+                    let run = |owned: bool| {
+                        let (mut parts, mut offers) = (Vec::new(), Vec::new());
+                        let mut steal = |offer: &Oversized| {
+                            offers.push(offer.to_cst());
+                            take_every > 0 && offers.len() % take_every == 0
+                        };
+                        let mut sink = |p| parts.push(p);
+                        let stats = if owned {
+                            partition_cst_owned(cst.clone(), &order, &config, &mut steal, &mut sink)
+                        } else {
+                            partition_cst_with_steal(&cst, &order, &config, &mut steal, &mut sink)
+                        };
+                        (parts, offers, stats)
+                    };
+                    let (borrowed, owned) = (run(false), run(true));
+                    let case = format!("root {root:?} {config:?} take every {take_every}");
+                    assert_eq!(owned, borrowed, "{case}");
+                    offered += borrowed.1.len();
+                    split += usize::from(borrowed.0.len() > 1);
+                }
+            }
+        }
+        assert!(
+            offered > 20 && split > 10,
+            "{offered} offers, {split} splits"
         );
     }
 }

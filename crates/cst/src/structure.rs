@@ -286,6 +286,32 @@ impl Cst {
         }
     }
 
+    /// Takes the CST apart into its candidate sets and the adjacency of each
+    /// directed edge in `edges`, in that order; every other direction is
+    /// dropped here.
+    ///
+    /// # Panics
+    /// Panics if an edge of `edges` is not a query edge.
+    pub(crate) fn into_parts(
+        self,
+        edges: &[(QueryVertexId, QueryVertexId)],
+    ) -> (Vec<Vec<VertexId>>, Vec<CsrAdj>) {
+        let Cst {
+            candidates,
+            mut adjacency,
+            edge_slot,
+        } = self;
+        let kept = edges
+            .iter()
+            .map(|&(u, v)| {
+                let slot = edge_slot[u.index()][v.index()];
+                assert!(slot != NO_EDGE, "no CST adjacency for ({u:?} -> {v:?})");
+                std::mem::take(&mut adjacency[slot as usize])
+            })
+            .collect();
+        (candidates, kept)
+    }
+
     /// The candidate sets and the adjacency CSRs, in slot order.
     #[cfg(test)]
     pub(crate) fn parts(&self) -> (&[Vec<VertexId>], &[CsrAdj]) {

@@ -54,8 +54,8 @@ use crate::plan::{KernelPlan, PlanError};
 use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
-    build_cst_with_stats, estimate_workload, partition_cst_with_steal, Cst, Oversized,
-    PartitionConfig, DEFAULT_SHARDS,
+    build_cst_with_stats, estimate_workload, partition_cst_owned, partition_cst_with_steal, Cst,
+    Oversized, PartitionConfig, DEFAULT_SHARDS,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{
@@ -649,7 +649,12 @@ fn produce_partitions(
     let mut forced = 0usize;
     let mut emitted = 0usize;
     let mut captured: Vec<PartitionJob> = Vec::new();
-    if !cst.any_empty() {
+    // Capture keeps the CST, so the partitioner borrows it; otherwise it
+    // takes the CST and frees it as soon as the first split is written.
+    let mut kept = None;
+    if cst.any_empty() {
+        kept = capture.then_some(cst);
+    } else {
         let t0 = Instant::now();
         let fanout = work_sized_fanout(&cst, tree, order, root_fanout, config.spec.no);
         let partition_config = PartitionConfig {
@@ -672,11 +677,18 @@ fn produce_partitions(
             }
             sink(job);
         };
-        let stats = partition_cst_with_steal(&cst, order, &partition_config, &mut offer, &mut emit);
+        let stats = if capture {
+            let stats =
+                partition_cst_with_steal(&cst, order, &partition_config, &mut offer, &mut emit);
+            kept = Some(cst);
+            stats
+        } else {
+            partition_cst_owned(cst, order, &partition_config, &mut offer, &mut emit)
+        };
         forced = stats.forced;
         partition_time = t0.elapsed();
     }
-    let prepared = capture.then(|| {
+    let prepared = kept.map(|cst| {
         Arc::new(PreparedCsts {
             query_vertices: q.vertex_count(),
             shard_csts: vec![Arc::new(cst)],
