@@ -691,6 +691,10 @@ impl Select {
     }
 }
 
+/// How many times the room a node's children need [`Emitter::scan`]'s
+/// scratch may hold before it is shrunk to that room.
+const SCRATCH_SLACK: usize = 4;
+
 /// Where [`Emitter::scan`] left one stored edge's CSR in the scratch buffer.
 #[derive(Debug, Clone, Copy)]
 struct EdgeSpan {
@@ -738,14 +742,20 @@ impl Emitter {
             candidates += select.kept;
         }
 
-        // A child's CSRs are no longer than its parent's.
+        // Room for any child of `parent`: a child's CSRs are no longer than
+        // its parent's. A scratch more than `SCRATCH_SLACK` times that is
+        // shrunk to it, so one sized by the root does not outlive the root's
+        // split.
         let room: usize = parent
             .stored
             .iter()
             .map(|adj| adj.offsets.len() + adj.targets.len())
             .sum();
         if self.scratch.len() < room {
-            self.scratch = vec![0; room];
+            self.scratch.resize(room, 0);
+        } else if self.scratch.len() > SCRATCH_SLACK * room {
+            self.scratch.truncate(room);
+            self.scratch.shrink_to_fit();
         }
 
         self.spans.clear();

@@ -197,7 +197,8 @@ impl Cst {
     /// The adjacency CSR of directed edge `(u → u')`.
     ///
     /// # Panics
-    /// Panics if `(u, u')` is not a query edge.
+    /// Panics if `(u, u')` is not a query edge, or its direction was dropped
+    /// by [`retain_adjacency`](Self::retain_adjacency).
     #[inline]
     pub fn adjacency(&self, u: QueryVertexId, v: QueryVertexId) -> &CsrAdj {
         let slot = self.edge_slot[u.index()][v.index()];
@@ -310,6 +311,39 @@ impl Cst {
             })
             .collect();
         (candidates, kept)
+    }
+
+    /// Keeps the adjacency of every directed query edge `(u → u')` for which
+    /// `keep(u, u')` holds and frees every other direction; candidate sets
+    /// are untouched. A later read of a dropped direction panics in
+    /// [`adjacency`](Self::adjacency), and the result no longer passes
+    /// [`validate`](Self::validate), which needs both directions.
+    pub fn retain_adjacency(&mut self, mut keep: impl FnMut(QueryVertexId, QueryVertexId) -> bool) {
+        let mut kept = vec![false; self.adjacency.len()];
+        for (u, row) in self.edge_slot.iter().enumerate() {
+            for (v, &slot) in row.iter().enumerate() {
+                if slot != NO_EDGE {
+                    kept[slot as usize] =
+                        keep(QueryVertexId::from_index(u), QueryVertexId::from_index(v));
+                }
+            }
+        }
+        // Kept slots keep their relative order, renumbered densely.
+        let mut renumber = Vec::with_capacity(kept.len());
+        let mut next = 0u32;
+        for &k in &kept {
+            renumber.push(if k { next } else { NO_EDGE });
+            next += u32::from(k);
+        }
+        for slot in self.edge_slot.iter_mut().flatten() {
+            if *slot != NO_EDGE {
+                *slot = renumber[*slot as usize];
+            }
+        }
+        let mut slots = kept.iter();
+        self.adjacency
+            .retain(|_| *slots.next().expect("one flag per slot"));
+        self.adjacency.shrink_to_fit();
     }
 
     /// The candidate sets and the adjacency CSRs, in slot order.
@@ -586,6 +620,35 @@ mod tests {
             let counts: Vec<u32> = (0..target_count).map(|j| reverse.degree(j)).collect();
             assert_eq!(forward.transpose_counted(&counts), reverse);
         }
+    }
+
+    #[test]
+    fn retain_adjacency_keeps_the_chosen_directions_only() {
+        let whole = fig3_cst();
+        let mut trimmed = whole.clone();
+        // Lower → higher index, plus u3 → u2.
+        trimmed.retain_adjacency(|u, v| u.index() < v.index() || (u, v) == (qv(3), qv(2)));
+        let kept: Vec<_> = trimmed.directed_edges().collect();
+        assert_eq!(
+            kept,
+            [(0, 1), (0, 2), (1, 2), (2, 3), (3, 2)].map(|(u, v)| (qv(u), qv(v)))
+        );
+        for &(u, v) in &kept {
+            assert_eq!(trimmed.adjacency(u, v), whole.adjacency(u, v));
+        }
+        assert!(!trimmed.has_adjacency(qv(1), qv(0)));
+        assert_eq!(trimmed.parts().0, whole.parts().0);
+        assert_eq!(trimmed.total_candidates(), whole.total_candidates());
+        let dropped = whole.adjacency(qv(1), qv(0)).targets.len()
+            + whole.adjacency(qv(2), qv(0)).targets.len()
+            + whole.adjacency(qv(2), qv(1)).targets.len();
+        assert_eq!(
+            trimmed.total_adjacency_entries() + dropped,
+            whole.total_adjacency_entries()
+        );
+        assert!(
+            std::panic::catch_unwind(|| trimmed.adjacency(qv(2), qv(0)).targets.len()).is_err()
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!    real CPU);
 //! 2. partition it to fit the kernel's BRAM budget (Section V-B, Algorithm
 //!    2) — [`prepare_partitions`]' first split fanned out at the root into
-//!    at most `⌊W_CST / N_o⌋` chunks — and estimate every partition's
-//!    `W_CST`;
+//!    at most `⌊W_CST / N_o⌋` chunks — estimate every partition's `W_CST`,
+//!    and trim it to the lists execution reads ([`PartitionJob`]);
 //! 3. offload partitions over the modelled PCIe link and run the emulated
 //!    kernel on each (Section VI), while FAST-SHARE books a bounded share of
 //!    partitions to the CPU (Algorithm 3) and steals oversized CSTs to skip
@@ -236,9 +236,7 @@ fn run_fast_with_tree(
             // independent `&mut dyn FnMut`; both book into the same
             // scheduler, so share it.
             let state = RefCell::new(OffloadState::new(config));
-            let mut steal = |oversized: &Oversized, workload: &dyn Fn() -> f64| {
-                state.borrow_mut().steal(oversized, workload, ready)
-            };
+            let mut steal = |offer: &Offer<'_>| state.borrow_mut().steal(offer, ready);
             let phase = produce_partitions(
                 q,
                 g,
@@ -371,41 +369,38 @@ impl OffloadState {
     /// The steal hook: takes an oversized CST whole when Algorithm 3 would
     /// book it to the CPU anyway, saving its partitioning. The workload is
     /// estimated only while the CPU's share has room for any workload, and
-    /// the whole CST is built only once it is taken.
-    fn steal(
-        &mut self,
-        oversized: &Oversized,
-        workload: &dyn Fn() -> f64,
-        ready: &mpsc::Sender<Work>,
-    ) -> bool {
+    /// the CST is built only once it is taken.
+    fn steal(&mut self, offer: &Offer<'_>, ready: &mpsc::Sender<Work>) -> bool {
         if !self.scheduler.can_take_any() {
             return false;
         }
-        let workload = workload();
+        let workload = offer.workload();
         if !self.scheduler.would_assign_cpu(workload) {
             return false;
         }
         self.scheduler.book_cpu(workload);
         self.stolen += 1;
-        self.stolen_entries += oversized.total_adjacency_entries();
-        self.send_cpu(Arc::new(oversized.to_cst()), ready);
+        let entries = offer.adjacency_entries();
+        self.stolen_entries += entries;
+        self.send_cpu(Arc::new(offer.to_cst()), entries, ready);
         true
     }
 
-    /// The sink: books the partition and puts it on the ready queue.
+    /// The sink: books the partition and puts it on the ready queue. Bytes
+    /// and entries are the whole partition's, which the model prices.
     fn offload(&mut self, job: PartitionJob, ready: &mpsc::Sender<Work>) {
         match self.scheduler.assign(job.workload) {
-            Assignment::Cpu => self.send_cpu(job.cst, ready),
+            Assignment::Cpu => self.send_cpu(job.cst, job.whole_entries, ready),
             Assignment::Fpga => {
-                self.offloaded_bytes += job.cst.size_bytes();
+                self.offloaded_bytes += job.whole_bytes;
                 self.send(Work::Fpga, job.cst, ready);
             }
         }
     }
 
-    fn send_cpu(&mut self, cst: Arc<Cst>, ready: &mpsc::Sender<Work>) {
+    fn send_cpu(&mut self, cst: Arc<Cst>, entries: usize, ready: &mpsc::Sender<Work>) {
         self.cpu_partitions += 1;
-        self.cpu_entries += cst.total_adjacency_entries();
+        self.cpu_entries += entries;
         self.send(Work::Cpu, cst, ready);
     }
 
@@ -519,17 +514,64 @@ fn collect_cap(collect: CollectMode) -> usize {
 
 /// One partition of a session's deterministic partition stream, with its
 /// workload estimate — the unit a serving layer dispatches to a device.
+///
+/// The partition is in its *execution form* (`execution_form`): every
+/// candidate set, the earlier → later direction of each query edge under
+/// the matching order, and the reverse list of the order's last two
+/// vertices when they are adjacent — exactly the lists `run_kernel` and
+/// `matching::run_backtrack` read under that order. The estimate and the
+/// two sizes below are the whole partition's (both directions of every
+/// query edge), so the model prices what the paper ships.
 #[derive(Debug, Clone)]
 pub struct PartitionJob {
     /// Position in the partition sequence (emission order).
     pub index: usize,
-    /// The partition: a self-contained, independently matchable CST.
+    /// The partition in its execution form: a self-contained,
+    /// independently matchable CST under the stream's matching order.
     /// Shared, not owned, so a serving result cache can hand the same
     /// decomposition to every warm session without copying payloads.
     pub cst: Arc<Cst>,
     /// Estimated embeddings (`W_CST`, Section V-C) — the dispatch cost
     /// model a shortest-expected-completion scheduler books per device.
     pub workload: f64,
+    /// [`Cst::size_bytes`] of the whole partition: the bytes the PCIe model
+    /// prices for an offload.
+    pub whole_bytes: usize,
+    /// [`Cst::total_adjacency_entries`] of the whole partition: what the
+    /// model prices a CPU-booked partition's partitioning by.
+    pub whole_entries: usize,
+}
+
+impl PartitionJob {
+    /// The job of partition `index`, `whole` holding both directions of
+    /// every query edge: its estimate and sizes are taken from `whole`,
+    /// which is then trimmed to its execution form under `order`.
+    fn new(index: usize, whole: Cst, tree: &BfsTree, order: &MatchingOrder) -> Self {
+        PartitionJob {
+            index,
+            // Estimated on the whole partition: a tree edge may run against
+            // a non-path order (`run_fast_with_order`).
+            workload: estimate_workload(&whole, tree).total,
+            whole_bytes: whole.size_bytes(),
+            whole_entries: whole.total_adjacency_entries(),
+            cst: Arc::new(execution_form(whole, order)),
+        }
+    }
+}
+
+/// `cst` (both directions of every query edge) trimmed to the lists
+/// execution reads under `order`: the earlier → later direction of each
+/// query edge (the Generator's anchor lists and the Edge Validator's
+/// probes, Algorithms 5 and 7, and the CPU engine's backward lists), plus
+/// `(order[n−1] → order[n−2])` when those two are adjacent (the closing
+/// runs' reverse list). Every other direction is freed.
+fn execution_form(mut cst: Cst, order: &MatchingOrder) -> Cst {
+    let n = order.len();
+    let closing = (n >= 2).then(|| (order.vertex_at(n - 1), order.vertex_at(n - 2)));
+    cst.retain_adjacency(|u, v| {
+        order.position_of(u) < order.position_of(v) || Some((u, v)) == closing
+    });
+    cst
 }
 
 /// Everything [`prepare_partitions`] produces that is a pure function of
@@ -556,7 +598,10 @@ pub struct PreparedCsts {
 
 impl PreparedCsts {
     /// Resident payload bytes of the artifact (candidate sets + adjacency
-    /// targets, `Cst::payload_bytes`): the CST plus the partition copies. The byte-budgeted cache's eviction weight.
+    /// targets, `Cst::payload_bytes`): the CST, if kept, plus the
+    /// partitions in the execution form they are held in ([`PartitionJob`]),
+    /// so what a cache entry really holds. The byte-budgeted cache's
+    /// eviction weight.
     pub fn payload_bytes(&self) -> usize {
         self.shard_csts
             .iter()
@@ -602,27 +647,51 @@ pub struct PreparePhase {
     pub prepared: Option<Arc<PreparedCsts>>,
 }
 
-/// [`produce_partitions`]' steal hook: offered an oversized CST before the
-/// split, with its workload estimate as a closure to call only when the
-/// estimate is needed; `true` takes the CST whole.
-type StealHook<'a> = &'a mut dyn FnMut(&Oversized, &dyn Fn() -> f64) -> bool;
+/// An oversized CST offered to [`produce_partitions`]' steal hook before
+/// it is split. Nothing is estimated or built until the hook asks.
+struct Offer<'a> {
+    oversized: &'a Oversized<'a>,
+    tree: &'a BfsTree,
+    order: &'a MatchingOrder,
+}
+
+impl Offer<'_> {
+    /// `W_CST` of the whole CST.
+    fn workload(&self) -> f64 {
+        self.oversized.estimate_workload(self.tree).total
+    }
+
+    /// Adjacency entries of the whole CST.
+    fn adjacency_entries(&self) -> usize {
+        self.oversized.total_adjacency_entries()
+    }
+
+    /// The CST in its execution form, as the stream hands on partitions.
+    fn to_cst(&self) -> Cst {
+        execution_form(self.oversized.to_cst(), self.order)
+    }
+}
+
+/// [`produce_partitions`]' steal hook: `true` takes the offered CST whole.
+type StealHook<'a> = &'a mut dyn FnMut(&Offer<'_>) -> bool;
 
 /// The host's one partition producer (Fig. 2 steps 1–2 plus the `W_CST`
 /// estimate of Section V-C): builds the query's one CST, partitions it
 /// under its own thresholds, and streams every partition into `sink` with
-/// its workload estimate. Every host flow is this function with a different
-/// consumer: [`prepare_partitions`] stages or dispatches the jobs,
-/// [`run_fast`] plugs in Algorithm 3, [`run_multi_fpga`](crate::run_multi_fpga)
-/// books cards. `root_fanout` caps the partitioner's
+/// its workload estimate, in its execution form ([`PartitionJob`]). Every
+/// host flow is this function with a different consumer:
+/// [`prepare_partitions`] stages or dispatches the jobs, [`run_fast`] plugs
+/// in Algorithm 3, [`run_multi_fpga`](crate::run_multi_fpga) books cards.
+/// `root_fanout` caps the partitioner's
 /// `cst::PartitionConfig::root_fanout`: above 1 it is sized by the CST's
 /// `W_CST` ([`work_sized_fanout`]), the one estimate run before a split.
 ///
-/// `steal`, when given, is offered every oversized CST with a closure that
-/// estimates its workload before it is split; returning `true` consumes it
-/// (FAST-SHARE's "directly assign it to CPU, reducing the cost of
-/// partitioning"). The hook runs the estimate only when it could take the
-/// CST; without one, only a CST whose root fans out is estimated before a
-/// split. With `capture` the CST and the emitted jobs are also kept as
+/// `steal`, when given, is offered every oversized CST as an [`Offer`]
+/// before it is split; returning `true` consumes it (FAST-SHARE's
+/// "directly assign it to CPU, reducing the cost of partitioning"). The
+/// hook runs the estimate only when it could take the CST; without one,
+/// only a CST whose root fans out is estimated before a split. With
+/// `capture` the CST and the emitted jobs are also kept as
 /// [`PreparePhase::prepared`] — only meaningful without a steal hook, since
 /// a stolen CST never reaches the stream.
 #[allow(clippy::too_many_arguments)]
@@ -662,15 +731,15 @@ fn produce_partitions(
             ..config.partition_config(q.vertex_count(), &cst)
         };
         let mut offer = |oversized: &Oversized| match steal.as_mut() {
-            Some(steal) => steal(oversized, &|| oversized.estimate_workload(tree).total),
+            Some(steal) => steal(&Offer {
+                oversized,
+                tree,
+                order,
+            }),
             None => false,
         };
         let mut emit = |partition: Cst| {
-            let job = PartitionJob {
-                index: emitted,
-                workload: estimate_workload(&partition, tree).total,
-                cst: Arc::new(partition),
-            };
+            let job = PartitionJob::new(emitted, partition, tree, order);
             emitted += 1;
             if capture {
                 captured.push(job.clone());
@@ -1164,7 +1233,8 @@ mod tests {
     ///
     /// * `prepare_partitions`' stream is `partition_cst_with_steal` on the
     ///   one CST it built (top-down) with
-    ///   `root_fanout = clamp(⌊W/N_o⌋, 1, S)`, `W` the whole CST's `W_CST`;
+    ///   `root_fanout = clamp(⌊W/N_o⌋, 1, S)`, `W` the whole CST's `W_CST`,
+    ///   each partition in its execution form;
     /// * so it is Algorithm 2 as published (one whole partition when the CST
     ///   fits) when `W < 2·N_o`, and the full S-way cut when `W ≥ S·N_o`;
     /// * its partitions' embeddings sum to `vf2_count`, on an empty root
@@ -1266,7 +1336,7 @@ mod tests {
                     };
                     let mut parts = Vec::new();
                     partition_cst_with_steal(shard, &order, &config, &mut |_| false, &mut |p| {
-                        parts.push(p)
+                        parts.push(execution_form(p, &order))
                     });
                     parts
                 };
@@ -1313,9 +1383,7 @@ mod tests {
         let plan = KernelPlan::new(q, order, tree).unwrap();
         let (ready, queue) = mpsc::channel::<Work>();
         let state = RefCell::new(OffloadState::new(config));
-        let mut steal = |oversized: &Oversized, workload: &dyn Fn() -> f64| {
-            state.borrow_mut().steal(oversized, workload, &ready)
-        };
+        let mut steal = |offer: &Offer<'_>| state.borrow_mut().steal(offer, &ready);
         produce_partitions(
             q,
             g,
@@ -1654,6 +1722,316 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The directed query edges a partition's execution form keeps under
+    /// `order`, in `Cst::directed_edges` order: earlier → later, plus
+    /// `(order[n−1] → order[n−2])` when those two are adjacent.
+    fn execution_directions(
+        q: &QueryGraph,
+        order: &MatchingOrder,
+    ) -> Vec<(graph_core::QueryVertexId, graph_core::QueryVertexId)> {
+        let n = order.len();
+        let closing = (order.vertex_at(n - 1), order.vertex_at(n - 2));
+        q.vertices()
+            .flat_map(|u| q.vertices().map(move |v| (u, v)))
+            .filter(|&(u, v)| q.has_edge(u, v))
+            .filter(|&(u, v)| order.position_of(u) < order.position_of(v) || (u, v) == closing)
+            .collect()
+    }
+
+    /// `run_fast`'s stream, in booking order (stolen CSTs included), and
+    /// the steal hook's answers in the order it was asked.
+    fn run_fast_stream(
+        q: &QueryGraph,
+        g: &Graph,
+        config: &FastConfig,
+        tree: &BfsTree,
+        order: &MatchingOrder,
+    ) -> (Vec<Arc<Cst>>, Vec<bool>) {
+        let (ready, queue) = mpsc::channel::<Work>();
+        let state = RefCell::new(OffloadState::new(config));
+        let mut answers = Vec::new();
+        let mut steal = |offer: &Offer<'_>| {
+            let taken = state.borrow_mut().steal(offer, &ready);
+            answers.push(taken);
+            taken
+        };
+        produce_partitions(
+            q,
+            g,
+            config,
+            tree,
+            order,
+            1,
+            false,
+            config
+                .variant
+                .shares_with_cpu()
+                .then_some(&mut steal as StealHook<'_>),
+            &mut |job| state.borrow_mut().offload(job, &ready),
+        );
+        drop(ready);
+        let stream = queue
+            .into_iter()
+            .map(|work| match work {
+                Work::Fpga(_, cst) | Work::Cpu(_, cst) => cst,
+            })
+            .collect();
+        (stream, answers)
+    }
+
+    /// Checks one stream against the whole partitions it was cut from:
+    /// each streamed partition holds exactly the execution directions, is
+    /// the whole one trimmed, and gives the whole one's every `KernelOutput`
+    /// field (counting and collecting) and `EngineStats` (intersection and
+    /// edge verification). Returns the kernel's embeddings.
+    fn check_execution_form(
+        case: &str,
+        q: &QueryGraph,
+        g: &Graph,
+        (tree, order): (&BfsTree, &MatchingOrder),
+        no: u32,
+        whole: &[Cst],
+        streamed: &[Arc<Cst>],
+    ) -> u64 {
+        assert_eq!(whole.len(), streamed.len(), "{case}");
+        let directions = execution_directions(q, order);
+        let plan = KernelPlan::new(q, order, tree).unwrap();
+        let limits = RunLimits::unlimited();
+        let mut embeddings = 0;
+        for (i, (whole, trimmed)) in whole.iter().zip(streamed).enumerate() {
+            let case = format!("{case} partition {i}");
+            assert_eq!(
+                trimmed.directed_edges().collect::<Vec<_>>(),
+                directions,
+                "{case}"
+            );
+            assert_eq!(**trimmed, execution_form(whole.clone(), order), "{case}");
+            for mode in [CollectMode::CountOnly, CollectMode::Collect(7)] {
+                let out = run_kernel(trimmed, &plan, no, mode);
+                assert_eq!(out, run_kernel(whole, &plan, no, mode), "{case} {mode:?}");
+                if mode == CollectMode::CountOnly {
+                    embeddings += out.embeddings;
+                }
+            }
+            for method in [
+                ExtensionMethod::Intersection,
+                ExtensionMethod::EdgeVerification(AnchorPolicy::MinList),
+            ] {
+                assert_eq!(
+                    run_backtrack(q, g, trimmed, order, method, &limits).1,
+                    run_backtrack(q, g, whole, order, method, &limits).1,
+                    "{case} {method:?}"
+                );
+            }
+        }
+        embeddings
+    }
+
+    /// Checks `run_fast`'s and `prepare_partitions`' streams of `(q, g)`
+    /// under `order` with [`check_execution_form`], against whole partitions
+    /// cut from the same CST with the same steal answers and root fan-out,
+    /// and each `PartitionJob`'s estimate and sizes against its whole
+    /// partition's. Returns the CSTs `run_fast` stole.
+    fn check_streams(
+        case: &str,
+        q: &QueryGraph,
+        g: &Graph,
+        config: &FastConfig,
+        order: &MatchingOrder,
+    ) -> usize {
+        let tree = BfsTree::new(q, order.first());
+        let n = q.vertex_count();
+        let root = build_cst_with_stats(q, g, &tree, config.cst_options).0;
+        let thresholds = config.partition_config(n, &root);
+        let expected = run_fast_with_order(q, g, config, order).unwrap().embeddings;
+
+        let (streamed, answers) = run_fast_stream(q, g, config, &tree, order);
+        let stolen = answers.iter().filter(|&&taken| taken).count();
+        let mut answers = answers.into_iter();
+        let whole = RefCell::new(Vec::new());
+        if !root.any_empty() {
+            partition_cst_with_steal(
+                &root,
+                order,
+                &thresholds,
+                &mut |oversized| {
+                    let taken = answers.next().unwrap_or(false);
+                    if taken {
+                        whole.borrow_mut().push(oversized.to_cst());
+                    }
+                    taken
+                },
+                &mut |p| whole.borrow_mut().push(p),
+            );
+        }
+        assert_eq!(answers.next(), None, "{case}: the replay asked fewer times");
+        let whole = whole.into_inner();
+        let case_fast = format!("{case} run_fast");
+        let sum = check_execution_form(
+            &case_fast,
+            q,
+            g,
+            (&tree, order),
+            config.spec.no,
+            &whole,
+            &streamed,
+        );
+        assert_eq!(sum, expected, "{case_fast}");
+
+        let mut capture = config.clone();
+        capture.capture_prepared = true;
+        let mut jobs = Vec::new();
+        let phase = prepare_partitions(q, g, &capture, &tree, order, &mut |job| jobs.push(job));
+        let shard = &phase.prepared.expect("capture requested").shard_csts[0];
+        assert_eq!(**shard, root, "{case}");
+        let fanout = work_sized_fanout(
+            shard,
+            &tree,
+            order,
+            config.pipeline_shards.unwrap_or(DEFAULT_SHARDS),
+            config.spec.no,
+        );
+        let mut whole = Vec::new();
+        if !shard.any_empty() {
+            let config = PartitionConfig {
+                root_fanout: fanout,
+                ..thresholds
+            };
+            partition_cst_with_steal(shard, order, &config, &mut |_| false, &mut |p| {
+                whole.push(p)
+            });
+        }
+        for (job, whole) in jobs.iter().zip(&whole) {
+            let estimate = estimate_workload(whole, &tree).total;
+            assert_eq!(job.workload.to_bits(), estimate.to_bits(), "{case}");
+            assert_eq!(job.whole_bytes, whole.size_bytes(), "{case}");
+            assert_eq!(job.whole_entries, whole.total_adjacency_entries(), "{case}");
+        }
+        let streamed: Vec<Arc<Cst>> = jobs.into_iter().map(|job| job.cst).collect();
+        let case_prepare = format!("{case} prepare_partitions");
+        let sum = check_execution_form(
+            &case_prepare,
+            q,
+            g,
+            (&tree, order),
+            config.spec.no,
+            &whole,
+            &streamed,
+        );
+        assert_eq!(sum, expected, "{case_prepare}");
+        stolen
+    }
+
+    /// A connected order from `root` under which some edge of the BFS tree
+    /// rooted there runs from the later to the earlier vertex, other than
+    /// from the last vertex to the one before it (which the execution form
+    /// keeps), if any.
+    fn non_path_order(q: &QueryGraph, root: graph_core::QueryVertexId) -> Option<MatchingOrder> {
+        let tree = BfsTree::new(q, root);
+        graph_core::all_connected_orders(q, root)
+            .into_iter()
+            .find(|order| {
+                let last = order.len() - 1;
+                q.vertices().any(|u| {
+                    tree.parent(u).is_some_and(|p| {
+                        let (at_p, at_u) = (order.position_of(p), order.position_of(u));
+                        at_p > at_u && (at_p, at_u) != (last, last - 1)
+                    })
+                })
+            })
+    }
+
+    /// Every partition `run_fast` and `prepare_partitions` stream, stolen
+    /// CSTs included, is in its execution form, and runs bit-identically to
+    /// its whole form on the kernel and on both engine methods. On
+    /// generated graphs under a tight BRAM with FAST-SHARE stealing, under
+    /// the path-based order and an order that a BFS tree edge runs against
+    /// (`run_fast_with_order`).
+    ///
+    /// Mutations it catches: keeping the reverse lists, dropping the
+    /// closing reverse list, estimating on the trimmed form under a
+    /// non-path order, stealing a whole CST.
+    #[test]
+    fn streams_carry_the_execution_form_and_run_identically() {
+        let cycle = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        .unwrap();
+        // A 4-cycle with a pendant on vertex 1: from root 0 the tree edge
+        // 1 → 2 runs against the order 0, 3, 2, 1, 4.
+        let pendant = QueryGraph::new(
+            vec![l(0), l(1), l(0), l(1), l(0)],
+            &[(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)],
+        )
+        .unwrap();
+        let instances = [
+            (
+                queries().remove(0),
+                random_labelled_graph(150, 0.12, 2, 970),
+            ),
+            (queries().remove(1), random_labelled_graph(300, 0.1, 2, 940)),
+            (queries().remove(2), random_labelled_graph(200, 0.1, 2, 941)),
+            (cycle, random_labelled_graph(300, 0.08, 2, 942)),
+            (pendant, random_labelled_graph(200, 0.08, 2, 943)),
+        ];
+        let (mut stolen, mut non_path) = (0, 0);
+        for (qi, (q, g)) in instances.iter().enumerate() {
+            let mut config = FastConfig::test_small(Variant::Share);
+            config.spec.bram_bytes = 1 << 14;
+            config.spec.no = 16;
+            // Algorithm 3 books everything after the first partition to
+            // the CPU, so every oversized CST past it is stolen.
+            config.delta = 1.0;
+            config.pipeline_shards = Some(4);
+            let root = select_root(q, g);
+            let path = path_based_order(q, &BfsTree::new(q, root), g);
+            stolen += check_streams(&format!("q{qi} path"), q, g, &config, &path);
+            if let Some(order) = non_path_order(q, root) {
+                non_path += 1;
+                stolen += check_streams(&format!("q{qi} non-path"), q, g, &config, &order);
+            }
+        }
+        assert!(stolen > 0, "no case stole an oversized CST");
+        assert!(non_path > 0, "no case ran a non-path order");
+    }
+
+    /// [`streams_carry_the_execution_form_and_run_identically`] on the
+    /// benchmark's nine queries over DG03, on the benchmark's device and
+    /// FAST-SHARE setup, under the path-based order and, where one exists
+    /// from the same root, a non-path order.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: every DG03 partition four times over; covered by the release-mode CI test step"
+    )]
+    fn dg03_streams_carry_the_execution_form_and_run_identically() {
+        let g = graph_core::DatasetId::Dg03.generate();
+        let config = FastConfig {
+            spec: fpga_sim::FpgaSpec {
+                bram_bytes: 2 << 20,
+                no: 512,
+                port_max: 2048,
+                fifo_depth: 128,
+                ..fpga_sim::FpgaSpec::default()
+            },
+            ..FastConfig::for_variant(Variant::Share)
+        };
+        let (mut stolen, mut non_path) = (0, 0);
+        for qi in 0..graph_core::QUERY_COUNT {
+            let q = graph_core::benchmark_query(qi);
+            let root = select_root(&q, &g);
+            let path = path_based_order(&q, &BfsTree::new(&q, root), &g);
+            stolen += check_streams(&format!("q{qi} path"), &q, &g, &config, &path);
+            if let Some(order) = non_path_order(&q, root) {
+                non_path += 1;
+                stolen += check_streams(&format!("q{qi} non-path"), &q, &g, &config, &order);
+            }
+        }
+        assert!(stolen > 0, "no query stole an oversized CST");
+        assert!(non_path > 0, "no query ran a non-path order");
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! what `cst::partition` holds above the borrowed root while it splits a
 //! CST whose children keep splitting at the same order position. Below the
 //! root a node that does not fit is held as one direction per query edge,
-//! and the scratch buffer is sized by the root's stored half, so the peak
-//! stays a small multiple of the root however deep the cascade goes.
+//! and a split writes all its children before it descends and then drops
+//! itself, so the recursion holds each level's pending siblings (never an
+//! ancestor), one label plane and one scratch buffer sized by the node
+//! being split: the peak stays a small multiple of the root however deep
+//! the cascade goes.
 //!
 //! One `#[test]` in its own binary: no other test allocates while the
 //! counters run.
@@ -90,9 +93,11 @@ fn partition_working_set_stays_near_the_root() {
     let stats = partition_cst_into(&root, &order, &config, &mut |_| partitions += 1);
     let above = PEAK.load(Ordering::Relaxed) - base;
 
-    // Measured: 1.97 × the root (a scratch of the root's stored half, one
-    // half node and one label plane per level). Holding each intermediate
-    // whole as well, as both directions, reads 3.4 × or more.
+    // Measured: 2.02 × the root, set at the root's split (a scratch of the
+    // root's stored half and the two children written from it; below it,
+    // the pending sibling halves on the path and one label plane). Holding
+    // each intermediate whole as well, as both directions, reads 3.4 × or
+    // more.
     let ratio = above as f64 / root.size_bytes() as f64;
     assert_eq!(stats.forced, 0);
     assert_eq!(stats.max_index, 0, "every split is at the root");
