@@ -58,14 +58,20 @@ fn cmd_match(args: &[String]) -> ExitCode {
         .and_then(|s| s.parse().ok())
         .map(Duration::from_secs);
 
-    let graph = match File::open(graph_path).map_err(io::IoError::Io).and_then(io::read_graph_text) {
+    let graph = match File::open(graph_path)
+        .map_err(io::IoError::Io)
+        .and_then(io::read_graph_text)
+    {
         Ok(g) => g,
         Err(e) => {
             eprintln!("error reading graph {graph_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let query = match File::open(query_path).map_err(io::IoError::Io).and_then(io::read_query_text) {
+    let query = match File::open(query_path)
+        .map_err(io::IoError::Io)
+        .and_then(io::read_query_text)
+    {
         Ok(q) => q,
         Err(e) => {
             eprintln!("error reading query {query_path}: {e}");
@@ -107,8 +113,7 @@ fn cmd_match(args: &[String]) -> ExitCode {
                         r.kernel_time_sec * 1e3
                     );
                     for emb in &r.collected {
-                        let cells: Vec<String> =
-                            emb.iter().map(|v| v.raw().to_string()).collect();
+                        let cells: Vec<String> = emb.iter().map(|v| v.raw().to_string()).collect();
                         println!("{}", cells.join(" "));
                     }
                     ExitCode::SUCCESS
@@ -155,8 +160,12 @@ fn cmd_gen(args: &[String]) -> ExitCode {
     let Some(out) = args.first() else {
         return usage();
     };
-    let sf: f64 = flag_value(args, "--sf").and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let seed: u64 = flag_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
+    let sf: f64 = flag_value(args, "--sf")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1.0);
+    let seed: u64 = flag_value(args, "--seed")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1);
     let g = generate_ldbc(&LdbcParams::with_scale_factor(sf), seed);
     match File::create(out)
         .map_err(io::IoError::Io)
@@ -182,7 +191,10 @@ fn cmd_stats(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
-    match File::open(path).map_err(io::IoError::Io).and_then(io::read_graph_text) {
+    match File::open(path)
+        .map_err(io::IoError::Io)
+        .and_then(io::read_graph_text)
+    {
         Ok(g) => {
             let s = GraphStats::compute(path.as_str(), &g);
             println!("{}", GraphStats::table_header());

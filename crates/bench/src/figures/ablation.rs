@@ -107,7 +107,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in debug: full figure run; covered by the release-mode CI test step")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
     fn no_sweep_is_monotone_decreasing() {
         let mut cache = DatasetCache::new();
         let rows = sweep_no(&mut cache, DatasetId::Dg01, 2);

@@ -79,7 +79,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in debug: full figure run; covered by the release-mode CI test step")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
     fn basic_beats_dram_on_dg01() {
         let mut cache = DatasetCache::new();
         let rows = run(&mut cache, DatasetId::Dg01);

@@ -82,16 +82,28 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in debug: full figure run; covered by the release-mode CI test step")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
     fn partitions_grow_with_dataset() {
         let mut cache = DatasetCache::new();
         let rows = run(&mut cache, &[DatasetId::Dg01, DatasetId::Dg03]);
-        let total =
-            |d: DatasetId| -> usize { rows.iter().filter(|r| r.dataset == d).map(|r| r.partitions).sum() };
+        let total = |d: DatasetId| -> usize {
+            rows.iter()
+                .filter(|r| r.dataset == d)
+                .map(|r| r.partitions)
+                .sum()
+        };
         assert!(total(DatasetId::Dg03) >= total(DatasetId::Dg01));
         for r in &rows {
             assert!(r.partitions >= 1);
-            assert!(r.size_ratio() < 2.0, "q{} ratio {}", r.query, r.size_ratio());
+            assert!(
+                r.size_ratio() < 2.0,
+                "q{} ratio {}",
+                r.query,
+                r.size_ratio()
+            );
         }
     }
 }

@@ -101,7 +101,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in debug: full figure run; covered by the release-mode CI test step")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
     fn rows_have_embeddings() {
         let mut cache = DatasetCache::new();
         let rows = run(&mut cache, &[DatasetId::Dg01]);

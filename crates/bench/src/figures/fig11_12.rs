@@ -101,7 +101,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in debug: full figure run; covered by the release-mode CI test step")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
     fn gains_within_theory_bounds() {
         let mut cache = DatasetCache::new();
         let rows = run(&mut cache, DatasetId::Dg01);
@@ -123,7 +126,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in debug: full figure run; covered by the release-mode CI test step")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
     fn low_m_queries_gain_less_from_task_parallelism() {
         // The paper: q3's acceleration is much lower because its N/M is
         // high. Verify the correlation on our counts: the row with the

@@ -9,8 +9,8 @@
 use crate::harness::{experiment_config, DatasetCache};
 use fast::{run_fast_with_order, Variant};
 use graph_core::{
-    benchmark_query, ceci_style_order, cfl_style_order, daf_style_order,
-    random_connected_order, select_root, BfsTree, DatasetId,
+    benchmark_query, ceci_style_order, cfl_style_order, daf_style_order, random_connected_order,
+    select_root, BfsTree, DatasetId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,7 +131,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in debug: full figure run; covered by the release-mode CI test step")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug: full figure run; covered by the release-mode CI test step"
+    )]
     fn best_le_avg_le_worst() {
         let mut cache = DatasetCache::new();
         let rows = run(&mut cache, &[DatasetId::Dg01]);

@@ -102,11 +102,7 @@ mod tests {
     #[test]
     fn small_ladder_runs() {
         let mut cache = DatasetCache::new();
-        let rows = run(
-            &mut cache,
-            &[DatasetId::Dg01, DatasetId::Dg03],
-            &[0, 4, 7],
-        );
+        let rows = run(&mut cache, &[DatasetId::Dg01, DatasetId::Dg03], &[0, 4, 7]);
         assert_eq!(rows.len(), 6);
         // Larger datasets find at least as many embeddings for these
         // monotone queries.

@@ -83,7 +83,10 @@ fn main() {
     // Prometheus text exposition: the live device and backend registry
     // counters plus the serve_* families derived from the report.
     let prom = service.prometheus_text();
-    println!("\nprometheus snapshot ({} lines), head:", prom.lines().count());
+    println!(
+        "\nprometheus snapshot ({} lines), head:",
+        prom.lines().count()
+    );
     for line in prom.lines().take(8) {
         println!("  {line}");
     }

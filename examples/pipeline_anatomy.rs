@@ -53,10 +53,7 @@ fn main() {
     let scaled = fpga_sim::WorkloadCounts { n, m: n * k };
     let des_task = simulate_task_cycles(n, k, 512);
     let des_sep = simulate_sep_cycles(n, k, 512);
-    println!(
-        "\nDES cross-check at N={n}, M={} (fan-out {k}):",
-        scaled.m
-    );
+    println!("\nDES cross-check at N={n}, M={} (fan-out {k}):", scaled.m);
     println!(
         "  TASK: analytic {} vs simulated {} cycles ({:+.0}%)",
         model.task(scaled),

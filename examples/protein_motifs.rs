@@ -31,10 +31,22 @@ fn main() {
     );
 
     let motifs = vec![
-        motif("feed-forward triangle (A-B-C)", &[0, 1, 2], &[(0, 1), (1, 2), (0, 2)]),
-        motif("bi-fan (A-B pair over C-D pair)", &[0, 0, 1, 1], &[(0, 2), (0, 3), (1, 2), (1, 3)]),
+        motif(
+            "feed-forward triangle (A-B-C)",
+            &[0, 1, 2],
+            &[(0, 1), (1, 2), (0, 2)],
+        ),
+        motif(
+            "bi-fan (A-B pair over C-D pair)",
+            &[0, 0, 1, 1],
+            &[(0, 2), (0, 3), (1, 2), (1, 3)],
+        ),
         motif("tagged 4-path", &[0, 1, 1, 2], &[(0, 1), (1, 2), (2, 3)]),
-        motif("4-cycle with chord", &[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        motif(
+            "4-cycle with chord",
+            &[0, 1, 0, 1],
+            &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+        ),
     ];
 
     let config = FastConfig::for_variant(Variant::Sep);
@@ -45,7 +57,10 @@ fn main() {
     for (name, query) in motifs {
         let report = run_fast(&query, &network, &config).expect("motif fits the kernel");
         let oracle = vf2_count(&query, &network);
-        assert_eq!(report.embeddings, oracle, "kernel disagrees with VF2 on {name}");
+        assert_eq!(
+            report.embeddings, oracle,
+            "kernel disagrees with VF2 on {name}"
+        );
         println!(
             "{:<36} {:>12} {:>14} {:>10.2}ms",
             name,

@@ -55,7 +55,11 @@ fn main() {
                     r.embeddings,
                     r.partitions,
                     r.plan_time,
-                    if r.cst_cache_hit { "cache hit" } else { "cold build" },
+                    if r.cst_cache_hit {
+                        "cache hit"
+                    } else {
+                        "cold build"
+                    },
                 );
                 break;
             }
@@ -66,7 +70,10 @@ fn main() {
     // A burst of repeated queries: repeats replay the cached plan and
     // partitions, which are multiplexed across all four devices.
     let mix = [0usize, 1, 2, 1, 0, 1, 2, 1, 1, 2, 0, 1];
-    let handles: Vec<_> = mix.iter().map(|&qi| service.submit(benchmark_query(qi))).collect();
+    let handles: Vec<_> = mix
+        .iter()
+        .map(|&qi| service.submit(benchmark_query(qi)))
+        .collect();
     for (qi, h) in mix.iter().zip(handles) {
         let r = h.wait().expect("session completes");
         println!(
@@ -98,8 +105,5 @@ fn main() {
             d.partitions, d.cycles
         );
     }
-    assert!(
-        report.cst_cache.hits > 0,
-        "repeats must hit the cache"
-    );
+    assert!(report.cst_cache.hits > 0, "repeats must hit the cache");
 }

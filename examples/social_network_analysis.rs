@@ -24,7 +24,10 @@ fn main() {
 
     let scenarios = [
         (6usize, "friend triangle in one city (q6)"),
-        (7usize, "friend triangle across two cities of a country (q7)"),
+        (
+            7usize,
+            "friend triangle across two cities of a country (q7)",
+        ),
         (2usize, "post-and-reply between friends, tagged (q2)"),
     ];
 

@@ -127,17 +127,18 @@ fn variant_cycle_ladder_holds_end_to_end() {
     let g = tiny_ldbc();
     for qi in [1usize, 2, 6, 8] {
         let q = benchmark_query(qi);
-        let cycles: Vec<(Variant, u64)> = [Variant::Dram, Variant::Basic, Variant::Task, Variant::Sep]
-            .iter()
-            .map(|&v| {
-                (
-                    v,
-                    run_fast(&q, &g, &FastConfig::for_variant(v))
-                        .expect("fits")
-                        .kernel_cycles,
-                )
-            })
-            .collect();
+        let cycles: Vec<(Variant, u64)> =
+            [Variant::Dram, Variant::Basic, Variant::Task, Variant::Sep]
+                .iter()
+                .map(|&v| {
+                    (
+                        v,
+                        run_fast(&q, &g, &FastConfig::for_variant(v))
+                            .expect("fits")
+                            .kernel_cycles,
+                    )
+                })
+                .collect();
         for w in cycles.windows(2) {
             assert!(
                 w[0].1 >= w[1].1,
@@ -194,7 +195,9 @@ fn memory_caps_produce_oom_markers() {
     let r = run_baseline(Baseline::Cfl, &q, &g, &limits);
     assert_eq!(r.outcome, Outcome::OutOfMemory);
     // The GPU join with a tiny device OOMs too.
-    let device = DeviceSpec { memory_bytes: 1 << 10 };
+    let device = DeviceSpec {
+        memory_bytes: 1 << 10,
+    };
     let r = run_join_baseline(JoinBaseline::Gsi, &q, &g, &device, &RunLimits::unlimited());
     assert_eq!(r.outcome, Outcome::OutOfMemory);
 }

@@ -99,10 +99,14 @@ fn saturated_tenants_complete_in_quota_proportion() {
             t.cst_resident_bytes as u64,
         ]
     };
-    let summed = report.tenants.iter().map(counters).fold([0; 9], |mut sum, c| {
-        sum.iter_mut().zip(c).for_each(|(s, x)| *s += x);
-        sum
-    });
+    let summed = report
+        .tenants
+        .iter()
+        .map(counters)
+        .fold([0; 9], |mut sum, c| {
+            sum.iter_mut().zip(c).for_each(|(s, x)| *s += x);
+            sum
+        });
     assert_eq!(
         summed,
         [

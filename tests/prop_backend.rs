@@ -65,12 +65,21 @@ fn all_fleets_agree_with_run_fast_for_every_planner() {
         &g,
         &queries,
         0,
-        vec![DeviceKind::Cpu { threads: 2 }, DeviceKind::Cpu { threads: 4 }],
+        vec![
+            DeviceKind::Cpu { threads: 2 },
+            DeviceKind::Cpu { threads: 4 },
+        ],
     );
     let mixed = serve_counts(&g, &queries, 1, vec![DeviceKind::Cpu { threads: 4 }]);
     assert_eq!(fpga_only, oneshot, "FPGA fleet disagrees with run_fast");
-    assert_eq!(cpu_only, oneshot, "CPU fallback fleet disagrees with run_fast");
-    assert_eq!(mixed, oneshot, "heterogeneous fleet disagrees with run_fast");
+    assert_eq!(
+        cpu_only, oneshot,
+        "CPU fallback fleet disagrees with run_fast"
+    );
+    assert_eq!(
+        mixed, oneshot,
+        "heterogeneous fleet disagrees with run_fast"
+    );
 }
 
 /// Double-submit on every fleet, for two tenants: the second serve of
@@ -89,7 +98,10 @@ fn warm_tier2_serves_agree_across_fleets() {
         (2, Vec::new()),
         (
             0,
-            vec![DeviceKind::Cpu { threads: 2 }, DeviceKind::Cpu { threads: 4 }],
+            vec![
+                DeviceKind::Cpu { threads: 2 },
+                DeviceKind::Cpu { threads: 4 },
+            ],
         ),
         (1, vec![DeviceKind::Cpu { threads: 4 }]),
     ];
@@ -120,7 +132,10 @@ fn warm_tier2_serves_agree_across_fleets() {
             };
             let cold = serve().expect("cold serve");
             let warm = serve().expect("warm serve");
-            assert!(!cold.cst_cache_hit, "fleet {fleet_idx}: first serve must miss");
+            assert!(
+                !cold.cst_cache_hit,
+                "fleet {fleet_idx}: first serve must miss"
+            );
             assert!(
                 warm.cst_cache_hit,
                 "fleet {fleet_idx}: second serve must hit the cache"
@@ -130,7 +145,10 @@ fn warm_tier2_serves_agree_across_fleets() {
                 std::time::Duration::ZERO,
                 "fleet {fleet_idx}: cache hit must build nothing"
             );
-            assert_eq!(warm.topdown_entries, 0, "fleet {fleet_idx}: no top-down scan");
+            assert_eq!(
+                warm.topdown_entries, 0,
+                "fleet {fleet_idx}: no top-down scan"
+            );
             assert_eq!(
                 cold.embeddings, warm.embeddings,
                 "fleet {fleet_idx}: cache replay changed the count"
@@ -160,8 +178,15 @@ fn warm_tier2_serves_agree_across_fleets() {
         );
         assert_eq!(report.tenants.len(), 2);
         assert_eq!((report.tenants[0].quota, report.tenants[1].quota), (1, 3));
-        for d in report.devices.iter().filter(|d| d.class == BackendClass::Cpu) {
-            assert_eq!(d.cycles, 0, "fleet {fleet_idx}: CPU devices have no cycle notion");
+        for d in report
+            .devices
+            .iter()
+            .filter(|d| d.class == BackendClass::Cpu)
+        {
+            assert_eq!(
+                d.cycles, 0,
+                "fleet {fleet_idx}: CPU devices have no cycle notion"
+            );
         }
         let cycles: u64 = report.devices.iter().map(|d| d.cycles).sum();
         assert_eq!(

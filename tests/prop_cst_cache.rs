@@ -314,7 +314,10 @@ fn tiny_budget_rejects_artifacts_but_serves_correctly() {
     assert_eq!(cold.embeddings, warm.embeddings);
     let report = service.shutdown();
     assert_eq!(report.cst_cache.insertions, 0);
-    assert_eq!(report.cst_cache.rejected, 2, "both builds outweigh the budget");
+    assert_eq!(
+        report.cst_cache.rejected, 2,
+        "both builds outweigh the budget"
+    );
     assert_eq!(report.cst_resident_bytes, 0);
 }
 

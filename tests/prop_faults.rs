@@ -54,15 +54,17 @@ fn arb_plan(corrupt: bool) -> impl Strategy<Value = FaultPlan> {
         0.0f64..0.25,
         (any::<bool>(), 4u64..64),
     )
-        .prop_map(move |(seed, transient, stall, corrupt_rate, (dies, dies_at))| FaultPlan {
-            seed,
-            transient_rate: transient,
-            stall_rate: stall,
-            corrupt_rate: if corrupt { corrupt_rate } else { 0.0 },
-            permanent_after: dies.then_some(dies_at),
-            panic_after: None,
-            slowdown: 1.0,
-        })
+        .prop_map(
+            move |(seed, transient, stall, corrupt_rate, (dies, dies_at))| FaultPlan {
+                seed,
+                transient_rate: transient,
+                stall_rate: stall,
+                corrupt_rate: if corrupt { corrupt_rate } else { 0.0 },
+                permanent_after: dies.then_some(dies_at),
+                panic_after: None,
+                slowdown: 1.0,
+            },
+        )
 }
 
 fn faulty(inner: DeviceKind, plan: FaultPlan) -> DeviceKind {
@@ -80,7 +82,11 @@ fn fleets(fast: &FastConfig, p0: FaultPlan, p1: FaultPlan) -> Vec<(&'static str,
     vec![
         (
             "fpga-only",
-            vec![faulty(fpga(), p0.clone()), faulty(fpga(), p1.clone()), fpga()],
+            vec![
+                faulty(fpga(), p0.clone()),
+                faulty(fpga(), p1.clone()),
+                fpga(),
+            ],
         ),
         (
             "cpu-only",
@@ -133,17 +139,29 @@ fn assert_fault_invariants(mid: &ServeReport, report: &ServeReport, label: &str)
         report.corruption_catches, device_corruptions,
         "{label}: every caught corruption is charged to a device"
     );
-    assert!(report.failovers <= report.retries, "{label}: failovers ⊆ retries");
+    assert!(
+        report.failovers <= report.retries,
+        "{label}: failovers ⊆ retries"
+    );
     // Monotonicity: counters only grow from the mid-run snapshot.
     assert!(report.retries >= mid.retries, "{label}: retries monotone");
-    assert!(report.quarantines >= mid.quarantines, "{label}: quarantines monotone");
+    assert!(
+        report.quarantines >= mid.quarantines,
+        "{label}: quarantines monotone"
+    );
     assert!(
         report.corruption_catches >= mid.corruption_catches,
         "{label}: corruption catches monotone"
     );
     for (a, b) in mid.devices.iter().zip(&report.devices) {
-        assert!(b.failures >= a.failures, "{label}: per-device failures monotone");
-        assert!(b.quarantines >= a.quarantines, "{label}: per-device quarantines monotone");
+        assert!(
+            b.failures >= a.failures,
+            "{label}: per-device failures monotone"
+        );
+        assert!(
+            b.quarantines >= a.quarantines,
+            "{label}: per-device quarantines monotone"
+        );
     }
     assert!(report.is_finite(), "{label}: report stays finite");
 }
@@ -155,9 +173,18 @@ fn serve_mix(extra: Vec<DeviceKind>, label: &str) -> ServeReport {
     let service = FastService::new(Arc::clone(g), chaos_config(extra));
     let counts: Vec<u64> = QUERY_MIX
         .iter()
-        .map(|&i| service.submit(benchmark_query(i)).wait().expect("session").embeddings)
+        .map(|&i| {
+            service
+                .submit(benchmark_query(i))
+                .wait()
+                .expect("session")
+                .embeddings
+        })
         .collect();
-    assert_eq!(&counts, baseline, "{label}: counts diverge from the fault-free run");
+    assert_eq!(
+        &counts, baseline,
+        "{label}: counts diverge from the fault-free run"
+    );
     let mid = service.report();
     let report = service.shutdown();
     assert_eq!(report.completed, QUERY_MIX.len() as u64, "{label}");
@@ -202,8 +229,15 @@ fn zero_rate_fleet_never_retries_and_a_dying_card_is_evicted() {
         ],
         "heavy",
     );
-    assert!(heavy.retries > 0 && heavy.failovers > 0, "heavy chaos must retry and fail over");
-    assert_eq!(heavy.devices[0].health, HealthState::Evicted, "the dying card is evicted");
+    assert!(
+        heavy.retries > 0 && heavy.failovers > 0,
+        "heavy chaos must retry and fail over"
+    );
+    assert_eq!(
+        heavy.devices[0].health,
+        HealthState::Evicted,
+        "the dying card is evicted"
+    );
 }
 
 proptest! {

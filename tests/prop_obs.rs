@@ -49,15 +49,17 @@ fn arb_plan(corrupt: bool) -> impl Strategy<Value = FaultPlan> {
         0.0f64..0.25,
         (any::<bool>(), 4u64..64),
     )
-        .prop_map(move |(seed, transient, stall, corrupt_rate, (dies, dies_at))| FaultPlan {
-            seed,
-            transient_rate: transient,
-            stall_rate: stall,
-            corrupt_rate: if corrupt { corrupt_rate } else { 0.0 },
-            permanent_after: dies.then_some(dies_at),
-            panic_after: None,
-            slowdown: 1.0,
-        })
+        .prop_map(
+            move |(seed, transient, stall, corrupt_rate, (dies, dies_at))| FaultPlan {
+                seed,
+                transient_rate: transient,
+                stall_rate: stall,
+                corrupt_rate: if corrupt { corrupt_rate } else { 0.0 },
+                permanent_after: dies.then_some(dies_at),
+                panic_after: None,
+                slowdown: 1.0,
+            },
+        )
 }
 
 fn faulty(inner: DeviceKind, plan: FaultPlan) -> DeviceKind {
@@ -103,7 +105,13 @@ fn untraced_counts() -> &'static Vec<u64> {
         let service = FastService::new(Arc::clone(workload()), obs_config(clean));
         let counts = QUERY_MIX
             .iter()
-            .map(|&i| service.submit(benchmark_query(i)).wait().expect("untraced session").embeddings)
+            .map(|&i| {
+                service
+                    .submit(benchmark_query(i))
+                    .wait()
+                    .expect("untraced session")
+                    .embeddings
+            })
             .collect();
         service.shutdown();
         counts

@@ -14,7 +14,9 @@ use rand::SeedableRng;
 /// FAST-SHARE CPU share's method).
 fn engine_count(q: &QueryGraph, g: &Graph, cst: &Cst, order: &MatchingOrder) -> u64 {
     let method = ExtensionMethod::EdgeVerification(AnchorPolicy::MinList);
-    run_backtrack(q, g, cst, order, method, &RunLimits::unlimited()).1.embeddings
+    run_backtrack(q, g, cst, order, method, &RunLimits::unlimited())
+        .1
+        .embeddings
 }
 
 fn arb_query() -> impl Strategy<Value = QueryGraph> {

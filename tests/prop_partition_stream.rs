@@ -291,7 +291,13 @@ fn partition_whole_offers(
     steal: &mut dyn FnMut(&Cst) -> bool,
     sink: &mut dyn FnMut(Cst),
 ) -> PartitionStats {
-    partition_cst_with_steal(cst, order, config, &mut |offer| steal(&offer.to_cst()), sink)
+    partition_cst_with_steal(
+        cst,
+        order,
+        config,
+        &mut |offer| steal(&offer.to_cst()),
+        sink,
+    )
 }
 
 /// Runs `partitioner` with a steal hook that takes every `steal_every`-th

@@ -192,8 +192,8 @@ fn serve_agrees_with_run_fast() {
         &[(0, 1), (1, 2), (0, 2)],
     )
     .unwrap();
-    let oneshot = fast::run_fast(&q, &g, &FastConfig::test_small(Variant::Sep))
-        .expect("one-shot run");
+    let oneshot =
+        fast::run_fast(&q, &g, &FastConfig::test_small(Variant::Sep)).expect("one-shot run");
     let service = FastService::new(g, service_config(2, 2, 64 << 20));
     let served = service.submit(q).wait().expect("served run");
     assert_eq!(served.embeddings, oneshot.embeddings);
@@ -223,7 +223,10 @@ fn in_flight_depth_is_bounded() {
             scope.spawn(move || {
                 for _ in 0..3 {
                     let report = service.submit(q.clone()).wait().expect("session");
-                    assert_eq!(report.embeddings, want, "a blocking client got a wrong count");
+                    assert_eq!(
+                        report.embeddings, want,
+                        "a blocking client got a wrong count"
+                    );
                 }
             });
         }

@@ -181,7 +181,9 @@ fn drive(scenario: u64) -> Result<(), TestCaseError> {
             },
             Op::WaitOldest => wait_oldest(&mut pending)?,
             Op::Bump => {
-                service.bump_epoch(TenantId::DEFAULT).expect("default tenant");
+                service
+                    .bump_epoch(TenantId::DEFAULT)
+                    .expect("default tenant");
             }
         }
     }
