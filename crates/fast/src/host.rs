@@ -1369,21 +1369,24 @@ mod tests {
         );
     }
 
-    /// `run_fast`'s collected rows without the lane: every booking through
-    /// `OffloadState`, then, once the stream ends, the kernel over the
-    /// FPGA-booked partitions in stream order, then the engine over the
-    /// CPU-booked ones in queue order, cut to the cap.
-    fn serial_rows(
+    /// `run_fast`'s bookings without the lane: every partition booked
+    /// through `OffloadState`, in booking order (stolen CSTs included), and
+    /// the steal hook's answers in the order it was asked.
+    fn run_fast_stream(
         q: &QueryGraph,
         g: &Graph,
         config: &FastConfig,
         tree: &BfsTree,
         order: &MatchingOrder,
-    ) -> Vec<Vec<VertexId>> {
-        let plan = KernelPlan::new(q, order, tree).unwrap();
+    ) -> (Vec<Work>, Vec<bool>) {
         let (ready, queue) = mpsc::channel::<Work>();
         let state = RefCell::new(OffloadState::new(config));
-        let mut steal = |offer: &Offer<'_>| state.borrow_mut().steal(offer, &ready);
+        let mut answers = Vec::new();
+        let mut steal = |offer: &Offer<'_>| {
+            let taken = state.borrow_mut().steal(offer, &ready);
+            answers.push(taken);
+            taken
+        };
         produce_partitions(
             q,
             g,
@@ -1399,9 +1402,24 @@ mod tests {
             &mut |job| state.borrow_mut().offload(job, &ready),
         );
         drop(ready);
+        (queue.into_iter().collect(), answers)
+    }
+
+    /// `run_fast`'s collected rows without the lane: every booking through
+    /// `OffloadState`, then, once the stream ends, the kernel over the
+    /// FPGA-booked partitions in stream order, then the engine over the
+    /// CPU-booked ones in queue order, cut to the cap.
+    fn serial_rows(
+        q: &QueryGraph,
+        g: &Graph,
+        config: &FastConfig,
+        tree: &BfsTree,
+        order: &MatchingOrder,
+    ) -> Vec<Vec<VertexId>> {
+        let plan = KernelPlan::new(q, order, tree).unwrap();
         let cap = collect_cap(config.collect);
         let (mut rows, mut cpu_rows) = (Vec::new(), Vec::new());
-        for work in queue {
+        for work in run_fast_stream(q, g, config, tree, order).0 {
             match work {
                 Work::Fpga(_, cst) => {
                     rows.extend(run_kernel(&cst, &plan, config.spec.no, config.collect).collected)
@@ -1740,47 +1758,6 @@ mod tests {
             .collect()
     }
 
-    /// `run_fast`'s stream, in booking order (stolen CSTs included), and
-    /// the steal hook's answers in the order it was asked.
-    fn run_fast_stream(
-        q: &QueryGraph,
-        g: &Graph,
-        config: &FastConfig,
-        tree: &BfsTree,
-        order: &MatchingOrder,
-    ) -> (Vec<Arc<Cst>>, Vec<bool>) {
-        let (ready, queue) = mpsc::channel::<Work>();
-        let state = RefCell::new(OffloadState::new(config));
-        let mut answers = Vec::new();
-        let mut steal = |offer: &Offer<'_>| {
-            let taken = state.borrow_mut().steal(offer, &ready);
-            answers.push(taken);
-            taken
-        };
-        produce_partitions(
-            q,
-            g,
-            config,
-            tree,
-            order,
-            1,
-            false,
-            config
-                .variant
-                .shares_with_cpu()
-                .then_some(&mut steal as StealHook<'_>),
-            &mut |job| state.borrow_mut().offload(job, &ready),
-        );
-        drop(ready);
-        let stream = queue
-            .into_iter()
-            .map(|work| match work {
-                Work::Fpga(_, cst) | Work::Cpu(_, cst) => cst,
-            })
-            .collect();
-        (stream, answers)
-    }
-
     /// Checks one stream against the whole partitions it was cut from:
     /// each streamed partition holds exactly the execution directions, is
     /// the whole one trimmed, and gives the whole one's every `KernelOutput`
@@ -1847,7 +1824,13 @@ mod tests {
         let thresholds = config.partition_config(n, &root);
         let expected = run_fast_with_order(q, g, config, order).unwrap().embeddings;
 
-        let (streamed, answers) = run_fast_stream(q, g, config, &tree, order);
+        let (stream, answers) = run_fast_stream(q, g, config, &tree, order);
+        let streamed: Vec<Arc<Cst>> = stream
+            .into_iter()
+            .map(|work| match work {
+                Work::Fpga(_, cst) | Work::Cpu(_, cst) => cst,
+            })
+            .collect();
         let stolen = answers.iter().filter(|&&taken| taken).count();
         let mut answers = answers.into_iter();
         let whole = RefCell::new(Vec::new());
