@@ -319,31 +319,21 @@ impl Cst {
     /// [`adjacency`](Self::adjacency), and the result no longer passes
     /// [`validate`](Self::validate), which needs both directions.
     pub fn retain_adjacency(&mut self, mut keep: impl FnMut(QueryVertexId, QueryVertexId) -> bool) {
-        let mut kept = vec![false; self.adjacency.len()];
-        for (u, row) in self.edge_slot.iter().enumerate() {
-            for (v, &slot) in row.iter().enumerate() {
-                if slot != NO_EDGE {
-                    kept[slot as usize] =
-                        keep(QueryVertexId::from_index(u), QueryVertexId::from_index(v));
-                }
+        let mut taken: Vec<Option<CsrAdj>> = std::mem::take(&mut self.adjacency)
+            .into_iter()
+            .map(Some)
+            .collect();
+        for (u, row) in self.edge_slot.iter_mut().enumerate() {
+            for (v, slot) in row.iter_mut().enumerate().filter(|(_, s)| **s != NO_EDGE) {
+                let adj = taken[*slot as usize].take().expect("one slot per edge");
+                *slot = if keep(QueryVertexId::from_index(u), QueryVertexId::from_index(v)) {
+                    self.adjacency.push(adj);
+                    self.adjacency.len() as u32 - 1
+                } else {
+                    NO_EDGE
+                };
             }
         }
-        // Kept slots keep their relative order, renumbered densely.
-        let mut renumber = Vec::with_capacity(kept.len());
-        let mut next = 0u32;
-        for &k in &kept {
-            renumber.push(if k { next } else { NO_EDGE });
-            next += u32::from(k);
-        }
-        for slot in self.edge_slot.iter_mut().flatten() {
-            if *slot != NO_EDGE {
-                *slot = renumber[*slot as usize];
-            }
-        }
-        let mut slots = kept.iter();
-        self.adjacency
-            .retain(|_| *slots.next().expect("one flag per slot"));
-        self.adjacency.shrink_to_fit();
     }
 
     /// The candidate sets and the adjacency CSRs, in slot order.

@@ -1819,9 +1819,8 @@ mod tests {
         order: &MatchingOrder,
     ) -> usize {
         let tree = BfsTree::new(q, order.first());
-        let n = q.vertex_count();
         let root = build_cst_with_stats(q, g, &tree, config.cst_options).0;
-        let thresholds = config.partition_config(n, &root);
+        let thresholds = config.partition_config(q.vertex_count(), &root);
         let expected = run_fast_with_order(q, g, config, order).unwrap().embeddings;
 
         let (stream, answers) = run_fast_stream(q, g, config, &tree, order);
