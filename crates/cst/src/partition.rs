@@ -18,23 +18,24 @@
 //!
 //! A split costs one pass over the parent plus the children it emits
 //! (DESIGN.md §3): `label` marks every candidate with the set of children
-//! that keep it — up to 64 per sweep, one bit each — and `Emitter` writes
-//! each child from those labels, reading only the kept sources' adjacency
-//! lists and measuring the child as it goes, so no node is scanned again to
-//! decide whether it fits or how to split it. A split reads only the
-//! backward direction of each query edge (from the later to the earlier
-//! vertex in the matching order), so a child that does not fit is kept as
-//! that half; a child that fits is emitted whole, its forward lists the
-//! transposes of its backward ones.
+//! that keep it — up to 16 per sweep, one bit each — and `Emitter` writes
+//! each child from those labels straight into the child's own vectors,
+//! reading only the kept sources' adjacency lists and measuring the child
+//! as it goes, so no node is scanned again to decide whether it fits or how
+//! to split it. A split reads only the backward direction of each query
+//! edge (from the later to the earlier vertex in the matching order), so a
+//! child is written as that half; one that fits is emitted whole, its
+//! forward lists the transposes of its backward ones.
 //!
 //! A split writes every child before it descends into any, then drops the
-//! parent: the recursion holds each level's pending siblings, never an
-//! ancestor, and one label plane, one set of selections and one scratch
-//! buffer serve the whole call. The sink still receives the partitions in
-//! Algorithm 2's depth-first order: a fitting child waits only behind an
-//! earlier sibling that is still to be split. [`partition_cst_owned`] takes
-//! the root by value, keeps only its backward half and frees that after the
-//! first split; the borrowing entry points leave the caller's CST whole.
+//! parent: the recursion holds each level's pending siblings as halves,
+//! never an ancestor, and one label plane and one set of selections serve
+//! the whole call. The sink still receives the partitions in Algorithm 2's
+//! depth-first order: a fitting child waits only behind an earlier sibling
+//! that is still to be split, and is built whole only when it is handed on.
+//! [`partition_cst_owned`] takes the root by value, keeps only its backward
+//! half and frees that after the first split; the borrowing entry points
+//! leave the caller's CST whole.
 
 use crate::structure::{CsrAdj, Cst, CstMetrics};
 use crate::workload::{self, TreeLists, WorkloadEstimate};
@@ -216,14 +217,14 @@ pub fn partition_cst(
 pub fn shard_at_vertex(cst: &Cst, vertex: QueryVertexId, range: Range<u32>) -> Cst {
     let mut plane: LabelPlane = vec![Vec::new(); cst.query_vertex_count()];
     plane[vertex.index()] = (0..cst.candidate_count(vertex) as u32)
-        .map(|i| u64::from(range.contains(&i)))
+        .map(|i| u16::from(range.contains(&i)))
         .collect();
     // Any ranking picks one direction per edge; vertex ids will do.
     let layout = Layout::new(cst, QueryVertexId::index);
     let whole = Node::borrow(cst, &layout);
     let mut emitter = Emitter::default();
-    emitter.scan(&whole, &layout, &plane, 0);
-    emitter.build(&whole, &layout)
+    let (child, _) = emitter.scan(&whole, &layout, &plane, 0);
+    emitter.build(child, &layout)
 }
 
 /// A CST that does not fit, offered to [`partition_cst_with_steal`]'s steal
@@ -267,7 +268,7 @@ impl Oversized<'_> {
 
     /// The whole CST, both directions of every query edge.
     pub fn to_cst(&self) -> Cst {
-        self.node.to_cst(self.layout)
+        self.node.clone().into_cst(self.layout, None)
     }
 }
 
@@ -380,8 +381,8 @@ impl Layout {
 /// A node of Algorithm 2's recursion as a split reads it: every candidate
 /// set and the [`Layout::stored`] direction of every query edge. A borrowed
 /// root borrows them from the whole CST; an owned root and every node below
-/// it that does not fit own them.
-#[derive(Debug)]
+/// it own them.
+#[derive(Debug, Clone)]
 struct Node<'a> {
     candidates: Vec<Cow<'a, [VertexId]>>,
     stored: Vec<Cow<'a, CsrAdj>>,
@@ -420,11 +421,12 @@ impl<'a> Node<'a> {
         self.candidates[v.index()].len()
     }
 
-    fn to_cst(&self, layout: &Layout) -> Cst {
+    /// The whole CST; `counts` as [`Layout::assemble`] takes them.
+    fn into_cst(self, layout: &Layout, counts: Option<&[u32]>) -> Cst {
         layout.assemble(
-            self.candidates.iter().map(|c| c.to_vec()).collect(),
-            self.stored.iter().map(|adj| CsrAdj::clone(adj)).collect(),
-            None,
+            self.candidates.into_iter().map(Cow::into_owned).collect(),
+            self.stored.into_iter().map(Cow::into_owned).collect(),
+            counts,
         )
     }
 }
@@ -433,16 +435,19 @@ impl<'a> Node<'a> {
 /// the current batch keeps candidate `i` of query vertex `v`. A vertex the
 /// split leaves whole (every child keeps all of its candidates) has an
 /// empty vector instead of all-ones words.
-type LabelPlane = Vec<Vec<u64>>;
+type LabelPlane = Vec<Vec<u16>>;
 
-/// Children labelled per sweep: one bit of a label word each.
-const BATCH: usize = u64::BITS as usize;
+/// Children labelled per sweep: one bit of a label word each. Sixteen
+/// covers the serving fan-out and the greedy `k` of the benchmark graphs;
+/// a larger `k` takes more sweeps.
+const BATCH: usize = u16::BITS as usize;
 
-/// A child written by a split and not yet handed on: a whole CST that fits,
-/// or a half [`Node`] to offer to the steal hook and split, with its sizes
-/// and the order position its split starts from.
+/// A child written by a split and not yet handed on, as a half [`Node`]:
+/// one that fits, built whole when its turn comes, or one to offer to the
+/// steal hook and split, with its sizes and the order position its split
+/// starts from.
 enum Pending {
-    Fits(Cst),
+    Fits(Node<'static>),
     Split(Node<'static>, CstMetrics, usize),
 }
 
@@ -485,7 +490,7 @@ impl Splitter<'_> {
             if index >= self.order.len() {
                 self.stats.partitions += 1;
                 self.stats.forced += 1;
-                (self.sink)(node.to_cst(&self.layout));
+                (self.sink)(node.into_cst(&self.layout, None));
                 return;
             }
             let vertex = self.order.vertex_at(index);
@@ -520,11 +525,11 @@ impl Splitter<'_> {
     }
 
     /// Splits `C(vertex)` of `node` evenly into `k` chunks (Alg. 2 line 4),
-    /// [`BATCH`] children per label sweep, and writes every child before
-    /// descending into any: one that fits whole, one that does not as a
-    /// half [`Node`]. Then `node` is dropped and the children are handed on
-    /// in chunk order: a fitting one to the sink (at once while no earlier
-    /// sibling is pending), a half to [`visit`](Self::visit).
+    /// [`BATCH`] children per label sweep, and writes every child as a half
+    /// [`Node`] before descending into any. Then `node` is dropped and the
+    /// children are handed on in chunk order: one that fits to the sink,
+    /// built whole (at once while no earlier sibling is pending), one that
+    /// does not to [`visit`](Self::visit).
     fn split(&mut self, node: Node<'_>, index: usize, vertex: QueryVertexId, k: usize) {
         let count = node.candidate_count(vertex);
         let (base, extra) = (count / k, count % k);
@@ -547,20 +552,18 @@ impl Splitter<'_> {
                     self.stats.skipped_empty += 1;
                     continue;
                 }
-                let metrics = self
-                    .emitter
-                    .scan(&node, &self.layout, &self.plane, child as u32);
+                let (sub, metrics) =
+                    self.emitter
+                        .scan(&node, &self.layout, &self.plane, child as u32);
                 if metrics_fit(&metrics, self.config) {
                     self.stats.partitions += 1;
-                    let whole = self.emitter.build(&node, &self.layout);
                     if pending.is_empty() {
-                        (self.sink)(whole);
+                        (self.sink)(self.emitter.build(sub, &self.layout));
                     } else {
-                        pending.push(Pending::Fits(whole));
+                        pending.push(Pending::Fits(sub));
                     }
                     continue;
                 }
-                let sub = self.emitter.half(&node);
                 let next = index + usize::from(sub.candidate_count(vertex) <= 1);
                 pending.push(Pending::Split(sub, metrics, next));
             }
@@ -568,7 +571,7 @@ impl Splitter<'_> {
         drop(node);
         for child in pending {
             match child {
-                Pending::Fits(whole) => (self.sink)(whole),
+                Pending::Fits(sub) => (self.sink)(sub.into_cst(&self.layout, None)),
                 Pending::Split(sub, metrics, next) => self.visit(sub, metrics, next, 1),
             }
         }
@@ -593,7 +596,7 @@ fn label(
     index: usize,
     bounds: &[usize],
     plane: &mut LabelPlane,
-) -> u64 {
+) -> u16 {
     plane.resize_with(node.candidates.len(), Vec::new);
     for position in 0..index {
         plane[order.vertex_at(position).index()].clear();
@@ -606,7 +609,7 @@ fn label(
         labels[chunk[0]..chunk[1]].fill(1 << child);
     }
 
-    let mut alive = u64::MAX;
+    let mut alive = u16::MAX;
     for (position, earlier) in earlier.iter().enumerate().skip(index + 1) {
         let w = order.vertex_at(position);
         let mut labels = std::mem::take(&mut plane[w.index()]);
@@ -614,14 +617,14 @@ fn label(
         let constraining = earlier.iter().filter(|&&(_, p, _)| p >= index);
         for (n, &(b, _, edge)) in constraining.enumerate() {
             if n == 0 {
-                labels.resize(node.candidate_count(w), u64::MAX);
+                labels.resize(node.candidate_count(w), u16::MAX);
             }
             let adj = &node.stored[edge];
             let reach = &plane[b.index()];
             if reach.is_empty() {
                 // `b` is whole: any neighbour at all reaches every child.
                 for (i, label) in labels.iter_mut().enumerate() {
-                    *label &= if adj.degree(i) > 0 { u64::MAX } else { 0 };
+                    *label &= if adj.degree(i) > 0 { u16::MAX } else { 0 };
                 }
             } else {
                 for (i, label) in labels.iter_mut().enumerate() {
@@ -661,7 +664,7 @@ const DROPPED: u32 = u32::MAX;
 impl Select {
     /// Selects the candidates whose label has `bit` set; an empty `labels`
     /// ([`LabelPlane`]) selects all `count`.
-    fn derive(&mut self, labels: &[u64], count: usize, bit: u32) {
+    fn derive(&mut self, labels: &[u16], count: usize, bit: u32) {
         self.whole = labels.is_empty();
         if self.whole {
             self.kept = count;
@@ -689,176 +692,114 @@ impl Select {
             self.sources.iter().for_each(|&i| f(i as usize));
         }
     }
-}
 
-/// How many times the room a node's children need [`Emitter::scan`]'s
-/// scratch may hold before it is shrunk to that room.
-const SCRATCH_SLACK: usize = 4;
-
-/// Where [`Emitter::scan`] left one stored edge's CSR in the scratch buffer.
-#[derive(Debug, Clone, Copy)]
-struct EdgeSpan {
-    start: usize,
-    offsets: usize,
-    targets: usize,
+    /// The kept candidates of `all`.
+    fn pick(&self, all: &[VertexId]) -> Vec<VertexId> {
+        if self.whole {
+            all.to_vec()
+        } else {
+            self.sources.iter().map(|&i| all[i as usize]).collect()
+        }
+    }
 }
 
 /// Writes one child of a labelled node. [`scan`](Self::scan) reads the kept
-/// sources' stored lists of the parent once, remaps them into one reused
-/// scratch buffer and measures the whole child on the way;
-/// [`build`](Self::build) and [`half`](Self::half) copy the result into
-/// buffers of exactly its size. Between the two the caller knows whether
-/// the child fits — whether it is handed away whole for good or is about
-/// to be split again, for which its stored half is all that is read.
+/// sources' stored lists of the parent once, remaps them straight into the
+/// child's own vectors and measures the whole child on the way, so the
+/// caller knows whether the child fits — whether it is handed away whole
+/// for good ([`build`](Self::build)) or is about to be split again, for
+/// which its stored half is all that is read.
 #[derive(Debug, Default)]
 struct Emitter {
     /// Per query vertex, the selection of the child last scanned.
     select: Vec<Select>,
-    /// Per stored edge, its CSR of the child last scanned: `offsets` then
-    /// `targets`.
-    scratch: Vec<u32>,
-    spans: Vec<EdgeSpan>,
     /// Per stored edge in turn, per kept target, its entries: the length of
     /// its list in the reverse direction.
     counts: Vec<u32>,
 }
 
 impl Emitter {
-    /// Selects child `bit` of `plane` from `parent` and writes the stored
-    /// direction of each query edge into the scratch buffer: only the kept
-    /// sources' lists are read, each target is stored unconditionally at
-    /// the write cursor and the cursor advances by whether the target is
-    /// kept. Returns the whole child's sizes: by CST symmetry each reverse
-    /// direction has as many entries as its stored one, and its scaffold
-    /// follows from the kept counts. The entries per kept target are the
-    /// reverse lists' lengths, so `D_CST` is the larger of the longest
-    /// stored list and the largest of those counts.
-    fn scan(&mut self, parent: &Node, layout: &Layout, plane: &LabelPlane, bit: u32) -> CstMetrics {
+    /// Selects child `bit` of `plane` from `parent` and writes it as a half
+    /// [`Node`]: only the kept sources' lists are read, each into room for
+    /// every entry it holds. Returns the child with the whole child's sizes:
+    /// by CST symmetry each reverse direction has as many entries as its
+    /// stored one, and its scaffold follows from the kept counts. The
+    /// entries per kept target are the reverse lists' lengths, so `D_CST` is
+    /// the larger of the longest stored list and the largest of those
+    /// counts.
+    fn scan(
+        &mut self,
+        parent: &Node,
+        layout: &Layout,
+        plane: &LabelPlane,
+        bit: u32,
+    ) -> (Node<'static>, CstMetrics) {
         self.select
             .resize_with(parent.candidates.len(), Select::default);
-        let mut candidates = 0;
+        let mut candidates = Vec::with_capacity(parent.candidates.len());
+        let mut kept = 0;
         for ((select, labels), all) in self.select.iter_mut().zip(plane).zip(&parent.candidates) {
             select.derive(labels, all.len(), bit);
-            candidates += select.kept;
+            kept += select.kept;
+            candidates.push(Cow::Owned(select.pick(all)));
         }
 
-        // Room for any child of `parent`: a child's CSRs are no longer than
-        // its parent's. A scratch more than `SCRATCH_SLACK` times that is
-        // shrunk to it, so one sized by the root does not outlive the root's
-        // split.
-        let room: usize = parent
-            .stored
-            .iter()
-            .map(|adj| adj.offsets.len() + adj.targets.len())
-            .sum();
-        if self.scratch.len() < room {
-            self.scratch.resize(room, 0);
-        } else if self.scratch.len() > SCRATCH_SLACK * room {
-            self.scratch.truncate(room);
-            self.scratch.shrink_to_fit();
-        }
-
-        self.spans.clear();
         self.counts.clear();
-        let (mut start, mut offsets, mut targets, mut max_degree) = (0, 0, 0, 0);
+        let mut stored = Vec::with_capacity(layout.stored.len());
+        let (mut offsets, mut targets, mut max_degree) = (0, 0, 0);
         for (&(a, b), adj) in layout.stored.iter().zip(&parent.stored) {
             let (source, target) = (&self.select[a.index()], &self.select[b.index()]);
-            let (out_offsets, out_targets) = self.scratch[start..].split_at_mut(source.kept + 1);
-            let (len, longest) = remap_edge(adj, source, target, out_offsets, out_targets);
+            let (child, longest) = remap_edge(adj, source, target);
             let counted = self.counts.len();
             self.counts.resize(counted + target.kept, 0);
             let counts = &mut self.counts[counted..];
-            for &t in &out_targets[..len] {
+            for &t in &child.targets {
                 counts[t as usize] += 1;
             }
             max_degree = counts.iter().fold(max_degree, |max, &n| max.max(n));
-            self.spans.push(EdgeSpan {
-                start,
-                offsets: source.kept + 1,
-                targets: len,
-            });
-            start += source.kept + 1 + len;
             offsets += source.kept + 1 + target.kept + 1;
-            targets += 2 * len;
+            targets += 2 * child.targets.len();
             max_degree = max_degree.max(longest);
+            stored.push(Cow::Owned(child));
         }
-        CstMetrics {
-            payload_bytes: candidates * std::mem::size_of::<VertexId>()
+        let metrics = CstMetrics {
+            payload_bytes: kept * std::mem::size_of::<VertexId>()
                 + targets * std::mem::size_of::<u32>(),
             scaffold_bytes: offsets * std::mem::size_of::<u32>(),
             max_degree,
-        }
+        };
+        (Node { candidates, stored }, metrics)
     }
 
-    /// The child last scanned as a whole CST, in vectors of exactly its
-    /// size.
-    fn build(&self, parent: &Node, layout: &Layout) -> Cst {
-        layout.assemble(self.candidates(parent), self.stored(), Some(&self.counts))
-    }
-
-    /// The child last scanned as a half node, in vectors of exactly its
-    /// size.
-    fn half(&self, parent: &Node) -> Node<'static> {
-        Node {
-            candidates: self
-                .candidates(parent)
-                .into_iter()
-                .map(Cow::Owned)
-                .collect(),
-            stored: self.stored().into_iter().map(Cow::Owned).collect(),
-        }
-    }
-
-    fn candidates(&self, parent: &Node) -> Vec<Vec<VertexId>> {
-        parent
-            .candidates
-            .iter()
-            .zip(&self.select)
-            .map(|(all, select)| {
-                if select.whole {
-                    all.to_vec()
-                } else {
-                    select.sources.iter().map(|&i| all[i as usize]).collect()
-                }
-            })
-            .collect()
-    }
-
-    fn stored(&self) -> Vec<CsrAdj> {
-        self.spans
-            .iter()
-            .map(|span| {
-                let (offsets, targets) = self.scratch[span.start..][..span.offsets + span.targets]
-                    .split_at(span.offsets);
-                debug_assert_eq!(offsets[span.offsets - 1] as usize, targets.len());
-                CsrAdj {
-                    offsets: offsets.to_vec(),
-                    targets: targets.to_vec(),
-                }
-            })
-            .collect()
+    /// The child [`scan`](Self::scan) returned last, as a whole CST: its
+    /// reverse lists are laid out from the counts the scan took.
+    fn build(&self, child: Node<'static>, layout: &Layout) -> Cst {
+        child.into_cst(layout, Some(&self.counts))
     }
 }
 
-/// Writes the CSR of one directed edge of a child: for each kept source of
-/// `adj`, its list restricted to kept targets and renumbered. `out_offsets`
-/// has one slot per kept source plus one; `out_targets` has room for every
-/// entry read. Returns the number of targets written and the longest list.
-fn remap_edge(
-    adj: &CsrAdj,
-    source: &Select,
-    target: &Select,
-    out_offsets: &mut [u32],
-    out_targets: &mut [u32],
-) -> (usize, u32) {
+/// The CSR of one directed edge of a child, and its longest list: for each
+/// kept source of `adj`, its list restricted to kept targets and
+/// renumbered. Each target is stored unconditionally at the write cursor
+/// and the cursor advances by whether the target is kept, so the targets
+/// get room for every entry read and are cut to the kept ones after.
+fn remap_edge(adj: &CsrAdj, source: &Select, target: &Select) -> (CsrAdj, u32) {
     if source.whole && target.whole {
-        out_offsets.copy_from_slice(&adj.offsets);
-        out_targets[..adj.targets.len()].copy_from_slice(&adj.targets);
-        return (adj.targets.len(), adj.max_degree());
+        return (adj.clone(), adj.max_degree());
     }
     let (offsets, targets) = (&adj.offsets[..], &adj.targets[..]);
+    let room = if source.whole {
+        targets.len()
+    } else {
+        let degrees = source
+            .sources
+            .iter()
+            .map(|&i| adj.degree(i as usize) as usize);
+        degrees.sum()
+    };
+    let mut out_offsets = vec![0u32; source.kept + 1];
+    let mut out_targets = vec![0u32; room];
     let (mut cursor, mut longest, mut slot) = (0usize, 0usize, 0usize);
-    out_offsets[0] = 0;
     // Lists are short (a handful of entries), so the per-list work is most
     // of the cost: one loop per case measures ~20 % faster than one loop
     // that picks the case per list.
@@ -886,7 +827,13 @@ fn remap_edge(
             out_offsets[slot] = cursor as u32;
         });
     }
-    (cursor, longest as u32)
+    out_targets.truncate(cursor);
+    out_targets.shrink_to_fit();
+    let child = CsrAdj {
+        offsets: out_offsets,
+        targets: out_targets,
+    };
+    (child, longest as u32)
 }
 
 #[cfg(test)]
@@ -960,7 +907,11 @@ mod tests {
     fn fixed_k_union_also_preserves_count() {
         let (q, _, _, order, cst) = setup();
         let whole = count_matches(&cst, &q, &order);
-        for k in [2, 4, 6] {
+        // k = 16, 17 and 33 fill one label sweep, spill one child into a
+        // second and take three, all at the root.
+        let roots = cst.candidate_count(order.first());
+        assert!(roots > 33, "{roots} root candidates");
+        for k in [2, 4, 6, 16, 17, 33] {
             let config = PartitionConfig {
                 delta_s: cst.size_bytes() / 3 + 64,
                 delta_d: u32::MAX,
@@ -968,7 +919,11 @@ mod tests {
                 fixed_k: Some(k),
                 root_fanout: 1,
             };
-            let (parts, _) = partition_cst(&cst, &order, &config);
+            let (parts, stats) = partition_cst(&cst, &order, &config);
+            assert!(
+                stats.partitions + stats.skipped_empty >= k as usize,
+                "k={k}"
+            );
             let sum: u64 = parts.iter().map(|p| count_matches(p, &q, &order)).sum();
             assert_eq!(sum, whole, "k={k}");
         }
